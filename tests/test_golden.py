@@ -1,0 +1,94 @@
+"""Golden outputs: four small canonical runs against stored exact values.
+
+The values in golden.json were written by `python tests/test_golden.py`
+and are compared with the declared tolerance
+
+    |a - b| <= GOLDEN_TOL * max(1, max |column|)
+
+per stored column.  A refactor that moves numbers beyond it must say so
+and regenerate the file deliberately.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from layerqg.dynamics import parse_observables, run_trajectory
+from layerqg.experiments import galerkin_sweep
+from layerqg.runconfig import RunSettings, realize
+
+GOLDEN_PATH = Path(__file__).with_name("golden.json")
+GOLDEN_TOL = 1e-12
+OBSERVABLES = "l2,l4,linf,h1,gradl4,pair:1.1.0"
+
+
+def _trajectory(**settings):
+    config = realize(RunSettings(**settings), seed=11, snap_every=10)
+    obs = parse_observables(OBSERVABLES, config.pairs)
+    rec = run_trajectory(config, observables=obs)
+    out = {"time": rec.times.tolist()}
+    out.update({name: series.tolist()
+                for name, series in rec.observables.items()})
+    out["final_q"] = rec.q_snapshots[-1].ravel()[::7].tolist()
+    return out
+
+
+def _galerkin():
+    config = realize(RunSettings(modes_x=8, modes_y=8, dt=2e-3, horizon=0.04,
+                                 init="lowband:4:3.0:5", noise_modes=12),
+                     seed=3)
+    report = galerkin_sweep(config, [8, 12, 16], snap_every=5)
+    return {"distances": report.distances.tolist()}
+
+
+RUNS = {
+    "linear_n8": lambda: _trajectory(
+        modes_x=8, modes_y=8, nonlinearity="off", dt=2e-3, horizon=0.1,
+        init="lowband:4:2.0:1", obs_every=5),
+    "nonlinear_inviscid_n16": lambda: _trajectory(
+        modes_x=16, modes_y=16, dt=1e-3, horizon=0.05,
+        init="lowband:6:8.0:2", obs_every=5),
+    "nonlinear_viscous_n16": lambda: _trajectory(
+        modes_x=16, modes_y=16, viscosity=0.1, dt=1e-3, horizon=0.05,
+        init="lowband:6:8.0:2", obs_every=5),
+    "galerkin_sweep_8_12_16": _galerkin,
+}
+
+
+def _golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_golden_run(run):
+    expected = _golden()[run]
+    actual = RUNS[run]()
+    assert sorted(actual) == sorted(expected)
+    for column, want in expected.items():
+        want = np.asarray(want, dtype=float)
+        got = np.asarray(actual[column], dtype=float)
+        assert got.shape == want.shape, column
+        tol = GOLDEN_TOL * max(1.0, float(np.max(np.abs(want))))
+        drift = float(np.max(np.abs(got - want)))
+        assert drift <= tol, f"{run}/{column}: drift {drift:.3e} > {tol:.3e}"
+
+
+def _write_golden():
+    lines = ["{"]
+    names = sorted(RUNS)
+    for i, run in enumerate(names):
+        columns = RUNS[run]()
+        lines.append(f'  "{run}": {{')
+        for j, (column, values) in enumerate(columns.items()):
+            body = ", ".join(f"{v:.17g}" for v in values)
+            tail = "," if j < len(columns) - 1 else ""
+            lines.append(f'    "{column}": [{body}]{tail}')
+        lines.append("  }" + ("," if i < len(names) - 1 else ""))
+    lines.append("}")
+    GOLDEN_PATH.write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    _write_golden()
