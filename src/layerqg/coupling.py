@@ -121,14 +121,10 @@ def solve_elliptic(q: LayerField, coupling: LayerCoupling) -> LayerField:
     return LayerField.from_coeffs(coupling.basis, psi_hat)
 
 
-def velocity_grids(basis: SpectralBasis, psi_hat: np.ndarray):
-    """u = grad^perp psi = (-psi_y, psi_x) per layer, on the grid."""
-    return basis.perp_grad_grids(psi_hat)
-
-
 def velocity(psi: LayerField):
-    """Velocity components as two grid arrays of shape (3, Gx+2, Gy+2)."""
-    return velocity_grids(psi.basis, psi.spectral())
+    """u = grad^perp psi = (-psi_y, psi_x) per layer, as two grid arrays
+    of shape (3, Gx+2, Gy+2)."""
+    return psi.basis.perp_grad_grids(psi.spectral())
 
 
 def divergence_grid(basis: SpectralBasis, psi_hat: np.ndarray) -> np.ndarray:

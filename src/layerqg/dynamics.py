@@ -93,10 +93,6 @@ class ObsContext:
         self.w_hat = w_hat
 
     @cached_property
-    def q_field(self):
-        return LayerField.from_coeffs(self.basis, self.q_hat)
-
-    @cached_property
     def q_grid(self):
         return self.basis.inverse(self.q_hat)
 
@@ -112,7 +108,9 @@ class Observable:
 
 def obs_lp(p) -> Observable:
     label = "linf" if p in (np.inf, "inf") else f"l{int(p)}"
-    return Observable(label, lambda ctx: lp_norm(ctx.q_field, p))
+    def fn(ctx):
+        return lp_norm(LayerField.from_grid(ctx.basis, ctx.q_grid), p)
+    return Observable(label, fn)
 
 
 def obs_h(alpha: float) -> Observable:
@@ -123,15 +121,14 @@ def obs_h(alpha: float) -> Observable:
     return Observable(f"h{alpha:g}", fn)
 
 
+def grad_l4(basis: SpectralBasis, q_hat: np.ndarray) -> float:
+    """(sum_i int_D |grad q^i|^4 dx)^(1/4) from sine coefficients."""
+    gx, gy = basis.grad_grids(q_hat)
+    return float(np.sum((gx**2 + gy**2) ** 2 * basis.quad_weights)) ** 0.25
+
+
 def obs_grad_l4() -> Observable:
-    def fn(ctx):
-        total = 0.0
-        w = ctx.basis.quad_weights
-        for i in range(N_LAYERS):
-            gx, gy = ctx.basis.grad_grids(ctx.q_hat[i])
-            total += np.sum((gx**2 + gy**2) ** 2 * w)
-        return total**0.25
-    return Observable("gradl4", fn)
+    return Observable("gradl4", lambda ctx: grad_l4(ctx.basis, ctx.q_hat))
 
 
 def obs_pairing(pairs: OperatorEigenpairs, k: int, square=False) -> Observable:

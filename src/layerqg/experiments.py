@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .coupling import eigenpairs, solve_elliptic_coeffs, symmetrize
-from .dynamics import (SimConfig, TrajectoryRecord, initial_coeffs,
+from .dynamics import (SimConfig, TrajectoryRecord, grad_l4, initial_coeffs,
                        run_trajectory)
 from .errors import ConfigurationError, SamplingError, ShapeError
 from .noise import BrownianIncrements, sample_path
@@ -312,22 +312,8 @@ def _grid_linf(basis, coeffs):
 
 def _velocity_gradient_linf(basis, psi_hat):
     """max over grid, layers and components of |grad u| entries."""
-    worst = 0.0
-    for i in range(N_LAYERS):
-        hxx, hxy, hyy = basis.hessian_grids(psi_hat[i])
-        # grad u rows: u1 = -psi_y, u2 = psi_x
-        worst = max(worst, np.max(np.abs(hxy)), np.max(np.abs(hyy)),
-                    np.max(np.abs(hxx)))
-    return worst
-
-
-def _grad_l4(basis, coeffs):
-    total = 0.0
-    w = basis.quad_weights
-    for i in range(N_LAYERS):
-        gx, gy = basis.grad_grids(coeffs[i])
-        total += np.sum((gx**2 + gy**2) ** 2 * w)
-    return total**0.25
+    # grad u rows: u1 = -psi_y, u2 = psi_x, so the entries are the Hessian's
+    return max(float(np.max(np.abs(h))) for h in basis.hessian_grids(psi_hat))
 
 
 @dataclass
@@ -356,8 +342,8 @@ def log_estimate_monitor(record: TrajectoryRecord) -> MonitorReport:
             continue
         psi_hat = solve_elliptic_coeffs(cfg.coupling, q_hat)
         grad_u = _velocity_gradient_linf(basis, psi_hat)
-        log_plus = max(np.log(_grad_l4(basis, q_hat)), 0.0) \
-            if _grad_l4(basis, q_hat) > 0 else 0.0
+        g4 = grad_l4(basis, q_hat)
+        log_plus = max(np.log(g4), 0.0) if g4 > 0 else 0.0
         ratios.append(grad_u / (q_inf * (1.0 + log_plus)))
         skipped.append(False)
     ratios = np.array(ratios)
@@ -409,10 +395,7 @@ def lp_envelope(record: TrajectoryRecord, k: int):
         u1, u2 = basis.perp_grad_grids(psi_hat)
         speed = np.sqrt(u1**2 + u2**2)
         u_lp = lp_norm(LayerField.from_grid(basis, speed), p)
-        wx_max = 0.0
-        for i in range(N_LAYERS):
-            gx, gy = basis.grad_grids(w_hat[i])
-            wx_max = max(wx_max, np.max(np.abs(gx)), np.max(np.abs(gy)))
+        wx_max = max(np.max(np.abs(g)) for g in basis.grad_grids(w_hat))
         forcing[s] = u_lp * wx_max + cfg.gamma * w_norm[s]
     rate = np.full(len(times), cfg.gamma)
     env_eta = _damped_integrate(rate, forcing, times, eta_norm[0])
@@ -441,18 +424,15 @@ def w14_monitor(record: TrajectoryRecord) -> MonitorReport:
     w = basis.quad_weights
     for s, (q_hat, w_hat) in enumerate(zip(record.q_snapshots,
                                            record.w_snapshots)):
-        grad_q[s] = _grad_l4(basis, q_hat)
-        grad_eta[s] = _grad_l4(basis, q_hat - w_hat)
-        grad_w4[s] = _grad_l4(basis, w_hat)
+        grad_q[s] = grad_l4(basis, q_hat)
+        grad_eta[s] = grad_l4(basis, q_hat - w_hat)
+        grad_w4[s] = grad_l4(basis, w_hat)
         psi_hat = solve_elliptic_coeffs(cfg.coupling, q_hat)
         grad_u_inf = _velocity_gradient_linf(basis, psi_hat)
         u1, u2 = basis.perp_grad_grids(psi_hat)
         u_inf = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
-        hess4 = 0.0
-        for i in range(N_LAYERS):
-            hxx, hxy, hyy = basis.hessian_grids(w_hat[i])
-            hess4 += np.sum((hxx**2 + 2 * hxy**2 + hyy**2) ** 2 * w)
-        hess4 = hess4**0.25
+        hxx, hxy, hyy = basis.hessian_grids(w_hat)
+        hess4 = np.sum((hxx**2 + 2 * hxy**2 + hyy**2) ** 2 * w) ** 0.25
         rate[s] = cfg.gamma - grad_u_inf
         forcing[s] = (grad_u_inf * grad_w4[s] + u_inf * hess4
                       + cfg.gamma * grad_w4[s])

@@ -209,11 +209,6 @@ class OUState:
         lam = pairs.spatial_eigenvalues[: len(self.zeta)]
         return float(np.sqrt(np.sum(self.zeta**2 * lam**alpha)))
 
-    def as_field(self, spec: NoiseSpec, pairs: OperatorEigenpairs,
-                 basis: SpectralBasis) -> LayerField:
-        mixer = NoiseMixer(spec, pairs, basis)
-        return LayerField.from_coeffs(basis, mixer.coefficients(self.zeta))
-
 
 def ou_step(state: OUState, spec: NoiseSpec, dt: float,
             rng: np.random.Generator,

@@ -62,12 +62,23 @@ class TestTransforms:
         assert np.all(basis16.forward(zero) == 0.0)
 
     @settings(max_examples=25, deadline=None)
-    @given(coeff_arrays())
-    def test_round_trip_identity(self, coeffs):
-        basis = build_basis(1.0, 1.0, 8, 8)
-        back = basis.forward(basis.inverse(coeffs))
-        scale = np.max(np.abs(coeffs))
-        assert np.max(np.abs(back - coeffs)) <= 1e-12 * scale
+    @given(st.integers(0, 10_000))
+    def test_round_trip_identity(self, seed):
+        # the rectangle has distinct mode cuts, an oversized x grid and a
+        # batched (2, 3) leading shape
+        rng = np.random.default_rng(seed)
+        square = build_basis(1.0, 1.0, 8, 8)
+        rect = build_basis(1.3, 0.7, 5, 7, gx=13, gy=14)
+        cases = [(square, random_band_coeffs(rng, square)),
+                 (rect, np.stack([random_band_coeffs(rng, rect)
+                                  for _ in range(2)]))]
+        for basis, coeffs in cases:
+            grid = basis.inverse(coeffs)
+            assert np.all(grid[..., [0, -1], :] == 0.0)
+            assert np.all(grid[..., :, [0, -1]] == 0.0)
+            back = basis.forward(grid)
+            scale = np.max(np.abs(coeffs))
+            assert np.max(np.abs(back - coeffs)) <= 1e-12 * scale
 
     @settings(max_examples=25, deadline=None)
     @given(coeff_arrays())
@@ -76,6 +87,24 @@ class TestTransforms:
         f = LayerField.from_coeffs(basis, coeffs)
         spectral_sq = np.sum(coeffs**2)
         assert abs(lp_norm(f, 2) ** 2 - spectral_sq) <= 1e-10 * spectral_sq
+
+    def test_synth_matches_direct_trig_sums(self):
+        # rectangle with distinct mode cuts and an oversized x grid, so a
+        # swapped or transposed x/y table cannot pass
+        basis = build_basis(1.3, 0.7, 5, 7, gx=13, gy=14)
+        c = np.random.default_rng(2).standard_normal((2, 3, 5, 7))
+        trig = {"sin": np.sin, "cos": np.cos}
+        n = np.arange(1, 6)
+        m = np.arange(1, 8)
+        for kx in trig:
+            for ky in trig:
+                tx = trig[kx](np.outer(basis.xs, n) * np.pi / basis.lx)
+                ty = trig[ky](np.outer(basis.ys, m) * np.pi / basis.ly)
+                direct = np.einsum("jn,...nm,km->...jk", tx, c, ty)
+                got = basis.synth(c, kx, ky)
+                assert got.shape == (2, 3, 15, 16)
+                assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(
+                    np.abs(direct)), (kx, ky)
 
     def test_shape_mismatch_raises(self, basis16):
         with pytest.raises(ShapeError):
