@@ -300,9 +300,14 @@ def _grid_lp_norm(vals, weights, p) -> float:
     peak = np.max(np.abs(vals))
     if peak == 0:
         return 0.0
-    # factor out the peak so large p cannot overflow
-    scaled = vals / peak
-    total = float(np.sum(scaled**p * weights))
+    # factor out the peak so large p cannot overflow; the power is a chain
+    # of products because `**` with an integer exponent other than 2 calls
+    # libm pow per element, about 25x slower on a 3 x 130 x 130 grid
+    square = np.square(vals / peak)
+    power = square
+    for _ in range(p // 2 - 1):
+        power = power * square
+    total = float(np.sum(power * weights))
     return peak * total ** (1.0 / p)
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import platform
+import resource
 import struct
 
 import numpy as np
@@ -230,6 +232,23 @@ class TestCli:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg), "--seed", "1",
                        "--out", str(out)) == 3
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap thresholds are glibc settings")
+    def test_repeated_run_reuses_heap_pages(self, tmp_path):
+        # a time step at N=64 frees about 25 grids of 400 KB; they must be
+        # reused from the heap, not returned to the OS and faulted back in
+        # (about a thousand page faults per step)
+        cfg = tmp_path / "n64.cfg"
+        cfg.write_text("modes_x=64\nmodes_y=64\ngamma=0.5\nsigma=1.0\n"
+                       "dt=0.001\nhorizon=0.01\ninit=lowband:4:1.0:2\n")
+        argv = ("run", "--config", str(cfg), "--seed", "1",
+                "--out", str(tmp_path / "out"))
+        assert run_cli(*argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert run_cli(*argv) == 0
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt \
+            - before < 1000
 
     def test_diagnose_outputs(self, tmp_path):
         cfg = tmp_path / "d.cfg"
