@@ -8,7 +8,7 @@ must approach c_k^2 / (2 gamma); the script prints that comparison, then
 repeats the averaging for the full nonlinear system, and finally runs the
 confinement diagnostic (sup-norm trend over thirds, time-fraction table).
 
-Usage: python scripts/invariant_measure_study.py [--paths P] [--threads K]
+Usage: python scripts/invariant_measure_study.py [--paths P]
 """
 
 import argparse
@@ -25,7 +25,6 @@ GAMMA = 0.5
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--paths", type=int, default=8)
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
 
     basis = L.build_basis(1.0, 1.0, N, N)
@@ -42,8 +41,7 @@ def main():
                         seed=2024, obs_every=2)
         obs = [obs_pairing(pairs, k, square=True) for k in range(4)]
         measures = L.kb_average(cfg, [horizon / 4, horizon / 2, horizon],
-                                obs, n_paths=args.paths,
-                                threads=args.threads)
+                                obs, n_paths=args.paths)
         print(f"{label} system, horizons {[m.horizon for m in measures]}")
         final = measures[-1]
         for k in range(4):

@@ -169,8 +169,7 @@ def cmd_invariant(args):
     settings, defaulted, out, config = _setup(args)
     horizons = [float(v) for v in args.horizons.split(",")]
     observables = parse_observables(settings.observables, config.pairs)
-    measures = kb_average(config, horizons, observables,
-                          n_paths=args.paths, threads=args.threads)
+    measures = kb_average(config, horizons, observables, n_paths=args.paths)
     path = out / "invariant.csv"
     names = measures[0].names
     rows = []

@@ -14,7 +14,7 @@ definite 3x3 systems
     M_{n,m} = -lambda_{n,m} D + L .
 
 Inverses of all M_{n,m} are cached at construction; the elliptic solve in
-the time-step loop is a single batched 3x3 multiply.
+the time-step loop is three elementwise multiply-adds per layer.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class LayerCoupling:
     scale: float            # lam with h_i * l_i = lam
     h: np.ndarray           # diag of D, shape (3,)
     l_matrix: np.ndarray    # symmetrized L, shape (3, 3)
-    mode_inverse: np.ndarray = field(repr=False)  # (Nx, Ny, 3, 3)
+    mode_inverse: np.ndarray = field(repr=False)  # (3, 3, Nx, Ny)
 
     def mode_matrix(self, n, m):
         """M_{n,m} = -lambda_{n,m} D + L for 1-based mode indices."""
@@ -94,7 +94,7 @@ def symmetrize(lambdas, basis: SpectralBasis, scale: float = 1.0) -> LayerCoupli
     slack = 1e-12 * (1.0 + np.max(h) * lam[..., None])  # eigh roundoff ~ ||M||
     if np.any(eigs > ceiling + slack):
         raise ConfigurationError("mode matrix not negative definite")
-    inv = np.linalg.inv(modes)
+    inv = np.ascontiguousarray(np.linalg.inv(modes).transpose(2, 3, 0, 1))
     return LayerCoupling(basis=basis, lambdas=(l1, l2, l3), scale=scale,
                          h=h, l_matrix=lmat, mode_inverse=inv)
 
@@ -108,11 +108,12 @@ def apply_operator(coupling: LayerCoupling, psi_hat: np.ndarray) -> np.ndarray:
 
 
 def solve_elliptic_coeffs(coupling: LayerCoupling, q_hat: np.ndarray) -> np.ndarray:
-    """psi_hat with (A + L) psi = q, mode by mode."""
-    if q_hat.shape != (N_LAYERS,) + coupling.basis.spectral_shape:
+    """psi_hat with (A + L) psi = q, mode by mode; leading axes batch
+    (elementwise, so each leading index is solved alike at any batch size)."""
+    if q_hat.shape[-3:] != (N_LAYERS,) + coupling.basis.spectral_shape:
         raise ShapeError(f"q_hat shape {q_hat.shape} invalid")
-    return np.einsum("nmij,jnm->inm", coupling.mode_inverse, q_hat,
-                     optimize=True)
+    inv = coupling.mode_inverse
+    return sum(inv[:, j] * q_hat[..., j:j + 1, :, :] for j in range(N_LAYERS))
 
 
 def solve_elliptic(q: LayerField, coupling: LayerCoupling) -> LayerField:

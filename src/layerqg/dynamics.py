@@ -32,7 +32,8 @@ from .coupling import (LayerCoupling, OperatorEigenpairs,
 from .errors import (BlowUpError, ConfigurationError, ShapeError,
                      TimeStepError)
 from .noise import BrownianIncrements, NoiseMixer, NoiseSpec
-from .spectral import LayerField, N_LAYERS, SpectralBasis, lp_norm
+from .spectral import (LayerField, N_LAYERS, SpectralBasis, field_sum,
+                       grid_lp_norm)
 
 
 # -- initial data -------------------------------------------------------
@@ -84,7 +85,7 @@ def initial_coeffs(descriptor: str, basis: SpectralBasis) -> np.ndarray:
 
 
 class ObsContext:
-    """Lazy per-sample-time evaluation cache handed to observables."""
+    """Lazy per-sample-time cache for observables; (P, 3, Nx, Ny) fields."""
 
     def __init__(self, basis, coupling, q_hat, w_hat):
         self.basis = basis
@@ -99,17 +100,19 @@ class ObsContext:
 
 @dataclass(frozen=True)
 class Observable:
+    """`fn(ctx)` gives one value per path, reduced over that path alone."""
+
     name: str
     fn: callable
 
-    def __call__(self, ctx: ObsContext) -> float:
-        return float(self.fn(ctx))
+    def __call__(self, ctx: ObsContext) -> np.ndarray:
+        return np.asarray(self.fn(ctx), dtype=float)
 
 
 def obs_lp(p) -> Observable:
     label = "linf" if p in (np.inf, "inf") else f"l{int(p)}"
     def fn(ctx):
-        return lp_norm(LayerField.from_grid(ctx.basis, ctx.q_grid), p)
+        return grid_lp_norm(ctx.q_grid, ctx.basis.quad_weights, p)
     return Observable(label, fn)
 
 
@@ -117,14 +120,14 @@ def obs_h(alpha: float) -> Observable:
     lam_pow = float(alpha)
     def fn(ctx):
         lam = ctx.basis.eigenvalues
-        return np.sqrt(np.sum(lam**lam_pow * ctx.q_hat**2))
+        return np.sqrt(field_sum(lam**lam_pow * ctx.q_hat**2))
     return Observable(f"h{alpha:g}", fn)
 
 
-def grad_l4(basis: SpectralBasis, q_hat: np.ndarray) -> float:
-    """(sum_i int_D |grad q^i|^4 dx)^(1/4) from sine coefficients."""
+def grad_l4(basis: SpectralBasis, q_hat: np.ndarray):
+    """(sum_i int_D |grad q^i|^4 dx)^(1/4) per leading index of q_hat."""
     gx, gy = basis.grad_grids(q_hat)
-    return float(np.sum((gx**2 + gy**2) ** 2 * basis.quad_weights)) ** 0.25
+    return field_sum((gx**2 + gy**2) ** 2 * basis.quad_weights) ** 0.25
 
 
 def obs_grad_l4() -> Observable:
@@ -136,7 +139,7 @@ def obs_pairing(pairs: OperatorEigenpairs, k: int, square=False) -> Observable:
     m = pairs.mode_m[k] - 1
     v = pairs.vec[k]
     def fn(ctx):
-        val = float(ctx.q_hat[:, n, m] @ v)
+        val = np.sum(ctx.q_hat[..., n, m] * v, axis=-1)
         return val * val if square else val
     tag = "pairsq" if square else "pair"
     label = f"{tag}:{pairs.mode_n[k]}.{pairs.mode_m[k]}.{pairs.comp_j[k]}"
@@ -146,7 +149,7 @@ def obs_pairing(pairs: OperatorEigenpairs, k: int, square=False) -> Observable:
 def obs_noise_h(alpha: float) -> Observable:
     def fn(ctx):
         lam = ctx.basis.eigenvalues
-        return np.sqrt(np.sum(lam**alpha * ctx.w_hat**2))
+        return np.sqrt(field_sum(lam**alpha * ctx.w_hat**2))
     return Observable(f"wh{alpha:g}", fn)
 
 
@@ -233,7 +236,8 @@ class SimConfig:
         text = (f"{self.basis}|{self.coupling.lambdas}|{self.coupling.scale}|"
                 f"{self.noise.k},{self.noise.decay},{self.noise.sigma}|"
                 f"{self.gamma},{self.viscosity},{self.dt},{self.horizon},"
-                f"{self.nonlinear},{self.init},{self.seed},{self.cfl_safety}")
+                f"{self.nonlinear},{self.init},{self.seed},{self.cfl_safety},"
+                f"{self.obs_every},{self.snap_every}")
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -350,68 +354,100 @@ def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
     stream (config.seed, stream), or from a pregenerated path for
     noise-coupled comparisons.  An explicit coefficient array `initial`
     overrides the config descriptor.  On blow-up raises BlowUpError
-    carrying the partial record.
+    carrying the partial record.  This is `_run_paths` with P = 1.
     """
     if observables is None:
         observables = parse_observables(DEFAULT_OBSERVABLES)
-    cfg = config
-    basis = cfg.basis
+    return _run_paths(config, observables, [stream], initial, noise_path)[0]
+
+
+# Standard normals drawn per refill, over all paths: 512 KB of doubles.
+_BLOCK_NORMALS = 1 << 16
+
+
+def _run_paths(cfg: SimConfig, observables, streams, initial=None,
+               noise_path=None, hook=None, hook_draws=0) -> list:
+    """Step P = len(streams) paths as one (P, 3, Nx, Ny) state.
+
+    Path p draws from the Philox stream (cfg.seed, streams[p]), per step
+    the K normals of its increment (unless the noise is off or comes from
+    `noise_path`), then `hook_draws` rows of K normals for the `hook(dw,
+    normals)` called after each increment with the (K, P) weighted
+    increments (None without noise) and the (hook_draws, K, P) normals.
+    Blocks of steps are drawn at once, as the same normals step by step.
+    Every operation acts on each path alone, so path p's bytes depend
+    neither on P nor on its place in the batch; the CFL guard watches the
+    largest |u| of all paths.  Returns one TrajectoryRecord per path; a
+    blow-up raises BlowUpError with the partial record of the path with
+    the largest state.
+    """
+    basis, n_steps, n_paths = cfg.basis, cfg.n_steps, len(streams)
+    if noise_path is not None and (noise_path.n_steps != n_steps or abs(
+            noise_path.dt - cfg.dt) > 1e-12 * cfg.dt):
+        raise ConfigurationError("noise path does not match config grid")
+    if initial is None:
+        initial = initial_coeffs(cfg.init, basis)
+    elif initial.shape != (N_LAYERS,) + basis.spectral_shape:
+        raise ShapeError(f"initial shape {initial.shape} invalid")
     stepper = Stepper(cfg)
-    gen = rngmod.stream(cfg.seed, stream)
-    n_steps = cfg.n_steps
-    if noise_path is not None:
-        if noise_path.n_steps != n_steps or \
-                abs(noise_path.dt - cfg.dt) > 1e-12 * cfg.dt:
-            raise ConfigurationError("noise path does not match config grid")
-
-    if initial is not None:
-        if initial.shape != (N_LAYERS,) + basis.spectral_shape:
-            raise ShapeError(f"initial shape {initial.shape} invalid")
-        eta = initial.copy()
-    else:
-        eta = initial_coeffs(cfg.init, basis)
+    eta = np.repeat(initial[None], n_paths, axis=0)
     w = np.zeros_like(eta)
-    times, series = [], []
-    snap_times, q_snaps, w_snaps = [], [], []
+    noisy = cfg.noise.sigma > 0 and cfg.noise.k > 0
+    drawn = int(noisy and noise_path is None)
+    rows, k = drawn + hook_draws, cfg.noise.k
+    gens = [rngmod.stream(cfg.seed, s) for s in streams] if rows else []
+    block_steps = max(1, _BLOCK_NORMALS // max(1, rows * k * n_paths))
+    scale = cfg.noise.c[:, None] * np.sqrt(cfg.dt)
+    n_obs = n_steps // cfg.obs_every + 1 + (n_steps % cfg.obs_every != 0)
+    series = np.empty((n_obs, len(observables), n_paths))
+    times, snap_times, q_snaps, w_snaps = [], [], [], []
 
-    def record(j, t):
+    def record(j):
         if j % cfg.obs_every == 0 or j == n_steps:
-            ctx = ObsContext(basis, cfg.coupling, eta + w, w.copy())
-            times.append(t)
+            ctx = ObsContext(basis, cfg.coupling, eta + w, w)
             with np.errstate(over="ignore", invalid="ignore"):
-                series.append([ob(ctx) for ob in observables])
+                for o, ob in enumerate(observables):
+                    series[len(times), o] = ob(ctx)
+            times.append(j * cfg.dt)
         if cfg.snap_every and (j % cfg.snap_every == 0 or j == n_steps):
-            snap_times.append(t)
+            snap_times.append(j * cfg.dt)
             q_snaps.append(eta + w)
-            w_snaps.append(w.copy())
+            w_snaps.append(w)
 
-    def build(blown=False, blow_time=None):
-        names = [ob.name for ob in observables]
-        data = np.array(series) if series else np.zeros((0, len(names)))
-        return TrajectoryRecord(
-            times=np.array(times),
-            observables={nm: data[:, i] for i, nm in enumerate(names)},
-            snap_times=np.array(snap_times),
-            q_snapshots=(np.array(q_snaps) if q_snaps
-                         else np.zeros((0, N_LAYERS) + basis.spectral_shape)),
-            w_snapshots=(np.array(w_snaps) if w_snaps
-                         else np.zeros((0, N_LAYERS) + basis.spectral_shape)),
-            seed=cfg.seed, stream=stream, config=cfg,
-            config_hash=cfg.config_hash(),
-            blown_up=blown, blow_time=blow_time)
+    def build(blow_time=None):
+        data = series[:len(times)].transpose(2, 1, 0).copy()    # (P, O, T)
+        shape = (-1, n_paths, N_LAYERS) + basis.spectral_shape
+        q_all, w_all = (np.array(s).reshape(shape) for s in (q_snaps, w_snaps))
+        return [TrajectoryRecord(
+            times=np.array(times), snap_times=np.array(snap_times),
+            observables={ob.name: data[p, o]
+                         for o, ob in enumerate(observables)},
+            q_snapshots=q_all[:, p], w_snapshots=w_all[:, p], seed=cfg.seed,
+            stream=stream, config=cfg, config_hash=cfg.config_hash(),
+            blown_up=blow_time is not None, blow_time=blow_time)
+            for p, stream in enumerate(streams)]
 
-    record(0, 0.0)
+    record(0)
     for j in range(1, n_steps + 1):
         t_prev = (j - 1) * cfg.dt
         try:
             eta = stepper.advance(eta, w, t_prev)
         except FloatingPointError as exc:
+            worst = np.argmax(np.abs(eta + w).reshape(n_paths, -1).max(-1))
             raise BlowUpError(str(exc), time=t_prev,
-                              record=build(blown=True, blow_time=t_prev))
-        if cfg.noise.sigma > 0 and cfg.noise.k > 0:
-            if noise_path is not None:
-                w = w + stepper.mixer.coefficients(noise_path.increments[j - 1])
-            else:
-                w = w + stepper.mixer.increment(cfg.dt, gen)
-        record(j, j * cfg.dt)
+                              record=build(t_prev)[worst])
+        i = (j - 1) % block_steps
+        if gens and i == 0:
+            steps = min(block_steps, n_steps - j + 1)
+            block = np.empty((steps, rows, k, n_paths))
+            for p, gen in enumerate(gens):
+                block[..., p] = gen.standard_normal((steps, rows, k))
+        dw = None
+        if noisy:
+            dw = scale * block[i, 0] if drawn else \
+                noise_path.increments[j - 1][:, None]
+            w = w + stepper.mixer.coefficients(dw)
+        if hook is not None:
+            hook(dw, block[i, drawn:])
+        record(j)
     return build()

@@ -204,13 +204,10 @@ def yudovich_stability(config: SimConfig, delta_ladder,
     path = _coupled_path(config, stream=0)
     cfg = replace(config, snap_every=snap_every)
     base = run_trajectory(cfg, observables=[], noise_path=path)
-    base_psi = np.stack([solve_elliptic_coeffs(config.coupling, q)
-                         for q in base.q_snapshots])
+    base_psi = solve_elliptic_coeffs(config.coupling, base.q_snapshots)
 
     def z_series(rec):
-        psi = np.stack([solve_elliptic_coeffs(config.coupling, q)
-                        for q in rec.q_snapshots])
-        d = psi - base_psi
+        d = solve_elliptic_coeffs(config.coupling, rec.q_snapshots) - base_psi
         return np.sqrt(np.sum(d**2 * config.basis.eigenvalues,
                               axis=(1, 2, 3)))
 

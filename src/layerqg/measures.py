@@ -4,7 +4,8 @@ Measures are represented through their action on a finite dictionary of
 observables (pairings with band-limited fields, norm functionals): the
 averaged measure at horizon n is the vector of time averages
 (1/n) int_0^n phi(q_t) dt, aggregated over independent sample paths.
-Horizon readouts are nested prefixes of a single long run per path.
+Horizon readouts are nested prefixes of a single long run per path, and
+all paths step together as one batch.
 
 The confinement diagnostic runs q from zero alongside the exact
 stochastic convolution zeta_lambda of the same noise path and evaluates
@@ -14,17 +15,14 @@ the pathwise exponential envelope for theta = q - zeta from the recorded
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import ks_2samp
 
-from . import rng as rngmod
-from .dynamics import SimConfig, Stepper, run_trajectory
+from .dynamics import Observable, SimConfig, _run_paths, obs_lp
 from .errors import ConfigurationError, SamplingError
-from .noise import OUState, ou_step
-from .spectral import N_LAYERS
+from .noise import NoiseMixer, OUState, ou_step
 
 ALPHA_NOISE = 2.5
 
@@ -54,22 +52,7 @@ class AveragedMeasure:
         return float(self.stderrs[self.names.index(name)])
 
 
-def _path_averages(config, horizons, observables, stream):
-    rec = run_trajectory(config, observables=observables, stream=stream)
-    times = rec.times
-    out = np.empty((len(horizons), len(observables)))
-    for h_idx, horizon in enumerate(horizons):
-        mask = times <= horizon + 1e-12
-        t = times[mask]
-        for o_idx, ob in enumerate(observables):
-            v = rec.observables[ob.name][mask]
-            integral = np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(t))
-            out[h_idx, o_idx] = integral / horizon
-    return out
-
-
-def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1,
-               threads: int = 1):
+def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1):
     """Averaged measures at nested horizons, one long run per path.
 
     Starts every path at q0 = 0; horizons must ascend and fit inside the
@@ -84,16 +67,16 @@ def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1,
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
     cfg = replace(config, init="zero", snap_every=0)
-
-    def worker(p):
-        return _path_averages(cfg, horizons, observables, stream=p)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_path = list(pool.map(worker, range(n_paths)))
-    else:
-        per_path = [worker(p) for p in range(n_paths)]
-    stacked = np.stack(per_path)          # (P, H, O)
+    records = _run_paths(cfg, observables, range(n_paths))
+    times = records[0].times
+    series = np.array([list(rec.observables.values()) for rec in records]
+                      ).reshape(n_paths, len(observables), len(times))
+    stacked = np.empty((n_paths, len(horizons), len(observables)))
+    for i, horizon in enumerate(horizons):
+        n = np.count_nonzero(times <= horizon + 1e-12)
+        v = series[..., :n]                # trapezoid rule per path
+        stacked[:, i] = np.sum(0.5 * (v[..., 1:] + v[..., :-1])
+                               * np.diff(times[:n]), axis=-1) / horizon
     means = stacked.mean(axis=0)
     if n_paths > 1:
         stderrs = stacked.std(axis=0, ddof=1) / np.sqrt(n_paths)
@@ -119,7 +102,7 @@ class InvarianceReport:
 
 def invariance_test(config: SimConfig, burn_in: float, window: float,
                     observables, n_paths: int = 1, shifts=None,
-                    significance: float = 0.01, threads: int = 1,
+                    significance: float = 0.01,
                     min_samples: int = 30) -> InvarianceReport:
     """Shift-invariance of the law after burn-in.
 
@@ -136,16 +119,7 @@ def invariance_test(config: SimConfig, burn_in: float, window: float,
             f"need horizon >= {needed}, have {config.horizon}")
     obs_dt = config.dt * config.obs_every
     spacing = max(1, int(round(2.0 / config.gamma / obs_dt)))
-
-    def worker(p):
-        rec = run_trajectory(config, observables=observables, stream=p)
-        return rec
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(worker, range(n_paths)))
-    else:
-        records = [worker(p) for p in range(n_paths)]
+    records = _run_paths(config, observables, range(n_paths))
 
     def window_samples(rec, name, start):
         t = rec.times
@@ -235,42 +209,25 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
     """
     if rate <= config.gamma / 2:
         raise ConfigurationError("rate should exceed gamma/2")
-    cfg = replace(config, init="zero", horizon=horizon, snap_every=0)
-    basis = cfg.basis
-    stepper = Stepper(cfg)
-    gen = rngmod.stream(cfg.seed, 0)
-    n_steps = cfg.n_steps
-
-    eta = np.zeros((N_LAYERS,) + basis.spectral_shape)
-    w = np.zeros_like(eta)
+    cfg = replace(config, init="zero", horizon=horizon, snap_every=0,
+                  obs_every=sample_every)
+    mixer = NoiseMixer(cfg.noise, cfg.pairs, cfg.basis)
     ou = OUState.zero(rate, cfg.noise.k)
-    pairs = cfg.pairs
-    lam_modes = pairs.spatial_eigenvalues[: cfg.noise.k]
 
-    times, q_inf, theta_inf, zeta_norm = [0.0], [0.0], [0.0], [0.0]
-    for j in range(1, n_steps + 1):
-        eta = stepper.advance(eta, w, (j - 1) * cfg.dt)
-        if cfg.noise.sigma > 0 and cfg.noise.k > 0:
-            dw = cfg.noise.c * np.sqrt(cfg.dt) * gen.standard_normal(cfg.noise.k)
-            w = w + stepper.mixer.coefficients(dw)
-            ou = ou_step(ou, cfg.noise, cfg.dt, gen, driving_increment=dw)
-        else:
-            ou = ou_step(ou, cfg.noise, cfg.dt, gen)
-        if j % sample_every == 0 or j == n_steps:
-            q_hat = eta + w
-            zeta_hat = stepper.mixer.coefficients(ou.zeta)
-            q_grid = basis.inverse(q_hat)
-            theta_grid = basis.inverse(q_hat - zeta_hat)
-            times.append(j * cfg.dt)
-            q_inf.append(float(np.max(np.abs(q_grid))))
-            theta_inf.append(float(np.max(np.abs(theta_grid))))
-            zeta_norm.append(float(np.sqrt(np.sum(
-                ou.zeta**2 * lam_modes**ALPHA_NOISE))))
+    def ou_update(dw, normals):
+        nonlocal ou
+        ou = ou_step(ou, cfg.noise, cfg.dt, normals[0, :, 0],
+                     driving_increment=None if dw is None else dw[:, 0])
 
-    times = np.array(times)
-    q_inf = np.array(q_inf)
-    theta_inf = np.array(theta_inf)
-    zeta_norm = np.array(zeta_norm)
+    def theta_sup(ctx):
+        theta_hat = ctx.q_hat - mixer.coefficients(ou.zeta)
+        return np.abs(cfg.basis.inverse(theta_hat)).max(axis=(-3, -2, -1))
+
+    observables = [obs_lp(np.inf), Observable("theta_inf", theta_sup),
+                   Observable("zeta_norm", lambda ctx: ou.h_alpha_norm(
+                       cfg.pairs, ALPHA_NOISE))]
+    rec = _run_paths(cfg, observables, [0], hook=ou_update, hook_draws=1)[0]
+    q_inf, theta_inf, zeta_norm = rec.observables.values()
 
     if radii is None:
         top = max(q_inf.max(), 1e-12)
@@ -284,11 +241,11 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
                        q_inf[2 * third:].max()])
 
     envelope, uninformative, condition = _theta_envelope(
-        times, zeta_norm, cfg.gamma, rate, envelope_constant)
+        rec.times, zeta_norm, cfg.gamma, rate, envelope_constant)
 
     return TightnessReport(
         radii=radii, fractions=fractions, sup_q_inf=float(q_inf.max()),
-        thirds=thirds, times=times, q_inf_series=q_inf,
+        thirds=thirds, times=rec.times, q_inf_series=q_inf,
         theta_inf_series=theta_inf, zeta_norm_series=zeta_norm,
         envelope=envelope, envelope_uninformative=uninformative,
         envelope_condition_held=condition,
@@ -314,12 +271,16 @@ def _theta_envelope(times, zeta_norm, gamma, rate, c_const):
         avg = np.mean(c_const * zeta_norm)
         return None, True, bool(avg < gamma / 2)
     forcing = c_const * (zeta_norm + abs(rate - gamma)) * zeta_norm
-    envelope = np.empty(n)
-    for s in range(n):
-        weights = np.exp(j_cum[s] - j_cum[: s + 1])
-        integrand = forcing[: s + 1] * weights
-        integral = np.sum(0.5 * (integrand[1:] + integrand[:-1])
-                          * np.diff(times[: s + 1])) if s else 0.0
-        envelope[s] = zeta_norm[0] * np.exp(j_cum[s]) + integral
+    # I_s = int_0^t_s forcing(r) exp(J_s - J_r) dr (trapezoid), by the
+    # exact recurrence I_{s+1} = g I_s + (g f_s + f_{s+1}) dt_s / 2 with
+    # g = exp(J_{s+1} - J_s)
+    growth_step = np.exp(np.diff(j_cum))
+    half_dt = 0.5 * np.diff(times)
+    integral = np.zeros(n)
+    for s in range(n - 1):
+        g = growth_step[s]
+        integral[s + 1] = g * integral[s] + (g * forcing[s]
+                                             + forcing[s + 1]) * half_dt[s]
+    envelope = zeta_norm[0] * np.exp(j_cum) + integral
     avg = np.mean(c_const * zeta_norm)
     return envelope, False, bool(avg < gamma / 2)

@@ -108,16 +108,11 @@ def _scatter_matrix(k: int, pairs: OperatorEigenpairs,
               pairs.mode_m[:k].max() > basis.ny):
         raise ConfigurationError(
             "noise eigenpairs extend beyond the target basis band")
-    rows = []
-    cols = []
-    vals = []
     nxny = basis.nx * basis.ny
-    for kk in range(k):
-        flat = (pairs.mode_n[kk] - 1) * basis.ny + (pairs.mode_m[kk] - 1)
-        for i in range(N_LAYERS):
-            rows.append(i * nxny + flat)
-            cols.append(kk)
-            vals.append(pairs.vec[kk, i])
+    flat = (pairs.mode_n[:k] - 1) * basis.ny + (pairs.mode_m[:k] - 1)
+    rows = (flat[:, None] + np.arange(N_LAYERS) * nxny).ravel()
+    cols = np.repeat(np.arange(k), N_LAYERS)      # row-major like vec[:k]
+    vals = pairs.vec[:k].ravel()
     return csr_matrix((vals, (rows, cols)), shape=(N_LAYERS * nxny, k))
 
 
@@ -132,9 +127,11 @@ class NoiseMixer:
         self._scatter = _scatter_matrix(spec.k, pairs, basis)
 
     def coefficients(self, weighted_values: np.ndarray) -> np.ndarray:
-        """sum_k x_k rho_k as a spectral array (x carries any c_k weight)."""
+        """sum_k x_k rho_k as a spectral array (x carries any c_k weight);
+        a (K, P) input gives the (P, 3, Nx, Ny) fields of its columns."""
         flat = self._scatter @ weighted_values
-        return flat.reshape((N_LAYERS,) + self.basis.spectral_shape)
+        return flat.T.reshape(weighted_values.shape[1:] + (N_LAYERS,)
+                              + self.basis.spectral_shape)
 
     def increment(self, dt: float, rng: np.random.Generator) -> np.ndarray:
         """One Brownian increment sum_k c_k rho_k xi_k sqrt(dt)."""
@@ -211,9 +208,11 @@ class OUState:
 
 
 def ou_step(state: OUState, spec: NoiseSpec, dt: float,
-            rng: np.random.Generator,
+            rng: np.random.Generator | np.ndarray,
             driving_increment: np.ndarray | None = None) -> OUState:
     """Advance zeta_lambda by dt, exact in distribution.
+
+    `rng` draws the K fresh standard normals xi, or is those normals.
 
     Standalone (driving_increment None):
         zeta_k <- e^{-lam dt} zeta_k + c_k sqrt((1 - e^{-2 lam dt})/(2 lam)) xi_k.
@@ -226,11 +225,12 @@ def ou_step(state: OUState, spec: NoiseSpec, dt: float,
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
+    xi = rng if isinstance(rng, np.ndarray) else rng.standard_normal(spec.k)
     lam = state.rate
     decay = np.exp(-lam * dt)
     if driving_increment is None:
         width = spec.c * np.sqrt((1.0 - decay**2) / (2.0 * lam))
-        fresh = width * rng.standard_normal(spec.k)
+        fresh = width * xi
         new = decay * state.zeta + fresh
     else:
         # J = int e^{-lam (dt - s)} dW over the step, conditioned on the
@@ -238,6 +238,6 @@ def ou_step(state: OUState, spec: NoiseSpec, dt: float,
         beta = (1.0 - decay) / (lam * dt)
         var_full = spec.c**2 * (1.0 - decay**2) / (2.0 * lam)
         var_resid = np.maximum(var_full - beta**2 * spec.c**2 * dt, 0.0)
-        fresh = np.sqrt(var_resid) * rng.standard_normal(spec.k)
+        fresh = np.sqrt(var_resid) * xi
         new = decay * state.zeta + beta * driving_increment + fresh
     return OUState(rate=lam, zeta=new, time=state.time + dt)

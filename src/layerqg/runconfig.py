@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .coupling import eigenpairs, symmetrize
 from .dynamics import SimConfig
 from .errors import ConfigurationError

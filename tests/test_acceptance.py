@@ -169,7 +169,7 @@ def test_criterion_6_linear_kb_limit():
                         seed=2024, obs_every=2)
         # five largest coefficients sit at the smallest |mu|
         obs = [obs_pairing(pairs, k, square=True) for k in range(5)]
-        measures = L.kb_average(cfg, [horizon], obs, n_paths=24, threads=8)
+        measures = L.kb_average(cfg, [horizon], obs, n_paths=24)
         m = measures[0]
         for k in range(5):
             target = noise.c[k] ** 2 / (2 * GAMMA)

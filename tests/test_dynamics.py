@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerqg import rng as rngmod
-from layerqg.dynamics import (SimConfig, initial_coeffs, nonlinear_term,
-                              obs_pairing, parse_observables, run_trajectory,
-                              step_eta)
+from layerqg.dynamics import (SimConfig, _run_paths, initial_coeffs,
+                              nonlinear_term, obs_pairing, parse_observables,
+                              run_trajectory, step_eta)
 from layerqg.errors import (BlowUpError, ConfigurationError, ShapeError,
                             TimeStepError)
 from layerqg.noise import make_noise, sample_path
+from layerqg.runconfig import RunSettings, realize
 from layerqg.spectral import LayerField, build_basis, single_mode_field
 
 from conftest import random_band_coeffs
@@ -156,6 +159,36 @@ class TestTrajectory:
         assert np.all(np.diff(rec.times) > 0)
         assert rec.config_hash == cfg.config_hash()
         assert rec.q_snapshots.shape[1:] == (3, 16, 16)
+
+    def test_config_hash_covers_cadences(self, basis16, coupling16, pairs16,
+                                         quiet_noise):
+        cfg = make_config(basis16, coupling16, pairs16, quiet_noise)
+        hashes = {cfg.config_hash(),
+                  replace(cfg, obs_every=2).config_hash(),
+                  replace(cfg, snap_every=3).config_hash()}
+        assert len(hashes) == 3
+
+    @pytest.mark.parametrize("run_settings", [
+        dict(modes_x=12, modes_y=12, nonlinearity="off", dt=0.01,
+             horizon=0.5, noise_modes=32, obs_every=2),
+        dict(modes_x=16, modes_y=16, dt=1e-3, horizon=0.03, viscosity=0.05,
+             init="lowband:4:3.0:5", noise_modes=48)],
+        ids=["linear_n12", "nonlinear_n16"])
+    def test_batch_matches_single_paths(self, run_settings):
+        # seed -> bytes must not depend on the batch size
+        cfg = realize(RunSettings(**run_settings), seed=5, snap_every=5)
+        obs = parse_observables("l2,l4,linf,h1,gradl4,wh2.5,pair:1.1.0,"
+                                "pairsq:1.2.1", cfg.pairs)
+        batch = _run_paths(cfg, obs, range(4))
+        for stream, rec in enumerate(batch):
+            single = run_trajectory(cfg, obs, stream=stream)
+            assert rec.stream == stream
+            assert np.array_equal(rec.times, single.times)
+            assert np.array_equal(rec.q_snapshots, single.q_snapshots)
+            assert np.array_equal(rec.w_snapshots, single.w_snapshots)
+            for ob in obs:
+                assert np.array_equal(rec.observables[ob.name],
+                                      single.observables[ob.name]), ob.name
 
 
 def _final_state(basis, coupling, pairs, noise, dt, fine_path, base):

@@ -5,7 +5,7 @@ from dataclasses import replace
 from layerqg.dynamics import (Observable, SimConfig, obs_lp, obs_pairing,
                               run_trajectory)
 from layerqg.errors import ConfigurationError, SamplingError
-from layerqg.measures import (invariance_test, kb_average,
+from layerqg.measures import (_theta_envelope, invariance_test, kb_average,
                               tightness_diagnostic)
 from layerqg.noise import make_noise, sigma_for_stationary_l2
 
@@ -53,7 +53,7 @@ class TestKbAverage:
         cfg = linear_config(basis16, coupling16, pairs16, dt=0.01,
                             horizon=400.0, seed=2024, obs_every=2)
         obs = [obs_pairing(pairs16, k, square=True) for k in range(3)]
-        ms = kb_average(cfg, [400.0], obs, n_paths=12, threads=4)
+        ms = kb_average(cfg, [400.0], obs, n_paths=12)
         m = ms[0]
         for k in range(3):
             target = cfg.noise.c[k] ** 2 / (2 * gamma)
@@ -63,8 +63,7 @@ class TestKbAverage:
         cfg = linear_config(basis16, coupling16, pairs16, dt=0.01,
                             horizon=320.0, seed=77, obs_every=2)
         obs = [obs_pairing(pairs16, 0, square=True)]
-        ms = kb_average(cfg, [80.0, 160.0, 320.0], obs, n_paths=6,
-                        threads=4)
+        ms = kb_average(cfg, [80.0, 160.0, 320.0], obs, n_paths=6)
         vals = [m.means[0] for m in ms]
         deltas = np.abs(np.diff(vals))
         assert deltas[1] < deltas[0]
@@ -76,7 +75,7 @@ class TestKbAverage:
         cfg = linear_config(basis16, coupling16, pairs16, dt=0.01,
                             horizon=300.0, seed=41, obs_every=2)
         obs = [obs_pairing(pairs16, 0, square=True)]
-        ms = kb_average(cfg, [300.0], obs, n_paths=8, threads=4)
+        ms = kb_average(cfg, [300.0], obs, n_paths=8)
         time_avg, time_se = ms[0].means[0], ms[0].stderrs[0]
         finals = []
         for p in range(24):
@@ -112,7 +111,7 @@ class TestInvariance:
                             horizon=260.0, seed=8)
         rep = invariance_test(cfg, burn_in=20.0, window=160.0,
                               observables=[obs_lp(2), obs_pairing(pairs16, 0)],
-                              n_paths=4, threads=4)
+                              n_paths=4)
         assert not rep.rejected.any()
         assert rep.n_samples >= 30
 
@@ -155,6 +154,28 @@ class TestTightness:
         assert not rep.envelope_uninformative
         assert rep.envelope_condition_held
         assert rep.theta_dominated
+
+    def test_envelope_recurrence_matches_quadrature(self):
+        # the O(n) recurrence against the direct trapezoid sums per time
+        rng = np.random.default_rng(17)
+        times = np.cumsum(rng.uniform(0.01, 0.05, 500))
+        times -= times[0]
+        zeta = rng.uniform(0.0, 0.4, 500)
+        gamma, rate, c_const = 0.5, 2.0, 1.3
+        envelope, uninformative, _ = _theta_envelope(times, zeta, gamma,
+                                                     rate, c_const)
+        assert not uninformative
+        growth = c_const * zeta - gamma
+        j_cum = np.concatenate([[0.0], np.cumsum(
+            0.5 * (growth[1:] + growth[:-1]) * np.diff(times))])
+        forcing = c_const * (zeta + abs(rate - gamma)) * zeta
+        direct = np.empty(500)
+        for s in range(500):
+            integrand = forcing[: s + 1] * np.exp(j_cum[s] - j_cum[: s + 1])
+            integral = np.sum(0.5 * (integrand[1:] + integrand[:-1])
+                              * np.diff(times[: s + 1]))
+            direct[s] = zeta[0] * np.exp(j_cum[s]) + integral
+        assert np.max(np.abs(envelope / direct - 1)) <= 1e-12
 
     def test_rate_guard(self, basis16, coupling16, pairs16):
         cfg = linear_config(basis16, coupling16, pairs16)

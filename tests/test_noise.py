@@ -80,6 +80,18 @@ class TestIncrements:
                 se = np.sqrt(cov[j, j] * cov[k, k] / n)
                 assert abs(cov[j, k]) <= 3 * se
 
+    def test_scatter_columns_are_eigenpair_fields(self, pairs16):
+        spec = make_noise(pairs16, 40, decay=1.0, sigma=1.0)
+        mixer = NoiseMixer(spec, pairs16, pairs16.basis)
+        fields = mixer.coefficients(np.eye(40))
+        for k in range(40):
+            assert np.array_equal(fields[k], pairs16.field(k).spectral())
+        # a (K, P) batch scatters each column as the (K,) call does
+        values = np.random.default_rng(4).standard_normal((40, 5))
+        batch = mixer.coefficients(values)
+        for p in range(5):
+            assert np.array_equal(batch[p], mixer.coefficients(values[:, p]))
+
     def test_path_coarsening_sums_exactly(self, pairs16):
         spec = make_noise(pairs16, 12, decay=2.0, sigma=1.0)
         path = sample_path(spec, 8, 0.01, rngmod.stream(9, 0))
