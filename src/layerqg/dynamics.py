@@ -106,7 +106,10 @@ class Observable:
     fn: callable
 
     def __call__(self, ctx: ObsContext) -> np.ndarray:
-        return np.asarray(self.fn(ctx), dtype=float)
+        values = np.asarray(self.fn(ctx), dtype=float)
+        if values.shape != ctx.q_hat.shape[:1]:
+            raise ShapeError(f"{self.name}: shape {values.shape}, not (P,)")
+        return values
 
 
 def obs_lp(p) -> Observable:
@@ -278,46 +281,38 @@ class Stepper:
         self.h_min = min(basis.hx, basis.hy)
         self.mixer = NoiseMixer(config.noise, config.pairs, basis)
 
-    def transport_hat(self, q_hat, t=None):
-        """Galerkin projection of u . grad q; also returns max |u|.
+    def transport_hat(self, q_hat, t):
+        """Galerkin projection of u . grad q at time t.
 
-        With a time stamp, the adaptive CFL guard runs between the
-        velocity synthesis and the product, so an over-CFL state raises
-        the stability error rather than overflowing into a blow-up.
+        The adaptive CFL guard runs between the velocity synthesis and the
+        product, so an over-CFL state raises the stability error rather
+        than overflowing into a blow-up.
         """
-        basis = self.config.basis
-        psi_hat = solve_elliptic_coeffs(self.config.coupling, q_hat)
+        cfg, basis = self.config, self.config.basis
+        psi_hat = solve_elliptic_coeffs(cfg.coupling, q_hat)
         with np.errstate(over="ignore", invalid="ignore"):
             u1, u2 = basis.perp_grad_grids(psi_hat)
             umax = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
             if not np.isfinite(umax):
                 raise FloatingPointError("velocity overflow")
-            if t is not None:
-                self.check_cfl(umax, t)
+            ceiling = cfg.cfl_safety * min(
+                1.0 / cfg.gamma, self.h_min / umax if umax > 0 else np.inf)
+            if cfg.cfl_safety > 0 and cfg.dt > ceiling:
+                raise TimeStepError(
+                    f"dt={cfg.dt} exceeds adaptive CFL ceiling "
+                    f"{ceiling:.3e} at t={t:.6g} (|u|max={umax:.3e})")
             qx, qy = basis.grad_grids(q_hat)
             product = u1 * qx + u2 * qy
             if not np.all(np.isfinite(product)):
                 raise FloatingPointError("transport overflow")
-        return basis.forward(product), umax
-
-    def check_cfl(self, umax, t):
-        safety = self.config.cfl_safety
-        if safety <= 0:
-            return
-        ceiling = safety * min(1.0 / self.config.gamma,
-                               self.h_min / umax if umax > 0 else np.inf)
-        if self.config.dt > ceiling:
-            raise TimeStepError(
-                f"dt={self.config.dt} exceeds adaptive CFL ceiling "
-                f"{ceiling:.3e} at t={t:.6g} (|u|max={umax:.3e})")
+        return basis.forward(product)
 
     def advance(self, eta_hat, w_hat, t):
         """One step of the eta equation, W frozen at the step's left end."""
         cfg = self.config
         forcing = -cfg.gamma * w_hat
         if cfg.nonlinear:
-            transport, _ = self.transport_hat(eta_hat + w_hat, t=t)
-            forcing = forcing - transport
+            forcing = forcing - self.transport_hat(eta_hat + w_hat, t)
         new = self.decay * eta_hat + self.phi * forcing
         if not np.all(np.isfinite(new)):
             raise FloatingPointError("state overflow")
@@ -363,6 +358,9 @@ def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
 
 # Standard normals drawn per refill, over all paths: 512 KB of doubles.
 _BLOCK_NORMALS = 1 << 16
+# Grid points of one batch over paths and layers (1 MB per temporary): on
+# large grids memory grows with the batch and the step saves no overhead.
+_BATCH_POINTS = 1 << 17
 
 
 def _run_paths(cfg: SimConfig, observables, streams, initial=None,
@@ -379,9 +377,15 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     neither on P nor on its place in the batch; the CFL guard watches the
     largest |u| of all paths.  Returns one TrajectoryRecord per path; a
     blow-up raises BlowUpError with the partial record of the path with
-    the largest state.
+    the largest state.  Paths past _BATCH_POINTS step in further batches.
     """
     basis, n_steps, n_paths = cfg.basis, cfg.n_steps, len(streams)
+    per_batch = max(1, _BATCH_POINTS // (N_LAYERS * basis.quad_weights.size))
+    if n_paths > per_batch:
+        return [rec for i in range(0, n_paths, per_batch)
+                for rec in _run_paths(cfg, observables,
+                                      streams[i:i + per_batch], initial,
+                                      noise_path, hook, hook_draws)]
     if noise_path is not None and (noise_path.n_steps != n_steps or abs(
             noise_path.dt - cfg.dt) > 1e-12 * cfg.dt):
         raise ConfigurationError("noise path does not match config grid")

@@ -69,8 +69,8 @@ def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1):
     cfg = replace(config, init="zero", snap_every=0)
     records = _run_paths(cfg, observables, range(n_paths))
     times = records[0].times
-    series = np.array([list(rec.observables.values()) for rec in records]
-                      ).reshape(n_paths, len(observables), len(times))
+    series = np.array([[rec.observables[ob.name] for ob in observables]
+                       for rec in records])                    # (P, O, T)
     stacked = np.empty((n_paths, len(horizons), len(observables)))
     for i, horizon in enumerate(horizons):
         n = np.count_nonzero(times <= horizon + 1e-12)
@@ -120,11 +120,12 @@ def invariance_test(config: SimConfig, burn_in: float, window: float,
     obs_dt = config.dt * config.obs_every
     spacing = max(1, int(round(2.0 / config.gamma / obs_dt)))
     records = _run_paths(config, observables, range(n_paths))
+    times = records[0].times
 
-    def window_samples(rec, name, start):
-        t = rec.times
-        mask = (t >= start - 1e-12) & (t <= start + window + 1e-12)
-        return rec.observables[name][mask][::spacing]
+    def window_samples(name, start):
+        mask = (times >= start - 1e-12) & (times <= start + window + 1e-12)
+        return np.concatenate([rec.observables[name][mask][::spacing]
+                               for rec in records])
 
     names = [ob.name for ob in observables]
     n_obs, n_sh = len(names), len(shifts)
@@ -134,8 +135,7 @@ def invariance_test(config: SimConfig, burn_in: float, window: float,
     skipped = np.zeros(n_obs, dtype=bool)
     count = 0
     for i, name in enumerate(names):
-        ref = np.concatenate([window_samples(r, name, burn_in)
-                              for r in records])
+        ref = window_samples(name, burn_in)
         count = len(ref)
         if count < min_samples:
             raise SamplingError(
@@ -144,13 +144,9 @@ def invariance_test(config: SimConfig, burn_in: float, window: float,
             skipped[i] = True
             continue
         for j, s in enumerate(shifts):
-            alt = np.concatenate([window_samples(r, name, burn_in + s)
-                                  for r in records])
-            if s == 0:
-                ks[i, j] = 0.0
-                pv[i, j] = 1.0
+            if s == 0:              # distance 0 and p-value 1, as set above
                 continue
-            stat = ks_2samp(ref, alt)
+            stat = ks_2samp(ref, window_samples(name, burn_in + s))
             ks[i, j] = stat.statistic
             pv[i, j] = stat.pvalue
             rejected[i, j] = stat.pvalue < significance
@@ -224,8 +220,8 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
         return np.abs(cfg.basis.inverse(theta_hat)).max(axis=(-3, -2, -1))
 
     observables = [obs_lp(np.inf), Observable("theta_inf", theta_sup),
-                   Observable("zeta_norm", lambda ctx: ou.h_alpha_norm(
-                       cfg.pairs, ALPHA_NOISE))]
+                   Observable("zeta_norm", lambda ctx: [ou.h_alpha_norm(
+                       cfg.pairs, ALPHA_NOISE)])]
     rec = _run_paths(cfg, observables, [0], hook=ou_update, hook_draws=1)[0]
     q_inf, theta_inf, zeta_norm = rec.observables.values()
 

@@ -207,12 +207,11 @@ class OUState:
         return float(np.sqrt(np.sum(self.zeta**2 * lam**alpha)))
 
 
-def ou_step(state: OUState, spec: NoiseSpec, dt: float,
-            rng: np.random.Generator | np.ndarray,
+def ou_step(state: OUState, spec: NoiseSpec, dt: float, xi: np.ndarray,
             driving_increment: np.ndarray | None = None) -> OUState:
     """Advance zeta_lambda by dt, exact in distribution.
 
-    `rng` draws the K fresh standard normals xi, or is those normals.
+    `xi` holds the K fresh standard normals of the step.
 
     Standalone (driving_increment None):
         zeta_k <- e^{-lam dt} zeta_k + c_k sqrt((1 - e^{-2 lam dt})/(2 lam)) xi_k.
@@ -225,7 +224,6 @@ def ou_step(state: OUState, spec: NoiseSpec, dt: float,
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    xi = rng if isinstance(rng, np.ndarray) else rng.standard_normal(spec.k)
     lam = state.rate
     decay = np.exp(-lam * dt)
     if driving_increment is None:

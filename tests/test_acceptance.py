@@ -139,7 +139,8 @@ def test_criterion_5_ou_stationary_variance():
             state = OUState.zero(rate, k)
             samples = np.empty((n, k))
             for i in range(n):
-                state = ou_step(state, spec, dt, gen)
+                state = ou_step(state, spec, dt,
+                                gen.standard_normal(k))
                 samples[i] = state.zeta
             target = spec.c**2 / (2 * rate)
             emp = np.var(samples, axis=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerqg import rng as rngmod
+from layerqg import dynamics, rng as rngmod
 from layerqg.dynamics import (SimConfig, _run_paths, initial_coeffs,
                               nonlinear_term, obs_pairing, parse_observables,
                               run_trajectory, step_eta)
@@ -189,6 +189,32 @@ class TestTrajectory:
             for ob in obs:
                 assert np.array_equal(rec.observables[ob.name],
                                       single.observables[ob.name]), ob.name
+
+
+    def test_large_grids_step_in_smaller_batches(self, monkeypatch):
+        cfg = realize(RunSettings(modes_x=16, modes_y=16, dt=1e-3,
+                                  horizon=0.02, init="lowband:4:3.0:5",
+                                  noise_modes=48), seed=5, snap_every=5)
+        obs = parse_observables("l2,linf,h1", cfg.pairs)
+        whole = _run_paths(cfg, obs, range(4))
+        sizes = []
+        advance = dynamics.Stepper.advance
+
+        def spy(self, eta, w, t):
+            sizes.append(len(eta))
+            return advance(self, eta, w, t)
+
+        monkeypatch.setattr(dynamics.Stepper, "advance", spy)
+        monkeypatch.setattr(dynamics, "_BATCH_POINTS",
+                            3 * 3 * cfg.basis.quad_weights.size)
+        split = _run_paths(cfg, obs, range(4))
+        assert set(sizes) == {3, 1}
+        assert [rec.stream for rec in split] == [0, 1, 2, 3]
+        for a, b in zip(whole, split):
+            assert np.array_equal(a.q_snapshots, b.q_snapshots)
+            for ob in obs:
+                assert np.array_equal(a.observables[ob.name],
+                                      b.observables[ob.name])
 
 
 def _final_state(basis, coupling, pairs, noise, dt, fine_path, base):

@@ -3,8 +3,8 @@ import pytest
 from dataclasses import replace
 
 from layerqg.dynamics import (Observable, SimConfig, obs_lp, obs_pairing,
-                              run_trajectory)
-from layerqg.errors import ConfigurationError, SamplingError
+                              parse_observables, run_trajectory)
+from layerqg.errors import ConfigurationError, SamplingError, ShapeError
 from layerqg.measures import (_theta_envelope, invariance_test, kb_average,
                               tightness_diagnostic)
 from layerqg.noise import make_noise, sigma_for_stationary_l2
@@ -47,6 +47,23 @@ class TestKbAverage:
         lhs = m.value("combo")
         rhs = 2 * m.value(a.name) - 3 * m.value(b.name)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+
+    def test_pooled_observable_rejected(self, basis16, coupling16, pairs16):
+        # one value for the whole batch would be copied to every path
+        cfg = linear_config(basis16, coupling16, pairs16, horizon=0.2)
+        pooled = Observable("pooled", lambda ctx: np.sum(ctx.q_hat**2))
+        with pytest.raises(ShapeError, match="pooled"):
+            kb_average(cfg, [0.2], [pooled], n_paths=2)
+
+    def test_repeated_names_average_alike(self, basis16, coupling16,
+                                          pairs16):
+        cfg = linear_config(basis16, coupling16, pairs16, horizon=0.4)
+        obs = parse_observables("l2,h1,l2,h1.0")
+        m = kb_average(cfg, [0.4], obs, n_paths=3)[0]
+        assert m.names == ["l2", "h1", "l2", "h1"]
+        assert np.array_equal(m.means[:2], m.means[2:])
+        assert np.array_equal(m.stderrs[:2], m.stderrs[2:])
+        assert m.means[0] > 0
 
     def test_linear_ou_second_moment(self, basis16, coupling16, pairs16):
         gamma = 0.5

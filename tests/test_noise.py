@@ -120,7 +120,8 @@ class TestOrnsteinUhlenbeck:
     def test_silent_decay(self, pairs16):
         spec = make_noise(pairs16, 8, decay=2.0, sigma=0.0)
         state = OUState(rate=2.0, zeta=np.ones(8))
-        out = ou_step(state, spec, 0.5, rngmod.stream(0, 0))
+        out = ou_step(state, spec, 0.5,
+                      rngmod.stream(0, 0).standard_normal(8))
         assert np.allclose(out.zeta, np.exp(-1.0))
         assert out.time == pytest.approx(0.5)
 
@@ -133,7 +134,7 @@ class TestOrnsteinUhlenbeck:
         state = OUState.zero(rate, 8)
         samples = np.empty((n, 8))
         for i in range(n):
-            state = ou_step(state, spec, dt, gen)
+            state = ou_step(state, spec, dt, gen.standard_normal(spec.k))
             samples[i] = state.zeta
         target = spec.c**2 / (2 * rate)
         emp = np.var(samples[10:], axis=0)
@@ -150,7 +151,8 @@ class TestOrnsteinUhlenbeck:
         samples = np.empty((n, 6))
         for i in range(n):
             dw = spec.c * np.sqrt(dt) * gen.standard_normal(6)
-            state = ou_step(state, spec, dt, gen, driving_increment=dw)
+            state = ou_step(state, spec, dt, gen.standard_normal(6),
+                            driving_increment=dw)
             samples[i] = state.zeta
         target = spec.c**2 / (2 * rate)
         emp = np.var(samples[n // 10:], axis=0)
@@ -170,7 +172,8 @@ class TestOrnsteinUhlenbeck:
         n = 40_000
         out = np.empty((n, 4))
         for i in range(n):
-            out[i] = ou_step(start, spec, dt, gen).zeta
+            out[i] = ou_step(start, spec, dt,
+                             gen.standard_normal(4)).zeta
         mean_exact = np.exp(-rate * dt) * start.zeta
         var_exact = spec.c**2 * (1 - np.exp(-2 * rate * dt)) / (2 * rate)
         mean_se = np.sqrt(var_exact / n)
@@ -188,7 +191,7 @@ class TestOrnsteinUhlenbeck:
         state = OUState.zero(rate, k)
         acc = acc_sq = 0.0
         for i in range(n):
-            state = ou_step(state, spec, dt, gen)
+            state = ou_step(state, spec, dt, gen.standard_normal(spec.k))
             acc += np.sqrt(np.sum(state.zeta**2 * lam**alpha))
             acc_sq += np.sum(state.zeta**2 * lam**alpha)
         time_avg_norm = acc / n
