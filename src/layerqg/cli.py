@@ -1,10 +1,13 @@
 """Command-line entry points.
 
 Subcommands: run, galerkin, viscosity, stability, invariant, tightness,
-diagnose.  Every run writes a manifest (resolved config echo, master seed,
-version, artifact checksums); numbers in CSVs are printed with 17
-significant digits so parsing them back reproduces the exact doubles.
-Exit codes: 0 success, 2 constraint error, 3 blow-up.
+diagnose.  Every run writes a manifest (resolved config echo and hash,
+master seed, version, artifact checksums); numbers in CSVs are printed
+with 17 significant digits so parsing them back reproduces the exact
+doubles.  Exit codes: 0 success, 2 constraint error or CFL abort, 3
+blow-up; a `run` or `diagnose` stopped by a CFL abort or a blow-up still
+writes what it has (the partial `series.csv` of `run`) and a manifest
+whose `abort` block says when and why.
 """
 
 from __future__ import annotations
@@ -51,13 +54,14 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out: Path, settings, defaulted, args, artifacts,
+def _write_manifest(out: Path, settings, defaulted, args, config, artifacts,
                     extra=None):
     manifest = {
         "version": f"layerqg {__version__}",
         "master_seed": args.seed,
         "rng_scheme": rngmod.SCHEME,
         "config": settings.echo(),
+        "config_hash": config.config_hash(),
         "defaults_applied": sorted(defaulted),
         "flags": {k: v for k, v in vars(args).items()
                   if k not in ("func", "config")},
@@ -69,6 +73,21 @@ def _write_manifest(out: Path, settings, defaulted, args, artifacts,
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _stopped(out, settings, defaulted, args, config, artifacts, err):
+    """Write the manifest of a run that a blow-up or a CFL abort stopped,
+    with an `abort` block saying why; returns the exit code."""
+    abort = {"reason": str(err), "time": err.time}
+    if isinstance(err, TimeStepError):
+        abort.update(umax=err.umax, dt_ceiling=err.ceiling)
+    _write_manifest(out, settings, defaulted, args, config, artifacts,
+                    {"abort": abort})
+    if isinstance(err, BlowUpError):
+        print(f"blow-up at t={err.time}", file=sys.stderr)
+        return 3
+    print(f"error: {err}", file=sys.stderr)
+    return 2
 
 
 def _series_rows(record, names):
@@ -95,12 +114,11 @@ def cmd_run(args):
     settings, defaulted, out, config = _setup(args, snap_every=args.snap_every)
     observables = parse_observables(settings.observables, config.pairs)
     artifacts = []
-    blown = None
+    stop = None
     try:
         record = run_trajectory(config, observables=observables)
-    except BlowUpError as err:
-        record = err.record
-        blown = err.time
+    except (BlowUpError, TimeStepError) as err:
+        record, stop = err.record, err
     names = [ob.name for ob in observables]
     series = out / "series.csv"
     _write_csv(series, ["time"] + names, _series_rows(record, names))
@@ -110,11 +128,10 @@ def cmd_run(args):
         write_field(snap, LayerField.from_coeffs(config.basis,
                                                  record.q_snapshots[i]))
         artifacts.append(snap)
-    extra = {"blow_up_time": blown} if blown is not None else None
-    _write_manifest(out, settings, defaulted, args, artifacts, extra)
-    if blown is not None:
-        print(f"blow-up at t={blown}", file=sys.stderr)
-        return 3
+    if stop is not None:
+        return _stopped(out, settings, defaulted, args, config, artifacts,
+                        stop)
+    _write_manifest(out, settings, defaulted, args, config, artifacts)
     return 0
 
 
@@ -126,10 +143,11 @@ def cmd_galerkin(args):
     path = out / "galerkin.csv"
     _write_csv(path, ["rungs", report.distance_name],
                [[label, d] for label, d in report.rows()])
-    _write_manifest(out, settings, defaulted, args, [path], {
+    _write_manifest(out, settings, defaulted, args, config, [path], {
         "monotone_decreasing": report.monotone_decreasing,
         "first_violation": report.first_violation,
-        "empirical_rate": report.empirical_rate})
+        "empirical_rate": report.empirical_rate,
+        "runtimes": report.runtimes.tolist()})
     return 0
 
 
@@ -144,9 +162,10 @@ def cmd_viscosity(args):
     est = out / "viscosity_est2.csv"
     _write_csv(est, ["eps", "eps_l2h1"],
                zip(ladder, report.extras["est2"]))
-    _write_manifest(out, settings, defaulted, args, [path, est], {
+    _write_manifest(out, settings, defaulted, args, config, [path, est], {
         "monotone_decreasing": report.monotone_decreasing,
-        "first_violation": report.first_violation})
+        "first_violation": report.first_violation,
+        "runtimes": report.runtimes.tolist()})
     return 0
 
 
@@ -160,8 +179,9 @@ def cmd_stability(args):
     path = out / "stability.csv"
     _write_csv(path, ["delta", "z_T", "max_step_jump"],
                zip(ladder, report.distances, report.extras["max_jump"]))
-    _write_manifest(out, settings, defaulted, args, [path], {
-        "z_decreasing": bool(np.all(np.diff(report.distances) < 0))})
+    _write_manifest(out, settings, defaulted, args, config, [path], {
+        "z_decreasing": bool(np.all(np.diff(report.distances) < 0)),
+        "runtimes": report.runtimes.tolist()})
     return 0
 
 
@@ -177,7 +197,7 @@ def cmd_invariant(args):
         for name, mean, err in zip(m.names, m.means, m.stderrs):
             rows.append([m.horizon, name, mean, err])
     _write_csv(path, ["horizon", "observable", "mean", "stderr"], rows)
-    _write_manifest(out, settings, defaulted, args, [path],
+    _write_manifest(out, settings, defaulted, args, config, [path],
                     {"n_paths": args.paths, "observables": names})
     return 0
 
@@ -195,7 +215,7 @@ def cmd_tightness(args):
     _write_csv(series, ["time", "q_inf", "theta_inf", "zeta_h52", "envelope"],
                zip(report.times, report.q_inf_series,
                    report.theta_inf_series, report.zeta_norm_series, env))
-    _write_manifest(out, settings, defaulted, args, [frac, series], {
+    _write_manifest(out, settings, defaulted, args, config, [frac, series], {
         "sup_q_inf": report.sup_q_inf,
         "thirds": report.thirds.tolist(),
         "trend_ok": report.trend_ok,
@@ -209,9 +229,8 @@ def cmd_diagnose(args):
         args, snap_every=args.snap_every or 1)
     try:
         record = run_trajectory(config, observables=[])
-    except BlowUpError as err:
-        print(f"blow-up at t={err.time}", file=sys.stderr)
-        return 3
+    except (BlowUpError, TimeStepError) as err:
+        return _stopped(out, settings, defaulted, args, config, [], err)
     artifacts = []
     log_rep = log_estimate_monitor(record)
     w14 = w14_monitor(record)
@@ -231,7 +250,7 @@ def cmd_diagnose(args):
                       "l2", "l2_envelope", "l4", "l4_envelope",
                       "weak_residual"], rows)
     artifacts.append(path)
-    _write_manifest(out, settings, defaulted, args, artifacts, {
+    _write_manifest(out, settings, defaulted, args, config, artifacts, {
         "log_ratio_max": log_rep.maximum,
         "w14_dominated": w14.dominated,
         "l2_dominated": bool(np.all(envs[1][0] <= envs[1][1] * (1 + 1e-9))),

@@ -300,7 +300,8 @@ class Stepper:
             if cfg.cfl_safety > 0 and cfg.dt > ceiling:
                 raise TimeStepError(
                     f"dt={cfg.dt} exceeds adaptive CFL ceiling "
-                    f"{ceiling:.3e} at t={t:.6g} (|u|max={umax:.3e})")
+                    f"{ceiling:.3e} at t={t:.6g} (|u|max={umax:.3e})",
+                    time=t, umax=float(umax), ceiling=float(ceiling))
             qx, qy = basis.grad_grids(q_hat)
             product = u1 * qx + u2 * qy
             if not np.all(np.isfinite(product)):
@@ -348,8 +349,9 @@ def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
     Deterministic given (config, stream): noise comes from the Philox
     stream (config.seed, stream), or from a pregenerated path for
     noise-coupled comparisons.  An explicit coefficient array `initial`
-    overrides the config descriptor.  On blow-up raises BlowUpError
-    carrying the partial record.  This is `_run_paths` with P = 1.
+    overrides the config descriptor.  A blow-up (BlowUpError) or a CFL
+    abort (TimeStepError) carries the partial record.  This is
+    `_run_paths` with P = 1.
     """
     if observables is None:
         observables = parse_observables(DEFAULT_OBSERVABLES)
@@ -376,8 +378,9 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     Every operation acts on each path alone, so path p's bytes depend
     neither on P nor on its place in the batch; the CFL guard watches the
     largest |u| of all paths.  Returns one TrajectoryRecord per path; a
-    blow-up raises BlowUpError with the partial record of the path with
-    the largest state.  Paths past _BATCH_POINTS step in further batches.
+    blow-up raises BlowUpError, and a CFL abort the guard's TimeStepError,
+    with the partial record of the path with the largest state.  Paths
+    past _BATCH_POINTS step in further batches.
     """
     basis, n_steps, n_paths = cfg.basis, cfg.n_steps, len(streams)
     per_batch = max(1, _BATCH_POINTS // (N_LAYERS * basis.quad_weights.size))
@@ -431,15 +434,21 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
             blown_up=blow_time is not None, blow_time=blow_time)
             for p, stream in enumerate(streams)]
 
+    def partial(blow_time=None):
+        """The record so far of the path with the largest state."""
+        worst = np.argmax(np.abs(eta + w).reshape(n_paths, -1).max(-1))
+        return build(blow_time)[worst]
+
     record(0)
     for j in range(1, n_steps + 1):
         t_prev = (j - 1) * cfg.dt
         try:
             eta = stepper.advance(eta, w, t_prev)
         except FloatingPointError as exc:
-            worst = np.argmax(np.abs(eta + w).reshape(n_paths, -1).max(-1))
-            raise BlowUpError(str(exc), time=t_prev,
-                              record=build(t_prev)[worst])
+            raise BlowUpError(str(exc), time=t_prev, record=partial(t_prev))
+        except TimeStepError as exc:
+            exc.record = partial()
+            raise
         i = (j - 1) % block_steps
         if gens and i == 0:
             steps = min(block_steps, n_steps - j + 1)

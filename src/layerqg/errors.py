@@ -14,7 +14,20 @@ class UnsupportedExponentError(ValueError):
 
 
 class TimeStepError(RuntimeError):
-    """The time step exceeds the stability ceiling (CFL or damping)."""
+    """The time step exceeds the stability ceiling (CFL or damping).
+
+    From the adaptive CFL guard it also carries the abort time, the
+    largest |u|, the dt ceiling and, when raised from a trajectory run,
+    the partial record accumulated so far.
+    """
+
+    def __init__(self, message, time=None, umax=None, ceiling=None,
+                 record=None):
+        super().__init__(message)
+        self.time = time
+        self.umax = umax
+        self.ceiling = ceiling
+        self.record = record
 
 
 class BlowUpError(RuntimeError):

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .dynamics import Observable, SimConfig, _run_paths, obs_lp
 from .errors import ConfigurationError, SamplingError
@@ -111,6 +110,9 @@ def invariance_test(config: SimConfig, burn_in: float, window: float,
     thinned samples (spacing about 2/gamma) across paths, with a
     two-sample Kolmogorov-Smirnov test per observable and shift.
     """
+    # deferred: scipy.stats adds ~1 s to start-up and no CLI command runs it
+    from scipy.stats import ks_2samp
+
     if shifts is None:
         shifts = [window / 4, window / 2]
     needed = burn_in + max(shifts) + window

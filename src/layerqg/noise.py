@@ -12,9 +12,9 @@ through partial sums of c_k^2 ||rho_k||^2_{H^{5/2}}, where for our basis
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .coupling import OperatorEigenpairs
 from .errors import ConfigurationError
@@ -101,37 +101,50 @@ def regularity_check(spec: NoiseSpec, pairs: OperatorEigenpairs):
     return dict(zip(counts, sums)), verdict
 
 
-def _scatter_matrix(k: int, pairs: OperatorEigenpairs,
-                    basis: SpectralBasis) -> csr_matrix:
-    """Sparse map from per-eigenpair values to flat (3, Nx, Ny) coefficients."""
-    if k and (pairs.mode_n[:k].max() > basis.nx or
-              pairs.mode_m[:k].max() > basis.ny):
-        raise ConfigurationError(
-            "noise eigenpairs extend beyond the target basis band")
-    nxny = basis.nx * basis.ny
-    flat = (pairs.mode_n[:k] - 1) * basis.ny + (pairs.mode_m[:k] - 1)
-    rows = (flat[:, None] + np.arange(N_LAYERS) * nxny).ravel()
-    cols = np.repeat(np.arange(k), N_LAYERS)      # row-major like vec[:k]
-    vals = pairs.vec[:k].ravel()
-    return csr_matrix((vals, (rows, cols)), shape=(N_LAYERS * nxny, k))
-
-
 class NoiseMixer:
-    """Caches the eigenpair->coefficient scatter for one (spec, pairs, basis)."""
+    """Caches the eigenpair->coefficient scatter for one (spec, pairs, basis).
+
+    The scatter is kept as (row, eigenpair, value) triplets sorted by flat
+    (3, Nx, Ny) row and then by eigenpair, and applied with np.bincount,
+    which adds each row's terms in that order.
+    """
 
     def __init__(self, spec: NoiseSpec, pairs: OperatorEigenpairs,
                  basis: SpectralBasis):
         self.spec = spec
         self.pairs = pairs
         self.basis = basis
-        self._scatter = _scatter_matrix(spec.k, pairs, basis)
+        k = spec.k
+        if k and (pairs.mode_n[:k].max() > basis.nx or
+                  pairs.mode_m[:k].max() > basis.ny):
+            raise ConfigurationError(
+                "noise eigenpairs extend beyond the target basis band")
+        nxny = basis.nx * basis.ny
+        flat = (pairs.mode_n[:k] - 1) * basis.ny + (pairs.mode_m[:k] - 1)
+        rows = (flat[:, None] + np.arange(N_LAYERS) * nxny).ravel()
+        cols = np.repeat(np.arange(k), N_LAYERS)      # row-major like vec[:k]
+        order = np.lexsort((cols, rows))
+        self._rows = rows[order]
+        self._cols = cols[order]
+        self._vals = pairs.vec[:k].ravel()[order]
+        self._size = N_LAYERS * nxny
+        self._batches = {}      # path count P -> (output bins, input index)
 
     def coefficients(self, weighted_values: np.ndarray) -> np.ndarray:
         """sum_k x_k rho_k as a spectral array (x carries any c_k weight);
         a (K, P) input gives the (P, 3, Nx, Ny) fields of its columns."""
-        flat = self._scatter @ weighted_values
-        return flat.T.reshape(weighted_values.shape[1:] + (N_LAYERS,)
-                              + self.basis.spectral_shape)
+        lead = weighted_values.shape[1:]
+        n = math.prod(lead)
+        if n not in self._batches:
+            # path-major: path p's triplets go to the bins from p * size on
+            paths = np.arange(n)[:, None]
+            self._batches[n] = ((self._rows + self._size * paths).ravel(),
+                                self._cols * n + paths)
+        rows, index = self._batches[n]
+        terms = np.take(weighted_values.ravel(), index) * self._vals
+        flat = np.bincount(rows, weights=terms.ravel(),
+                           minlength=self._size * n)
+        return flat.reshape(lead + (N_LAYERS,) + self.basis.spectral_shape)
 
     def increment(self, dt: float, rng: np.random.Generator) -> np.ndarray:
         """One Brownian increment sum_k c_k rho_k xi_k sqrt(dt)."""

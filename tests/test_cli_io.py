@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
 import platform
+import re
 import resource
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +135,9 @@ class TestFieldIO:
             read_field(path, basis16)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -232,6 +241,79 @@ class TestCli:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg), "--seed", "1",
                        "--out", str(out)) == 3
+
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    def test_cfl_abort_leaves_a_record(self, tmp_path, command):
+        # the adaptive CFL guard trips in the first step, as in
+        # test_adaptive_cfl_trips; the run stops with exit code 2
+        cfg = tmp_path / "cfl.cfg"
+        cfg.write_text("modes_x=16\nmodes_y=16\ngamma=0.5\nsigma=0\n"
+                       "dt=0.01\nhorizon=0.05\ninit=mode:1,1:2000,0,0\n"
+                       "noise_modes=16\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--seed", "1",
+                       "--out", str(out)) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        abort = manifest["abort"]
+        assert "CFL" in abort["reason"]
+        assert abort["time"] == 0.0
+        assert abort["umax"] > 0
+        assert 0 < abort["dt_ceiling"] < 0.01
+        artifacts = [a["path"] for a in manifest["artifacts"]]
+        if command == "run":
+            assert artifacts == ["series.csv"]
+            rows = (out / "series.csv").read_text().strip().split("\n")
+            assert rows[0].startswith("time,") and len(rows) == 2
+        else:
+            assert artifacts == []
+
+    def test_diagnose_blow_up_writes_manifest(self, tmp_path):
+        cfg = tmp_path / "blow.cfg"
+        cfg.write_text("modes_x=8\nmodes_y=8\ngamma=0.5\nsigma=0\n"
+                       "dt=0.01\nhorizon=0.1\ninit=mode:1,1:1e200,0,0\n"
+                       "cfl_safety=0\nnoise_modes=8\n")
+        out = tmp_path / "out"
+        assert run_cli("diagnose", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out)) == 3
+        abort = json.loads((out / "manifest.json").read_text())["abort"]
+        assert abort["time"] == 0.0 and "overflow" in abort["reason"]
+
+    def test_galerkin_manifest_explains_the_run(self, tmp_path):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("modes_x=8\nmodes_y=8\ngamma=0.5\nsigma=1.0\n"
+                       "dt=0.01\nhorizon=0.05\ninit=lowband:2:1.0:2\n"
+                       "noise_modes=4\n")
+        out = tmp_path / "out"
+        assert run_cli("galerkin", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out), "--n-ladder", "4,6,8") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        runtimes = manifest["runtimes"]
+        assert len(runtimes) == 3 and all(t > 0 for t in runtimes)
+        assert re.fullmatch("[0-9a-f]{16}", manifest["config_hash"])
+
+    def test_cli_runs_on_numpy_alone(self, tmp_path):
+        # a fresh interpreter imports the CLI, runs a tiny nonlinear
+        # noisy `run` and `invariant`, and never loads SciPy
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("modes_x=8\nmodes_y=8\ngamma=0.5\nsigma=1.0\n"
+                       "dt=0.01\nhorizon=0.05\ninit=lowband:3:1.0:2\n"
+                       "noise_modes=16\n")
+        script = textwrap.dedent(f"""
+            import sys
+            from layerqg.cli import main
+            for argv in (["run", "--out", {str(tmp_path / "run")!r}],
+                         ["invariant", "--out", {str(tmp_path / "inv")!r},
+                          "--horizons", "0.05", "--paths", "2"]):
+                assert main(argv + ["--config", {str(cfg)!r}]) == 0, argv
+            print(sorted(m for m in sys.modules
+                         if m.partition(".")[0] == "scipy"))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "inv" / "invariant.csv").exists()
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap thresholds are glibc settings")

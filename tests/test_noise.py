@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,22 @@ class TestIncrements:
         batch = mixer.coefficients(values)
         for p in range(5):
             assert np.array_equal(batch[p], mixer.coefficients(values[:, p]))
+
+    def test_scatter_is_the_eigenpair_ordered_sum(self, pairs16):
+        # K = 6 retains one, two and three components of different modes,
+        # so some coefficients sum three terms, in eigenpair order
+        k = 6
+        per_mode = Counter(zip(pairs16.mode_n[:k], pairs16.mode_m[:k]))
+        assert sorted(set(per_mode.values())) == [1, 2, 3]
+        spec = make_noise(pairs16, k, decay=1.0, sigma=1.0)
+        mixer = NoiseMixer(spec, pairs16, pairs16.basis)
+        values = np.random.default_rng(6).standard_normal((k, 5))
+        batch = mixer.coefficients(values)
+        for p in range(5):
+            total = np.zeros((3,) + pairs16.basis.spectral_shape)
+            for j in range(k):
+                total = total + values[j, p] * pairs16.field(j).spectral()
+            assert batch[p].tobytes() == total.tobytes()
 
     def test_path_coarsening_sums_exactly(self, pairs16):
         spec = make_noise(pairs16, 12, decay=2.0, sigma=1.0)
