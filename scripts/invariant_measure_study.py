@@ -13,8 +13,6 @@ Usage: python scripts/invariant_measure_study.py [--paths P]
 
 import argparse
 
-import numpy as np
-
 import layerqg as L
 from layerqg.dynamics import SimConfig, obs_pairing
 

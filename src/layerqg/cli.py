@@ -5,9 +5,10 @@ diagnose.  Every run writes a manifest (resolved config echo and hash,
 master seed, version, artifact checksums); numbers in CSVs are printed
 with 17 significant digits so parsing them back reproduces the exact
 doubles.  Exit codes: 0 success, 2 constraint error or CFL abort, 3
-blow-up; a `run` or `diagnose` stopped by a CFL abort or a blow-up still
-writes what it has (the partial `series.csv` of `run`) and a manifest
-whose `abort` block says when and why.
+blow-up; a command stopped by a CFL abort or a blow-up still writes what
+it has (the partial `series.csv` of `run`) and a manifest whose `abort`
+block says when and why.  The manifest's `environment` block names the
+Python, NumPy, SciPy and BLAS versions and the CPU count.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import ctypes
 import functools
 import hashlib
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -54,45 +57,95 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out: Path, settings, defaulted, args, config, artifacts,
-                    extra=None):
-    manifest = {
-        "version": f"layerqg {__version__}",
-        "master_seed": args.seed,
-        "rng_scheme": rngmod.SCHEME,
-        "config": settings.echo(),
-        "config_hash": config.config_hash(),
-        "defaults_applied": sorted(defaulted),
-        "flags": {k: v for k, v in vars(args).items()
-                  if k not in ("func", "config")},
-        "artifacts": [{"path": p.name, "sha256": _sha256(p)}
-                      for p in sorted(artifacts)],
-    }
-    if extra:
-        manifest.update(extra)
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+def _installed_version(name):
+    """Version of an installed distribution, without importing it.
+
+    Read from the `Version:` line of the METADATA file that
+    `importlib.metadata` would find on `sys.path`; importing that module
+    costs about 20 ms and 1.5 MB of peak memory for its e-mail parser.
+    """
+    for entry in sys.path:
+        for meta in Path(entry or ".").glob(f"{name}-*.dist-info/METADATA"):
+            with open(meta) as fh:
+                for line in fh:
+                    if line.startswith("Version:"):
+                        return line.partition(":")[2].strip()
+    return None
 
 
-def _stopped(out, settings, defaulted, args, config, artifacts, err):
-    """Write the manifest of a run that a blow-up or a CFL abort stopped,
-    with an `abort` block saying why; returns the exit code."""
-    abort = {"reason": str(err), "time": err.time}
-    if isinstance(err, TimeStepError):
-        abort.update(umax=err.umax, dt_ceiling=err.ceiling)
-    _write_manifest(out, settings, defaulted, args, config, artifacts,
-                    {"abort": abort})
-    if isinstance(err, BlowUpError):
-        print(f"blow-up at t={err.time}", file=sys.stderr)
-        return 3
-    print(f"error: {err}", file=sys.stderr)
-    return 2
+@functools.cache
+def _environment():
+    """Interpreter, library versions and CPU count of this machine.
+
+    The runtime path never imports SciPy, and neither does the manifest.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": _installed_version("scipy"), "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "cpu_count": os.cpu_count()}
 
 
-def _series_rows(record, names):
-    for i, t in enumerate(record.times):
-        yield [t] + [record.observables[n][i] for n in names]
+def _config_snaps(args):
+    """Snapshot cadence of the realized config: `run` and `diagnose`
+    record their one trajectory (diagnose at least every step); the
+    ladder studies pass their own cadence to each rung."""
+    if args.command == "run":
+        return args.snap_every
+    if args.command == "diagnose":
+        return args.snap_every or 1
+    return 0
+
+
+class _Session:
+    """One command: its settings, realized config, output directory and
+    the artifacts written so far."""
+
+    def __init__(self, args):
+        self.args = args
+        self.settings, self.defaulted = parse_config(args.config)
+        self.out = Path(args.out)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.config = realize(self.settings, args.seed,
+                              snap_every=_config_snaps(args))
+        self.artifacts = []
+
+    def csv(self, name, header, rows):
+        path = self.out / name
+        _write_csv(path, header, rows)
+        self.artifacts.append(path)
+
+    def manifest(self, extra=None):
+        args = self.args
+        manifest = {
+            "version": f"layerqg {__version__}",
+            "master_seed": args.seed,
+            "rng_scheme": rngmod.SCHEME,
+            "config": self.settings.echo(),
+            "config_hash": self.config.config_hash(),
+            "defaults_applied": sorted(self.defaulted),
+            "environment": _environment(),
+            "flags": {k: v for k, v in vars(args).items()
+                      if k not in ("func", "config")},
+            "artifacts": [{"path": p.name, "sha256": _sha256(p)}
+                          for p in sorted(self.artifacts)],
+        }
+        if extra:
+            manifest.update(extra)
+        path = self.out / "manifest.json"
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+    def stopped(self, err):
+        """Write the manifest of a command that a blow-up or a CFL abort
+        stopped, with an `abort` block saying why; returns the exit code."""
+        abort = {"reason": str(err), "time": err.time}
+        if isinstance(err, TimeStepError):
+            abort.update(umax=err.umax, dt_ceiling=err.ceiling)
+        self.manifest({"abort": abort})
+        if isinstance(err, BlowUpError):
+            print(f"blow-up at t={err.time}", file=sys.stderr)
+            return 3
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 def _common(parser):
@@ -102,136 +155,111 @@ def _common(parser):
     parser.add_argument("--threads", type=int, default=1)
 
 
-def _setup(args, snap_every=0):
-    settings, defaulted = parse_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    config = realize(settings, args.seed, snap_every=snap_every)
-    return settings, defaulted, out, config
-
-
-def cmd_run(args):
-    settings, defaulted, out, config = _setup(args, snap_every=args.snap_every)
-    observables = parse_observables(settings.observables, config.pairs)
-    artifacts = []
-    stop = None
+def cmd_run(run):
+    config = run.config
+    observables = parse_observables(run.settings.observables, config.pairs)
     try:
         record = run_trajectory(config, observables=observables)
     except (BlowUpError, TimeStepError) as err:
         record, stop = err.record, err
+    else:
+        stop = None
     names = [ob.name for ob in observables]
-    series = out / "series.csv"
-    _write_csv(series, ["time"] + names, _series_rows(record, names))
-    artifacts.append(series)
-    for i, t in enumerate(record.snap_times):
-        snap = out / f"snapshot_{i:06d}.lqg"
-        write_field(snap, LayerField.from_coeffs(config.basis,
-                                                 record.q_snapshots[i]))
-        artifacts.append(snap)
+    run.csv("series.csv", ["time"] + names,
+            ([t] + [record.observables[n][i] for n in names]
+             for i, t in enumerate(record.times)))
+    for i, q in enumerate(record.q_snapshots):
+        snap = run.out / f"snapshot_{i:06d}.lqg"
+        write_field(snap, LayerField.from_coeffs(config.basis, q))
+        run.artifacts.append(snap)
     if stop is not None:
-        return _stopped(out, settings, defaulted, args, config, artifacts,
-                        stop)
-    _write_manifest(out, settings, defaulted, args, config, artifacts)
-    return 0
+        raise stop
+    run.manifest()
 
 
-def cmd_galerkin(args):
-    settings, defaulted, out, config = _setup(args)
+def cmd_galerkin(run):
+    args = run.args
     ladder = [int(v) for v in args.n_ladder.split(",")]
-    report = galerkin_sweep(config, ladder, snap_every=args.snap_every or 1,
+    report = galerkin_sweep(run.config, ladder,
+                            snap_every=args.snap_every or 1,
                             threads=args.threads)
-    path = out / "galerkin.csv"
-    _write_csv(path, ["rungs", report.distance_name],
-               [[label, d] for label, d in report.rows()])
-    _write_manifest(out, settings, defaulted, args, config, [path], {
+    run.csv("galerkin.csv", ["rungs", report.distance_name],
+            [[label, d] for label, d in report.rows()])
+    run.manifest({
         "monotone_decreasing": report.monotone_decreasing,
         "first_violation": report.first_violation,
         "empirical_rate": report.empirical_rate,
         "runtimes": report.runtimes.tolist()})
-    return 0
 
 
-def cmd_viscosity(args):
-    settings, defaulted, out, config = _setup(args)
+def cmd_viscosity(run):
+    args = run.args
     ladder = [float(v) for v in args.eps_ladder.split(",")]
-    report = viscosity_sweep(config, ladder, snap_every=args.snap_every or 1,
+    report = viscosity_sweep(run.config, ladder,
+                             snap_every=args.snap_every or 1,
                              threads=args.threads)
-    path = out / "viscosity.csv"
-    _write_csv(path, ["rungs", report.distance_name],
-               [[label, d] for label, d in report.rows()])
-    est = out / "viscosity_est2.csv"
-    _write_csv(est, ["eps", "eps_l2h1"],
-               zip(ladder, report.extras["est2"]))
-    _write_manifest(out, settings, defaulted, args, config, [path, est], {
+    run.csv("viscosity.csv", ["rungs", report.distance_name],
+            [[label, d] for label, d in report.rows()])
+    run.csv("viscosity_est2.csv", ["eps", "eps_l2h1"],
+            zip(ladder, report.extras["est2"]))
+    run.manifest({
         "monotone_decreasing": report.monotone_decreasing,
         "first_violation": report.first_violation,
         "runtimes": report.runtimes.tolist()})
-    return 0
 
 
-def cmd_stability(args):
-    settings, defaulted, out, config = _setup(args)
+def cmd_stability(run):
+    args = run.args
     ladder = [float(v) for v in args.delta_ladder.split(",")]
-    pert = single_mode_field(config.basis, 1, 2, [1.0, -0.5, 0.25])
-    report = yudovich_stability(config, ladder, pert,
+    pert = single_mode_field(run.config.basis, 1, 2, [1.0, -0.5, 0.25])
+    report = yudovich_stability(run.config, ladder, pert,
                                 snap_every=args.snap_every or 1,
                                 threads=args.threads)
-    path = out / "stability.csv"
-    _write_csv(path, ["delta", "z_T", "max_step_jump"],
-               zip(ladder, report.distances, report.extras["max_jump"]))
-    _write_manifest(out, settings, defaulted, args, config, [path], {
+    run.csv("stability.csv", ["delta", "z_T", "max_step_jump"],
+            zip(ladder, report.distances, report.extras["max_jump"]))
+    run.manifest({
         "z_decreasing": bool(np.all(np.diff(report.distances) < 0)),
         "runtimes": report.runtimes.tolist()})
-    return 0
 
 
-def cmd_invariant(args):
-    settings, defaulted, out, config = _setup(args)
+def cmd_invariant(run):
+    args = run.args
     horizons = [float(v) for v in args.horizons.split(",")]
-    observables = parse_observables(settings.observables, config.pairs)
-    measures = kb_average(config, horizons, observables, n_paths=args.paths)
-    path = out / "invariant.csv"
-    names = measures[0].names
+    observables = parse_observables(run.settings.observables,
+                                    run.config.pairs)
+    measures = kb_average(run.config, horizons, observables,
+                          n_paths=args.paths)
     rows = []
     for m in measures:
         for name, mean, err in zip(m.names, m.means, m.stderrs):
             rows.append([m.horizon, name, mean, err])
-    _write_csv(path, ["horizon", "observable", "mean", "stderr"], rows)
-    _write_manifest(out, settings, defaulted, args, config, [path],
-                    {"n_paths": args.paths, "observables": names})
-    return 0
+    run.csv("invariant.csv", ["horizon", "observable", "mean", "stderr"],
+            rows)
+    run.manifest({"n_paths": args.paths,
+                         "observables": measures[0].names})
 
 
-def cmd_tightness(args):
-    settings, defaulted, out, config = _setup(args)
-    report = tightness_diagnostic(config, rate=args.rate,
-                                  horizon=args.horizon)
-    frac = out / "tightness_fractions.csv"
-    _write_csv(frac, ["radius", "fraction"],
-               zip(report.radii, report.fractions))
-    series = out / "tightness_series.csv"
+def cmd_tightness(run):
+    report = tightness_diagnostic(run.config, rate=run.args.rate,
+                                  horizon=run.args.horizon)
+    run.csv("tightness_fractions.csv", ["radius", "fraction"],
+            zip(report.radii, report.fractions))
     env = report.envelope if report.envelope is not None \
         else np.full_like(report.times, np.nan)
-    _write_csv(series, ["time", "q_inf", "theta_inf", "zeta_h52", "envelope"],
-               zip(report.times, report.q_inf_series,
-                   report.theta_inf_series, report.zeta_norm_series, env))
-    _write_manifest(out, settings, defaulted, args, config, [frac, series], {
+    run.csv("tightness_series.csv",
+            ["time", "q_inf", "theta_inf", "zeta_h52", "envelope"],
+            zip(report.times, report.q_inf_series,
+                report.theta_inf_series, report.zeta_norm_series, env))
+    run.manifest({
         "sup_q_inf": report.sup_q_inf,
         "thirds": report.thirds.tolist(),
         "trend_ok": report.trend_ok,
         "envelope_uninformative": report.envelope_uninformative,
         "envelope_condition_held": report.envelope_condition_held})
-    return 0
 
 
-def cmd_diagnose(args):
-    settings, defaulted, out, config = _setup(
-        args, snap_every=args.snap_every or 1)
-    try:
-        record = run_trajectory(config, observables=[])
-    except (BlowUpError, TimeStepError) as err:
-        return _stopped(out, settings, defaulted, args, config, [], err)
-    artifacts = []
+def cmd_diagnose(run):
+    record = run_trajectory(run.config, observables=[])
     log_rep = log_estimate_monitor(record)
     w14 = w14_monitor(record)
     rows = []
@@ -239,23 +267,20 @@ def cmd_diagnose(args):
     for k in (1, 2):
         q_norm, env_q, _, _ = lp_envelope(record, k)
         envs[k] = (q_norm, env_q)
-    phi = single_mode_field(config.basis, 1, 1, [1.0, 0.0, 0.0])
+    phi = single_mode_field(run.config.basis, 1, 1, [1.0, 0.0, 0.0])
     resid = weak_residual(record, [phi])[0]
     for i, t in enumerate(record.snap_times):
         rows.append([t, log_rep.series[i], w14.series[i], w14.envelope[i],
                      envs[1][0][i], envs[1][1][i],
                      envs[2][0][i], envs[2][1][i], resid[i]])
-    path = out / "diagnostics.csv"
-    _write_csv(path, ["time", "log_ratio", "gradl4", "gradl4_envelope",
-                      "l2", "l2_envelope", "l4", "l4_envelope",
-                      "weak_residual"], rows)
-    artifacts.append(path)
-    _write_manifest(out, settings, defaulted, args, config, artifacts, {
+    run.csv("diagnostics.csv", ["time", "log_ratio", "gradl4",
+                                "gradl4_envelope", "l2", "l2_envelope",
+                                "l4", "l4_envelope", "weak_residual"], rows)
+    run.manifest({
         "log_ratio_max": log_rep.maximum,
         "w14_dominated": w14.dominated,
         "l2_dominated": bool(np.all(envs[1][0] <= envs[1][1] * (1 + 1e-9))),
         "l4_dominated": bool(np.all(envs[2][0] <= envs[2][1] * (1 + 1e-9)))})
-    return 0
 
 
 def build_parser():
@@ -330,16 +355,17 @@ def _keep_freed_heap():
 
 def main(argv=None):
     _keep_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigurationError, TimeStepError) as err:
+        run = _Session(args)
+        try:
+            args.func(run)
+        except (BlowUpError, TimeStepError) as err:
+            return run.stopped(err)
+        return 0
+    except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except BlowUpError as err:
-        print(f"blow-up: {err}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

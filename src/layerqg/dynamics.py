@@ -14,8 +14,10 @@ mode and advances the transport and -gamma W forcing explicitly
 therefore decays by the exact factor per step.
 
 Transport is computed pseudo-spectrally: exact spectral derivatives,
-pointwise products on the G >= 2N grid (alias-free for quadratic
-products), projection back onto the retained sine band.
+pointwise products on the basis's transport grid G = floor(3N/2)
+(Orszag's 3/2 rule, the smallest grid on which the projection of a
+quadratic product is exact), projection back onto the retained sine
+band.  Observables and snapshots stay on the G >= 2N grid.
 """
 
 from __future__ import annotations
@@ -288,11 +290,10 @@ class Stepper:
         product, so an over-CFL state raises the stability error rather
         than overflowing into a blow-up.
         """
-        cfg, basis = self.config, self.config.basis
+        cfg = self.config
         psi_hat = solve_elliptic_coeffs(cfg.coupling, q_hat)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u1, u2 = basis.perp_grad_grids(psi_hat)
-            umax = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
+
+        def guard(umax):
             if not np.isfinite(umax):
                 raise FloatingPointError("velocity overflow")
             ceiling = cfg.cfl_safety * min(
@@ -302,11 +303,8 @@ class Stepper:
                     f"dt={cfg.dt} exceeds adaptive CFL ceiling "
                     f"{ceiling:.3e} at t={t:.6g} (|u|max={umax:.3e})",
                     time=t, umax=float(umax), ceiling=float(ceiling))
-            qx, qy = basis.grad_grids(q_hat)
-            product = u1 * qx + u2 * qy
-            if not np.all(np.isfinite(product)):
-                raise FloatingPointError("transport overflow")
-        return basis.forward(product)
+
+        return _transport(cfg.basis, psi_hat, q_hat, guard)
 
     def advance(self, eta_hat, w_hat, t):
         """One step of the eta equation, W frozen at the step's left end."""
@@ -336,9 +334,29 @@ def nonlinear_term(q: LayerField, psi: LayerField) -> LayerField:
     basis = q.basis
     if not basis.compatible(psi.basis):
         raise ShapeError("q and psi live on different bases")
-    u1, u2 = basis.perp_grad_grids(psi.spectral())
-    qx, qy = basis.grad_grids(q.spectral())
-    return LayerField.from_coeffs(basis, basis.forward(u1 * qx + u2 * qy))
+    return LayerField.from_coeffs(
+        basis, _transport(basis, psi.spectral(), q.spectral()))
+
+
+def _transport(basis: SpectralBasis, psi_hat, q_hat, guard=None):
+    """P(grad_perp psi . grad q) on basis.transport_basis.
+
+    One synthesis of the kx-weighted stack (psi, q) gives (psi_x, q_x),
+    one of the ky-weighted stack gives (psi_y, q_y); u = (-psi_y, psi_x),
+    so the product is psi_x q_y - psi_y q_x.  `guard(umax)`, if given,
+    sees the largest |u| on the grid before the product is formed.
+    """
+    grid = basis.transport_basis
+    stack = np.stack((psi_hat, q_hat)) * basis.norm_factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_x, q_x = grid.synth_cs(stack * grid.kx)
+        psi_y, q_y = grid.synth_sc(stack * grid.ky)
+        if guard is not None:
+            guard(max(np.max(np.abs(psi_y)), np.max(np.abs(psi_x))))
+        product = psi_x * q_y - psi_y * q_x
+        if not np.all(np.isfinite(product)):
+            raise FloatingPointError("transport overflow")
+    return grid.forward(product)
 
 
 def run_trajectory(config: SimConfig, observables=None, stream: int = 0,

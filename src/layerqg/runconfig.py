@@ -95,16 +95,7 @@ def validate_settings(s: RunSettings):
             raise ConfigurationError(f"{name} must be positive")
     if s.lambda_scale <= 0:
         raise ConfigurationError("lambda_scale must be positive")
-    if s.domain_lx <= 0 or s.domain_ly <= 0:
-        raise ConfigurationError("domain lengths must be positive")
-    if s.modes_x < 1 or s.modes_y < 1:
-        raise ConfigurationError("mode counts must be positive")
-    if s.grid_x and s.grid_x < 2 * s.modes_x:
-        raise ConfigurationError(
-            "grid_x must satisfy grid_x >= 2*modes_x (dealiasing constraint)")
-    if s.grid_y and s.grid_y < 2 * s.modes_y:
-        raise ConfigurationError(
-            "grid_y must satisfy grid_y >= 2*modes_y (dealiasing constraint)")
+    _basis(s)
     if s.dt <= 0:
         raise ConfigurationError("dt must be positive")
     if s.viscosity < 0:
@@ -125,11 +116,17 @@ def validate_settings(s: RunSettings):
         raise ConfigurationError("horizon must be positive")
 
 
+def _basis(s: RunSettings):
+    """The basis the settings describe; `build_basis` checks the domain,
+    the mode counts and the dealiasing floor of the grid."""
+    return build_basis(s.domain_lx, s.domain_ly, s.modes_x, s.modes_y,
+                       s.grid_x or None, s.grid_y or None)
+
+
 def realize(settings: RunSettings, seed: int, snap_every: int = 0) -> SimConfig:
     """Build the immutable simulation objects from scalar settings."""
     s = settings
-    basis = build_basis(s.domain_lx, s.domain_ly, s.modes_x, s.modes_y,
-                        s.grid_x or None, s.grid_y or None)
+    basis = _basis(s)
     coupling = symmetrize((s.lambda1, s.lambda2, s.lambda3), basis,
                           s.lambda_scale)
     k = s.noise_modes or default_mode_count(basis)

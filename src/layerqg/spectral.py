@@ -9,9 +9,14 @@ lambda_{n,m} = pi^2 (n^2/Lx^2 + m^2/Ly^2).  The quadrature grid carries
 the boundary: points x_j = j Lx/(Gx+1), j = 0..Gx+1, with trapezoid
 weights.  That rule integrates every cosine mode up to 2G+1 exactly, so
 products of two band-limited fields (cosine content <= 2N) are integrated
-exactly whenever G >= N, and triple products whenever G >= 2N.  The grid
-floor G >= 2N is enforced so the quadratic transport product is alias-free
-and cubic pairings are still exact.
+exactly whenever G >= N, triple products (content <= 3N) whenever
+2G >= 3N - 1, and products of four fields whenever G >= 2N.  Every basis
+keeps the triple floor, so the projection of a product of two fields
+onto the modes is exact.  The transport product is formed on
+`transport_basis`, the smallest such grid G = floor(3N/2) (Orszag's 3/2
+rule); `build_basis`, the user-facing constructor, enforces G >= 2N, on
+which the L4-type integrals of the observables and diagnostics are
+exact as well.
 
 Transforms are dense matrix products with sine and cosine tables sampled
 at the grid points, built once per basis on first use: synthesis is
@@ -53,12 +58,11 @@ class SpectralBasis:
         for name in ("nx", "ny", "gx", "gy"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be a positive integer")
-        if self.gx < 2 * self.nx:
-            raise ConfigurationError(
-                "gx must satisfy gx >= 2*nx (dealiasing constraint)")
-        if self.gy < 2 * self.ny:
-            raise ConfigurationError(
-                "gy must satisfy gy >= 2*ny (dealiasing constraint)")
+        for g, n in (("gx", "nx"), ("gy", "ny")):
+            if 2 * getattr(self, g) < 3 * getattr(self, n) - 1:
+                raise ConfigurationError(
+                    f"{g} must satisfy 2*{g} >= 3*{n} - 1 (exact projection "
+                    f"of quadratic products)")
 
     @property
     def spectral_shape(self):
@@ -100,6 +104,17 @@ class SpectralBasis:
         return self.kx**2 + self.ky**2
 
     @cached_property
+    def transport_basis(self) -> "SpectralBasis":
+        """The same rectangle and modes on the grid G = floor(3N/2).
+
+        The smallest grid whose quadrature projects a product of two
+        fields exactly: its trapezoid rule is exact for cosine bands
+        below 2(G+1), and u . grad q . e_nm has band 3N.
+        """
+        return SpectralBasis(self.lx, self.ly, self.nx, self.ny,
+                             3 * self.nx // 2, 3 * self.ny // 2)
+
+    @cached_property
     def quad_weights(self):
         """Trapezoid weights on the full grid, shape (Gx+2, Gy+2)."""
         wx = np.full(self.gx + 2, self.hx)
@@ -121,7 +136,8 @@ class SpectralBasis:
                 f"spectral shape {coeffs.shape[-2:]} != {self.spectral_shape}")
 
     @cached_property
-    def _norm_factor(self):
+    def norm_factor(self):
+        """2 / sqrt(Lx Ly), the amplitude of every basis function."""
         return 2.0 / np.sqrt(self.lx * self.ly)
 
     @cached_property
@@ -166,19 +182,19 @@ class SpectralBasis:
         polynomial of band <= G in each direction.
         """
         self._check_grid(values)
-        scale = self.hx * self.hy * self._norm_factor
+        scale = self.hx * self.hy * self.norm_factor
         return self._trig_x["sin"].T @ values @ self._trig_y["sin"] * scale
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients -> samples on the full grid (boundary rows zero)."""
         self._check_spectral(coeffs)
-        return self.synth(coeffs * self._norm_factor, "sin", "sin")
+        return self.synth(coeffs * self.norm_factor, "sin", "sin")
 
     def grad_grids(self, coeffs):
         """(d/dx f, d/dy f) on the grid from sine coefficients."""
         self._check_spectral(coeffs)
-        fx = self.synth_cs(coeffs * self.kx * self._norm_factor)
-        fy = self.synth_sc(coeffs * self.ky * self._norm_factor)
+        fx = self.synth_cs(coeffs * self.kx * self.norm_factor)
+        fy = self.synth_sc(coeffs * self.ky * self.norm_factor)
         return fx, fy
 
     def perp_grad_grids(self, coeffs):
@@ -189,7 +205,7 @@ class SpectralBasis:
     def hessian_grids(self, coeffs):
         """(f_xx, f_xy, f_yy) on the grid from sine coefficients."""
         self._check_spectral(coeffs)
-        nf = self._norm_factor
+        nf = self.norm_factor
         fxx = -self.synth_ss(coeffs * self.kx**2 * nf)
         fxy = self.synth_cc(coeffs * self.kx * self.ky * nf)
         fyy = -self.synth_ss(coeffs * self.ky**2 * nf)
@@ -221,9 +237,18 @@ def _trig_tables(g, n):
 
 
 def build_basis(lx, ly, nx, ny, gx=None, gy=None) -> SpectralBasis:
-    """Construct the basis; G defaults to the dealiasing floor 2N."""
+    """Construct the basis; G defaults to the dealiasing floor 2N.
+
+    G >= 2N makes the quadrature of products of four fields exact, which
+    the observables and diagnostics on this grid rely on.
+    """
     gx = 2 * nx if gx is None else gx
     gy = 2 * ny if gy is None else gy
+    for g, n, axis in ((gx, nx, "x"), (gy, ny, "y")):
+        if g < 2 * n:
+            raise ConfigurationError(
+                f"grid_{axis} must satisfy grid_{axis} >= 2*modes_{axis} "
+                f"(dealiasing constraint)")
     return SpectralBasis(lx=float(lx), ly=float(ly), nx=int(nx), ny=int(ny),
                          gx=int(gx), gy=int(gy))
 

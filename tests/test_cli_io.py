@@ -1,4 +1,5 @@
 import hashlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -277,6 +278,43 @@ class TestCli:
                        "--out", str(out)) == 3
         abort = json.loads((out / "manifest.json").read_text())["abort"]
         assert abort["time"] == 0.0 and "overflow" in abort["reason"]
+
+    @pytest.mark.parametrize("command, cfg, flags", [
+        ("galerkin", "modes_x=16\nmodes_y=16\ninit=mode:1,1:2000,0,0\n",
+         ["--n-ladder", "4,6,8"]),
+        ("tightness", "modes_x=12\nmodes_y=12\nsigma=1e6\n",
+         ["--horizon", "1"])])
+    def test_cfl_abort_leaves_a_manifest(self, tmp_path, command, cfg, flags):
+        # a sweep rung or the tightness run trips the adaptive CFL guard;
+        # the command still writes a manifest that says so
+        path = tmp_path / "cfl.cfg"
+        path.write_text(cfg + "dt=0.01\nnoise_modes=8\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(path), "--seed", "1",
+                       "--out", str(out), *flags) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        abort = manifest["abort"]
+        assert "CFL" in abort["reason"]
+        assert abort["time"] >= 0.0
+        assert abort["umax"] > 0
+        assert 0 < abort["dt_ceiling"] < 0.01
+        assert re.fullmatch("[0-9a-f]{16}", manifest["config_hash"])
+
+    def test_manifest_names_the_environment(self, tmp_path):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert sorted(env) == ["blas", "blas_version", "cpu_count", "numpy",
+                               "python", "scipy"]
+        assert env["numpy"] == np.__version__
+        assert env["python"] == platform.python_version()
+        assert env["cpu_count"] == os.cpu_count()
+        try:
+            scipy = importlib.metadata.version("scipy")
+        except importlib.metadata.PackageNotFoundError:
+            scipy = None
+        assert env["scipy"] == scipy
 
     def test_galerkin_manifest_explains_the_run(self, tmp_path):
         cfg = tmp_path / "g.cfg"

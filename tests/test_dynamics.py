@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerqg import dynamics, rng as rngmod
+from layerqg.coupling import solve_elliptic_coeffs
 from layerqg.dynamics import (SimConfig, _run_paths, initial_coeffs,
                               nonlinear_term, obs_pairing, parse_observables,
                               run_trajectory, step_eta)
@@ -87,6 +88,36 @@ class TestNonlinearTerm:
         other = build_basis(1.0, 1.0, 8, 8)
         with pytest.raises(ShapeError):
             nonlinear_term(LayerField.zero(basis16), LayerField.zero(other))
+
+    @pytest.mark.parametrize("shape", [(1.3, 0.7, 7, 10), (1.0, 1.0, 9, 9)])
+    def test_transport_grid_projects_exactly(self, shape):
+        # the transport grid floor(3N/2) and the basis's own 2N grid both
+        # project u . grad q exactly, so they agree to roundoff
+        lx, ly, nx, ny = shape
+        config = realize(RunSettings(domain_lx=lx, domain_ly=ly, modes_x=nx,
+                                     modes_y=ny, noise_modes=4,
+                                     cfl_safety=0.0), seed=1)
+        basis = config.basis
+        assert basis.transport_basis.gx == 3 * nx // 2
+        rng = np.random.default_rng(5)
+        q_hat = np.stack([random_band_coeffs(rng, basis) for _ in range(2)])
+        psi_hat = solve_elliptic_coeffs(config.coupling, q_hat)
+
+        def exact(psi, q):
+            u1, u2 = basis.perp_grad_grids(psi)
+            qx, qy = basis.grad_grids(q)
+            return basis.forward(u1 * qx + u2 * qy)
+
+        def rel(got, want):
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+        stepped = dynamics.Stepper(config).transport_hat(q_hat, 0.0)
+        assert rel(stepped, exact(psi_hat, q_hat)) <= 1e-13
+        for p in range(2):
+            other = random_band_coeffs(rng, basis)
+            term = nonlinear_term(LayerField.from_coeffs(basis, q_hat[p]),
+                                  LayerField.from_coeffs(basis, other))
+            assert rel(term.spectral(), exact(other, q_hat[p])) <= 1e-13
 
 
 class TestTrajectory:
