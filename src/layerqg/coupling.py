@@ -11,15 +11,17 @@ semidefinite with kernel (1, 1, 1).  The vorticity inversion q = (A + L) psi
 with A = D Laplacian then reduces, mode by mode, to the symmetric negative
 definite 3x3 systems
 
-    M_{n,m} = -lambda_{n,m} D + L .
+    M_{n,m} = -lambda_{n,m} D + L = D^{1/2} (S - lambda_{n,m} I) D^{1/2},
 
-Inverses of all M_{n,m} are cached at construction; the elliptic solve in
-the time-step loop is three elementwise multiply-adds per layer.
+with S = D^{-1/2} L D^{-1/2}.  One eigendecomposition S = U diag(s) U^T
+(the vertical normal modes) diagonalizes every M_{n,m} at once, so the
+elliptic solve is two 3x3 products around an elementwise division by
+s_j - lambda_{n,m}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,14 +52,15 @@ def lambda_from_physical(h1, h2, h3, g1, g2, c):
 
 @dataclass(frozen=True)
 class LayerCoupling:
-    """Symmetrized coupling for one basis, with cached mode inverses."""
+    """Symmetrized coupling for one basis, with its vertical modes."""
 
     basis: SpectralBasis
     lambdas: tuple          # raw (l1, l2, l3)
     scale: float            # lam with h_i * l_i = lam
     h: np.ndarray           # diag of D, shape (3,)
     l_matrix: np.ndarray    # symmetrized L, shape (3, 3)
-    mode_inverse: np.ndarray = field(repr=False)  # (3, 3, Nx, Ny)
+    modes: np.ndarray       # D^{-1/2} U, shape (3, 3); layers -> modes by .T
+    mode_gain: np.ndarray   # 1 / (s_j - lambda_{n,m}), shape (3, Nx, Ny)
 
     def mode_matrix(self, n, m):
         """M_{n,m} = -lambda_{n,m} D + L for 1-based mode indices."""
@@ -66,11 +69,14 @@ class LayerCoupling:
 
 
 def symmetrize(lambdas, basis: SpectralBasis, scale: float = 1.0) -> LayerCoupling:
-    """Build D and L = D Ltilde and factorize every mode matrix.
+    """Build D and L = D Ltilde and the vertical modes of S = D^{-1/2} L
+    D^{-1/2}.
 
     Hard errors if the constructed L fails symmetry, negative
-    semidefiniteness, or the kernel condition, or if any mode matrix is
-    not negative definite; these are construction invariants.
+    semidefiniteness, or the kernel condition; these are construction
+    invariants.  No mode matrix needs its own check: S is congruent to L,
+    so s <= 0, and every lambda_{n,m} > 0, so every M_{n,m} is negative
+    definite with eigenvalues <= -min(h) lambda_{n,m}.
     """
     l1, l2, l3 = lambdas
     if min(l1, l2, l3) <= 0:
@@ -87,16 +93,14 @@ def symmetrize(lambdas, basis: SpectralBasis, scale: float = 1.0) -> LayerCoupli
     if np.max(np.linalg.eigvalsh(lmat)) > 1e-13 * max(1.0, scale):
         raise ConfigurationError("symmetrization failed: L not neg. semidefinite")
 
-    lam = basis.eigenvalues                            # (Nx, Ny)
-    modes = -lam[..., None, None] * np.diag(h) + lmat  # (Nx, Ny, 3, 3)
-    ceiling = -np.min(h) * lam[..., None]
-    eigs = np.linalg.eigvalsh(modes)
-    slack = 1e-12 * (1.0 + np.max(h) * lam[..., None])  # eigh roundoff ~ ||M||
-    if np.any(eigs > ceiling + slack):
-        raise ConfigurationError("mode matrix not negative definite")
-    inv = np.ascontiguousarray(np.linalg.inv(modes).transpose(2, 3, 0, 1))
+    rsqrt_h = 1.0 / np.sqrt(h)
+    s, u = np.linalg.eigh(rsqrt_h[:, None] * lmat * rsqrt_h)
+    # s <= 0 by the check on L; eigh roundoff on the (1,1,1) kernel can give
+    # s_0 a tiny positive value, which would move s_0 - lambda toward zero
+    s = np.minimum(s, 0.0)
     return LayerCoupling(basis=basis, lambdas=(l1, l2, l3), scale=scale,
-                         h=h, l_matrix=lmat, mode_inverse=inv)
+                         h=h, l_matrix=lmat, modes=rsqrt_h[:, None] * u,
+                         mode_gain=1.0 / (s[:, None, None] - basis.eigenvalues))
 
 
 def apply_operator(coupling: LayerCoupling, psi_hat: np.ndarray) -> np.ndarray:
@@ -108,12 +112,14 @@ def apply_operator(coupling: LayerCoupling, psi_hat: np.ndarray) -> np.ndarray:
 
 
 def solve_elliptic_coeffs(coupling: LayerCoupling, q_hat: np.ndarray) -> np.ndarray:
-    """psi_hat with (A + L) psi = q, mode by mode; leading axes batch
-    (elementwise, so each leading index is solved alike at any batch size)."""
+    """psi_hat with (A + L) psi = q through the vertical modes; leading axes
+    batch (each leading index is solved alike at any batch size)."""
     if q_hat.shape[-3:] != (N_LAYERS,) + coupling.basis.spectral_shape:
         raise ShapeError(f"q_hat shape {q_hat.shape} invalid")
-    inv = coupling.mode_inverse
-    return sum(inv[:, j] * q_hat[..., j:j + 1, :, :] for j in range(N_LAYERS))
+    flat = q_hat.reshape(q_hat.shape[:-2] + (-1,))     # (..., 3, Nx Ny)
+    amp = coupling.modes.T @ flat
+    amp *= coupling.mode_gain.reshape(N_LAYERS, -1)
+    return (coupling.modes @ amp).reshape(q_hat.shape)
 
 
 def solve_elliptic(q: LayerField, coupling: LayerCoupling) -> LayerField:
@@ -126,13 +132,6 @@ def velocity(psi: LayerField):
     """u = grad^perp psi = (-psi_y, psi_x) per layer, as two grid arrays
     of shape (3, Gx+2, Gy+2)."""
     return psi.basis.perp_grad_grids(psi.spectral())
-
-
-def divergence_grid(basis: SpectralBasis, psi_hat: np.ndarray) -> np.ndarray:
-    """div grad^perp psi synthesized on the grid (identically zero)."""
-    nf = 2.0 / np.sqrt(basis.lx * basis.ly)
-    c = (-basis.kx * basis.ky + basis.kx * basis.ky) * psi_hat * nf
-    return basis.synth_cc(c)
 
 
 @dataclass(frozen=True)

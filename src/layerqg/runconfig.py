@@ -131,7 +131,7 @@ def realize(settings: RunSettings, seed: int, snap_every: int = 0) -> SimConfig:
                           s.lambda_scale)
     k = s.noise_modes or default_mode_count(basis)
     total = 3 * basis.nx * basis.ny
-    pairs = eigenpairs(coupling, basis, min(max(4 * k, k), total))
+    pairs = eigenpairs(coupling, basis, min(max(4 * k, 1), total))
     noise = make_noise(pairs, k, s.noise_decay, s.sigma)
     return SimConfig(basis=basis, coupling=coupling, pairs=pairs,
                      noise=noise, gamma=s.gamma, viscosity=s.viscosity,

@@ -72,12 +72,15 @@ class TestConfigParsing:
             parse_config(self.write(tmp_path, "gamma=0.5\ndt=1.5\n"))
 
     def test_realize_builds_consistent_objects(self, tmp_path):
-        settings, _ = parse_config(self.write(
-            tmp_path, "modes_x=8\nmodes_y=8\nsigma=0.5\nnoise_modes=16\n"))
-        config = realize(settings, seed=3)
-        assert config.basis.nx == 8
-        assert config.noise.k == 16
-        assert len(config.pairs) >= 2 * config.noise.k
+        # one mode along x gives the default noise_modes 3 * 1^2 // 4 = 0
+        for text, nx, k in [
+                ("modes_x=8\nmodes_y=8\nsigma=0.5\nnoise_modes=16\n", 8, 16),
+                ("modes_x=1\nmodes_y=4\n", 1, 0)]:
+            settings, _ = parse_config(self.write(tmp_path, text))
+            config = realize(settings, seed=3)
+            assert config.basis.nx == nx
+            assert config.noise.k == k
+            assert len(config.pairs) >= max(2 * config.noise.k, 1)
 
 
 class TestFieldIO:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerqg.coupling import (apply_operator, divergence_grid, eigenpairs,
-                              lambda_from_physical, solve_elliptic,
-                              solve_elliptic_coeffs, symmetrize, velocity)
+from layerqg.coupling import (apply_operator, eigenpairs, lambda_from_physical,
+                              solve_elliptic, solve_elliptic_coeffs,
+                              symmetrize, velocity)
 from layerqg.errors import ConfigurationError
 from layerqg.spectral import LayerField, build_basis, single_mode_field
 
@@ -71,13 +71,40 @@ class TestEllipticSolve:
         assert np.all(psi.spectral() == 0.0)
 
     def test_single_mode_against_direct_solve(self, basis16, coupling16):
-        q = single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0])
-        psi = solve_elliptic(q, coupling16)
-        mode = coupling16.mode_matrix(1, 1)
-        expected = np.linalg.solve(mode, [1.0, 0.0, 0.0])
-        assert np.allclose(psi.spectral()[:, 0, 0], expected, rtol=1e-12)
-        back = mode @ psi.spectral()[:, 0, 0]
-        assert np.max(np.abs(back - [1.0, 0.0, 0.0])) < 1e-12
+        # the square with equal lambda_i has D proportional to I, which hides
+        # a misplaced D^{+-1/2}; the rectangle has unequal h_i and a scale
+        rectangle = build_basis(1.0, 1.7, 9, 14)
+        for basis, cp in [(basis16, coupling16),
+                          (rectangle, symmetrize((1.0, 2.0, 4.0), rectangle,
+                                                 3.5))]:
+            for n, m in [(1, 1), (2, 5), (basis.nx, basis.ny)]:
+                q = single_mode_field(basis, n, m, [1.0, 0.0, 0.0])
+                psi = solve_elliptic(q, cp)
+                mode = cp.mode_matrix(n, m)
+                expected = np.linalg.solve(mode, [1.0, 0.0, 0.0])
+                got = psi.spectral()[:, n - 1, m - 1]
+                assert (np.max(np.abs(got - expected))
+                        <= 1e-12 * np.max(np.abs(expected)))
+                back = mode @ got
+                assert np.max(np.abs(back - [1.0, 0.0, 0.0])) < 1e-12
+
+    def test_batch_matches_per_mode_solves(self):
+        basis = build_basis(1.0, 1.7, 9, 14)
+        cp = symmetrize((3.0, 0.5, 2.0), basis, 0.4)
+        rng = np.random.default_rng(12)
+        q_hat = rng.standard_normal((2, 3) + basis.spectral_shape)
+        psi_hat = solve_elliptic_coeffs(cp, q_hat)
+        for n in range(1, basis.nx + 1):
+            for m in range(1, basis.ny + 1):
+                rhs = q_hat[:, :, n - 1, m - 1].T
+                expected = np.linalg.solve(cp.mode_matrix(n, m), rhs).T
+                got = psi_hat[:, :, n - 1, m - 1]
+                assert (np.max(np.abs(got - expected))
+                        <= 1e-13 * np.max(np.abs(expected)))
+        # each batch row is solved exactly as it would be on its own
+        for p in range(2):
+            assert np.array_equal(psi_hat[p],
+                                  solve_elliptic_coeffs(cp, q_hat[p]))
 
     def test_eigenfunction_input(self, basis16, coupling16, pairs16):
         rho = pairs16.field(5)
@@ -118,12 +145,6 @@ class TestVelocity:
         assert np.max(np.abs(u2[0] - 2 * np.pi * np.cos(np.pi * x)
                              * np.sin(np.pi * y))) < 1e-12
         assert np.max(np.abs(u1[1])) == 0.0
-
-    def test_divergence_free(self, basis16):
-        rng = np.random.default_rng(2)
-        psi_hat = random_band_coeffs(rng, basis16)
-        div = divergence_grid(basis16, psi_hat)
-        assert np.max(np.abs(div)) <= 1e-12
 
     def test_divergence_free_by_finite_differences(self, basis16):
         # independent route: centered differences of the velocity grids;

@@ -1,16 +1,15 @@
 """Source hygiene: no module imports a name it never uses.
 
 No linter is installed, so this scan of the syntax tree is the check.
-It looks at module-level imports in `src/layerqg/`, `tests/` and
-`scripts/`; package `__init__.py` files re-export what they import and
-are skipped.
+It looks at module-level imports in `src/layerqg/` and `tests/`;
+package `__init__.py` files re-export what they import and are skipped.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(path for folder in ("src/layerqg", "tests", "scripts")
+FILES = sorted(path for folder in ("src/layerqg", "tests")
                for path in (ROOT / folder).glob("*.py")
                if path.name != "__init__.py")
 
