@@ -17,7 +17,13 @@ Transport is computed pseudo-spectrally: exact spectral derivatives,
 pointwise products on the basis's transport grid G = floor(3N/2)
 (Orszag's 3/2 rule, the smallest grid on which the projection of a
 quadratic product is exact), projection back onto the retained sine
-band.  Observables and snapshots stay on the G >= 2N grid.
+band.  An overflowing product is not scanned for: it projects to
+non-finite coefficients, and the one finiteness check of each new state
+turns it into a blow-up.
+
+Observables and snapshots stay on the G >= 2N grid.  Each sample
+synthesizes q once and shares its peak and peak-scaled square among the
+Lp observables; l2 comes from the coefficients by Parseval.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from .coupling import (LayerCoupling, OperatorEigenpairs,
 from .errors import (BlowUpError, ConfigurationError, ShapeError,
                      TimeStepError)
 from .noise import BrownianIncrements, NoiseMixer, NoiseSpec
-from .spectral import (LayerField, N_LAYERS, SpectralBasis, field_sum,
-                       grid_lp_norm)
+from .spectral import (LayerField, N_LAYERS, SpectralBasis, even_exponent,
+                       field_sum, grid_peak, peak_scaled_square,
+                       scaled_lp_norm)
 
 
 # -- initial data -------------------------------------------------------
@@ -87,7 +94,13 @@ def initial_coeffs(descriptor: str, basis: SpectralBasis) -> np.ndarray:
 
 
 class ObsContext:
-    """Lazy per-sample-time cache for observables; (P, 3, Nx, Ny) fields."""
+    """Lazy per-sample-time cache for observables; (P, 3, Nx, Ny) fields.
+
+    The grid work of a sample is done once and shared: `q_grid` (one
+    synthesis), `peak` (max |q| per path, which is linf) and `square`
+    ((q / peak)^2 per path, whose powers give l4, l6, ...).  l2 and the
+    spectral observables read the coefficients and need no grid.
+    """
 
     def __init__(self, basis, coupling, q_hat, w_hat):
         self.basis = basis
@@ -98,6 +111,14 @@ class ObsContext:
     @cached_property
     def q_grid(self):
         return self.basis.inverse(self.q_hat)
+
+    @cached_property
+    def peak(self):
+        return grid_peak(self.q_grid)
+
+    @cached_property
+    def square(self):
+        return peak_scaled_square(self.q_grid, self.peak)
 
 
 @dataclass(frozen=True)
@@ -115,10 +136,18 @@ class Observable:
 
 
 def obs_lp(p) -> Observable:
-    label = "linf" if p in (np.inf, "inf") else f"l{int(p)}"
+    """The Lp norm of q per path, as `spectral.grid_lp_norm` gives it.
+
+    l2 is sqrt(sum q_hat^2) by Parseval, exact on every grid G >= N.
+    """
+    if p in (np.inf, "inf"):
+        return Observable("linf", lambda ctx: ctx.peak)
+    p = even_exponent(p)
+    if p == 2:
+        return Observable("l2", lambda ctx: np.sqrt(field_sum(ctx.q_hat**2)))
     def fn(ctx):
-        return grid_lp_norm(ctx.q_grid, ctx.basis.quad_weights, p)
-    return Observable(label, fn)
+        return scaled_lp_norm(ctx.peak, ctx.square, ctx.basis.quad_weights, p)
+    return Observable(f"l{p}", fn)
 
 
 def obs_h(alpha: float) -> Observable:
@@ -330,33 +359,41 @@ def step_eta(eta: LayerField, w: LayerField, config: SimConfig,
 
 
 def nonlinear_term(q: LayerField, psi: LayerField) -> LayerField:
-    """u(psi) . grad q, dealiased and projected onto the retained band."""
+    """u(psi) . grad q, dealiased and projected onto the retained band.
+
+    This one-off form scans its own result, so an overflowing product
+    raises FloatingPointError("transport overflow"); the stepping loop
+    leaves that to its finiteness check of the new state.
+    """
     basis = q.basis
     if not basis.compatible(psi.basis):
         raise ShapeError("q and psi live on different bases")
-    return LayerField.from_coeffs(
-        basis, _transport(basis, psi.spectral(), q.spectral()))
+    term = _transport(basis, psi.spectral(), q.spectral())
+    if not np.all(np.isfinite(term)):
+        raise FloatingPointError("transport overflow")
+    return LayerField.from_coeffs(basis, term)
 
 
 def _transport(basis: SpectralBasis, psi_hat, q_hat, guard=None):
     """P(grad_perp psi . grad q) on basis.transport_basis.
 
-    One synthesis of the kx-weighted stack (psi, q) gives (psi_x, q_x),
-    one of the ky-weighted stack gives (psi_y, q_y); u = (-psi_y, psi_x),
+    One x-derivative synthesis of the stack (psi, q) gives (psi_x, q_x),
+    one y-derivative synthesis gives (psi_y, q_y); u = (-psi_y, psi_x),
     so the product is psi_x q_y - psi_y q_x.  `guard(umax)`, if given,
-    sees the largest |u| on the grid before the product is formed.
+    sees the largest |u| on the grid before the product is formed.  An
+    overflowing product is not checked here: it projects to non-finite
+    coefficients, which the caller's finiteness check reports.
     """
     grid = basis.transport_basis
-    stack = np.stack((psi_hat, q_hat)) * basis.norm_factor
+    stack = np.stack((psi_hat, q_hat))
     with np.errstate(over="ignore", invalid="ignore"):
-        psi_x, q_x = grid.synth_cs(stack * grid.kx)
-        psi_y, q_y = grid.synth_sc(stack * grid.ky)
+        psi_x, q_x = grid.synth_cs(stack)
+        psi_y, q_y = grid.synth_sc(stack)
         if guard is not None:
             guard(max(np.max(np.abs(psi_y)), np.max(np.abs(psi_x))))
-        product = psi_x * q_y - psi_y * q_x
-        if not np.all(np.isfinite(product)):
-            raise FloatingPointError("transport overflow")
-    return grid.forward(product)
+        product = np.multiply(psi_x, q_y, out=psi_x)
+        product -= np.multiply(psi_y, q_x, out=psi_y)
+        return grid.forward(product)
 
 
 def run_trajectory(config: SimConfig, observables=None, stream: int = 0,

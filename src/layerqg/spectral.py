@@ -18,11 +18,17 @@ rule); `build_basis`, the user-facing constructor, enforces G >= 2N, on
 which the L4-type integrals of the observables and diagnostics are
 exact as well.
 
-Transforms are dense matrix products with sine and cosine tables sampled
-at the grid points, built once per basis on first use: synthesis is
-T_x @ c @ T_y.T, and the forward transform is the trapezoid quadrature
-S_x.T @ v @ S_y, exact by the rule above.  At the mode cuts this package
-runs (N <= 128) these products are cheaper than FFTs of length G+1.
+Transforms are dense matrix products with tables sampled at the grid
+points, built once per basis on first use.  Synthesis is
+T_x @ c @ T_y.T, where each axis has one table per derivative order: the
+sines (order 0), cos . diag(k) (order 1) and -sin . diag(k^2) (order 2),
+with k = n pi / L, and the basis amplitude 2/sqrt(Lx Ly) is folded into
+the x tables.  So a field, its gradient or its Hessian on the grid costs
+its two products and nothing else.  The forward transform is the
+trapezoid quadrature S_x.T @ v @ S_y, exact by the rule above, with the
+scale hx hy 2/sqrt(Lx Ly) folded into its own x table.  At the mode cuts
+this package runs (N <= 128) these products are cheaper than FFTs of
+length G+1.
 
 Spectral coefficient arrays have shape (..., Nx, Ny); grid arrays have
 shape (..., Gx+2, Gy+2).  Layer fields carry a leading axis of length 3.
@@ -146,32 +152,44 @@ class SpectralBasis:
         return _trig_tables(self.gx, self.nx)
 
     @cached_property
-    def _trig_y(self):
-        """Sin and cos tables along y, shape (Gy+2, Ny)."""
-        return _trig_tables(self.gy, self.ny)
+    def _synth_x(self):
+        """x tables by derivative order, amplitude folded in, (Gx+2, Nx)."""
+        sin, cos = self._trig_x
+        return _derivative_tables(sin * self.norm_factor,
+                                  cos * self.norm_factor, self.kx[:, 0])
 
-    def synth(self, c, kind_x, kind_y):
-        """Raw trig sum sum_nm c[..., n, m] T_x[j, n] T_y[k, m] on the grid.
+    @cached_property
+    def _synth_y(self):
+        """y tables by derivative order, shape (Gy+2, Ny)."""
+        return _derivative_tables(*_trig_tables(self.gy, self.ny),
+                                  self.ky[0])
 
-        kind_x and kind_y pick "sin" or "cos" per axis; the caller folds
-        in the basis normalization and derivative factors.  Leading axes
-        of c batch.
+    @cached_property
+    def _forward_x(self):
+        """The x sine table times the quadrature scale hx hy 2/sqrt(Lx Ly)."""
+        return self._trig_x[0] * (self.hx * self.hy * self.norm_factor)
+
+    def synth(self, c, dx, dy):
+        """The (dx, dy)-th partial derivative of the sine series c on the
+        grid, for derivative orders 0, 1 or 2 per axis.
+
+        c holds coefficients of the normalized basis; leading axes batch.
         """
-        return self._trig_x[kind_x] @ c @ self._trig_y[kind_y].T
+        return self._synth_x[dx] @ c @ self._synth_y[dy].T
 
-    # Named (x, y) kind pairs of `synth`; the traced benchmark counts
-    # each call as one batch of 2-D transforms.
+    # Named derivative orders of `synth` (s: order 0, c: order 1); the
+    # traced benchmark counts each call as one batch of 2-D transforms.
     def synth_ss(self, c):
-        return self.synth(c, "sin", "sin")
+        return self.synth(c, 0, 0)
 
     def synth_cs(self, c):
-        return self.synth(c, "cos", "sin")
+        return self.synth(c, 1, 0)
 
     def synth_sc(self, c):
-        return self.synth(c, "sin", "cos")
+        return self.synth(c, 0, 1)
 
     def synth_cc(self, c):
-        return self.synth(c, "cos", "cos")
+        return self.synth(c, 1, 1)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Grid samples -> coefficients on the retained modes.
@@ -182,20 +200,17 @@ class SpectralBasis:
         polynomial of band <= G in each direction.
         """
         self._check_grid(values)
-        scale = self.hx * self.hy * self.norm_factor
-        return self._trig_x["sin"].T @ values @ self._trig_y["sin"] * scale
+        return self._forward_x.T @ values @ self._synth_y[0]
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients -> samples on the full grid (boundary rows zero)."""
         self._check_spectral(coeffs)
-        return self.synth(coeffs * self.norm_factor, "sin", "sin")
+        return self.synth(coeffs, 0, 0)
 
     def grad_grids(self, coeffs):
         """(d/dx f, d/dy f) on the grid from sine coefficients."""
         self._check_spectral(coeffs)
-        fx = self.synth_cs(coeffs * self.kx * self.norm_factor)
-        fy = self.synth_sc(coeffs * self.ky * self.norm_factor)
-        return fx, fy
+        return self.synth_cs(coeffs), self.synth_sc(coeffs)
 
     def perp_grad_grids(self, coeffs):
         """grad^perp f = (-d/dy f, d/dx f) on the grid."""
@@ -205,11 +220,8 @@ class SpectralBasis:
     def hessian_grids(self, coeffs):
         """(f_xx, f_xy, f_yy) on the grid from sine coefficients."""
         self._check_spectral(coeffs)
-        nf = self.norm_factor
-        fxx = -self.synth_ss(coeffs * self.kx**2 * nf)
-        fxy = self.synth_cc(coeffs * self.kx * self.ky * nf)
-        fyy = -self.synth_ss(coeffs * self.ky**2 * nf)
-        return fxx, fxy, fyy
+        return (self.synth(coeffs, 2, 0), self.synth(coeffs, 1, 1),
+                self.synth(coeffs, 0, 2))
 
     def integrate(self, grid_values):
         """Trapezoid quadrature over D; extra leading axes are summed."""
@@ -222,7 +234,7 @@ class SpectralBasis:
 
 
 def _trig_tables(g, n):
-    """{"sin": S, "cos": C} with T[j, k-1] = sin|cos(k pi j / (g+1)).
+    """(S, C) with T[j, k-1] = sin|cos(k pi j / (g+1)).
 
     Rows j = 0..g+1 are the grid points including both boundaries,
     columns k = 1..n the retained modes.  The phase k*j is reduced modulo
@@ -233,7 +245,13 @@ def _trig_tables(g, n):
     angle = phase * (np.pi / (g + 1))
     sin = np.sin(angle)
     sin[[0, -1]] = 0.0
-    return {"sin": sin, "cos": np.cos(angle)}
+    return sin, np.cos(angle)
+
+
+def _derivative_tables(sin, cos, k):
+    """Tables of orders 0, 1, 2 along one axis: d/dx sin(kx) = k cos(kx)
+    and d/dx cos(kx) = -k sin(kx), one factor k per column."""
+    return sin, cos * k, -sin * k**2
 
 
 def build_basis(lx, ly, nx, ny, gx=None, gy=None) -> SpectralBasis:
@@ -320,26 +338,49 @@ def field_sum(x):
     return x.reshape(x.shape[:-3] + (-1,)).sum(-1)
 
 
-def grid_lp_norm(vals, weights, p):
-    """(int |vals|^p)^(1/p) by trapezoid quadrature over the trailing
-    (layer, x, y) axes; leading axes index separate fields."""
-    peak = np.abs(vals).reshape(vals.shape[:-3] + (-1,)).max(-1)
-    if p == np.inf or p == "inf":
-        return peak
+def grid_peak(vals):
+    """max |vals| over the trailing (layer, x, y) axes per leading index."""
+    return np.abs(vals).reshape(vals.shape[:-3] + (-1,)).max(-1)
+
+
+def peak_scaled_square(vals, peak):
+    """(vals / peak)^2 per leading index; a zero field divides by 1."""
+    scaled = vals / np.where(peak > 0, peak, 1.0)[..., None, None, None]
+    return np.square(scaled, out=scaled)
+
+
+def even_exponent(p) -> int:
+    """p as an int, or UnsupportedExponentError unless it is even >= 2."""
     p = int(p)
     if p < 2 or p % 2 != 0:
         raise UnsupportedExponentError(
             f"p={p}: finite exponents must be even integers >= 2")
-    # factor out the peak so large p cannot overflow (a zero field divides
-    # by 1 instead); the power is a chain of products because `**` with an
-    # integer exponent other than 2 calls libm pow per element, about 25x
-    # slower on a 3 x 130 x 130 grid
-    scale = np.where(peak > 0, peak, 1.0)[..., None, None, None]
-    square = np.square(vals / scale)
-    power = square
+    return p
+
+
+def scaled_lp_norm(peak, square, weights, p):
+    """peak * (int square^(p/2))^(1/p): the Lp norm of a field from its
+    `grid_peak` and `peak_scaled_square`, for even p.
+
+    Factoring out the peak keeps large p from overflowing.  The power is
+    a chain of in-place products on the weighted square because `**` with
+    an integer exponent other than 2 calls libm pow per element, about
+    25x slower on a 3 x 130 x 130 grid.
+    """
+    power = square * weights
     for _ in range(p // 2 - 1):
-        power = power * square
-    return peak * field_sum(power * weights) ** (1.0 / p)
+        power *= square
+    return peak * field_sum(power) ** (1.0 / p)
+
+
+def grid_lp_norm(vals, weights, p):
+    """(int |vals|^p)^(1/p) by trapezoid quadrature over the trailing
+    (layer, x, y) axes; leading axes index separate fields."""
+    peak = grid_peak(vals)
+    if p == np.inf or p == "inf":
+        return peak
+    p = even_exponent(p)
+    return scaled_lp_norm(peak, peak_scaled_square(vals, peak), weights, p)
 
 
 def lp_norm(field: LayerField, p) -> float:

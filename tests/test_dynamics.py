@@ -1,4 +1,5 @@
 from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -6,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from layerqg import dynamics, rng as rngmod
 from layerqg.coupling import solve_elliptic_coeffs
-from layerqg.dynamics import (SimConfig, _run_paths, initial_coeffs,
-                              nonlinear_term, obs_pairing, parse_observables,
-                              run_trajectory, step_eta)
+from layerqg.dynamics import (ObsContext, SimConfig, _run_paths,
+                              initial_coeffs, nonlinear_term, obs_lp,
+                              obs_pairing, parse_observables, run_trajectory,
+                              step_eta)
 from layerqg.errors import (BlowUpError, ConfigurationError, ShapeError,
-                            TimeStepError)
+                            TimeStepError, UnsupportedExponentError)
 from layerqg.noise import make_noise, sample_path
 from layerqg.runconfig import RunSettings, realize
-from layerqg.spectral import LayerField, build_basis, single_mode_field
+from layerqg.spectral import (LayerField, build_basis, grid_lp_norm,
+                              single_mode_field)
 
 from conftest import random_band_coeffs
 
@@ -283,6 +286,26 @@ class TestGuards:
         assert err.value.record is not None
         assert err.value.record.blown_up
 
+    def test_transport_overflow_is_a_blow_up(self):
+        # u ~ 1e159 and grad q ~ 1e161: the product overflows while the
+        # velocity stays finite, so only the finiteness checks catch it
+        config = realize(RunSettings(modes_x=8, modes_y=8, sigma=0.0,
+                                     cfl_safety=0.0, dt=1e-3, horizon=0.01,
+                                     init="lowband:3:1e160:7"), seed=1)
+        q_hat = initial_coeffs(config.init, config.basis)
+        psi_hat = solve_elliptic_coeffs(config.coupling, q_hat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as err:
+                run_trajectory(config)
+            with pytest.raises(FloatingPointError, match="transport overflow"):
+                nonlinear_term(LayerField.from_coeffs(config.basis, q_hat),
+                               LayerField.from_coeffs(config.basis, psi_hat))
+        assert err.value.time == 0.0
+        record = err.value.record
+        assert record.blown_up and record.blow_time == 0.0
+        assert np.array_equal(record.times, [0.0])
+
     def test_horizon_must_align(self, basis16, coupling16, pairs16,
                                 quiet_noise):
         cfg = make_config(basis16, coupling16, pairs16, quiet_noise,
@@ -316,6 +339,35 @@ class TestInitialData:
             initial_coeffs("vortex:3", basis16)
         with pytest.raises(ConfigurationError):
             initial_coeffs("mode:1,1:1,2", basis16)
+
+
+class TestLpObservables:
+    def test_match_grid_norms(self):
+        # rectangle with distinct mode cuts and grids above 2N, two paths,
+        # the second all zero
+        basis = build_basis(1.3, 0.7, 5, 7, gx=13, gy=16)
+        rng = np.random.default_rng(4)
+        q_hat = np.stack([random_band_coeffs(rng, basis),
+                          np.zeros((3,) + basis.spectral_shape)])
+        ctx = ObsContext(basis, None, q_hat, np.zeros_like(q_hat))
+        q_grid = basis.inverse(q_hat)
+        for p in (2, 4, 6, np.inf):
+            ob = obs_lp(p)
+            got = ob(ctx)
+            want = grid_lp_norm(q_grid, basis.quad_weights, p)
+            if p == 2:
+                assert abs(got[0] - want[0]) <= 1e-13 * want[0]
+            else:
+                assert np.array_equal(got, want), ob.name
+            assert got[1] == 0.0, ob.name
+            for i in range(2):
+                single = ObsContext(basis, None, q_hat[i:i + 1],
+                                    np.zeros_like(q_hat[:1]))
+                assert np.array_equal(ob(single), got[i:i + 1]), ob.name
+
+    def test_odd_exponent_rejected(self):
+        with pytest.raises(UnsupportedExponentError):
+            parse_observables("l3")
 
 
 class TestObservableParsing:

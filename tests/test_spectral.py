@@ -93,18 +93,27 @@ class TestTransforms:
         # swapped or transposed x/y table cannot pass
         basis = build_basis(1.3, 0.7, 5, 7, gx=13, gy=14)
         c = np.random.default_rng(2).standard_normal((2, 3, 5, 7))
-        trig = {"sin": np.sin, "cos": np.cos}
-        n = np.arange(1, 6)
-        m = np.arange(1, 8)
-        for kx in trig:
-            for ky in trig:
-                tx = trig[kx](np.outer(basis.xs, n) * np.pi / basis.lx)
-                ty = trig[ky](np.outer(basis.ys, m) * np.pi / basis.ly)
-                direct = np.einsum("jn,...nm,km->...jk", tx, c, ty)
-                got = basis.synth(c, kx, ky)
+        nf = 2 / np.sqrt(1.3 * 0.7)
+
+        def table(points, length, n_modes, order):
+            # d^order/dx^order sin(k x) = k^order (sin, cos, -sin)(k x)
+            k = np.arange(1, n_modes + 1) * np.pi / length
+            trig = (np.sin, np.cos, lambda a: -np.sin(a))[order]
+            return trig(np.outer(points, k)) * k**order
+
+        for dx in range(3):
+            for dy in range(3):
+                tx = table(basis.xs, 1.3, 5, dx)
+                ty = table(basis.ys, 0.7, 7, dy)
+                direct = nf * np.einsum("jn,...nm,km->...jk", tx, c, ty)
+                got = basis.synth(c, dx, dy)
                 assert got.shape == (2, 3, 15, 16)
                 assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(
-                    np.abs(direct)), (kx, ky)
+                    np.abs(direct)), (dx, dy)
+        for name, (dx, dy) in {"ss": (0, 0), "cs": (1, 0), "sc": (0, 1),
+                               "cc": (1, 1)}.items():
+            assert np.array_equal(getattr(basis, f"synth_{name}")(c),
+                                  basis.synth(c, dx, dy)), name
 
     def test_shape_mismatch_raises(self, basis16):
         with pytest.raises(ShapeError):
