@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__, rng as rngmod
 from .dynamics import parse_observables, run_trajectory
 from .errors import (BlowUpError, ConfigurationError, TimeStepError)
-from .experiments import (galerkin_sweep, log_estimate_monitor, lp_envelope,
+from .experiments import (_snapshot_series, galerkin_sweep,
+                          log_estimate_monitor, lp_envelope,
                           viscosity_sweep, w14_monitor, weak_residual,
                           yudovich_stability)
 from .fieldio import write_field
@@ -260,6 +261,9 @@ def cmd_tightness(run):
 
 def cmd_diagnose(run):
     record = run_trajectory(run.config, observables=[])
+    phi = single_mode_field(run.config.basis, 1, 1, [1.0, 0.0, 0.0])
+    # one pass over the snapshots serves the four monitors below
+    _snapshot_series(record, exponents=(2, 4), test_functions=[phi])
     log_rep = log_estimate_monitor(record)
     w14 = w14_monitor(record)
     rows = []
@@ -267,7 +271,6 @@ def cmd_diagnose(run):
     for k in (1, 2):
         q_norm, env_q, _, _ = lp_envelope(record, k)
         envs[k] = (q_norm, env_q)
-    phi = single_mode_field(run.config.basis, 1, 1, [1.0, 0.0, 0.0])
     resid = weak_residual(record, [phi])[0]
     for i, t in enumerate(record.snap_times):
         rows.append([t, log_rep.series[i], w14.series[i], w14.envelope[i],

@@ -174,12 +174,28 @@ class OperatorEigenpairs:
 
 def eigenpairs(coupling: LayerCoupling, basis: SpectralBasis,
                k: int) -> OperatorEigenpairs:
-    """Compute the K smallest-|mu| eigenpairs of (A + L)."""
+    """Compute the K smallest-|mu| eigenpairs of (A + L).
+
+    Only the modes that can hold one of them are factored.  -M_nm >=
+    lambda_nm min(h) I, and ||L||_2 is at most L's largest absolute row
+    sum (Gershgorin), so every |mu| of mode (n, m) lies in
+    [lambda_nm min(h), lambda_nm max(h) + ||L||].  The ceil(K/3) modes of
+    smallest lambda hold at least K eigenvalues no larger than
+    reach = lambda_(ceil(K/3)) max(h) + ||L||, so a mode whose whole
+    range lies above reach holds none of the K smallest.
+    """
     total = N_LAYERS * basis.nx * basis.ny
     if not (1 <= k <= total):
         raise ConfigurationError(f"k={k} out of range 1..{total}")
     lam = basis.eigenvalues
-    modes = -lam[..., None, None] * np.diag(coupling.h) + coupling.l_matrix
+    h = coupling.h
+    rank = -(-k // N_LAYERS) - 1
+    reach = (np.partition(lam, rank, axis=None)[rank] * h.max()
+             + np.abs(coupling.l_matrix).sum(axis=1).max())
+    # the margin keeps eigh's roundoff from deciding a boundary mode
+    mode_n, mode_m = np.nonzero(lam * h.min() <= reach * (1 + 1e-12))
+    modes = (-lam[mode_n, mode_m, None, None] * np.diag(h)
+             + coupling.l_matrix)
     eigval, eigvec = np.linalg.eigh(modes)  # ascending eigenvalues per mode
     # ascending |mu| within a mode = reversed eigh order (all mu < 0)
     eigval = eigval[..., ::-1]
@@ -190,17 +206,16 @@ def eigenpairs(coupling: LayerCoupling, basis: SpectralBasis,
     signs[signs == 0] = 1.0
     eigvec = eigvec * signs
 
-    nn, mm, jj = np.meshgrid(np.arange(1, basis.nx + 1),
-                             np.arange(1, basis.ny + 1),
-                             np.arange(N_LAYERS), indexing="ij")
+    nn = np.repeat(mode_n + 1, N_LAYERS)
+    mm = np.repeat(mode_m + 1, N_LAYERS)
+    jj = np.tile(np.arange(N_LAYERS), len(mode_n))
     flat_mu = eigval.reshape(-1)
-    order = np.lexsort((jj.reshape(-1), mm.reshape(-1), nn.reshape(-1),
-                        np.abs(flat_mu)))[:k]
-    vecs = eigvec.transpose(0, 1, 3, 2).reshape(-1, N_LAYERS)  # row k = v_k
+    order = np.lexsort((jj, mm, nn, np.abs(flat_mu)))[:k]
+    vecs = eigvec.transpose(0, 2, 1).reshape(-1, N_LAYERS)  # row k = v_k
     return OperatorEigenpairs(
         basis=basis, coupling=coupling,
-        mode_n=nn.reshape(-1)[order].astype(np.int64),
-        mode_m=mm.reshape(-1)[order].astype(np.int64),
-        comp_j=jj.reshape(-1)[order].astype(np.int64),
+        mode_n=nn[order].astype(np.int64),
+        mode_m=mm[order].astype(np.int64),
+        comp_j=jj[order].astype(np.int64),
         mu=flat_mu[order],
         vec=vecs[order])

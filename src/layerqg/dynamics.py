@@ -28,7 +28,7 @@ Lp observables; l2 comes from the coefficients by Parseval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 import hashlib
 
@@ -160,8 +160,12 @@ def obs_h(alpha: float) -> Observable:
 
 def grad_l4(basis: SpectralBasis, q_hat: np.ndarray):
     """(sum_i int_D |grad q^i|^4 dx)^(1/4) per leading index of q_hat."""
-    gx, gy = basis.grad_grids(q_hat)
-    return field_sum((gx**2 + gy**2) ** 2 * basis.quad_weights) ** 0.25
+    return gradient_l4(*basis.grad_grids(q_hat), basis.quad_weights)
+
+
+def gradient_l4(gx, gy, weights):
+    """(sum_i int_D (gx^2 + gy^2)^2 dx)^(1/4) from the gradient's grids."""
+    return field_sum((gx**2 + gy**2) ** 2 * weights) ** 0.25
 
 
 def obs_grad_l4() -> Observable:
@@ -290,6 +294,10 @@ class TrajectoryRecord:
     config_hash: str
     blown_up: bool = False
     blow_time: float | None = None
+    # per-snapshot series of the a-posteriori monitors, filled on demand
+    # by experiments._snapshot_series
+    _series: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):

@@ -10,6 +10,16 @@ Envelopes are built a-posteriori: the differential inequalities behind
 the L^{2k} and W^{1,4} bounds are integrated with coefficient functions
 measured from the recorded path itself, turning qualitative estimates
 into pointwise dominance checks.
+
+The four monitors (`log_estimate_monitor`, `w14_monitor`, `lp_envelope`
+and `weak_residual`) read per-snapshot series from one shared pass,
+`_snapshot_series`.  Per snapshot it solves for psi once, synthesizes
+each grid it needs once (q, W, eta = q - W, their gradients,
+u = grad^perp psi, D^2 psi and D^2 W: 17 at most), reduces it at once
+to sup norms, L4 gradient norms, Lp norms and weak-form transport
+pairings, and drops it.  The series are memoized on the record, so
+`diagnose` pays for each grid once, and a monitor called alone pays
+only for the grids it reads.
 """
 
 from __future__ import annotations
@@ -22,11 +32,12 @@ import numpy as np
 
 from . import rng as rngmod
 from .coupling import eigenpairs, solve_elliptic_coeffs, symmetrize
-from .dynamics import (SimConfig, TrajectoryRecord, grad_l4, initial_coeffs,
-                       run_trajectory)
+from .dynamics import (SimConfig, TrajectoryRecord, grad_l4, gradient_l4,
+                       initial_coeffs, run_trajectory)
 from .errors import ConfigurationError, SamplingError, ShapeError
 from .noise import BrownianIncrements, sample_path
-from .spectral import LayerField, N_LAYERS, build_basis, lp_norm
+from .spectral import (LayerField, N_LAYERS, build_basis, even_exponent,
+                       grid_peak, peak_scaled_square, scaled_lp_norm)
 
 
 @dataclass
@@ -247,7 +258,6 @@ def weak_residual(record: TrajectoryRecord, test_functions,
     if isinstance(test_functions, (LayerField, np.ndarray)):
         test_functions = [test_functions]
     cfg = record.config
-    basis = cfg.basis
     if record.q_snapshots.shape[0] < 3:
         raise SamplingError("need at least 3 snapshots for the quadrature")
     times = record.snap_times
@@ -259,27 +269,16 @@ def weak_residual(record: TrajectoryRecord, test_functions,
         if np.max(body) > 1.5 * np.min(body) or steps[-1] > np.max(body):
             raise SamplingError("snapshot cadence must be uniform")
 
-    phis = [tf.spectral() if isinstance(tf, LayerField) else np.asarray(tf)
-            for tf in test_functions]
-    grad_phi = [basis.grad_grids(p) for p in phis]
-
-    n_snap = len(times)
+    phis = [_test_coeffs(tf) for tf in test_functions]
+    series = _snapshot_series(record, (), test_functions=phis)
     pairings = np.array([[float(np.sum(q * p)) for p in phis]
                          for q in record.q_snapshots])         # (S, P)
     noise_pair = np.array([[float(np.sum(w * p)) for p in phis]
                            for w in record.w_snapshots])
-    transport = np.empty((n_snap, len(phis)))
-    w = basis.quad_weights
-    for s, q_hat in enumerate(record.q_snapshots):
-        psi_hat = solve_elliptic_coeffs(cfg.coupling, q_hat)
-        u1, u2 = basis.perp_grad_grids(psi_hat)
-        q_grid = basis.inverse(q_hat)
-        for p, (px, py) in enumerate(grad_phi):
-            transport[s, p] = np.sum(q_grid * (u1 * px + u2 * py) * w)
 
-    residuals = np.empty((len(phis), n_snap))
-    for p in range(len(phis)):
-        int_transport = _cumtrapz(transport[:, p], times)
+    residuals = np.empty((len(phis), len(times)))
+    for p, phi in enumerate(phis):
+        int_transport = _cumtrapz(series[_transport_key(phi)], times)
         int_pairing = _cumtrapz(pairings[:, p], times)
         rhs = (pairings[0, p] + int_transport - cfg.gamma * int_pairing
                + noise_pair[:, p])
@@ -300,17 +299,122 @@ def _trapz(values, times):
                            np.asarray(times, dtype=float))[-1])
 
 
+# -- the shared pass over the snapshots ----------------------------------
+
+# Series of `_snapshot_series` with a fixed name.  Each exponent p adds
+# the series (f, p), the Lp norm of f for f in LP_FIELDS: q, W,
+# eta = q - W and the speed |u|; each test function phi adds the series
+# `_transport_key(phi)`, the pairing <q, u . grad phi>.
+SNAPSHOT_SERIES = ("q_inf", "grad_u_inf", "u_inf", "grad_w_inf",
+                   "grad_q_l4", "grad_eta_l4", "grad_w_l4", "hess_w_l4")
+LP_FIELDS = ("q", "w", "eta", "speed")
+
+
+def _test_coeffs(test_function):
+    """Spectral coefficients of a LayerField or coefficient array."""
+    if isinstance(test_function, LayerField):
+        test_function = test_function.spectral()
+    return np.asarray(test_function, dtype=float)
+
+
+def _transport_key(phi_hat):
+    return ("transport", phi_hat.shape, phi_hat.tobytes())
+
+
+def _abs_max(grids):
+    return max(float(np.max(np.abs(g))) for g in grids)
+
+
+def _snapshot_series(record: TrajectoryRecord, names=SNAPSHOT_SERIES,
+                     exponents=(), test_functions=()) -> dict:
+    """Per-snapshot series for the monitors, from one pass over the
+    snapshots, memoized on the record; returns the record's series dict.
+
+    Only the series not yet memoized are computed, and only the grids
+    they read are synthesized: per snapshot one elliptic solve and at
+    most the 17 grids of q, W, eta, grad q, grad eta, grad W,
+    u = grad^perp psi, D^2 psi and D^2 W.  Each grid family is reduced to
+    its series and dropped before the next one is synthesized, so no
+    more grids are alive at once than one monitor needs.  Snapshots are
+    taken one at a time as (3, Nx, Ny) arrays.
+    """
+    cfg = record.config
+    basis = cfg.basis
+    memo = record._series
+    lp_keys = [(f, even_exponent(p)) for p in exponents for f in LP_FIELDS]
+    phis = {_transport_key(phi): phi for phi in map(_test_coeffs,
+                                                    test_functions)}
+    out = {key: np.empty(len(record.snap_times))
+           for key in dict.fromkeys([*names, *lp_keys, *phis])
+           if key not in memo}
+    if not out:
+        return memo
+    exps = {f: [p for g, p in lp_keys if g == f and (g, p) in out]
+            for f in LP_FIELDS}
+    grad_phi = [(key, basis.grad_grids(phi)) for key, phi in phis.items()
+                if key in out]
+    need_q = "q_inf" in out or exps["q"] or grad_phi
+    need_u = "u_inf" in out or exps["speed"] or grad_phi
+    w = basis.quad_weights
+
+    def lp_norms(f, grid, s):
+        # one peak and peak-scaled square serve every exponent of the grid
+        peak = grid_peak(grid)
+        square = peak_scaled_square(grid, peak)
+        for p in exps[f]:
+            out[f, p][s] = scaled_lp_norm(peak, square, w, p)
+
+    for s, (q_hat, w_hat) in enumerate(zip(record.q_snapshots,
+                                           record.w_snapshots)):
+        eta_hat = q_hat - w_hat
+        if need_u or "grad_u_inf" in out:
+            psi_hat = solve_elliptic_coeffs(cfg.coupling, q_hat)
+        if "grad_u_inf" in out:
+            # u = (-psi_y, psi_x), so the entries of grad u are psi's
+            # second derivatives
+            out["grad_u_inf"][s] = _abs_max(basis.hessian_grids(psi_hat))
+        if need_u:
+            u1, u2 = basis.perp_grad_grids(psi_hat)
+            if "u_inf" in out:
+                out["u_inf"][s] = _abs_max((u1, u2))
+            if exps["speed"]:
+                lp_norms("speed", np.sqrt(u1**2 + u2**2), s)
+        if need_q:
+            q_grid = basis.inverse(q_hat)
+            if "q_inf" in out:
+                out["q_inf"][s] = _abs_max((q_grid,))
+            if exps["q"]:
+                lp_norms("q", q_grid, s)
+            for key, (px, py) in grad_phi:
+                out[key][s] = np.sum(q_grid * (u1 * px + u2 * py) * w)
+            del q_grid
+        if need_u:
+            del u1, u2
+        if exps["w"]:
+            lp_norms("w", basis.inverse(w_hat), s)
+        if exps["eta"]:
+            lp_norms("eta", basis.inverse(eta_hat), s)
+        if "grad_q_l4" in out:
+            out["grad_q_l4"][s] = grad_l4(basis, q_hat)
+        if "grad_eta_l4" in out:
+            out["grad_eta_l4"][s] = grad_l4(basis, eta_hat)
+        if "grad_w_l4" in out or "grad_w_inf" in out:
+            gx, gy = basis.grad_grids(w_hat)
+            if "grad_w_l4" in out:
+                out["grad_w_l4"][s] = gradient_l4(gx, gy, w)
+            if "grad_w_inf" in out:
+                out["grad_w_inf"][s] = _abs_max((gx, gy))
+            del gx, gy
+        if "hess_w_l4" in out:
+            hxx, hxy, hyy = basis.hessian_grids(w_hat)
+            out["hess_w_l4"][s] = np.sum(
+                (hxx**2 + 2 * hxy**2 + hyy**2) ** 2 * w) ** 0.25
+            del hxx, hxy, hyy
+    memo.update(out)
+    return memo
+
+
 # -- monitors -----------------------------------------------------------
-
-
-def _grid_linf(basis, coeffs):
-    return float(np.max(np.abs(basis.inverse(coeffs))))
-
-
-def _velocity_gradient_linf(basis, psi_hat):
-    """max over grid, layers and components of |grad u| entries."""
-    # grad u rows: u1 = -psi_y, u2 = psi_x, so the entries are the Hessian's
-    return max(float(np.max(np.abs(h))) for h in basis.hessian_grids(psi_hat))
 
 
 @dataclass
@@ -328,23 +432,14 @@ def log_estimate_monitor(record: TrajectoryRecord) -> MonitorReport:
 
     Snapshots with q identically zero are skipped and flagged.
     """
-    cfg = record.config
-    basis = cfg.basis
-    ratios, skipped = [], []
-    for q_hat in record.q_snapshots:
-        q_inf = _grid_linf(basis, q_hat)
-        if q_inf == 0.0:
-            ratios.append(0.0)
-            skipped.append(True)
-            continue
-        psi_hat = solve_elliptic_coeffs(cfg.coupling, q_hat)
-        grad_u = _velocity_gradient_linf(basis, psi_hat)
-        g4 = grad_l4(basis, q_hat)
+    series = _snapshot_series(record, ("q_inf", "grad_u_inf", "grad_q_l4"))
+    q_inf = series["q_inf"]
+    skipped = q_inf == 0.0
+    ratios = np.zeros(len(q_inf))
+    for s in np.flatnonzero(~skipped):
+        g4 = series["grad_q_l4"][s]
         log_plus = max(np.log(g4), 0.0) if g4 > 0 else 0.0
-        ratios.append(grad_u / (q_inf * (1.0 + log_plus)))
-        skipped.append(False)
-    ratios = np.array(ratios)
-    skipped = np.array(skipped, dtype=bool)
+        ratios[s] = series["grad_u_inf"][s] / (q_inf[s] * (1.0 + log_plus))
     valid = ratios[~skipped]
     return MonitorReport(times=record.snap_times, series=ratios,
                          maximum=float(valid.max()) if len(valid) else 0.0,
@@ -373,30 +468,14 @@ def lp_envelope(record: TrajectoryRecord, k: int):
     Returns (series of ||q_t||_{2k}, envelope).
     """
     cfg = record.config
-    basis = cfg.basis
     p = 2 * k
+    series = _snapshot_series(record, ("grad_w_inf",), exponents=(p,))
+    q_norm, w_norm, eta_norm, u_lp = (series[f, p] for f in LP_FIELDS)
+    forcing = u_lp * series["grad_w_inf"] + cfg.gamma * w_norm
     times = record.snap_times
-    q_norm = np.empty(len(times))
-    forcing = np.empty(len(times))
-    w_norm = np.empty(len(times))
-    eta_norm = np.empty(len(times))
-    for s, (q_hat, w_hat) in enumerate(zip(record.q_snapshots,
-                                           record.w_snapshots)):
-        qf = LayerField.from_coeffs(basis, q_hat)
-        wf = LayerField.from_coeffs(basis, w_hat)
-        ef = LayerField.from_coeffs(basis, q_hat - w_hat)
-        q_norm[s] = lp_norm(qf, p)
-        w_norm[s] = lp_norm(wf, p)
-        eta_norm[s] = lp_norm(ef, p)
-        psi_hat = solve_elliptic_coeffs(cfg.coupling, q_hat)
-        u1, u2 = basis.perp_grad_grids(psi_hat)
-        speed = np.sqrt(u1**2 + u2**2)
-        u_lp = lp_norm(LayerField.from_grid(basis, speed), p)
-        wx_max = max(np.max(np.abs(g)) for g in basis.grad_grids(w_hat))
-        forcing[s] = u_lp * wx_max + cfg.gamma * w_norm[s]
     rate = np.full(len(times), cfg.gamma)
     env_eta = _damped_integrate(rate, forcing, times, eta_norm[0])
-    return q_norm, env_eta + w_norm, eta_norm, env_eta
+    return q_norm.copy(), env_eta + w_norm, eta_norm.copy(), env_eta
 
 
 def w14_monitor(record: TrajectoryRecord) -> MonitorReport:
@@ -410,33 +489,21 @@ def w14_monitor(record: TrajectoryRecord) -> MonitorReport:
     q-envelope adds ||grad W_t||_4.
     """
     cfg = record.config
-    basis = cfg.basis
     times = record.snap_times
-    n = len(times)
-    grad_q = np.empty(n)
-    grad_eta = np.empty(n)
-    grad_w4 = np.empty(n)
-    rate = np.empty(n)
-    forcing = np.empty(n)
-    w = basis.quad_weights
-    for s, (q_hat, w_hat) in enumerate(zip(record.q_snapshots,
-                                           record.w_snapshots)):
-        grad_q[s] = grad_l4(basis, q_hat)
-        grad_eta[s] = grad_l4(basis, q_hat - w_hat)
-        grad_w4[s] = grad_l4(basis, w_hat)
-        psi_hat = solve_elliptic_coeffs(cfg.coupling, q_hat)
-        grad_u_inf = _velocity_gradient_linf(basis, psi_hat)
-        u1, u2 = basis.perp_grad_grids(psi_hat)
-        u_inf = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
-        hxx, hxy, hyy = basis.hessian_grids(w_hat)
-        hess4 = np.sum((hxx**2 + 2 * hxy**2 + hyy**2) ** 2 * w) ** 0.25
-        rate[s] = cfg.gamma - grad_u_inf
-        forcing[s] = (grad_u_inf * grad_w4[s] + u_inf * hess4
-                      + cfg.gamma * grad_w4[s])
-    env_eta = _damped_integrate(rate, forcing, times, grad_eta[0])
+    series = _snapshot_series(record, ("grad_q_l4", "grad_eta_l4",
+                                       "grad_w_l4", "grad_u_inf", "u_inf",
+                                       "hess_w_l4"))
+    grad_q = series["grad_q_l4"].copy()
+    grad_w4 = series["grad_w_l4"]
+    grad_u_inf = series["grad_u_inf"]
+    rate = cfg.gamma - grad_u_inf
+    forcing = (grad_u_inf * grad_w4 + series["u_inf"] * series["hess_w_l4"]
+               + cfg.gamma * grad_w4)
+    env_eta = _damped_integrate(rate, forcing, times,
+                                series["grad_eta_l4"][0])
     envelope = env_eta + grad_w4
     dominated = bool(np.all(grad_q <= envelope * (1 + 1e-9) + 1e-12))
     return MonitorReport(times=times, series=grad_q,
                          maximum=float(np.max(grad_q)),
-                         skipped=np.zeros(n, dtype=bool),
+                         skipped=np.zeros(len(times), dtype=bool),
                          envelope=envelope, dominated=dominated)

@@ -18,8 +18,10 @@ rule); `build_basis`, the user-facing constructor, enforces G >= 2N, on
 which the L4-type integrals of the observables and diagnostics are
 exact as well.
 
-Transforms are dense matrix products with tables sampled at the grid
-points, built once per basis on first use.  Synthesis is
+Transforms are dense matrix products with read-only tables sampled at
+the grid points, built once per basis on first use; when the y axis has
+the x axis's grid and mode cut, as on a square, its tables start from
+the same sines and cosines.  Synthesis is
 T_x @ c @ T_y.T, where each axis has one table per derivative order: the
 sines (order 0), cos . diag(k) (order 1) and -sin . diag(k^2) (order 2),
 with k = n pi / L, and the basis amplitude 2/sqrt(Lx Ly) is folded into
@@ -160,14 +162,17 @@ class SpectralBasis:
 
     @cached_property
     def _synth_y(self):
-        """y tables by derivative order, shape (Gy+2, Ny)."""
-        return _derivative_tables(*_trig_tables(self.gy, self.ny),
-                                  self.ky[0])
+        """y tables by derivative order, shape (Gy+2, Ny); a grid with
+        (Gy, Ny) == (Gx, Nx) takes its sines and cosines from the x axis."""
+        trig = (self._trig_x if (self.gy, self.ny) == (self.gx, self.nx)
+                else _trig_tables(self.gy, self.ny))
+        return _derivative_tables(*trig, self.ky[0])
 
     @cached_property
     def _forward_x(self):
         """The x sine table times the quadrature scale hx hy 2/sqrt(Lx Ly)."""
-        return self._trig_x[0] * (self.hx * self.hy * self.norm_factor)
+        return _read_only(
+            self._trig_x[0] * (self.hx * self.hy * self.norm_factor))[0]
 
     def synth(self, c, dx, dy):
         """The (dx, dy)-th partial derivative of the sine series c on the
@@ -245,13 +250,20 @@ def _trig_tables(g, n):
     angle = phase * (np.pi / (g + 1))
     sin = np.sin(angle)
     sin[[0, -1]] = 0.0
-    return sin, np.cos(angle)
+    return _read_only(sin, np.cos(angle))
 
 
 def _derivative_tables(sin, cos, k):
     """Tables of orders 0, 1, 2 along one axis: d/dx sin(kx) = k cos(kx)
     and d/dx cos(kx) = -k sin(kx), one factor k per column."""
-    return sin, cos * k, -sin * k**2
+    return _read_only(sin, cos * k, -sin * k**2)
+
+
+def _read_only(*tables):
+    """The cached tables, locked: every transform of the basis shares them."""
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def build_basis(lx, ly, nx, ny, gx=None, gy=None) -> SpectralBasis:

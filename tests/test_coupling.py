@@ -251,3 +251,39 @@ class TestEigenpairs:
             eigenpairs(coupling16, basis16, 3 * 16 * 16 + 1)
         with pytest.raises(ConfigurationError):
             eigenpairs(coupling16, basis16, 0)
+
+    def test_pruned_factoring_matches_full_eigh(self):
+        # reference: factor every mode matrix and sort all 3 Nx Ny pairs
+        def full(cp, basis, k):
+            lam = basis.eigenvalues
+            eigval, eigvec = np.linalg.eigh(
+                -lam[..., None, None] * np.diag(cp.h) + cp.l_matrix)
+            eigval, eigvec = eigval[..., ::-1], eigvec[..., ::-1]
+            idx = np.argmax(np.abs(eigvec), axis=-2, keepdims=True)
+            signs = np.sign(np.take_along_axis(eigvec, idx, axis=-2))
+            signs[signs == 0] = 1.0
+            eigvec = eigvec * signs
+            nn, mm, jj = np.meshgrid(np.arange(1, basis.nx + 1),
+                                     np.arange(1, basis.ny + 1),
+                                     np.arange(3), indexing="ij")
+            mu = eigval.reshape(-1)
+            order = np.lexsort((jj.ravel(), mm.ravel(), nn.ravel(),
+                                np.abs(mu)))[:k]
+            vecs = eigvec.transpose(0, 1, 3, 2).reshape(-1, 3)
+            return (nn.ravel()[order], mm.ravel()[order], jj.ravel()[order],
+                    mu[order], vecs[order])
+
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            nx, ny = rng.integers(1, 21, size=2)
+            basis = build_basis(*rng.uniform(0.3, 3.0, size=2), nx, ny)
+            # equal lambdas (h of one size) leave the bound least slack
+            lambdas = 10.0 ** rng.uniform(-2, 2, size=3)
+            if rng.random() < 0.5:
+                lambdas[:] = lambdas[0]
+            cp = symmetrize(tuple(lambdas), basis, 10.0 ** rng.uniform(-2, 2))
+            k = int(rng.integers(1, 3 * nx * ny + 1))
+            pr = eigenpairs(cp, basis, k)
+            for got, want in zip((pr.mode_n, pr.mode_m, pr.comp_j, pr.mu,
+                                  pr.vec), full(cp, basis, k)):
+                assert np.array_equal(got, want)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from layerqg import rng as rngmod
+from layerqg import cli, rng as rngmod
 from layerqg.dynamics import SimConfig, run_trajectory
 from layerqg.errors import ConfigurationError, SamplingError
-from layerqg.experiments import (SweepReport, _l2_sup_distance, galerkin_sweep,
+from layerqg.experiments import (SweepReport, _l2_sup_distance,
+                                 _snapshot_series, galerkin_sweep,
                                  log_estimate_monitor, lp_envelope,
                                  viscosity_sweep, w14_monitor, weak_residual,
                                  yudovich_stability)
 from layerqg.noise import make_noise, sample_path
-from layerqg.spectral import LayerField, single_mode_field
+from layerqg.spectral import LayerField, SpectralBasis, single_mode_field
 
 from conftest import random_band_coeffs
 
@@ -219,6 +220,7 @@ class TestMonitors:
         rec = run_trajectory(cfg, observables=[])
         rep = log_estimate_monitor(rec)
         assert rep.skipped.all()
+        assert np.all(rep.series == 0.0)
         assert rep.maximum == 0.0
 
     def test_noisy_ratio_stays_near_baseline(self, basis16, coupling16,
@@ -261,3 +263,66 @@ class TestMonitors:
             assert np.all(q_norm <= env_q * (1 + 1e-9) + 1e-12)
             assert np.all(eta_norm <= env_eta * (1 + 1e-9) + 1e-12)
         assert w14_monitor(rec).dominated
+
+
+class TestSharedPass:
+    def test_each_monitor_alone_matches_the_shared_pass(self, basis16,
+                                                        coupling16, pairs16):
+        cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.1,
+                           snap_every=2)
+        shared = run_trajectory(cfg, observables=[])
+        phi = single_mode_field(basis16, 2, 1, [1.0, -0.5, 0.25])
+        _snapshot_series(shared, exponents=(2, 4), test_functions=[phi])
+        memo = dict(shared._series)
+
+        def fresh():
+            # an equal record with nothing memoized
+            rec = replace(shared)
+            assert not rec._series
+            return rec
+
+        def same(a, b):
+            if isinstance(a, (tuple, list)):
+                return all(same(x, y) for x, y in zip(a, b))
+            if hasattr(a, "series"):
+                return all(same(getattr(a, f), getattr(b, f)) for f in (
+                    "times", "series", "maximum", "skipped", "envelope",
+                    "dominated"))
+            return np.array_equal(a, b)
+
+        monitors = [log_estimate_monitor, w14_monitor,
+                    lambda rec: lp_envelope(rec, 1),
+                    lambda rec: lp_envelope(rec, 2),
+                    lambda rec: weak_residual(rec, [phi])]
+        for monitor in monitors:
+            assert same(monitor(shared), monitor(fresh()))
+        # the monitors read the shared pass and add nothing to it
+        assert shared._series.keys() == memo.keys()
+
+    def test_diagnose_synthesizes_each_grid_once_per_snapshot(
+            self, tmp_path, monkeypatch):
+        calls = {"all": 0}
+        synth = SpectralBasis.synth
+
+        def counting_synth(self, c, dx, dy):
+            calls["all"] += 1
+            return synth(self, c, dx, dy)
+
+        def counted_run(*args, **kwargs):
+            record = run_trajectory(*args, **kwargs)
+            calls["run"] = calls["all"]
+            calls["snapshots"] = len(record.snap_times)
+            return record
+
+        monkeypatch.setattr(SpectralBasis, "synth", counting_synth)
+        monkeypatch.setattr(cli, "run_trajectory", counted_run)
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("modes_x=8\nmodes_y=8\nsigma=1.0\ndt=0.005\n"
+                       "horizon=0.05\ninit=lowband:3:1.0:2\n"
+                       "noise_modes=16\n")
+        assert cli.main(["diagnose", "--config", str(cfg), "--seed", "1",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert calls["snapshots"] == 11
+        # q, W, eta (1 each), grad q, grad eta, grad W, u (2 each),
+        # D^2 psi, D^2 W (3 each), plus the test function's gradient once
+        assert calls["all"] - calls["run"] <= 17 * calls["snapshots"] + 2

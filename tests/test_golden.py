@@ -1,7 +1,8 @@
-"""Golden outputs: four small canonical runs against stored exact values.
+"""Golden outputs: five small canonical runs against stored exact values.
 
 The values in golden.json were written by `python tests/test_golden.py`
-and are compared with the declared tolerance
+(`python tests/test_golden.py RUN ...` rewrites only the named runs) and
+are compared with the declared tolerance
 
     |a - b| <= GOLDEN_TOL * max(1, max |column|)
 
@@ -16,8 +17,10 @@ import numpy as np
 import pytest
 
 from layerqg.dynamics import parse_observables, run_trajectory
-from layerqg.experiments import galerkin_sweep
+from layerqg.experiments import (galerkin_sweep, log_estimate_monitor,
+                                 lp_envelope, w14_monitor, weak_residual)
 from layerqg.runconfig import RunSettings, realize
+from layerqg.spectral import single_mode_field
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 GOLDEN_TOL = 1e-12
@@ -43,6 +46,28 @@ def _galerkin():
     return {"distances": report.distances.tolist()}
 
 
+def _diagnose():
+    """Every series of the four monitors and the weak residual."""
+    config = realize(RunSettings(modes_x=16, modes_y=16, sigma=2.0,
+                                 noise_modes=48, dt=1e-3, horizon=0.03,
+                                 init="lowband:3:1.0:7"),
+                     seed=13, snap_every=2)
+    rec = run_trajectory(config, observables=[])
+    w14 = w14_monitor(rec)
+    out = {"time": rec.snap_times.tolist(),
+           "log_ratio": log_estimate_monitor(rec).series.tolist(),
+           "gradl4": w14.series.tolist(),
+           "gradl4_envelope": w14.envelope.tolist()}
+    for k in (1, 2):
+        names = (f"l{2 * k}", f"l{2 * k}_envelope", f"eta_l{2 * k}",
+                 f"eta_l{2 * k}_envelope")
+        out.update({name: series.tolist() for name, series
+                    in zip(names, lp_envelope(rec, k))})
+    phi = single_mode_field(config.basis, 1, 2, [1.0, -0.5, 0.25])
+    out["weak_residual"] = weak_residual(rec, [phi])[0].tolist()
+    return out
+
+
 RUNS = {
     "linear_n8": lambda: _trajectory(
         modes_x=8, modes_y=8, nonlinearity="off", dt=2e-3, horizon=0.1,
@@ -54,6 +79,7 @@ RUNS = {
         modes_x=16, modes_y=16, viscosity=0.1, dt=1e-3, horizon=0.05,
         init="lowband:6:8.0:2", obs_every=5),
     "galerkin_sweep_8_12_16": _galerkin,
+    "diagnose_n16": _diagnose,
 }
 
 
@@ -75,11 +101,15 @@ def test_golden_run(run):
         assert drift <= tol, f"{run}/{column}: drift {drift:.3e} > {tol:.3e}"
 
 
-def _write_golden():
+def _write_golden(only=()):
+    """Rewrite golden.json; with run names, recompute only those runs and
+    keep the stored values of the others."""
+    stored = _golden() if only else {}
     lines = ["{"]
     names = sorted(RUNS)
     for i, run in enumerate(names):
-        columns = RUNS[run]()
+        columns = (RUNS[run]() if not only or run in only
+                   else stored[run])
         lines.append(f'  "{run}": {{')
         for j, (column, values) in enumerate(columns.items()):
             body = ", ".join(f"{v:.17g}" for v in values)
@@ -91,4 +121,5 @@ def _write_golden():
 
 
 if __name__ == "__main__":
-    _write_golden()
+    import sys
+    _write_golden(sys.argv[1:])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from layerqg import spectral
 from layerqg.errors import (ConfigurationError, ShapeError,
                             UnsupportedExponentError)
 from layerqg.spectral import (LayerField, build_basis, dual_h1_distance,
@@ -114,6 +115,33 @@ class TestTransforms:
                                "cc": (1, 1)}.items():
             assert np.array_equal(getattr(basis, f"synth_{name}")(c),
                                   basis.synth(c, dx, dy)), name
+
+    def test_square_grid_builds_its_trig_tables_once(self, monkeypatch):
+        built = []
+        direct = spectral._trig_tables
+
+        def spy(g, n):
+            built.append((g, n))
+            return direct(g, n)
+
+        monkeypatch.setattr(spectral, "_trig_tables", spy)
+        basis = build_basis(1.2, 0.9, 6, 6)
+        c = np.random.default_rng(4).standard_normal((3, 6, 6))
+        grids = {(dx, dy): basis.synth(c, dx, dy)
+                 for dx in range(3) for dy in range(3)}
+        basis.forward(grids[0, 0])
+        basis.transport_basis.synth(c, 1, 1)
+        assert built == [(12, 6), (9, 6)]      # one per grid, not per axis
+        # y tables built from their own sines and cosines give the same
+        # bits, so sharing the x pair changes no synthesized value
+        own_y = spectral._derivative_tables(*direct(12, 6), basis.ky[0])
+        for (dx, dy), grid in grids.items():
+            assert np.array_equal(grid,
+                                  basis._synth_x[dx] @ c @ own_y[dy].T)
+        for table in (*basis._trig_x, *basis._synth_x, *basis._synth_y,
+                      basis._forward_x):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
 
     def test_shape_mismatch_raises(self, basis16):
         with pytest.raises(ShapeError):
