@@ -454,8 +454,10 @@ def _damped_integrate(rate, forcing, times, start):
         h = times[s] - times[s - 1]
         a = 0.5 * (rate[s] + rate[s - 1])
         f = 0.5 * (forcing[s] + forcing[s - 1])
-        decay = np.exp(-a * h)
-        e[s] = e[s - 1] * decay + f * ((1 - decay) / a if a != 0 else h)
+        # (1 - e^{-ah}) / a through expm1: the difference cancels as
+        # ah -> 0, e.g. where the w14 rate gamma - ||grad u||_inf crosses 0
+        gain = -np.expm1(-a * h) / a if a != 0 else h
+        e[s] = e[s - 1] * np.exp(-a * h) + f * gain
     return e
 
 

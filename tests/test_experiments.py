@@ -5,8 +5,9 @@ from dataclasses import replace
 from layerqg import cli, rng as rngmod
 from layerqg.dynamics import SimConfig, run_trajectory
 from layerqg.errors import ConfigurationError, SamplingError
-from layerqg.experiments import (SweepReport, _l2_sup_distance,
-                                 _snapshot_series, galerkin_sweep,
+from layerqg.experiments import (SweepReport, _damped_integrate,
+                                 _l2_sup_distance, _snapshot_series,
+                                 galerkin_sweep,
                                  log_estimate_monitor, lp_envelope,
                                  viscosity_sweep, w14_monitor, weak_residual,
                                  yudovich_stability)
@@ -253,6 +254,14 @@ class TestMonitors:
         rec = run_trajectory(cfg, observables=[])
         rep = w14_monitor(rec)
         assert np.all(rep.series == 0.0)
+
+    def test_damped_integrate_small_rate(self):
+        # e' = -a e + 1 from e(0) = 0 gives e(h) = (1 - e^{-ah}) / a,
+        # which is h (1 - ah/2) to O((ah)^2); 1 - e^{-ah} itself rounds to 0
+        a, h = 1e-14, 1e-3
+        e = _damped_integrate(np.array([a, a]), np.ones(2),
+                              np.array([0.0, h]), 0.0)
+        assert e[1] == pytest.approx(h * (1 - a * h / 2), rel=1e-15)
 
     def test_noisy_envelopes_dominate(self, basis16, coupling16, pairs16):
         cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.5,
