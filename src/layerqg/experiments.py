@@ -270,7 +270,7 @@ def weak_residual(record: TrajectoryRecord, test_functions,
             raise SamplingError("snapshot cadence must be uniform")
 
     phis = [_test_coeffs(tf) for tf in test_functions]
-    series = _snapshot_series(record, (), test_functions=phis)
+    series = _snapshot_series(record, names=(), test_functions=phis)
     pairings = np.array([[float(np.sum(q * p)) for p in phis]
                          for q in record.q_snapshots])         # (S, P)
     noise_pair = np.array([[float(np.sum(w * p)) for p in phis]
@@ -302,12 +302,12 @@ def _trapz(values, times):
 # -- the shared pass over the snapshots ----------------------------------
 
 # Series of `_snapshot_series` with a fixed name.  Each exponent p adds
-# the series (f, p), the Lp norm of f for f in LP_FIELDS: q, W,
+# the series (f, p), the Lp norm of f for f in _LP_FIELDS: q, W,
 # eta = q - W and the speed |u|; each test function phi adds the series
 # `_transport_key(phi)`, the pairing <q, u . grad phi>.
-SNAPSHOT_SERIES = ("q_inf", "grad_u_inf", "u_inf", "grad_w_inf",
+_NAMED_SERIES = ("q_inf", "grad_u_inf", "u_inf", "grad_w_inf",
                    "grad_q_l4", "grad_eta_l4", "grad_w_l4", "hess_w_l4")
-LP_FIELDS = ("q", "w", "eta", "speed")
+_LP_FIELDS = ("q", "w", "eta", "speed")
 
 
 def _test_coeffs(test_function):
@@ -325,7 +325,7 @@ def _abs_max(grids):
     return max(float(np.max(np.abs(g))) for g in grids)
 
 
-def _snapshot_series(record: TrajectoryRecord, names=SNAPSHOT_SERIES,
+def _snapshot_series(record: TrajectoryRecord, names=_NAMED_SERIES,
                      exponents=(), test_functions=()) -> dict:
     """Per-snapshot series for the monitors, from one pass over the
     snapshots, memoized on the record; returns the record's series dict.
@@ -341,7 +341,7 @@ def _snapshot_series(record: TrajectoryRecord, names=SNAPSHOT_SERIES,
     cfg = record.config
     basis = cfg.basis
     memo = record._series
-    lp_keys = [(f, even_exponent(p)) for p in exponents for f in LP_FIELDS]
+    lp_keys = [(f, even_exponent(p)) for p in exponents for f in _LP_FIELDS]
     phis = {_transport_key(phi): phi for phi in map(_test_coeffs,
                                                     test_functions)}
     out = {key: np.empty(len(record.snap_times))
@@ -350,7 +350,7 @@ def _snapshot_series(record: TrajectoryRecord, names=SNAPSHOT_SERIES,
     if not out:
         return memo
     exps = {f: [p for g, p in lp_keys if g == f and (g, p) in out]
-            for f in LP_FIELDS}
+            for f in _LP_FIELDS}
     grad_phi = [(key, basis.grad_grids(phi)) for key, phi in phis.items()
                 if key in out]
     need_q = "q_inf" in out or exps["q"] or grad_phi
@@ -472,11 +472,12 @@ def lp_envelope(record: TrajectoryRecord, k: int):
     cfg = record.config
     p = 2 * k
     series = _snapshot_series(record, ("grad_w_inf",), exponents=(p,))
-    q_norm, w_norm, eta_norm, u_lp = (series[f, p] for f in LP_FIELDS)
+    q_norm, w_norm, eta_norm, u_lp = (series[f, p] for f in _LP_FIELDS)
     forcing = u_lp * series["grad_w_inf"] + cfg.gamma * w_norm
     times = record.snap_times
     rate = np.full(len(times), cfg.gamma)
     env_eta = _damped_integrate(rate, forcing, times, eta_norm[0])
+    # copies, so that no caller can change the memoized series
     return q_norm.copy(), env_eta + w_norm, eta_norm.copy(), env_eta
 
 
