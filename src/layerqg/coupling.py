@@ -187,15 +187,16 @@ def eigenpairs(coupling: LayerCoupling, basis: SpectralBasis,
     total = N_LAYERS * basis.nx * basis.ny
     if not (1 <= k <= total):
         raise ConfigurationError(f"k={k} out of range 1..{total}")
-    lam = basis.eigenvalues
     h = coupling.h
-    rank = -(-k // N_LAYERS) - 1
-    reach = (np.partition(lam, rank, axis=None)[rank] * h.max()
+    lam = basis.eigenvalues.reshape(-1)
+    by_lam = np.lexsort((lam,))                 # modes by ascending lambda
+    reach = (lam[by_lam[-(-k // N_LAYERS) - 1]] * h.max()
              + np.abs(coupling.l_matrix).sum(axis=1).max())
     # the margin keeps eigh's roundoff from deciding a boundary mode
-    mode_n, mode_m = np.nonzero(lam * h.min() <= reach * (1 + 1e-12))
-    modes = (-lam[mode_n, mode_m, None, None] * np.diag(h)
-             + coupling.l_matrix)
+    kept = by_lam[:np.sum(lam[by_lam] * h.min() <= reach * (1 + 1e-12))]
+    nn, mm = np.meshgrid(np.arange(1, basis.nx + 1),
+                         np.arange(1, basis.ny + 1), indexing="ij")
+    modes = -lam[kept, None, None] * np.diag(h) + coupling.l_matrix
     eigval, eigvec = np.linalg.eigh(modes)  # ascending eigenvalues per mode
     # ascending |mu| within a mode = reversed eigh order (all mu < 0)
     eigval = eigval[..., ::-1]
@@ -206,9 +207,9 @@ def eigenpairs(coupling: LayerCoupling, basis: SpectralBasis,
     signs[signs == 0] = 1.0
     eigvec = eigvec * signs
 
-    nn = np.repeat(mode_n + 1, N_LAYERS)
-    mm = np.repeat(mode_m + 1, N_LAYERS)
-    jj = np.tile(np.arange(N_LAYERS), len(mode_n))
+    nn = np.repeat(nn.reshape(-1)[kept], N_LAYERS)
+    mm = np.repeat(mm.reshape(-1)[kept], N_LAYERS)
+    jj = np.tile(np.arange(N_LAYERS), len(kept))
     flat_mu = eigval.reshape(-1)
     order = np.lexsort((jj, mm, nn, np.abs(flat_mu)))[:k]
     vecs = eigvec.transpose(0, 2, 1).reshape(-1, N_LAYERS)  # row k = v_k
