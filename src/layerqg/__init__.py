@@ -11,9 +11,8 @@ from .dynamics import (SimConfig, TrajectoryRecord, nonlinear_term,
 from .errors import (BlowUpError, ConfigurationError, FieldFormatError,
                      FieldLengthError, SamplingError, ShapeError,
                      TimeStepError, UnsupportedExponentError)
-from .experiments import (SweepReport, galerkin_sweep, log_estimate_monitor,
-                          lp_envelope, viscosity_sweep, w14_monitor,
-                          weak_residual, yudovich_stability)
+from .experiments import (log_estimate_monitor, lp_envelope, w14_monitor,
+                          weak_residual)
 from .fieldio import read_field, write_field
 from .measures import (AveragedMeasure, TightnessReport, invariance_test,
                        kb_average, tightness_diagnostic)
@@ -24,3 +23,5 @@ from .runconfig import RunSettings, parse_config, realize
 from .spectral import (LayerField, SpectralBasis, build_basis,
                        dual_h1_distance, fractional_norm, lp_norm,
                        lp_norm_layerwise, single_mode_field)
+from .sweeps import (SweepReport, galerkin_sweep, viscosity_sweep,
+                     yudovich_stability)

@@ -28,14 +28,13 @@ import numpy as np
 from . import __version__, rng as rngmod
 from .dynamics import parse_observables, run_trajectory
 from .errors import (BlowUpError, ConfigurationError, TimeStepError)
-from .experiments import (_snapshot_series, galerkin_sweep,
-                          log_estimate_monitor, lp_envelope,
-                          viscosity_sweep, w14_monitor, weak_residual,
-                          yudovich_stability)
+from .experiments import (_snapshot_series, log_estimate_monitor,
+                          lp_envelope, w14_monitor, weak_residual)
 from .fieldio import write_field
 from .measures import kb_average, tightness_diagnostic
 from .runconfig import parse_config, realize
 from .spectral import LayerField, single_mode_field
+from .sweeps import galerkin_sweep, viscosity_sweep, yudovich_stability
 
 FMT = "{:.17g}"
 

@@ -193,7 +193,8 @@ def eigenpairs(coupling: LayerCoupling, basis: SpectralBasis,
     reach = (lam[by_lam[-(-k // N_LAYERS) - 1]] * h.max()
              + np.abs(coupling.l_matrix).sum(axis=1).max())
     # the margin keeps eigh's roundoff from deciding a boundary mode
-    kept = by_lam[:np.sum(lam[by_lam] * h.min() <= reach * (1 + 1e-12))]
+    kept = by_lam[:np.count_nonzero(lam[by_lam] * h.min()
+                                    <= reach * (1 + 1e-12))]
     nn, mm = np.meshgrid(np.arange(1, basis.nx + 1),
                          np.arange(1, basis.ny + 1), indexing="ij")
     modes = -lam[kept, None, None] * np.diag(h) + coupling.l_matrix

@@ -5,14 +5,13 @@ from dataclasses import replace
 from layerqg import cli, rng as rngmod
 from layerqg.dynamics import SimConfig, run_trajectory
 from layerqg.errors import ConfigurationError, SamplingError
-from layerqg.experiments import (SweepReport, _damped_integrate,
-                                 _l2_sup_distance, _snapshot_series,
-                                 galerkin_sweep,
+from layerqg.experiments import (_damped_integrate, _snapshot_series,
                                  log_estimate_monitor, lp_envelope,
-                                 viscosity_sweep, w14_monitor, weak_residual,
-                                 yudovich_stability)
+                                 w14_monitor, weak_residual)
 from layerqg.noise import make_noise, sample_path
 from layerqg.spectral import LayerField, SpectralBasis, single_mode_field
+from layerqg.sweeps import (SweepReport, _l2_sup_distance, galerkin_sweep,
+                            viscosity_sweep, yudovich_stability)
 
 from conftest import random_band_coeffs
 

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from layerqg.dynamics import parse_observables, run_trajectory
-from layerqg.experiments import (galerkin_sweep, log_estimate_monitor,
-                                 lp_envelope, w14_monitor, weak_residual)
+from layerqg.experiments import (log_estimate_monitor, lp_envelope,
+                                 w14_monitor, weak_residual)
 from layerqg.runconfig import RunSettings, realize
 from layerqg.spectral import single_mode_field
+from layerqg.sweeps import galerkin_sweep
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 GOLDEN_TOL = 1e-12
