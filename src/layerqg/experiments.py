@@ -94,7 +94,7 @@ def _trapz(values, times):
 # eta = q - W and the speed |u|; each test function phi adds the series
 # `_transport_key(phi)`, the pairing <q, u . grad phi>.
 _NAMED_SERIES = ("q_inf", "grad_u_inf", "u_inf", "grad_w_inf",
-                   "grad_q_l4", "grad_eta_l4", "grad_w_l4", "hess_w_l4")
+                 "grad_q_l4", "grad_eta_l4", "grad_w_l4", "hess_w_l4")
 _LP_FIELDS = ("q", "w", "eta", "speed")
 
 

@@ -20,8 +20,8 @@ exact as well.
 
 Transforms are dense matrix products with read-only tables sampled at
 the grid points, built once per basis on first use; when the y axis has
-the x axis's grid and mode cut, as on a square, its tables start from
-the same sines and cosines.  Synthesis is
+the x axis's grid and mode cut (every square grid), its tables start
+from the same sines and cosines.  Synthesis is
 T_x @ c @ T_y.T, where each axis has one table per derivative order: the
 sines (order 0), cos . diag(k) (order 1) and -sin . diag(k^2) (order 2),
 with k = n pi / L, and the basis amplitude 2/sqrt(Lx Ly) is folded into
