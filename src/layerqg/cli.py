@@ -285,7 +285,10 @@ def cmd_diagnose(run):
         "l4_dominated": bool(np.all(envs[2][0] <= envs[2][1] * (1 + 1e-9)))})
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: parsing leaves it as it
+    was, and no argument has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="layerqg",
         description="Damped stochastic 3-layer quasi-geostrophic experiments")

@@ -22,6 +22,7 @@ s_j - lambda_{n,m}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,15 +112,25 @@ def apply_operator(coupling: LayerCoupling, psi_hat: np.ndarray) -> np.ndarray:
     return a_part + l_part
 
 
-def solve_elliptic_coeffs(coupling: LayerCoupling, q_hat: np.ndarray) -> np.ndarray:
+def solve_elliptic_coeffs(coupling: LayerCoupling, q_hat: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """psi_hat with (A + L) psi = q through the vertical modes; leading axes
-    batch (each leading index is solved alike at any batch size)."""
+    batch (each leading index is solved alike at any batch size).
+
+    `out`, a C-contiguous array of q_hat's shape, receives psi_hat and is
+    returned.
+    """
     if q_hat.shape[-3:] != (N_LAYERS,) + coupling.basis.spectral_shape:
         raise ShapeError(f"q_hat shape {q_hat.shape} invalid")
     flat = q_hat.reshape(q_hat.shape[:-2] + (-1,))     # (..., 3, Nx Ny)
     amp = coupling.modes.T @ flat
     amp *= coupling.mode_gain.reshape(N_LAYERS, -1)
-    return (coupling.modes @ amp).reshape(q_hat.shape)
+    if out is None:
+        return (coupling.modes @ amp).reshape(q_hat.shape)
+    if out.shape != q_hat.shape or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be C-contiguous of shape {q_hat.shape}")
+    np.matmul(coupling.modes, amp, out=out.reshape(amp.shape))
+    return out
 
 
 def solve_elliptic(q: LayerField, coupling: LayerCoupling) -> LayerField:
@@ -155,10 +166,12 @@ class OperatorEigenpairs:
     def __len__(self):
         return len(self.mu)
 
-    @property
+    @cached_property
     def spatial_eigenvalues(self):
-        """lambda_{n,m} per entry, shape (K,)."""
-        return self.basis.eigenvalues[self.mode_n - 1, self.mode_m - 1]
+        """lambda_{n,m} per entry, shape (K,); read-only."""
+        lam = self.basis.eigenvalues[self.mode_n - 1, self.mode_m - 1]
+        lam.setflags(write=False)
+        return lam
 
     def field(self, k: int) -> LayerField:
         """rho_k as a LayerField."""

@@ -24,6 +24,16 @@ turns it into a blow-up.
 Observables and snapshots stay on the G >= 2N grid.  Each sample
 synthesizes q once and shares its peak and peak-scaled square among the
 Lp observables; l2 comes from the coefficients by Parseval.
+
+Arrays of the stepping loop.  The Stepper owns one (2, P, 3, Nx, Ny)
+workspace of (psi_hat, q_hat), kept across steps and reallocated only
+when the batch shape changes: `advance` adds eta + W into slot 1, and
+the elliptic solve writes psi_hat into slot 0.  A step allocates its
+forcing array (the linear update then works in place on it), the
+transport grids and their projection, and the new state.  The new state
+is a fresh array and `advance` writes into none of its inputs, because
+the loop hands W to the records (`w_snaps` keeps W itself).  Overflow
+warnings are silenced once around the loop.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from .errors import (BlowUpError, ConfigurationError, ShapeError,
 from .noise import BrownianIncrements, NoiseMixer, NoiseSpec
 from .spectral import (LayerField, N_LAYERS, SpectralBasis, even_exponent,
                        field_sum, grid_peak, peak_scaled_square,
-                       scaled_lp_norm)
+                       scaled_lp_norms)
 
 
 # -- initial data -------------------------------------------------------
@@ -146,7 +156,8 @@ def obs_lp(p) -> Observable:
     if p == 2:
         return Observable("l2", lambda ctx: np.sqrt(field_sum(ctx.q_hat**2)))
     def fn(ctx):
-        return scaled_lp_norm(ctx.peak, ctx.square, ctx.basis.quad_weights, p)
+        return scaled_lp_norms(ctx.peak, ctx.square, ctx.basis.quad_weights,
+                               (p,))[0]
     return Observable(f"l{p}", fn)
 
 
@@ -308,7 +319,12 @@ class TrajectoryRecord:
 
 
 class Stepper:
-    """Precomputed factors and work buffers for one SimConfig."""
+    """Precomputed factors and work buffers for one SimConfig.
+
+    The (2, ..., 3, Nx, Ny) workspace holds (psi_hat, q_hat) of a
+    nonlinear step and is reallocated only when the batch shape changes,
+    so one Stepper serves one thread.
+    """
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -319,16 +335,30 @@ class Stepper:
         self.phi = (1.0 - self.decay) / a              # (Nx, Ny)
         self.h_min = min(basis.hx, basis.hy)
         self.mixer = NoiseMixer(config.noise, config.pairs, basis)
+        self._stack = np.empty((2, 0))      # fits no batch until first use
+
+    def _workspace(self, shape):
+        """The (2,) + shape workspace, kept while the batch shape stays."""
+        if self._stack.shape[1:] != shape:
+            self._stack = np.empty((2,) + shape)
+        return self._stack
 
     def transport_hat(self, q_hat, t):
-        """Galerkin projection of u . grad q at time t.
+        """Galerkin projection of u . grad q at time t."""
+        self._workspace(q_hat.shape)[1] = q_hat
+        return self._stack_transport(t)
+
+    def _stack_transport(self, t):
+        """Transport of the q_hat in the workspace's slot 1; the elliptic
+        solve writes psi_hat into slot 0.
 
         The adaptive CFL guard runs between the velocity synthesis and the
         product, so an over-CFL state raises the stability error rather
         than overflowing into a blow-up.
         """
         cfg = self.config
-        psi_hat = solve_elliptic_coeffs(cfg.coupling, q_hat)
+        stack = self._stack
+        solve_elliptic_coeffs(cfg.coupling, stack[1], out=stack[0])
 
         def guard(umax):
             if not np.isfinite(umax):
@@ -341,16 +371,22 @@ class Stepper:
                     f"{ceiling:.3e} at t={t:.6g} (|u|max={umax:.3e})",
                     time=t, umax=float(umax), ceiling=float(ceiling))
 
-        return _transport(cfg.basis, psi_hat, q_hat, guard)
+        return _transport(cfg.basis, stack, guard)
 
     def advance(self, eta_hat, w_hat, t):
-        """One step of the eta equation, W frozen at the step's left end."""
+        """One step of the eta equation, W frozen at the step's left end.
+
+        Writes into neither input; the new state is a new array.  Callers
+        silence overflow warnings (the finiteness check reports them).
+        """
         cfg = self.config
         forcing = -cfg.gamma * w_hat
         if cfg.nonlinear:
-            forcing = forcing - self.transport_hat(eta_hat + w_hat, t)
-        new = self.decay * eta_hat + self.phi * forcing
-        if not np.all(np.isfinite(new)):
+            np.add(eta_hat, w_hat, out=self._workspace(eta_hat.shape)[1])
+            forcing -= self._stack_transport(t)
+        new = self.decay * eta_hat
+        new += np.multiply(self.phi, forcing, out=forcing)
+        if not np.isfinite(new).all():
             raise FloatingPointError("state overflow")
         return new
 
@@ -360,7 +396,8 @@ def step_eta(eta: LayerField, w: LayerField, config: SimConfig,
     """Public single-step form of the eta update (deterministic given W)."""
     stepper = Stepper(config)
     try:
-        new = stepper.advance(eta.spectral(), w.spectral(), t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = stepper.advance(eta.spectral(), w.spectral(), t)
     except FloatingPointError as exc:
         raise BlowUpError(str(exc), time=t)
     return LayerField.from_coeffs(config.basis, new)
@@ -376,32 +413,37 @@ def nonlinear_term(q: LayerField, psi: LayerField) -> LayerField:
     basis = q.basis
     if not basis.compatible(psi.basis):
         raise ShapeError("q and psi live on different bases")
-    term = _transport(basis, psi.spectral(), q.spectral())
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = _transport(basis, np.stack((psi.spectral(), q.spectral())))
     if not np.all(np.isfinite(term)):
         raise FloatingPointError("transport overflow")
     return LayerField.from_coeffs(basis, term)
 
 
-def _transport(basis: SpectralBasis, psi_hat, q_hat, guard=None):
-    """P(grad_perp psi . grad q) on basis.transport_basis.
+def _transport(basis: SpectralBasis, stack, guard=None):
+    """P(grad_perp psi . grad q) on basis.transport_basis from the
+    (2, ..., 3, Nx, Ny) stack of (psi_hat, q_hat).
 
-    One x-derivative synthesis of the stack (psi, q) gives (psi_x, q_x),
-    one y-derivative synthesis gives (psi_y, q_y); u = (-psi_y, psi_x),
-    so the product is psi_x q_y - psi_y q_x.  `guard(umax)`, if given,
-    sees the largest |u| on the grid before the product is formed.  An
+    One x-derivative synthesis of the stack gives (psi_x, q_x), one
+    y-derivative synthesis gives (psi_y, q_y); u = (-psi_y, psi_x), so
+    the product is psi_x q_y - psi_y q_x.  `guard(umax)`, if given, sees
+    the largest |u| on the grid before the product is formed.  An
     overflowing product is not checked here: it projects to non-finite
     coefficients, which the caller's finiteness check reports.
     """
     grid = basis.transport_basis
-    stack = np.stack((psi_hat, q_hat))
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi_x, q_x = grid.synth_cs(stack)
-        psi_y, q_y = grid.synth_sc(stack)
-        if guard is not None:
-            guard(max(np.max(np.abs(psi_y)), np.max(np.abs(psi_x))))
-        product = np.multiply(psi_x, q_y, out=psi_x)
-        product -= np.multiply(psi_y, q_x, out=psi_y)
-        return grid.forward(product)
+    psi_x, q_x = grid.synth_cs(stack)
+    psi_y, q_y = grid.synth_sc(stack)
+    if guard is not None:
+        guard(max(_abs_peak(psi_y), _abs_peak(psi_x)))
+    product = np.multiply(psi_x, q_y, out=psi_x)
+    product -= np.multiply(psi_y, q_x, out=psi_y)
+    return grid.forward(product)
+
+
+def _abs_peak(grid):
+    """max |grid|, bitwise, without the |grid| temporary; NaN stays NaN."""
+    return max(grid.max(), -grid.min())
 
 
 def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
@@ -475,9 +517,8 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     def record(j):
         if j % cfg.obs_every == 0 or j == n_steps:
             ctx = ObsContext(basis, cfg.coupling, eta + w, w)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for o, ob in enumerate(observables):
-                    series[len(times), o] = ob(ctx)
+            for o, ob in enumerate(observables):
+                series[len(times), o] = ob(ctx)
             times.append(j * cfg.dt)
         if cfg.snap_every and (j % cfg.snap_every == 0 or j == n_steps):
             snap_times.append(j * cfg.dt)
@@ -502,28 +543,32 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
         worst = np.argmax(np.abs(eta + w).reshape(n_paths, -1).max(-1))
         return build(blow_time)[worst]
 
-    record(0)
-    for j in range(1, n_steps + 1):
-        t_prev = (j - 1) * cfg.dt
-        try:
-            eta = stepper.advance(eta, w, t_prev)
-        except FloatingPointError as exc:
-            raise BlowUpError(str(exc), time=t_prev, record=partial(t_prev))
-        except TimeStepError as exc:
-            exc.record = partial()
-            raise
-        i = (j - 1) % block_steps
-        if gens and i == 0:
-            steps = min(block_steps, n_steps - j + 1)
-            block = np.empty((steps, rows, k, n_paths))
-            for p, gen in enumerate(gens):
-                block[..., p] = gen.standard_normal((steps, rows, k))
-        dw = None
-        if noisy:
-            dw = scale * block[i, 0] if drawn else \
-                noise_path.increments[j - 1][:, None]
-            w = w + stepper.mixer.coefficients(dw)
-        if hook is not None:
-            hook(dw, block[i, drawn:])
-        record(j)
+    # overflows surface as non-finite values, which the finiteness check
+    # of each new state turns into a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0)
+        for j in range(1, n_steps + 1):
+            t_prev = (j - 1) * cfg.dt
+            try:
+                eta = stepper.advance(eta, w, t_prev)
+            except FloatingPointError as exc:
+                raise BlowUpError(str(exc), time=t_prev,
+                                  record=partial(t_prev))
+            except TimeStepError as exc:
+                exc.record = partial()
+                raise
+            i = (j - 1) % block_steps
+            if gens and i == 0:
+                steps = min(block_steps, n_steps - j + 1)
+                block = np.empty((steps, rows, k, n_paths))
+                for p, gen in enumerate(gens):
+                    block[..., p] = gen.standard_normal((steps, rows, k))
+            dw = None
+            if noisy:
+                dw = scale * block[i, 0] if drawn else \
+                    noise_path.increments[j - 1][:, None]
+                w = w + stepper.mixer.coefficients(dw)
+            if hook is not None:
+                hook(dw, block[i, drawn:])
+            record(j)
     return build()

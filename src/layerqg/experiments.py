@@ -27,7 +27,7 @@ from .coupling import solve_elliptic_coeffs
 from .dynamics import TrajectoryRecord, grad_l4, gradient_l4
 from .errors import SamplingError
 from .spectral import (LayerField, even_exponent, grid_peak,
-                       peak_scaled_square, scaled_lp_norm)
+                       peak_scaled_square, scaled_lp_norms)
 
 
 def weak_residual(record: TrajectoryRecord, test_functions,
@@ -137,7 +137,7 @@ def _snapshot_series(record: TrajectoryRecord, names=_NAMED_SERIES,
            if key not in memo}
     if not out:
         return memo
-    exps = {f: [p for g, p in lp_keys if g == f and (g, p) in out]
+    exps = {f: sorted(p for g, p in lp_keys if g == f and (g, p) in out)
             for f in _LP_FIELDS}
     grad_phi = [(key, basis.grad_grids(phi)) for key, phi in phis.items()
                 if key in out]
@@ -146,11 +146,12 @@ def _snapshot_series(record: TrajectoryRecord, names=_NAMED_SERIES,
     w = basis.quad_weights
 
     def lp_norms(f, grid, s):
-        # one peak and peak-scaled square serve every exponent of the grid
+        # one peak, square and weighted power serve every exponent of grid
         peak = grid_peak(grid)
-        square = peak_scaled_square(grid, peak)
-        for p in exps[f]:
-            out[f, p][s] = scaled_lp_norm(peak, square, w, p)
+        norms = scaled_lp_norms(peak, peak_scaled_square(grid, peak), w,
+                                exps[f])
+        for p, norm in zip(exps[f], norms):
+            out[f, p][s] = norm
 
     for s, (q_hat, w_hat) in enumerate(zip(record.q_snapshots,
                                            record.w_snapshots)):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import Observable, SimConfig, _run_paths, obs_lp
 from .errors import ConfigurationError, SamplingError
-from .noise import NoiseMixer, OUState, ou_step
+from .noise import NoiseMixer, OUState, _ou_advance, _ou_factors
 
 ALPHA_NOISE = 2.5
 
@@ -210,20 +210,27 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
     cfg = replace(config, init="zero", horizon=horizon, snap_every=0,
                   obs_every=sample_every)
     mixer = NoiseMixer(cfg.noise, cfg.pairs, cfg.basis)
-    ou = OUState.zero(rate, cfg.noise.k)
+    zeta = np.zeros(cfg.noise.k)
+    factors = None
 
     def ou_update(dw, normals):
-        nonlocal ou
-        ou = ou_step(ou, cfg.noise, cfg.dt, normals[0, :, 0],
-                     driving_increment=None if dw is None else dw[:, 0])
+        nonlocal factors
+        if factors is None:         # dw is None on every step or on none
+            factors = _ou_factors(rate, cfg.noise, cfg.dt, dw is not None)
+        _ou_advance(zeta, factors, normals[0, :, 0],
+                    None if dw is None else dw[:, 0], out=zeta)
 
     def theta_sup(ctx):
-        theta_hat = ctx.q_hat - mixer.coefficients(ou.zeta)
+        theta_hat = ctx.q_hat - mixer.coefficients(zeta)
         return np.abs(cfg.basis.inverse(theta_hat)).max(axis=(-3, -2, -1))
 
+    def zeta_h_alpha(ctx):
+        # OUState rejects a non-finite zeta, at the latest one sample on
+        ou = OUState(rate=rate, zeta=zeta)
+        return [ou.h_alpha_norm(cfg.pairs, ALPHA_NOISE)]
+
     observables = [obs_lp(np.inf), Observable("theta_inf", theta_sup),
-                   Observable("zeta_norm", lambda ctx: [ou.h_alpha_norm(
-                       cfg.pairs, ALPHA_NOISE)])]
+                   Observable("zeta_norm", zeta_h_alpha)]
     rec = _run_paths(cfg, observables, [0], hook=ou_update, hook_draws=1)[0]
     q_inf, theta_inf, zeta_norm = rec.observables.values()
 

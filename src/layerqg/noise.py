@@ -235,20 +235,35 @@ def ou_step(state: OUState, spec: NoiseSpec, dt: float, xi: np.ndarray,
     path is the stochastic convolution of the very noise path driving the
     dynamics, still without time-discretization bias.
     """
+    factors = _ou_factors(state.rate, spec, dt,
+                          driven=driving_increment is not None)
+    new = _ou_advance(state.zeta, factors, xi, driving_increment)
+    return OUState(rate=state.rate, zeta=new, time=state.time + dt)
+
+
+def _ou_factors(rate: float, spec: NoiseSpec, dt: float, driven: bool):
+    """(e^{-rate dt}, beta, width) of `ou_step`'s update; beta is None
+    for the standalone form.  They depend on the step alone, so a loop
+    over many steps computes them once."""
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    lam = state.rate
-    decay = np.exp(-lam * dt)
-    if driving_increment is None:
-        width = spec.c * np.sqrt((1.0 - decay**2) / (2.0 * lam))
-        fresh = width * xi
-        new = decay * state.zeta + fresh
-    else:
-        # J = int e^{-lam (dt - s)} dW over the step, conditioned on the
-        # plain increment I: E[J|I] = beta I, Var = full minus explained.
-        beta = (1.0 - decay) / (lam * dt)
-        var_full = spec.c**2 * (1.0 - decay**2) / (2.0 * lam)
-        var_resid = np.maximum(var_full - beta**2 * spec.c**2 * dt, 0.0)
-        fresh = np.sqrt(var_resid) * xi
-        new = decay * state.zeta + beta * driving_increment + fresh
-    return OUState(rate=lam, zeta=new, time=state.time + dt)
+    decay = np.exp(-rate * dt)
+    if not driven:
+        return decay, None, spec.c * np.sqrt((1.0 - decay**2) / (2.0 * rate))
+    # J = int e^{-lam (dt - s)} dW over the step, conditioned on the
+    # plain increment I: E[J|I] = beta I, Var = full minus explained.
+    beta = (1.0 - decay) / (rate * dt)
+    var_full = spec.c**2 * (1.0 - decay**2) / (2.0 * rate)
+    var_resid = np.maximum(var_full - beta**2 * spec.c**2 * dt, 0.0)
+    return decay, beta, np.sqrt(var_resid)
+
+
+def _ou_advance(zeta, factors, xi, driving_increment, out=None):
+    """decay zeta [+ beta increment] + width xi, written into `out` (which
+    may be zeta itself) or a new array."""
+    decay, beta, width = factors
+    new = np.multiply(decay, zeta, out=out)
+    if beta is not None:
+        new += beta * driving_increment
+    new += width * xi
+    return new

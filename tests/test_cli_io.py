@@ -5,6 +5,7 @@ import os
 import platform
 import re
 import resource
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerqg.cli import main
+from layerqg.cli import build_parser, main
 from layerqg.errors import (ConfigurationError, FieldFormatError,
                             FieldLengthError)
 from layerqg.fieldio import read_field, write_field
@@ -341,7 +342,7 @@ class TestCli:
                        "noise_modes=16\n")
         script = textwrap.dedent(f"""
             import sys
-            from layerqg.cli import main
+            from layerqg.cli import build_parser, main
             for argv in (["run", "--out", {str(tmp_path / "run")!r}],
                          ["invariant", "--out", {str(tmp_path / "inv")!r},
                           "--horizons", "0.05", "--paths", "2"]):
@@ -385,3 +386,27 @@ class TestCli:
         assert manifest["l2_dominated"] and manifest["l4_dominated"]
         header = (out / "diagnostics.csv").read_text().split("\n")[0]
         assert "weak_residual" in header
+
+    def test_reused_parser_writes_first_call_bytes(self, tmp_path):
+        # the argparse tree is built once per process: after parsing other
+        # commands and flags it must give each command the bytes, manifest
+        # included, of a call that builds the tree afresh
+        cfg = self.write_cfg(tmp_path, "sigma=1.0\nnonlinearity=on\n"
+                             "init=lowband:3:1.0:2\n")
+        calls = {"run": ("run", "--seed", "3", "--snap-every", "5"),
+                 "tightness": ("tightness", "--seed", "4", "--rate", "2",
+                               "--horizon", "0.1"),
+                 "run_again": ("run", "--seed", "5", "--threads", "2")}
+
+        def outputs(name, argv):
+            out = tmp_path / name
+            assert run_cli(*argv, "--config", str(cfg), "--out",
+                           str(out)) == 0
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            shutil.rmtree(out)
+            return files
+
+        reused = {name: outputs(name, argv) for name, argv in calls.items()}
+        for name, argv in calls.items():
+            build_parser.cache_clear()
+            assert outputs(name, argv) == reused[name], name

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from layerqg.coupling import (apply_operator, eigenpairs, lambda_from_physical,
                               solve_elliptic, solve_elliptic_coeffs,
                               symmetrize, velocity)
-from layerqg.errors import ConfigurationError
+from layerqg.errors import ConfigurationError, ShapeError
 from layerqg.spectral import LayerField, build_basis, single_mode_field
 
 from conftest import random_band_coeffs
@@ -105,6 +105,15 @@ class TestEllipticSolve:
         for p in range(2):
             assert np.array_equal(psi_hat[p],
                                   solve_elliptic_coeffs(cp, q_hat[p]))
+        # `out` receives the same bits; it must be contiguous and of the
+        # input's shape
+        out = np.empty((2,) + q_hat.shape)
+        got = solve_elliptic_coeffs(cp, q_hat, out=out[1])
+        assert np.shares_memory(got, out)
+        assert np.array_equal(out[1], psi_hat)
+        for bad in (out[:, 0], out[0, :1]):
+            with pytest.raises(ShapeError):
+                solve_elliptic_coeffs(cp, q_hat, out=bad)
 
     def test_eigenfunction_input(self, basis16, coupling16, pairs16):
         rho = pairs16.field(5)

@@ -123,6 +123,18 @@ class TestNonlinearTerm:
             assert rel(term.spectral(), exact(other, q_hat[p])) <= 1e-13
 
 
+    def test_guard_peak_is_the_abs_max(self):
+        # the CFL guard reads max |g| without the |g| temporary: bitwise
+        # the same number, and NaN still reaches the overflow check
+        rng = np.random.default_rng(3)
+        for grid in (rng.standard_normal((2, 3, 7, 7)),
+                     -np.abs(rng.standard_normal(50)), np.zeros(4)):
+            assert dynamics._abs_peak(grid) == np.max(np.abs(grid))
+        grid = rng.standard_normal(20)
+        grid[7] = np.nan
+        assert np.isnan(dynamics._abs_peak(grid))
+
+
 class TestTrajectory:
     def test_lp_decay_under_transport(self, basis16, coupling16, pairs16,
                                       quiet_noise):
@@ -224,6 +236,33 @@ class TestTrajectory:
                 assert np.array_equal(rec.observables[ob.name],
                                       single.observables[ob.name]), ob.name
 
+
+    def test_stepper_workspace_follows_the_batch(self):
+        # one Stepper stepping P = 1, 3, 1 in turn gives the bits of fresh
+        # Steppers, writes into neither input, and later steps leave its
+        # earlier results alone
+        cfg = realize(RunSettings(modes_x=16, modes_y=16, dt=1e-3,
+                                  viscosity=0.05, noise_modes=48), seed=5)
+        rng = np.random.default_rng(9)
+        stepper = dynamics.Stepper(cfg)
+        results = []
+        for n_paths in (1, 3, 1):
+            eta, w = (np.stack([scale * random_band_coeffs(rng, cfg.basis)
+                                for _ in range(n_paths)])
+                      for scale in (1.0, 0.1))
+            eta_before, w_before = eta.copy(), w.copy()
+            got = stepper.advance(eta, w, 0.0)
+            assert np.array_equal(eta, eta_before)
+            assert np.array_equal(w, w_before)
+            assert np.array_equal(got, dynamics.Stepper(cfg).advance(
+                eta, w, 0.0))
+            for p in range(n_paths):
+                alone = dynamics.Stepper(cfg).advance(eta[p:p + 1],
+                                                      w[p:p + 1], 0.0)
+                assert np.array_equal(got[p:p + 1], alone)
+            results.append((got, got.copy()))
+        for got, copy in results:
+            assert np.array_equal(got, copy)
 
     def test_large_grids_step_in_smaller_batches(self, monkeypatch):
         cfg = realize(RunSettings(modes_x=16, modes_y=16, dt=1e-3,

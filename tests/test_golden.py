@@ -1,4 +1,4 @@
-"""Golden outputs: five small canonical runs against stored exact values.
+"""Golden outputs: six small canonical runs against stored exact values.
 
 The values in golden.json were written by `python tests/test_golden.py`
 (`python tests/test_golden.py RUN ...` rewrites only the named runs) and
@@ -19,6 +19,7 @@ import pytest
 from layerqg.dynamics import parse_observables, run_trajectory
 from layerqg.experiments import (log_estimate_monitor, lp_envelope,
                                  w14_monitor, weak_residual)
+from layerqg.measures import tightness_diagnostic
 from layerqg.runconfig import RunSettings, realize
 from layerqg.spectral import single_mode_field
 from layerqg.sweeps import galerkin_sweep
@@ -69,6 +70,17 @@ def _diagnose():
     return out
 
 
+def _tightness():
+    """The three series of the confinement run with its coupled OU state."""
+    config = realize(RunSettings(modes_x=8, modes_y=8, sigma=2.0,
+                                 noise_modes=24, dt=5e-3, horizon=0.5),
+                     seed=17)
+    report = tightness_diagnostic(config, rate=2.0, horizon=0.5)
+    return {"q_inf": report.q_inf_series.tolist(),
+            "theta_inf": report.theta_inf_series.tolist(),
+            "zeta_norm": report.zeta_norm_series.tolist()}
+
+
 RUNS = {
     "linear_n8": lambda: _trajectory(
         modes_x=8, modes_y=8, nonlinearity="off", dt=2e-3, horizon=0.1,
@@ -81,6 +93,7 @@ RUNS = {
         init="lowband:6:8.0:2", obs_every=5),
     "galerkin_sweep_8_12_16": _galerkin,
     "diagnose_n16": _diagnose,
+    "tightness_n8": _tightness,
 }
 
 

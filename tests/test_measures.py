@@ -194,6 +194,25 @@ class TestTightness:
             direct[s] = zeta[0] * np.exp(j_cum[s]) + integral
         assert np.max(np.abs(envelope / direct - 1)) <= 1e-12
 
+    def test_non_finite_ou_state_stops_the_run_at_the_next_sample(
+            self, basis16, coupling16, pairs16, monkeypatch):
+        # the OU state is updated in place without a per-step check; the
+        # sampled zeta norm reports a non-finite state at the next sample
+        from layerqg import measures
+        cfg = linear_config(basis16, coupling16, pairs16, horizon=1.0)
+        advance, steps = measures._ou_advance, []
+
+        def spoiled(zeta, factors, xi, increment, out):
+            steps.append(len(steps) + 1)
+            advance(zeta, factors, xi, increment, out=out)
+            if len(steps) == 3:
+                out[0] = np.nan
+
+        monkeypatch.setattr(measures, "_ou_advance", spoiled)
+        with pytest.raises(ConfigurationError, match="non-finite OU state"):
+            tightness_diagnostic(cfg, rate=2.0, horizon=1.0, sample_every=5)
+        assert len(steps) == 5
+
     def test_rate_guard(self, basis16, coupling16, pairs16):
         cfg = linear_config(basis16, coupling16, pairs16)
         with pytest.raises(ConfigurationError):

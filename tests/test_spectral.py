@@ -190,6 +190,24 @@ class TestLpNorms:
         summed = lp_norm_layerwise(f, 4)
         assert folded <= summed <= 3 ** 0.75 * folded + 1e-12
 
+    def test_exponents_share_one_power_chain(self, basis16):
+        # ascending exponents continue one product chain: each norm has
+        # the bits of its exponent alone; a descending list is refused
+        rng = np.random.default_rng(8)
+        grid = basis16.inverse(np.stack([random_band_coeffs(rng, basis16)
+                                         for _ in range(2)]))
+        peak = spectral.grid_peak(grid)
+        square = spectral.peak_scaled_square(grid, peak)
+        weights = basis16.quad_weights
+        together = spectral.scaled_lp_norms(peak, square, weights, (2, 4, 8))
+        for p, norm in zip((2, 4, 8), together):
+            alone = spectral.scaled_lp_norms(peak, square, weights, (p,))[0]
+            assert np.array_equal(norm, alone)
+            assert np.array_equal(norm, spectral.grid_lp_norm(grid, weights,
+                                                              p))
+        with pytest.raises(UnsupportedExponentError):
+            spectral.scaled_lp_norms(peak, square, weights, (4, 2))
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_monotone_in_p_single_layer(self, seed):
