@@ -96,21 +96,37 @@ def _config_snaps(args):
     return 0
 
 
+def _ladder(flag, text, cast):
+    """The comma list `text` of a ladder flag, each value cast; a value
+    that does not parse names the flag."""
+    try:
+        return [cast(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag}: cannot parse {text!r} as a list of {cast.__name__}")
+
+
 class _Session:
     """One command: its settings, realized config, output directory and
-    the artifacts written so far."""
+    the artifacts written so far.  The directory is made at the first
+    write, so a command rejected before it writes (a config or flag
+    error) leaves none."""
 
     def __init__(self, args):
         self.args = args
         self.settings, self.defaulted = parse_config(args.config)
-        self.out = Path(args.out)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.config = realize(self.settings, args.seed,
                               snap_every=_config_snaps(args))
+        self.out = Path(args.out)
         self.artifacts = []
 
+    def path(self, name):
+        """`name` in the output directory, which this makes if missing."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
+
     def csv(self, name, header, rows):
-        path = self.out / name
+        path = self.path(name)
         _write_csv(path, header, rows)
         self.artifacts.append(path)
 
@@ -131,7 +147,7 @@ class _Session:
         }
         if extra:
             manifest.update(extra)
-        path = self.out / "manifest.json"
+        path = self.path("manifest.json")
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     def stopped(self, err):
@@ -169,7 +185,7 @@ def cmd_run(run):
             ([t] + [record.observables[n][i] for n in names]
              for i, t in enumerate(record.times)))
     for i, q in enumerate(record.q_snapshots):
-        snap = run.out / f"snapshot_{i:06d}.lqg"
+        snap = run.path(f"snapshot_{i:06d}.lqg")
         write_field(snap, LayerField.from_coeffs(config.basis, q))
         run.artifacts.append(snap)
     if stop is not None:
@@ -179,7 +195,7 @@ def cmd_run(run):
 
 def cmd_galerkin(run):
     args = run.args
-    ladder = [int(v) for v in args.n_ladder.split(",")]
+    ladder = _ladder("--n-ladder", args.n_ladder, int)
     report = galerkin_sweep(run.config, ladder,
                             snap_every=args.snap_every or 1,
                             threads=args.threads)
@@ -194,7 +210,7 @@ def cmd_galerkin(run):
 
 def cmd_viscosity(run):
     args = run.args
-    ladder = [float(v) for v in args.eps_ladder.split(",")]
+    ladder = _ladder("--eps-ladder", args.eps_ladder, float)
     report = viscosity_sweep(run.config, ladder,
                              snap_every=args.snap_every or 1,
                              threads=args.threads)
@@ -210,7 +226,7 @@ def cmd_viscosity(run):
 
 def cmd_stability(run):
     args = run.args
-    ladder = [float(v) for v in args.delta_ladder.split(",")]
+    ladder = _ladder("--delta-ladder", args.delta_ladder, float)
     pert = single_mode_field(run.config.basis, 1, 2, [1.0, -0.5, 0.25])
     report = yudovich_stability(run.config, ladder, pert,
                                 snap_every=args.snap_every or 1,
@@ -224,7 +240,7 @@ def cmd_stability(run):
 
 def cmd_invariant(run):
     args = run.args
-    horizons = [float(v) for v in args.horizons.split(",")]
+    horizons = _ladder("--horizons", args.horizons, float)
     observables = parse_observables(run.settings.observables,
                                     run.config.pairs)
     measures = kb_average(run.config, horizons, observables,
@@ -368,7 +384,7 @@ def main(argv=None):
         except (BlowUpError, TimeStepError) as err:
             return run.stopped(err)
         return 0
-    except ConfigurationError as err:
+    except (ConfigurationError, TimeStepError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -80,10 +80,11 @@ def symmetrize(lambdas, basis: SpectralBasis, scale: float = 1.0) -> LayerCoupli
     definite with eigenvalues <= -min(h) lambda_{n,m}.
     """
     l1, l2, l3 = lambdas
-    if min(l1, l2, l3) <= 0:
-        raise ConfigurationError("all lambda_i must be positive")
+    for i, value in enumerate(lambdas, start=1):
+        if value <= 0:
+            raise ConfigurationError(f"lambda{i} must be positive")
     if scale <= 0:
-        raise ConfigurationError("scale must be positive")
+        raise ConfigurationError("lambda_scale must be positive")
     h = scale / np.array([l1, l2, l3])
     ltilde = _TEMPLATE * np.array([l1, l2, l3])[:, None]
     lmat = np.diag(h) @ ltilde

@@ -112,9 +112,8 @@ class ObsContext:
     spectral observables read the coefficients and need no grid.
     """
 
-    def __init__(self, basis, coupling, q_hat, w_hat):
+    def __init__(self, basis, q_hat, w_hat):
         self.basis = basis
-        self.coupling = coupling
         self.q_hat = q_hat
         self.w_hat = w_hat
 
@@ -273,13 +272,16 @@ class SimConfig:
             raise TimeStepError(
                 f"dt={self.dt} exceeds stability ceiling "
                 f"{self.cfl_safety}/gamma={self.cfl_safety / self.gamma}")
+        if abs(self.n_steps * self.dt - self.horizon) > 1e-9 * self.horizon:
+            raise ConfigurationError("horizon must be a multiple of dt")
+        if self.obs_every < 1:
+            raise ConfigurationError("obs_every must be >= 1")
+        if self.snap_every < 0:
+            raise ConfigurationError("snap_every must be >= 0")
 
     @property
     def n_steps(self) -> int:
-        n = round(self.horizon / self.dt)
-        if abs(n * self.dt - self.horizon) > 1e-9 * self.horizon:
-            raise ConfigurationError("horizon must be a multiple of dt")
-        return n
+        return round(self.horizon / self.dt)
 
     def config_hash(self) -> str:
         text = (f"{self.basis}|{self.coupling.lambdas}|{self.coupling.scale}|"
@@ -488,6 +490,8 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     past _BATCH_POINTS step in further batches.
     """
     basis, n_steps, n_paths = cfg.basis, cfg.n_steps, len(streams)
+    if n_paths < 1:
+        raise ConfigurationError("n_paths must be >= 1")
     per_batch = max(1, _BATCH_POINTS // (N_LAYERS * basis.quad_weights.size))
     if n_paths > per_batch:
         return [rec for i in range(0, n_paths, per_batch)
@@ -516,7 +520,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
 
     def record(j):
         if j % cfg.obs_every == 0 or j == n_steps:
-            ctx = ObsContext(basis, cfg.coupling, eta + w, w)
+            ctx = ObsContext(basis, eta + w, w)
             for o, ob in enumerate(observables):
                 series[len(times), o] = ob(ctx)
             times.append(j * cfg.dt)

@@ -63,8 +63,6 @@ def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1):
     if max(horizons) > config.horizon + 1e-12:
         raise ConfigurationError(
             f"horizon {max(horizons)} exceeds simulated length {config.horizon}")
-    if n_paths < 1:
-        raise ConfigurationError("n_paths must be >= 1")
     cfg = replace(config, init="zero", snap_every=0)
     records = _run_paths(cfg, observables, range(n_paths))
     times = records[0].times

@@ -2,8 +2,10 @@
 
 One `key=value` pair per line, `#` starts a comment, blank lines ignored.
 Unknown keys are an error (listing every offender); missing keys fall back
-to defaults and are echoed in the run manifest.  Constraint violations
-name the violated constraint.
+to defaults and are echoed in the run manifest.  Parsing checks only this
+grammar and the value types; `realize` builds the simulation objects, and
+each of them checks the constraints on its own parameters, naming the
+violated constraint.
 """
 
 from __future__ import annotations
@@ -48,12 +50,8 @@ class RunSettings:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_CASTS = {float: float, int: int, str: str}
-
-
 def parse_config(path) -> tuple[RunSettings, list[str]]:
     """Parse a config file; returns (settings, list of defaulted keys)."""
-    known = {f.name: f.type for f in fields(RunSettings)}
     typed = {f.name: type(getattr(RunSettings(), f.name))
              for f in fields(RunSettings)}
     values = {}
@@ -68,11 +66,11 @@ def parse_config(path) -> tuple[RunSettings, list[str]]:
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in known:
+            if key not in typed:
                 unknown.append(key)
                 continue
             try:
-                values[key] = _CASTS[typed[key]](val)
+                values[key] = typed[key](val)
             except ValueError:
                 raise ConfigurationError(
                     f"{path}:{lineno}: cannot parse {key}={val!r} "
@@ -80,53 +78,23 @@ def parse_config(path) -> tuple[RunSettings, list[str]]:
     if unknown:
         raise ConfigurationError(
             "unknown configuration keys: " + ", ".join(sorted(unknown)))
-    settings = RunSettings(**values)
-    defaulted = [k for k in known if k not in values]
-    validate_settings(settings)
-    return settings, defaulted
-
-
-def validate_settings(s: RunSettings):
-    """Named constraint checks, raised before any realization."""
-    if s.gamma <= 0:
-        raise ConfigurationError("gamma must be positive")
-    for name in ("lambda1", "lambda2", "lambda3"):
-        if getattr(s, name) <= 0:
-            raise ConfigurationError(f"{name} must be positive")
-    if s.lambda_scale <= 0:
-        raise ConfigurationError("lambda_scale must be positive")
-    _basis(s)
-    if s.dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    if s.viscosity < 0:
-        raise ConfigurationError("viscosity must be nonnegative")
-    if s.sigma < 0:
-        raise ConfigurationError("sigma must be nonnegative")
-    if s.cfl_safety < 0:
-        raise ConfigurationError("cfl_safety must be nonnegative")
-    if s.cfl_safety > 0 and s.dt > s.cfl_safety / s.gamma:
-        raise ConfigurationError(
-            f"dt must satisfy dt <= cfl_safety/gamma = "
-            f"{s.cfl_safety / s.gamma} (stability ceiling)")
-    if s.nonlinearity not in ("on", "off"):
-        raise ConfigurationError("nonlinearity must be 'on' or 'off'")
-    if s.obs_every < 1:
-        raise ConfigurationError("obs_every must be >= 1")
-    if s.horizon <= 0:
-        raise ConfigurationError("horizon must be positive")
-
-
-def _basis(s: RunSettings):
-    """The basis the settings describe; `build_basis` checks the domain,
-    the mode counts and the dealiasing floor of the grid."""
-    return build_basis(s.domain_lx, s.domain_ly, s.modes_x, s.modes_y,
-                       s.grid_x or None, s.grid_y or None)
+    defaulted = [k for k in typed if k not in values]
+    return RunSettings(**values), defaulted
 
 
 def realize(settings: RunSettings, seed: int, snap_every: int = 0) -> SimConfig:
-    """Build the immutable simulation objects from scalar settings."""
+    """Build the immutable simulation objects from scalar settings.
+
+    The first violated constraint raises, in build order: `build_basis`
+    (domain, mode counts, dealiasing floor), `symmetrize` (lambda_i and
+    scale), the noise, then `SimConfig` (gamma, viscosity, dt, horizon,
+    cadences, stability ceiling).
+    """
     s = settings
-    basis = _basis(s)
+    if s.nonlinearity not in ("on", "off"):
+        raise ConfigurationError("nonlinearity must be 'on' or 'off'")
+    basis = build_basis(s.domain_lx, s.domain_ly, s.modes_x, s.modes_y,
+                        s.grid_x or None, s.grid_y or None)
     coupling = symmetrize((s.lambda1, s.lambda2, s.lambda3), basis,
                           s.lambda_scale)
     k = s.noise_modes or default_mode_count(basis)

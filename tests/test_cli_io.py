@@ -17,7 +17,7 @@ import pytest
 
 from layerqg.cli import build_parser, main
 from layerqg.errors import (ConfigurationError, FieldFormatError,
-                            FieldLengthError)
+                            FieldLengthError, TimeStepError)
 from layerqg.fieldio import read_field, write_field
 from layerqg.runconfig import RunSettings, parse_config, realize
 from layerqg.spectral import LayerField
@@ -38,8 +38,9 @@ class TestConfigParsing:
         assert "dt" in defaulted
 
     def test_negative_gamma_named(self, tmp_path):
+        settings, _ = parse_config(self.write(tmp_path, "gamma=-1\n"))
         with pytest.raises(ConfigurationError, match="gamma must be positive"):
-            parse_config(self.write(tmp_path, "gamma=-1\n"))
+            realize(settings, seed=0)
 
     def test_empty_file_all_defaults(self, tmp_path):
         settings, defaulted = parse_config(self.write(tmp_path, ""))
@@ -65,12 +66,25 @@ class TestConfigParsing:
             parse_config(self.write(tmp_path, "modes_x=twelve\n"))
 
     def test_dealiasing_constraint_named(self, tmp_path):
+        settings, _ = parse_config(
+            self.write(tmp_path, "modes_x=16\ngrid_x=20\n"))
         with pytest.raises(ConfigurationError, match="dealiasing"):
-            parse_config(self.write(tmp_path, "modes_x=16\ngrid_x=20\n"))
+            realize(settings, seed=0)
 
     def test_dt_ceiling_named(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="stability ceiling"):
-            parse_config(self.write(tmp_path, "gamma=0.5\ndt=1.5\n"))
+        settings, _ = parse_config(self.write(tmp_path, "gamma=0.5\ndt=1.5\n"))
+        with pytest.raises(TimeStepError, match="stability ceiling"):
+            realize(settings, seed=0)
+
+    @pytest.mark.parametrize("bad, snap_every, message", [
+        (dict(nonlinearity="of"), 0, "nonlinearity must be 'on' or 'off'"),
+        (dict(obs_every=0), 0, "obs_every must be >= 1"),
+        ({}, -1, "snap_every must be >= 0")],
+        ids=["nonlinearity", "obs_every", "snap_every"])
+    def test_realize_rejects(self, bad, snap_every, message):
+        settings = RunSettings(modes_x=4, modes_y=4, **bad)
+        with pytest.raises(ConfigurationError, match=message):
+            realize(settings, seed=0, snap_every=snap_every)
 
     def test_realize_builds_consistent_objects(self, tmp_path):
         # one mode along x gives the default noise_modes 3 * 1^2 // 4 = 0
@@ -231,12 +245,36 @@ class TestCli:
         rows = (out / "viscosity.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + 2    # header + one row per rung pair
 
-    def test_constraint_error_exit_code(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("gamma=-1\n")
+    CONSTRAINTS = {"gamma=-1": "gamma must be positive",
+                   "dt=1.5": "stability ceiling",
+                   "horizon=0.105": "horizon must be a multiple of dt",
+                   "lambda2=-1": "lambda2 must be positive",
+                   "nonlinearity=of": "nonlinearity must be 'on' or 'off'",
+                   "obs_every=0": "obs_every must be >= 1"}
+
+    @pytest.mark.parametrize("line", list(CONSTRAINTS))
+    def test_constraint_error_exit_code(self, tmp_path, capsys, line):
+        # the realized objects reject the config before any output exists
+        cfg = self.write_cfg(tmp_path, line + "\n")
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg), "--seed", "1",
                        "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and self.CONSTRAINTS[line] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("galerkin", "--n-ladder"), ("viscosity", "--eps-ladder"),
+        ("stability", "--delta-ladder"), ("invariant", "--horizons")],
+        ids=lambda v: v.lstrip("-"))
+    def test_bad_ladder_flag_exit_code(self, tmp_path, capsys, command, flag):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--seed", "1",
+                       "--out", str(out), flag, "4,x,8") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {flag}: cannot parse '4,x,8'")
+        assert not out.exists()
 
     def test_blow_up_exit_code(self, tmp_path):
         cfg = tmp_path / "blow.cfg"

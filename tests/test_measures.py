@@ -132,6 +132,15 @@ class TestInvariance:
         assert not rep.rejected.any()
         assert rep.n_samples >= 30
 
+    def test_no_paths_rejected(self, basis16, coupling16, pairs16):
+        # the stepping loop that both measures share makes the check
+        cfg = linear_config(basis16, coupling16, pairs16, horizon=2.0)
+        with pytest.raises(ConfigurationError, match="n_paths must be >= 1"):
+            invariance_test(cfg, burn_in=0.5, window=1.0,
+                            observables=[obs_lp(2)], n_paths=0)
+        with pytest.raises(ConfigurationError, match="n_paths must be >= 1"):
+            kb_average(cfg, [1.0], [obs_lp(2)], n_paths=0)
+
     def test_short_window_rejected(self, basis16, coupling16, pairs16):
         cfg = linear_config(basis16, coupling16, pairs16, horizon=30.0)
         with pytest.raises(SamplingError):
