@@ -1,4 +1,4 @@
-"""Golden outputs: six small canonical runs against stored exact values.
+"""Golden outputs: eight small canonical runs against stored exact values.
 
 The values in golden.json were written by `python tests/test_golden.py`
 (`python tests/test_golden.py RUN ...` rewrites only the named runs) and
@@ -22,7 +22,8 @@ from layerqg.experiments import (log_estimate_monitor, lp_envelope,
 from layerqg.measures import tightness_diagnostic
 from layerqg.runconfig import RunSettings, realize
 from layerqg.spectral import single_mode_field
-from layerqg.sweeps import galerkin_sweep
+from layerqg.sweeps import (galerkin_sweep, viscosity_sweep,
+                            yudovich_stability)
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 GOLDEN_TOL = 1e-12
@@ -46,6 +47,30 @@ def _galerkin():
                      seed=3)
     report = galerkin_sweep(config, [8, 12, 16], snap_every=5)
     return {"distances": report.distances.tolist()}
+
+
+def _viscosity():
+    config = realize(RunSettings(modes_x=8, modes_y=8, dt=2e-3, horizon=0.04,
+                                 init="lowband:4:3.0:5", noise_modes=12),
+                     seed=3)
+    report = viscosity_sweep(config, [0.2, 0.1, 0.05], snap_every=5)
+    return {"distances": report.distances.tolist(),
+            "est2": report.extras["est2"].tolist()}
+
+
+def _stability():
+    """z_T, the largest step jump and every z series of a three-delta
+    ladder from a nonzero datum."""
+    config = realize(RunSettings(modes_x=8, modes_y=8, dt=2e-3, horizon=0.04,
+                                 init="lowband:4:3.0:5", noise_modes=12),
+                     seed=3)
+    pert = single_mode_field(config.basis, 1, 2, [1.0, -0.5, 0.25])
+    report = yudovich_stability(config, [0.1, 0.01, 0.001], pert,
+                                snap_every=5)
+    return {"times": report.extras["times"].tolist(),
+            "z_T": report.distances.tolist(),
+            "max_jump": report.extras["max_jump"].tolist(),
+            "z_series": np.concatenate(report.extras["z_series"]).tolist()}
 
 
 def _diagnose():
@@ -92,6 +117,8 @@ RUNS = {
         modes_x=16, modes_y=16, viscosity=0.1, dt=1e-3, horizon=0.05,
         init="lowband:6:8.0:2", obs_every=5),
     "galerkin_sweep_8_12_16": _galerkin,
+    "viscosity_n8": _viscosity,
+    "stability_n8": _stability,
     "diagnose_n16": _diagnose,
     "tightness_n8": _tightness,
 }
