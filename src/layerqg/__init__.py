@@ -17,7 +17,7 @@ from .fieldio import read_field, write_field
 from .measures import (AveragedMeasure, TightnessReport, invariance_test,
                        kb_average, tightness_diagnostic)
 from .noise import (BrownianIncrements, NoiseSpec, OUState, make_noise,
-                    ou_step, regularity_check, sample_increment, sample_path,
+                    ou_step, regularity_check, sample_path,
                     sigma_for_stationary_l2)
 from .runconfig import RunSettings, parse_config, realize
 from .spectral import (LayerField, SpectralBasis, build_basis,

@@ -14,7 +14,6 @@ Python, NumPy, SciPy and BLAS versions and the CPU count.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import hashlib
 import json
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, rng as rngmod
-from .dynamics import parse_observables, run_trajectory
+from .dynamics import _keep_freed_heap, parse_observables, run_trajectory
 from .errors import (BlowUpError, ConfigurationError, TimeStepError)
 from .experiments import (_snapshot_series, log_estimate_monitor,
                           lp_envelope, w14_monitor, weak_residual)
@@ -164,11 +163,18 @@ class _Session:
         return 2
 
 
+def _thread_count(text):
+    """A `--threads` value: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 1: {text!r}")
+    return int(text)
+
+
 def _common(parser):
     parser.add_argument("--config", required=True, help="key=value file")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_thread_count, default=1)
 
 
 def cmd_run(run):
@@ -234,8 +240,7 @@ def cmd_stability(run):
     run.csv("stability.csv", ["delta", "z_T", "max_step_jump"],
             zip(ladder, report.distances, report.extras["max_jump"]))
     run.manifest({
-        "z_decreasing": bool(np.all(np.diff(report.distances) < 0)),
-        "runtimes": report.runtimes.tolist()})
+        "z_decreasing": bool(np.all(np.diff(report.distances) < 0))})
 
 
 def cmd_invariant(run):
@@ -244,7 +249,7 @@ def cmd_invariant(run):
     observables = parse_observables(run.settings.observables,
                                     run.config.pairs)
     measures = kb_average(run.config, horizons, observables,
-                          n_paths=args.paths)
+                          n_paths=args.paths, threads=args.threads)
     rows = []
     for m in measures:
         for name, mean, err in zip(m.names, m.means, m.stderrs):
@@ -350,28 +355,6 @@ def build_parser():
     p.add_argument("--snap-every", type=int, default=1)
     p.set_defaults(func=cmd_diagnose)
     return parser
-
-
-@functools.cache
-def _keep_freed_heap():
-    """Let glibc keep freed heap memory instead of returning it to the OS.
-
-    A time step allocates and frees a few dozen grid arrays of
-    3 (Gx+2)(Gy+2) doubles, 400 KB at N = 64.  Under glibc's adaptive
-    defaults the heap top is trimmed whenever two of them are freed
-    together, and the next step faults the same pages back in: about a
-    thousand page faults per step, a quarter of the step's time at N = 64,
-    and the part that varies most on a shared host.  Fixed thresholds
-    (arrays under 32 MB on the heap, trim only past 64 MB free) keep those
-    pages mapped.  Other C libraries are left as they are.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):
-        return
-    m_trim_threshold, m_mmap_threshold = -1, -3
-    mallopt(m_mmap_threshold, 32 << 20)
-    mallopt(m_trim_threshold, 64 << 20)
 
 
 def main(argv=None):

@@ -38,8 +38,10 @@ warnings are silenced once around the loop.
 
 from __future__ import annotations
 
+import concurrent.futures
+import ctypes
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 import hashlib
 
 import numpy as np
@@ -345,11 +347,6 @@ class Stepper:
             self._stack = np.empty((2,) + shape)
         return self._stack
 
-    def transport_hat(self, q_hat, t):
-        """Galerkin projection of u . grad q at time t."""
-        self._workspace(q_hat.shape)[1] = q_hat
-        return self._stack_transport(t)
-
     def _stack_transport(self, t):
         """Transport of the q_hat in the workspace's slot 1; the elliptic
         solve writes psi_hat into slot 0.
@@ -473,10 +470,13 @@ _BATCH_POINTS = 1 << 17
 
 
 def _run_paths(cfg: SimConfig, observables, streams, initial=None,
-               noise_path=None, hook=None, hook_draws=0) -> list:
+               noise_path=None, hook=None, hook_draws=0,
+               threads: int = 1) -> list:
     """Step P = len(streams) paths as one (P, 3, Nx, Ny) state.
 
-    Path p draws from the Philox stream (cfg.seed, streams[p]), per step
+    Path p starts from `initial` (one (3, Nx, Ny) datum for every path,
+    or row p of a (P, 3, Nx, Ny) array; default the config descriptor)
+    and draws from the Philox stream (cfg.seed, streams[p]), per step
     the K normals of its increment (unless the noise is off or comes from
     `noise_path`), then `hook_draws` rows of K normals for the `hook(dw,
     normals)` called after each increment with the (K, P) weighted
@@ -487,27 +487,33 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     largest |u| of all paths.  Returns one TrajectoryRecord per path; a
     blow-up raises BlowUpError, and a CFL abort the guard's TimeStepError,
     with the partial record of the path with the largest state.  Paths
-    past _BATCH_POINTS step in further batches.
+    past _BATCH_POINTS step in further batches, which `_fan_out` spreads
+    over `threads` threads.
     """
     basis, n_steps, n_paths = cfg.basis, cfg.n_steps, len(streams)
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
-    per_batch = max(1, _BATCH_POINTS // (N_LAYERS * basis.quad_weights.size))
-    if n_paths > per_batch:
-        return [rec for i in range(0, n_paths, per_batch)
-                for rec in _run_paths(cfg, observables,
-                                      streams[i:i + per_batch], initial,
-                                      noise_path, hook, hook_draws)]
     if noise_path is not None and (noise_path.n_steps != n_steps or abs(
             noise_path.dt - cfg.dt) > 1e-12 * cfg.dt):
         raise ConfigurationError("noise path does not match config grid")
+    shape = (N_LAYERS,) + basis.spectral_shape
     if initial is None:
         initial = initial_coeffs(cfg.init, basis)
-    elif initial.shape != (N_LAYERS,) + basis.spectral_shape:
+    elif initial.shape not in (shape, (n_paths,) + shape):
         raise ShapeError(f"initial shape {initial.shape} invalid")
+    _keep_freed_heap()
+    per_batch = max(1, _BATCH_POINTS // (N_LAYERS * basis.quad_weights.size))
+    if n_paths > per_batch:
+        def batch(i):
+            part = initial if initial.ndim == 3 else initial[i:i + per_batch]
+            return _run_paths(cfg, observables, streams[i:i + per_batch],
+                              part, noise_path, hook, hook_draws)
+        return [rec for records in _fan_out(
+                    batch, range(0, n_paths, per_batch), threads)
+                for rec in records]
     stepper = Stepper(cfg)
-    eta = np.repeat(initial[None], n_paths, axis=0)
-    w = np.zeros_like(eta)
+    eta = np.broadcast_to(initial, (n_paths,) + shape)   # never written to
+    w = np.zeros(eta.shape)
     noisy = cfg.noise.sigma > 0 and cfg.noise.k > 0
     drawn = int(noisy and noise_path is None)
     rows, k = drawn + hook_draws, cfg.noise.k
@@ -531,8 +537,8 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
 
     def build(blow_time=None):
         data = series[:len(times)].transpose(2, 1, 0).copy()    # (P, O, T)
-        shape = (-1, n_paths, N_LAYERS) + basis.spectral_shape
-        q_all, w_all = (np.array(s).reshape(shape) for s in (q_snaps, w_snaps))
+        q_all, w_all = (np.array(s).reshape((-1, n_paths) + shape)
+                        for s in (q_snaps, w_snaps))
         return [TrajectoryRecord(
             times=np.array(times), snap_times=np.array(snap_times),
             observables={ob.name: data[p, o]
@@ -576,3 +582,38 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                 hook(dw, block[i, drawn:])
             record(j)
     return build()
+
+
+def _fan_out(worker, items, threads):
+    """[worker(item) for item in items], on `threads` pool threads when
+    more than one.  The results keep the order of `items`, and the first
+    item whose worker raised, in that order, raises."""
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+            return list(pool.map(worker, items))
+    return [worker(item) for item in items]
+
+
+@cache
+def _keep_freed_heap():
+    """Let glibc keep freed heap memory instead of returning it to the OS.
+
+    A time step allocates and frees a few dozen grid arrays of
+    3 (Gx+2)(Gy+2) doubles, 400 KB at N = 64.  Under glibc's adaptive
+    defaults the heap top is trimmed whenever two of them are freed
+    together, and the next step faults the same pages back in: about a
+    thousand page faults per step, a quarter of the step's time at N = 64,
+    and the part that varies most on a shared host.  Fixed thresholds
+    (arrays under 32 MB on the heap, trim only past 64 MB free) keep those
+    pages mapped.  Other C libraries are left as they are.  Cached: the
+    first stepping loop or CLI call of a process sets them.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)

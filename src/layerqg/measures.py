@@ -5,7 +5,7 @@ observables (pairings with band-limited fields, norm functionals): the
 averaged measure at horizon n is the vector of time averages
 (1/n) int_0^n phi(q_t) dt, aggregated over independent sample paths.
 Horizon readouts are nested prefixes of a single long run per path, and
-all paths step together as one batch.
+the paths step as the batches of one `dynamics._run_paths` call.
 
 The confinement diagnostic runs q from zero alongside the exact
 stochastic convolution zeta_lambda of the same noise path and evaluates
@@ -51,11 +51,13 @@ class AveragedMeasure:
         return float(self.stderrs[self.names.index(name)])
 
 
-def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1):
+def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1,
+               threads: int = 1):
     """Averaged measures at nested horizons, one long run per path.
 
     Starts every path at q0 = 0; horizons must ascend and fit inside the
-    configured trajectory length.
+    configured trajectory length.  The path batches step on `threads`
+    threads, which changes no byte.
     """
     horizons = list(horizons)
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
@@ -64,7 +66,7 @@ def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1):
         raise ConfigurationError(
             f"horizon {max(horizons)} exceeds simulated length {config.horizon}")
     cfg = replace(config, init="zero", snap_every=0)
-    records = _run_paths(cfg, observables, range(n_paths))
+    records = _run_paths(cfg, observables, range(n_paths), threads=threads)
     times = records[0].times
     series = np.array([[rec.observables[ob.name] for ob in observables]
                        for rec in records])                    # (P, O, T)
@@ -99,14 +101,15 @@ class InvarianceReport:
 
 def invariance_test(config: SimConfig, burn_in: float, window: float,
                     observables, n_paths: int = 1, shifts=None,
-                    significance: float = 0.01,
-                    min_samples: int = 30) -> InvarianceReport:
+                    significance: float = 0.01, min_samples: int = 30,
+                    threads: int = 1) -> InvarianceReport:
     """Shift-invariance of the law after burn-in.
 
     Compares the empirical distribution of each observable over
     [burn_in, burn_in + window] against windows shifted by s, pooling
     thinned samples (spacing about 2/gamma) across paths, with a
-    two-sample Kolmogorov-Smirnov test per observable and shift.
+    two-sample Kolmogorov-Smirnov test per observable and shift.  The
+    path batches step on `threads` threads, which changes no byte.
     """
     # deferred: scipy.stats adds ~1 s to start-up and no CLI command runs it
     from scipy.stats import ks_2samp
@@ -119,7 +122,8 @@ def invariance_test(config: SimConfig, burn_in: float, window: float,
             f"need horizon >= {needed}, have {config.horizon}")
     obs_dt = config.dt * config.obs_every
     spacing = max(1, int(round(2.0 / config.gamma / obs_dt)))
-    records = _run_paths(config, observables, range(n_paths))
+    records = _run_paths(config, observables, range(n_paths),
+                         threads=threads)
     times = records[0].times
 
     def window_samples(name, start):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coupling import OperatorEigenpairs
 from .errors import ConfigurationError
-from .spectral import LayerField, N_LAYERS, SpectralBasis
+from .spectral import N_LAYERS, SpectralBasis
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,8 @@ def make_noise(pairs: OperatorEigenpairs, k: int | None = None,
                decay: float = 2.0, sigma: float = 1.0) -> NoiseSpec:
     if k is None:
         k = min(default_mode_count(pairs.basis), len(pairs))
+    if k < 0:
+        raise ConfigurationError(f"noise_modes must be nonnegative, got {k}")
     if k > len(pairs):
         raise ConfigurationError(
             f"noise truncation k={k} exceeds available eigenpairs {len(pairs)}")
@@ -145,20 +147,6 @@ class NoiseMixer:
         flat = np.bincount(rows, weights=terms.ravel(),
                            minlength=self._size * n)
         return flat.reshape(lead + (N_LAYERS,) + self.basis.spectral_shape)
-
-    def increment(self, dt: float, rng: np.random.Generator) -> np.ndarray:
-        """One Brownian increment sum_k c_k rho_k xi_k sqrt(dt)."""
-        xi = rng.standard_normal(self.spec.k)
-        return self.coefficients(self.spec.c * xi * np.sqrt(dt))
-
-
-def sample_increment(spec: NoiseSpec, pairs: OperatorEigenpairs, dt: float,
-                     rng: np.random.Generator) -> LayerField:
-    """Draw Delta W as a spectral LayerField; per-mode variance c_k^2 dt."""
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    mixer = NoiseMixer(spec, pairs, pairs.basis)
-    return LayerField.from_coeffs(pairs.basis, mixer.increment(dt, rng))
 
 
 @dataclass(frozen=True)

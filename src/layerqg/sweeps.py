@@ -5,20 +5,23 @@ All comparisons are noise-path-coupled: both members of every pair consume
 the identical Brownian increments (pregenerated per eigenpair and summed
 for coarser steps, or scattered into finer mode cuts), so reported
 distances measure discretization and parameter effects only.
+
+Galerkin and viscosity rungs differ in basis or linear operator: each is
+one `run_trajectory` call, and `dynamics._fan_out` spreads them over
+threads.  The stability runs are the paths of one `_run_paths` call.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rng as rngmod
 from .coupling import eigenpairs, solve_elliptic_coeffs, symmetrize
-from .dynamics import (SimConfig, TrajectoryRecord, initial_coeffs,
-                       run_trajectory)
+from .dynamics import (SimConfig, TrajectoryRecord, _fan_out, _run_paths,
+                       initial_coeffs, run_trajectory)
 from .errors import ConfigurationError, ShapeError
 from .experiments import _trapz
 from .noise import BrownianIncrements, sample_path
@@ -73,14 +76,6 @@ class SweepReport:
 def _coupled_path(config: SimConfig, stream: int) -> BrownianIncrements:
     gen = rngmod.stream(config.seed, stream)
     return sample_path(config.noise, config.n_steps, config.dt, gen)
-
-
-def _fan_out(worker, items, threads):
-    """Run one worker per rung, merging results in rung order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
 
 
 def _l2_sup_distance(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord) -> float:
@@ -185,7 +180,9 @@ def yudovich_stability(config: SimConfig, delta_ladder,
     z_t is the L2 norm of the gradient of the stream-function difference;
     the report carries z_T per delta (as extras) plus its full series,
     max step-to-step jump, and the distances between consecutive deltas'
-    z_T as the ladder metric.  The perturbation is sup-normalized.
+    z_T as the ladder metric.  The perturbation is sup-normalized.  The
+    base and perturbed runs step as one batch, whose CFL guard watches
+    the largest |u| of them all.
     """
     delta_ladder = list(delta_ladder)
     if any(d <= 0 for d in delta_ladder):
@@ -197,31 +194,17 @@ def yudovich_stability(config: SimConfig, delta_ladder,
         raise ConfigurationError("perturbation must be nonzero")
     pert = perturbation.spectral() / peak
 
-    path = _coupled_path(config, stream=0)
-    cfg = replace(config, snap_every=snap_every)
-    base = run_trajectory(cfg, observables=[], noise_path=path)
-    base_psi = solve_elliptic_coeffs(config.coupling, base.q_snapshots)
-
-    def z_series(rec):
-        d = solve_elliptic_coeffs(config.coupling, rec.q_snapshots) - base_psi
-        return np.sqrt(np.sum(d**2 * config.basis.eigenvalues,
-                              axis=(1, 2, 3)))
-
     q0 = initial_coeffs(config.init, config.basis)
-
-    def rung(delta):
-        tic = time.perf_counter()
-        rec = run_trajectory(cfg, observables=[], noise_path=path,
-                             initial=q0 + delta * pert)
-        return z_series(rec), time.perf_counter() - tic
-
-    results = _fan_out(rung, delta_ladder, threads)
-    z_all = [z for z, _ in results]
+    initial = np.stack([q0] + [q0 + delta * pert for delta in delta_ladder])
+    records = _run_paths(replace(config, snap_every=snap_every), [],
+                         [0] * len(initial), initial,
+                         _coupled_path(config, stream=0), threads=threads)
+    psi = solve_elliptic_coeffs(config.coupling, np.stack(
+        [rec.q_snapshots for rec in records]))          # (1 + D, S, ...)
+    z = np.sqrt(np.sum((psi[1:] - psi[0])**2 * config.basis.eigenvalues,
+                       axis=(2, 3, 4)))                 # (D, S)
     return SweepReport(
         kind="stability", ladder=delta_ladder, distance_name="z_T",
-        distances=np.array([float(z[-1]) for z in z_all]),
-        extras={"z_series": z_all, "times": base.snap_times,
-                "max_jump": np.array([
-                    float(np.max(np.abs(np.diff(z)))) if len(z) > 1 else 0.0
-                    for z in z_all])},
-        runtimes=np.array([t for _, t in results]))
+        distances=z[:, -1],
+        extras={"z_series": list(z), "times": records[0].snap_times,
+                "max_jump": np.abs(np.diff(z)).max(axis=1)})

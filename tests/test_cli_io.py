@@ -10,12 +10,15 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from layerqg import dynamics
 from layerqg.cli import build_parser, main
+from layerqg.dynamics import parse_observables, run_trajectory
 from layerqg.errors import (ConfigurationError, FieldFormatError,
                             FieldLengthError, TimeStepError)
 from layerqg.fieldio import read_field, write_field
@@ -218,20 +221,50 @@ class TestCli:
             assert (outs[0] / fname).read_bytes() == \
                 (outs[1] / fname).read_bytes()
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # 4 paths in batches of 3 and 1, which fan out over the threads:
+        # path p is the one-path run on stream p at every thread count
         cfg = tmp_path / "inv.cfg"
         cfg.write_text("modes_x=12\nmodes_y=12\ngamma=0.5\nsigma=1.0\n"
                        "nonlinearity=off\ndt=0.02\nhorizon=20\ninit=zero\n"
                        "observables=l2,h1\n")
+        config = realize(parse_config(cfg)[0], seed=9)
+        obs = parse_observables("l2,h1")
+        alone = [run_trajectory(config, obs, stream=p) for p in range(4)]
+        monkeypatch.setattr(dynamics, "_BATCH_POINTS",
+                            3 * 3 * config.basis.quad_weights.size)
+        names = set()
+        advance = dynamics.Stepper.advance
+
+        def spy(self, eta, w, t):
+            names.add(threading.current_thread().name)
+            return advance(self, eta, w, t)
+
+        def on_threads(threads, call):
+            # the two batches step on two pool threads, or on the caller's
+            names.clear()
+            result = call()
+            assert len(names) == min(threads, 2)
+            assert ("MainThread" in names) == (threads == 1)
+            return result
+
+        monkeypatch.setattr(dynamics.Stepper, "advance", spy)
         digests = []
-        for threads in ("1", "4"):
+        for threads in (1, 2, 3):
+            records = on_threads(threads, lambda: dynamics._run_paths(
+                config, obs, range(4), threads=threads))
+            for rec, ref in zip(records, alone, strict=True):
+                for name in ("l2", "h1"):
+                    assert np.array_equal(rec.observables[name],
+                                          ref.observables[name])
             out = tmp_path / f"t{threads}"
-            assert run_cli("invariant", "--config", str(cfg), "--seed", "9",
-                           "--out", str(out), "--horizons", "10,20",
-                           "--paths", "4", "--threads", threads) == 0
+            argv = ("invariant", "--config", str(cfg), "--seed", "9",
+                    "--out", str(out), "--horizons", "10,20", "--paths", "4",
+                    "--threads", str(threads))
+            assert on_threads(threads, lambda: run_cli(*argv)) == 0
             digests.append(hashlib.sha256(
                 (out / "invariant.csv").read_bytes()).hexdigest())
-        assert digests[0] == digests[1]
+        assert len(set(digests)) == 1
 
     def test_viscosity_report_rows(self, tmp_path):
         cfg = tmp_path / "v.cfg"
@@ -250,7 +283,8 @@ class TestCli:
                    "horizon=0.105": "horizon must be a multiple of dt",
                    "lambda2=-1": "lambda2 must be positive",
                    "nonlinearity=of": "nonlinearity must be 'on' or 'off'",
-                   "obs_every=0": "obs_every must be >= 1"}
+                   "obs_every=0": "obs_every must be >= 1",
+                   "noise_modes=-1": "noise_modes must be nonnegative"}
 
     @pytest.mark.parametrize("line", list(CONSTRAINTS))
     def test_constraint_error_exit_code(self, tmp_path, capsys, line):
@@ -275,6 +309,22 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: {flag}: cannot parse '4,x,8'")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "galerkin", "viscosity",
+                                         "stability", "invariant",
+                                         "tightness", "diagnose"])
+    def test_thread_count_below_one_rejected(self, tmp_path, capsys,
+                                             command):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        for value in ("0", "-1", "x"):
+            with pytest.raises(SystemExit) as exit_:
+                run_cli(command, "--config", str(cfg), "--seed", "1",
+                        "--out", str(out), "--threads", value)
+            assert exit_.value.code == 2
+            assert (f"error: argument --threads: needs an integer >= 1: "
+                    f"'{value}'") in capsys.readouterr().err
+            assert not out.exists()
 
     def test_blow_up_exit_code(self, tmp_path):
         cfg = tmp_path / "blow.cfg"
@@ -325,10 +375,13 @@ class TestCli:
         ("galerkin", "modes_x=16\nmodes_y=16\ninit=mode:1,1:2000,0,0\n",
          ["--n-ladder", "4,6,8"]),
         ("tightness", "modes_x=12\nmodes_y=12\nsigma=1e6\n",
-         ["--horizon", "1"])])
+         ["--horizon", "1"]),
+        ("stability", "modes_x=16\nmodes_y=16\ninit=mode:1,1:2000,0,0\n",
+         ["--delta-ladder", "0.1,0.01"])])
     def test_cfl_abort_leaves_a_manifest(self, tmp_path, command, cfg, flags):
-        # a sweep rung or the tightness run trips the adaptive CFL guard;
-        # the command still writes a manifest that says so
+        # a sweep rung, the stability batch or the tightness run trips the
+        # adaptive CFL guard; the command still writes a manifest that
+        # says so
         path = tmp_path / "cfl.cfg"
         path.write_text(cfg + "dt=0.01\nnoise_modes=8\n")
         out = tmp_path / "out"
@@ -411,6 +464,29 @@ class TestCli:
         assert run_cli(*argv) == 0
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt \
             - before < 1000
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap thresholds are glibc settings")
+    def test_library_runs_reuse_heap_pages(self):
+        # the stepping loop applies the CLI's heap settings itself, so a
+        # library caller in a fresh interpreter gets them too
+        script = textwrap.dedent("""
+            import resource
+            from layerqg.dynamics import run_trajectory
+            from layerqg.runconfig import RunSettings, realize
+            config = realize(RunSettings(
+                modes_x=64, modes_y=64, sigma=1.0, dt=0.001, horizon=0.01,
+                init="lowband:4:1.0:2"), seed=1)
+            run_trajectory(config)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_trajectory(config)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1000
 
     def test_diagnose_outputs(self, tmp_path):
         cfg = tmp_path / "d.cfg"

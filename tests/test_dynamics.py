@@ -114,8 +114,12 @@ class TestNonlinearTerm:
         def rel(got, want):
             return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-        stepped = dynamics.Stepper(config).transport_hat(q_hat, 0.0)
-        assert rel(stepped, exact(psi_hat, q_hat)) <= 1e-13
+        # one step from W = 0 is decay q - phi B; B is ~3e-5 of the step,
+        # so the bound holds B's relative error to ~4e-12
+        stepper = dynamics.Stepper(config)
+        stepped = stepper.advance(q_hat, np.zeros_like(q_hat), 0.0)
+        want = stepper.decay * q_hat - stepper.phi * exact(psi_hat, q_hat)
+        assert rel(stepped, want) <= 1e-16
         for p in range(2):
             other = random_band_coeffs(rng, basis)
             term = nonlinear_term(LayerField.from_coeffs(basis, q_hat[p]),
@@ -236,6 +240,34 @@ class TestTrajectory:
                 assert np.array_equal(rec.observables[ob.name],
                                       single.observables[ob.name]), ob.name
 
+    def test_per_path_initial_data(self, monkeypatch):
+        # path p of a (P, 3, Nx, Ny) datum on a shared noise path is the
+        # one-path run from row p, also when the rows split into batches
+        cfg = realize(RunSettings(modes_x=16, modes_y=16, dt=1e-3,
+                                  horizon=0.03, noise_modes=48),
+                      seed=5, snap_every=5)
+        obs = parse_observables("l2,linf,h1", cfg.pairs)
+        rng = np.random.default_rng(2)
+        init = np.stack([3 * random_band_coeffs(rng, cfg.basis)
+                         for _ in range(3)])
+        path = sample_path(cfg.noise, cfg.n_steps, cfg.dt,
+                           rngmod.stream(5, 0))
+        singles = [run_trajectory(cfg, obs, noise_path=path, initial=q0)
+                   for q0 in init]
+        whole = _run_paths(cfg, obs, [0] * 3, init, path)
+        monkeypatch.setattr(dynamics, "_BATCH_POINTS",
+                            2 * 3 * cfg.basis.quad_weights.size)
+        split = _run_paths(cfg, obs, [0] * 3, init, path, threads=2)
+        for batch in (whole, split):
+            for rec, single in zip(batch, singles, strict=True):
+                assert np.array_equal(rec.q_snapshots, single.q_snapshots)
+                assert np.array_equal(rec.w_snapshots, single.w_snapshots)
+                for ob in obs:
+                    assert np.array_equal(rec.observables[ob.name],
+                                          single.observables[ob.name])
+        for bad in (init[:2], init[0, :2], init[..., :-1]):
+            with pytest.raises(ShapeError, match="initial shape"):
+                _run_paths(cfg, obs, [0] * 3, bad, path)
 
     def test_stepper_workspace_follows_the_batch(self):
         # one Stepper stepping P = 1, 3, 1 in turn gives the bits of fresh

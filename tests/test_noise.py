@@ -7,8 +7,7 @@ from layerqg import rng as rngmod
 from layerqg.errors import ConfigurationError
 from layerqg.noise import (NoiseMixer, NoiseSpec, OUState,
                            make_noise, ou_step, regularity_check,
-                           sample_increment, sample_path,
-                           sigma_for_stationary_l2)
+                           sample_path, sigma_for_stationary_l2)
 
 
 class TestRegularity:
@@ -47,22 +46,27 @@ class TestRegularity:
             NoiseSpec(k=2, decay=2.0, sigma=1.0, c=np.array([0.5, 1.0]))
 
 
+def _projected_increments(spec, pairs, dt, n, seed):
+    """<dW_s, rho_k> for k < 8 of n increments of a sampled path, each
+    scattered into the basis as the stepping loop does."""
+    mixer = NoiseMixer(spec, pairs, pairs.basis)
+    path = sample_path(spec, n, dt, rngmod.stream(seed, 0))
+    return np.array([pairs.project(mixer.coefficients(dw))[:8]
+                     for dw in path.increments])
+
+
 class TestIncrements:
     def test_silent_increment_is_zero(self, pairs16):
         spec = make_noise(pairs16, 16, decay=2.0, sigma=0.0)
-        dw = sample_increment(spec, pairs16, 0.1, rngmod.stream(0, 0))
-        assert np.all(dw.spectral() == 0.0)
+        path = sample_path(spec, 1, 0.1, rngmod.stream(0, 0))
+        mixer = NoiseMixer(spec, pairs16, pairs16.basis)
+        assert np.all(mixer.coefficients(path.increments[0]) == 0.0)
 
     def test_per_mode_variance(self, pairs16):
         # Monte Carlo moment check: var <dW, rho_k> = c_k^2 dt within 3 SE
         spec = make_noise(pairs16, 8, decay=1.0, sigma=1.0)
-        mixer = NoiseMixer(spec, pairs16, pairs16.basis)
-        gen = rngmod.stream(123, 0)
         dt, n = 0.25, 10_000
-        draws = np.empty((n, 8))
-        for i in range(n):
-            dw = mixer.increment(dt, gen)
-            draws[i] = pairs16.project(dw)[:8]
+        draws = _projected_increments(spec, pairs16, dt, n, seed=123)
         target = spec.c**2 * dt
         emp = np.var(draws, axis=0)
         se = target * np.sqrt(2.0 / n)
@@ -70,12 +74,8 @@ class TestIncrements:
 
     def test_cross_moments_vanish(self, pairs16):
         spec = make_noise(pairs16, 8, decay=1.0, sigma=1.0)
-        mixer = NoiseMixer(spec, pairs16, pairs16.basis)
-        gen = rngmod.stream(321, 0)
-        dt, n = 0.25, 10_000
-        draws = np.empty((n, 8))
-        for i in range(n):
-            draws[i] = pairs16.project(mixer.increment(dt, gen))[:8]
+        n = 10_000
+        draws = _projected_increments(spec, pairs16, 0.25, n, seed=321)
         cov = np.cov(draws.T)
         for j in range(8):
             for k in range(j + 1, 8):
