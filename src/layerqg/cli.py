@@ -51,9 +51,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _installed_version(name):
@@ -250,10 +248,8 @@ def cmd_invariant(run):
                                     run.config.pairs)
     measures = kb_average(run.config, horizons, observables,
                           n_paths=args.paths, threads=args.threads)
-    rows = []
-    for m in measures:
-        for name, mean, err in zip(m.names, m.means, m.stderrs):
-            rows.append([m.horizon, name, mean, err])
+    rows = [[m.horizon, name, mean, err] for m in measures
+            for name, mean, err in zip(m.names, m.means, m.stderrs)]
     run.csv("invariant.csv", ["horizon", "observable", "mean", "stderr"],
             rows)
     run.manifest({"n_paths": args.paths,

@@ -43,6 +43,7 @@ import ctypes
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 import hashlib
+import os
 
 import numpy as np
 
@@ -162,12 +163,12 @@ def obs_lp(p) -> Observable:
     return Observable(f"l{p}", fn)
 
 
-def obs_h(alpha: float) -> Observable:
-    lam_pow = float(alpha)
+def obs_h(alpha: float, noise: bool = False) -> Observable:
+    """The H^alpha norm per path of q, or with `noise` of W."""
     def fn(ctx):
-        lam = ctx.basis.eigenvalues
-        return np.sqrt(field_sum(lam**lam_pow * ctx.q_hat**2))
-    return Observable(f"h{alpha:g}", fn)
+        coeffs = ctx.w_hat if noise else ctx.q_hat
+        return np.sqrt(field_sum(ctx.basis.eigenvalues**alpha * coeffs**2))
+    return Observable(f"{'w' * noise}h{alpha:g}", fn)
 
 
 def grad_l4(basis: SpectralBasis, q_hat: np.ndarray):
@@ -196,13 +197,6 @@ def obs_pairing(pairs: OperatorEigenpairs, k: int, square=False) -> Observable:
     return Observable(label, fn)
 
 
-def obs_noise_h(alpha: float) -> Observable:
-    def fn(ctx):
-        lam = ctx.basis.eigenvalues
-        return np.sqrt(field_sum(lam**alpha * ctx.w_hat**2))
-    return Observable(f"wh{alpha:g}", fn)
-
-
 def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
     """Comma list: l2 l4 ... linf, h<alpha>, wh<alpha>, gradl4, pair:n.m.j."""
     out = []
@@ -212,7 +206,7 @@ def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
         elif token == "gradl4":
             out.append(obs_grad_l4())
         elif token.startswith("wh"):
-            out.append(obs_noise_h(float(token[2:])))
+            out.append(obs_h(float(token[2:]), noise=True))
         elif token.startswith(("pair:", "pairsq:")):
             if pairs is None:
                 raise ConfigurationError(f"{token}: no eigenpairs available")
@@ -487,8 +481,8 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     largest |u| of all paths.  Returns one TrajectoryRecord per path; a
     blow-up raises BlowUpError, and a CFL abort the guard's TimeStepError,
     with the partial record of the path with the largest state.  Paths
-    past _BATCH_POINTS step in further batches, which `_fan_out` spreads
-    over `threads` threads.
+    past _BATCH_POINTS step in further batches, on `threads` pool threads
+    if `_blas_pinned()` (else pool and BLAS threads oversubscribe).
     """
     basis, n_steps, n_paths = cfg.basis, cfg.n_steps, len(streams)
     if n_paths < 1:
@@ -509,7 +503,8 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
             return _run_paths(cfg, observables, streams[i:i + per_batch],
                               part, noise_path, hook, hook_draws)
         return [rec for records in _fan_out(
-                    batch, range(0, n_paths, per_batch), threads)
+                    batch, range(0, n_paths, per_batch),
+                    threads if _blas_pinned() else 1)
                 for rec in records]
     stepper = Stepper(cfg)
     eta = np.broadcast_to(initial, (n_paths,) + shape)   # never written to
@@ -592,6 +587,14 @@ def _fan_out(worker, items, threads):
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
             return list(pool.map(worker, items))
     return [worker(item) for item in items]
+
+
+def _blas_pinned():
+    """Whether the environment holds BLAS to one thread: the first set of
+    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS reads 1."""
+    names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    values = [os.environ[name] for name in names if name in os.environ]
+    return bool(values) and values[0].strip() == "1"
 
 
 @cache

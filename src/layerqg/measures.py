@@ -56,8 +56,8 @@ def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1,
     """Averaged measures at nested horizons, one long run per path.
 
     Starts every path at q0 = 0; horizons must ascend and fit inside the
-    configured trajectory length.  The path batches step on `threads`
-    threads, which changes no byte.
+    configured trajectory length.  `threads` is `_run_paths`'s, and
+    changes no byte.
     """
     horizons = list(horizons)
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
@@ -101,15 +101,14 @@ class InvarianceReport:
 
 def invariance_test(config: SimConfig, burn_in: float, window: float,
                     observables, n_paths: int = 1, shifts=None,
-                    significance: float = 0.01, min_samples: int = 30,
-                    threads: int = 1) -> InvarianceReport:
+                    significance: float = 0.01,
+                    min_samples: int = 30) -> InvarianceReport:
     """Shift-invariance of the law after burn-in.
 
     Compares the empirical distribution of each observable over
     [burn_in, burn_in + window] against windows shifted by s, pooling
     thinned samples (spacing about 2/gamma) across paths, with a
-    two-sample Kolmogorov-Smirnov test per observable and shift.  The
-    path batches step on `threads` threads, which changes no byte.
+    two-sample Kolmogorov-Smirnov test per observable and shift.
     """
     # deferred: scipy.stats adds ~1 s to start-up and no CLI command runs it
     from scipy.stats import ks_2samp
@@ -122,8 +121,7 @@ def invariance_test(config: SimConfig, burn_in: float, window: float,
             f"need horizon >= {needed}, have {config.horizon}")
     obs_dt = config.dt * config.obs_every
     spacing = max(1, int(round(2.0 / config.gamma / obs_dt)))
-    records = _run_paths(config, observables, range(n_paths),
-                         threads=threads)
+    records = _run_paths(config, observables, range(n_paths))
     times = records[0].times
 
     def window_samples(name, start):

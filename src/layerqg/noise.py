@@ -148,6 +148,12 @@ class NoiseMixer:
                            minlength=self._size * n)
         return flat.reshape(lead + (N_LAYERS,) + self.basis.spectral_shape)
 
+    def increment(self, dt: float, rng: np.random.Generator) -> np.ndarray:
+        """One increment sum_k c_k rho_k xi_k sqrt(dt); only the traced
+        benchmark calls it, as the stepping loop draws its own."""
+        xi = rng.standard_normal(self.spec.k)
+        return self.coefficients(self.spec.c * xi * np.sqrt(dt))
+
 
 @dataclass(frozen=True)
 class BrownianIncrements:

@@ -83,8 +83,7 @@ def _l2_sup_distance(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord) -> float:
     qa, qb = rec_a.q_snapshots, rec_b.q_snapshots
     if qa.shape[0] != qb.shape[0]:
         raise ShapeError("records have different snapshot counts")
-    na = qa.shape[2:]
-    nb = qb.shape[2:]
+    na, nb = qa.shape[2:], qb.shape[2:]
     big = (max(na[0], nb[0]), max(na[1], nb[1]))
     diff = np.zeros((qa.shape[0], N_LAYERS) + big)
     diff[:, :, : na[0], : na[1]] = qa
@@ -130,13 +129,12 @@ def galerkin_sweep(config: SimConfig, n_ladder, snap_every: int = 1,
         rec = run_trajectory(cfg, observables=[], noise_path=path)
         return rec, time.perf_counter() - tic
 
-    results = _fan_out(rung, n_ladder, threads)
-    records = [r for r, _ in results]
+    records, runtimes = zip(*_fan_out(rung, n_ladder, threads))
     dists = np.array([_l2_sup_distance(a, b)
                       for a, b in zip(records, records[1:])])
     return SweepReport(kind="galerkin", ladder=n_ladder,
                        distance_name="sup_t L2", distances=dists,
-                       runtimes=np.array([t for _, t in results]))
+                       runtimes=np.array(runtimes))
 
 
 def viscosity_sweep(config: SimConfig, eps_ladder, snap_every: int = 1,
@@ -162,14 +160,13 @@ def viscosity_sweep(config: SimConfig, eps_ladder, snap_every: int = 1,
                        axis=(1, 2, 3))
         return rec, elapsed, eps * np.sqrt(_trapz(h1_sq, rec.snap_times))
 
-    results = _fan_out(rung, eps_ladder, threads)
-    records = [r for r, _, _ in results]
+    records, runtimes, est2 = zip(*_fan_out(rung, eps_ladder, threads))
     dists = np.array([_h_minus1_sup_distance(a, b, config.basis)
                       for a, b in zip(records, records[1:])])
     return SweepReport(kind="viscosity", ladder=eps_ladder,
                        distance_name="sup_t H^-1", distances=dists,
-                       extras={"est2": np.array([e for _, _, e in results])},
-                       runtimes=np.array([t for _, t, _ in results]))
+                       extras={"est2": np.array(est2)},
+                       runtimes=np.array(runtimes))
 
 
 def yudovich_stability(config: SimConfig, delta_ladder,

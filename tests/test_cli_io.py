@@ -222,8 +222,9 @@ class TestCli:
                 (outs[1] / fname).read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        # 4 paths in batches of 3 and 1, which fan out over the threads:
-        # path p is the one-path run on stream p at every thread count
+        # 4 paths in batches of 3 and 1, which fan out over the threads
+        # when BLAS is pinned: path p is the one-path run on stream p at
+        # every thread count
         cfg = tmp_path / "inv.cfg"
         cfg.write_text("modes_x=12\nmodes_y=12\ngamma=0.5\nsigma=1.0\n"
                        "nonlinearity=off\ndt=0.02\nhorizon=20\ninit=zero\n"
@@ -240,28 +241,32 @@ class TestCli:
             names.add(threading.current_thread().name)
             return advance(self, eta, w, t)
 
-        def on_threads(threads, call):
+        def on_threads(pooled, call):
             # the two batches step on two pool threads, or on the caller's
             names.clear()
             result = call()
-            assert len(names) == min(threads, 2)
-            assert ("MainThread" in names) == (threads == 1)
+            assert len(names) == (2 if pooled else 1)
+            assert ("MainThread" in names) != pooled
             return result
 
         monkeypatch.setattr(dynamics.Stepper, "advance", spy)
+        for name in ("MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
         digests = []
-        for threads in (1, 2, 3):
-            records = on_threads(threads, lambda: dynamics._run_paths(
+        for blas, threads in (("1", 1), ("1", 2), ("1", 3), ("2", 2)):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+            pooled = blas == "1" and threads > 1
+            records = on_threads(pooled, lambda: dynamics._run_paths(
                 config, obs, range(4), threads=threads))
             for rec, ref in zip(records, alone, strict=True):
                 for name in ("l2", "h1"):
                     assert np.array_equal(rec.observables[name],
                                           ref.observables[name])
-            out = tmp_path / f"t{threads}"
+            out = tmp_path / f"t{threads}b{blas}"
             argv = ("invariant", "--config", str(cfg), "--seed", "9",
                     "--out", str(out), "--horizons", "10,20", "--paths", "4",
                     "--threads", str(threads))
-            assert on_threads(threads, lambda: run_cli(*argv)) == 0
+            assert on_threads(pooled, lambda: run_cli(*argv)) == 0
             digests.append(hashlib.sha256(
                 (out / "invariant.csv").read_bytes()).hexdigest())
         assert len(set(digests)) == 1
