@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .coupling import (LayerCoupling, OperatorEigenpairs, apply_operator,
                        eigenpairs, lambda_from_physical, solve_elliptic,
-                       symmetrize, velocity)
+                       symmetrize)
 from .dynamics import (SimConfig, TrajectoryRecord, nonlinear_term,
                        parse_observables, run_trajectory, step_eta)
 from .errors import (BlowUpError, ConfigurationError, FieldFormatError,

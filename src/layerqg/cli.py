@@ -8,7 +8,8 @@ doubles.  Exit codes: 0 success, 2 constraint error or CFL abort, 3
 blow-up; a command stopped by a CFL abort or a blow-up still writes what
 it has (the partial `series.csv` of `run`) and a manifest whose `abort`
 block says when and why.  The manifest's `environment` block names the
-Python, NumPy, SciPy and BLAS versions and the CPU count.
+Python, NumPy, SciPy and BLAS versions, the BLAS thread setting and the
+CPU count.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, rng as rngmod
-from .dynamics import _keep_freed_heap, parse_observables, run_trajectory
+from .dynamics import (_blas_threads, _keep_freed_heap, parse_observables,
+                       run_trajectory)
 from .errors import (BlowUpError, ConfigurationError, TimeStepError)
 from .experiments import (_snapshot_series, log_estimate_monitor,
                           lp_envelope, w14_monitor, weak_residual)
@@ -72,14 +74,16 @@ def _installed_version(name):
 
 @functools.cache
 def _environment():
-    """Interpreter, library versions and CPU count of this machine.
+    """Interpreter, library versions, BLAS thread setting and CPU count of
+    this machine.
 
     The runtime path never imports SciPy, and neither does the manifest.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": _installed_version("scipy"), "blas": blas.get("name"),
-            "blas_version": blas.get("version"), "cpu_count": os.cpu_count()}
+            "blas_version": blas.get("version"),
+            "blas_threads": _blas_threads(), "cpu_count": os.cpu_count()}
 
 
 def _config_snaps(args):

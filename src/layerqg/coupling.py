@@ -140,12 +140,6 @@ def solve_elliptic(q: LayerField, coupling: LayerCoupling) -> LayerField:
     return LayerField.from_coeffs(coupling.basis, psi_hat)
 
 
-def velocity(psi: LayerField):
-    """u = grad^perp psi = (-psi_y, psi_x) per layer, as two grid arrays
-    of shape (3, Gx+2, Gy+2)."""
-    return psi.basis.perp_grad_grids(psi.spectral())
-
-
 @dataclass(frozen=True)
 class OperatorEigenpairs:
     """The K smallest-|mu| eigenpairs of (A + L).
@@ -156,7 +150,6 @@ class OperatorEigenpairs:
     signs are fixed so the largest-magnitude component is positive.
     """
 
-    basis: SpectralBasis
     coupling: LayerCoupling
     mode_n: np.ndarray   # (K,) 1-based
     mode_m: np.ndarray   # (K,)
@@ -166,6 +159,10 @@ class OperatorEigenpairs:
 
     def __len__(self):
         return len(self.mu)
+
+    @property
+    def basis(self) -> SpectralBasis:
+        return self.coupling.basis
 
     @cached_property
     def spatial_eigenvalues(self):
@@ -186,8 +183,7 @@ class OperatorEigenpairs:
         return np.einsum("ik,ki->k", vals, self.vec)
 
 
-def eigenpairs(coupling: LayerCoupling, basis: SpectralBasis,
-               k: int) -> OperatorEigenpairs:
+def eigenpairs(coupling: LayerCoupling, k: int) -> OperatorEigenpairs:
     """Compute the K smallest-|mu| eigenpairs of (A + L).
 
     Only the modes that can hold one of them are factored.  -M_nm >=
@@ -198,6 +194,7 @@ def eigenpairs(coupling: LayerCoupling, basis: SpectralBasis,
     reach = lambda_(ceil(K/3)) max(h) + ||L||, so a mode whose whole
     range lies above reach holds none of the K smallest.
     """
+    basis = coupling.basis
     total = N_LAYERS * basis.nx * basis.ny
     if not (1 <= k <= total):
         raise ConfigurationError(f"k={k} out of range 1..{total}")
@@ -229,8 +226,7 @@ def eigenpairs(coupling: LayerCoupling, basis: SpectralBasis,
     order = np.lexsort((jj, mm, nn, np.abs(flat_mu)))[:k]
     vecs = eigvec.transpose(0, 2, 1).reshape(-1, N_LAYERS)  # row k = v_k
     return OperatorEigenpairs(
-        basis=basis, coupling=coupling,
-        mode_n=nn[order].astype(np.int64),
+        coupling=coupling, mode_n=nn[order].astype(np.int64),
         mode_m=mm[order].astype(np.int64),
         comp_j=jj[order].astype(np.int64),
         mu=flat_mu[order],

@@ -30,10 +30,11 @@ workspace of (psi_hat, q_hat), kept across steps and reallocated only
 when the batch shape changes: `advance` adds eta + W into slot 1, and
 the elliptic solve writes psi_hat into slot 0.  A step allocates its
 forcing array (the linear update then works in place on it), the
-transport grids and their projection, and the new state.  The new state
-is a fresh array and `advance` writes into none of its inputs, because
-the loop hands W to the records (`w_snaps` keeps W itself).  Overflow
-warnings are silenced once around the loop.
+transport grids and their projection, and the new state.  `advance`
+writes into none of its inputs (the first state is a read-only
+broadcast of the initial datum).  The loop adds each noise increment
+into W in place, so a snapshot keeps a copy of W.  Overflow warnings are
+silenced once around the loop.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .errors import (BlowUpError, ConfigurationError, ShapeError,
 from .noise import BrownianIncrements, NoiseMixer, NoiseSpec
 from .spectral import (LayerField, N_LAYERS, SpectralBasis, even_exponent,
                        field_sum, grid_peak, peak_scaled_square,
-                       scaled_lp_norms)
+                       scaled_lp_norms, single_mode_field)
 
 
 # -- initial data -------------------------------------------------------
@@ -82,11 +83,7 @@ def initial_coeffs(descriptor: str, basis: SpectralBasis) -> np.ndarray:
             mode_part, _, amp_part = rest.partition(":")
             n, m = (int(v) for v in mode_part.split(","))
             amps = [float(v) for v in amp_part.split(",")]
-            if len(amps) != N_LAYERS:
-                raise ValueError("need three layer amplitudes")
-            c = np.zeros(shape)
-            c[:, n - 1, m - 1] = amps
-            return c
+            return single_mode_field(basis, n, m, amps).spectral()
         if kind == "lowband":
             nmax_s, amp_s, seed_s = rest.split(":")
             nmax, amp, seed = int(nmax_s), float(amp_s), int(seed_s)
@@ -238,10 +235,9 @@ DEFAULT_OBSERVABLES = "l2,l4,linf,h1"
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one trajectory needs; immutable and shareable."""
+    """Everything one trajectory needs; immutable and shareable.  The
+    basis and coupling are read through the eigenpairs, which hold them."""
 
-    basis: SpectralBasis
-    coupling: LayerCoupling
     pairs: OperatorEigenpairs
     noise: NoiseSpec
     gamma: float
@@ -276,6 +272,14 @@ class SimConfig:
             raise ConfigurationError("snap_every must be >= 0")
 
     @property
+    def basis(self) -> SpectralBasis:
+        return self.pairs.basis
+
+    @property
+    def coupling(self) -> LayerCoupling:
+        return self.pairs.coupling
+
+    @property
     def n_steps(self) -> int:
         return round(self.horizon / self.dt)
 
@@ -297,12 +301,9 @@ class TrajectoryRecord:
     snap_times: np.ndarray             # snapshot times (may be empty)
     q_snapshots: np.ndarray            # (S, 3, Nx, Ny) spectral
     w_snapshots: np.ndarray            # (S, 3, Nx, Ny) spectral
-    seed: int
     stream: int
     config: SimConfig
-    config_hash: str
-    blown_up: bool = False
-    blow_time: float | None = None
+    blow_time: float | None = None     # set by a blow-up
     # per-snapshot series of the a-posteriori monitors, filled on demand
     # by experiments._snapshot_series
     _series: dict = field(default_factory=dict, init=False, repr=False,
@@ -332,7 +333,7 @@ class Stepper:
         self.decay = np.exp(-a * config.dt)            # (Nx, Ny)
         self.phi = (1.0 - self.decay) / a              # (Nx, Ny)
         self.h_min = min(basis.hx, basis.hy)
-        self.mixer = NoiseMixer(config.noise, config.pairs, basis)
+        self.mixer = NoiseMixer(config.noise, config.pairs)
         self._stack = np.empty((2, 0))      # fits no batch until first use
 
     def _workspace(self, shape):
@@ -528,7 +529,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
         if cfg.snap_every and (j % cfg.snap_every == 0 or j == n_steps):
             snap_times.append(j * cfg.dt)
             q_snaps.append(eta + w)
-            w_snaps.append(w)
+            w_snaps.append(w.copy())
 
     def build(blow_time=None):
         data = series[:len(times)].transpose(2, 1, 0).copy()    # (P, O, T)
@@ -538,9 +539,8 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
             times=np.array(times), snap_times=np.array(snap_times),
             observables={ob.name: data[p, o]
                          for o, ob in enumerate(observables)},
-            q_snapshots=q_all[:, p], w_snapshots=w_all[:, p], seed=cfg.seed,
-            stream=stream, config=cfg, config_hash=cfg.config_hash(),
-            blown_up=blow_time is not None, blow_time=blow_time)
+            q_snapshots=q_all[:, p], w_snapshots=w_all[:, p],
+            stream=stream, config=cfg, blow_time=blow_time)
             for p, stream in enumerate(streams)]
 
     def partial(blow_time=None):
@@ -572,7 +572,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
             if noisy:
                 dw = scale * block[i, 0] if drawn else \
                     noise_path.increments[j - 1][:, None]
-                w = w + stepper.mixer.coefficients(dw)
+                w += stepper.mixer.coefficients(dw)
             if hook is not None:
                 hook(dw, block[i, drawn:])
             record(j)
@@ -589,12 +589,17 @@ def _fan_out(worker, items, threads):
     return [worker(item) for item in items]
 
 
-def _blas_pinned():
-    """Whether the environment holds BLAS to one thread: the first set of
-    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS reads 1."""
+def _blas_threads():
+    """The environment's BLAS thread setting: the value of the first set of
+    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS, or None."""
     names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-    values = [os.environ[name] for name in names if name in os.environ]
-    return bool(values) and values[0].strip() == "1"
+    return next((os.environ[name] for name in names if name in os.environ),
+                None)
+
+
+def _blas_pinned():
+    """Whether the environment holds BLAS to one thread."""
+    return (_blas_threads() or "").strip() == "1"
 
 
 @cache

@@ -209,7 +209,7 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
         raise ConfigurationError("rate should exceed gamma/2")
     cfg = replace(config, init="zero", horizon=horizon, snap_every=0,
                   obs_every=sample_every)
-    mixer = NoiseMixer(cfg.noise, cfg.pairs, cfg.basis)
+    mixer = NoiseMixer(cfg.noise, cfg.pairs)
     zeta = np.zeros(cfg.noise.k)
     factors = None
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coupling import OperatorEigenpairs
 from .errors import ConfigurationError
-from .spectral import N_LAYERS, SpectralBasis
+from .spectral import N_LAYERS
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,11 @@ class NoiseSpec:
     """Truncated noise: K retained eigenpairs, decay exponent r, amplitude
     sigma, coefficients c_k = sigma (1 + |mu_k|)^(-r)."""
 
-    k: int
     decay: float
     sigma: float
     c: np.ndarray  # (K,)
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ConfigurationError("k must be nonnegative")
         if self.sigma < 0:
             raise ConfigurationError("sigma must be nonnegative")
         if self.decay < 0:
@@ -41,22 +38,20 @@ class NoiseSpec:
         if np.any(self.c < 0) or np.any(np.diff(self.c) > 1e-15):
             raise ConfigurationError("c_k must be nonnegative, nonincreasing")
 
+    @property
+    def k(self) -> int:
+        return len(self.c)
 
-def default_mode_count(basis: SpectralBasis) -> int:
-    return 3 * min(basis.nx, basis.ny) ** 2 // 4
 
-
-def make_noise(pairs: OperatorEigenpairs, k: int | None = None,
-               decay: float = 2.0, sigma: float = 1.0) -> NoiseSpec:
-    if k is None:
-        k = min(default_mode_count(pairs.basis), len(pairs))
+def make_noise(pairs: OperatorEigenpairs, k: int, decay: float,
+               sigma: float) -> NoiseSpec:
     if k < 0:
         raise ConfigurationError(f"noise_modes must be nonnegative, got {k}")
     if k > len(pairs):
         raise ConfigurationError(
             f"noise truncation k={k} exceeds available eigenpairs {len(pairs)}")
     c = sigma * (1.0 + np.abs(pairs.mu[:k])) ** (-decay)
-    return NoiseSpec(k=k, decay=decay, sigma=sigma, c=c)
+    return NoiseSpec(decay=decay, sigma=sigma, c=c)
 
 
 def sigma_for_stationary_l2(pairs: OperatorEigenpairs, k: int, decay: float,
@@ -104,23 +99,17 @@ def regularity_check(spec: NoiseSpec, pairs: OperatorEigenpairs):
 
 
 class NoiseMixer:
-    """Caches the eigenpair->coefficient scatter for one (spec, pairs, basis).
+    """Caches the eigenpair->coefficient scatter for one (spec, pairs).
 
     The scatter is kept as (row, eigenpair, value) triplets sorted by flat
     (3, Nx, Ny) row and then by eigenpair, and applied with np.bincount,
     which adds each row's terms in that order.
     """
 
-    def __init__(self, spec: NoiseSpec, pairs: OperatorEigenpairs,
-                 basis: SpectralBasis):
+    def __init__(self, spec: NoiseSpec, pairs: OperatorEigenpairs):
         self.spec = spec
-        self.pairs = pairs
-        self.basis = basis
+        basis = pairs.basis
         k = spec.k
-        if k and (pairs.mode_n[:k].max() > basis.nx or
-                  pairs.mode_m[:k].max() > basis.ny):
-            raise ConfigurationError(
-                "noise eigenpairs extend beyond the target basis band")
         nxny = basis.nx * basis.ny
         flat = (pairs.mode_n[:k] - 1) * basis.ny + (pairs.mode_m[:k] - 1)
         rows = (flat[:, None] + np.arange(N_LAYERS) * nxny).ravel()
@@ -130,6 +119,7 @@ class NoiseMixer:
         self._cols = cols[order]
         self._vals = pairs.vec[:k].ravel()[order]
         self._size = N_LAYERS * nxny
+        self._shape = (N_LAYERS,) + basis.spectral_shape
         self._batches = {}      # path count P -> (output bins, input index)
 
     def coefficients(self, weighted_values: np.ndarray) -> np.ndarray:
@@ -146,7 +136,7 @@ class NoiseMixer:
         terms = np.take(weighted_values.ravel(), index) * self._vals
         flat = np.bincount(rows, weights=terms.ravel(),
                            minlength=self._size * n)
-        return flat.reshape(lead + (N_LAYERS,) + self.basis.spectral_shape)
+        return flat.reshape(lead + self._shape)
 
     def increment(self, dt: float, rng: np.random.Generator) -> np.ndarray:
         """One increment sum_k c_k rho_k xi_k sqrt(dt); only the traced

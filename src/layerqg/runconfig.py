@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from .coupling import eigenpairs, symmetrize
 from .dynamics import SimConfig
 from .errors import ConfigurationError
-from .noise import default_mode_count, make_noise
+from .noise import make_noise
 from .spectral import build_basis
 
 
@@ -97,13 +97,12 @@ def realize(settings: RunSettings, seed: int, snap_every: int = 0) -> SimConfig:
                         s.grid_x or None, s.grid_y or None)
     coupling = symmetrize((s.lambda1, s.lambda2, s.lambda3), basis,
                           s.lambda_scale)
-    k = s.noise_modes or default_mode_count(basis)
+    k = s.noise_modes or 3 * min(basis.nx, basis.ny) ** 2 // 4
     total = 3 * basis.nx * basis.ny
-    pairs = eigenpairs(coupling, basis, min(max(4 * k, 1), total))
+    pairs = eigenpairs(coupling, min(max(4 * k, 1), total))
     noise = make_noise(pairs, k, s.noise_decay, s.sigma)
-    return SimConfig(basis=basis, coupling=coupling, pairs=pairs,
-                     noise=noise, gamma=s.gamma, viscosity=s.viscosity,
-                     dt=s.dt, horizon=s.horizon,
+    return SimConfig(pairs=pairs, noise=noise, gamma=s.gamma,
+                     viscosity=s.viscosity, dt=s.dt, horizon=s.horizon,
                      nonlinear=s.nonlinearity == "on", init=s.init,
                      seed=seed, cfl_safety=s.cfl_safety,
                      obs_every=s.obs_every, snap_every=snap_every)

@@ -332,10 +332,13 @@ class LayerField:
 
 
 def single_mode_field(basis, n, m, layer_amplitudes) -> LayerField:
-    """LayerField supported on the single spatial mode (n, m)."""
+    """LayerField supported on the single spatial mode (n, m), 1-based."""
     amps = np.asarray(layer_amplitudes, dtype=float)
     if amps.shape != (N_LAYERS,):
         raise ShapeError("need one amplitude per layer")
+    if not (1 <= n <= basis.nx and 1 <= m <= basis.ny):
+        raise ConfigurationError(f"mode ({n}, {m}) outside "
+                                 f"1..{basis.nx} x 1..{basis.ny}")
     c = np.zeros((N_LAYERS,) + basis.spectral_shape)
     c[:, n - 1, m - 1] = amps
     return LayerField.from_coeffs(basis, c)

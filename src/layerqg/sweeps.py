@@ -91,9 +91,9 @@ def _l2_sup_distance(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord) -> float:
     return float(np.max(np.sqrt(np.sum(diff**2, axis=(1, 2, 3)))))
 
 
-def _h_minus1_sup_distance(rec_a, rec_b, basis) -> float:
+def _h_minus1_sup_distance(rec_a, rec_b) -> float:
     d = rec_a.q_snapshots - rec_b.q_snapshots
-    weighted = d**2 / basis.eigenvalues
+    weighted = d**2 / rec_a.config.basis.eigenvalues
     return float(np.max(np.sqrt(np.sum(weighted, axis=(1, 2, 3)))))
 
 
@@ -122,9 +122,8 @@ def galerkin_sweep(config: SimConfig, n_ladder, snap_every: int = 1,
         basis = build_basis(config.basis.lx, config.basis.ly, n, n)
         coupling = symmetrize(config.coupling.lambdas, basis,
                               config.coupling.scale)
-        pairs = eigenpairs(coupling, basis, max(k, 1))
-        cfg = replace(config, basis=basis, coupling=coupling, pairs=pairs,
-                      snap_every=snap_every)
+        pairs = eigenpairs(coupling, max(k, 1))
+        cfg = replace(config, pairs=pairs, snap_every=snap_every)
         tic = time.perf_counter()
         rec = run_trajectory(cfg, observables=[], noise_path=path)
         return rec, time.perf_counter() - tic
@@ -161,7 +160,7 @@ def viscosity_sweep(config: SimConfig, eps_ladder, snap_every: int = 1,
         return rec, elapsed, eps * np.sqrt(_trapz(h1_sq, rec.snap_times))
 
     records, runtimes, est2 = zip(*_fan_out(rung, eps_ladder, threads))
-    dists = np.array([_h_minus1_sup_distance(a, b, config.basis)
+    dists = np.array([_h_minus1_sup_distance(a, b)
                       for a, b in zip(records, records[1:])])
     return SweepReport(kind="viscosity", ladder=eps_ladder,
                        distance_name="sup_t H^-1", distances=dists,

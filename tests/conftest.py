@@ -16,8 +16,8 @@ def coupling16(basis16):
 
 
 @pytest.fixture(scope="session")
-def pairs16(basis16, coupling16):
-    return eigenpairs(coupling16, basis16, 3 * 16 * 16)
+def pairs16(coupling16):
+    return eigenpairs(coupling16, 3 * 16 * 16)
 
 
 @pytest.fixture(scope="session")

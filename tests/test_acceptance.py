@@ -64,7 +64,7 @@ def criterion(num, name, budget):
 def standard_setup(n, lambdas=(1.0, 1.0, 1.0), scale=1.0):
     basis = L.build_basis(1.0, 1.0, n, n)
     coupling = L.symmetrize(lambdas, basis, scale)
-    pairs = L.eigenpairs(coupling, basis, 3 * n * n)
+    pairs = L.eigenpairs(coupling, 3 * n * n)
     return basis, coupling, pairs
 
 
@@ -114,7 +114,7 @@ def test_criterion_4_exact_lp_decay():
     with criterion(4, "exact L^2k decay at sigma=0", 60.0):
         basis, coupling, pairs = standard_setup(32)
         noise = make_noise(pairs, 16, 2.0, 0.0)
-        cfg = SimConfig(basis=basis, coupling=coupling, pairs=pairs,
+        cfg = SimConfig(pairs=pairs,
                         noise=noise, gamma=GAMMA, viscosity=0.0, dt=1e-3,
                         horizon=1.0, nonlinear=True, init="lowband:3:0.2:7",
                         seed=4)
@@ -164,7 +164,7 @@ def test_criterion_6_linear_kb_limit():
         basis, coupling, pairs = standard_setup(12)
         noise = make_noise(pairs, 32, 2.0, 1.0)
         horizon = 200.0 / GAMMA
-        cfg = SimConfig(basis=basis, coupling=coupling, pairs=pairs,
+        cfg = SimConfig(pairs=pairs,
                         noise=noise, gamma=GAMMA, viscosity=0.0, dt=0.01,
                         horizon=horizon, nonlinear=False, init="zero",
                         seed=2024, obs_every=2)
@@ -181,7 +181,7 @@ def test_criterion_7_vanishing_viscosity():
     with criterion(7, "vanishing-viscosity Cauchy proxy", 600.0):
         basis, coupling, pairs = standard_setup(32)
         noise = make_noise(pairs, 48, 2.0, 2.0)
-        cfg = SimConfig(basis=basis, coupling=coupling, pairs=pairs,
+        cfg = SimConfig(pairs=pairs,
                         noise=noise, gamma=GAMMA, viscosity=0.2, dt=2e-3,
                         horizon=1.0, nonlinear=True, init="lowband:3:1.0:11",
                         seed=7)
@@ -195,7 +195,7 @@ def test_criterion_8_galerkin_refinement():
     with criterion(8, "Galerkin refinement", 600.0):
         basis, coupling, pairs = standard_setup(16)
         noise = make_noise(pairs, 48, 2.0, 2.0)
-        cfg = SimConfig(basis=basis, coupling=coupling, pairs=pairs,
+        cfg = SimConfig(pairs=pairs,
                         noise=noise, gamma=GAMMA, viscosity=0.05, dt=2e-3,
                         horizon=0.5, nonlinear=True, init="lowband:4:2.0:11",
                         seed=8)
@@ -207,7 +207,7 @@ def test_criterion_9_yudovich_stability():
     with criterion(9, "Yudovich stability", 300.0):
         basis, coupling, pairs = standard_setup(32)
         noise = make_noise(pairs, 48, 2.0, 2.0)
-        cfg = SimConfig(basis=basis, coupling=coupling, pairs=pairs,
+        cfg = SimConfig(pairs=pairs,
                         noise=noise, gamma=GAMMA, viscosity=0.0, dt=1e-3,
                         horizon=0.5, nonlinear=True, init="lowband:3:1.0:11",
                         seed=9, snap_every=1)
@@ -230,7 +230,7 @@ def test_criterion_10_weak_residual_convergence():
         fine = sample_path(noise, 500, 1e-3, rngmod.stream(10, 0))
         records = {}
         for dt, factor in ((2e-3, 2), (1e-3, 1)):
-            cfg = SimConfig(basis=basis, coupling=coupling, pairs=pairs,
+            cfg = SimConfig(pairs=pairs,
                             noise=noise, gamma=GAMMA, viscosity=0.0, dt=dt,
                             horizon=0.5, nonlinear=True,
                             init="lowband:3:1.0:11", seed=10, snap_every=1)
@@ -249,7 +249,7 @@ def test_criterion_11_tightness_diagnostic():
         basis, coupling, pairs = standard_setup(16)
         sigma = L.sigma_for_stationary_l2(pairs, 48, 2.0, GAMMA)
         noise = make_noise(pairs, 48, 2.0, sigma)
-        cfg = SimConfig(basis=basis, coupling=coupling, pairs=pairs,
+        cfg = SimConfig(pairs=pairs,
                         noise=noise, gamma=GAMMA, viscosity=0.0, dt=5e-3,
                         horizon=1.0, nonlinear=True, init="zero",
                         seed=20240809)
@@ -281,7 +281,7 @@ def test_criterion_13_envelope_dominance():
     with criterion(13, "a-posteriori envelope dominance", 300.0):
         basis, coupling, pairs = standard_setup(16)
         noise = make_noise(pairs, 48, 2.0, 2.0)
-        cfg = SimConfig(basis=basis, coupling=coupling, pairs=pairs,
+        cfg = SimConfig(pairs=pairs,
                         noise=noise, gamma=GAMMA, viscosity=0.0, dt=1e-3,
                         horizon=1.0, nonlinear=True, init="lowband:3:1.0:11",
                         seed=13, snap_every=2)

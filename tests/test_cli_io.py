@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from layerqg import dynamics
-from layerqg.cli import build_parser, main
+from layerqg.cli import _environment, build_parser, main
 from layerqg.dynamics import parse_observables, run_trajectory
 from layerqg.errors import (ConfigurationError, FieldFormatError,
                             FieldLengthError, TimeStepError)
@@ -289,7 +289,8 @@ class TestCli:
                    "lambda2=-1": "lambda2 must be positive",
                    "nonlinearity=of": "nonlinearity must be 'on' or 'off'",
                    "obs_every=0": "obs_every must be >= 1",
-                   "noise_modes=-1": "noise_modes must be nonnegative"}
+                   "noise_modes=-1": "noise_modes must be nonnegative",
+                   "init=mode:0,1:1,0,0": "bad init descriptor"}
 
     @pytest.mark.parametrize("line", list(CONSTRAINTS))
     def test_constraint_error_exit_code(self, tmp_path, capsys, line):
@@ -405,8 +406,8 @@ class TestCli:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
         env = json.loads((out / "manifest.json").read_text())["environment"]
-        assert sorted(env) == ["blas", "blas_version", "cpu_count", "numpy",
-                               "python", "scipy"]
+        assert sorted(env) == ["blas", "blas_threads", "blas_version",
+                               "cpu_count", "numpy", "python", "scipy"]
         assert env["numpy"] == np.__version__
         assert env["python"] == platform.python_version()
         assert env["cpu_count"] == os.cpu_count()
@@ -415,6 +416,19 @@ class TestCli:
         except importlib.metadata.PackageNotFoundError:
             scipy = None
         assert env["scipy"] == scipy
+
+    def test_manifest_names_the_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        _environment.cache_clear()
+        try:
+            cfg = self.write_cfg(tmp_path)
+            out = tmp_path / "out"
+            assert run_cli("run", "--config", str(cfg), "--out",
+                           str(out)) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["environment"]["blas_threads"] == "1"
+        finally:
+            _environment.cache_clear()
 
     def test_galerkin_manifest_explains_the_run(self, tmp_path):
         cfg = tmp_path / "g.cfg"
@@ -438,7 +452,7 @@ class TestCli:
                        "noise_modes=16\n")
         script = textwrap.dedent(f"""
             import sys
-            from layerqg.cli import build_parser, main
+            from layerqg.cli import _environment, build_parser, main
             for argv in (["run", "--out", {str(tmp_path / "run")!r}],
                          ["invariant", "--out", {str(tmp_path / "inv")!r},
                           "--horizons", "0.05", "--paths", "2"]):

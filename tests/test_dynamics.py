@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerqg import dynamics, rng as rngmod
-from layerqg.coupling import solve_elliptic_coeffs
+from layerqg.coupling import solve_elliptic_coeffs, symmetrize
 from layerqg.dynamics import (ObsContext, SimConfig, _run_paths,
                               initial_coeffs, nonlinear_term, obs_lp,
                               obs_pairing, parse_observables, run_trajectory,
@@ -25,8 +25,7 @@ def make_config(basis, coupling, pairs, noise, **kw):
     defaults = dict(gamma=0.5, viscosity=0.0, dt=0.01, horizon=0.1,
                     nonlinear=False, init="zero", seed=1)
     defaults.update(kw)
-    return SimConfig(basis=basis, coupling=coupling, pairs=pairs,
-                     noise=noise, **defaults)
+    return SimConfig(pairs=pairs, noise=noise, **defaults)
 
 
 class TestSingleStep:
@@ -209,7 +208,7 @@ class TestTrajectory:
                           horizon=0.05, snap_every=2)
         rec = run_trajectory(cfg)
         assert np.all(np.diff(rec.times) > 0)
-        assert rec.config_hash == cfg.config_hash()
+        assert rec.config is cfg
         assert rec.q_snapshots.shape[1:] == (3, 16, 16)
 
     def test_config_hash_covers_cadences(self, basis16, coupling16, pairs16,
@@ -219,6 +218,26 @@ class TestTrajectory:
                   replace(cfg, obs_every=2).config_hash(),
                   replace(cfg, snap_every=3).config_hash()}
         assert len(hashes) == 3
+
+    def test_config_hash_is_pinned(self):
+        config = realize(RunSettings(modes_x=8, modes_y=8, noise_modes=16,
+                                     dt=0.01, horizon=0.2,
+                                     init="lowband:3:1.0:2"), seed=3)
+        assert config.config_hash() == "488f5d69fe4db1de"
+
+    def test_discretization_is_stated_once(self, basis16, coupling16,
+                                           pairs16, quiet_noise):
+        cfg = make_config(basis16, coupling16, pairs16, quiet_noise)
+        assert cfg.basis is cfg.coupling.basis is cfg.pairs.basis
+        wide = build_basis(2.0, 1.0, 16, 16)
+        for name, value in (("basis", wide),
+                            ("coupling", symmetrize((1.0, 1.0, 1.0), wide))):
+            with pytest.raises(TypeError):
+                replace(cfg, **{name: value})
+            with pytest.raises(TypeError):
+                SimConfig(pairs=pairs16, noise=quiet_noise, gamma=0.5,
+                          viscosity=0.0, dt=0.01, horizon=0.1,
+                          **{name: value})
 
     @pytest.mark.parametrize("run_settings", [
         dict(modes_x=12, modes_y=12, nonlinearity="off", dt=0.01,
@@ -340,7 +359,7 @@ class TestTrajectory:
 
 
 def _final_state(basis, coupling, pairs, noise, dt, fine_path, base):
-    cfg = SimConfig(basis=basis, coupling=coupling, pairs=pairs, noise=noise,
+    cfg = SimConfig(pairs=pairs, noise=noise,
                     gamma=0.5, viscosity=0.0, dt=dt, horizon=0.1,
                     snap_every=int(round(0.1 / dt)), **base)
     factor = int(round(dt / fine_path.dt))
@@ -372,7 +391,7 @@ class TestGuards:
         with pytest.raises(BlowUpError) as err:
             run_trajectory(cfg, observables=[])
         assert err.value.record is not None
-        assert err.value.record.blown_up
+        assert err.value.record.blow_time is not None
 
     def test_transport_overflow_is_a_blow_up(self):
         # u ~ 1e159 and grad q ~ 1e161: the product overflows while the
@@ -391,7 +410,7 @@ class TestGuards:
                                LayerField.from_coeffs(config.basis, psi_hat))
         assert err.value.time == 0.0
         record = err.value.record
-        assert record.blown_up and record.blow_time == 0.0
+        assert record.blow_time == 0.0
         assert np.array_equal(record.times, [0.0])
 
     def test_horizon_must_align(self, basis16, coupling16, pairs16,
@@ -426,6 +445,9 @@ class TestInitialData:
             initial_coeffs("vortex:3", basis16)
         with pytest.raises(ConfigurationError):
             initial_coeffs("mode:1,1:1,2", basis16)
+        with pytest.raises(ConfigurationError,
+                           match=r"bad init descriptor.*mode \(0, 1\)"):
+            initial_coeffs("mode:0,1:1,0,0", basis16)
 
 
 class TestLpObservables:

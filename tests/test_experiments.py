@@ -21,8 +21,7 @@ def noisy_config(basis, coupling, pairs, sigma=2.0, **kw):
     defaults = dict(gamma=0.5, viscosity=0.0, dt=2e-3, horizon=0.5,
                     nonlinear=True, init="lowband:3:1.0:11", seed=5)
     defaults.update(kw)
-    return SimConfig(basis=basis, coupling=coupling, pairs=pairs,
-                     noise=noise, **defaults)
+    return SimConfig(pairs=pairs, noise=noise, **defaults)
 
 
 class TestSweepReport:
@@ -152,7 +151,7 @@ class TestWeakResidual:
     def test_linear_noiseless_is_quadrature_small(self, basis16, coupling16,
                                                   pairs16, quiet_noise):
         gamma = 0.5
-        cfg = SimConfig(basis=basis16, coupling=coupling16, pairs=pairs16,
+        cfg = SimConfig(pairs=pairs16,
                         noise=quiet_noise, gamma=gamma, viscosity=0.0,
                         dt=1e-2, horizon=0.5, nonlinear=False,
                         init="mode:1,1:1,0,0", seed=1, snap_every=1)
@@ -202,7 +201,7 @@ class TestWeakResidual:
 class TestMonitors:
     def test_log_ratio_single_mode_baseline(self, basis16, coupling16,
                                             pairs16, quiet_noise):
-        cfg = SimConfig(basis=basis16, coupling=coupling16, pairs=pairs16,
+        cfg = SimConfig(pairs=pairs16,
                         noise=quiet_noise, gamma=0.5, viscosity=0.0,
                         dt=1e-2, horizon=0.1, nonlinear=False,
                         init="mode:1,1:1,0,0", seed=1, snap_every=5)
@@ -213,7 +212,7 @@ class TestMonitors:
 
     def test_zero_snapshots_skipped(self, basis16, coupling16, pairs16,
                                     quiet_noise):
-        cfg = SimConfig(basis=basis16, coupling=coupling16, pairs=pairs16,
+        cfg = SimConfig(pairs=pairs16,
                         noise=quiet_noise, gamma=0.5, viscosity=0.0,
                         dt=1e-2, horizon=0.05, nonlinear=False,
                         init="zero", seed=1, snap_every=1)
@@ -235,7 +234,7 @@ class TestMonitors:
     def test_w14_exact_decay_noiseless(self, basis16, coupling16, pairs16,
                                        quiet_noise):
         gamma = 0.5
-        cfg = SimConfig(basis=basis16, coupling=coupling16, pairs=pairs16,
+        cfg = SimConfig(pairs=pairs16,
                         noise=quiet_noise, gamma=gamma, viscosity=0.0,
                         dt=1e-2, horizon=0.3, nonlinear=False,
                         init="lowband:3:1.0:4", seed=1, snap_every=1)
@@ -246,7 +245,7 @@ class TestMonitors:
         assert rep.dominated
 
     def test_w14_zero_data(self, basis16, coupling16, pairs16, quiet_noise):
-        cfg = SimConfig(basis=basis16, coupling=coupling16, pairs=pairs16,
+        cfg = SimConfig(pairs=pairs16,
                         noise=quiet_noise, gamma=0.5, viscosity=0.0,
                         dt=1e-2, horizon=0.05, nonlinear=False,
                         init="zero", seed=1, snap_every=1)

@@ -15,8 +15,7 @@ def linear_config(basis, coupling, pairs, sigma=1.0, **kw):
     defaults = dict(gamma=0.5, viscosity=0.0, dt=0.02, horizon=100.0,
                     nonlinear=False, init="zero", seed=3)
     defaults.update(kw)
-    return SimConfig(basis=basis, coupling=coupling, pairs=pairs,
-                     noise=noise, **defaults)
+    return SimConfig(pairs=pairs, noise=noise, **defaults)
 
 
 class TestKbAverage:
@@ -231,7 +230,7 @@ class TestTightness:
         gamma = 0.5
         sigma = sigma_for_stationary_l2(pairs16, 32, 2.0, gamma)
         noise = make_noise(pairs16, 32, 2.0, sigma)
-        cfg = SimConfig(basis=basis16, coupling=coupling16, pairs=pairs16,
+        cfg = SimConfig(pairs=pairs16,
                         noise=noise, gamma=gamma, viscosity=0.0, dt=0.01,
                         horizon=1.0, nonlinear=True, init="zero", seed=3)
         rep = tightness_diagnostic(cfg, rate=2.0, horizon=60.0)

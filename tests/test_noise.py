@@ -41,15 +41,15 @@ class TestRegularity:
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigurationError):
-            NoiseSpec(k=2, decay=2.0, sigma=-1.0, c=np.array([1.0, 0.5]))
+            NoiseSpec(decay=2.0, sigma=-1.0, c=np.array([1.0, 0.5]))
         with pytest.raises(ConfigurationError):
-            NoiseSpec(k=2, decay=2.0, sigma=1.0, c=np.array([0.5, 1.0]))
+            NoiseSpec(decay=2.0, sigma=1.0, c=np.array([0.5, 1.0]))
 
 
 def _projected_increments(spec, pairs, dt, n, seed):
     """<dW_s, rho_k> for k < 8 of n increments of a sampled path, each
     scattered into the basis as the stepping loop does."""
-    mixer = NoiseMixer(spec, pairs, pairs.basis)
+    mixer = NoiseMixer(spec, pairs)
     path = sample_path(spec, n, dt, rngmod.stream(seed, 0))
     return np.array([pairs.project(mixer.coefficients(dw))[:8]
                      for dw in path.increments])
@@ -59,7 +59,7 @@ class TestIncrements:
     def test_silent_increment_is_zero(self, pairs16):
         spec = make_noise(pairs16, 16, decay=2.0, sigma=0.0)
         path = sample_path(spec, 1, 0.1, rngmod.stream(0, 0))
-        mixer = NoiseMixer(spec, pairs16, pairs16.basis)
+        mixer = NoiseMixer(spec, pairs16)
         assert np.all(mixer.coefficients(path.increments[0]) == 0.0)
 
     def test_per_mode_variance(self, pairs16):
@@ -84,7 +84,7 @@ class TestIncrements:
 
     def test_scatter_columns_are_eigenpair_fields(self, pairs16):
         spec = make_noise(pairs16, 40, decay=1.0, sigma=1.0)
-        mixer = NoiseMixer(spec, pairs16, pairs16.basis)
+        mixer = NoiseMixer(spec, pairs16)
         fields = mixer.coefficients(np.eye(40))
         for k in range(40):
             assert np.array_equal(fields[k], pairs16.field(k).spectral())
@@ -101,7 +101,7 @@ class TestIncrements:
         per_mode = Counter(zip(pairs16.mode_n[:k], pairs16.mode_m[:k]))
         assert sorted(set(per_mode.values())) == [1, 2, 3]
         spec = make_noise(pairs16, k, decay=1.0, sigma=1.0)
-        mixer = NoiseMixer(spec, pairs16, pairs16.basis)
+        mixer = NoiseMixer(spec, pairs16)
         values = np.random.default_rng(6).standard_normal((k, 5))
         batch = mixer.coefficients(values)
         for p in range(5):

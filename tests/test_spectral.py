@@ -295,3 +295,8 @@ class TestLayerField:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ShapeError):
             LayerField.from_coeffs(basis16, bad)
+
+    @pytest.mark.parametrize("n, m", [(0, 1), (1, 0), (17, 1), (1, 17)])
+    def test_single_mode_outside_the_band_rejected(self, basis16, n, m):
+        with pytest.raises(ConfigurationError, match=rf"mode \({n}, {m}\)"):
+            single_mode_field(basis16, n, m, [1.0, 0.0, 0.0])
