@@ -74,7 +74,7 @@ def _installed_version(name):
 
 @functools.cache
 def _environment():
-    """Interpreter, library versions, BLAS thread setting and CPU count of
+    """Interpreter, library versions, BLAS thread count and CPU count of
     this machine.
 
     The runtime path never imports SciPy, and neither does the manifest.
@@ -276,7 +276,8 @@ def cmd_tightness(run):
         "thirds": report.thirds.tolist(),
         "trend_ok": report.trend_ok,
         "envelope_uninformative": report.envelope_uninformative,
-        "envelope_condition_held": report.envelope_condition_held})
+        "envelope_condition_held": report.envelope_condition_held,
+        "theta_dominated": report.theta_dominated})
 
 
 def cmd_diagnose(run):

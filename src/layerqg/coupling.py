@@ -68,6 +68,16 @@ class LayerCoupling:
         lam_nm = self.basis.eigenvalues[n - 1, m - 1]
         return -lam_nm * np.diag(self.h) + self.l_matrix
 
+    @cached_property
+    def modes_t(self):
+        """modes.T, C-contiguous: the layers -> modes map of the solve."""
+        return np.ascontiguousarray(self.modes.T)
+
+    @cached_property
+    def flat_gain(self):
+        """mode_gain as (3, Nx Ny), the layout of the solve."""
+        return self.mode_gain.reshape(N_LAYERS, -1)
+
 
 def symmetrize(lambdas, basis: SpectralBasis, scale: float = 1.0) -> LayerCoupling:
     """Build D and L = D Ltilde and the vertical modes of S = D^{-1/2} L
@@ -124,8 +134,8 @@ def solve_elliptic_coeffs(coupling: LayerCoupling, q_hat: np.ndarray,
     if q_hat.shape[-3:] != (N_LAYERS,) + coupling.basis.spectral_shape:
         raise ShapeError(f"q_hat shape {q_hat.shape} invalid")
     flat = q_hat.reshape(q_hat.shape[:-2] + (-1,))     # (..., 3, Nx Ny)
-    amp = coupling.modes.T @ flat
-    amp *= coupling.mode_gain.reshape(N_LAYERS, -1)
+    amp = coupling.modes_t @ flat
+    amp *= coupling.flat_gain
     if out is None:
         return (coupling.modes @ amp).reshape(q_hat.shape)
     if out.shape != q_hat.shape or not out.flags.c_contiguous:
@@ -177,10 +187,33 @@ class OperatorEigenpairs:
         c[:, self.mode_n[k] - 1, self.mode_m[k] - 1] = self.vec[k]
         return LayerField.from_coeffs(self.basis, c)
 
+    @cached_property
+    def flat_index(self):
+        """(K, 3): where v_k's layer i sits in a flattened (3, Nx, Ny)
+        coefficient array; read-only."""
+        nx, ny = self.basis.spectral_shape
+        index = (np.arange(N_LAYERS) * (nx * ny)
+                 + ((self.mode_n - 1) * ny + self.mode_m - 1)[:, None])
+        index.setflags(write=False)
+        return index
+
     def project(self, coeffs: np.ndarray) -> np.ndarray:
-        """Pairings <f, rho_k> for all k from spectral coefficients."""
-        vals = coeffs[:, self.mode_n - 1, self.mode_m - 1]  # (3, K)
-        return np.einsum("ik,ki->k", vals, self.vec)
+        """Pairings <f, rho_k> for all k, shape (..., K), from (..., 3, Nx,
+        Ny) spectral coefficients."""
+        return pair_coeffs(coeffs, self.flat_index, self.vec)
+
+
+def pair_coeffs(coeffs, index, vec):
+    """sum_i c[..., i, n_k, m_k] v_k[i] per k, shape (..., K), from (...,
+    3, Nx, Ny) coefficients c, the (K, 3) `flat_index` rows of the pairs
+    and their (K, 3) vectors.
+
+    The gathered (..., K, 3) products are summed over their contiguous
+    last axis, so each pairing is the same sum, in the same order, at
+    every K and every number of leading axes.
+    """
+    flat = coeffs.reshape(coeffs.shape[:-3] + (-1,))
+    return (flat.take(index, axis=-1) * vec).sum(axis=-1)
 
 
 def eigenpairs(coupling: LayerCoupling, k: int) -> OperatorEigenpairs:

@@ -23,12 +23,15 @@ turns it into a blow-up.
 
 Observables and snapshots stay on the G >= 2N grid.  Each sample
 synthesizes q once and shares its peak and peak-scaled square among the
-Lp observables; l2 comes from the coefficients by Parseval.
+Lp observables; l2 comes from the coefficients by Parseval, and the
+pairings of one `parse_observables` call come from one gather.
 
-Arrays of the stepping loop.  The Stepper owns one (2, P, 3, Nx, Ny)
-workspace of (psi_hat, q_hat), kept across steps and reallocated only
-when the batch shape changes: `advance` adds eta + W into slot 1, and
-the elliptic solve writes psi_hat into slot 0.  A step allocates its
+Arrays of the stepping loop.  The Stepper keeps the decay and phi
+factors at the batch shape (P, 3, Nx, Ny), so the linear update
+multiplies equal shapes without broadcasting, and one (2, P, 3, Nx, Ny)
+workspace of (psi_hat, q_hat); it rebuilds all three only when the
+batch shape changes.  `advance` adds eta + W into slot 1, and the
+elliptic solve writes psi_hat into slot 0.  A step allocates its
 forcing array (the linear update then works in place on it), the
 transport grids and their projection, and the new state.  `advance`
 writes into none of its inputs (the first state is a read-only
@@ -45,11 +48,12 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 
 from . import rng as rngmod
-from .coupling import (LayerCoupling, OperatorEigenpairs,
+from .coupling import (LayerCoupling, OperatorEigenpairs, pair_coeffs,
                        solve_elliptic_coeffs)
 from .errors import (BlowUpError, ConfigurationError, ShapeError,
                      TimeStepError)
@@ -106,16 +110,18 @@ def initial_coeffs(descriptor: str, basis: SpectralBasis) -> np.ndarray:
 class ObsContext:
     """Lazy per-sample-time cache for observables; (P, 3, Nx, Ny) fields.
 
-    The grid work of a sample is done once and shared: `q_grid` (one
-    synthesis), `peak` (max |q| per path, which is linf) and `square`
-    ((q / peak)^2 per path, whose powers give l4, l6, ...).  l2 and the
-    spectral observables read the coefficients and need no grid.
+    The work of a sample is done once and shared: `q_grid` (one
+    synthesis), `peak` (max |q| per path, which is linf), `square`
+    ((q / peak)^2 per path, whose powers give l4, l6, ...) and, per
+    PairingTable, the (P, J) pairings of its eigenpairs.  l2 and the
+    other spectral observables read the coefficients and need no grid.
     """
 
     def __init__(self, basis, q_hat, w_hat):
         self.basis = basis
         self.q_hat = q_hat
         self.w_hat = w_hat
+        self._pairings = {}
 
     @cached_property
     def q_grid(self):
@@ -128,6 +134,12 @@ class ObsContext:
     @cached_property
     def square(self):
         return peak_scaled_square(self.q_grid, self.peak)
+
+    def pairings(self, table):
+        """table(q_hat), computed once per sample."""
+        if table not in self._pairings:
+            self._pairings[table] = table(self.q_hat)
+        return self._pairings[table]
 
 
 @dataclass(frozen=True)
@@ -182,21 +194,45 @@ def obs_grad_l4() -> Observable:
     return Observable("gradl4", lambda ctx: grad_l4(ctx.basis, ctx.q_hat))
 
 
-def obs_pairing(pairs: OperatorEigenpairs, k: int, square=False) -> Observable:
-    n = pairs.mode_n[k] - 1
-    m = pairs.mode_m[k] - 1
-    v = pairs.vec[k]
-    def fn(ctx):
-        val = np.sum(ctx.q_hat[..., n, m] * v, axis=-1)
-        return val * val if square else val
-    tag = "pairsq" if square else "pair"
-    label = f"{tag}:{pairs.mode_n[k]}.{pairs.mode_m[k]}.{pairs.comp_j[k]}"
-    return Observable(label, fn)
+class PairingTable:
+    """The pairings <q, rho_k> of a set of eigenpairs, evaluated together.
+
+    Holds the (J, 3) flat indices and vectors of the J eigenpairs its
+    observables read; an ObsContext evaluates the whole table once per
+    sample (`coupling.pair_coeffs`), and each observable reads its column
+    of the (P, J) values.
+    """
+
+    def __init__(self, pairs: OperatorEigenpairs):
+        self.pairs = pairs
+        self.columns = {}                   # eigenpair k -> column j
+        self.index = np.empty((0, N_LAYERS), dtype=np.int64)
+        self.vec = np.empty((0, N_LAYERS))
+
+    def __call__(self, q_hat):
+        return pair_coeffs(q_hat, self.index, self.vec)
+
+    def observable(self, k: int, square=False) -> Observable:
+        """<q, rho_k> per path, or with `square` its square."""
+        pairs = self.pairs
+        if k not in self.columns:
+            self.columns[k] = len(self.columns)
+            self.index = pairs.flat_index[list(self.columns)]
+            self.vec = pairs.vec[list(self.columns)]
+        j = self.columns[k]
+        def fn(ctx):
+            val = ctx.pairings(self)[:, j]
+            return val * val if square else val
+        tag = "pairsq" if square else "pair"
+        label = f"{tag}:{pairs.mode_n[k]}.{pairs.mode_m[k]}.{pairs.comp_j[k]}"
+        return Observable(label, fn)
 
 
 def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
-    """Comma list: l2 l4 ... linf, h<alpha>, wh<alpha>, gradl4, pair:n.m.j."""
+    """Comma list: l2 l4 ... linf, h<alpha>, wh<alpha>, gradl4, pair:n.m.j,
+    pairsq:n.m.j.  The pairings of one call share one PairingTable."""
     out = []
+    table = None if pairs is None else PairingTable(pairs)
     for token in filter(None, (t.strip() for t in text.split(","))):
         if token == "linf":
             out.append(obs_lp(np.inf))
@@ -216,8 +252,8 @@ def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
                                   & (pairs.comp_j == j))
             if not len(hits):
                 raise ConfigurationError(f"{token}: eigenpair not retained")
-            out.append(obs_pairing(pairs, int(hits[0]),
-                                   square=tag == "pairsq"))
+            out.append(table.observable(int(hits[0]),
+                                        square=tag == "pairsq"))
         elif token.startswith("l"):
             out.append(obs_lp(int(token[1:])))
         elif token.startswith("h"):
@@ -320,9 +356,11 @@ class TrajectoryRecord:
 class Stepper:
     """Precomputed factors and work buffers for one SimConfig.
 
-    The (2, ..., 3, Nx, Ny) workspace holds (psi_hat, q_hat) of a
-    nonlinear step and is reallocated only when the batch shape changes,
-    so one Stepper serves one thread.
+    `decay` and `phi` are the per-mode (Nx, Ny) factors.  `advance`
+    multiplies by copies of them at the batch shape (..., 3, Nx, Ny) and
+    uses a (2, ..., 3, Nx, Ny) workspace for the (psi_hat, q_hat) of a
+    nonlinear step; all three are rebuilt only when the batch shape
+    changes, so one Stepper serves one thread.
     """
 
     def __init__(self, config: SimConfig):
@@ -334,13 +372,18 @@ class Stepper:
         self.phi = (1.0 - self.decay) / a              # (Nx, Ny)
         self.h_min = min(basis.hx, basis.hy)
         self.mixer = NoiseMixer(config.noise, config.pairs)
-        self._stack = np.empty((2, 0))      # fits no batch until first use
+        self._shape = None                  # no batch until first use
 
-    def _workspace(self, shape):
-        """The (2,) + shape workspace, kept while the batch shape stays."""
-        if self._stack.shape[1:] != shape:
-            self._stack = np.empty((2,) + shape)
-        return self._stack
+    def _batch(self, shape):
+        """(decay, phi) at the batch shape, with the workspace of a
+        nonlinear step; kept while the batch shape stays."""
+        if shape != self._shape:
+            self._shape = shape
+            self._tables = tuple(np.broadcast_to(f, shape).copy()
+                                 for f in (self.decay, self.phi))
+            if self.config.nonlinear:
+                self._stack = np.empty((2,) + shape)
+        return self._tables
 
     def _stack_transport(self, t):
         """Transport of the q_hat in the workspace's slot 1; the elliptic
@@ -374,12 +417,13 @@ class Stepper:
         silence overflow warnings (the finiteness check reports them).
         """
         cfg = self.config
+        decay, phi = self._batch(eta_hat.shape)
         forcing = -cfg.gamma * w_hat
         if cfg.nonlinear:
-            np.add(eta_hat, w_hat, out=self._workspace(eta_hat.shape)[1])
+            np.add(eta_hat, w_hat, out=self._stack[1])
             forcing -= self._stack_transport(t)
-        new = self.decay * eta_hat
-        new += np.multiply(self.phi, forcing, out=forcing)
+        new = decay * eta_hat
+        new += np.multiply(phi, forcing, out=forcing)
         if not np.isfinite(new).all():
             raise FloatingPointError("state overflow")
         return new
@@ -590,16 +634,49 @@ def _fan_out(worker, items, threads):
 
 
 def _blas_threads():
-    """The environment's BLAS thread setting: the value of the first set of
-    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS, or None."""
+    """The BLAS thread count: the one the OpenBLAS that NumPy loaded runs
+    with, or, without such a library, the value of the first set of
+    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS, or None.
+
+    OpenBLAS fixes its count when it loads, so a variable set later does
+    not change it.
+    """
+    query = _openblas_thread_query()
+    if query is not None:
+        return query()
     names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-    return next((os.environ[name] for name in names if name in os.environ),
-                None)
+    value = next((os.environ[name] for name in names if name in os.environ),
+                 None)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        return None
 
 
 def _blas_pinned():
-    """Whether the environment holds BLAS to one thread."""
-    return (_blas_threads() or "").strip() == "1"
+    """Whether BLAS runs on one thread."""
+    return _blas_threads() == 1
+
+
+@cache
+def _openblas_thread_query():
+    """`scipy_openblas_get_num_threads64_` of the OpenBLAS in the NumPy
+    wheel's bundled libraries, if this process has loaded it; else None.
+    Cached: looked up once per process."""
+    no_load = getattr(os, "RTLD_NOLOAD", None)     # POSIX only
+    if no_load is None:
+        return None
+    folder = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(folder.glob("*openblas*")):
+        try:        # only a library this process has loaded already
+            lib = ctypes.CDLL(str(path), mode=no_load)
+        except OSError:
+            continue
+        query = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if query is not None:
+            query.argtypes, query.restype = (), ctypes.c_int
+            return query
+    return None
 
 
 @cache

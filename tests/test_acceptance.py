@@ -15,7 +15,7 @@ import pytest
 import layerqg as L
 from layerqg import rng as rngmod
 from layerqg.cli import main as cli_main
-from layerqg.dynamics import (SimConfig, nonlinear_term, obs_pairing,
+from layerqg.dynamics import (PairingTable, SimConfig, nonlinear_term,
                               parse_observables, run_trajectory)
 from layerqg.experiments import lp_envelope, w14_monitor, weak_residual
 from layerqg.noise import OUState, make_noise, ou_step, sample_path
@@ -169,7 +169,8 @@ def test_criterion_6_linear_kb_limit():
                         horizon=horizon, nonlinear=False, init="zero",
                         seed=2024, obs_every=2)
         # five largest coefficients sit at the smallest |mu|
-        obs = [obs_pairing(pairs, k, square=True) for k in range(5)]
+        table = PairingTable(pairs)
+        obs = [table.observable(k, square=True) for k in range(5)]
         measures = L.kb_average(cfg, [horizon], obs, n_paths=24)
         m = measures[0]
         for k in range(5):

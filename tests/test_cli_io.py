@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 
 from layerqg import dynamics
-from layerqg.cli import _environment, build_parser, main
+from layerqg.cli import build_parser, main
 from layerqg.dynamics import parse_observables, run_trajectory
 from layerqg.errors import (ConfigurationError, FieldFormatError,
                             FieldLengthError, TimeStepError)
 from layerqg.fieldio import read_field, write_field
+from layerqg.measures import tightness_diagnostic
 from layerqg.runconfig import RunSettings, parse_config, realize
 from layerqg.spectral import LayerField
 
@@ -250,12 +251,12 @@ class TestCli:
             return result
 
         monkeypatch.setattr(dynamics.Stepper, "advance", spy)
-        for name in ("MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
         digests = []
-        for blas, threads in (("1", 1), ("1", 2), ("1", 3), ("2", 2)):
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-            pooled = blas == "1" and threads > 1
+        for blas, threads in ((1, 1), (1, 2), (1, 3), (2, 2)):
+            # BLAS's thread count is fixed when it loads: stand in for it
+            monkeypatch.setattr(dynamics, "_blas_pinned",
+                                lambda blas=blas: blas == 1)
+            pooled = blas == 1 and threads > 1
             records = on_threads(pooled, lambda: dynamics._run_paths(
                 config, obs, range(4), threads=threads))
             for rec, ref in zip(records, alone, strict=True):
@@ -417,18 +418,32 @@ class TestCli:
             scipy = None
         assert env["scipy"] == scipy
 
-    def test_manifest_names_the_blas_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        _environment.cache_clear()
-        try:
-            cfg = self.write_cfg(tmp_path)
-            out = tmp_path / "out"
-            assert run_cli("run", "--config", str(cfg), "--out",
-                           str(out)) == 0
+    def test_manifest_names_the_blas_threads(self, tmp_path):
+        # the count BLAS runs with, which a variable set after start-up
+        # does not change
+        cfg = self.write_cfg(tmp_path)
+        script = textwrap.dedent(f"""
+            import json, os, sys
+            from layerqg import dynamics
+            from layerqg.cli import main
+            os.environ["OPENBLAS_NUM_THREADS"] = "3"
+            assert main(["run", "--config", {str(cfg)!r},
+                         "--out", sys.argv[1]]) == 0
+            print(json.dumps(dynamics._blas_threads()))
+            """)
+        for blas in ("1", "2"):
+            out = tmp_path / f"out{blas}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       PYTHONPATH=str(SRC))
+            proc = subprocess.run([sys.executable, "-c", script, str(out)],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            live = json.loads(proc.stdout)
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["environment"]["blas_threads"] == "1"
-        finally:
-            _environment.cache_clear()
+            assert manifest["environment"]["blas_threads"] == live
+            if dynamics._openblas_thread_query() is not None:
+                assert live == int(blas)
 
     def test_galerkin_manifest_explains_the_run(self, tmp_path):
         cfg = tmp_path / "g.cfg"
@@ -519,6 +534,25 @@ class TestCli:
         assert manifest["l2_dominated"] and manifest["l4_dominated"]
         header = (out / "diagnostics.csv").read_text().split("\n")[0]
         assert "weak_residual" in header
+
+    @pytest.mark.parametrize("sigma, dominated", [(1.0, True),
+                                                   (1e6, None)])
+    def test_tightness_manifest_reports_theta_dominated(self, tmp_path,
+                                                        sigma, dominated):
+        # the report's verdict, or null when the envelope is uninformative
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"modes_x=8\nmodes_y=8\nsigma={sigma}\n"
+                       "noise_modes=24\nnonlinearity=off\ndt=0.005\n")
+        out = tmp_path / "out"
+        assert run_cli("tightness", "--config", str(cfg), "--seed", "4",
+                       "--out", str(out), "--rate", "2",
+                       "--horizon", "0.5") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        report = tightness_diagnostic(
+            realize(parse_config(cfg)[0], seed=4), rate=2.0, horizon=0.5)
+        assert manifest["theta_dominated"] is report.theta_dominated
+        assert manifest["theta_dominated"] is dominated
+        assert manifest["envelope_uninformative"] is (dominated is None)
 
     def test_reused_parser_writes_first_call_bytes(self, tmp_path):
         # the argparse tree is built once per process: after parsing other

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerqg import dynamics, rng as rngmod
-from layerqg.coupling import solve_elliptic_coeffs, symmetrize
-from layerqg.dynamics import (ObsContext, SimConfig, _run_paths,
-                              initial_coeffs, nonlinear_term, obs_lp,
-                              obs_pairing, parse_observables, run_trajectory,
+from layerqg.coupling import eigenpairs, solve_elliptic_coeffs, symmetrize
+from layerqg.dynamics import (ObsContext, PairingTable, SimConfig,
+                              _run_paths, initial_coeffs, nonlinear_term,
+                              obs_lp, parse_observables, run_trajectory,
                               step_eta)
 from layerqg.errors import (BlowUpError, ConfigurationError, ShapeError,
                             TimeStepError, UnsupportedExponentError)
@@ -180,7 +180,8 @@ class TestTrajectory:
         gamma = 0.5
         cfg = make_config(basis16, coupling16, pairs16, noise, gamma=gamma,
                           dt=0.02, horizon=600.0, seed=7, obs_every=5)
-        obs = [obs_pairing(pairs16, k) for k in range(3)]
+        table = PairingTable(pairs16)
+        obs = [table.observable(k) for k in range(3)]
         rec = run_trajectory(cfg, obs)
         for k in range(3):
             v = rec.observables[obs[k].name]
@@ -278,7 +279,7 @@ class TestTrajectory:
         whole = _run_paths(cfg, obs, [0] * 3, init, path)
         monkeypatch.setattr(dynamics, "_BATCH_POINTS",
                             2 * 3 * cfg.basis.quad_weights.size)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")   # batches pooled
+        monkeypatch.setattr(dynamics, "_blas_pinned", lambda: True)  # pooled
         split = _run_paths(cfg, obs, [0] * 3, init, path, threads=2)
         for batch in (whole, split):
             for rec, single in zip(batch, singles, strict=True):
@@ -298,6 +299,8 @@ class TestTrajectory:
         ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False)])
     def test_blas_pinned_reads_the_first_set_variable(self, monkeypatch,
                                                       env, pinned):
+        # the fallback when NumPy loaded no OpenBLAS to ask
+        monkeypatch.setattr(dynamics, "_openblas_thread_query", lambda: None)
         for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                      "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
@@ -305,32 +308,47 @@ class TestTrajectory:
             monkeypatch.setenv(name, value)
         assert dynamics._blas_pinned() is pinned
 
+    def test_blas_threads_asks_the_loaded_library(self, monkeypatch):
+        # OpenBLAS fixed its count at load; a variable set now changes
+        # neither the count nor the answer
+        query = dynamics._openblas_thread_query()
+        if query is None:
+            pytest.skip("NumPy loaded no bundled OpenBLAS")
+        live = query()
+        assert live >= 1
+        for value in ("1", str(live + 1)):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+            assert dynamics._blas_threads() == live
+            assert dynamics._blas_pinned() is (live == 1)
+
     def test_stepper_workspace_follows_the_batch(self):
-        # one Stepper stepping P = 1, 3, 1 in turn gives the bits of fresh
-        # Steppers, writes into neither input, and later steps leave its
-        # earlier results alone
-        cfg = realize(RunSettings(modes_x=16, modes_y=16, dt=1e-3,
-                                  viscosity=0.05, noise_modes=48), seed=5)
+        # one Stepper stepping P = 1, 4, 1 in turn gives the bits of fresh
+        # Steppers, linear or not, writes into neither input, and later
+        # steps leave its earlier results alone
+        base = realize(RunSettings(modes_x=16, modes_y=16, dt=1e-3,
+                                   viscosity=0.05, noise_modes=48), seed=5)
         rng = np.random.default_rng(9)
-        stepper = dynamics.Stepper(cfg)
-        results = []
-        for n_paths in (1, 3, 1):
-            eta, w = (np.stack([scale * random_band_coeffs(rng, cfg.basis)
-                                for _ in range(n_paths)])
-                      for scale in (1.0, 0.1))
-            eta_before, w_before = eta.copy(), w.copy()
-            got = stepper.advance(eta, w, 0.0)
-            assert np.array_equal(eta, eta_before)
-            assert np.array_equal(w, w_before)
-            assert np.array_equal(got, dynamics.Stepper(cfg).advance(
-                eta, w, 0.0))
-            for p in range(n_paths):
-                alone = dynamics.Stepper(cfg).advance(eta[p:p + 1],
-                                                      w[p:p + 1], 0.0)
-                assert np.array_equal(got[p:p + 1], alone)
-            results.append((got, got.copy()))
-        for got, copy in results:
-            assert np.array_equal(got, copy)
+        for nonlinear in (True, False):
+            cfg = replace(base, nonlinear=nonlinear)
+            stepper = dynamics.Stepper(cfg)
+            results = []
+            for n_paths in (1, 4, 1):
+                eta, w = (np.stack([scale * random_band_coeffs(rng, cfg.basis)
+                                    for _ in range(n_paths)])
+                          for scale in (1.0, 0.1))
+                eta_before, w_before = eta.copy(), w.copy()
+                got = stepper.advance(eta, w, 0.0)
+                assert np.array_equal(eta, eta_before)
+                assert np.array_equal(w, w_before)
+                assert np.array_equal(got, dynamics.Stepper(cfg).advance(
+                    eta, w, 0.0))
+                for p in range(n_paths):
+                    alone = dynamics.Stepper(cfg).advance(eta[p:p + 1],
+                                                          w[p:p + 1], 0.0)
+                    assert np.array_equal(got[p:p + 1], alone)
+                results.append((got, got.copy()))
+            for got, copy in results:
+                assert np.array_equal(got, copy)
 
     def test_large_grids_step_in_smaller_batches(self, monkeypatch):
         cfg = realize(RunSettings(modes_x=16, modes_y=16, dt=1e-3,
@@ -477,6 +495,51 @@ class TestLpObservables:
     def test_odd_exponent_rejected(self):
         with pytest.raises(UnsupportedExponentError):
             parse_observables("l3")
+
+
+class TestPairings:
+    @staticmethod
+    def one_by_one(pairs, k, q_hat, square):
+        """The per-observable formula: a gather, a product and a sum."""
+        n, m = pairs.mode_n[k] - 1, pairs.mode_m[k] - 1
+        val = np.sum(q_hat[..., n, m] * pairs.vec[k], axis=-1)
+        return val * val if square else val
+
+    @staticmethod
+    def coeffs(rng, basis, n_paths):
+        # layers of very different sizes, so that the order of the sum
+        # over layers shows in the bits
+        scales = 10.0 ** rng.uniform(-6, 6, (n_paths, 3, 1, 1))
+        return scales * np.stack([random_band_coeffs(rng, basis)
+                                  for _ in range(n_paths)])
+
+    @pytest.mark.parametrize("n_paths", [1, 16])
+    def test_shared_gather_matches_each_pairing(self, basis16, pairs16,
+                                                n_paths):
+        # two parses, over two sets of eigenpairs, evaluated on one sample
+        other = eigenpairs(symmetrize((1.0, 2.0, 0.5), basis16), 60)
+        rng = np.random.default_rng(n_paths)
+        q_hat = self.coeffs(rng, basis16, n_paths)
+        ctx = ObsContext(basis16, q_hat, np.zeros_like(q_hat))
+        for pairs in (pairs16, other):
+            ks = rng.permutation(len(pairs))
+            tokens = [f"{tag}:{pairs.mode_n[k]}.{pairs.mode_m[k]}."
+                      f"{pairs.comp_j[k]}" for k in ks
+                      for tag in ("pair", "pairsq")]
+            obs = parse_observables(",".join(tokens + ["l2"]), pairs)
+            for i, (ob, token) in enumerate(zip(obs, tokens)):
+                want = self.one_by_one(pairs, ks[i // 2], q_hat,
+                                       token.startswith("pairsq"))
+                assert np.array_equal(ob(ctx), want), token
+        assert len(ctx._pairings) == 2      # one evaluation per parse
+
+    @pytest.mark.parametrize("n_paths", [1, 16])
+    def test_project_takes_leading_axes(self, basis16, pairs16, n_paths):
+        q_hat = self.coeffs(np.random.default_rng(7), basis16, n_paths)
+        want = np.stack([self.one_by_one(pairs16, k, q_hat, False)
+                         for k in range(len(pairs16))], axis=-1)
+        assert np.array_equal(pairs16.project(q_hat), want)
+        assert np.array_equal(pairs16.project(q_hat[0]), want[0])
 
 
 class TestObservableParsing:

@@ -1,4 +1,4 @@
-"""Golden outputs: eight small canonical runs against stored exact values.
+"""Golden outputs: nine small canonical runs against stored exact values.
 
 The values in golden.json were written by `python tests/test_golden.py`
 (`python tests/test_golden.py RUN ...` rewrites only the named runs) and
@@ -19,7 +19,7 @@ import pytest
 from layerqg.dynamics import parse_observables, run_trajectory
 from layerqg.experiments import (log_estimate_monitor, lp_envelope,
                                  w14_monitor, weak_residual)
-from layerqg.measures import tightness_diagnostic
+from layerqg.measures import kb_average, tightness_diagnostic
 from layerqg.runconfig import RunSettings, realize
 from layerqg.spectral import single_mode_field
 from layerqg.sweeps import (galerkin_sweep, viscosity_sweep,
@@ -106,6 +106,20 @@ def _tightness():
             "zeta_norm": report.zeta_norm_series.tolist()}
 
 
+def _invariant():
+    """Time averages and their standard errors of a five-path linear
+    ensemble at two horizons, over pairings, squared pairings and l2."""
+    config = realize(RunSettings(modes_x=8, modes_y=8, nonlinearity="off",
+                                 sigma=2.0, noise_modes=24, dt=5e-3,
+                                 horizon=0.5, obs_every=2),
+                     seed=19)
+    obs = parse_observables("pairsq:1.1.0,pairsq:1.2.1,pair:2.1.0,"
+                            "pairsq:2.2.2,l2", config.pairs)
+    measures = kb_average(config, [0.25, 0.5], obs, n_paths=5)
+    return {"means": np.concatenate([m.means for m in measures]).tolist(),
+            "stderrs": np.concatenate([m.stderrs for m in measures]).tolist()}
+
+
 RUNS = {
     "linear_n8": lambda: _trajectory(
         modes_x=8, modes_y=8, nonlinearity="off", dt=2e-3, horizon=0.1,
@@ -121,6 +135,7 @@ RUNS = {
     "stability_n8": _stability,
     "diagnose_n16": _diagnose,
     "tightness_n8": _tightness,
+    "invariant_linear_n8": _invariant,
 }
 
 

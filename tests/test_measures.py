@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from layerqg.dynamics import (Observable, SimConfig, obs_lp, obs_pairing,
+from layerqg.dynamics import (Observable, PairingTable, SimConfig, obs_lp,
                               parse_observables, run_trajectory)
 from layerqg.errors import ConfigurationError, SamplingError, ShapeError
 from layerqg.measures import (_theta_envelope, invariance_test, kb_average,
@@ -38,8 +38,8 @@ class TestKbAverage:
     def test_average_linearity(self, basis16, coupling16, pairs16):
         # time averaging commutes with linear combinations of observables
         cfg = linear_config(basis16, coupling16, pairs16, horizon=5.0)
-        a = obs_pairing(pairs16, 0)
-        b = obs_pairing(pairs16, 1)
+        table = PairingTable(pairs16)
+        a, b = table.observable(0), table.observable(1)
         combo = Observable("combo", lambda ctx: 2 * a.fn(ctx) - 3 * b.fn(ctx))
         ms = kb_average(cfg, [5.0], [a, b, combo], n_paths=2)
         m = ms[0]
@@ -68,7 +68,8 @@ class TestKbAverage:
         gamma = 0.5
         cfg = linear_config(basis16, coupling16, pairs16, dt=0.01,
                             horizon=400.0, seed=2024, obs_every=2)
-        obs = [obs_pairing(pairs16, k, square=True) for k in range(3)]
+        table = PairingTable(pairs16)
+        obs = [table.observable(k, square=True) for k in range(3)]
         ms = kb_average(cfg, [400.0], obs, n_paths=12)
         m = ms[0]
         for k in range(3):
@@ -78,7 +79,7 @@ class TestKbAverage:
     def test_nested_horizons_stabilize(self, basis16, coupling16, pairs16):
         cfg = linear_config(basis16, coupling16, pairs16, dt=0.01,
                             horizon=320.0, seed=77, obs_every=2)
-        obs = [obs_pairing(pairs16, 0, square=True)]
+        obs = [PairingTable(pairs16).observable(0, square=True)]
         ms = kb_average(cfg, [80.0, 160.0, 320.0], obs, n_paths=6)
         vals = [m.means[0] for m in ms]
         deltas = np.abs(np.diff(vals))
@@ -90,7 +91,7 @@ class TestKbAverage:
         gamma = 0.5
         cfg = linear_config(basis16, coupling16, pairs16, dt=0.01,
                             horizon=300.0, seed=41, obs_every=2)
-        obs = [obs_pairing(pairs16, 0, square=True)]
+        obs = [PairingTable(pairs16).observable(0, square=True)]
         ms = kb_average(cfg, [300.0], obs, n_paths=8)
         time_avg, time_se = ms[0].means[0], ms[0].stderrs[0]
         finals = []
@@ -125,9 +126,9 @@ class TestInvariance:
                                                  pairs16):
         cfg = linear_config(basis16, coupling16, pairs16, dt=0.02,
                             horizon=260.0, seed=8)
+        pairing = PairingTable(pairs16).observable(0)
         rep = invariance_test(cfg, burn_in=20.0, window=160.0,
-                              observables=[obs_lp(2), obs_pairing(pairs16, 0)],
-                              n_paths=4)
+                              observables=[obs_lp(2), pairing], n_paths=4)
         assert not rep.rejected.any()
         assert rep.n_samples >= 30
 
