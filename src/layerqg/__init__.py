@@ -16,7 +16,7 @@ from .experiments import (log_estimate_monitor, lp_envelope, w14_monitor,
 from .fieldio import read_field, write_field
 from .measures import (AveragedMeasure, TightnessReport, invariance_test,
                        kb_average, tightness_diagnostic)
-from .noise import (BrownianIncrements, NoiseSpec, OUState, make_noise,
+from .noise import (BrownianIncrements, NoiseSpec, make_noise, ou_factors,
                     ou_step, regularity_check, sample_path,
                     sigma_for_stationary_l2)
 from .runconfig import RunSettings, parse_config, realize

@@ -18,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -29,7 +30,7 @@ from . import __version__, rng as rngmod
 from .dynamics import (_blas_threads, _keep_freed_heap, parse_observables,
                        run_trajectory)
 from .errors import (BlowUpError, ConfigurationError, TimeStepError)
-from .experiments import (_snapshot_series, log_estimate_monitor,
+from .experiments import (_snapshot_series, dominated, log_estimate_monitor,
                           lp_envelope, w14_monitor, weak_residual)
 from .fieldio import write_field
 from .measures import kb_average, tightness_diagnostic
@@ -97,14 +98,25 @@ def _config_snaps(args):
     return 0
 
 
+def _finite_float(text):
+    """A float flag's value: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"needs a finite number: {text!r}")
+    return value
+
+
 def _ladder(flag, text, cast):
-    """The comma list `text` of a ladder flag, each value cast; a value
-    that does not parse names the flag."""
+    """The comma list `text` of a ladder flag, each value read by `cast`
+    (`int` or `_finite_float`); a value that does not parse names the
+    flag."""
     try:
         return [cast(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigurationError(
-            f"{flag}: cannot parse {text!r} as a list of {cast.__name__}")
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigurationError(f"{flag}: cannot parse {text!r}: {exc}")
 
 
 class _Session:
@@ -218,7 +230,7 @@ def cmd_galerkin(run):
 
 def cmd_viscosity(run):
     args = run.args
-    ladder = _ladder("--eps-ladder", args.eps_ladder, float)
+    ladder = _ladder("--eps-ladder", args.eps_ladder, _finite_float)
     report = viscosity_sweep(run.config, ladder,
                              snap_every=args.snap_every or 1,
                              threads=args.threads)
@@ -234,7 +246,7 @@ def cmd_viscosity(run):
 
 def cmd_stability(run):
     args = run.args
-    ladder = _ladder("--delta-ladder", args.delta_ladder, float)
+    ladder = _ladder("--delta-ladder", args.delta_ladder, _finite_float)
     pert = single_mode_field(run.config.basis, 1, 2, [1.0, -0.5, 0.25])
     report = yudovich_stability(run.config, ladder, pert,
                                 snap_every=args.snap_every or 1,
@@ -247,7 +259,7 @@ def cmd_stability(run):
 
 def cmd_invariant(run):
     args = run.args
-    horizons = _ladder("--horizons", args.horizons, float)
+    horizons = _ladder("--horizons", args.horizons, _finite_float)
     observables = parse_observables(run.settings.observables,
                                     run.config.pairs)
     measures = kb_average(run.config, horizons, observables,
@@ -303,8 +315,8 @@ def cmd_diagnose(run):
     run.manifest({
         "log_ratio_max": log_rep.maximum,
         "w14_dominated": w14.dominated,
-        "l2_dominated": bool(np.all(envs[1][0] <= envs[1][1] * (1 + 1e-9))),
-        "l4_dominated": bool(np.all(envs[2][0] <= envs[2][1] * (1 + 1e-9)))})
+        "l2_dominated": dominated(*envs[1]),
+        "l4_dominated": dominated(*envs[2])})
 
 
 @functools.cache
@@ -347,8 +359,8 @@ def build_parser():
 
     p = sub.add_parser("tightness", help="long-run confinement diagnostic")
     _common(p)
-    p.add_argument("--rate", type=float, default=2.0)
-    p.add_argument("--horizon", type=float, default=100.0)
+    p.add_argument("--rate", type=_finite_float, default=2.0)
+    p.add_argument("--horizon", type=_finite_float, default=100.0)
     p.set_defaults(func=cmd_tightness)
 
     p = sub.add_parser("diagnose", help="monitors and envelopes for one run")

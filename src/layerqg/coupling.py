@@ -68,16 +68,6 @@ class LayerCoupling:
         lam_nm = self.basis.eigenvalues[n - 1, m - 1]
         return -lam_nm * np.diag(self.h) + self.l_matrix
 
-    @cached_property
-    def modes_t(self):
-        """modes.T, C-contiguous: the layers -> modes map of the solve."""
-        return np.ascontiguousarray(self.modes.T)
-
-    @cached_property
-    def flat_gain(self):
-        """mode_gain as (3, Nx Ny), the layout of the solve."""
-        return self.mode_gain.reshape(N_LAYERS, -1)
-
 
 def symmetrize(lambdas, basis: SpectralBasis, scale: float = 1.0) -> LayerCoupling:
     """Build D and L = D Ltilde and the vertical modes of S = D^{-1/2} L
@@ -134,8 +124,8 @@ def solve_elliptic_coeffs(coupling: LayerCoupling, q_hat: np.ndarray,
     if q_hat.shape[-3:] != (N_LAYERS,) + coupling.basis.spectral_shape:
         raise ShapeError(f"q_hat shape {q_hat.shape} invalid")
     flat = q_hat.reshape(q_hat.shape[:-2] + (-1,))     # (..., 3, Nx Ny)
-    amp = coupling.modes_t @ flat
-    amp *= coupling.flat_gain
+    amp = coupling.modes.T @ flat
+    amp *= coupling.mode_gain.reshape(N_LAYERS, -1)
     if out is None:
         return (coupling.modes @ amp).reshape(q_hat.shape)
     if out.shape != q_hat.shape or not out.flags.c_contiguous:
@@ -184,7 +174,7 @@ class OperatorEigenpairs:
     def field(self, k: int) -> LayerField:
         """rho_k as a LayerField."""
         c = np.zeros((N_LAYERS,) + self.basis.spectral_shape)
-        c[:, self.mode_n[k] - 1, self.mode_m[k] - 1] = self.vec[k]
+        c.flat[self.flat_index[k]] = self.vec[k]
         return LayerField.from_coeffs(self.basis, c)
 
     @cached_property

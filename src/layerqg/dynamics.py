@@ -385,43 +385,36 @@ class Stepper:
                 self._stack = np.empty((2,) + shape)
         return self._tables
 
-    def _stack_transport(self, t):
-        """Transport of the q_hat in the workspace's slot 1; the elliptic
-        solve writes psi_hat into slot 0.
-
-        The adaptive CFL guard runs between the velocity synthesis and the
-        product, so an over-CFL state raises the stability error rather
-        than overflowing into a blow-up.
-        """
-        cfg = self.config
-        stack = self._stack
-        solve_elliptic_coeffs(cfg.coupling, stack[1], out=stack[0])
-
-        def guard(umax):
-            if not np.isfinite(umax):
-                raise FloatingPointError("velocity overflow")
-            ceiling = cfg.cfl_safety * min(
-                1.0 / cfg.gamma, self.h_min / umax if umax > 0 else np.inf)
-            if cfg.cfl_safety > 0 and cfg.dt > ceiling:
-                raise TimeStepError(
-                    f"dt={cfg.dt} exceeds adaptive CFL ceiling "
-                    f"{ceiling:.3e} at t={t:.6g} (|u|max={umax:.3e})",
-                    time=t, umax=float(umax), ceiling=float(ceiling))
-
-        return _transport(cfg.basis, stack, guard)
-
     def advance(self, eta_hat, w_hat, t):
         """One step of the eta equation, W frozen at the step's left end.
 
         Writes into neither input; the new state is a new array.  Callers
         silence overflow warnings (the finiteness check reports them).
+
+        The adaptive CFL guard holds dt to the advective ceiling
+        cfl_safety h_min / |u|max of the transport, before the finiteness
+        check of the new state, so an over-CFL state raises the stability
+        error rather than a blow-up.  `SimConfig` checks the damping
+        ceiling cfl_safety / gamma.
         """
         cfg = self.config
         decay, phi = self._batch(eta_hat.shape)
         forcing = -cfg.gamma * w_hat
         if cfg.nonlinear:
-            np.add(eta_hat, w_hat, out=self._stack[1])
-            forcing -= self._stack_transport(t)
+            stack = self._stack
+            np.add(eta_hat, w_hat, out=stack[1])
+            solve_elliptic_coeffs(cfg.coupling, stack[1], out=stack[0])
+            term, umax = _transport(cfg.basis, stack)
+            if not np.isfinite(umax):
+                raise FloatingPointError("velocity overflow")
+            if cfg.cfl_safety > 0 and umax > 0:
+                ceiling = cfg.cfl_safety * (self.h_min / umax)
+                if cfg.dt > ceiling:
+                    raise TimeStepError(
+                        f"dt={cfg.dt} exceeds adaptive CFL ceiling "
+                        f"{ceiling:.3e} at t={t:.6g} (|u|max={umax:.3e})",
+                        time=t, umax=float(umax), ceiling=float(ceiling))
+            forcing -= term
         new = decay * eta_hat
         new += np.multiply(phi, forcing, out=forcing)
         if not np.isfinite(new).all():
@@ -452,31 +445,30 @@ def nonlinear_term(q: LayerField, psi: LayerField) -> LayerField:
     if not basis.compatible(psi.basis):
         raise ShapeError("q and psi live on different bases")
     with np.errstate(over="ignore", invalid="ignore"):
-        term = _transport(basis, np.stack((psi.spectral(), q.spectral())))
+        term, _ = _transport(basis, np.stack((psi.spectral(), q.spectral())))
     if not np.all(np.isfinite(term)):
         raise FloatingPointError("transport overflow")
     return LayerField.from_coeffs(basis, term)
 
 
-def _transport(basis: SpectralBasis, stack, guard=None):
-    """P(grad_perp psi . grad q) on basis.transport_basis from the
-    (2, ..., 3, Nx, Ny) stack of (psi_hat, q_hat).
+def _transport(basis: SpectralBasis, stack):
+    """(P(grad_perp psi . grad q) on basis.transport_basis, the largest
+    |u| on its grid) from the (2, ..., 3, Nx, Ny) stack of (psi_hat,
+    q_hat).
 
     One x-derivative synthesis of the stack gives (psi_x, q_x), one
     y-derivative synthesis gives (psi_y, q_y); u = (-psi_y, psi_x), so
-    the product is psi_x q_y - psi_y q_x.  `guard(umax)`, if given, sees
-    the largest |u| on the grid before the product is formed.  An
-    overflowing product is not checked here: it projects to non-finite
-    coefficients, which the caller's finiteness check reports.
+    the product is psi_x q_y - psi_y q_x.  An overflowing product is not
+    checked here: it projects to non-finite coefficients, which the
+    caller's finiteness check reports.
     """
     grid = basis.transport_basis
     psi_x, q_x = grid.synth_cs(stack)
     psi_y, q_y = grid.synth_sc(stack)
-    if guard is not None:
-        guard(max(_abs_peak(psi_y), _abs_peak(psi_x)))
+    umax = max(_abs_peak(psi_y), _abs_peak(psi_x))
     product = np.multiply(psi_x, q_y, out=psi_x)
     product -= np.multiply(psi_y, q_x, out=psi_y)
-    return grid.forward(product)
+    return grid.forward(product), umax
 
 
 def _abs_peak(grid):
@@ -554,7 +546,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     stepper = Stepper(cfg)
     eta = np.broadcast_to(initial, (n_paths,) + shape)   # never written to
     w = np.zeros(eta.shape)
-    noisy = cfg.noise.sigma > 0 and cfg.noise.k > 0
+    noisy = cfg.noise.active
     drawn = int(noisy and noise_path is None)
     rows, k = drawn + hook_draws, cfg.noise.k
     gens = [rngmod.stream(cfg.seed, s) for s in streams] if rows else []

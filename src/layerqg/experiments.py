@@ -206,6 +206,12 @@ def _snapshot_series(record: TrajectoryRecord, names=_NAMED_SERIES,
 # -- monitors -----------------------------------------------------------
 
 
+def dominated(series, envelope) -> bool:
+    """Whether the series stays at or below its envelope everywhere, up
+    to a relative 1e-9 and an absolute 1e-12 of rounding slack."""
+    return bool(np.all(series <= envelope * (1 + 1e-9) + 1e-12))
+
+
 @dataclass
 class MonitorReport:
     times: np.ndarray
@@ -294,8 +300,8 @@ def w14_monitor(record: TrajectoryRecord) -> MonitorReport:
     env_eta = _damped_integrate(rate, forcing, times,
                                 series["grad_eta_l4"][0])
     envelope = env_eta + grad_w4
-    dominated = bool(np.all(grad_q <= envelope * (1 + 1e-9) + 1e-12))
     return MonitorReport(times=times, series=grad_q,
                          maximum=float(np.max(grad_q)),
                          skipped=np.zeros(len(times), dtype=bool),
-                         envelope=envelope, dominated=dominated)
+                         envelope=envelope,
+                         dominated=dominated(grad_q, envelope))

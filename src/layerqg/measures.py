@@ -21,7 +21,8 @@ import numpy as np
 
 from .dynamics import Observable, SimConfig, _run_paths, obs_lp
 from .errors import ConfigurationError, SamplingError
-from .noise import NoiseMixer, OUState, _ou_advance, _ou_factors
+from .experiments import _cumtrapz, dominated
+from .noise import NoiseMixer, ou_factors, ou_step
 
 ALPHA_NOISE = 2.5
 
@@ -55,16 +56,22 @@ def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1,
                threads: int = 1):
     """Averaged measures at nested horizons, one long run per path.
 
-    Starts every path at q0 = 0; horizons must ascend and fit inside the
-    configured trajectory length.  `threads` is `_run_paths`'s, and
-    changes no byte.
+    Starts every path at q0 = 0.  Before the run, the horizons must
+    ascend from 0 up to the configured trajectory length through sample
+    times: multiples of dt * obs_every, or that length itself (each to a
+    relative 1e-9, as SimConfig matches horizon and dt).  `threads` is
+    `_run_paths`'s, and changes no byte.
     """
     horizons = list(horizons)
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ConfigurationError("horizons must be strictly increasing")
-    if max(horizons) > config.horizon + 1e-12:
-        raise ConfigurationError(
-            f"horizon {max(horizons)} exceeds simulated length {config.horizon}")
+    spacing = config.dt * config.obs_every
+    for prev, horizon in zip([0.0, *horizons], horizons):
+        if not (prev < horizon <= config.horizon * (1 + 1e-9) and min(
+                abs(round(horizon / spacing) * spacing - horizon),
+                abs(config.horizon - horizon)) <= 1e-9 * horizon):
+            raise ConfigurationError(
+                f"horizon {horizon}: horizons must ascend from 0 to "
+                f"{config.horizon} through multiples of dt * obs_every = "
+                f"{spacing:g} or {config.horizon} itself")
     cfg = replace(config, init="zero", snap_every=0)
     records = _run_paths(cfg, observables, range(n_paths), threads=threads)
     times = records[0].times
@@ -72,7 +79,8 @@ def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1,
                        for rec in records])                    # (P, O, T)
     stacked = np.empty((n_paths, len(horizons), len(observables)))
     for i, horizon in enumerate(horizons):
-        n = np.count_nonzero(times <= horizon + 1e-12)
+        # the sample at the horizon, which may lie a rounding above it
+        n = np.count_nonzero(times <= horizon * (1 + 1e-9))
         v = series[..., :n]                # trapezoid rule per path
         stacked[:, i] = np.sum(0.5 * (v[..., 1:] + v[..., :-1])
                                * np.diff(times[:n]), axis=-1) / horizon
@@ -189,8 +197,7 @@ class TightnessReport:
     def theta_dominated(self) -> bool | None:
         if self.envelope is None:
             return None
-        return bool(np.all(self.theta_inf_series
-                           <= self.envelope * (1 + 1e-9) + 1e-12))
+        return dominated(self.theta_inf_series, self.envelope)
 
 
 def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
@@ -211,23 +218,24 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
                   obs_every=sample_every)
     mixer = NoiseMixer(cfg.noise, cfg.pairs)
     zeta = np.zeros(cfg.noise.k)
-    factors = None
+    # the loop passes increments exactly when the noise is active
+    factors = ou_factors(rate, cfg.noise, cfg.dt, driven=cfg.noise.active)
+    weights = cfg.pairs.spatial_eigenvalues[:cfg.noise.k] ** ALPHA_NOISE
 
     def ou_update(dw, normals):
-        nonlocal factors
-        if factors is None:         # dw is None on every step or on none
-            factors = _ou_factors(rate, cfg.noise, cfg.dt, dw is not None)
-        _ou_advance(zeta, factors, normals[0, :, 0],
-                    None if dw is None else dw[:, 0], out=zeta)
+        ou_step(zeta, factors, normals[0, :, 0],
+                None if dw is None else dw[:, 0], out=zeta)
 
     def theta_sup(ctx):
         theta_hat = ctx.q_hat - mixer.coefficients(zeta)
         return np.abs(cfg.basis.inverse(theta_hat)).max(axis=(-3, -2, -1))
 
     def zeta_h_alpha(ctx):
-        # OUState rejects a non-finite zeta, at the latest one sample on
-        ou = OUState(rate=rate, zeta=zeta)
-        return [ou.h_alpha_norm(cfg.pairs, ALPHA_NOISE)]
+        # zeta is updated in place unchecked; a non-finite state stops the
+        # run at the next sample
+        if not np.all(np.isfinite(zeta)):
+            raise ConfigurationError("non-finite OU state")
+        return [np.sqrt(np.sum(zeta**2 * weights))]
 
     observables = [obs_lp(np.inf), Observable("theta_inf", theta_sup),
                    Observable("zeta_norm", zeta_h_alpha)]
@@ -265,11 +273,7 @@ def _theta_envelope(times, zeta_norm, gamma, rate, c_const):
         J(t) = int_0^t (C Z(r) - gamma) dr,  Z = ||zeta||_{H^alpha}.
     """
     n = len(times)
-    growth = c_const * zeta_norm - gamma
-    j_cum = np.zeros(n)
-    if n > 1:
-        j_cum[1:] = np.cumsum(0.5 * (growth[1:] + growth[:-1])
-                              * np.diff(times))
+    j_cum = _cumtrapz(c_const * zeta_norm - gamma, times)
     # largest exponent over pairs s <= t without forming the n x n matrix
     max_span = np.max(j_cum - np.minimum.accumulate(j_cum))
     if max_span > 700:

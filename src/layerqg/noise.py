@@ -42,6 +42,11 @@ class NoiseSpec:
     def k(self) -> int:
         return len(self.c)
 
+    @property
+    def active(self) -> bool:
+        """Whether the noise forces anything: sigma > 0 and K > 0."""
+        return self.sigma > 0 and self.k > 0
+
 
 def make_noise(pairs: OperatorEigenpairs, k: int, decay: float,
                sigma: float) -> NoiseSpec:
@@ -50,8 +55,14 @@ def make_noise(pairs: OperatorEigenpairs, k: int, decay: float,
     if k > len(pairs):
         raise ConfigurationError(
             f"noise truncation k={k} exceeds available eigenpairs {len(pairs)}")
-    c = sigma * (1.0 + np.abs(pairs.mu[:k])) ** (-decay)
-    return NoiseSpec(decay=decay, sigma=sigma, c=c)
+    return NoiseSpec(decay=decay, sigma=sigma,
+                     c=_decay_law(pairs, k, decay, sigma))
+
+
+def _decay_law(pairs: OperatorEigenpairs, count: int, decay: float,
+               sigma: float) -> np.ndarray:
+    """c_k = sigma (1 + |mu_k|)^(-decay) over the first `count` pairs."""
+    return sigma * (1.0 + np.abs(pairs.mu[:count])) ** (-decay)
 
 
 def sigma_for_stationary_l2(pairs: OperatorEigenpairs, k: int, decay: float,
@@ -68,7 +79,7 @@ def regularity_sum(spec: NoiseSpec, pairs: OperatorEigenpairs,
     """Partial sum of c_k^2 ||rho_k||^2_{H^{5/2}} (extending c_k by the
     same decay law beyond the truncation)."""
     lam = pairs.spatial_eigenvalues[:upto]
-    c = spec.sigma * (1.0 + np.abs(pairs.mu[:upto])) ** (-spec.decay)
+    c = _decay_law(pairs, upto, spec.decay, spec.sigma)
     return float(np.sum(c**2 * lam**2.5))
 
 
@@ -108,18 +119,15 @@ class NoiseMixer:
 
     def __init__(self, spec: NoiseSpec, pairs: OperatorEigenpairs):
         self.spec = spec
-        basis = pairs.basis
         k = spec.k
-        nxny = basis.nx * basis.ny
-        flat = (pairs.mode_n[:k] - 1) * basis.ny + (pairs.mode_m[:k] - 1)
-        rows = (flat[:, None] + np.arange(N_LAYERS) * nxny).ravel()
+        rows = pairs.flat_index[:k].ravel()
         cols = np.repeat(np.arange(k), N_LAYERS)      # row-major like vec[:k]
         order = np.lexsort((cols, rows))
         self._rows = rows[order]
         self._cols = cols[order]
         self._vals = pairs.vec[:k].ravel()[order]
-        self._size = N_LAYERS * nxny
-        self._shape = (N_LAYERS,) + basis.spectral_shape
+        self._shape = (N_LAYERS,) + pairs.basis.spectral_shape
+        self._size = math.prod(self._shape)
         self._batches = {}      # path count P -> (output bins, input index)
 
     def coefficients(self, weighted_values: np.ndarray) -> np.ndarray:
@@ -178,57 +186,17 @@ def sample_path(spec: NoiseSpec, n_steps: int, dt: float,
 
 
 # -- stochastic convolution --------------------------------------------
+#
+# zeta_lambda(t) = int_{-inf}^t e^{-lambda (t-s)} dW_s is carried as its
+# coefficients zeta_k over the retained eigenpairs.
 
 
-@dataclass(frozen=True)
-class OUState:
-    """State of zeta_lambda(t) = int_{-inf}^t e^{-lambda (t-s)} dW_s,
-    stored as coefficients zeta_k over the retained eigenpairs."""
-
-    rate: float
-    zeta: np.ndarray  # (K,)
-    time: float = 0.0
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ConfigurationError("rate must be positive")
-        if not np.all(np.isfinite(self.zeta)):
-            raise ConfigurationError("non-finite OU state")
-
-    @classmethod
-    def zero(cls, rate: float, k: int):
-        return cls(rate=rate, zeta=np.zeros(k))
-
-    def h_alpha_norm(self, pairs: OperatorEigenpairs, alpha: float) -> float:
-        lam = pairs.spatial_eigenvalues[: len(self.zeta)]
-        return float(np.sqrt(np.sum(self.zeta**2 * lam**alpha)))
-
-
-def ou_step(state: OUState, spec: NoiseSpec, dt: float, xi: np.ndarray,
-            driving_increment: np.ndarray | None = None) -> OUState:
-    """Advance zeta_lambda by dt, exact in distribution.
-
-    `xi` holds the K fresh standard normals of the step.
-
-    Standalone (driving_increment None):
-        zeta_k <- e^{-lam dt} zeta_k + c_k sqrt((1 - e^{-2 lam dt})/(2 lam)) xi_k.
-
-    With a driving increment (the c_k-weighted Brownian increments of the
-    same step, as produced by sample_path/NoiseMixer), the update samples
-    the convolution integral conditionally on that increment, so the OU
-    path is the stochastic convolution of the very noise path driving the
-    dynamics, still without time-discretization bias.
-    """
-    factors = _ou_factors(state.rate, spec, dt,
-                          driven=driving_increment is not None)
-    new = _ou_advance(state.zeta, factors, xi, driving_increment)
-    return OUState(rate=state.rate, zeta=new, time=state.time + dt)
-
-
-def _ou_factors(rate: float, spec: NoiseSpec, dt: float, driven: bool):
-    """(e^{-rate dt}, beta, width) of `ou_step`'s update; beta is None
-    for the standalone form.  They depend on the step alone, so a loop
-    over many steps computes them once."""
+def ou_factors(rate: float, spec: NoiseSpec, dt: float, driven: bool):
+    """(e^{-rate dt}, beta, width) of the exact OU update `ou_step`; beta
+    is None for the standalone form.  They depend on the step alone, so a
+    loop over many steps computes them once."""
+    if rate <= 0:
+        raise ConfigurationError("rate must be positive")
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
     decay = np.exp(-rate * dt)
@@ -242,9 +210,23 @@ def _ou_factors(rate: float, spec: NoiseSpec, dt: float, driven: bool):
     return decay, beta, np.sqrt(var_resid)
 
 
-def _ou_advance(zeta, factors, xi, driving_increment, out=None):
-    """decay zeta [+ beta increment] + width xi, written into `out` (which
-    may be zeta itself) or a new array."""
+def ou_step(zeta, factors, xi, driving_increment=None, out=None):
+    """Advance zeta_lambda by one step of `ou_factors`, exact in
+    distribution; writes into `out` (which may be zeta itself) or a new
+    array.
+
+    `xi` holds the K fresh standard normals of the step.
+
+    Standalone (driving_increment None, factors not driven):
+        zeta_k <- e^{-lam dt} zeta_k + c_k sqrt((1 - e^{-2 lam dt})/(2 lam)) xi_k.
+
+    With a driving increment (the c_k-weighted Brownian increments of the
+    same step, as produced by sample_path/NoiseMixer) and driven factors,
+    the update samples the convolution integral conditionally on that
+    increment, so the OU path is the stochastic convolution of the very
+    noise path driving the dynamics, still without time-discretization
+    bias.
+    """
     decay, beta, width = factors
     new = np.multiply(decay, zeta, out=out)
     if beta is not None:

@@ -3,17 +3,18 @@
 One `key=value` pair per line, `#` starts a comment, blank lines ignored.
 Unknown keys are an error (listing every offender); missing keys fall back
 to defaults and are echoed in the run manifest.  Parsing checks only this
-grammar and the value types; `realize` builds the simulation objects, and
-each of them checks the constraints on its own parameters, naming the
-violated constraint.
+grammar and the value types (a float must be finite); `realize` builds the
+simulation objects, and each of them checks the constraints on its own
+parameters, naming the violated constraint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+import math
 
 from .coupling import eigenpairs, symmetrize
-from .dynamics import SimConfig
+from .dynamics import DEFAULT_OBSERVABLES, SimConfig
 from .errors import ConfigurationError
 from .noise import make_noise
 from .spectral import build_basis
@@ -44,7 +45,7 @@ class RunSettings:
     init: str = "zero"
     cfl_safety: float = 0.5
     obs_every: int = 1
-    observables: str = "l2,l4,linf,h1"
+    observables: str = DEFAULT_OBSERVABLES
 
     def echo(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -75,6 +76,9 @@ def parse_config(path) -> tuple[RunSettings, list[str]]:
                 raise ConfigurationError(
                     f"{path}:{lineno}: cannot parse {key}={val!r} "
                     f"as {typed[key].__name__}")
+            if typed[key] is float and not math.isfinite(values[key]):
+                raise ConfigurationError(
+                    f"{path}:{lineno}: {key}={val!r} is not finite")
     if unknown:
         raise ConfigurationError(
             "unknown configuration keys: " + ", ".join(sorted(unknown)))

@@ -317,6 +317,35 @@ class TestCli:
             f"error: {flag}: cannot parse '4,x,8'")
         assert not out.exists()
 
+    NON_FINITE = [("run", "dt=nan", []), ("run", "horizon=inf", []),
+                  ("run", "lambda1=nan", []), ("run", "sigma=nan", []),
+                  ("run", "cfl_safety=nan", []),
+                  ("tightness", "", ["--horizon", "inf"]),
+                  ("tightness", "", ["--horizon", "nan"]),
+                  ("tightness", "", ["--rate", "nan"]),
+                  ("stability", "", ["--delta-ladder", "nan,0.1,0.01"]),
+                  ("viscosity", "", ["--eps-ladder", "nan,0.1,0.05"]),
+                  ("invariant", "", ["--horizons", "0.05,inf"])]
+
+    @pytest.mark.parametrize(
+        "command, line, flags", NON_FINITE,
+        ids=[f"{c}-{line or '='.join(flags)}" for c, line, flags in NON_FINITE])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, command,
+                                        line, flags):
+        # a config value names its key and line; a flag value its flag
+        cfg = self.write_cfg(tmp_path, line + "\n" if line else "")
+        out = tmp_path / "out"
+        try:
+            code = run_cli(command, "--config", str(cfg), "--seed", "1",
+                           "--out", str(out), *flags)
+        except SystemExit as exit_:         # argparse rejects a flag value
+            code = exit_.code
+        assert code == 2
+        err = capsys.readouterr().err
+        named = f":9: {line.partition('=')[0]}=" if line else flags[0]
+        assert named in err and "finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "galerkin", "viscosity",
                                          "stability", "invariant",
                                          "tightness", "diagnose"])

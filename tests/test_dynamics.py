@@ -393,6 +393,19 @@ class TestGuards:
             make_config(basis16, coupling16, pairs16, quiet_noise,
                         gamma=0.5, dt=1.5)
 
+    def test_damping_ceiling_is_the_config_ceiling(self, basis16, coupling16,
+                                                   pairs16, quiet_noise):
+        # dt = cfl_safety / gamma passes SimConfig; cfl_safety * (1 / gamma)
+        # lies one ulp below it, and a flow at rest has no advective ceiling
+        gamma, safety = 1.618, 0.3
+        dt = safety / gamma
+        assert safety * (1.0 / gamma) < dt
+        cfg = make_config(basis16, coupling16, pairs16, quiet_noise,
+                          nonlinear=True, gamma=gamma, cfl_safety=safety,
+                          dt=dt, horizon=2 * dt)
+        rec = run_trajectory(cfg, observables=parse_observables("linf"))
+        assert np.array_equal(rec.observables["linf"], [0.0, 0.0, 0.0])
+
     def test_adaptive_cfl_trips(self, basis16, coupling16, pairs16,
                                 quiet_noise):
         cfg = make_config(basis16, coupling16, pairs16, quiet_noise,

@@ -1,12 +1,15 @@
-"""Source hygiene: no module imports a name it never uses, and only
-`dynamics` imports a thread pool.
+"""Source hygiene: no module imports a name it never uses, only
+`dynamics` imports a thread pool, and the private names that modules
+import from their siblings are a known list.
 
 No linter is installed, so these scans of the syntax tree are the check.
 The unused-import scan looks at module-level imports in `src/layerqg/`
 and `tests/`; package `__init__.py` files re-export what they import and
 are skipped.  The thread-pool scan looks at every import in every module
 of `src/layerqg/`: the package has one way to fan out work,
-`dynamics._fan_out`.
+`dynamics._fan_out`.  The private-import scan lists every `_`-prefixed
+name a module of `src/layerqg/` imports from a sibling module, so that a
+new crossing of a module boundary is a visible change to this file.
 """
 
 import ast
@@ -80,3 +83,37 @@ def test_only_dynamics_imports_a_thread_pool():
                  for path in sorted((ROOT / "src/layerqg").glob("*.py"))
                  if imports_module(path.read_text(), "concurrent.futures")]
     assert importers == ["dynamics.py"]
+
+
+def private_sibling_imports(source):
+    """`_`-prefixed names imported, at any depth, from a sibling module
+    (`from .x import _y`), as (x, _y) pairs."""
+    return sorted((node.module, alias.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_scan_flags_private_sibling_imports():
+    source = ("from . import __version__, rng\n"
+              "from .a import _b, c\nfrom .d import (_e,\n    f)\n"
+              "from .g.h import _i\nfrom ..j import _k\n"
+              "from numpy import _l\nimport _m\n"
+              "def f():\n    from .n import _o\n")
+    assert private_sibling_imports(source) == [("a", "_b"), ("d", "_e"),
+                                               ("g.h", "_i"), ("n", "_o")]
+
+
+def test_private_sibling_imports_are_known():
+    found = [f"{path.stem}: {module}.{name}"
+             for path in sorted((ROOT / "src/layerqg").glob("*.py"))
+             for module, name in private_sibling_imports(path.read_text())]
+    assert found == ["cli: dynamics._blas_threads",
+                     "cli: dynamics._keep_freed_heap",
+                     "cli: experiments._snapshot_series",
+                     "measures: dynamics._run_paths",
+                     "measures: experiments._cumtrapz",
+                     "sweeps: dynamics._fan_out",
+                     "sweeps: dynamics._run_paths",
+                     "sweeps: experiments._trapz"]

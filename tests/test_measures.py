@@ -35,6 +35,31 @@ class TestKbAverage:
         with pytest.raises(ConfigurationError):
             kb_average(cfg, [1.0, 5.0], [obs_lp(2)])
 
+    @pytest.mark.parametrize("horizons", [
+        [0.045], [0.042, 0.048], [0.0], [-0.007], [np.nan], [np.inf],
+        [0.049, 0.042], [0.056]],
+        ids=["off-grid", "off-grid-last", "zero", "negative", "nan", "inf",
+             "descending", "beyond"])
+    def test_horizons_checked_before_the_run(self, basis16, coupling16,
+                                             pairs16, monkeypatch, horizons):
+        # samples every 7 steps of 1e-3: 0, 0.007, ..., 0.049 and 0.05
+        from layerqg import dynamics
+        cfg = linear_config(basis16, coupling16, pairs16, dt=1e-3,
+                            horizon=0.05, obs_every=7)
+        steps = []
+        monkeypatch.setattr(dynamics.Stepper, "advance",
+                            lambda *args: steps.append(args))
+        with pytest.raises(ConfigurationError, match="horizon"):
+            kb_average(cfg, horizons, [obs_lp(2)])
+        assert not steps
+
+    def test_sample_time_horizons_accepted(self, basis16, coupling16,
+                                           pairs16):
+        cfg = linear_config(basis16, coupling16, pairs16, dt=1e-3,
+                            horizon=0.05, obs_every=7)
+        ms = kb_average(cfg, [0.042, 0.049, 0.05], [obs_lp(2)])
+        assert [m.horizon for m in ms] == [0.042, 0.049, 0.05]
+
     def test_average_linearity(self, basis16, coupling16, pairs16):
         # time averaging commutes with linear combinations of observables
         cfg = linear_config(basis16, coupling16, pairs16, horizon=5.0)
@@ -209,7 +234,7 @@ class TestTightness:
         # sampled zeta norm reports a non-finite state at the next sample
         from layerqg import measures
         cfg = linear_config(basis16, coupling16, pairs16, horizon=1.0)
-        advance, steps = measures._ou_advance, []
+        advance, steps = measures.ou_step, []
 
         def spoiled(zeta, factors, xi, increment, out):
             steps.append(len(steps) + 1)
@@ -217,10 +242,27 @@ class TestTightness:
             if len(steps) == 3:
                 out[0] = np.nan
 
-        monkeypatch.setattr(measures, "_ou_advance", spoiled)
+        monkeypatch.setattr(measures, "ou_step", spoiled)
         with pytest.raises(ConfigurationError, match="non-finite OU state"):
             tightness_diagnostic(cfg, rate=2.0, horizon=1.0, sample_every=5)
         assert len(steps) == 5
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.0])
+    def test_one_ou_step_per_step(self, basis16, coupling16, pairs16,
+                                  monkeypatch, sigma):
+        from layerqg import measures
+        cfg = linear_config(basis16, coupling16, pairs16, sigma=sigma,
+                            horizon=1.0)
+        step, calls = measures.ou_step, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3] is None)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "ou_step", counted)
+        tightness_diagnostic(cfg, rate=2.0, horizon=1.0, sample_every=5)
+        # 50 steps of 0.02; without noise the update is the standalone one
+        assert calls == [sigma == 0.0] * 50
 
     def test_rate_guard(self, basis16, coupling16, pairs16):
         cfg = linear_config(basis16, coupling16, pairs16)

@@ -5,9 +5,9 @@ import pytest
 
 from layerqg import rng as rngmod
 from layerqg.errors import ConfigurationError
-from layerqg.noise import (NoiseMixer, NoiseSpec, OUState,
-                           make_noise, ou_step, regularity_check,
-                           sample_path, sigma_for_stationary_l2)
+from layerqg.noise import (NoiseMixer, NoiseSpec, make_noise, ou_factors,
+                           ou_step, regularity_check, sample_path,
+                           sigma_for_stationary_l2)
 
 
 class TestRegularity:
@@ -94,6 +94,18 @@ class TestIncrements:
         for p in range(5):
             assert np.array_equal(batch[p], mixer.coefficients(values[:, p]))
 
+    def test_scatter_rows_are_the_flat_indices(self, pairs16):
+        # triplet (row, eigenpair, value) of layer i of pair k is
+        # (flat_index[k, i], k, vec[k, i]), sorted by row, then eigenpair
+        k = 40
+        mixer = NoiseMixer(make_noise(pairs16, k, decay=1.0, sigma=1.0),
+                           pairs16)
+        expected = sorted(zip(pairs16.flat_index[:k].ravel().tolist(),
+                              np.repeat(np.arange(k), 3).tolist(),
+                              pairs16.vec[:k].ravel().tolist()))
+        assert list(zip(mixer._rows.tolist(), mixer._cols.tolist(),
+                        mixer._vals.tolist())) == expected
+
     def test_scatter_is_the_eigenpair_ordered_sum(self, pairs16):
         # K = 6 retains one, two and three components of different modes,
         # so some coefficients sum three terms, in eigenpair order
@@ -137,11 +149,10 @@ class TestStationaryAmplitude:
 class TestOrnsteinUhlenbeck:
     def test_silent_decay(self, pairs16):
         spec = make_noise(pairs16, 8, decay=2.0, sigma=0.0)
-        state = OUState(rate=2.0, zeta=np.ones(8))
-        out = ou_step(state, spec, 0.5,
+        factors = ou_factors(2.0, spec, 0.5, driven=False)
+        out = ou_step(np.ones(8), factors,
                       rngmod.stream(0, 0).standard_normal(8))
-        assert np.allclose(out.zeta, np.exp(-1.0))
-        assert out.time == pytest.approx(0.5)
+        assert np.allclose(out, np.exp(-1.0))
 
     @pytest.mark.parametrize("rate", [0.5, 2.0])
     def test_stationary_variance(self, pairs16, rate):
@@ -149,11 +160,12 @@ class TestOrnsteinUhlenbeck:
         gen = rngmod.stream(2_718, 0)
         dt = 3.0 / rate     # near-independent successive samples
         n = 10_000
-        state = OUState.zero(rate, 8)
+        factors = ou_factors(rate, spec, dt, driven=False)
+        zeta = np.zeros(8)
         samples = np.empty((n, 8))
         for i in range(n):
-            state = ou_step(state, spec, dt, gen.standard_normal(spec.k))
-            samples[i] = state.zeta
+            zeta = ou_step(zeta, factors, gen.standard_normal(spec.k))
+            samples[i] = zeta
         target = spec.c**2 / (2 * rate)
         emp = np.var(samples[10:], axis=0)
         rho2 = np.exp(-2 * rate * dt)
@@ -165,13 +177,14 @@ class TestOrnsteinUhlenbeck:
         spec = make_noise(pairs16, 6, decay=1.0, sigma=1.0)
         rate, dt, n = 2.0, 0.25, 20_000
         gen = rngmod.stream(99, 0)
-        state = OUState.zero(rate, 6)
+        factors = ou_factors(rate, spec, dt, driven=True)
+        zeta = np.zeros(6)
         samples = np.empty((n, 6))
         for i in range(n):
             dw = spec.c * np.sqrt(dt) * gen.standard_normal(6)
-            state = ou_step(state, spec, dt, gen.standard_normal(6),
-                            driving_increment=dw)
-            samples[i] = state.zeta
+            zeta = ou_step(zeta, factors, gen.standard_normal(6),
+                           driving_increment=dw)
+            samples[i] = zeta
         target = spec.c**2 / (2 * rate)
         emp = np.var(samples[n // 10:], axis=0)
         rho2 = np.exp(-2 * rate * dt)
@@ -185,14 +198,14 @@ class TestOrnsteinUhlenbeck:
         # fresh variance is c^2 (1 - e^{-2 lam dt}) / (2 lam), at any dt
         spec = make_noise(pairs16, 4, decay=1.0, sigma=1.0)
         rate = 2.0
-        start = OUState(rate=rate, zeta=np.array([0.5, -0.2, 0.1, 0.0]))
+        start = np.array([0.5, -0.2, 0.1, 0.0])
+        factors = ou_factors(rate, spec, dt, driven=False)
         gen = rngmod.stream(606, 0)
         n = 40_000
         out = np.empty((n, 4))
         for i in range(n):
-            out[i] = ou_step(start, spec, dt,
-                             gen.standard_normal(4)).zeta
-        mean_exact = np.exp(-rate * dt) * start.zeta
+            out[i] = ou_step(start, factors, gen.standard_normal(4))
+        mean_exact = np.exp(-rate * dt) * start
         var_exact = spec.c**2 * (1 - np.exp(-2 * rate * dt)) / (2 * rate)
         mean_se = np.sqrt(var_exact / n)
         assert np.all(np.abs(out.mean(axis=0) - mean_exact) <= 3 * mean_se)
@@ -206,12 +219,13 @@ class TestOrnsteinUhlenbeck:
         spec = make_noise(pairs16, k, decay=2.0, sigma=1.0)
         lam = pairs16.spatial_eigenvalues[:k]
         gen = rngmod.stream(31_415, 0)
-        state = OUState.zero(rate, k)
+        factors = ou_factors(rate, spec, dt, driven=False)
+        zeta = np.zeros(k)
         acc = acc_sq = 0.0
         for i in range(n):
-            state = ou_step(state, spec, dt, gen.standard_normal(spec.k))
-            acc += np.sqrt(np.sum(state.zeta**2 * lam**alpha))
-            acc_sq += np.sum(state.zeta**2 * lam**alpha)
+            zeta = ou_step(zeta, factors, gen.standard_normal(spec.k))
+            acc += np.sqrt(np.sum(zeta**2 * lam**alpha))
+            acc_sq += np.sum(zeta**2 * lam**alpha)
         time_avg_norm = acc / n
         time_avg_sq = acc_sq / n
         draws = rngmod.stream(31_416, 0).standard_normal((20_000, k))
@@ -222,6 +236,10 @@ class TestOrnsteinUhlenbeck:
         ens_sq_exact = np.sum(spec.c**2 * lam**alpha) / (2 * rate)
         assert time_avg_sq == pytest.approx(ens_sq_exact, rel=0.05)
 
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OUState(rate=0.0, zeta=np.zeros(3))
+    def test_bad_rate_rejected(self, pairs16):
+        spec = make_noise(pairs16, 3, decay=1.0, sigma=1.0)
+        for rate in (0.0, -1.0):
+            for driven in (False, True):
+                with pytest.raises(ConfigurationError,
+                                   match="rate must be positive"):
+                    ou_factors(rate, spec, 0.1, driven=driven)
