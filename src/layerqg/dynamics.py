@@ -21,10 +21,11 @@ band.  An overflowing product is not scanned for: it projects to
 non-finite coefficients, and the one finiteness check of each new state
 turns it into a blow-up.
 
-Observables and snapshots stay on the G >= 2N grid.  Each sample
-synthesizes q once and shares its peak and peak-scaled square among the
-Lp observables; l2 comes from the coefficients by Parseval, and the
-pairings of one `parse_observables` call come from one gather.
+Observables and snapshots stay on the G >= 2N grid.  Every per-sample
+quantity, observable or monitor series, goes through one lazy cache,
+`ObsContext`, which makes each grid and reduction once per sample; l2
+comes from the coefficients by Parseval, and the pairings of one
+`parse_observables` call come from one gather.
 
 Arrays of the stepping loop.  The Stepper keeps the decay and phi
 factors at the batch shape (P, 3, Nx, Ny), so the linear update
@@ -45,7 +46,7 @@ from __future__ import annotations
 import concurrent.futures
 import ctypes
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 import hashlib
 import os
 from pathlib import Path
@@ -108,38 +109,84 @@ def initial_coeffs(descriptor: str, basis: SpectralBasis) -> np.ndarray:
 
 
 class ObsContext:
-    """Lazy per-sample-time cache for observables; (P, 3, Nx, Ny) fields.
+    """Lazy per-sample cache of the observables and monitor series of
+    coefficients q_hat and w_hat: a (P, 3, Nx, Ny) batch of paths, reduced
+    to one value per path, or one (3, Nx, Ny) field, reduced to scalars.
 
-    The work of a sample is done once and shared: `q_grid` (one
-    synthesis), `peak` (max |q| per path, which is linf), `square`
-    ((q / peak)^2 per path, whose powers give l4, l6, ...) and, per
-    PairingTable, the (P, J) pairings of its eigenpairs.  l2 and the
-    other spectral observables read the coefficients and need no grid.
+    What two or more series read is made once and kept while the context
+    lives: eta_hat = q_hat - w_hat, psi_hat, q's grid, u = grad^perp psi,
+    grad W, each field's `peak` (max |f| per path) and `lp_norms`, and
+    the (P, J) values of each PairingTable.  A grid that one series alone
+    reads (those of W, eta and |u|, which only their Lp norms read, the
+    squares behind Lp norms, grad q, grad eta, a Hessian) is dropped by it.
     """
 
-    def __init__(self, basis, q_hat, w_hat):
-        self.basis = basis
+    def __init__(self, coupling: LayerCoupling, q_hat, w_hat):
+        self.coupling = coupling
+        self.basis = coupling.basis
         self.q_hat = q_hat
         self.w_hat = w_hat
-        self._pairings = {}
+        self._memo = {}
+
+    def _once(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     @cached_property
-    def q_grid(self):
-        return self.basis.inverse(self.q_hat)
+    def eta_hat(self):
+        return self.q_hat - self.w_hat
 
     @cached_property
-    def peak(self):
-        return grid_peak(self.q_grid)
+    def psi_hat(self):
+        return solve_elliptic_coeffs(self.coupling, self.q_hat)
 
     @cached_property
-    def square(self):
-        return peak_scaled_square(self.q_grid, self.peak)
+    def u(self):
+        return self.basis.perp_grad_grids(self.psi_hat)
+
+    @cached_property
+    def grad_w(self):
+        return self.basis.grad_grids(self.w_hat)
+
+    def grid(self, f):
+        """Field f ("q", "w", "eta" or "speed") on the grid."""
+        if f == "q":
+            return self._once(f, lambda: self.basis.inverse(self.q_hat))
+        if f == "speed":
+            u1, u2 = self.u
+            return np.sqrt(u1**2 + u2**2)
+        return self.basis.inverse(getattr(self, f"{f}_hat"))
+
+    def peak(self, f):
+        return self._once(("peak", f), lambda: grid_peak(self.grid(f)))
+
+    def lp_norms(self, f, exponents):
+        """The Lp norms of field f per path, for ascending even p."""
+        def make():
+            grid = self.grid(f)
+            peak = self._once(("peak", f), lambda: grid_peak(grid))
+            return scaled_lp_norms(peak, peak_scaled_square(grid, peak),
+                                   self.basis.quad_weights, exponents)
+        return self._once(("lp", f, exponents), make)
+
+    def grad_l4(self, f):
+        """(sum_i int_D |grad f^i|^4 dx)^(1/4) per path, f in q, w, eta."""
+        gx, gy = (self.grad_w if f == "w" else
+                  self.basis.grad_grids(getattr(self, f"{f}_hat")))
+        return field_sum((gx**2 + gy**2) ** 2
+                         * self.basis.quad_weights) ** 0.25
+
+    @staticmethod
+    def sup(grids):
+        """max |g| per path over the component grids of a vector field."""
+        return reduce(np.maximum, map(grid_peak, grids))
 
     def pairings(self, table):
         """table(q_hat), computed once per sample."""
-        if table not in self._pairings:
-            self._pairings[table] = table(self.q_hat)
-        return self._pairings[table]
+        if table not in self._memo:     # inline: one read per label per sample
+            self._memo[table] = table(self.q_hat)
+        return self._memo[table]
 
 
 @dataclass(frozen=True)
@@ -162,14 +209,11 @@ def obs_lp(p) -> Observable:
     l2 is sqrt(sum q_hat^2) by Parseval, exact on every grid G >= N.
     """
     if p in (np.inf, "inf"):
-        return Observable("linf", lambda ctx: ctx.peak)
+        return Observable("linf", lambda ctx: ctx.peak("q"))
     p = even_exponent(p)
     if p == 2:
         return Observable("l2", lambda ctx: np.sqrt(field_sum(ctx.q_hat**2)))
-    def fn(ctx):
-        return scaled_lp_norms(ctx.peak, ctx.square, ctx.basis.quad_weights,
-                               (p,))[0]
-    return Observable(f"l{p}", fn)
+    return Observable(f"l{p}", lambda ctx: ctx.lp_norms("q", (p,))[0])
 
 
 def obs_h(alpha: float, noise: bool = False) -> Observable:
@@ -180,18 +224,8 @@ def obs_h(alpha: float, noise: bool = False) -> Observable:
     return Observable(f"{'w' * noise}h{alpha:g}", fn)
 
 
-def grad_l4(basis: SpectralBasis, q_hat: np.ndarray):
-    """(sum_i int_D |grad q^i|^4 dx)^(1/4) per leading index of q_hat."""
-    return gradient_l4(*basis.grad_grids(q_hat), basis.quad_weights)
-
-
-def gradient_l4(gx, gy, weights):
-    """(sum_i int_D (gx^2 + gy^2)^2 dx)^(1/4) from the gradient's grids."""
-    return field_sum((gx**2 + gy**2) ** 2 * weights) ** 0.25
-
-
 def obs_grad_l4() -> Observable:
-    return Observable("gradl4", lambda ctx: grad_l4(ctx.basis, ctx.q_hat))
+    return Observable("gradl4", lambda ctx: ctx.grad_l4("q"))
 
 
 class PairingTable:
@@ -341,7 +375,7 @@ class TrajectoryRecord:
     config: SimConfig
     blow_time: float | None = None     # set by a blow-up
     # per-snapshot series of the a-posteriori monitors, filled on demand
-    # by experiments._snapshot_series
+    # by experiments._snapshot_series from one ObsContext per snapshot
     _series: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -558,7 +592,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
 
     def record(j):
         if j % cfg.obs_every == 0 or j == n_steps:
-            ctx = ObsContext(basis, eta + w, w)
+            ctx = ObsContext(cfg.coupling, eta + w, w)
             for o, ob in enumerate(observables):
                 series[len(times), o] = ob(ctx)
             times.append(j * cfg.dt)

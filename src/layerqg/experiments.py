@@ -8,13 +8,15 @@ into pointwise dominance checks.
 
 The four monitors (`log_estimate_monitor`, `w14_monitor`, `lp_envelope`
 and `weak_residual`) read per-snapshot series from one shared pass,
-`_snapshot_series`.  Per snapshot it solves for psi once, synthesizes
-each grid it needs once (q, W, eta = q - W, their gradients,
-u = grad^perp psi, D^2 psi and D^2 W: 17 at most), reduces it at once
-to sup norms, L4 gradient norms, Lp norms and weak-form transport
-pairings, and drops it.  The series are memoized on the record, so
-`diagnose` pays for each grid once, and a monitor called alone pays
-only for the grids it reads.
+`_snapshot_series`.  It evaluates each series of each snapshot as
+`fn(ctx)` of the snapshot's `dynamics.ObsContext`, the per-sample cache
+the observables of the stepping loop use too: psi is solved for once,
+each grid (q, W, eta = q - W, their gradients, u = grad^perp psi,
+D^2 psi and D^2 W: 17 at most) is synthesized once, and the sup norms,
+L4 gradient norms, Lp norms and weak-form transport pairings share its
+reductions.  The series are memoized on the record, so `diagnose` pays
+for each grid once, and a monitor called alone pays only for the grids
+it reads.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import solve_elliptic_coeffs
-from .dynamics import TrajectoryRecord, grad_l4, gradient_l4
+from .dynamics import ObsContext, TrajectoryRecord
 from .errors import SamplingError
-from .spectral import (LayerField, even_exponent, grid_peak,
-                       peak_scaled_square, scaled_lp_norms)
+from .spectral import LayerField, even_exponent, field_sum
 
 
 def weak_residual(record: TrajectoryRecord, test_functions,
@@ -89,12 +89,31 @@ def _trapz(values, times):
 
 # -- the shared pass over the snapshots ----------------------------------
 
-# Series of `_snapshot_series` with a fixed name.  Each exponent p adds
-# the series (f, p), the Lp norm of f for f in _LP_FIELDS: q, W,
-# eta = q - W and the speed |u|; each test function phi adds the series
-# `_transport_key(phi)`, the pairing <q, u . grad phi>.
-_NAMED_SERIES = ("q_inf", "grad_u_inf", "u_inf", "grad_w_inf",
-                 "grad_q_l4", "grad_eta_l4", "grad_w_l4", "hess_w_l4")
+
+def _hess_l4(ctx):
+    """(sum_i int_D |D^2 W^i|_F^4 dx)^(1/4), from D^2 W made and dropped."""
+    hxx, hxy, hyy = ctx.basis.hessian_grids(ctx.w_hat)
+    return field_sum((hxx**2 + 2 * hxy**2 + hyy**2) ** 2
+                     * ctx.basis.quad_weights) ** 0.25
+
+
+# The series of `_snapshot_series` with a fixed name, as `fn(ctx)` of a
+# snapshot's ObsContext, in the order of evaluation: those that make and
+# drop grids of their own run first, while the context holds few.  Each
+# exponent p adds the series (f, p), the Lp norm of f in _LP_FIELDS; each
+# test function phi the series `_transport_key(phi)`, <q, u . grad phi>.
+_NAMED_SERIES = {
+    # u = (-psi_y, psi_x), so the entries of grad u are psi's second
+    # derivatives
+    "grad_u_inf": lambda ctx: ctx.sup(ctx.basis.hessian_grids(ctx.psi_hat)),
+    "hess_w_l4": _hess_l4,
+    "grad_q_l4": lambda ctx: ctx.grad_l4("q"),
+    "grad_eta_l4": lambda ctx: ctx.grad_l4("eta"),
+    "grad_w_l4": lambda ctx: ctx.grad_l4("w"),
+    "grad_w_inf": lambda ctx: ctx.sup(ctx.grad_w),
+    "u_inf": lambda ctx: ctx.sup(ctx.u),
+    "q_inf": lambda ctx: ctx.peak("q"),
+}
 _LP_FIELDS = ("q", "w", "eta", "speed")
 
 
@@ -109,96 +128,37 @@ def _transport_key(phi_hat):
     return ("transport", phi_hat.shape, phi_hat.tobytes())
 
 
-def _abs_max(grids):
-    return max(float(np.max(np.abs(g))) for g in grids)
-
-
-def _snapshot_series(record: TrajectoryRecord, names=_NAMED_SERIES,
+def _snapshot_series(record: TrajectoryRecord, names=tuple(_NAMED_SERIES),
                      exponents=(), test_functions=()) -> dict:
     """Per-snapshot series for the monitors, from one pass over the
     snapshots, memoized on the record; returns the record's series dict.
 
-    Only the series not yet memoized are computed, and only the grids
-    they read are synthesized: per snapshot one elliptic solve and at
-    most the 17 grids of q, W, eta, grad q, grad eta, grad W,
-    u = grad^perp psi, D^2 psi and D^2 W.  Each grid family is reduced to
-    its series and dropped before the next one is synthesized, so no
-    more grids are alive at once than one monitor needs.  Snapshots are
-    taken one at a time as (3, Nx, Ny) arrays.
+    Only the series not yet memoized are computed.  Each snapshot is one
+    unbatched (3, Nx, Ny) `ObsContext` sample, whose reductions are
+    scalars; it synthesizes each grid the series read once, at most the
+    17 grids of q, W, eta, grad q, grad eta, grad W, u = grad^perp psi,
+    D^2 psi and D^2 W.
     """
-    cfg = record.config
-    basis = cfg.basis
-    memo = record._series
-    lp_keys = [(f, even_exponent(p)) for p in exponents for f in _LP_FIELDS]
-    phis = {_transport_key(phi): phi for phi in map(_test_coeffs,
-                                                    test_functions)}
-    out = {key: np.empty(len(record.snap_times))
-           for key in dict.fromkeys([*names, *lp_keys, *phis])
-           if key not in memo}
-    if not out:
-        return memo
-    exps = {f: sorted(p for g, p in lp_keys if g == f and (g, p) in out)
-            for f in _LP_FIELDS}
-    grad_phi = [(key, basis.grad_grids(phi)) for key, phi in phis.items()
-                if key in out]
-    need_q = "q_inf" in out or exps["q"] or grad_phi
-    need_u = "u_inf" in out or exps["speed"] or grad_phi
+    basis, memo = record.config.basis, record._series
     w = basis.quad_weights
-
-    def lp_norms(f, grid, s):
-        # one peak, square and weighted power serve every exponent of grid
-        peak = grid_peak(grid)
-        norms = scaled_lp_norms(peak, peak_scaled_square(grid, peak), w,
-                                exps[f])
-        for p, norm in zip(exps[f], norms):
-            out[f, p][s] = norm
-
+    todo = {name: fn for name, fn in _NAMED_SERIES.items() if name in names}
+    exps = tuple(sorted(set(map(even_exponent, exponents))))
+    todo.update({(f, p): lambda ctx, f=f, i=i: ctx.lp_norms(f, exps)[i]
+                 for f in _LP_FIELDS for i, p in enumerate(exps)})
+    todo = {key: fn for key, fn in todo.items() if key not in memo}
+    for phi in map(_test_coeffs, test_functions):
+        if (key := _transport_key(phi)) not in memo and key not in todo:
+            px, py = basis.grad_grids(phi)      # once for every snapshot
+            todo[key] = lambda ctx, px=px, py=py: field_sum(
+                ctx.grid("q") * (ctx.u[0] * px + ctx.u[1] * py) * w)
+    if not todo:
+        return memo
+    out = {key: np.empty(len(record.snap_times)) for key in todo}
     for s, (q_hat, w_hat) in enumerate(zip(record.q_snapshots,
                                            record.w_snapshots)):
-        eta_hat = q_hat - w_hat
-        if need_u or "grad_u_inf" in out:
-            psi_hat = solve_elliptic_coeffs(cfg.coupling, q_hat)
-        if "grad_u_inf" in out:
-            # u = (-psi_y, psi_x), so the entries of grad u are psi's
-            # second derivatives
-            out["grad_u_inf"][s] = _abs_max(basis.hessian_grids(psi_hat))
-        if need_u:
-            u1, u2 = basis.perp_grad_grids(psi_hat)
-            if "u_inf" in out:
-                out["u_inf"][s] = _abs_max((u1, u2))
-            if exps["speed"]:
-                lp_norms("speed", np.sqrt(u1**2 + u2**2), s)
-        if need_q:
-            q_grid = basis.inverse(q_hat)
-            if "q_inf" in out:
-                out["q_inf"][s] = _abs_max((q_grid,))
-            if exps["q"]:
-                lp_norms("q", q_grid, s)
-            for key, (px, py) in grad_phi:
-                out[key][s] = np.sum(q_grid * (u1 * px + u2 * py) * w)
-            del q_grid
-        if need_u:
-            del u1, u2
-        if exps["w"]:
-            lp_norms("w", basis.inverse(w_hat), s)
-        if exps["eta"]:
-            lp_norms("eta", basis.inverse(eta_hat), s)
-        if "grad_q_l4" in out:
-            out["grad_q_l4"][s] = grad_l4(basis, q_hat)
-        if "grad_eta_l4" in out:
-            out["grad_eta_l4"][s] = grad_l4(basis, eta_hat)
-        if "grad_w_l4" in out or "grad_w_inf" in out:
-            gx, gy = basis.grad_grids(w_hat)
-            if "grad_w_l4" in out:
-                out["grad_w_l4"][s] = gradient_l4(gx, gy, w)
-            if "grad_w_inf" in out:
-                out["grad_w_inf"][s] = _abs_max((gx, gy))
-            del gx, gy
-        if "hess_w_l4" in out:
-            hxx, hxy, hyy = basis.hessian_grids(w_hat)
-            out["hess_w_l4"][s] = np.sum(
-                (hxx**2 + 2 * hxy**2 + hyy**2) ** 2 * w) ** 0.25
-            del hxx, hxy, hyy
+        ctx = ObsContext(record.config.coupling, q_hat, w_hat)
+        for key, fn in todo.items():
+            out[key][s] = fn(ctx)
     memo.update(out)
     return memo
 

@@ -23,6 +23,7 @@ from .dynamics import Observable, SimConfig, _run_paths, obs_lp
 from .errors import ConfigurationError, SamplingError
 from .experiments import _cumtrapz, dominated
 from .noise import NoiseMixer, ou_factors, ou_step
+from .spectral import grid_peak
 
 ALPHA_NOISE = 2.5
 
@@ -228,7 +229,7 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
 
     def theta_sup(ctx):
         theta_hat = ctx.q_hat - mixer.coefficients(zeta)
-        return np.abs(cfg.basis.inverse(theta_hat)).max(axis=(-3, -2, -1))
+        return grid_peak(cfg.basis.inverse(theta_hat))
 
     def zeta_h_alpha(ctx):
         # zeta is updated in place unchecked; a non-finite state stops the

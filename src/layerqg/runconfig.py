@@ -1,11 +1,12 @@
 """Flat key=value run configuration with explicit defaults.
 
-One `key=value` pair per line, `#` starts a comment, blank lines ignored.
-Unknown keys are an error (listing every offender); missing keys fall back
-to defaults and are echoed in the run manifest.  Parsing checks only this
-grammar and the value types (a float must be finite); `realize` builds the
-simulation objects, and each of them checks the constraints on its own
-parameters, naming the violated constraint.
+One `key=value` pair per line of a UTF-8 file, `#` starts a comment, blank
+lines ignored.  An unreadable file and unknown keys (listing every
+offender) are errors; missing keys fall back to defaults and are echoed
+in the run manifest.  Parsing checks only this grammar and the value
+types (a float must be finite); `realize` builds the simulation objects,
+and each of them checks the constraints on its own parameters, naming
+the violated constraint.
 """
 
 from __future__ import annotations
@@ -57,28 +58,32 @@ def parse_config(path) -> tuple[RunSettings, list[str]]:
              for f in fields(RunSettings)}
     values = {}
     unknown = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in typed:
-                unknown.append(key)
-                continue
-            try:
-                values[key] = typed[key](val)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: cannot parse {key}={val!r} "
-                    f"as {typed[key].__name__}")
-            if typed[key] is float and not math.isfinite(values[key]):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: {key}={val!r} is not finite")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(
+                f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in typed:
+            unknown.append(key)
+            continue
+        try:
+            values[key] = typed[key](val)
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}:{lineno}: cannot parse {key}={val!r} "
+                f"as {typed[key].__name__}")
+        if typed[key] is float and not math.isfinite(values[key]):
+            raise ConfigurationError(
+                f"{path}:{lineno}: {key}={val!r} is not finite")
     if unknown:
         raise ConfigurationError(
             "unknown configuration keys: " + ", ".join(sorted(unknown)))

@@ -228,11 +228,6 @@ class SpectralBasis:
         return (self.synth(coeffs, 2, 0), self.synth(coeffs, 1, 1),
                 self.synth(coeffs, 0, 2))
 
-    def integrate(self, grid_values):
-        """Trapezoid quadrature over D; extra leading axes are summed."""
-        self._check_grid(grid_values)
-        return float(np.sum(grid_values * self.quad_weights))
-
     def compatible(self, other: "SpectralBasis") -> bool:
         return (self.lx, self.ly, self.nx, self.ny, self.gx, self.gy) == (
             other.lx, other.ly, other.nx, other.ny, other.gx, other.gy)

@@ -304,6 +304,21 @@ class TestCli:
         assert err.startswith("error: ") and self.CONSTRAINTS[line] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, content", [
+        ("missing.cfg", None), ("latin1.cfg", "gamma=0.5 # \xe9t\xe9\n")],
+        ids=["missing", "not-utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, name,
+                                         content):
+        cfg = tmp_path / name
+        if content is not None:
+            cfg.write_bytes(content.encode("latin-1"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read config {cfg}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("galerkin", "--n-ladder"), ("viscosity", "--eps-ladder"),
         ("stability", "--delta-ladder"), ("invariant", "--horizons")],

@@ -486,10 +486,11 @@ class TestLpObservables:
         # rectangle with distinct mode cuts and grids above 2N, two paths,
         # the second all zero
         basis = build_basis(1.3, 0.7, 5, 7, gx=13, gy=16)
+        coupling = symmetrize((1.0, 1.0, 1.0), basis)
         rng = np.random.default_rng(4)
         q_hat = np.stack([random_band_coeffs(rng, basis),
                           np.zeros((3,) + basis.spectral_shape)])
-        ctx = ObsContext(basis, q_hat, np.zeros_like(q_hat))
+        ctx = ObsContext(coupling, q_hat, np.zeros_like(q_hat))
         q_grid = basis.inverse(q_hat)
         for p in (2, 4, 6, np.inf):
             ob = obs_lp(p)
@@ -501,7 +502,7 @@ class TestLpObservables:
                 assert np.array_equal(got, want), ob.name
             assert got[1] == 0.0, ob.name
             for i in range(2):
-                single = ObsContext(basis, q_hat[i:i + 1],
+                single = ObsContext(coupling, q_hat[i:i + 1],
                                     np.zeros_like(q_hat[:1]))
                 assert np.array_equal(ob(single), got[i:i + 1]), ob.name
 
@@ -533,7 +534,7 @@ class TestPairings:
         other = eigenpairs(symmetrize((1.0, 2.0, 0.5), basis16), 60)
         rng = np.random.default_rng(n_paths)
         q_hat = self.coeffs(rng, basis16, n_paths)
-        ctx = ObsContext(basis16, q_hat, np.zeros_like(q_hat))
+        ctx = ObsContext(pairs16.coupling, q_hat, np.zeros_like(q_hat))
         for pairs in (pairs16, other):
             ks = rng.permutation(len(pairs))
             tokens = [f"{tag}:{pairs.mode_n[k]}.{pairs.mode_m[k]}."
@@ -544,7 +545,7 @@ class TestPairings:
                 want = self.one_by_one(pairs, ks[i // 2], q_hat,
                                        token.startswith("pairsq"))
                 assert np.array_equal(ob(ctx), want), token
-        assert len(ctx._pairings) == 2      # one evaluation per parse
+        assert len(ctx._memo) == 2      # one evaluation per parse
 
     @pytest.mark.parametrize("n_paths", [1, 16])
     def test_project_takes_leading_axes(self, basis16, pairs16, n_paths):

@@ -3,7 +3,8 @@ import pytest
 from dataclasses import replace
 
 from layerqg import cli, rng as rngmod
-from layerqg.dynamics import SimConfig, run_trajectory
+from layerqg.dynamics import (ObsContext, SimConfig, parse_observables,
+                              run_trajectory)
 from layerqg.errors import ConfigurationError, SamplingError
 from layerqg.experiments import (_damped_integrate, _snapshot_series,
                                  log_estimate_monitor, lp_envelope,
@@ -305,6 +306,31 @@ class TestSharedPass:
             assert same(monitor(shared), monitor(fresh()))
         # the monitors read the shared pass and add nothing to it
         assert shared._series.keys() == memo.keys()
+
+    def test_snapshot_series_agree_with_the_loop_observables(
+            self, basis16, coupling16, pairs16):
+        # a nonlinear record whose snapshots are its observable samples
+        cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.1,
+                           obs_every=2, snap_every=2)
+        obs = parse_observables("linf,l4,gradl4")
+        rec = run_trajectory(cfg, observables=obs)
+        assert np.array_equal(rec.times, rec.snap_times)
+        series = _snapshot_series(rec, ("q_inf", "grad_q_l4"),
+                                  exponents=(4,))
+        for s, (q_hat, w_hat) in enumerate(zip(rec.q_snapshots,
+                                               rec.w_snapshots)):
+            # the loop's values are the context's on a batch of one
+            ctx = ObsContext(coupling16, q_hat[None], w_hat[None])
+            for ob in obs:
+                assert ob(ctx)[0] == rec.observables[ob.name][s], ob.name
+        assert np.array_equal(series["q_inf"], rec.observables["linf"])
+        # The snapshot pass reduces each (3, Nx, Ny) snapshot unbatched,
+        # so it takes the 1/p-th root of a scalar, and the loop that of a
+        # (P,) array.  NumPy's vectorized pow (SIMD on AVX-512 machines)
+        # can round that root one ulp away from the scalar pow.
+        for name, key in (("l4", ("q", 4)), ("gradl4", "grad_q_l4")):
+            np.testing.assert_array_max_ulp(series[key],
+                                            rec.observables[name], maxulp=1)
 
     def test_diagnose_synthesizes_each_grid_once_per_snapshot(
             self, tmp_path, monkeypatch):

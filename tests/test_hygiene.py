@@ -10,6 +10,9 @@ of `src/layerqg/`: the package has one way to fan out work,
 `dynamics._fan_out`.  The private-import scan lists every `_`-prefixed
 name a module of `src/layerqg/` imports from a sibling module, so that a
 new crossing of a module boundary is a visible change to this file.
+The per-sample scan keeps the elliptic solve and the grid reductions out
+of `experiments`: its snapshot series read them through
+`dynamics.ObsContext`, the one per-sample cache.
 """
 
 import ast
@@ -117,3 +120,23 @@ def test_private_sibling_imports_are_known():
                      "sweeps: dynamics._fan_out",
                      "sweeps: dynamics._run_paths",
                      "sweeps: experiments._trapz"]
+
+
+def imported_names(source):
+    """Every name, at any depth, that an import statement binds or loads
+    from a module (`from m import a` gives "a", `import m.n` gives "m.n")."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def test_scan_lists_imported_names():
+    source = ("import os.path\nfrom .a import b as c, d\n"
+              "def f():\n    from e import g\n")
+    assert imported_names(source) == {"os.path", "b", "d", "g"}
+
+
+def test_experiments_reads_samples_through_the_context():
+    names = imported_names((ROOT / "src/layerqg/experiments.py").read_text())
+    assert not names & {"solve_elliptic_coeffs", "grid_peak",
+                        "peak_scaled_square", "scaled_lp_norms"}
