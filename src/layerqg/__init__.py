@@ -11,8 +11,8 @@ from .dynamics import (SimConfig, TrajectoryRecord, nonlinear_term,
 from .errors import (BlowUpError, ConfigurationError, FieldFormatError,
                      FieldLengthError, SamplingError, ShapeError,
                      TimeStepError, UnsupportedExponentError)
-from .experiments import (log_estimate_monitor, lp_envelope, w14_monitor,
-                          weak_residual)
+from .experiments import (log_estimate_monitor, lp_envelope,
+                          monitor_observables, w14_monitor, weak_residual)
 from .fieldio import read_field, write_field
 from .measures import (AveragedMeasure, TightnessReport, invariance_test,
                        kb_average, tightness_diagnostic)

@@ -22,6 +22,7 @@ import math
 import os
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,9 @@ from . import __version__, rng as rngmod
 from .dynamics import (_blas_threads, _keep_freed_heap, parse_observables,
                        run_trajectory)
 from .errors import (BlowUpError, ConfigurationError, TimeStepError)
-from .experiments import (_snapshot_series, dominated, log_estimate_monitor,
-                          lp_envelope, w14_monitor, weak_residual)
+from .experiments import (MIN_SAMPLES, dominated, log_estimate_monitor,
+                          lp_envelope, monitor_observables, w14_monitor,
+                          weak_residual)
 from .fieldio import write_field
 from .measures import kb_average, tightness_diagnostic
 from .runconfig import parse_config, realize
@@ -88,8 +90,9 @@ def _environment():
 
 
 def _config_snaps(args):
-    """Snapshot cadence of the realized config: `run` and `diagnose`
-    record their one trajectory (diagnose at least every step); the
+    """Snapshot cadence of the realized config: `run` records its one
+    trajectory; `diagnose` keeps its sample cadence there (at least every
+    step), which `cmd_diagnose` moves to the observable cadence; the
     ladder studies pass their own cadence to each rung."""
     if args.command == "run":
         return args.snap_every
@@ -293,10 +296,17 @@ def cmd_tightness(run):
 
 
 def cmd_diagnose(run):
-    record = run_trajectory(run.config, observables=[])
-    phi = single_mode_field(run.config.basis, 1, 1, [1.0, 0.0, 0.0])
-    # one pass over the snapshots serves the four monitors below
-    _snapshot_series(record, exponents=(2, 4), test_functions=[phi])
+    cadence = run.config.snap_every
+    config = replace(run.config, obs_every=cadence, snap_every=0)
+    samples = config.n_samples(cadence)
+    if samples < MIN_SAMPLES:
+        raise ConfigurationError(
+            f"diagnose needs at least {MIN_SAMPLES} samples, got {samples} "
+            f"from {config.n_steps} steps at --snap-every {cadence}")
+    phi = single_mode_field(config.basis, 1, 1, [1.0, 0.0, 0.0])
+    # the loop evaluates every series of the four monitors at each sample
+    record = run_trajectory(config, observables=monitor_observables(
+        config.basis, exponents=(2, 4), test_functions=[phi]))
     log_rep = log_estimate_monitor(record)
     w14 = w14_monitor(record)
     rows = []
@@ -305,7 +315,7 @@ def cmd_diagnose(run):
         q_norm, env_q, _, _ = lp_envelope(record, k)
         envs[k] = (q_norm, env_q)
     resid = weak_residual(record, [phi])[0]
-    for i, t in enumerate(record.snap_times):
+    for i, t in enumerate(record.times):
         rows.append([t, log_rep.series[i], w14.series[i], w14.envelope[i],
                      envs[1][0][i], envs[1][1][i],
                      envs[2][0][i], envs[2][1][i], resid[i]])
@@ -365,7 +375,9 @@ def build_parser():
 
     p = sub.add_parser("diagnose", help="monitors and envelopes for one run")
     _common(p)
-    p.add_argument("--snap-every", type=int, default=1)
+    p.add_argument("--snap-every", type=int, default=1,
+                   help="sample cadence of the monitor series, in steps "
+                        "(0 samples every step)")
     p.set_defaults(func=cmd_diagnose)
     return parser
 

@@ -22,10 +22,13 @@ non-finite coefficients, and the one finiteness check of each new state
 turns it into a blow-up.
 
 Observables and snapshots stay on the G >= 2N grid.  Every per-sample
-quantity, observable or monitor series, goes through one lazy cache,
-`ObsContext`, which makes each grid and reduction once per sample; l2
-comes from the coefficients by Parseval, and the pairings of one
-`parse_observables` call come from one gather.
+quantity is an `Observable` of the loop, evaluated when the sample is
+taken through one lazy cache, `ObsContext`, which makes each grid and
+reduction once per sample: the observables of `parse_observables` and
+the monitor series of `experiments.monitor_observables` alike, so no
+series is computed from stored snapshots.  l2 comes from the
+coefficients by Parseval, and the pairings of one `parse_observables`
+call come from one gather.
 
 Arrays of the stepping loop.  The Stepper keeps the decay and phi
 factors at the batch shape (P, 3, Nx, Ny), so the linear update
@@ -37,15 +40,16 @@ forcing array (the linear update then works in place on it), the
 transport grids and their projection, and the new state.  `advance`
 writes into none of its inputs (the first state is a read-only
 broadcast of the initial datum).  The loop adds each noise increment
-into W in place, so a snapshot keeps a copy of W.  Overflow warnings are
-silenced once around the loop.
+into W in place, so a snapshot copies W into its slot of the (S, P, 3,
+Nx, Ny) snapshot arrays, which are allocated once, before the first
+step.  Overflow warnings are silenced once around the loop.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 import hashlib
 import os
@@ -109,9 +113,9 @@ def initial_coeffs(descriptor: str, basis: SpectralBasis) -> np.ndarray:
 
 
 class ObsContext:
-    """Lazy per-sample cache of the observables and monitor series of
-    coefficients q_hat and w_hat: a (P, 3, Nx, Ny) batch of paths, reduced
-    to one value per path, or one (3, Nx, Ny) field, reduced to scalars.
+    """Lazy per-sample cache of the observables of coefficients q_hat and
+    w_hat, a (P, 3, Nx, Ny) batch of paths, each reduced to one value per
+    path.
 
     What two or more series read is made once and kept while the context
     lives: eta_hat = q_hat - w_hat, psi_hat, q's grid, u = grad^perp psi,
@@ -191,9 +195,14 @@ class ObsContext:
 
 @dataclass(frozen=True)
 class Observable:
-    """`fn(ctx)` gives one value per path, reduced over that path alone."""
+    """`fn(ctx)` gives one value per path, reduced over that path alone.
 
-    name: str
+    `name` keys the series in `TrajectoryRecord.observables`: a string
+    for the observables of `parse_observables`, any hashable key for the
+    monitor series of `experiments.monitor_observables`.
+    """
+
+    name: str | tuple
     fn: callable
 
     def __call__(self, ctx: ObsContext) -> np.ndarray:
@@ -353,6 +362,11 @@ class SimConfig:
     def n_steps(self) -> int:
         return round(self.horizon / self.dt)
 
+    def n_samples(self, every: int) -> int:
+        """Sample times at a cadence of `every` steps: t = 0, every
+        multiple of every * dt, and the horizon."""
+        return self.n_steps // every + 1 + (self.n_steps % every != 0)
+
     def config_hash(self) -> str:
         text = (f"{self.basis}|{self.coupling.lambdas}|{self.coupling.scale}|"
                 f"{self.noise.k},{self.noise.decay},{self.noise.sigma}|"
@@ -374,10 +388,6 @@ class TrajectoryRecord:
     stream: int
     config: SimConfig
     blow_time: float | None = None     # set by a blow-up
-    # per-snapshot series of the a-posteriori monitors, filled on demand
-    # by experiments._snapshot_series from one ObsContext per snapshot
-    _series: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -586,9 +596,11 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     gens = [rngmod.stream(cfg.seed, s) for s in streams] if rows else []
     block_steps = max(1, _BLOCK_NORMALS // max(1, rows * k * n_paths))
     scale = cfg.noise.c[:, None] * np.sqrt(cfg.dt)
-    n_obs = n_steps // cfg.obs_every + 1 + (n_steps % cfg.obs_every != 0)
-    series = np.empty((n_obs, len(observables), n_paths))
-    times, snap_times, q_snaps, w_snaps = [], [], [], []
+    series = np.empty((cfg.n_samples(cfg.obs_every), len(observables),
+                       n_paths))
+    n_snaps = cfg.n_samples(cfg.snap_every) if cfg.snap_every else 0
+    q_snaps, w_snaps = (np.empty((n_snaps,) + eta.shape) for _ in range(2))
+    times, snap_times = [], []
 
     def record(j):
         if j % cfg.obs_every == 0 or j == n_steps:
@@ -597,19 +609,19 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                 series[len(times), o] = ob(ctx)
             times.append(j * cfg.dt)
         if cfg.snap_every and (j % cfg.snap_every == 0 or j == n_steps):
+            s = len(snap_times)
+            np.add(eta, w, out=q_snaps[s])
+            w_snaps[s] = w
             snap_times.append(j * cfg.dt)
-            q_snaps.append(eta + w)
-            w_snaps.append(w.copy())
 
     def build(blow_time=None):
         data = series[:len(times)].transpose(2, 1, 0).copy()    # (P, O, T)
-        q_all, w_all = (np.array(s).reshape((-1, n_paths) + shape)
-                        for s in (q_snaps, w_snaps))
+        s = len(snap_times)         # a partial record keeps those written
         return [TrajectoryRecord(
             times=np.array(times), snap_times=np.array(snap_times),
             observables={ob.name: data[p, o]
                          for o, ob in enumerate(observables)},
-            q_snapshots=q_all[:, p], w_snapshots=w_all[:, p],
+            q_snapshots=q_snaps[:s, p], w_snapshots=w_snaps[:s, p],
             stream=stream, config=cfg, blow_time=blow_time)
             for p, stream in enumerate(streams)]
 

@@ -7,16 +7,16 @@ measured from the recorded path itself, turning qualitative estimates
 into pointwise dominance checks.
 
 The four monitors (`log_estimate_monitor`, `w14_monitor`, `lp_envelope`
-and `weak_residual`) read per-snapshot series from one shared pass,
-`_snapshot_series`.  It evaluates each series of each snapshot as
-`fn(ctx)` of the snapshot's `dynamics.ObsContext`, the per-sample cache
-the observables of the stepping loop use too: psi is solved for once,
-each grid (q, W, eta = q - W, their gradients, u = grad^perp psi,
-D^2 psi and D^2 W: 17 at most) is synthesized once, and the sup norms,
-L4 gradient norms, Lp norms and weak-form transport pairings share its
-reductions.  The series are memoized on the record, so `diagnose` pays
-for each grid once, and a monitor called alone pays only for the grids
-it reads.
+and `weak_residual`) read series of the record, not snapshots.
+`monitor_observables` hands every series they read to the stepping loop
+as an `Observable`, evaluated at each sample through the sample's
+`dynamics.ObsContext`, the per-sample cache of all observables: psi is
+solved for once, each grid (q, W, eta = q - W, their gradients, u =
+grad^perp psi, D^2 psi and D^2 W: 17 at most) is synthesized once, and
+the sup norms, L4 gradient norms, Lp norms and weak-form pairings share
+its reductions.  The loop keeps one scalar per series and sample, so a
+monitored run stores no field.  A monitor given a record without a
+series it reads raises SamplingError naming that series.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ObsContext, TrajectoryRecord
+from .dynamics import Observable, TrajectoryRecord
 from .errors import SamplingError
 from .spectral import LayerField, even_exponent, field_sum
+
+MIN_SAMPLES = 3         # of the weak residual's trapezoid quadrature
 
 
 def weak_residual(record: TrajectoryRecord, test_functions,
@@ -39,38 +41,34 @@ def weak_residual(record: TrajectoryRecord, test_functions,
         <q_t, phi> - <q_0, phi> - int_0^t <q_s, u_s . grad phi> ds
                    + gamma int_0^t <q_s, phi> ds - <W_t, phi>
 
-    with composite-trapezoid time integrals at the snapshot cadence.
-    Accepts one LayerField or a sequence; returns |defect| with shape
-    (n_test_functions, n_snapshots).
+    with composite-trapezoid time integrals at the sample cadence, from
+    the three series `monitor_observables` adds for phi.  Accepts one
+    LayerField or a sequence; returns |defect| with shape
+    (n_test_functions, n_samples).
     """
     if isinstance(test_functions, (LayerField, np.ndarray)):
         test_functions = [test_functions]
-    cfg = record.config
-    if record.q_snapshots.shape[0] < 3:
-        raise SamplingError("need at least 3 snapshots for the quadrature")
-    times = record.snap_times
-    if len(times) > 2:
-        steps = np.diff(times)
-        # the final interval may be shorter when the cadence does not
-        # divide the step count; everything before it must be uniform
-        body = steps[:-1]
-        if np.max(body) > 1.5 * np.min(body) or steps[-1] > np.max(body):
-            raise SamplingError("snapshot cadence must be uniform")
+    times = record.times
+    if len(times) < MIN_SAMPLES:
+        raise SamplingError(
+            f"need at least {MIN_SAMPLES} samples for the quadrature")
+    steps = np.diff(times)
+    # the final interval may be shorter when the cadence does not divide
+    # the step count; everything before it must be uniform
+    body = steps[:-1]
+    if np.max(body) > 1.5 * np.min(body) or steps[-1] > np.max(body):
+        raise SamplingError("sample cadence must be uniform")
 
+    gamma = record.config.gamma
     phis = [_test_coeffs(tf) for tf in test_functions]
-    series = _snapshot_series(record, names=(), test_functions=phis)
-    pairings = np.array([[float(np.sum(q * p)) for p in phis]
-                         for q in record.q_snapshots])         # (S, P)
-    noise_pair = np.array([[float(np.sum(w * p)) for p in phis]
-                           for w in record.w_snapshots])
-
     residuals = np.empty((len(phis), len(times)))
-    for p, phi in enumerate(phis):
-        int_transport = _cumtrapz(series[_transport_key(phi)], times)
-        int_pairing = _cumtrapz(pairings[:, p], times)
-        rhs = (pairings[0, p] + int_transport - cfg.gamma * int_pairing
-               + noise_pair[:, p])
-        residuals[p] = np.abs(pairings[:, p] - rhs)
+    for i, phi in enumerate(phis):
+        pairing, noise_pair, transport = (
+            _read(record, _phi_key(kind, phi), f"{kind} of test function {i}")
+            for kind in ("pairing", "noise_pairing", "transport"))
+        rhs = (pairing[0] + _cumtrapz(transport, times)
+               - gamma * _cumtrapz(pairing, times) + noise_pair)
+        residuals[i] = np.abs(pairing - rhs)
     return residuals
 
 
@@ -87,21 +85,22 @@ def _trapz(values, times):
                            np.asarray(times, dtype=float))[-1])
 
 
-# -- the shared pass over the snapshots ----------------------------------
+# -- the monitor series, as observables of the stepping loop ------------
 
 
 def _hess_l4(ctx):
-    """(sum_i int_D |D^2 W^i|_F^4 dx)^(1/4), from D^2 W made and dropped."""
+    """(sum_i int_D |D^2 W^i|_F^4 dx)^(1/4) per path, from D^2 W made and
+    dropped."""
     hxx, hxy, hyy = ctx.basis.hessian_grids(ctx.w_hat)
     return field_sum((hxx**2 + 2 * hxy**2 + hyy**2) ** 2
                      * ctx.basis.quad_weights) ** 0.25
 
 
-# The series of `_snapshot_series` with a fixed name, as `fn(ctx)` of a
-# snapshot's ObsContext, in the order of evaluation: those that make and
-# drop grids of their own run first, while the context holds few.  Each
-# exponent p adds the series (f, p), the Lp norm of f in _LP_FIELDS; each
-# test function phi the series `_transport_key(phi)`, <q, u . grad phi>.
+# The monitor series with a fixed name, as `fn(ctx)` of a sample's
+# ObsContext, in the order of evaluation: those that make and drop grids
+# of their own run first, while the context holds few.  Each exponent p
+# adds the series (f, p), the Lp norm of f in _LP_FIELDS; each test
+# function phi the series `_phi_key(kind, phi)` of its pairings.
 _NAMED_SERIES = {
     # u = (-psi_y, psi_x), so the entries of grad u are psi's second
     # derivatives
@@ -124,43 +123,47 @@ def _test_coeffs(test_function):
     return np.asarray(test_function, dtype=float)
 
 
-def _transport_key(phi_hat):
-    return ("transport", phi_hat.shape, phi_hat.tobytes())
+def _phi_key(kind, phi_hat):
+    """Key of the series `kind` ("transport", <q, u . grad phi>;
+    "pairing", <q, phi>; "noise_pairing", <W, phi>) of test function
+    phi."""
+    return (kind, phi_hat.shape, phi_hat.tobytes())
 
 
-def _snapshot_series(record: TrajectoryRecord, names=tuple(_NAMED_SERIES),
-                     exponents=(), test_functions=()) -> dict:
-    """Per-snapshot series for the monitors, from one pass over the
-    snapshots, memoized on the record; returns the record's series dict.
+def monitor_observables(basis, exponents=(), test_functions=()) -> list:
+    """Every series the monitors read, as observables of the stepping loop.
 
-    Only the series not yet memoized are computed.  Each snapshot is one
-    unbatched (3, Nx, Ny) `ObsContext` sample, whose reductions are
-    scalars; it synthesizes each grid the series read once, at most the
-    17 grids of q, W, eta, grad q, grad eta, grad W, u = grad^perp psi,
-    D^2 psi and D^2 W.
+    In the order of evaluation: the _NAMED_SERIES; the Lp norms (f, p),
+    f in _LP_FIELDS, for each even p of `exponents`; and for each test
+    function phi (a LayerField or coefficient array) <q, u . grad phi>,
+    <q, phi> and <W, phi>, keyed by `_phi_key`.  grad phi is synthesized
+    here, once before the run.
     """
-    basis, memo = record.config.basis, record._series
-    w = basis.quad_weights
-    todo = {name: fn for name, fn in _NAMED_SERIES.items() if name in names}
+    series = dict(_NAMED_SERIES)
     exps = tuple(sorted(set(map(even_exponent, exponents))))
-    todo.update({(f, p): lambda ctx, f=f, i=i: ctx.lp_norms(f, exps)[i]
-                 for f in _LP_FIELDS for i, p in enumerate(exps)})
-    todo = {key: fn for key, fn in todo.items() if key not in memo}
+    series.update({(f, p): lambda ctx, f=f, i=i: ctx.lp_norms(f, exps)[i]
+                   for f in _LP_FIELDS for i, p in enumerate(exps)})
+    w = basis.quad_weights
     for phi in map(_test_coeffs, test_functions):
-        if (key := _transport_key(phi)) not in memo and key not in todo:
-            px, py = basis.grad_grids(phi)      # once for every snapshot
-            todo[key] = lambda ctx, px=px, py=py: field_sum(
-                ctx.grid("q") * (ctx.u[0] * px + ctx.u[1] * py) * w)
-    if not todo:
-        return memo
-    out = {key: np.empty(len(record.snap_times)) for key in todo}
-    for s, (q_hat, w_hat) in enumerate(zip(record.q_snapshots,
-                                           record.w_snapshots)):
-        ctx = ObsContext(record.config.coupling, q_hat, w_hat)
-        for key, fn in todo.items():
-            out[key][s] = fn(ctx)
-    memo.update(out)
-    return memo
+        px, py = basis.grad_grids(phi)
+        series[_phi_key("transport", phi)] = lambda ctx, px=px, py=py: \
+            field_sum(ctx.grid("q") * (ctx.u[0] * px + ctx.u[1] * py) * w)
+        series[_phi_key("pairing", phi)] = \
+            lambda ctx, phi=phi: field_sum(ctx.q_hat * phi)
+        series[_phi_key("noise_pairing", phi)] = \
+            lambda ctx, phi=phi: field_sum(ctx.w_hat * phi)
+    return [Observable(key, fn) for key, fn in series.items()]
+
+
+def _read(record: TrajectoryRecord, key, label=None) -> np.ndarray:
+    """The record's series `key`, or SamplingError naming it (by `label`
+    if given) when the run did not record it."""
+    try:
+        return record.observables[key]
+    except KeyError:
+        raise SamplingError(
+            f"the record has no {label or key!r} series: run it with "
+            f"experiments.monitor_observables") from None
 
 
 # -- monitors -----------------------------------------------------------
@@ -185,18 +188,18 @@ class MonitorReport:
 def log_estimate_monitor(record: TrajectoryRecord) -> MonitorReport:
     """Ratio ||grad u||_inf / (||q||_inf (1 + log+ ||grad q||_L4)).
 
-    Snapshots with q identically zero are skipped and flagged.
+    Samples with q identically zero are skipped and flagged.
     """
-    series = _snapshot_series(record, ("q_inf", "grad_u_inf", "grad_q_l4"))
-    q_inf = series["q_inf"]
+    q_inf, grad_u_inf, grad_q_l4 = (_read(record, name) for name in (
+        "q_inf", "grad_u_inf", "grad_q_l4"))
     skipped = q_inf == 0.0
     ratios = np.zeros(len(q_inf))
     for s in np.flatnonzero(~skipped):
-        g4 = series["grad_q_l4"][s]
+        g4 = grad_q_l4[s]
         log_plus = max(np.log(g4), 0.0) if g4 > 0 else 0.0
-        ratios[s] = series["grad_u_inf"][s] / (q_inf[s] * (1.0 + log_plus))
+        ratios[s] = grad_u_inf[s] / (q_inf[s] * (1.0 + log_plus))
     valid = ratios[~skipped]
-    return MonitorReport(times=record.snap_times, series=ratios,
+    return MonitorReport(times=record.times, series=ratios,
                          maximum=float(valid.max()) if len(valid) else 0.0,
                          skipped=skipped)
 
@@ -224,16 +227,14 @@ def lp_envelope(record: TrajectoryRecord, k: int):
     ||q_0||_{2k}; the envelope for q is e(t) + ||W_t||_{2k}.
     Returns (series of ||q_t||_{2k}, envelope).
     """
-    cfg = record.config
-    p = 2 * k
-    series = _snapshot_series(record, ("grad_w_inf",), exponents=(p,))
-    q_norm, w_norm, eta_norm, u_lp = (series[f, p] for f in _LP_FIELDS)
-    forcing = u_lp * series["grad_w_inf"] + cfg.gamma * w_norm
-    times = record.snap_times
-    rate = np.full(len(times), cfg.gamma)
+    gamma = record.config.gamma
+    q_norm, w_norm, eta_norm, u_lp = (_read(record, (f, 2 * k))
+                                      for f in _LP_FIELDS)
+    forcing = u_lp * _read(record, "grad_w_inf") + gamma * w_norm
+    times = record.times
+    rate = np.full(len(times), gamma)
     env_eta = _damped_integrate(rate, forcing, times, eta_norm[0])
-    # copies, so that no caller can change the memoized series
-    return q_norm.copy(), env_eta + w_norm, eta_norm.copy(), env_eta
+    return q_norm, env_eta + w_norm, eta_norm, env_eta
 
 
 def w14_monitor(record: TrajectoryRecord) -> MonitorReport:
@@ -246,19 +247,15 @@ def w14_monitor(record: TrajectoryRecord) -> MonitorReport:
     is integrated with all coefficients measured from the record; the
     q-envelope adds ||grad W_t||_4.
     """
-    cfg = record.config
-    times = record.snap_times
-    series = _snapshot_series(record, ("grad_q_l4", "grad_eta_l4",
-                                       "grad_w_l4", "grad_u_inf", "u_inf",
-                                       "hess_w_l4"))
-    grad_q = series["grad_q_l4"].copy()
-    grad_w4 = series["grad_w_l4"]
-    grad_u_inf = series["grad_u_inf"]
-    rate = cfg.gamma - grad_u_inf
-    forcing = (grad_u_inf * grad_w4 + series["u_inf"] * series["hess_w_l4"]
-               + cfg.gamma * grad_w4)
-    env_eta = _damped_integrate(rate, forcing, times,
-                                series["grad_eta_l4"][0])
+    gamma = record.config.gamma
+    times = record.times
+    grad_q, grad_eta, grad_w4, grad_u_inf, u_inf, hess_w = (
+        _read(record, name) for name in (
+            "grad_q_l4", "grad_eta_l4", "grad_w_l4", "grad_u_inf", "u_inf",
+            "hess_w_l4"))
+    rate = gamma - grad_u_inf
+    forcing = grad_u_inf * grad_w4 + u_inf * hess_w + gamma * grad_w4
+    env_eta = _damped_integrate(rate, forcing, times, grad_eta[0])
     envelope = env_eta + grad_w4
     return MonitorReport(times=times, series=grad_q,
                          maximum=float(np.max(grad_q)),

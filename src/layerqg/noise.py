@@ -70,7 +70,7 @@ def sigma_for_stationary_l2(pairs: OperatorEigenpairs, k: int, decay: float,
     """Amplitude making the stationary E||q||_2^2 of the damped system equal
     target^2 (the transport term is L2-neutral, so the balance
     2 gamma E||q||^2 = sum c_k^2 holds with or without advection)."""
-    weights = (1.0 + np.abs(pairs.mu[:k])) ** (-2 * decay)
+    weights = _decay_law(pairs, k, decay, 1.0) ** 2
     return target * np.sqrt(2.0 * gamma / np.sum(weights))
 
 

@@ -17,7 +17,8 @@ from layerqg import rng as rngmod
 from layerqg.cli import main as cli_main
 from layerqg.dynamics import (PairingTable, SimConfig, nonlinear_term,
                               parse_observables, run_trajectory)
-from layerqg.experiments import lp_envelope, w14_monitor, weak_residual
+from layerqg.experiments import (lp_envelope, monitor_observables,
+                                 w14_monitor, weak_residual)
 from layerqg.noise import make_noise, ou_factors, ou_step, sample_path
 from layerqg.spectral import LayerField, single_mode_field
 
@@ -229,17 +230,19 @@ def test_criterion_10_weak_residual_convergence():
         basis, coupling, pairs = standard_setup(16)
         noise = make_noise(pairs, 48, 2.0, 2.0)
         fine = sample_path(noise, 500, 1e-3, rngmod.stream(10, 0))
+        rng = np.random.default_rng(100)
+        phis = [LayerField.from_coeffs(basis, random_band_coeffs(rng, basis))
+                for _ in range(5)]
         records = {}
         for dt, factor in ((2e-3, 2), (1e-3, 1)):
             cfg = SimConfig(pairs=pairs,
                             noise=noise, gamma=GAMMA, viscosity=0.0, dt=dt,
                             horizon=0.5, nonlinear=True,
-                            init="lowband:3:1.0:11", seed=10, snap_every=1)
-            records[dt] = run_trajectory(cfg, observables=[],
-                                         noise_path=fine.coarsen(factor))
-        rng = np.random.default_rng(100)
-        phis = [LayerField.from_coeffs(basis, random_band_coeffs(rng, basis))
-                for _ in range(5)]
+                            init="lowband:3:1.0:11", seed=10)
+            records[dt] = run_trajectory(
+                cfg, observables=monitor_observables(basis,
+                                                     test_functions=phis),
+                noise_path=fine.coarsen(factor))
         coarse = weak_residual(records[2e-3], phis).max(axis=1)
         fine_r = weak_residual(records[1e-3], phis).max(axis=1)
         assert np.all(fine_r <= 0.6 * coarse), fine_r / coarse
@@ -285,8 +288,9 @@ def test_criterion_13_envelope_dominance():
         cfg = SimConfig(pairs=pairs,
                         noise=noise, gamma=GAMMA, viscosity=0.0, dt=1e-3,
                         horizon=1.0, nonlinear=True, init="lowband:3:1.0:11",
-                        seed=13, snap_every=2)
-        rec = run_trajectory(cfg, observables=[])
+                        seed=13, obs_every=2)
+        rec = run_trajectory(cfg, observables=monitor_observables(
+            basis, exponents=(2, 4, 6, 8)))
         for k in (1, 2, 3, 4):
             q_norm, env_q, _, _ = lp_envelope(rec, k)
             assert np.all(q_norm <= env_q * (1 + 1e-9) + 1e-12), f"L^{2*k}"

@@ -422,6 +422,57 @@ class TestCli:
         abort = json.loads((out / "manifest.json").read_text())["abort"]
         assert abort["time"] == 0.0 and "overflow" in abort["reason"]
 
+    def test_diagnose_needs_three_samples(self, tmp_path, capsys,
+                                          monkeypatch):
+        # one step gives two samples, too few for the weak residual's
+        # quadrature: rejected before any step, with no output directory
+        def no_run(*args, **kwargs):
+            raise AssertionError("stepped a run it then rejects")
+
+        monkeypatch.setattr("layerqg.cli.run_trajectory", no_run)
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("modes_x=8\nmodes_y=8\nsigma=1.0\ndt=0.01\n"
+                       "horizon=0.01\nnoise_modes=16\n"
+                       "init=lowband:3:1.0:2\n")
+        out = tmp_path / "out"
+        assert run_cli("diagnose", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least 3 samples" in err
+        assert not out.exists()
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in KB on Linux")
+    def test_diagnose_memory_does_not_grow_with_the_samples(self, tmp_path):
+        # the monitor series are scalars per sample; stored q and W
+        # snapshots of 300 more samples at N=32 would add 14 MB, and
+        # stacking them into records about as much again
+        script = textwrap.dedent("""
+            import resource, sys
+            from layerqg.cli import main
+            assert main(sys.argv[1:]) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """)
+        peak_mb = []
+        for samples in (100, 400):
+            cfg = tmp_path / f"n32_{samples}.cfg"
+            cfg.write_text("modes_x=32\nmodes_y=32\nsigma=2.0\n"
+                           "noise_modes=48\ndt=0.001\n"
+                           f"horizon={(samples - 1) / 1000:g}\n"
+                           "init=lowband:3:1.0:7\n")
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "diagnose", "--config",
+                 str(cfg), "--out", str(tmp_path / f"out{samples}")],
+                env=dict(os.environ, PYTHONPATH=str(SRC),
+                         OPENBLAS_NUM_THREADS="1"),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            rows = (tmp_path / f"out{samples}" / "diagnostics.csv"
+                    ).read_text().strip().split("\n")
+            assert len(rows) == 1 + samples
+            peak_mb.append(int(proc.stdout) / 1024)
+        assert abs(peak_mb[1] - peak_mb[0]) < 3.0, peak_mb
+
     @pytest.mark.parametrize("command, cfg, flags", [
         ("galerkin", "modes_x=16\nmodes_y=16\ninit=mode:1,1:2000,0,0\n",
          ["--n-ladder", "4,6,8"]),

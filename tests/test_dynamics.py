@@ -410,9 +410,16 @@ class TestGuards:
                                 quiet_noise):
         cfg = make_config(basis16, coupling16, pairs16, quiet_noise,
                           nonlinear=True, dt=0.01, horizon=0.05,
-                          init="mode:1,1:2000,0,0")
-        with pytest.raises(TimeStepError, match="CFL"):
+                          init="mode:1,1:2000,0,0", snap_every=1)
+        with pytest.raises(TimeStepError, match="CFL") as err:
             run_trajectory(cfg, observables=[])
+        # the partial record keeps the snapshots written before the abort
+        rec = err.value.record
+        assert np.array_equal(rec.snap_times, rec.times)
+        assert rec.q_snapshots.shape == (len(rec.times), 3, 16, 16)
+        assert np.array_equal(rec.q_snapshots[0],
+                              initial_coeffs(cfg.init, basis16))
+        assert np.all(rec.w_snapshots == 0.0)
 
     def test_blow_up_detected_with_guard_off(self, basis16, coupling16,
                                              pairs16, quiet_noise):

@@ -3,11 +3,11 @@ import pytest
 from dataclasses import replace
 
 from layerqg import cli, rng as rngmod
-from layerqg.dynamics import (ObsContext, SimConfig, parse_observables,
-                              run_trajectory)
+from layerqg.dynamics import (ObsContext, Observable, SimConfig,
+                              parse_observables, run_trajectory)
 from layerqg.errors import ConfigurationError, SamplingError
-from layerqg.experiments import (_damped_integrate, _snapshot_series,
-                                 log_estimate_monitor, lp_envelope,
+from layerqg.experiments import (_damped_integrate, log_estimate_monitor,
+                                 lp_envelope, monitor_observables,
                                  w14_monitor, weak_residual)
 from layerqg.noise import make_noise, sample_path
 from layerqg.spectral import LayerField, SpectralBasis, single_mode_field
@@ -23,6 +23,13 @@ def noisy_config(basis, coupling, pairs, sigma=2.0, **kw):
                     nonlinear=True, init="lowband:3:1.0:11", seed=5)
     defaults.update(kw)
     return SimConfig(pairs=pairs, noise=noise, **defaults)
+
+
+def monitored(cfg, exponents=(2, 4), test_functions=(), **kwargs):
+    """A run of cfg that records every monitor series at its observable
+    cadence."""
+    return run_trajectory(cfg, observables=monitor_observables(
+        cfg.basis, exponents, test_functions), **kwargs)
 
 
 class TestSweepReport:
@@ -155,19 +162,19 @@ class TestWeakResidual:
         cfg = SimConfig(pairs=pairs16,
                         noise=quiet_noise, gamma=gamma, viscosity=0.0,
                         dt=1e-2, horizon=0.5, nonlinear=False,
-                        init="mode:1,1:1,0,0", seed=1, snap_every=1)
-        rec = run_trajectory(cfg, observables=[])
+                        init="mode:1,1:1,0,0", seed=1)
         phi = single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0])
+        rec = monitored(cfg, test_functions=[phi])
         res = weak_residual(rec, [phi])[0]
         # trapezoid error for exp decay: h^2/12 * gamma^2 * t * |<q0,phi>|
-        bound = cfg.dt**2 * gamma**2 * rec.snap_times * 1.0
+        bound = cfg.dt**2 * gamma**2 * rec.times * 1.0
         assert np.all(res <= bound + 1e-14)
 
     def test_zero_test_function(self, basis16, coupling16, pairs16):
-        cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.1,
-                           snap_every=1)
-        rec = run_trajectory(cfg, observables=[])
-        res = weak_residual(rec, [LayerField.zero(basis16)])
+        cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.1)
+        zero = LayerField.zero(basis16)
+        rec = monitored(cfg, test_functions=[zero])
+        res = weak_residual(rec, [zero])
         assert np.all(res == 0.0)
 
     def test_first_order_self_convergence(self, basis16, coupling16,
@@ -175,27 +182,29 @@ class TestWeakResidual:
         noise = make_noise(pairs16, 48, 2.0, 2.0)
         gen = rngmod.stream(5, 0)
         fine = sample_path(noise, 250, 1e-3, gen)
-        recs = {}
-        for dt, factor in ((2e-3, 2), (1e-3, 1)):
-            cfg = noisy_config(basis16, coupling16, pairs16, dt=dt,
-                               horizon=0.25, snap_every=1)
-            cfg = replace(cfg, noise=noise)
-            recs[dt] = run_trajectory(cfg, observables=[],
-                                      noise_path=fine.coarsen(factor))
         rng = np.random.default_rng(17)
         phis = [LayerField.from_coeffs(basis16,
                                        random_band_coeffs(rng, basis16))
                 for _ in range(3)]
+        recs = {}
+        for dt, factor in ((2e-3, 2), (1e-3, 1)):
+            cfg = noisy_config(basis16, coupling16, pairs16, dt=dt,
+                               horizon=0.25)
+            cfg = replace(cfg, noise=noise)
+            recs[dt] = monitored(cfg, test_functions=phis,
+                                 noise_path=fine.coarsen(factor))
         res_c = weak_residual(recs[2e-3], phis).max(axis=1)
         res_f = weak_residual(recs[1e-3], phis).max(axis=1)
         assert np.all(res_f <= 0.6 * res_c)
 
     def test_sparse_record_rejected(self, basis16, coupling16, pairs16):
+        # 50 steps sampled every 50: two samples
         cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.1,
-                           snap_every=0)
-        rec = run_trajectory(cfg, observables=[])
+                           obs_every=50)
         phi = single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0])
-        with pytest.raises(SamplingError):
+        rec = monitored(cfg, test_functions=[phi])
+        assert len(rec.times) == 2
+        with pytest.raises(SamplingError, match="at least 3 samples"):
             weak_residual(rec, [phi])
 
 
@@ -205,8 +214,8 @@ class TestMonitors:
         cfg = SimConfig(pairs=pairs16,
                         noise=quiet_noise, gamma=0.5, viscosity=0.0,
                         dt=1e-2, horizon=0.1, nonlinear=False,
-                        init="mode:1,1:1,0,0", seed=1, snap_every=5)
-        rec = run_trajectory(cfg, observables=[])
+                        init="mode:1,1:1,0,0", seed=1, obs_every=5)
+        rec = monitored(cfg)
         rep = log_estimate_monitor(rec)
         assert not rep.skipped.any()
         assert 0 < rep.maximum < 1.0    # single-mode baseline, frozen bound
@@ -216,8 +225,8 @@ class TestMonitors:
         cfg = SimConfig(pairs=pairs16,
                         noise=quiet_noise, gamma=0.5, viscosity=0.0,
                         dt=1e-2, horizon=0.05, nonlinear=False,
-                        init="zero", seed=1, snap_every=1)
-        rec = run_trajectory(cfg, observables=[])
+                        init="zero", seed=1)
+        rec = monitored(cfg)
         rep = log_estimate_monitor(rec)
         assert rep.skipped.all()
         assert np.all(rep.series == 0.0)
@@ -226,8 +235,8 @@ class TestMonitors:
     def test_noisy_ratio_stays_near_baseline(self, basis16, coupling16,
                                              pairs16):
         cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.5,
-                           snap_every=10)
-        rec = run_trajectory(cfg, observables=[])
+                           obs_every=10)
+        rec = monitored(cfg)
         rep = log_estimate_monitor(rec)
         baseline = 0.7    # recorded for this resolution
         assert rep.maximum <= 3 * baseline
@@ -238,10 +247,10 @@ class TestMonitors:
         cfg = SimConfig(pairs=pairs16,
                         noise=quiet_noise, gamma=gamma, viscosity=0.0,
                         dt=1e-2, horizon=0.3, nonlinear=False,
-                        init="lowband:3:1.0:4", seed=1, snap_every=1)
-        rec = run_trajectory(cfg, observables=[])
+                        init="lowband:3:1.0:4", seed=1)
+        rec = monitored(cfg)
         rep = w14_monitor(rec)
-        expected = rep.series[0] * np.exp(-gamma * rec.snap_times)
+        expected = rep.series[0] * np.exp(-gamma * rec.times)
         assert np.allclose(rep.series, expected, rtol=1e-10)
         assert rep.dominated
 
@@ -249,8 +258,8 @@ class TestMonitors:
         cfg = SimConfig(pairs=pairs16,
                         noise=quiet_noise, gamma=0.5, viscosity=0.0,
                         dt=1e-2, horizon=0.05, nonlinear=False,
-                        init="zero", seed=1, snap_every=1)
-        rec = run_trajectory(cfg, observables=[])
+                        init="zero", seed=1)
+        rec = monitored(cfg)
         rep = w14_monitor(rec)
         assert np.all(rep.series == 0.0)
 
@@ -264,8 +273,8 @@ class TestMonitors:
 
     def test_noisy_envelopes_dominate(self, basis16, coupling16, pairs16):
         cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.5,
-                           snap_every=2)
-        rec = run_trajectory(cfg, observables=[])
+                           obs_every=2)
+        rec = monitored(cfg, exponents=(2, 4, 8))
         for k in (1, 2, 4):
             q_norm, env_q, eta_norm, env_eta = lp_envelope(rec, k)
             assert np.all(q_norm <= env_q * (1 + 1e-9) + 1e-12)
@@ -274,20 +283,14 @@ class TestMonitors:
 
 
 class TestSharedPass:
-    def test_each_monitor_alone_matches_the_shared_pass(self, basis16,
-                                                        coupling16, pairs16):
+    def test_monitors_read_the_record_and_change_nothing(
+            self, basis16, coupling16, pairs16):
         cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.1,
-                           snap_every=2)
-        shared = run_trajectory(cfg, observables=[])
+                           obs_every=2)
         phi = single_mode_field(basis16, 2, 1, [1.0, -0.5, 0.25])
-        _snapshot_series(shared, exponents=(2, 4), test_functions=[phi])
-        memo = dict(shared._series)
-
-        def fresh():
-            # an equal record with nothing memoized
-            rec = replace(shared)
-            assert not rec._series
-            return rec
+        rec = monitored(cfg, test_functions=[phi])
+        stored = {key: series.copy()
+                  for key, series in rec.observables.items()}
 
         def same(a, b):
             if isinstance(a, (tuple, list)):
@@ -303,59 +306,81 @@ class TestSharedPass:
                     lambda rec: lp_envelope(rec, 2),
                     lambda rec: weak_residual(rec, [phi])]
         for monitor in monitors:
-            assert same(monitor(shared), monitor(fresh()))
-        # the monitors read the shared pass and add nothing to it
-        assert shared._series.keys() == memo.keys()
+            assert same(monitor(rec), monitor(rec))
+        assert rec.observables.keys() == stored.keys()
+        assert all(np.array_equal(rec.observables[key], series)
+                   for key, series in stored.items())
 
-    def test_snapshot_series_agree_with_the_loop_observables(
+    def test_a_missing_series_is_named(self, basis16, coupling16, pairs16):
+        cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.02)
+        bare = run_trajectory(cfg, observables=[])
+        for monitor, name in ((log_estimate_monitor, "q_inf"),
+                              (w14_monitor, "grad_q_l4"),
+                              (lambda rec: lp_envelope(rec, 1), "'q', 2")):
+            with pytest.raises(SamplingError, match=name):
+                monitor(bare)
+        rec = monitored(cfg, exponents=(2, 4))
+        with pytest.raises(SamplingError, match="'q', 6"):
+            lp_envelope(rec, 3)
+        phi = single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0])
+        with pytest.raises(SamplingError,
+                           match="pairing of test function 0"):
+            weak_residual(rec, [phi])
+
+    def test_monitor_series_equal_the_run_observables(
             self, basis16, coupling16, pairs16):
-        # a nonlinear record whose snapshots are its observable samples
+        # a nonlinear run's observables and diagnose's monitor series of
+        # the same samples come from one evaluation path
         cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.1,
-                           obs_every=2, snap_every=2)
-        obs = parse_observables("linf,l4,gradl4")
-        rec = run_trajectory(cfg, observables=obs)
-        assert np.array_equal(rec.times, rec.snap_times)
-        series = _snapshot_series(rec, ("q_inf", "grad_q_l4"),
-                                  exponents=(4,))
-        for s, (q_hat, w_hat) in enumerate(zip(rec.q_snapshots,
-                                               rec.w_snapshots)):
-            # the loop's values are the context's on a batch of one
-            ctx = ObsContext(coupling16, q_hat[None], w_hat[None])
-            for ob in obs:
-                assert ob(ctx)[0] == rec.observables[ob.name][s], ob.name
-        assert np.array_equal(series["q_inf"], rec.observables["linf"])
-        # The snapshot pass reduces each (3, Nx, Ny) snapshot unbatched,
-        # so it takes the 1/p-th root of a scalar, and the loop that of a
-        # (P,) array.  NumPy's vectorized pow (SIMD on AVX-512 machines)
-        # can round that root one ulp away from the scalar pow.
-        for name, key in (("l4", ("q", 4)), ("gradl4", "grad_q_l4")):
-            np.testing.assert_array_max_ulp(series[key],
-                                            rec.observables[name], maxulp=1)
+                           obs_every=2)
+        run = run_trajectory(cfg, observables=parse_observables(
+            "linf,l4,gradl4"))
+        diagnose = monitored(cfg)
+        assert np.array_equal(run.times, diagnose.times)
+        for name, key in (("linf", "q_inf"), ("l4", ("q", 4)),
+                          ("gradl4", "grad_q_l4")):
+            assert np.array_equal(run.observables[name],
+                                  diagnose.observables[key]), name
 
-    def test_diagnose_synthesizes_each_grid_once_per_snapshot(
+    def test_diagnose_synthesizes_each_grid_once_per_sample(
             self, tmp_path, monkeypatch):
-        calls = {"all": 0}
-        synth = SpectralBasis.synth
+        calls = {"in_samples": 0, "samples": 0, "grads_before": 0}
+        evaluating = []
+        synth, grad_grids = SpectralBasis.synth, SpectralBasis.grad_grids
+        call, init = Observable.__call__, ObsContext.__init__
 
         def counting_synth(self, c, dx, dy):
-            calls["all"] += 1
+            calls["in_samples"] += bool(evaluating)
             return synth(self, c, dx, dy)
 
-        def counted_run(*args, **kwargs):
-            record = run_trajectory(*args, **kwargs)
-            calls["run"] = calls["all"]
-            calls["snapshots"] = len(record.snap_times)
-            return record
+        def counting_grad_grids(self, coeffs):
+            calls["grads_before"] += not evaluating
+            return grad_grids(self, coeffs)
+
+        def counting_call(self, ctx):
+            evaluating.append(self)
+            try:
+                return call(self, ctx)
+            finally:
+                evaluating.pop()
+
+        def counting_init(self, *args):
+            calls["samples"] += 1
+            init(self, *args)
 
         monkeypatch.setattr(SpectralBasis, "synth", counting_synth)
-        monkeypatch.setattr(cli, "run_trajectory", counted_run)
+        monkeypatch.setattr(SpectralBasis, "grad_grids", counting_grad_grids)
+        monkeypatch.setattr(Observable, "__call__", counting_call)
+        monkeypatch.setattr(ObsContext, "__init__", counting_init)
         cfg = tmp_path / "d.cfg"
         cfg.write_text("modes_x=8\nmodes_y=8\nsigma=1.0\ndt=0.005\n"
                        "horizon=0.05\ninit=lowband:3:1.0:2\n"
                        "noise_modes=16\n")
         assert cli.main(["diagnose", "--config", str(cfg), "--seed", "1",
                          "--out", str(tmp_path / "out")]) == 0
-        assert calls["snapshots"] == 11
+        assert calls["samples"] == 11
         # q, W, eta (1 each), grad q, grad eta, grad W, u (2 each),
-        # D^2 psi, D^2 W (3 each), plus the test function's gradient once
-        assert calls["all"] - calls["run"] <= 17 * calls["snapshots"] + 2
+        # D^2 psi, D^2 W (3 each)
+        assert 0 < calls["in_samples"] <= 17 * calls["samples"]
+        # the test function's gradient, once before the run
+        assert calls["grads_before"] == 1

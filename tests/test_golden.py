@@ -18,7 +18,8 @@ import pytest
 
 from layerqg.dynamics import parse_observables, run_trajectory
 from layerqg.experiments import (log_estimate_monitor, lp_envelope,
-                                 w14_monitor, weak_residual)
+                                 monitor_observables, w14_monitor,
+                                 weak_residual)
 from layerqg.measures import kb_average, tightness_diagnostic
 from layerqg.runconfig import RunSettings, realize
 from layerqg.spectral import single_mode_field
@@ -77,11 +78,13 @@ def _diagnose():
     """Every series of the four monitors and the weak residual."""
     config = realize(RunSettings(modes_x=16, modes_y=16, sigma=2.0,
                                  noise_modes=48, dt=1e-3, horizon=0.03,
-                                 init="lowband:3:1.0:7"),
-                     seed=13, snap_every=2)
-    rec = run_trajectory(config, observables=[])
+                                 init="lowband:3:1.0:7", obs_every=2),
+                     seed=13)
+    phi = single_mode_field(config.basis, 1, 2, [1.0, -0.5, 0.25])
+    rec = run_trajectory(config, observables=monitor_observables(
+        config.basis, exponents=(2, 4), test_functions=[phi]))
     w14 = w14_monitor(rec)
-    out = {"time": rec.snap_times.tolist(),
+    out = {"time": rec.times.tolist(),
            "log_ratio": log_estimate_monitor(rec).series.tolist(),
            "gradl4": w14.series.tolist(),
            "gradl4_envelope": w14.envelope.tolist()}
@@ -90,7 +93,6 @@ def _diagnose():
                  f"eta_l{2 * k}_envelope")
         out.update({name: series.tolist() for name, series
                     in zip(names, lp_envelope(rec, k))})
-    phi = single_mode_field(config.basis, 1, 2, [1.0, -0.5, 0.25])
     out["weak_residual"] = weak_residual(rec, [phi])[0].tolist()
     return out
 

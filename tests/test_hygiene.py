@@ -10,8 +10,9 @@ of `src/layerqg/`: the package has one way to fan out work,
 `dynamics._fan_out`.  The private-import scan lists every `_`-prefixed
 name a module of `src/layerqg/` imports from a sibling module, so that a
 new crossing of a module boundary is a visible change to this file.
-The per-sample scan keeps the elliptic solve and the grid reductions out
-of `experiments`: its snapshot series read them through
+The per-sample scans keep the elliptic solve, the grid reductions and
+the stored snapshots out of `experiments`: its monitor series are
+observables of the stepping loop, which read them through
 `dynamics.ObsContext`, the one per-sample cache.
 """
 
@@ -114,7 +115,6 @@ def test_private_sibling_imports_are_known():
              for module, name in private_sibling_imports(path.read_text())]
     assert found == ["cli: dynamics._blas_threads",
                      "cli: dynamics._keep_freed_heap",
-                     "cli: experiments._snapshot_series",
                      "measures: dynamics._run_paths",
                      "measures: experiments._cumtrapz",
                      "sweeps: dynamics._fan_out",
@@ -140,3 +140,20 @@ def test_experiments_reads_samples_through_the_context():
     names = imported_names((ROOT / "src/layerqg/experiments.py").read_text())
     assert not names & {"solve_elliptic_coeffs", "grid_peak",
                         "peak_scaled_square", "scaled_lp_norms"}
+
+
+def attributes_read(source):
+    """Every attribute name, at any depth, read or written as `x.name`."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_scan_lists_attributes():
+    assert attributes_read("a.b.c = d.e\nf(g.h)\n") == {"b", "c", "e", "h"}
+
+
+def test_monitors_read_no_snapshots():
+    # the monitor series are observables of the stepping loop; nothing in
+    # experiments replays stored fields
+    attrs = attributes_read((ROOT / "src/layerqg/experiments.py").read_text())
+    assert not attrs & {"q_snapshots", "w_snapshots", "snap_times"}
