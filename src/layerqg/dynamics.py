@@ -96,8 +96,11 @@ def initial_coeffs(descriptor: str, basis: SpectralBasis) -> np.ndarray:
         if kind == "lowband":
             nmax_s, amp_s, seed_s = rest.split(":")
             nmax, amp, seed = int(nmax_s), float(amp_s), int(seed_s)
-            if nmax > min(basis.nx, basis.ny):
-                raise ValueError("lowband nmax exceeds the mode cut")
+            cut = min(basis.nx, basis.ny)
+            if not 1 <= nmax <= cut:
+                raise ValueError(f"lowband nmax {nmax} outside 1..{cut}")
+            if not np.isfinite(amp):
+                raise ValueError("lowband amplitude must be finite")
             gen = rngmod.stream(seed, 0)
             c = np.zeros(shape)
             band = gen.standard_normal((N_LAYERS, nmax, nmax))

@@ -291,7 +291,10 @@ class TestCli:
                    "nonlinearity=of": "nonlinearity must be 'on' or 'off'",
                    "obs_every=0": "obs_every must be >= 1",
                    "noise_modes=-1": "noise_modes must be nonnegative",
-                   "init=mode:0,1:1,0,0": "bad init descriptor"}
+                   "init=mode:0,1:1,0,0": "bad init descriptor",
+                   "init=lowband:0:1.0:2": "bad init descriptor",
+                   "init=lowband:3:nan:2": "bad init descriptor",
+                   "init=lowband:3:inf:2": "bad init descriptor"}
 
     @pytest.mark.parametrize("line", list(CONSTRAINTS))
     def test_constraint_error_exit_code(self, tmp_path, capsys, line):

@@ -486,6 +486,12 @@ class TestInitialData:
         with pytest.raises(ConfigurationError,
                            match=r"bad init descriptor.*mode \(0, 1\)"):
             initial_coeffs("mode:0,1:1,0,0", basis16)
+        # an empty band or a non-finite amplitude would make a NaN datum
+        for descriptor in ("lowband:0:1.0:2", "lowband:3:nan:2",
+                           "lowband:3:inf:2"):
+            with pytest.raises(ConfigurationError,
+                               match="bad init descriptor"):
+                initial_coeffs(descriptor, basis16)
 
 
 class TestLpObservables:

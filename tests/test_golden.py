@@ -7,7 +7,10 @@ are compared with the declared tolerance
     |a - b| <= GOLDEN_TOL * max(1, max |column|)
 
 per stored column.  A refactor that moves numbers beyond it must say so
-and regenerate the file deliberately.
+and regenerate the file deliberately.  `python tests/test_golden.py
+--drift` computes every run, writes nothing, and prints per run and
+column the largest |got - stored| and how many values are not bitwise
+equal, so a refactor can declare the moves that stay inside it.
 """
 
 import json
@@ -178,6 +181,27 @@ def _write_golden(only=()):
     GOLDEN_PATH.write_text("\n".join(lines) + "\n")
 
 
+def _report_drift():
+    """Compute every run against golden.json and write nothing: per run
+    and column, the largest |got - stored|, that over the column's scale
+    max(1, max |stored|), and how many values are not bitwise equal."""
+    stored = _golden()
+    for run in sorted(RUNS):
+        actual = RUNS[run]()
+        for column, want in stored[run].items():
+            want = np.asarray(want, dtype=float)
+            got = np.asarray(actual[column], dtype=float)
+            drift = float(np.max(np.abs(got - want)))
+            scale = max(1.0, float(np.max(np.abs(want))))
+            moved = int(np.count_nonzero(got != want))
+            print(f"{run}/{column}: drift {drift:.3e} scaled "
+                  f"{drift / scale:.3e}, {moved} of {want.size} not "
+                  f"bitwise equal")
+
+
 if __name__ == "__main__":
     import sys
-    _write_golden(sys.argv[1:])
+    if sys.argv[1:] == ["--drift"]:
+        _report_drift()
+    else:
+        _write_golden(sys.argv[1:])

@@ -132,16 +132,49 @@ class TestTransforms:
         basis.forward(grids[0, 0])
         basis.transport_basis.synth(c, 1, 1)
         assert built == [(12, 6), (9, 6)]      # one per grid, not per axis
-        # y tables built from their own sines and cosines give the same
-        # bits, so sharing the x pair changes no synthesized value
-        own_y = spectral._derivative_tables(*direct(12, 6), basis.ky[0])
+        # y tables built from their own sines and cosines, stored as
+        # (Ny, Gy+2), give the same bits, so sharing the x pair changes
+        # no synthesized value
+        own_y = [np.ascontiguousarray(table.T) for table in
+                 spectral._derivative_tables(*direct(12, 6), basis.ky[0])]
         for (dx, dy), grid in grids.items():
-            assert np.array_equal(grid,
-                                  basis._synth_x[dx] @ c @ own_y[dy].T)
+            assert np.array_equal(grid, basis._synth_x[dx] @ c @ own_y[dy])
+        # forward reads the shared (Gy+2, Ny) sines, not a stored copy
+        assert basis._trig_y is basis._trig_x
+        # synth multiplies both tables as stored: C-contiguous, locked
+        assert [t.shape for t in basis._synth_x] == [(14, 6)] * 3
+        assert [t.shape for t in basis._synth_y] == [(6, 14)] * 3
+        for table in (*basis._synth_x, *basis._synth_y):
+            assert table.flags.c_contiguous, table.shape
         for table in (*basis._trig_x, *basis._synth_x, *basis._synth_y,
                       basis._forward_x):
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("grid", ["2N", "3N/2"])
+    def test_batched_transforms_equal_each_path_alone(self, n, grid):
+        # the 2N grid at N=64 puts the second synthesis product above
+        # OpenBLAS's small-matrix size (M*N*K of about 1e6), every other
+        # case below it; neither kernel may see the batch
+        basis = build_basis(1.0, 1.0, n, n)
+        if grid == "3N/2":
+            basis = basis.transport_basis
+        rng = np.random.default_rng(n)
+        coeffs = rng.standard_normal((16, 3) + basis.spectral_shape)
+        values = basis.inverse(coeffs)
+        for paths in (1, 2, 16):
+            for dx in range(3):
+                for dy in range(3):
+                    batch = basis.synth(coeffs[:paths], dx, dy)
+                    for p in range(paths):
+                        assert np.array_equal(
+                            batch[p], basis.synth(coeffs[p], dx, dy)), (
+                            paths, p, dx, dy)
+            batch = basis.forward(values[:paths])
+            for p in range(paths):
+                assert np.array_equal(batch[p], basis.forward(values[p])), (
+                    paths, p)
 
     def test_shape_mismatch_raises(self, basis16):
         with pytest.raises(ShapeError):
