@@ -8,8 +8,8 @@ doubles.  Exit codes: 0 success, 2 constraint error or CFL abort, 3
 blow-up; a command stopped by a CFL abort or a blow-up still writes what
 it has (the partial `series.csv` of `run`) and a manifest whose `abort`
 block says when and why.  The manifest's `environment` block names the
-Python, NumPy, SciPy and BLAS versions, the BLAS thread setting and the
-CPU count.
+Python, NumPy and BLAS versions, the BLAS thread setting and the CPU
+count.
 """
 
 from __future__ import annotations
@@ -59,33 +59,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _installed_version(name):
-    """Version of an installed distribution, without importing it.
-
-    Read from the `Version:` line of the METADATA file that
-    `importlib.metadata` would find on `sys.path`; importing that module
-    costs about 20 ms and 1.5 MB of peak memory for its e-mail parser.
-    """
-    for entry in sys.path:
-        for meta in Path(entry or ".").glob(f"{name}-*.dist-info/METADATA"):
-            with open(meta) as fh:
-                for line in fh:
-                    if line.startswith("Version:"):
-                        return line.partition(":")[2].strip()
-    return None
-
-
 @functools.cache
 def _environment():
-    """Interpreter, library versions, BLAS thread count and CPU count of
-    this machine.
-
-    The runtime path never imports SciPy, and neither does the manifest.
-    """
+    """Interpreter, NumPy and BLAS versions, BLAS thread count and CPU
+    count of this machine."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": _installed_version("scipy"), "blas": blas.get("name"),
-            "blas_version": blas.get("version"),
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
             "blas_threads": _blas_threads(), "cpu_count": os.cpu_count()}
 
 

@@ -34,23 +34,6 @@ _TEMPLATE = np.array([[-1.0, 1.0, 0.0],
                       [0.0, 1.0, -1.0]])
 
 
-def lambda_from_physical(h1, h2, h3, g1, g2, c):
-    """Stretching coefficients from layer depths, reduced gravities and
-    the Coriolis parameter: l1 = c^2/(H1 g1), l2 = c^2/(H2 g1),
-    l3 = c^2/(H3 g2).
-
-    Row 2 of the physical coupling carries two distinct combinations
-    c^2/(H2 g1) and c^2/(H2 g2); the tridiagonal template uses a single
-    l2 for both off-diagonal entries, and this constructor follows the
-    template (the g1 choice).
-    """
-    for name, v in (("h1", h1), ("h2", h2), ("h3", h3),
-                    ("g1", g1), ("g2", g2), ("c", c)):
-        if v <= 0:
-            raise ConfigurationError(f"{name} must be positive")
-    return c**2 / (h1 * g1), c**2 / (h2 * g1), c**2 / (h3 * g2)
-
-
 @dataclass(frozen=True)
 class LayerCoupling:
     """Symmetrized coupling for one basis, with its vertical modes."""
@@ -134,12 +117,6 @@ def solve_elliptic_coeffs(coupling: LayerCoupling, q_hat: np.ndarray,
     return out
 
 
-def solve_elliptic(q: LayerField, coupling: LayerCoupling) -> LayerField:
-    """Stream function from potential vorticity (Dirichlet conditions)."""
-    psi_hat = solve_elliptic_coeffs(coupling, q.spectral())
-    return LayerField.from_coeffs(coupling.basis, psi_hat)
-
-
 @dataclass(frozen=True)
 class OperatorEigenpairs:
     """The K smallest-|mu| eigenpairs of (A + L).
@@ -186,11 +163,6 @@ class OperatorEigenpairs:
                  + ((self.mode_n - 1) * ny + self.mode_m - 1)[:, None])
         index.setflags(write=False)
         return index
-
-    def project(self, coeffs: np.ndarray) -> np.ndarray:
-        """Pairings <f, rho_k> for all k, shape (..., K), from (..., 3, Nx,
-        Ny) spectral coefficients."""
-        return pair_coeffs(coeffs, self.flat_index, self.vec)
 
 
 def pair_coeffs(coeffs, index, vec):

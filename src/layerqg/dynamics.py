@@ -352,6 +352,8 @@ class SimConfig:
             raise ConfigurationError("obs_every must be >= 1")
         if self.snap_every < 0:
             raise ConfigurationError("snap_every must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
     @property
     def basis(self) -> SpectralBasis:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import Observable, SimConfig, _run_paths, obs_lp
-from .errors import ConfigurationError, SamplingError
+from .errors import ConfigurationError
 from .experiments import _cumtrapz, dominated
 from .noise import NoiseMixer, ou_factors, ou_step
 from .spectral import grid_peak
@@ -94,77 +94,6 @@ def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1,
     return [AveragedMeasure(horizon=h, names=names, means=means[i],
                             stderrs=stderrs[i], n_paths=n_paths)
             for i, h in enumerate(horizons)]
-
-
-@dataclass
-class InvarianceReport:
-    observable_names: list
-    shifts: list
-    ks_distance: np.ndarray     # (n_obs, n_shifts)
-    p_value: np.ndarray
-    rejected: np.ndarray        # at the configured significance
-    skipped: np.ndarray         # degenerate (zero-variance) observables
-    significance: float
-    n_samples: int
-
-
-def invariance_test(config: SimConfig, burn_in: float, window: float,
-                    observables, n_paths: int = 1, shifts=None,
-                    significance: float = 0.01,
-                    min_samples: int = 30) -> InvarianceReport:
-    """Shift-invariance of the law after burn-in.
-
-    Compares the empirical distribution of each observable over
-    [burn_in, burn_in + window] against windows shifted by s, pooling
-    thinned samples (spacing about 2/gamma) across paths, with a
-    two-sample Kolmogorov-Smirnov test per observable and shift.
-    """
-    # deferred: scipy.stats adds ~1 s to start-up and no CLI command runs it
-    from scipy.stats import ks_2samp
-
-    if shifts is None:
-        shifts = [window / 4, window / 2]
-    needed = burn_in + max(shifts) + window
-    if needed > config.horizon + 1e-12:
-        raise ConfigurationError(
-            f"need horizon >= {needed}, have {config.horizon}")
-    obs_dt = config.dt * config.obs_every
-    spacing = max(1, int(round(2.0 / config.gamma / obs_dt)))
-    records = _run_paths(config, observables, range(n_paths))
-    times = records[0].times
-
-    def window_samples(name, start):
-        mask = (times >= start - 1e-12) & (times <= start + window + 1e-12)
-        return np.concatenate([rec.observables[name][mask][::spacing]
-                               for rec in records])
-
-    names = [ob.name for ob in observables]
-    n_obs, n_sh = len(names), len(shifts)
-    ks = np.zeros((n_obs, n_sh))
-    pv = np.ones((n_obs, n_sh))
-    rejected = np.zeros((n_obs, n_sh), dtype=bool)
-    skipped = np.zeros(n_obs, dtype=bool)
-    count = 0
-    for i, name in enumerate(names):
-        ref = window_samples(name, burn_in)
-        count = len(ref)
-        if count < min_samples:
-            raise SamplingError(
-                f"window yields {count} samples < minimum {min_samples}")
-        if np.ptp(ref) == 0.0:
-            skipped[i] = True
-            continue
-        for j, s in enumerate(shifts):
-            if s == 0:              # distance 0 and p-value 1, as set above
-                continue
-            stat = ks_2samp(ref, window_samples(name, burn_in + s))
-            ks[i, j] = stat.statistic
-            pv[i, j] = stat.pvalue
-            rejected[i, j] = stat.pvalue < significance
-    return InvarianceReport(observable_names=names, shifts=list(shifts),
-                            ks_distance=ks, p_value=pv, rejected=rejected,
-                            skipped=skipped, significance=significance,
-                            n_samples=count)
 
 
 @dataclass

@@ -4,9 +4,7 @@ Ornstein-Uhlenbeck stochastic convolution.
 The driving Wiener process is W_t = sum_k c_k rho_k W^k_t with scalar
 Brownian motions W^k and coefficients c_k = sigma (1 + |mu_k|)^(-r) over
 the eigenpairs rho_k of the elliptic operator, indexed from the
-smallest-|mu| pair.  The spatial regularity of W is certified numerically
-through partial sums of c_k^2 ||rho_k||^2_{H^{5/2}}, where for our basis
-||rho_k||_{H^s} = lambda_{n,m}^{s/2} exactly.
+smallest-|mu| pair.
 """
 
 from __future__ import annotations
@@ -72,41 +70,6 @@ def sigma_for_stationary_l2(pairs: OperatorEigenpairs, k: int, decay: float,
     2 gamma E||q||^2 = sum c_k^2 holds with or without advection)."""
     weights = _decay_law(pairs, k, decay, 1.0) ** 2
     return target * np.sqrt(2.0 * gamma / np.sum(weights))
-
-
-def regularity_sum(spec: NoiseSpec, pairs: OperatorEigenpairs,
-                   upto: int) -> float:
-    """Partial sum of c_k^2 ||rho_k||^2_{H^{5/2}} (extending c_k by the
-    same decay law beyond the truncation)."""
-    lam = pairs.spatial_eigenvalues[:upto]
-    c = _decay_law(pairs, upto, spec.decay, spec.sigma)
-    return float(np.sum(c**2 * lam**2.5))
-
-
-def regularity_check(spec: NoiseSpec, pairs: OperatorEigenpairs):
-    """Partial sums of the H^{5/2} series at K, 2K, 4K and a verdict.
-
-    The verdict is "convergent" when the K -> 2K increment is below half
-    of the K-term sum, "suspect-divergent" otherwise.  Needs eigenpairs
-    up to 2K (4K used when available).
-    """
-    k = spec.k
-    if k < 8:
-        raise ConfigurationError("regularity check needs k >= 8")
-    if len(pairs) < 2 * k:
-        raise ConfigurationError(
-            f"need at least 2k={2 * k} eigenpairs, have {len(pairs)}")
-    counts = [k, 2 * k]
-    if len(pairs) >= 4 * k:
-        counts.append(4 * k)
-    sums = [regularity_sum(spec, pairs, n) for n in counts]
-    base, doubled = sums[0], sums[1]
-    if base == 0.0:
-        verdict = "convergent"
-    else:
-        verdict = "convergent" if (doubled - base) < 0.5 * base \
-            else "suspect-divergent"
-    return dict(zip(counts, sums)), verdict
 
 
 class NoiseMixer:

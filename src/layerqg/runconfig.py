@@ -97,7 +97,7 @@ def realize(settings: RunSettings, seed: int, snap_every: int = 0) -> SimConfig:
     The first violated constraint raises, in build order: `build_basis`
     (domain, mode counts, dealiasing floor), `symmetrize` (lambda_i and
     scale), the noise, then `SimConfig` (gamma, viscosity, dt, horizon,
-    cadences, stability ceiling).
+    cadences, seed, stability ceiling).
     """
     s = settings
     if s.nonlinearity not in ("on", "off"):

@@ -422,33 +422,6 @@ def grid_lp_norm(vals, weights, p):
 def lp_norm(field: LayerField, p) -> float:
     """(sum_i int_D |q^i|^p dx)^(1/p) for even p; grid/layer max for inf.
 
-    The layer aggregation folds the three layers into one integral; see
-    lp_norm_layerwise for the sum-of-layer-norms variant (the two are
-    equivalent within a factor 3^((p-1)/p)).
+    The layer aggregation folds the three layers into one integral.
     """
     return float(grid_lp_norm(field.values(), field.basis.quad_weights, p))
-
-
-def lp_norm_layerwise(field: LayerField, p) -> float:
-    """Sum of per-layer Lp norms."""
-    layers = field.values()[:, None]        # each layer as its own field
-    return float(np.sum(grid_lp_norm(layers, field.basis.quad_weights, p)))
-
-
-def fractional_norm(field: LayerField, alpha: float) -> float:
-    """Spectral Sobolev norm (sum_i sum_nm lambda^alpha |qhat|^2)^(1/2)."""
-    if alpha < 0:
-        raise UnsupportedExponentError(
-            "alpha must be >= 0 (use dual_h1_distance for the H^-1 metric)")
-    c = field.spectral()
-    lam = field.basis.eigenvalues
-    return float(np.sqrt(np.sum(lam**alpha * c**2)))
-
-
-def dual_h1_distance(a: LayerField, b: LayerField) -> float:
-    """H^-1 distance (sum_i sum_nm lambda^-1 |ahat - bhat|^2)^(1/2)."""
-    if not a.basis.compatible(b.basis):
-        raise ShapeError("fields live on different bases")
-    d = a.spectral() - b.spectral()
-    return float(np.sqrt(np.sum(d**2 / a.basis.eigenvalues)))
-

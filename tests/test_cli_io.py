@@ -1,5 +1,4 @@
 import hashlib
-import importlib.metadata
 import json
 import os
 import platform
@@ -380,6 +379,21 @@ class TestCli:
                     f"'{value}'") in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "galerkin", "viscosity",
+                                         "stability", "invariant",
+                                         "tightness", "diagnose"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        # the config rejects it before any noise is drawn or output exists
+        cfg = tmp_path / "noisy.cfg"
+        cfg.write_text("modes_x=8\nmodes_y=8\ngamma=0.5\nsigma=1.0\n"
+                       "dt=0.01\nhorizon=0.05\nnoise_modes=16\n")
+        out = tmp_path / "out"
+        flags = ["--horizons", "0.05"] if command == "invariant" else []
+        assert run_cli(command, "--config", str(cfg), "--seed", "-1",
+                       "--out", str(out), *flags) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
+
     def test_blow_up_exit_code(self, tmp_path):
         cfg = tmp_path / "blow.cfg"
         cfg.write_text("modes_x=8\nmodes_y=8\ngamma=0.5\nsigma=0\n"
@@ -506,15 +520,10 @@ class TestCli:
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
         env = json.loads((out / "manifest.json").read_text())["environment"]
         assert sorted(env) == ["blas", "blas_threads", "blas_version",
-                               "cpu_count", "numpy", "python", "scipy"]
+                               "cpu_count", "numpy", "python"]
         assert env["numpy"] == np.__version__
         assert env["python"] == platform.python_version()
         assert env["cpu_count"] == os.cpu_count()
-        try:
-            scipy = importlib.metadata.version("scipy")
-        except importlib.metadata.PackageNotFoundError:
-            scipy = None
-        assert env["scipy"] == scipy
 
     def test_manifest_names_the_blas_threads(self, tmp_path):
         # the count BLAS runs with, which a variable set after start-up

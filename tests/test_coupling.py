@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerqg.coupling import (apply_operator, eigenpairs, lambda_from_physical,
-                              solve_elliptic, solve_elliptic_coeffs,
-                              symmetrize)
+from layerqg.coupling import (apply_operator, eigenpairs,
+                              solve_elliptic_coeffs, symmetrize)
 from layerqg.errors import ConfigurationError, ShapeError
 from layerqg.spectral import LayerField, build_basis, single_mode_field
 
@@ -12,22 +11,6 @@ from conftest import random_band_coeffs
 
 PATH_TEMPLATE = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0],
                           [0.0, 1.0, -1.0]])
-
-
-class TestPhysicalCoefficients:
-    def test_unit_inputs(self):
-        assert lambda_from_physical(1, 1, 1, 1, 1, 1) == (1.0, 1.0, 1.0)
-
-    def test_depth_scaling(self):
-        assert lambda_from_physical(1, 2, 4, 1, 1, 1) == (1.0, 0.5, 0.25)
-
-    def test_degenerate_coriolis_rejected(self):
-        with pytest.raises(ConfigurationError):
-            lambda_from_physical(1, 1, 1, 1, 1, 0.0)
-
-    def test_nonpositive_depth_rejected(self):
-        with pytest.raises(ConfigurationError, match="h2"):
-            lambda_from_physical(1, -2, 1, 1, 1, 1)
 
 
 class TestSymmetrize:
@@ -67,8 +50,9 @@ class TestSymmetrize:
 
 class TestEllipticSolve:
     def test_zero_maps_to_zero(self, basis16, coupling16):
-        psi = solve_elliptic(LayerField.zero(basis16), coupling16)
-        assert np.all(psi.spectral() == 0.0)
+        psi_hat = solve_elliptic_coeffs(coupling16,
+                                        LayerField.zero(basis16).spectral())
+        assert np.all(psi_hat == 0.0)
 
     def test_single_mode_against_direct_solve(self, basis16, coupling16):
         # the square with equal lambda_i has D proportional to I, which hides
@@ -79,10 +63,10 @@ class TestEllipticSolve:
                                                  3.5))]:
             for n, m in [(1, 1), (2, 5), (basis.nx, basis.ny)]:
                 q = single_mode_field(basis, n, m, [1.0, 0.0, 0.0])
-                psi = solve_elliptic(q, cp)
+                psi_hat = solve_elliptic_coeffs(cp, q.spectral())
                 mode = cp.mode_matrix(n, m)
                 expected = np.linalg.solve(mode, [1.0, 0.0, 0.0])
-                got = psi.spectral()[:, n - 1, m - 1]
+                got = psi_hat[:, n - 1, m - 1]
                 assert (np.max(np.abs(got - expected))
                         <= 1e-12 * np.max(np.abs(expected)))
                 back = mode @ got
@@ -117,8 +101,8 @@ class TestEllipticSolve:
 
     def test_eigenfunction_input(self, basis16, coupling16, pairs16):
         rho = pairs16.field(5)
-        psi = solve_elliptic(rho, coupling16)
-        assert np.allclose(psi.spectral(), rho.spectral() / pairs16.mu[5],
+        psi_hat = solve_elliptic_coeffs(coupling16, rho.spectral())
+        assert np.allclose(psi_hat, rho.spectral() / pairs16.mu[5],
                            atol=1e-14)
 
     @settings(max_examples=15, deadline=None)

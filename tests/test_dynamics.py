@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerqg import dynamics, rng as rngmod
-from layerqg.coupling import eigenpairs, solve_elliptic_coeffs, symmetrize
+from layerqg.coupling import (eigenpairs, pair_coeffs, solve_elliptic_coeffs,
+                              symmetrize)
 from layerqg.dynamics import (ObsContext, PairingTable, SimConfig,
                               _run_paths, initial_coeffs, nonlinear_term,
                               obs_lp, parse_observables, run_trajectory,
@@ -19,6 +20,8 @@ from layerqg.spectral import (LayerField, build_basis, grid_lp_norm,
                               single_mode_field)
 
 from conftest import random_band_coeffs
+
+PI2 = np.pi**2
 
 
 def make_config(basis, coupling, pairs, noise, **kw):
@@ -457,6 +460,11 @@ class TestGuards:
             make_config(basis16, coupling16, pairs16, quiet_noise,
                         dt=0.01, horizon=0.015)
 
+    def test_negative_seed_rejected(self, basis16, coupling16, pairs16,
+                                    quiet_noise):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            make_config(basis16, coupling16, pairs16, quiet_noise, seed=-1)
+
 
 class TestInitialData:
     def test_zero(self, basis16):
@@ -524,6 +532,57 @@ class TestLpObservables:
             parse_observables("l3")
 
 
+class TestHObservables:
+    TOKENS = "h0,h1,h2.5,wh1"
+
+    @staticmethod
+    def evaluate(pairs, q_hat, w_hat, tokens=TOKENS):
+        """The named observables of one (P, 3, Nx, Ny) sample, by name."""
+        ctx = ObsContext(pairs.coupling, q_hat, w_hat)
+        return {ob.name: ob(ctx) for ob in parse_observables(tokens, pairs)}
+
+    def test_single_mode_values(self, basis16, pairs16):
+        # path 0 is e_11 in layer 0, path 1 is 2 e_12 in layer 2; W is e_11
+        # on path 0 and e_21 on path 1
+        q_hat = np.stack([
+            single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0]).spectral(),
+            single_mode_field(basis16, 1, 2, [0.0, 0.0, 2.0]).spectral()])
+        w_hat = np.stack([
+            single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0]).spectral(),
+            single_mode_field(basis16, 2, 1, [0.0, 1.0, 0.0]).spectral()])
+        got = self.evaluate(pairs16, q_hat, w_hat)
+        lam = np.array([2 * PI2, 5 * PI2])
+        amp = np.array([1.0, 2.0])
+        assert got["h1"] == pytest.approx(amp * np.sqrt(lam), rel=1e-13)
+        assert got["h2.5"] == pytest.approx(amp * lam ** 1.25, rel=1e-13)
+        assert got["h0"] == pytest.approx(amp, rel=1e-13)
+        assert got["wh1"] == pytest.approx(np.sqrt(lam), rel=1e-13)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_monotone_in_alpha_on_unit_square(self, seed):
+        # all eigenvalues >= 2 pi^2 > 1, so alpha -> norm is nondecreasing
+        basis = build_basis(1.0, 1.0, 8, 8)
+        pairs = eigenpairs(symmetrize((1.0, 1.0, 1.0), basis), 8)
+        rng = np.random.default_rng(seed)
+        q_hat, w_hat = (np.stack([random_band_coeffs(rng, basis)
+                                  for _ in range(3)]) for _ in range(2))
+        tokens = "h0,h0.5,h1,h2,h2.5,wh0,wh1,wh2.5"
+        got = self.evaluate(pairs, q_hat, w_hat, tokens)
+        norms = np.array([got[name] for name in tokens.split(",")])
+        assert np.all(np.diff(norms[:5], axis=0) >= 0)
+        assert np.all(np.diff(norms[5:], axis=0) >= 0)
+
+    def test_h0_is_l2(self, basis16, pairs16):
+        # Parseval: l2 and h0 are the same sum of squared coefficients
+        rng = np.random.default_rng(11)
+        q_hat, w_hat = (np.stack([random_band_coeffs(rng, basis16)
+                                  for _ in range(2)]) for _ in range(2))
+        got = self.evaluate(pairs16, q_hat, w_hat, self.TOKENS + ",l2")
+        assert np.array_equal(got["h0"], got["l2"])
+        assert got["l2"].shape == (2,) and np.all(got["l2"] > 0)
+
+
 class TestPairings:
     @staticmethod
     def one_by_one(pairs, k, q_hat, square):
@@ -565,8 +624,9 @@ class TestPairings:
         q_hat = self.coeffs(np.random.default_rng(7), basis16, n_paths)
         want = np.stack([self.one_by_one(pairs16, k, q_hat, False)
                          for k in range(len(pairs16))], axis=-1)
-        assert np.array_equal(pairs16.project(q_hat), want)
-        assert np.array_equal(pairs16.project(q_hat[0]), want[0])
+        index, vec = pairs16.flat_index, pairs16.vec
+        assert np.array_equal(pair_coeffs(q_hat, index, vec), want)
+        assert np.array_equal(pair_coeffs(q_hat[0], index, vec), want[0])
 
 
 class TestObservableParsing:

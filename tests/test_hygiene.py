@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name it never uses, only
-`dynamics` imports a thread pool, and the private names that modules
+`dynamics` imports a thread pool, the package imports exactly the
+third-party modules it declares, and the private names that modules
 import from their siblings are a known list.
 
 No linter is installed, so these scans of the syntax tree are the check.
@@ -7,9 +8,13 @@ The unused-import scan looks at module-level imports in `src/layerqg/`
 and `tests/`; package `__init__.py` files re-export what they import and
 are skipped.  The thread-pool scan looks at every import in every module
 of `src/layerqg/`: the package has one way to fan out work,
-`dynamics._fan_out`.  The private-import scan lists every `_`-prefixed
-name a module of `src/layerqg/` imports from a sibling module, so that a
-new crossing of a module boundary is a visible change to this file.
+`dynamics._fan_out`.  The dependency scan collects the top-level
+modules outside the standard library that any module of `src/layerqg/`
+imports, deferred imports included, and compares them with the
+`dependencies` of `pyproject.toml`.  The private-import scan lists
+every `_`-prefixed name a module of `src/layerqg/` imports from a
+sibling module, so that a new crossing of a module boundary is a
+visible change to this file.
 The per-sample scans keep the elliptic solve, the grid reductions and
 the stored snapshots out of `experiments`: its monitor series are
 observables of the stepping loop, which read them through
@@ -17,6 +22,8 @@ observables of the stepping loop, which read them through
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,20 +59,23 @@ def test_no_unused_imports():
     assert not offenders, offenders
 
 
-def imports_module(source, module):
-    """Whether any import statement, at any depth, loads `module`."""
+def loaded_modules(source):
+    """Every absolute module name that an import statement, at any depth,
+    may load (`from m import a` gives "m" and "m.a")."""
+    names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module] + [f"{node.module}.{alias.name}"
-                                     for alias in node.names]
-        else:
-            continue
-        if any(name == module or name.startswith(module + ".")
-               for name in names):
-            return True
-    return False
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def imports_module(source, module):
+    """Whether any import statement, at any depth, loads `module`."""
+    return any(name == module or name.startswith(module + ".")
+               for name in loaded_modules(source))
 
 
 def test_scan_flags_thread_pool_imports():
@@ -87,6 +97,36 @@ def test_only_dynamics_imports_a_thread_pool():
                  for path in sorted((ROOT / "src/layerqg").glob("*.py"))
                  if imports_module(path.read_text(), "concurrent.futures")]
     assert importers == ["dynamics.py"]
+
+
+def third_party_modules(source):
+    """Top-level names of the modules, outside the standard library, that
+    an import statement at any depth loads."""
+    return {name.partition(".")[0] for name in loaded_modules(source)
+            } - sys.stdlib_module_names
+
+
+def test_scan_lists_third_party_modules():
+    source = ("import os.path\nimport numpy as np\nfrom __future__ import "
+              "annotations\nfrom . import rng\nfrom .a import b\n"
+              "def f():\n    from scipy.stats import ks_2samp\n")
+    assert third_party_modules(source) == {"numpy", "scipy"}
+
+
+def declared_dependencies(text):
+    """Distribution names in the `dependencies` list of a pyproject.toml."""
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S)
+    return {re.match(r"[\w.-]+", spec)[0].lower().replace("-", "_")
+            for spec in re.findall(r'"([^"]+)"', block[1])}
+
+
+def test_imports_are_the_declared_dependencies():
+    # a dependency declared but never imported, or imported but not
+    # declared, shows here
+    imported = set().union(*(third_party_modules(path.read_text())
+                             for path in (ROOT / "src/layerqg").glob("*.py")))
+    declared = declared_dependencies((ROOT / "pyproject.toml").read_text())
+    assert imported == declared == {"numpy"}
 
 
 def private_sibling_imports(source):

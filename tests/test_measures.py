@@ -4,9 +4,8 @@ from dataclasses import replace
 
 from layerqg.dynamics import (Observable, PairingTable, SimConfig, obs_lp,
                               parse_observables, run_trajectory)
-from layerqg.errors import ConfigurationError, SamplingError, ShapeError
-from layerqg.measures import (_theta_envelope, invariance_test, kb_average,
-                              tightness_diagnostic)
+from layerqg.errors import ConfigurationError, ShapeError
+from layerqg.measures import _theta_envelope, kb_average, tightness_diagnostic
 from layerqg.noise import make_noise, sigma_for_stationary_l2
 
 
@@ -52,6 +51,12 @@ class TestKbAverage:
         with pytest.raises(ConfigurationError, match="horizon"):
             kb_average(cfg, horizons, [obs_lp(2)])
         assert not steps
+
+    def test_no_paths_rejected(self, basis16, coupling16, pairs16):
+        # the stepping loop makes the check
+        cfg = linear_config(basis16, coupling16, pairs16, horizon=2.0)
+        with pytest.raises(ConfigurationError, match="n_paths must be >= 1"):
+            kb_average(cfg, [1.0], [obs_lp(2)], n_paths=0)
 
     def test_sample_time_horizons_accepted(self, basis16, coupling16,
                                            pairs16):
@@ -128,55 +133,6 @@ class TestKbAverage:
         ens_avg = np.mean(finals)
         ens_se = np.std(finals, ddof=1) / np.sqrt(len(finals))
         assert abs(time_avg - ens_avg) <= 3 * np.hypot(time_se, ens_se)
-
-
-class TestInvariance:
-    def test_zero_shift_distance_zero(self, basis16, coupling16, pairs16):
-        cfg = linear_config(basis16, coupling16, pairs16, horizon=140.0)
-        rep = invariance_test(cfg, burn_in=10.0, window=120.0,
-                              observables=[obs_lp(2)], n_paths=2,
-                              shifts=[0.0])
-        assert rep.ks_distance[0, 0] == 0.0
-        assert not rep.rejected.any()
-
-    def test_silent_noise_skipped(self, basis16, coupling16, pairs16):
-        cfg = linear_config(basis16, coupling16, pairs16, sigma=0.0,
-                            horizon=140.0)
-        rep = invariance_test(cfg, burn_in=10.0, window=120.0,
-                              observables=[obs_lp(2)], n_paths=2,
-                              shifts=[10.0])
-        assert rep.skipped[0]
-
-    def test_stationary_linear_flow_not_rejected(self, basis16, coupling16,
-                                                 pairs16):
-        cfg = linear_config(basis16, coupling16, pairs16, dt=0.02,
-                            horizon=260.0, seed=8)
-        pairing = PairingTable(pairs16).observable(0)
-        rep = invariance_test(cfg, burn_in=20.0, window=160.0,
-                              observables=[obs_lp(2), pairing], n_paths=4)
-        assert not rep.rejected.any()
-        assert rep.n_samples >= 30
-
-    def test_no_paths_rejected(self, basis16, coupling16, pairs16):
-        # the stepping loop that both measures share makes the check
-        cfg = linear_config(basis16, coupling16, pairs16, horizon=2.0)
-        with pytest.raises(ConfigurationError, match="n_paths must be >= 1"):
-            invariance_test(cfg, burn_in=0.5, window=1.0,
-                            observables=[obs_lp(2)], n_paths=0)
-        with pytest.raises(ConfigurationError, match="n_paths must be >= 1"):
-            kb_average(cfg, [1.0], [obs_lp(2)], n_paths=0)
-
-    def test_short_window_rejected(self, basis16, coupling16, pairs16):
-        cfg = linear_config(basis16, coupling16, pairs16, horizon=30.0)
-        with pytest.raises(SamplingError):
-            invariance_test(cfg, burn_in=5.0, window=8.0,
-                            observables=[obs_lp(2)], n_paths=1)
-
-    def test_horizon_checked(self, basis16, coupling16, pairs16):
-        cfg = linear_config(basis16, coupling16, pairs16, horizon=20.0)
-        with pytest.raises(ConfigurationError):
-            invariance_test(cfg, burn_in=10.0, window=15.0,
-                            observables=[obs_lp(2)])
 
 
 class TestTightness:

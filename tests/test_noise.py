@@ -4,37 +4,13 @@ import numpy as np
 import pytest
 
 from layerqg import rng as rngmod
+from layerqg.coupling import pair_coeffs
 from layerqg.errors import ConfigurationError
 from layerqg.noise import (NoiseMixer, NoiseSpec, make_noise, ou_factors,
-                           ou_step, regularity_check, sample_path,
-                           sigma_for_stationary_l2)
+                           ou_step, sample_path, sigma_for_stationary_l2)
 
 
 class TestRegularity:
-    def test_fast_decay_converges(self, pairs16):
-        spec = make_noise(pairs16, 64, decay=2.0, sigma=1.0)
-        sums, verdict = regularity_check(spec, pairs16)
-        assert verdict == "convergent"
-        vals = [sums[64], sums[128], sums[256]]
-        assert vals[0] < vals[1] < vals[2]
-        assert (vals[1] - vals[0]) < 0.5 * vals[0]
-
-    def test_flat_coefficients_diverge(self, pairs16):
-        spec = make_noise(pairs16, 64, decay=0.0, sigma=1.0)
-        _, verdict = regularity_check(spec, pairs16)
-        assert verdict == "suspect-divergent"
-
-    def test_silent_noise_converges(self, pairs16):
-        spec = make_noise(pairs16, 64, decay=2.0, sigma=0.0)
-        sums, verdict = regularity_check(spec, pairs16)
-        assert verdict == "convergent"
-        assert all(v == 0.0 for v in sums.values())
-
-    def test_small_truncation_rejected(self, pairs16):
-        spec = make_noise(pairs16, 4, decay=2.0, sigma=1.0)
-        with pytest.raises(ConfigurationError):
-            regularity_check(spec, pairs16)
-
     def test_coefficients_nonincreasing(self, pairs16):
         spec = make_noise(pairs16, 128, decay=1.5, sigma=2.0)
         assert np.all(np.diff(spec.c) <= 1e-15)
@@ -51,7 +27,8 @@ def _projected_increments(spec, pairs, dt, n, seed):
     scattered into the basis as the stepping loop does."""
     mixer = NoiseMixer(spec, pairs)
     path = sample_path(spec, n, dt, rngmod.stream(seed, 0))
-    return np.array([pairs.project(mixer.coefficients(dw))[:8]
+    return np.array([pair_coeffs(mixer.coefficients(dw), pairs.flat_index,
+                                 pairs.vec)[:8]
                      for dw in path.increments])
 
 

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from layerqg import spectral
 from layerqg.errors import (ConfigurationError, ShapeError,
                             UnsupportedExponentError)
-from layerqg.spectral import (LayerField, build_basis, dual_h1_distance,
-                              fractional_norm, lp_norm, lp_norm_layerwise,
+from layerqg.spectral import (LayerField, build_basis, lp_norm,
                               single_mode_field)
 
 from conftest import random_band_coeffs
@@ -215,14 +214,6 @@ class TestLpNorms:
         with pytest.raises(UnsupportedExponentError):
             lp_norm(e11, 1)
 
-    def test_layerwise_vs_folded_equivalence(self, basis16):
-        rng = np.random.default_rng(5)
-        f = LayerField.from_coeffs(basis16,
-                                   random_band_coeffs(rng, basis16))
-        folded = lp_norm(f, 4)
-        summed = lp_norm_layerwise(f, 4)
-        assert folded <= summed <= 3 ** 0.75 * folded + 1e-12
-
     def test_exponents_share_one_power_chain(self, basis16):
         # ascending exponents continue one product chain: each norm has
         # the bits of its exponent alone; a descending list is refused
@@ -252,70 +243,6 @@ class TestLpNorms:
         f = LayerField.from_coeffs(basis, coeffs)
         norms = [lp_norm(f, p) for p in (2, 4, 6, 8)] + [lp_norm(f, np.inf)]
         assert np.all(np.diff(norms) >= -1e-10 * max(norms))
-
-
-class TestFractionalNorms:
-    def test_single_mode_h1(self, basis16):
-        e11 = single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0])
-        assert fractional_norm(e11, 1.0) == \
-            pytest.approx(np.sqrt(2 * PI2), rel=1e-13)
-
-    def test_single_mode_h52(self, basis16):
-        e11 = single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0])
-        assert fractional_norm(e11, 2.5) == \
-            pytest.approx((2 * PI2) ** 1.25, rel=1e-13)
-
-    def test_alpha_zero_matches_l2(self, basis16):
-        rng = np.random.default_rng(11)
-        f = LayerField.from_coeffs(basis16, random_band_coeffs(rng, basis16))
-        assert fractional_norm(f, 0.0) == pytest.approx(lp_norm(f, 2),
-                                                        rel=1e-10)
-
-    def test_negative_alpha_rejected(self, basis16):
-        e11 = single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0])
-        with pytest.raises(UnsupportedExponentError):
-            fractional_norm(e11, -0.5)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_monotone_in_alpha_on_unit_square(self, seed):
-        # all eigenvalues >= 2 pi^2 > 1, so alpha -> norm is nondecreasing
-        basis = build_basis(1.0, 1.0, 8, 8)
-        rng = np.random.default_rng(seed)
-        f = LayerField.from_coeffs(basis, random_band_coeffs(rng, basis))
-        norms = [fractional_norm(f, a) for a in (0.0, 0.5, 1.0, 2.0, 2.5)]
-        assert np.all(np.diff(norms) >= 0)
-
-
-class TestDualDistance:
-    def test_identical_fields(self, basis16):
-        rng = np.random.default_rng(3)
-        f = LayerField.from_coeffs(basis16, random_band_coeffs(rng, basis16))
-        assert dual_h1_distance(f, f) == 0.0
-
-    def test_single_mode_difference(self, basis16):
-        a = single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0])
-        b = LayerField.zero(basis16)
-        assert dual_h1_distance(a, b) == \
-            pytest.approx((2 * PI2) ** -0.5, rel=1e-13)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_triangle_inequality(self, seed):
-        basis = build_basis(1.0, 1.0, 8, 8)
-        rng = np.random.default_rng(seed)
-        fa = LayerField.from_coeffs(basis, random_band_coeffs(rng, basis))
-        fb = LayerField.from_coeffs(basis, random_band_coeffs(rng, basis))
-        fc = LayerField.from_coeffs(basis, random_band_coeffs(rng, basis))
-        ab = dual_h1_distance(fa, fb)
-        bc = dual_h1_distance(fb, fc)
-        ac = dual_h1_distance(fa, fc)
-        assert ac <= ab + bc + 1e-12
-
-    def test_basis_mismatch(self, basis16):
-        other = build_basis(1.0, 1.0, 8, 8)
-        with pytest.raises(ShapeError):
-            dual_h1_distance(LayerField.zero(basis16), LayerField.zero(other))
 
 
 class TestLayerField:
