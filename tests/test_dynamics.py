@@ -541,22 +541,32 @@ class TestHObservables:
         ctx = ObsContext(pairs.coupling, q_hat, w_hat)
         return {ob.name: ob(ctx) for ob in parse_observables(tokens, pairs)}
 
-    def test_single_mode_values(self, basis16, pairs16):
-        # path 0 is e_11 in layer 0, path 1 is 2 e_12 in layer 2; W is e_11
-        # on path 0 and e_21 on path 1
+    # path 0 is e_11 in layer 0, path 1 is 2 e_12 in layer 2; W is e_11 on
+    # path 0 and e_21 on path 1
+    LAM = np.array([2 * PI2, 5 * PI2])
+    AMP = np.array([1.0, 2.0])
+
+    @pytest.fixture
+    def single_mode(self, basis16, pairs16):
         q_hat = np.stack([
             single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0]).spectral(),
             single_mode_field(basis16, 1, 2, [0.0, 0.0, 2.0]).spectral()])
         w_hat = np.stack([
             single_mode_field(basis16, 1, 1, [1.0, 0.0, 0.0]).spectral(),
             single_mode_field(basis16, 2, 1, [0.0, 1.0, 0.0]).spectral()])
-        got = self.evaluate(pairs16, q_hat, w_hat)
-        lam = np.array([2 * PI2, 5 * PI2])
-        amp = np.array([1.0, 2.0])
-        assert got["h1"] == pytest.approx(amp * np.sqrt(lam), rel=1e-13)
-        assert got["h2.5"] == pytest.approx(amp * lam ** 1.25, rel=1e-13)
-        assert got["h0"] == pytest.approx(amp, rel=1e-13)
-        assert got["wh1"] == pytest.approx(np.sqrt(lam), rel=1e-13)
+        return self.evaluate(pairs16, q_hat, w_hat)
+
+    def test_single_mode_h1(self, single_mode):
+        assert single_mode["h1"] == pytest.approx(self.AMP * np.sqrt(self.LAM),
+                                                  rel=1e-13)
+
+    def test_single_mode_h52(self, single_mode):
+        assert single_mode["h2.5"] == pytest.approx(
+            self.AMP * self.LAM ** 1.25, rel=1e-13)
+
+    def test_single_mode_h0_and_wh1(self, single_mode):
+        assert single_mode["h0"] == pytest.approx(self.AMP, rel=1e-13)
+        assert single_mode["wh1"] == pytest.approx(np.sqrt(self.LAM), rel=1e-13)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
