@@ -32,17 +32,23 @@ call come from one gather.
 
 Arrays of the stepping loop.  The Stepper keeps the decay and phi
 factors at the batch shape (P, 3, Nx, Ny), so the linear update
-multiplies equal shapes without broadcasting, and one (2, P, 3, Nx, Ny)
-workspace of (psi_hat, q_hat); it rebuilds all three only when the
-batch shape changes.  `advance` adds eta + W into slot 1, and the
-elliptic solve writes psi_hat into slot 0.  A step allocates its
-forcing array (the linear update then works in place on it), the
-transport grids and their projection, and the new state.  `advance`
-writes into none of its inputs (the first state is a read-only
-broadcast of the initial datum).  The loop adds each noise increment
-into W in place, so a snapshot copies W into its slot of the (S, P, 3,
-Nx, Ny) snapshot arrays, which are allocated once, before the first
-step.  Overflow warnings are silenced once around the loop.
+multiplies equal shapes without broadcasting, and a workspace for that
+shape: the forcing array, a boolean finiteness mask and, for a nonlinear
+step, the (2, P, 3, Nx, Ny) stack of (psi_hat, q_hat) and the (4, P, 3,
+Gt+2, Gt+2) transport grids (psi_x, psi_y, q_x, q_y); it rebuilds them
+only when the batch shape changes.  `advance` writes -gamma W into the
+forcing array, adds eta + W into stack slot 1, and the elliptic solve
+writes psi_hat into slot 0; the two transport syntheses fill the grids,
+and the product is formed in place there.  Beyond the new state, a
+step allocates only inside the elliptic solve and the transforms (each
+synthesis's first product, the projection).  `advance` writes into none
+of its inputs (the first state is a read-only broadcast of the initial
+datum).  Each refill of the noise block scales its increment rows by
+c_k sqrt(dt) in place, and a step's increment is a view of its row.
+The loop adds the increment's field into W in place, so a snapshot
+copies W into its slot of the (S, P, 3, Nx, Ny) snapshot arrays, which
+are allocated once, before the first step.  Overflow warnings are
+silenced once around the loop.
 """
 
 from __future__ import annotations
@@ -285,7 +291,8 @@ def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
         elif token == "gradl4":
             out.append(obs_grad_l4())
         elif token.startswith("wh"):
-            out.append(obs_h(float(token[2:]), noise=True))
+            out.append(obs_h(_token_number(token, "wh", float, "alpha"),
+                             noise=True))
         elif token.startswith(("pair:", "pairsq:")):
             if pairs is None:
                 raise ConfigurationError(f"{token}: no eigenpairs available")
@@ -301,12 +308,24 @@ def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
             out.append(table.observable(int(hits[0]),
                                         square=tag == "pairsq"))
         elif token.startswith("l"):
-            out.append(obs_lp(int(token[1:])))
+            out.append(obs_lp(_token_number(token, "l", int, "p")))
         elif token.startswith("h"):
-            out.append(obs_h(float(token[1:])))
+            out.append(obs_h(_token_number(token, "h", float, "alpha")))
         else:
             raise ConfigurationError(f"unknown observable {token!r}")
     return out
+
+
+def _token_number(token, prefix, kind, name):
+    """The finite `kind` number after `prefix` in an observable token,
+    or a ConfigurationError naming the token."""
+    try:
+        value = kind(token[len(prefix):])
+    except ValueError:
+        value = None
+    if value is None or not np.isfinite(value):
+        raise ConfigurationError(f"{token}: expected {prefix}<{name}>")
+    return value
 
 
 DEFAULT_OBSERVABLES = "l2,l4,linf,h1"
@@ -407,8 +426,10 @@ class Stepper:
 
     `decay` and `phi` are the per-mode (Nx, Ny) factors.  `advance`
     multiplies by copies of them at the batch shape (..., 3, Nx, Ny) and
-    uses a (2, ..., 3, Nx, Ny) workspace for the (psi_hat, q_hat) of a
-    nonlinear step; all three are rebuilt only when the batch shape
+    works in buffers of that batch: the forcing array, a boolean
+    finiteness mask, and for a nonlinear step the (2, ..., 3, Nx, Ny)
+    stack of (psi_hat, q_hat) and the (4, ..., 3, Gt+2, Gt+2) transport
+    grids of `_transport`.  All are rebuilt only when the batch shape
     changes, so one Stepper serves one thread.
     """
 
@@ -424,14 +445,19 @@ class Stepper:
         self._shape = None                  # no batch until first use
 
     def _batch(self, shape):
-        """(decay, phi) at the batch shape, with the workspace of a
-        nonlinear step; kept while the batch shape stays."""
+        """(decay, phi) at the batch shape, with the batch's buffers;
+        kept while the batch shape stays."""
         if shape != self._shape:
             self._shape = shape
             self._tables = tuple(np.broadcast_to(f, shape).copy()
                                  for f in (self.decay, self.phi))
+            self._forcing = np.empty(shape)
+            self._finite = np.empty(shape, dtype=bool)
             if self.config.nonlinear:
                 self._stack = np.empty((2,) + shape)
+                self._grids = np.empty(
+                    (4,) + shape[:-2]
+                    + self.config.basis.transport_basis.grid_shape)
         return self._tables
 
     def advance(self, eta_hat, w_hat, t):
@@ -448,12 +474,12 @@ class Stepper:
         """
         cfg = self.config
         decay, phi = self._batch(eta_hat.shape)
-        forcing = -cfg.gamma * w_hat
+        forcing = np.multiply(-cfg.gamma, w_hat, out=self._forcing)
         if cfg.nonlinear:
             stack = self._stack
             np.add(eta_hat, w_hat, out=stack[1])
             solve_elliptic_coeffs(cfg.coupling, stack[1], out=stack[0])
-            term, umax = _transport(cfg.basis, stack)
+            term, umax = _transport(cfg.basis, stack, self._grids)
             if not np.isfinite(umax):
                 raise FloatingPointError("velocity overflow")
             if cfg.cfl_safety > 0 and umax > 0:
@@ -466,7 +492,7 @@ class Stepper:
             forcing -= term
         new = decay * eta_hat
         new += np.multiply(phi, forcing, out=forcing)
-        if not np.isfinite(new).all():
+        if not np.isfinite(new, out=self._finite).all():
             raise FloatingPointError("state overflow")
         return new
 
@@ -500,21 +526,28 @@ def nonlinear_term(q: LayerField, psi: LayerField) -> LayerField:
     return LayerField.from_coeffs(basis, term)
 
 
-def _transport(basis: SpectralBasis, stack):
+def _transport(basis: SpectralBasis, stack, out=None):
     """(P(grad_perp psi . grad q) on basis.transport_basis, the largest
     |u| on its grid) from the (2, ..., 3, Nx, Ny) stack of (psi_hat,
     q_hat).
 
-    One x-derivative synthesis of the stack gives (psi_x, q_x), one
-    y-derivative synthesis gives (psi_y, q_y); u = (-psi_y, psi_x), so
-    the product is psi_x q_y - psi_y q_x.  An overflowing product is not
+    The grids go into `out`, a (4, ..., 3, Gt+2, Gt+2) workspace ordered
+    (psi_x, psi_y, q_x, q_y), or into a new one: the x-derivative
+    synthesis of the stack fills out[0::2], the y-derivative synthesis
+    out[1::2].  u = (-psi_y, psi_x) is then the contiguous out[:2], so
+    one `_abs_peak` of it gives |u|max, and a NaN in either component
+    reaches the caller's velocity check.  The product psi_x q_y - psi_y
+    q_x is formed in place in out[0].  An overflowing product is not
     checked here: it projects to non-finite coefficients, which the
     caller's finiteness check reports.
     """
     grid = basis.transport_basis
-    psi_x, q_x = grid.synth_cs(stack)
-    psi_y, q_y = grid.synth_sc(stack)
-    umax = max(_abs_peak(psi_y), _abs_peak(psi_x))
+    if out is None:
+        out = np.empty((4,) + stack.shape[1:-2] + grid.grid_shape)
+    grid.synth(stack, 1, 0, out=out[0::2])
+    grid.synth(stack, 0, 1, out=out[1::2])
+    psi_x, psi_y, q_x, q_y = out
+    umax = _abs_peak(out[:2])
     product = np.multiply(psi_x, q_y, out=psi_x)
     product -= np.multiply(psi_y, q_x, out=psi_y)
     return grid.forward(product), umax
@@ -561,7 +594,9 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     `noise_path`), then `hook_draws` rows of K normals for the `hook(dw,
     normals)` called after each increment with the (K, P) weighted
     increments (None without noise) and the (hook_draws, K, P) normals.
-    Blocks of steps are drawn at once, as the same normals step by step.
+    Blocks of steps are drawn at once, as the same normals step by step;
+    each block's increment rows are weighted by c_k sqrt(dt) once, when
+    it is drawn, and a step's `dw` is a view of its row.
     Every operation acts on each path alone, so path p's bytes depend
     neither on P nor on its place in the batch; the CFL guard watches the
     largest |u| of all paths.  Returns one TrajectoryRecord per path; a
@@ -655,9 +690,11 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                 block = np.empty((steps, rows, k, n_paths))
                 for p, gen in enumerate(gens):
                     block[..., p] = gen.standard_normal((steps, rows, k))
+                if drawn:
+                    block[:, 0] *= scale
             dw = None
             if noisy:
-                dw = scale * block[i, 0] if drawn else \
+                dw = block[i, 0] if drawn else \
                     noise_path.increments[j - 1][:, None]
                 w += stepper.mixer.coefficients(dw)
             if hook is not None:

@@ -77,7 +77,10 @@ class NoiseMixer:
 
     The scatter is kept as (row, eigenpair, value) triplets sorted by flat
     (3, Nx, Ny) row and then by eigenpair, and applied with np.bincount,
-    which adds each row's terms in that order.
+    which adds each row's terms in that order.  A batch of P paths gets
+    its own flat (rows, index, values) tables, path-major, built on its
+    first call: a call then gathers its terms with one `take` and
+    weights them in place.
     """
 
     def __init__(self, spec: NoiseSpec, pairs: OperatorEigenpairs):
@@ -91,7 +94,7 @@ class NoiseMixer:
         self._vals = pairs.vec[:k].ravel()[order]
         self._shape = (N_LAYERS,) + pairs.basis.spectral_shape
         self._size = math.prod(self._shape)
-        self._batches = {}      # path count P -> (output bins, input index)
+        self._batches = {}      # path count P -> (rows, index, values)
 
     def coefficients(self, weighted_values: np.ndarray) -> np.ndarray:
         """sum_k x_k rho_k as a spectral array (x carries any c_k weight);
@@ -102,11 +105,12 @@ class NoiseMixer:
             # path-major: path p's triplets go to the bins from p * size on
             paths = np.arange(n)[:, None]
             self._batches[n] = ((self._rows + self._size * paths).ravel(),
-                                self._cols * n + paths)
-        rows, index = self._batches[n]
-        terms = np.take(weighted_values.ravel(), index) * self._vals
-        flat = np.bincount(rows, weights=terms.ravel(),
-                           minlength=self._size * n)
+                                (self._cols * n + paths).ravel(),
+                                np.tile(self._vals, n))
+        rows, index, values = self._batches[n]
+        terms = weighted_values.ravel().take(index)
+        terms *= values
+        flat = np.bincount(rows, weights=terms, minlength=self._size * n)
         return flat.reshape(lead + self._shape)
 
     def increment(self, dt: float, rng: np.random.Generator) -> np.ndarray:

@@ -293,7 +293,8 @@ class TestCli:
                    "init=mode:0,1:1,0,0": "bad init descriptor",
                    "init=lowband:0:1.0:2": "bad init descriptor",
                    "init=lowband:3:nan:2": "bad init descriptor",
-                   "init=lowband:3:inf:2": "bad init descriptor"}
+                   "init=lowband:3:inf:2": "bad init descriptor",
+                   "observables=l2,hx": "hx: expected h<alpha>"}
 
     @pytest.mark.parametrize("line", list(CONSTRAINTS))
     def test_constraint_error_exit_code(self, tmp_path, capsys, line):
@@ -660,6 +661,29 @@ class TestCli:
         assert manifest["theta_dominated"] is report.theta_dominated
         assert manifest["theta_dominated"] is dominated
         assert manifest["envelope_uninformative"] is (dominated is None)
+
+    def test_repeated_calls_in_one_process_write_the_same_bytes(
+            self, tmp_path):
+        # the benchmark calls cli.main again and again in one process: no
+        # stepper workspace or noise-mixer table may carry over a call
+        cfg = self.write_cfg(tmp_path, "modes_x=8\nmodes_y=8\nsigma=1.0\n"
+                             "nonlinearity=on\ninit=lowband:3:1.0:2\n"
+                             "noise_modes=16\n")
+        calls = {"tightness": ("tightness", "--seed", "4", "--rate", "2",
+                               "--horizon", "0.2"),
+                 "invariant": ("invariant", "--seed", "6", "--paths", "3",
+                               "--horizons", "0.05,0.1")}
+
+        def outputs(name):
+            out = tmp_path / name
+            assert run_cli(*calls[name], "--config", str(cfg), "--out",
+                           str(out)) == 0
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            shutil.rmtree(out)
+            return files
+
+        first = {name: outputs(name) for name in calls}
+        assert first == {name: outputs(name) for name in calls}
 
     def test_reused_parser_writes_first_call_bytes(self, tmp_path):
         # the argparse tree is built once per process: after parsing other

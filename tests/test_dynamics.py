@@ -1,4 +1,5 @@
 from dataclasses import replace
+import re
 import warnings
 
 import numpy as np
@@ -16,8 +17,8 @@ from layerqg.errors import (BlowUpError, ConfigurationError, ShapeError,
                             TimeStepError, UnsupportedExponentError)
 from layerqg.noise import make_noise, sample_path
 from layerqg.runconfig import RunSettings, realize
-from layerqg.spectral import (LayerField, build_basis, grid_lp_norm,
-                              single_mode_field)
+from layerqg.spectral import (LayerField, SpectralBasis, build_basis,
+                              grid_lp_norm, single_mode_field)
 
 from conftest import random_band_coeffs
 
@@ -141,6 +142,71 @@ class TestNonlinearTerm:
         grid = rng.standard_normal(20)
         grid[7] = np.nan
         assert np.isnan(dynamics._abs_peak(grid))
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    @pytest.mark.parametrize("mode", [(3, 1), (1, 3)])
+    def test_transport_workspace_gives_the_allocating_bits(self, lead, mode):
+        # psi on mode (3, 1) puts the velocity peak in psi_x, on (1, 3) in
+        # psi_y; with or without a workspace the term and |u|max are the
+        # same bits, and |u|max is max(|psi_x|, |psi_y|)
+        basis = build_basis(1.0, 1.0, 12, 12)
+        grid = basis.transport_basis
+        rng = np.random.default_rng(sum(lead) + mode[0])
+        q_hat = rng.standard_normal(lead + (3, 12, 12))
+        psi_hat = 1e-3 * rng.standard_normal(lead + (3, 12, 12))
+        psi_hat[..., 0, mode[0] - 1, mode[1] - 1] += 1.0
+        stack = np.stack((psi_hat, q_hat))
+        term, umax = dynamics._transport(basis, stack)
+        work = np.full((4,) + lead + (3,) + grid.grid_shape, np.nan)
+        term_ws, umax_ws = dynamics._transport(basis, stack, work)
+        assert np.array_equal(term_ws, term)
+        assert umax_ws == umax
+        peaks = [np.max(np.abs(grid.synth(psi_hat, *order)))
+                 for order in ((1, 0), (0, 1))]
+        assert umax == max(peaks)
+        assert np.argmax(peaks) == (mode == (1, 3))
+        # the workspace holds (psi_x, psi_y, q_x, q_y), the product in
+        # slot 0
+        assert np.array_equal(work[2], grid.synth(q_hat, 1, 0))
+        assert np.array_equal(work[3], grid.synth(q_hat, 0, 1))
+
+    @pytest.mark.parametrize("order", [(1, 0), (0, 1)])
+    def test_nan_in_either_velocity_component_reaches_the_guard(
+            self, monkeypatch, order):
+        basis = build_basis(1.0, 1.0, 8, 8)
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((2, 3, 8, 8))
+        synth = SpectralBasis.synth
+
+        def spy(self, c, dx, dy, out=None):
+            got = synth(self, c, dx, dy, out=out)
+            if (dx, dy) == order:
+                got[0, 1, 4, 4] = np.nan        # psi_x or psi_y only
+            return got
+
+        monkeypatch.setattr(SpectralBasis, "synth", spy)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(dynamics._transport(basis, stack)[1])
+
+    def test_advanced_state_owns_its_memory(self):
+        # the new state shares no memory with any buffer of the Stepper,
+        # so the next step cannot overwrite a state the loop keeps
+        base = realize(RunSettings(modes_x=8, modes_y=8, dt=1e-3,
+                                   noise_modes=16), seed=2)
+        rng = np.random.default_rng(6)
+        for nonlinear in (True, False):
+            stepper = dynamics.Stepper(replace(base, nonlinear=nonlinear))
+            for n_paths in (1, 3):
+                eta, w = (np.stack([random_band_coeffs(rng, base.basis)
+                                    for _ in range(n_paths)])
+                          for _ in range(2))
+                new = stepper.advance(eta, w, 0.0)
+                buffers = [a for v in vars(stepper).values()
+                           for a in (v if isinstance(v, tuple) else (v,))
+                           if isinstance(a, np.ndarray)]
+                assert len(buffers) == 6 + 2 * nonlinear
+                for buffer in buffers:
+                    assert not np.shares_memory(new, buffer)
 
 
 class TestTrajectory:
@@ -654,3 +720,10 @@ class TestObservableParsing:
     def test_unknown_token(self):
         with pytest.raises(ConfigurationError):
             parse_observables("l2,magic")
+
+    @pytest.mark.parametrize("token", ["lx", "l", "l2.5", "whq", "wh", "h",
+                                       "hx", "hnan", "whinf"])
+    def test_malformed_number_names_the_token(self, token):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{re.escape(token)}: expected "):
+            parse_observables(f"l2,{token}")

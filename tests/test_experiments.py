@@ -349,9 +349,9 @@ class TestSharedPass:
         synth, grad_grids = SpectralBasis.synth, SpectralBasis.grad_grids
         call, init = Observable.__call__, ObsContext.__init__
 
-        def counting_synth(self, c, dx, dy):
+        def counting_synth(self, c, dx, dy, out=None):
             calls["in_samples"] += bool(evaluating)
-            return synth(self, c, dx, dy)
+            return synth(self, c, dx, dy, out=out)
 
         def counting_grad_grids(self, coeffs):
             calls["grads_before"] += not evaluating

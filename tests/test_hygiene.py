@@ -18,7 +18,9 @@ visible change to this file.
 The per-sample scans keep the elliptic solve, the grid reductions and
 the stored snapshots out of `experiments`: its monitor series are
 observables of the stepping loop, which read them through
-`dynamics.ObsContext`, the one per-sample cache.
+`dynamics.ObsContext`, the one per-sample cache.  The transform-table
+scan keeps the private tables of `SpectralBasis` inside `spectral`, so
+the package has one transform implementation.
 """
 
 import ast
@@ -190,6 +192,16 @@ def attributes_read(source):
 
 def test_scan_lists_attributes():
     assert attributes_read("a.b.c = d.e\nf(g.h)\n") == {"b", "c", "e", "h"}
+
+
+def test_only_spectral_reads_the_transform_tables():
+    # one transform implementation: every other module synthesizes and
+    # projects through SpectralBasis.synth, forward and inverse
+    tables = {"_synth_x", "_synth_y", "_forward_x", "_trig_x", "_trig_y"}
+    readers = [path.name
+               for path in sorted((ROOT / "src/layerqg").glob("*.py"))
+               if attributes_read(path.read_text()) & tables]
+    assert readers == ["spectral.py"]
 
 
 def test_monitors_read_no_snapshots():

@@ -175,6 +175,29 @@ class TestTransforms:
                 assert np.array_equal(batch[p], basis.forward(values[p])), (
                     paths, p)
 
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("grid", ["2N", "3N/2"])
+    def test_synth_into_a_strided_workspace_gives_the_same_bits(self, n,
+                                                               grid):
+        # out = work[0::2] of a (4, P, 3, G+2, G+2) workspace, as the
+        # stepper's transport grids: every grid is one gemm either way,
+        # and the slots between stay untouched
+        basis = build_basis(1.0, 1.0, n, n)
+        if grid == "3N/2":
+            basis = basis.transport_basis
+        rng = np.random.default_rng(n + 1)
+        for paths in (1, 2, 16):
+            stack = rng.standard_normal((2, paths, 3) + basis.spectral_shape)
+            work = np.full((4, paths, 3) + basis.grid_shape, np.nan)
+            for dx in range(3):
+                for dy in range(3):
+                    got = basis.synth(stack, dx, dy, out=work[0::2])
+                    assert np.shares_memory(got, work)
+                    assert np.array_equal(work[0::2],
+                                          basis.synth(stack, dx, dy)), (
+                        paths, dx, dy)
+                    assert np.isnan(work[1::2]).all()
+
     def test_shape_mismatch_raises(self, basis16):
         with pytest.raises(ShapeError):
             basis16.forward(np.zeros((3, 5, 5)))
