@@ -45,10 +45,10 @@ synthesis's first product, the projection).  `advance` writes into none
 of its inputs (the first state is a read-only broadcast of the initial
 datum).  Each refill of the noise block scales its increment rows by
 c_k sqrt(dt) in place, and a step's increment is a view of its row.
-The loop adds the increment's field into W in place, so a snapshot
-copies W into its slot of the (S, P, 3, Nx, Ny) snapshot arrays, which
-are allocated once, before the first step.  Overflow warnings are
-silenced once around the loop.
+The loop adds the increment's field into W in place, and a snapshot
+writes q = eta + W into its slot of the (S, P, 3, Nx, Ny) snapshot
+array, which is allocated once, before the first step.  Overflow
+warnings are silenced once around the loop.
 """
 
 from __future__ import annotations
@@ -281,8 +281,8 @@ class PairingTable:
 
 
 def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
-    """Comma list: l2 l4 ... linf, h<alpha>, wh<alpha>, gradl4, pair:n.m.j,
-    pairsq:n.m.j.  The pairings of one call share one PairingTable."""
+    """Comma list of distinct names: l2 l4 ... linf, h<alpha>, wh<alpha>,
+    gradl4, pair:n.m.j, pairsq:n.m.j; pairings share one PairingTable."""
     out = []
     table = None if pairs is None else PairingTable(pairs)
     for token in filter(None, (t.strip() for t in text.split(","))):
@@ -313,6 +313,9 @@ def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
             out.append(obs_h(_token_number(token, "h", float, "alpha")))
         else:
             raise ConfigurationError(f"unknown observable {token!r}")
+        if any(ob.name == out[-1].name for ob in out[:-1]):
+            raise ConfigurationError(
+                f"{token}: repeats observable {out[-1].name!r}")
     return out
 
 
@@ -402,13 +405,13 @@ class SimConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Time series output of one seeded sample path."""
+    """Time series and q snapshots of one seeded sample path; W is seen
+    only through observables (wh<alpha>, <W, phi>)."""
 
     times: np.ndarray                  # observable sample times
     observables: dict                  # name -> array over times
     snap_times: np.ndarray             # snapshot times (may be empty)
     q_snapshots: np.ndarray            # (S, 3, Nx, Ny) spectral
-    w_snapshots: np.ndarray            # (S, 3, Nx, Ny) spectral
     stream: int
     config: SimConfig
     blow_time: float | None = None     # set by a blow-up
@@ -583,17 +586,16 @@ _BATCH_POINTS = 1 << 17
 
 
 def _run_paths(cfg: SimConfig, observables, streams, initial=None,
-               noise_path=None, hook=None, hook_draws=0,
-               threads: int = 1) -> list:
+               noise_path=None, hook=None, threads: int = 1) -> list:
     """Step P = len(streams) paths as one (P, 3, Nx, Ny) state.
 
     Path p starts from `initial` (one (3, Nx, Ny) datum for every path,
     or row p of a (P, 3, Nx, Ny) array; default the config descriptor)
     and draws from the Philox stream (cfg.seed, streams[p]), per step
     the K normals of its increment (unless the noise is off or comes from
-    `noise_path`), then `hook_draws` rows of K normals for the `hook(dw,
-    normals)` called after each increment with the (K, P) weighted
-    increments (None without noise) and the (hook_draws, K, P) normals.
+    `noise_path`), then, with a `hook`, K more normals for the
+    `hook(dw, normals)` called after each increment with the (K, P)
+    weighted increments (None without noise) and those (K, P) normals.
     Blocks of steps are drawn at once, as the same normals step by step;
     each block's increment rows are weighted by c_k sqrt(dt) once, when
     it is drawn, and a step's `dw` is a view of its row.
@@ -622,7 +624,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
         def batch(i):
             part = initial if initial.ndim == 3 else initial[i:i + per_batch]
             return _run_paths(cfg, observables, streams[i:i + per_batch],
-                              part, noise_path, hook, hook_draws)
+                              part, noise_path, hook)
         return [rec for records in _fan_out(
                     batch, range(0, n_paths, per_batch),
                     threads if _blas_pinned() else 1)
@@ -632,14 +634,14 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     w = np.zeros(eta.shape)
     noisy = cfg.noise.active
     drawn = int(noisy and noise_path is None)
-    rows, k = drawn + hook_draws, cfg.noise.k
+    rows, k = drawn + (hook is not None), cfg.noise.k
     gens = [rngmod.stream(cfg.seed, s) for s in streams] if rows else []
     block_steps = max(1, _BLOCK_NORMALS // max(1, rows * k * n_paths))
     scale = cfg.noise.c[:, None] * np.sqrt(cfg.dt)
     series = np.empty((cfg.n_samples(cfg.obs_every), len(observables),
                        n_paths))
     n_snaps = cfg.n_samples(cfg.snap_every) if cfg.snap_every else 0
-    q_snaps, w_snaps = (np.empty((n_snaps,) + eta.shape) for _ in range(2))
+    q_snaps = np.empty((n_snaps,) + eta.shape)
     times, snap_times = [], []
 
     def record(j):
@@ -649,9 +651,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                 series[len(times), o] = ob(ctx)
             times.append(j * cfg.dt)
         if cfg.snap_every and (j % cfg.snap_every == 0 or j == n_steps):
-            s = len(snap_times)
-            np.add(eta, w, out=q_snaps[s])
-            w_snaps[s] = w
+            np.add(eta, w, out=q_snaps[len(snap_times)])
             snap_times.append(j * cfg.dt)
 
     def build(blow_time=None):
@@ -661,8 +661,8 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
             times=np.array(times), snap_times=np.array(snap_times),
             observables={ob.name: data[p, o]
                          for o, ob in enumerate(observables)},
-            q_snapshots=q_snaps[:s, p], w_snapshots=w_snaps[:s, p],
-            stream=stream, config=cfg, blow_time=blow_time)
+            q_snapshots=q_snaps[:s, p], stream=stream, config=cfg,
+            blow_time=blow_time)
             for p, stream in enumerate(streams)]
 
     def partial(blow_time=None):
@@ -698,7 +698,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                     noise_path.increments[j - 1][:, None]
                 w += stepper.mixer.coefficients(dw)
             if hook is not None:
-                hook(dw, block[i, drawn:])
+                hook(dw, block[i, drawn])
             record(j)
     return build()
 

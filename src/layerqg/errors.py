@@ -9,7 +9,7 @@ class ShapeError(ValueError):
     """Array dimensions do not match the basis or partner field."""
 
 
-class UnsupportedExponentError(ValueError):
+class UnsupportedExponentError(ConfigurationError):
     """Lp norms are defined for even integer p or infinity only."""
 
 

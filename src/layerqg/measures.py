@@ -26,6 +26,7 @@ from .noise import NoiseMixer, ou_factors, ou_step
 from .spectral import grid_peak
 
 ALPHA_NOISE = 2.5
+TIGHTNESS_SAMPLE_EVERY = 5      # steps between confinement samples
 
 
 @dataclass
@@ -109,7 +110,6 @@ class TightnessReport:
     envelope: np.ndarray | None
     envelope_uninformative: bool
     envelope_condition_held: bool
-    envelope_constant: float
     rate: float
 
     def __post_init__(self):
@@ -131,21 +131,20 @@ class TightnessReport:
 
 
 def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
-                         radii=None, envelope_constant: float = 1.0,
-                         sample_every: int = 5) -> TightnessReport:
+                         radii=None) -> TightnessReport:
     """Long run from q0 = 0 with the coupled stochastic convolution.
 
     Evolves zeta_lambda through the exact conditional update driven by
     the same increments as the trajectory, records ||q_t||_inf and
-    ||theta_t||_inf = ||q_t - zeta_t||_inf at the sampling cadence, and
-    evaluates the exponential envelope for theta from the recorded
-    ||zeta||_{H^{5/2}} series.  Exponents beyond 700 mark the envelope
-    uninformative (the raw sup is still reported).
+    ||theta_t||_inf = ||q_t - zeta_t||_inf every TIGHTNESS_SAMPLE_EVERY
+    steps, and evaluates the exponential envelope for theta from the
+    recorded ||zeta||_{H^{5/2}} series.  Exponents beyond 700 mark the
+    envelope uninformative (the raw sup is still reported).
     """
     if rate <= config.gamma / 2:
         raise ConfigurationError("rate should exceed gamma/2")
     cfg = replace(config, init="zero", horizon=horizon, snap_every=0,
-                  obs_every=sample_every)
+                  obs_every=TIGHTNESS_SAMPLE_EVERY)
     mixer = NoiseMixer(cfg.noise, cfg.pairs)
     zeta = np.zeros(cfg.noise.k)
     # the loop passes increments exactly when the noise is active
@@ -153,7 +152,7 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
     weights = cfg.pairs.spatial_eigenvalues[:cfg.noise.k] ** ALPHA_NOISE
 
     def ou_update(dw, normals):
-        ou_step(zeta, factors, normals[0, :, 0],
+        ou_step(zeta, factors, normals[:, 0],
                 None if dw is None else dw[:, 0], out=zeta)
 
     def theta_sup(ctx):
@@ -169,7 +168,7 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
 
     observables = [obs_lp(np.inf), Observable("theta_inf", theta_sup),
                    Observable("zeta_norm", zeta_h_alpha)]
-    rec = _run_paths(cfg, observables, [0], hook=ou_update, hook_draws=1)[0]
+    rec = _run_paths(cfg, observables, [0], hook=ou_update)[0]
     q_inf, theta_inf, zeta_norm = rec.observables.values()
 
     if radii is None:
@@ -184,32 +183,31 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
                        q_inf[2 * third:].max()])
 
     envelope, uninformative, condition = _theta_envelope(
-        rec.times, zeta_norm, cfg.gamma, rate, envelope_constant)
+        rec.times, zeta_norm, cfg.gamma, rate)
 
     return TightnessReport(
         radii=radii, fractions=fractions, sup_q_inf=float(q_inf.max()),
         thirds=thirds, times=rec.times, q_inf_series=q_inf,
         theta_inf_series=theta_inf, zeta_norm_series=zeta_norm,
         envelope=envelope, envelope_uninformative=uninformative,
-        envelope_condition_held=condition,
-        envelope_constant=envelope_constant, rate=rate)
+        envelope_condition_held=condition, rate=rate)
 
 
-def _theta_envelope(times, zeta_norm, gamma, rate, c_const):
+def _theta_envelope(times, zeta_norm, gamma, rate):
     """Exponential envelope for ||theta||_inf from the zeta-norm series:
 
         E(t) = Z(0) exp(J(t)) +
-               int_0^t C (Z(s) + |rate - gamma|) Z(s) exp(J(t) - J(s)) ds,
-        J(t) = int_0^t (C Z(r) - gamma) dr,  Z = ||zeta||_{H^alpha}.
+               int_0^t (Z(s) + |rate - gamma|) Z(s) exp(J(t) - J(s)) ds,
+        J(t) = int_0^t (Z(r) - gamma) dr,  Z = ||zeta||_{H^alpha}.
     """
     n = len(times)
-    j_cum = _cumtrapz(c_const * zeta_norm - gamma, times)
+    j_cum = _cumtrapz(zeta_norm - gamma, times)
     # largest exponent over pairs s <= t without forming the n x n matrix
     max_span = np.max(j_cum - np.minimum.accumulate(j_cum))
     if max_span > 700:
-        avg = np.mean(c_const * zeta_norm)
+        avg = np.mean(zeta_norm)
         return None, True, bool(avg < gamma / 2)
-    forcing = c_const * (zeta_norm + abs(rate - gamma)) * zeta_norm
+    forcing = (zeta_norm + abs(rate - gamma)) * zeta_norm
     # I_s = int_0^t_s forcing(r) exp(J_s - J_r) dr (trapezoid), by the
     # exact recurrence I_{s+1} = g I_s + (g f_s + f_{s+1}) dt_s / 2 with
     # g = exp(J_{s+1} - J_s)
@@ -221,5 +219,5 @@ def _theta_envelope(times, zeta_norm, gamma, rate, c_const):
         integral[s + 1] = g * integral[s] + (g * forcing[s]
                                              + forcing[s + 1]) * half_dt[s]
     envelope = zeta_norm[0] * np.exp(j_cum) + integral
-    avg = np.mean(c_const * zeta_norm)
+    avg = np.mean(zeta_norm)
     return envelope, False, bool(avg < gamma / 2)

@@ -294,7 +294,10 @@ class TestCli:
                    "init=lowband:0:1.0:2": "bad init descriptor",
                    "init=lowband:3:nan:2": "bad init descriptor",
                    "init=lowband:3:inf:2": "bad init descriptor",
-                   "observables=l2,hx": "hx: expected h<alpha>"}
+                   "observables=l2,hx": "hx: expected h<alpha>",
+                   "observables=l2,l3": "p=3: finite exponents must be even",
+                   "observables=l0": "p=0: finite exponents must be even",
+                   "observables=l2,h1,h1.0": "h1.0: repeats observable 'h1'"}
 
     @pytest.mark.parametrize("line", list(CONSTRAINTS))
     def test_constraint_error_exit_code(self, tmp_path, capsys, line):
@@ -303,6 +306,18 @@ class TestCli:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg), "--seed", "1",
                        "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and self.CONSTRAINTS[line] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "observables=l2,l3", "observables=l2,h1,h1.0"])
+    def test_invariant_rejects_bad_observables(self, tmp_path, capsys, line):
+        # invariant reads the same observables key as run
+        cfg = self.write_cfg(tmp_path, line + "\n")
+        out = tmp_path / "out"
+        assert run_cli("invariant", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out), "--horizons", "0.05") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and self.CONSTRAINTS[line] in err
         assert not out.exists()
@@ -490,6 +505,37 @@ class TestCli:
             assert len(rows) == 1 + samples
             peak_mb.append(int(proc.stdout) / 1024)
         assert abs(peak_mb[1] - peak_mb[0]) < 3.0, peak_mb
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in KB on Linux")
+    def test_run_snapshots_keep_q_alone(self, tmp_path):
+        # 1000 more snapshots at N=32 add their q coefficients, 23.4 MiB;
+        # a W stack beside them would add as much again
+        script = textwrap.dedent("""
+            import resource, sys
+            from layerqg.cli import main
+            assert main(sys.argv[1:]) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """)
+        peak_mb = []
+        for snaps in (1000, 2000):
+            cfg = tmp_path / f"n32_{snaps}.cfg"
+            cfg.write_text("modes_x=32\nmodes_y=32\nsigma=1.0\n"
+                           "noise_modes=32\nnonlinearity=off\ndt=0.001\n"
+                           f"horizon={(snaps - 1) / 1000:g}\n"
+                           "init=lowband:3:1.0:7\nobservables=l2\n")
+            out = tmp_path / f"out{snaps}"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "run", "--config", str(cfg),
+                 "--snap-every", "1", "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=str(SRC),
+                         OPENBLAS_NUM_THREADS="1"),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert len(list(out.glob("snapshot_*.lqg"))) == snaps
+            peak_mb.append(int(proc.stdout) / 1024)
+        q_mb = 1000 * 3 * 32 * 32 * 8 / 2**20
+        assert peak_mb[1] - peak_mb[0] < 1.3 * q_mb, peak_mb
 
     @pytest.mark.parametrize("command, cfg, flags", [
         ("galerkin", "modes_x=16\nmodes_y=16\ninit=mode:1,1:2000,0,0\n",

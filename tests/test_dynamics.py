@@ -316,7 +316,8 @@ class TestTrajectory:
              init="lowband:4:3.0:5", noise_modes=48)],
         ids=["linear_n12", "nonlinear_n16"])
     def test_batch_matches_single_paths(self, run_settings):
-        # seed -> bytes must not depend on the batch size
+        # seed -> bytes must not depend on the batch size; W is compared
+        # through wh2.5
         cfg = realize(RunSettings(**run_settings), seed=5, snap_every=5)
         obs = parse_observables("l2,l4,linf,h1,gradl4,wh2.5,pair:1.1.0,"
                                 "pairsq:1.2.1", cfg.pairs)
@@ -326,18 +327,18 @@ class TestTrajectory:
             assert rec.stream == stream
             assert np.array_equal(rec.times, single.times)
             assert np.array_equal(rec.q_snapshots, single.q_snapshots)
-            assert np.array_equal(rec.w_snapshots, single.w_snapshots)
             for ob in obs:
                 assert np.array_equal(rec.observables[ob.name],
                                       single.observables[ob.name]), ob.name
 
     def test_per_path_initial_data(self, monkeypatch):
         # path p of a (P, 3, Nx, Ny) datum on a shared noise path is the
-        # one-path run from row p, also when the rows split into batches
+        # one-path run from row p, also when the rows split into batches;
+        # W is compared through wh1
         cfg = realize(RunSettings(modes_x=16, modes_y=16, dt=1e-3,
                                   horizon=0.03, noise_modes=48),
                       seed=5, snap_every=5)
-        obs = parse_observables("l2,linf,h1", cfg.pairs)
+        obs = parse_observables("l2,linf,h1,wh1", cfg.pairs)
         rng = np.random.default_rng(2)
         init = np.stack([3 * random_band_coeffs(rng, cfg.basis)
                          for _ in range(3)])
@@ -353,7 +354,6 @@ class TestTrajectory:
         for batch in (whole, split):
             for rec, single in zip(batch, singles, strict=True):
                 assert np.array_equal(rec.q_snapshots, single.q_snapshots)
-                assert np.array_equal(rec.w_snapshots, single.w_snapshots)
                 for ob in obs:
                     assert np.array_equal(rec.observables[ob.name],
                                           single.observables[ob.name])
@@ -481,14 +481,15 @@ class TestGuards:
                           nonlinear=True, dt=0.01, horizon=0.05,
                           init="mode:1,1:2000,0,0", snap_every=1)
         with pytest.raises(TimeStepError, match="CFL") as err:
-            run_trajectory(cfg, observables=[])
-        # the partial record keeps the snapshots written before the abort
+            run_trajectory(cfg, observables=parse_observables("wh0"))
+        # the partial record keeps the snapshots written before the abort;
+        # the quiet noise leaves W at zero
         rec = err.value.record
         assert np.array_equal(rec.snap_times, rec.times)
         assert rec.q_snapshots.shape == (len(rec.times), 3, 16, 16)
         assert np.array_equal(rec.q_snapshots[0],
                               initial_coeffs(cfg.init, basis16))
-        assert np.all(rec.w_snapshots == 0.0)
+        assert np.all(rec.observables["wh0"] == 0.0)
 
     def test_blow_up_detected_with_guard_off(self, basis16, coupling16,
                                              pairs16, quiet_noise):
@@ -726,4 +727,20 @@ class TestObservableParsing:
     def test_malformed_number_names_the_token(self, token):
         with pytest.raises(ConfigurationError,
                            match=rf"^{re.escape(token)}: expected "):
+            parse_observables(f"l2,{token}")
+
+    @pytest.mark.parametrize("text, token, name", [
+        ("l2,h1,h1.0", "h1.0", "h1"), ("linf,l2,linf", "linf", "linf"),
+        ("wh2.5,wh2.50", "wh2.50", "wh2.5"),
+        ("pair:1.1.0,pair:1.1.0", "pair:1.1.0", "pair:1.1.0")])
+    def test_repeated_name_names_the_token(self, pairs16, text, token, name):
+        # one name would give two equal series.csv columns
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{re.escape(token)}: repeats observable "
+                                 rf"'{re.escape(name)}'$"):
+            parse_observables(text, pairs16)
+
+    @pytest.mark.parametrize("token", ["l0", "l3", "l-2"])
+    def test_unsupported_exponent_is_a_configuration_error(self, token):
+        with pytest.raises(ConfigurationError, match="even integers >= 2"):
             parse_observables(f"l2,{token}")

@@ -87,7 +87,9 @@ class TestKbAverage:
     def test_repeated_names_average_alike(self, basis16, coupling16,
                                           pairs16):
         cfg = linear_config(basis16, coupling16, pairs16, horizon=0.4)
-        obs = parse_observables("l2,h1,l2,h1.0")
+        # one parse_observables call rejects a repeated name; a list built
+        # by hand may still repeat one
+        obs = parse_observables("l2,h1") + parse_observables("l2,h1.0")
         m = kb_average(cfg, [0.4], obs, n_paths=3)[0]
         assert m.names == ["l2", "h1", "l2", "h1"]
         assert np.array_equal(m.means[:2], m.means[2:])
@@ -168,14 +170,13 @@ class TestTightness:
         times = np.cumsum(rng.uniform(0.01, 0.05, 500))
         times -= times[0]
         zeta = rng.uniform(0.0, 0.4, 500)
-        gamma, rate, c_const = 0.5, 2.0, 1.3
-        envelope, uninformative, _ = _theta_envelope(times, zeta, gamma,
-                                                     rate, c_const)
+        gamma, rate = 0.5, 2.0
+        envelope, uninformative, _ = _theta_envelope(times, zeta, gamma, rate)
         assert not uninformative
-        growth = c_const * zeta - gamma
+        growth = zeta - gamma
         j_cum = np.concatenate([[0.0], np.cumsum(
             0.5 * (growth[1:] + growth[:-1]) * np.diff(times))])
-        forcing = c_const * (zeta + abs(rate - gamma)) * zeta
+        forcing = (zeta + abs(rate - gamma)) * zeta
         direct = np.empty(500)
         for s in range(500):
             integrand = forcing[: s + 1] * np.exp(j_cum[s] - j_cum[: s + 1])
@@ -200,7 +201,7 @@ class TestTightness:
 
         monkeypatch.setattr(measures, "ou_step", spoiled)
         with pytest.raises(ConfigurationError, match="non-finite OU state"):
-            tightness_diagnostic(cfg, rate=2.0, horizon=1.0, sample_every=5)
+            tightness_diagnostic(cfg, rate=2.0, horizon=1.0)
         assert len(steps) == 5
 
     @pytest.mark.parametrize("sigma", [1.0, 0.0])
@@ -216,7 +217,7 @@ class TestTightness:
             return step(*args, **kwargs)
 
         monkeypatch.setattr(measures, "ou_step", counted)
-        tightness_diagnostic(cfg, rate=2.0, horizon=1.0, sample_every=5)
+        tightness_diagnostic(cfg, rate=2.0, horizon=1.0)
         # 50 steps of 0.02; without noise the update is the standalone one
         assert calls == [sigma == 0.0] * 50
 
