@@ -1,54 +1,34 @@
 """Time stepping for the damped, forced 3-layer system.
 
-State variable is eta = q - W (q potential vorticity, W the accumulated
-Wiener path), which satisfies the random PDE
+The state is q, the potential vorticity.  In eta = q - W (W the
+accumulated Wiener path) the equation is the random PDE
 
     d/dt eta + (u . grad)(eta + W) + gamma eta = eps^2 Lap eta - gamma W ,
     u = grad_perp (A + L)^{-1} (eta + W) ,
 
-with no stochastic integral: the eps^2 Lap W forcing of the viscous
-q-equation cancels exactly inside the eta formulation.  One step applies
-the integrating factor exp(-(gamma + eps^2 lambda_{n,m}) dt) exactly per
-mode and advances the transport and -gamma W forcing explicitly
-(first-order exponential Euler).  With transport and noise off, every mode
-therefore decays by the exact factor per step.
+with no stochastic integral.  One step applies the integrating factor
+d = exp(-(gamma + eps^2 lambda_{n,m}) dt) exactly per mode and advances
+the transport B and the -gamma W forcing explicitly (first-order
+exponential Euler).  Written in q, which the loop steps, that is
 
-Transport is computed pseudo-spectrally: exact spectral derivatives,
-pointwise products on the basis's transport grid G = floor(3N/2)
-(Orszag's 3/2 rule, the smallest grid on which the projection of a
-quadratic product is exact), projection back onto the retained sine
-band.  An overflowing product is not scanned for: it projects to
-non-finite coefficients, and the one finiteness check of each new state
-turns it into a blow-up.
+    q_{n+1} = d q_n - phi B(q_n) + phi eps^2 lambda W_n + (W_{n+1} - W_n),
+    phi = (1 - d) / (gamma + eps^2 lambda_{n,m}) :
 
-Observables and snapshots stay on the G >= 2N grid.  Every per-sample
-quantity is an `Observable` of the loop, evaluated when the sample is
-taken through one lazy cache, `ObsContext`, which makes each grid and
-reduction once per sample: the observables of `parse_observables` and
-the monitor series of `experiments.monitor_observables` alike, so no
-series is computed from stored snapshots.  l2 comes from the
-coefficients by Parseval, and the pairings of one `parse_observables`
-call come from one gather.
+at eps = 0 W leaves the step, and with transport and noise off every
+mode decays by the exact factor per step.  W is accumulated only where
+it is read: with eps > 0, or when an observable reads it at sample 0.
 
-Arrays of the stepping loop.  The Stepper keeps the decay and phi
-factors at the batch shape (P, 3, Nx, Ny), so the linear update
-multiplies equal shapes without broadcasting, and a workspace for that
-shape: the forcing array, a boolean finiteness mask and, for a nonlinear
-step, the (2, P, 3, Nx, Ny) stack of (psi_hat, q_hat) and the (4, P, 3,
-Gt+2, Gt+2) transport grids (psi_x, psi_y, q_x, q_y); it rebuilds them
-only when the batch shape changes.  `advance` writes -gamma W into the
-forcing array, adds eta + W into stack slot 1, and the elliptic solve
-writes psi_hat into slot 0; the two transport syntheses fill the grids,
-and the product is formed in place there.  Beyond the new state, a
-step allocates only inside the elliptic solve and the transforms (each
-synthesis's first product, the projection).  `advance` writes into none
-of its inputs (the first state is a read-only broadcast of the initial
-datum).  Each refill of the noise block scales its increment rows by
-c_k sqrt(dt) in place, and a step's increment is a view of its row.
-The loop adds the increment's field into W in place, and a snapshot
-writes q = eta + W into its slot of the (S, P, 3, Nx, Ny) snapshot
-array, which is allocated once, before the first step.  Overflow
-warnings are silenced once around the loop.
+Transport is pseudo-spectral on the 3/2-rule grid (`_transport`).  An
+overflowing product is not scanned for: it projects to non-finite
+coefficients, and the one finiteness check of each new state turns it
+into a blow-up.  Observables and snapshots stay on the G >= 2N grid:
+every per-sample quantity is an `Observable` of the loop, evaluated when
+the sample is taken through one lazy cache, `ObsContext`, so no series
+is computed from stored snapshots.
+
+The `Stepper` keeps its factors and a workspace per batch shape, so
+beyond the new state a step allocates only inside the elliptic solve and
+the transforms; `_run_paths` adds each noise increment in place.
 """
 
 from __future__ import annotations
@@ -66,8 +46,8 @@ import numpy as np
 from . import rng as rngmod
 from .coupling import (LayerCoupling, OperatorEigenpairs, pair_coeffs,
                        solve_elliptic_coeffs)
-from .errors import (BlowUpError, ConfigurationError, ShapeError,
-                     TimeStepError)
+from .errors import (BlowUpError, ConfigurationError, SamplingError,
+                     ShapeError, TimeStepError)
 from .noise import BrownianIncrements, NoiseMixer, NoiseSpec
 from .spectral import (LayerField, N_LAYERS, SpectralBasis, even_exponent,
                        field_sum, grid_peak, peak_scaled_square,
@@ -132,14 +112,24 @@ class ObsContext:
     the (P, J) values of each PairingTable.  A grid that one series alone
     reads (those of W, eta and |u|, which only their Lp norms read, the
     squares behind Lp norms, grad q, grad eta, a Hessian) is dropped by it.
+    `w_read` tells whether anything read `w_hat`.
     """
 
     def __init__(self, coupling: LayerCoupling, q_hat, w_hat):
         self.coupling = coupling
         self.basis = coupling.basis
         self.q_hat = q_hat
-        self.w_hat = w_hat
+        self._w_hat = w_hat
+        self.w_read = False
         self._memo = {}
+
+    @property
+    def w_hat(self):
+        if self._w_hat is None:         # a run that keeps no W
+            raise SamplingError("this run keeps no W: W is kept only when "
+                                "eps > 0 or an observable reads it at t = 0")
+        self.w_read = True
+        return self._w_hat
 
     def _once(self, key, make):
         if key not in self._memo:
@@ -242,10 +232,6 @@ def obs_h(alpha: float, noise: bool = False) -> Observable:
     return Observable(f"{'w' * noise}h{alpha:g}", fn)
 
 
-def obs_grad_l4() -> Observable:
-    return Observable("gradl4", lambda ctx: ctx.grad_l4("q"))
-
-
 class PairingTable:
     """The pairings <q, rho_k> of a set of eigenpairs, evaluated together.
 
@@ -289,7 +275,7 @@ def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
         if token == "linf":
             out.append(obs_lp(np.inf))
         elif token == "gradl4":
-            out.append(obs_grad_l4())
+            out.append(Observable("gradl4", lambda ctx: ctx.grad_l4("q")))
         elif token.startswith("wh"):
             out.append(obs_h(_token_number(token, "wh", float, "alpha"),
                              noise=True))
@@ -427,13 +413,13 @@ class TrajectoryRecord:
 class Stepper:
     """Precomputed factors and work buffers for one SimConfig.
 
-    `decay` and `phi` are the per-mode (Nx, Ny) factors.  `advance`
-    multiplies by copies of them at the batch shape (..., 3, Nx, Ny) and
-    works in buffers of that batch: the forcing array, a boolean
-    finiteness mask, and for a nonlinear step the (2, ..., 3, Nx, Ny)
-    stack of (psi_hat, q_hat) and the (4, ..., 3, Gt+2, Gt+2) transport
-    grids of `_transport`.  All are rebuilt only when the batch shape
-    changes, so one Stepper serves one thread.
+    `decay`, `phi` and `w_gain` = phi eps^2 lambda are the per-mode (Nx,
+    Ny) factors of the q step; `advance` multiplies by copies of them at
+    the batch shape (..., 3, Nx, Ny), `w_gain` only if eps > 0.  Its
+    buffers for that batch (a finiteness mask, with eps > 0 the W term,
+    and for a nonlinear step the (2, ..., 3, Nx, Ny) stack of (psi_hat,
+    q_hat) and the (4, ..., 3, Gt+2, Gt+2) grids of `_transport`) are
+    rebuilt only when the batch shape changes: one Stepper, one thread.
     """
 
     def __init__(self, config: SimConfig):
@@ -443,28 +429,32 @@ class Stepper:
         a = config.gamma + config.viscosity**2 * lam
         self.decay = np.exp(-a * config.dt)            # (Nx, Ny)
         self.phi = (1.0 - self.decay) / a              # (Nx, Ny)
+        self.w_gain = self.phi * (config.viscosity**2 * lam)
         self.h_min = min(basis.hx, basis.hy)
         self.mixer = NoiseMixer(config.noise, config.pairs)
         self._shape = None                  # no batch until first use
 
     def _batch(self, shape):
-        """(decay, phi) at the batch shape, with the batch's buffers;
-        kept while the batch shape stays."""
+        """(decay, phi[, w_gain]) at the batch shape, kept with buffers."""
         if shape != self._shape:
+            cfg = self.config
             self._shape = shape
+            factors = (self.decay, self.phi, self.w_gain)[
+                :2 + (cfg.viscosity > 0)]
             self._tables = tuple(np.broadcast_to(f, shape).copy()
-                                 for f in (self.decay, self.phi))
-            self._forcing = np.empty(shape)
+                                 for f in factors)
             self._finite = np.empty(shape, dtype=bool)
-            if self.config.nonlinear:
+            if cfg.viscosity > 0:
+                self._w_term = np.empty(shape)
+            if cfg.nonlinear:
                 self._stack = np.empty((2,) + shape)
                 self._grids = np.empty(
-                    (4,) + shape[:-2]
-                    + self.config.basis.transport_basis.grid_shape)
+                    (4,) + shape[:-2] + cfg.basis.transport_basis.grid_shape)
         return self._tables
 
-    def advance(self, eta_hat, w_hat, t):
-        """One step of the eta equation, W frozen at the step's left end.
+    def advance(self, q_hat, w_hat, t):
+        """One q step without noise, decay q - phi B(q) + w_gain W, with W
+        at the step's left end (read only if eps > 0, else it may be None).
 
         Writes into neither input; the new state is a new array.  Callers
         silence overflow warnings (the finiteness check reports them).
@@ -476,11 +466,11 @@ class Stepper:
         ceiling cfl_safety / gamma.
         """
         cfg = self.config
-        decay, phi = self._batch(eta_hat.shape)
-        forcing = np.multiply(-cfg.gamma, w_hat, out=self._forcing)
+        decay, phi, *w_gain = self._batch(q_hat.shape)
+        new = decay * q_hat
         if cfg.nonlinear:
             stack = self._stack
-            np.add(eta_hat, w_hat, out=stack[1])
+            np.copyto(stack[1], q_hat)
             solve_elliptic_coeffs(cfg.coupling, stack[1], out=stack[0])
             term, umax = _transport(cfg.basis, stack, self._grids)
             if not np.isfinite(umax):
@@ -492,9 +482,9 @@ class Stepper:
                         f"dt={cfg.dt} exceeds adaptive CFL ceiling "
                         f"{ceiling:.3e} at t={t:.6g} (|u|max={umax:.3e})",
                         time=t, umax=float(umax), ceiling=float(ceiling))
-            forcing -= term
-        new = decay * eta_hat
-        new += np.multiply(phi, forcing, out=forcing)
+            new -= np.multiply(phi, term, out=term)
+        if w_gain:
+            new += np.multiply(w_gain[0], w_hat, out=self._w_term)
         if not np.isfinite(new, out=self._finite).all():
             raise FloatingPointError("state overflow")
         return new
@@ -502,14 +492,16 @@ class Stepper:
 
 def step_eta(eta: LayerField, w: LayerField, config: SimConfig,
              t: float = 0.0) -> LayerField:
-    """Public single-step form of the eta update (deterministic given W)."""
+    """Public single-step form of the eta = q - W update given a frozen W,
+    decay eta - phi (gamma W + B(eta + W)): the q step of eta + W, less W."""
     stepper = Stepper(config)
+    w_hat = w.spectral()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            new = stepper.advance(eta.spectral(), w.spectral(), t)
+            new = stepper.advance(eta.spectral() + w_hat, w_hat, t)
     except FloatingPointError as exc:
         raise BlowUpError(str(exc), time=t)
-    return LayerField.from_coeffs(config.basis, new)
+    return LayerField.from_coeffs(config.basis, new - w_hat)
 
 
 def nonlinear_term(q: LayerField, psi: LayerField) -> LayerField:
@@ -564,7 +556,7 @@ def _abs_peak(grid):
 def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
                    noise_path: BrownianIncrements | None = None,
                    initial: np.ndarray | None = None) -> TrajectoryRecord:
-    """Integrate from t=0 to the horizon, recording q = eta + W.
+    """Integrate q from t=0 to the horizon.
 
     Deterministic given (config, stream): noise comes from the Philox
     stream (config.seed, stream), or from a pregenerated path for
@@ -598,7 +590,9 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     weighted increments (None without noise) and those (K, P) normals.
     Blocks of steps are drawn at once, as the same normals step by step;
     each block's increment rows are weighted by c_k sqrt(dt) once, when
-    it is drawn, and a step's `dw` is a view of its row.
+    it is drawn, and a step's `dw` is a view of its row.  W_0 = 0 is kept
+    only if eps > 0 or an observable reads it at sample 0; otherwise a
+    later read of it raises SamplingError.
     Every operation acts on each path alone, so path p's bytes depend
     neither on P nor on its place in the batch; the CFL guard watches the
     largest |u| of all paths.  Returns one TrajectoryRecord per path; a
@@ -630,8 +624,8 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                     threads if _blas_pinned() else 1)
                 for rec in records]
     stepper = Stepper(cfg)
-    eta = np.broadcast_to(initial, (n_paths,) + shape)   # never written to
-    w = np.zeros(eta.shape)
+    q = np.broadcast_to(initial, (n_paths,) + shape)     # never written to
+    w = np.zeros(q.shape)           # W_0 = 0, dropped after sample 0 if unread
     noisy = cfg.noise.active
     drawn = int(noisy and noise_path is None)
     rows, k = drawn + (hook is not None), cfg.noise.k
@@ -641,18 +635,20 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     series = np.empty((cfg.n_samples(cfg.obs_every), len(observables),
                        n_paths))
     n_snaps = cfg.n_samples(cfg.snap_every) if cfg.snap_every else 0
-    q_snaps = np.empty((n_snaps,) + eta.shape)
+    q_snaps = np.empty((n_snaps,) + q.shape)
     times, snap_times = [], []
 
     def record(j):
+        """Take sample j; at an observable sample, whether W was read."""
+        if cfg.snap_every and (j % cfg.snap_every == 0 or j == n_steps):
+            q_snaps[len(snap_times)] = q
+            snap_times.append(j * cfg.dt)
         if j % cfg.obs_every == 0 or j == n_steps:
-            ctx = ObsContext(cfg.coupling, eta + w, w)
+            ctx = ObsContext(cfg.coupling, q, w)
             for o, ob in enumerate(observables):
                 series[len(times), o] = ob(ctx)
             times.append(j * cfg.dt)
-        if cfg.snap_every and (j % cfg.snap_every == 0 or j == n_steps):
-            np.add(eta, w, out=q_snaps[len(snap_times)])
-            snap_times.append(j * cfg.dt)
+            return ctx.w_read
 
     def build(blow_time=None):
         data = series[:len(times)].transpose(2, 1, 0).copy()    # (P, O, T)
@@ -667,17 +663,18 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
 
     def partial(blow_time=None):
         """The record so far of the path with the largest state."""
-        worst = np.argmax(np.abs(eta + w).reshape(n_paths, -1).max(-1))
+        worst = np.argmax(np.abs(q).reshape(n_paths, -1).max(-1))
         return build(blow_time)[worst]
 
     # overflows surface as non-finite values, which the finiteness check
     # of each new state turns into a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0)
+        if not (record(0) or cfg.viscosity > 0):
+            w = None
         for j in range(1, n_steps + 1):
             t_prev = (j - 1) * cfg.dt
             try:
-                eta = stepper.advance(eta, w, t_prev)
+                q = stepper.advance(q, w, t_prev)
             except FloatingPointError as exc:
                 raise BlowUpError(str(exc), time=t_prev,
                                   record=partial(t_prev))
@@ -696,7 +693,10 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
             if noisy:
                 dw = block[i, 0] if drawn else \
                     noise_path.increments[j - 1][:, None]
-                w += stepper.mixer.coefficients(dw)
+                field = stepper.mixer.coefficients(dw)
+                q += field
+                if w is not None:
+                    w += field
             if hook is not None:
                 hook(dw, block[i, drawn])
             record(j)

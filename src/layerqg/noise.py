@@ -159,22 +159,22 @@ def sample_path(spec: NoiseSpec, n_steps: int, dt: float,
 
 
 def ou_factors(rate: float, spec: NoiseSpec, dt: float, driven: bool):
-    """(e^{-rate dt}, beta, width) of the exact OU update `ou_step`; beta
-    is None for the standalone form.  They depend on the step alone, so a
-    loop over many steps computes them once."""
+    """(e^{-rate dt}, beta, width, work) of the exact OU update `ou_step`:
+    beta is None for the standalone form, work the (K,) scratch of its
+    products, so one set serves one thread.  Computed once per loop."""
     if rate <= 0:
         raise ConfigurationError("rate must be positive")
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    decay = np.exp(-rate * dt)
+    decay, work = np.exp(-rate * dt), np.empty(spec.k)
     if not driven:
-        return decay, None, spec.c * np.sqrt((1.0 - decay**2) / (2.0 * rate))
+        return decay, None, spec.c * np.sqrt((1 - decay**2) / (2 * rate)), work
     # J = int e^{-lam (dt - s)} dW over the step, conditioned on the
     # plain increment I: E[J|I] = beta I, Var = full minus explained.
     beta = (1.0 - decay) / (rate * dt)
     var_full = spec.c**2 * (1.0 - decay**2) / (2.0 * rate)
     var_resid = np.maximum(var_full - beta**2 * spec.c**2 * dt, 0.0)
-    return decay, beta, np.sqrt(var_resid)
+    return decay, beta, np.sqrt(var_resid), work
 
 
 def ou_step(zeta, factors, xi, driving_increment=None, out=None):
@@ -194,9 +194,9 @@ def ou_step(zeta, factors, xi, driving_increment=None, out=None):
     noise path driving the dynamics, still without time-discretization
     bias.
     """
-    decay, beta, width = factors
+    decay, beta, width, work = factors
     new = np.multiply(decay, zeta, out=out)
     if beta is not None:
-        new += beta * driving_increment
-    new += width * xi
+        new += np.multiply(beta, driving_increment, out=work)
+    new += np.multiply(width, xi, out=work)
     return new

@@ -25,7 +25,7 @@ from .dynamics import (SimConfig, TrajectoryRecord, _fan_out, _run_paths,
 from .errors import ConfigurationError, ShapeError
 from .experiments import _trapz
 from .noise import BrownianIncrements, sample_path
-from .spectral import LayerField, N_LAYERS, build_basis
+from .spectral import LayerField, build_basis
 
 
 @dataclass
@@ -79,16 +79,16 @@ def _coupled_path(config: SimConfig, stream: int) -> BrownianIncrements:
 
 
 def _l2_sup_distance(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord) -> float:
-    """sup_t L2 distance via Parseval, coarse modes zero-padded."""
+    """sup_t L2 distance via Parseval, coarse modes taken as zero: the
+    squared difference over the shared block plus each rung's tail."""
     qa, qb = rec_a.q_snapshots, rec_b.q_snapshots
     if qa.shape[0] != qb.shape[0]:
         raise ShapeError("records have different snapshot counts")
-    na, nb = qa.shape[2:], qb.shape[2:]
-    big = (max(na[0], nb[0]), max(na[1], nb[1]))
-    diff = np.zeros((qa.shape[0], N_LAYERS) + big)
-    diff[:, :, : na[0], : na[1]] = qa
-    diff[:, :, : nb[0], : nb[1]] -= qb
-    return float(np.max(np.sqrt(np.sum(diff**2, axis=(1, 2, 3)))))
+    nx, ny = min(qa.shape[2], qb.shape[2]), min(qa.shape[3], qb.shape[3])
+    total = sum(np.einsum("sijk,sijk->s", part, part) for part in (
+        qa[..., :nx, :ny] - qb[..., :nx, :ny], qa[..., nx:, :],
+        qa[..., :nx, ny:], qb[..., nx:, :], qb[..., :nx, ny:]))
+    return float(np.max(np.sqrt(total)))
 
 
 def _h_minus1_sup_distance(rec_a, rec_b) -> float:

@@ -9,16 +9,18 @@ from hypothesis import given, settings, strategies as st
 from layerqg import dynamics, rng as rngmod
 from layerqg.coupling import (eigenpairs, pair_coeffs, solve_elliptic_coeffs,
                               symmetrize)
-from layerqg.dynamics import (ObsContext, PairingTable, SimConfig,
-                              _run_paths, initial_coeffs, nonlinear_term,
-                              obs_lp, parse_observables, run_trajectory,
-                              step_eta)
-from layerqg.errors import (BlowUpError, ConfigurationError, ShapeError,
-                            TimeStepError, UnsupportedExponentError)
+from layerqg.dynamics import (ObsContext, Observable, PairingTable,
+                              SimConfig, _run_paths, initial_coeffs,
+                              nonlinear_term, obs_lp, parse_observables,
+                              run_trajectory, step_eta)
+from layerqg.errors import (BlowUpError, ConfigurationError, SamplingError,
+                            ShapeError, TimeStepError,
+                            UnsupportedExponentError)
+from layerqg.experiments import _phi_key, monitor_observables
 from layerqg.noise import make_noise, sample_path
 from layerqg.runconfig import RunSettings, realize
 from layerqg.spectral import (LayerField, SpectralBasis, build_basis,
-                              grid_lp_norm, single_mode_field)
+                              field_sum, grid_lp_norm, single_mode_field)
 
 from conftest import random_band_coeffs
 
@@ -54,6 +56,119 @@ class TestSingleStep:
         assert eta1.spectral()[0, 0, 0] == pytest.approx(factor, rel=1e-12)
         # Laplacian acts layer-diagonally: other layers stay zero
         assert np.max(np.abs(eta1.spectral()[1:])) == 0.0
+
+
+def _noisy_config(nonlinear, viscosity=0.0, **kw):
+    settings = dict(modes_x=12, modes_y=12, dt=1e-3, horizon=0.02,
+                    sigma=2.0, noise_modes=32, viscosity=viscosity,
+                    nonlinearity="on" if nonlinear else "off",
+                    init="lowband:4:3.0:5")
+    settings.update(kw)
+    return realize(RunSettings(**settings), seed=4, snap_every=1)
+
+
+class TestQForm:
+    """The loop steps q = eta + W; W is kept only where it is read."""
+
+    def test_linear_inviscid_step_is_the_exact_ar1_map(self):
+        # at eps = 0 a linear step is decay * q + the increment's field,
+        # bitwise: the AR(1) map of criterion 6 and the pairsq gate
+        cfg = _noisy_config(nonlinear=False)
+        path = sample_path(cfg.noise, cfg.n_steps, cfg.dt,
+                           rngmod.stream(4, 0))
+        rng = np.random.default_rng(8)
+        init = np.stack([random_band_coeffs(rng, cfg.basis)
+                         for _ in range(2)])
+        records = _run_paths(cfg, [], [0, 0], init, path)
+        stepper = dynamics.Stepper(cfg)
+        q = init
+        for j, increment in enumerate(path.increments, start=1):
+            q = stepper.decay * q + stepper.mixer.coefficients(
+                increment[:, None])
+            for p, rec in enumerate(records):
+                assert np.array_equal(rec.q_snapshots[j], q[p]), (j, p)
+
+    @pytest.mark.parametrize("viscosity, tokens, kept", [
+        (0.0, "l2,linf,h1,pair:1.1.0", False),
+        (0.0, "l2,wh1", True), (0.05, "l2,h1", True)])
+    def test_w_is_kept_only_where_read(self, monkeypatch, viscosity, tokens,
+                                       kept):
+        cfg = _noisy_config(nonlinear=True, viscosity=viscosity)
+        seen = []
+        advance = dynamics.Stepper.advance
+
+        def spy(self, q, w, t):
+            seen.append(w is not None)
+            return advance(self, q, w, t)
+
+        monkeypatch.setattr(dynamics.Stepper, "advance", spy)
+        run_trajectory(cfg, parse_observables(tokens, cfg.pairs))
+        assert seen == [kept] * cfg.n_steps
+
+    def test_w_read_in_a_run_that_keeps_none_raises(self):
+        # an observable that first reads W after sample 0 finds no W: it
+        # raises rather than read zeros
+        cfg = _noisy_config(nonlinear=True)
+        samples = []
+
+        def late(ctx):
+            samples.append(len(samples))
+            field = ctx.w_hat if len(samples) > 2 else ctx.q_hat
+            return field[:, 0, 0, 0]
+
+        with pytest.raises(SamplingError, match="keeps no W"):
+            run_trajectory(cfg, [Observable("late", late)])
+        assert len(samples) == 3
+        ctx = ObsContext(cfg.coupling, np.zeros((1, 3, 12, 12)), None)
+        with pytest.raises(SamplingError, match="keeps no W"):
+            ctx.eta_hat
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_w_series_equal_w_accumulated_outside_the_loop(self, nonlinear):
+        # wh2, <W, phi> and the eta and W Lp series of one seed, from the
+        # W the loop keeps, equal those of W summed here from the same
+        # increments and q from the run's snapshots
+        cfg = _noisy_config(nonlinear=nonlinear)
+        phi = single_mode_field(cfg.basis, 1, 2, [1.0, -0.5, 0.25])
+        path = sample_path(cfg.noise, cfg.n_steps, cfg.dt,
+                           rngmod.stream(4, 0))
+        obs = parse_observables("wh2", cfg.pairs) + monitor_observables(
+            cfg.basis, exponents=(2, 4), test_functions=[phi])
+        rec = run_trajectory(cfg, obs, noise_path=path)
+        mixer = dynamics.Stepper(cfg).mixer
+        w = np.zeros((1, 3) + cfg.basis.spectral_shape)
+        lam = cfg.basis.eigenvalues
+        for j, q in enumerate(rec.q_snapshots):
+            if j:
+                w += mixer.coefficients(path.increments[j - 1][:, None])
+            ctx = ObsContext(cfg.coupling, q[None], w)
+            want = {"wh2": np.sqrt(field_sum(lam**2 * w**2)),
+                    _phi_key("noise_pairing", phi.spectral()):
+                        field_sum(w * phi.spectral()),
+                    ("eta", 4): ctx.lp_norms("eta", (2, 4))[1],
+                    ("w", 2): ctx.lp_norms("w", (2, 4))[0]}
+            for key, value in want.items():
+                assert rec.observables[key][j] == value[0], (j, key)
+
+    @pytest.mark.parametrize("viscosity", [0.0, 0.05])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_step_eta_is_the_eta_update_given_w(self, nonlinear, viscosity):
+        cfg = _noisy_config(nonlinear, viscosity, cfl_safety=0.0)
+        rng = np.random.default_rng(11)
+        eta, w = (50 * random_band_coeffs(rng, cfg.basis) for _ in range(2))
+        stepper = dynamics.Stepper(cfg)
+        q = LayerField.from_coeffs(cfg.basis, eta + w)
+        psi = LayerField.from_coeffs(
+            cfg.basis, solve_elliptic_coeffs(cfg.coupling, eta + w))
+        transport = (nonlinear_term(q, psi).spectral() if nonlinear
+                     else np.zeros_like(eta))
+        want = stepper.decay * eta + stepper.phi * (-cfg.gamma * w
+                                                    - transport)
+        got = step_eta(LayerField.from_coeffs(cfg.basis, eta),
+                       LayerField.from_coeffs(cfg.basis, w), cfg).spectral()
+        assert np.linalg.norm(transport) > 0.1 * np.linalg.norm(eta) \
+            or not nonlinear
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestNonlinearTerm:

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 from layerqg import cli, rng as rngmod
 from layerqg.dynamics import (ObsContext, Observable, SimConfig,
-                              parse_observables, run_trajectory)
+                              TrajectoryRecord, parse_observables,
+                              run_trajectory)
 from layerqg.errors import ConfigurationError, SamplingError
 from layerqg.experiments import (_damped_integrate, log_estimate_monitor,
                                  lp_envelope, monitor_observables,
@@ -23,6 +24,13 @@ def noisy_config(basis, coupling, pairs, sigma=2.0, **kw):
                     nonlinear=True, init="lowband:3:1.0:11", seed=5)
     defaults.update(kw)
     return SimConfig(pairs=pairs, noise=noise, **defaults)
+
+
+def _snapshot_record(q_snapshots):
+    """A record of snapshots alone, for the ladder distances."""
+    return TrajectoryRecord(times=np.zeros(1), observables={},
+                            snap_times=np.arange(len(q_snapshots)),
+                            q_snapshots=q_snapshots, stream=0, config=None)
 
 
 def monitored(cfg, exponents=(2, 4), test_functions=(), **kwargs):
@@ -70,6 +78,24 @@ class TestGalerkin:
         rec_a = run_trajectory(cfg, observables=[], noise_path=path)
         rec_b = run_trajectory(cfg, observables=[], noise_path=path)
         assert _l2_sup_distance(rec_a, rec_b) == 0.0
+
+    @pytest.mark.parametrize("shapes", [((8, 8), (12, 12)),
+                                        ((8, 12), (12, 10))],
+                             ids=["square", "rectangular"])
+    def test_l2_distance_is_the_padded_formula(self, shapes):
+        # Parseval over the shared block and both tails gives the sum of
+        # the zero-padded difference, without the padded copy
+        rng = np.random.default_rng(21)
+        qa, qb = (rng.standard_normal((5, 3) + shape) for shape in shapes)
+        big = tuple(max(a, b) for a, b in zip(*shapes))
+        diff = np.zeros((5, 3) + big)
+        diff[..., :shapes[0][0], :shapes[0][1]] = qa
+        diff[..., :shapes[1][0], :shapes[1][1]] -= qb
+        want = np.max(np.sqrt(np.sum(diff**2, axis=(1, 2, 3))))
+        recs = [_snapshot_record(q) for q in (qa, qb)]
+        got = _l2_sup_distance(*recs)
+        assert abs(got - want) <= 1e-14 * want
+        assert _l2_sup_distance(*recs[::-1]) == got
 
     def test_linear_dynamics_zero_beyond_support(self, basis16, coupling16,
                                                  pairs16):

@@ -10,7 +10,8 @@ per stored column.  A refactor that moves numbers beyond it must say so
 and regenerate the file deliberately.  `python tests/test_golden.py
 --drift` computes every run, writes nothing, and prints per run and
 column the largest |got - stored| and how many values are not bitwise
-equal, so a refactor can declare the moves that stay inside it.
+equal, and ends with one line naming the worst scaled drift of all runs,
+so a refactor can declare the moves that stay inside it.
 """
 
 import json
@@ -184,8 +185,10 @@ def _write_golden(only=()):
 def _report_drift():
     """Compute every run against golden.json and write nothing: per run
     and column, the largest |got - stored|, that over the column's scale
-    max(1, max |stored|), and how many values are not bitwise equal."""
+    max(1, max |stored|), and how many values are not bitwise equal; then
+    one line naming the worst scaled drift of all and its run/column."""
     stored = _golden()
+    worst = (-1.0, "")
     for run in sorted(RUNS):
         actual = RUNS[run]()
         for column, want in stored[run].items():
@@ -197,6 +200,9 @@ def _report_drift():
             print(f"{run}/{column}: drift {drift:.3e} scaled "
                   f"{drift / scale:.3e}, {moved} of {want.size} not "
                   f"bitwise equal")
+            worst = max(worst, (drift / scale, f"{run}/{column}"))
+    print(f"worst scaled drift {worst[0]:.3e} at {worst[1]} "
+          f"(tolerance {GOLDEN_TOL:.0e})")
 
 
 if __name__ == "__main__":

@@ -213,6 +213,31 @@ class TestOrnsteinUhlenbeck:
         ens_sq_exact = np.sum(spec.c**2 * lam**alpha) / (2 * rate)
         assert time_avg_sq == pytest.approx(ens_sq_exact, rel=0.05)
 
+    @pytest.mark.parametrize("driven", [False, True])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_update_is_bitwise_the_plain_expression(self, pairs16, driven,
+                                                    in_place):
+        # the products go into the factors' scratch, not into temporaries,
+        # and the bytes are those of the plain expression
+        spec = make_noise(pairs16, 12, decay=1.0, sigma=1.5)
+        factors = ou_factors(2.0, spec, 0.01, driven=driven)
+        decay, beta, width, _ = factors
+        gen = rngmod.stream(7, 0)
+        zeta = gen.standard_normal(12)
+        for _ in range(5):
+            xi = gen.standard_normal(12)
+            dw = spec.c * 0.1 * gen.standard_normal(12) if driven else None
+            want = (decay * zeta + beta * dw + width * xi if driven
+                    else decay * zeta + width * xi)
+            before = zeta.copy()
+            got = ou_step(zeta, factors, xi, dw,
+                          out=zeta if in_place else None)
+            assert np.array_equal(got, want)
+            assert (got is zeta) is in_place
+            if not in_place:
+                assert np.array_equal(zeta, before)
+            zeta = got
+
     def test_bad_rate_rejected(self, pairs16):
         spec = make_noise(pairs16, 3, decay=1.0, sigma=1.0)
         for rate in (0.0, -1.0):
