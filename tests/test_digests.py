@@ -1,0 +1,108 @@
+"""Artifact digests: the bytes of every subcommand on one small noisy
+nonlinear config, against stored SHA-256 digests.
+
+digests.json holds, per case, the exit code and the SHA-256 of every
+artifact except the manifest (its runtimes vary from run to run), and
+the environment that wrote them: the `python`, `numpy`, `blas` and
+`blas_version` of `cli._environment()`.  Where those four match, every
+digest must match bitwise; elsewhere the test skips and names the first
+key that differs, since another NumPy or BLAS may round differently.
+The `*_2_batches` cases force the paths into two batches through
+`dynamics._BATCH_POINTS`, so the reduction over batches is covered.
+
+A change that moves a byte rewrites the file deliberately with
+`python tests/test_digests.py` and declares which artifacts moved.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from layerqg import dynamics
+from layerqg.cli import _environment, main
+from layerqg.runconfig import parse_config, realize
+from layerqg.spectral import N_LAYERS
+
+DIGEST_PATH = Path(__file__).with_name("digests.json")
+ENV_KEYS = ("python", "numpy", "blas", "blas_version")
+CONFIG = ("modes_x=8\nmodes_y=8\ngamma=0.5\nsigma=2\nnoise_modes=24\n"
+          "dt=0.002\nhorizon=0.1\ninit=lowband:4:3.0:5\n"
+          "observables=l2,l4,linf,h1,wh1,gradl4\n")
+SEED = 3
+
+# case -> (argv after the common flags, paths per batch or None)
+CASES = {
+    "run": (["run", "--snap-every", "10"], None),
+    "galerkin": (["galerkin", "--n-ladder", "8,12,16", "--snap-every", "5"],
+                 None),
+    "viscosity": (["viscosity", "--eps-ladder", "0.2,0.1,0.05",
+                   "--snap-every", "5"], None),
+    "stability": (["stability", "--snap-every", "5"], None),
+    "invariant": (["invariant", "--horizons", "0.05,0.1", "--paths", "3"],
+                  None),
+    "tightness": (["tightness", "--horizon", "0.1"], None),
+    "diagnose": (["diagnose", "--snap-every", "2"], None),
+    "stability_2_batches": (["stability", "--snap-every", "5"], 2),
+    "invariant_2_batches": (["invariant", "--horizons", "0.05,0.1",
+                             "--paths", "3"], 2),
+}
+
+
+def _environment_keys():
+    env = _environment()
+    return {key: env[key] for key in ENV_KEYS}
+
+
+def run_case(case, folder):
+    """Exit code and {artifact: SHA-256} of one case run in `folder`."""
+    argv, per_batch = CASES[case]
+    folder.mkdir(parents=True, exist_ok=True)
+    cfg = folder / "digest.cfg"
+    cfg.write_text(CONFIG)
+    out = folder / "out"
+    saved = dynamics._BATCH_POINTS
+    if per_batch:
+        points = realize(parse_config(cfg)[0], SEED).basis.quad_weights.size
+        dynamics._BATCH_POINTS = per_batch * N_LAYERS * points
+    try:
+        code = main([argv[0], "--config", str(cfg), "--seed", str(SEED),
+                     "--out", str(out), *argv[1:]])
+    finally:
+        dynamics._BATCH_POINTS = saved
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.iterdir())
+               if path.name != "manifest.json"}
+    return {"exit": code, "artifacts": digests}
+
+
+@pytest.fixture(scope="module")
+def stored():
+    data = json.loads(DIGEST_PATH.read_text())
+    here = _environment_keys()
+    differs = next((key for key in ENV_KEYS
+                    if data["environment"][key] != here[key]), None)
+    if differs is not None:
+        pytest.skip(f"digests were written with {differs}="
+                    f"{data['environment'][differs]!r}, this is "
+                    f"{here[differs]!r}")
+    return data["cases"]
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_artifact_digests(stored, case, tmp_path):
+    assert run_case(case, tmp_path) == stored[case]
+
+
+def _write_digests():
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = {case: run_case(case, Path(tmp) / case) for case in CASES}
+    DIGEST_PATH.write_text(json.dumps(
+        {"environment": _environment_keys(), "cases": cases},
+        indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _write_digests()
