@@ -6,10 +6,10 @@ master seed, version, artifact checksums); numbers in CSVs are printed
 with 17 significant digits so parsing them back reproduces the exact
 doubles.  Exit codes: 0 success, 2 constraint error or CFL abort, 3
 blow-up; a command stopped by a CFL abort or a blow-up still writes what
-it has (the partial `series.csv` of `run`) and a manifest whose `abort`
-block says when and why.  The manifest's `environment` block names the
-Python, NumPy and BLAS versions, the BLAS thread setting and the CPU
-count.
+it has (the partial `series.csv` of `run` and the snapshots it took) and
+a manifest whose `abort` block says when and why.  The manifest's
+`environment` block names the Python, NumPy and BLAS versions, the BLAS
+thread setting and the CPU count.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -70,10 +71,10 @@ def _environment():
 
 
 def _config_snaps(args):
-    """Snapshot cadence of the realized config: `run` records its one
-    trajectory; `diagnose` keeps its sample cadence there (at least every
-    step), which `cmd_diagnose` moves to the observable cadence; the
-    ladder studies pass their own cadence to each rung."""
+    """Snapshot cadence of the realized config: `run` writes the
+    snapshots of its one trajectory; `diagnose` keeps its sample cadence
+    there (at least every step), which `cmd_diagnose` moves to the
+    observable cadence; the ladder studies sample at their own cadence."""
     if args.command == "run":
         return args.snap_every
     if args.command == "diagnose":
@@ -177,8 +178,16 @@ def _common(parser):
 def cmd_run(run):
     config = run.config
     observables = parse_observables(run.settings.observables, config.pairs)
+    index = itertools.count()
+
+    def snapshot(t, q):
+        path = run.path(f"snapshot_{next(index):06d}.lqg")
+        write_field(path, LayerField.from_coeffs(config.basis, q))
+        run.artifacts.append(path)
+
     try:
-        record = run_trajectory(config, observables=observables)
+        record = run_trajectory(config, observables=observables,
+                                sink=snapshot)
     except (BlowUpError, TimeStepError) as err:
         record, stop = err.record, err
     else:
@@ -187,10 +196,6 @@ def cmd_run(run):
     run.csv("series.csv", ["time"] + names,
             ([t] + [record.observables[n][i] for n in names]
              for i, t in enumerate(record.times)))
-    for i, q in enumerate(record.q_snapshots):
-        snap = run.path(f"snapshot_{i:06d}.lqg")
-        write_field(snap, LayerField.from_coeffs(config.basis, q))
-        run.artifacts.append(snap)
     if stop is not None:
         raise stop
     run.manifest()
@@ -200,8 +205,7 @@ def cmd_galerkin(run):
     args = run.args
     ladder = _ladder("--n-ladder", args.n_ladder, int)
     report = galerkin_sweep(run.config, ladder,
-                            snap_every=args.snap_every or 1,
-                            threads=args.threads)
+                            snap_every=args.snap_every or 1)
     run.csv("galerkin.csv", ["rungs", report.distance_name],
             [[label, d] for label, d in report.rows()])
     run.manifest({
@@ -215,8 +219,7 @@ def cmd_viscosity(run):
     args = run.args
     ladder = _ladder("--eps-ladder", args.eps_ladder, _finite_float)
     report = viscosity_sweep(run.config, ladder,
-                             snap_every=args.snap_every or 1,
-                             threads=args.threads)
+                             snap_every=args.snap_every or 1)
     run.csv("viscosity.csv", ["rungs", report.distance_name],
             [[label, d] for label, d in report.rows()])
     run.csv("viscosity_est2.csv", ["eps", "eps_l2h1"],
@@ -232,8 +235,7 @@ def cmd_stability(run):
     ladder = _ladder("--delta-ladder", args.delta_ladder, _finite_float)
     pert = single_mode_field(run.config.basis, 1, 2, [1.0, -0.5, 0.25])
     report = yudovich_stability(run.config, ladder, pert,
-                                snap_every=args.snap_every or 1,
-                                threads=args.threads)
+                                snap_every=args.snap_every or 1)
     run.csv("stability.csv", ["delta", "z_T", "max_step_jump"],
             zip(ladder, report.distances, report.extras["max_jump"]))
     run.manifest({
@@ -277,7 +279,7 @@ def cmd_tightness(run):
 
 def cmd_diagnose(run):
     cadence = run.config.snap_every
-    config = replace(run.config, obs_every=cadence, snap_every=0)
+    config = replace(run.config, obs_every=cadence)
     samples = config.n_samples(cadence)
     if samples < MIN_SAMPLES:
         raise ConfigurationError(

@@ -21,14 +21,17 @@ it is read: with eps > 0, or when an observable reads it at sample 0.
 Transport is pseudo-spectral on the 3/2-rule grid (`_transport`).  An
 overflowing product is not scanned for: it projects to non-finite
 coefficients, and the one finiteness check of each new state turns it
-into a blow-up.  Observables and snapshots stay on the G >= 2N grid:
-every per-sample quantity is an `Observable` of the loop, evaluated when
-the sample is taken through one lazy cache, `ObsContext`, so no series
-is computed from stored snapshots.
+into a blow-up.  Observables stay on the G >= 2N grid: every per-sample
+quantity is an `Observable` of the loop, evaluated when the sample is
+taken through one lazy cache, `ObsContext`.
 
-The `Stepper` keeps its factors and a workspace per batch shape, so
-beyond the new state a step allocates only inside the elliptic solve and
-the transforms; `_run_paths` adds each noise increment in place.
+One stepping loop, the generator `_samples`, yields each sample of a
+batch of paths: `_run_paths` records the observable series of single
+runs, ensembles and the tightness diagnostic and passes snapshots to a
+sink, and the ladders of `sweeps` fold the samples of their runs in
+lockstep.  The `Stepper` keeps its factors and a workspace per batch
+shape, so beyond the new state a step allocates only inside the elliptic
+solve and the transforms; the loop adds each noise increment in place.
 """
 
 from __future__ import annotations
@@ -391,13 +394,12 @@ class SimConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Time series and q snapshots of one seeded sample path; W is seen
-    only through observables (wh<alpha>, <W, phi>)."""
+    """Observable series of one seeded sample path; fields are seen only
+    through observables (W through wh<alpha>, <W, phi>) or a snapshot
+    sink of the loop."""
 
     times: np.ndarray                  # observable sample times
     observables: dict                  # name -> array over times
-    snap_times: np.ndarray             # snapshot times (may be empty)
-    q_snapshots: np.ndarray            # (S, 3, Nx, Ny) spectral
     stream: int
     config: SimConfig
     blow_time: float | None = None     # set by a blow-up
@@ -555,19 +557,23 @@ def _abs_peak(grid):
 
 def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
                    noise_path: BrownianIncrements | None = None,
-                   initial: np.ndarray | None = None) -> TrajectoryRecord:
-    """Integrate q from t=0 to the horizon.
+                   initial: np.ndarray | None = None,
+                   sink=None) -> TrajectoryRecord:
+    """Integrate q from t=0 to the horizon: `_run_paths` with P = 1.
 
     Deterministic given (config, stream): noise comes from the Philox
     stream (config.seed, stream), or from a pregenerated path for
     noise-coupled comparisons.  An explicit coefficient array `initial`
-    overrides the config descriptor.  A blow-up (BlowUpError) or a CFL
-    abort (TimeStepError) carries the partial record.  This is
-    `_run_paths` with P = 1.
+    overrides the config descriptor.  A `sink(t, q)` receives the (3, Nx,
+    Ny) q at each snapshot time (config.snap_every) as the loop takes it.
+    A blow-up (BlowUpError) or a CFL abort (TimeStepError) carries the
+    partial record.
     """
     if observables is None:
         observables = parse_observables(DEFAULT_OBSERVABLES)
-    return _run_paths(config, observables, [stream], initial, noise_path)[0]
+    take = None if sink is None else (lambda t, q: sink(t, q[0]))
+    return _run_paths(config, observables, [stream], initial, noise_path,
+                      sink=take)[0]
 
 
 # Standard normals drawn per refill, over all paths: 512 KB of doubles.
@@ -578,33 +584,68 @@ _BATCH_POINTS = 1 << 17
 
 
 def _run_paths(cfg: SimConfig, observables, streams, initial=None,
-               noise_path=None, hook=None, threads: int = 1) -> list:
-    """Step P = len(streams) paths as one (P, 3, Nx, Ny) state.
+               noise_path=None, hook=None, sink=None,
+               threads: int = 1) -> list:
+    """Step P = len(streams) paths, the `_batches` of `_samples` (on
+    `threads` pool threads if `_blas_pinned()`, else BLAS threads
+    oversubscribe), and record every observable at each sample of
+    cfg.obs_every; a `sink(t, q)` receives a batch's (P_b, 3, Nx, Ny) q at
+    each sample of cfg.snap_every.  A blow-up (BlowUpError) or a CFL abort
+    (TimeStepError) carries the partial record of the path whose state is
+    largest at the last sample."""
+    n_steps, snaps = cfg.n_steps, cfg.snap_every if sink else 0
 
-    Path p starts from `initial` (one (3, Nx, Ny) datum for every path,
-    or row p of a (P, 3, Nx, Ny) array; default the config descriptor)
-    and draws from the Philox stream (cfg.seed, streams[p]), per step
-    the K normals of its increment (unless the noise is off or comes from
-    `noise_path`), then, with a `hook`, K more normals for the
-    `hook(dw, normals)` called after each increment with the (K, P)
-    weighted increments (None without noise) and those (K, P) normals.
-    Blocks of steps are drawn at once, as the same normals step by step;
-    each block's increment rows are weighted by c_k sqrt(dt) once, when
-    it is drawn, and a step's `dw` is a view of its row.  W_0 = 0 is kept
-    only if eps > 0 or an observable reads it at sample 0; otherwise a
-    later read of it raises SamplingError.
-    Every operation acts on each path alone, so path p's bytes depend
-    neither on P nor on its place in the batch; the CFL guard watches the
-    largest |u| of all paths.  Returns one TrajectoryRecord per path; a
-    blow-up raises BlowUpError, and a CFL abort the guard's TimeStepError,
-    with the partial record of the path with the largest state.  Paths
-    past _BATCH_POINTS step in further batches, on `threads` pool threads
-    if `_blas_pinned()` (else pool and BLAS threads oversubscribe).
-    """
-    basis, n_steps, n_paths = cfg.basis, cfg.n_steps, len(streams)
+    def record(batch):
+        part, samples = batch
+        series = np.empty((cfg.n_samples(cfg.obs_every), len(observables),
+                           len(part)))
+        times, stop = [], None
+        # overflows surface as non-finite values, which the finiteness
+        # check of each new state turns into a blow-up
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for j, ctx in samples:
+                    q = ctx.q_hat
+                    if snaps and (j % snaps == 0 or j == n_steps):
+                        sink(j * cfg.dt, q)
+                    if j % cfg.obs_every == 0 or j == n_steps:
+                        for o, ob in enumerate(observables):
+                            series[len(times), o] = ob(ctx)
+                        times.append(j * cfg.dt)
+                    del ctx         # its grids go before the next steps
+            except (BlowUpError, TimeStepError) as exc:
+                stop = exc
+        blow = stop.time if isinstance(stop, BlowUpError) else None
+        data = series[:len(times)].transpose(2, 1, 0).copy()    # (P, O, T)
+        records = [TrajectoryRecord(
+            times=np.array(times), stream=stream, config=cfg, blow_time=blow,
+            observables={ob.name: data[p, o]
+                         for o, ob in enumerate(observables)})
+            for p, stream in enumerate(part)]
+        if stop is not None:
+            stop.record = records[np.argmax(
+                np.abs(q).reshape(len(part), -1).max(-1))]
+            raise stop
+        return records
+
+    batches = _batches(cfg, streams, initial, noise_path, hook,
+                       (cfg.obs_every, snaps))
+    return [rec for records in _fan_out(
+                record, batches,
+                threads if len(batches) > 1 and _blas_pinned() else 1)
+            for rec in records]
+
+
+def _batches(cfg: SimConfig, streams, initial=None, noise_path=None,
+             hook=None, every=(1,)) -> list:
+    """(streams, `_samples` generator) of each batch of at most
+    _BATCH_POINTS grid points over paths and layers.  Path p starts from
+    `initial` (one (3, Nx, Ny) datum for every path, or row p of a (P, 3,
+    Nx, Ny) array; default the config descriptor)."""
+    basis, n_paths = cfg.basis, len(streams)
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
-    if noise_path is not None and (noise_path.n_steps != n_steps or abs(
+    if noise_path is not None and (noise_path.n_steps != cfg.n_steps or abs(
             noise_path.dt - cfg.dt) > 1e-12 * cfg.dt):
         raise ConfigurationError("noise path does not match config grid")
     shape = (N_LAYERS,) + basis.spectral_shape
@@ -614,93 +655,81 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
         raise ShapeError(f"initial shape {initial.shape} invalid")
     _keep_freed_heap()
     per_batch = max(1, _BATCH_POINTS // (N_LAYERS * basis.quad_weights.size))
-    if n_paths > per_batch:
-        def batch(i):
-            part = initial if initial.ndim == 3 else initial[i:i + per_batch]
-            return _run_paths(cfg, observables, streams[i:i + per_batch],
-                              part, noise_path, hook)
-        return [rec for records in _fan_out(
-                    batch, range(0, n_paths, per_batch),
-                    threads if _blas_pinned() else 1)
-                for rec in records]
+    return [(streams[i:i + per_batch], _samples(
+                cfg, streams[i:i + per_batch],
+                initial if initial.ndim == 3 else initial[i:i + per_batch],
+                noise_path, hook, every))
+            for i in range(0, n_paths, per_batch)]
+
+
+def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
+    """The stepping loop of every run: step P = len(streams) paths as one
+    (P, 3, Nx, Ny) state and yield (j, ObsContext of q and W) at each
+    sample j: t = 0, the horizon and each multiple of a cadence in `every`
+    (steps; 0 adds none).  A yielded q is never written to again.
+
+    Path p draws from the Philox stream (cfg.seed, streams[p]), per step
+    the K normals of its increment (unless the noise is off or comes from
+    `noise_path`), then, with a `hook`, K more normals for the
+    `hook(dw, normals)` called after each increment with the (K, P)
+    weighted increments (None without noise) and those (K, P) normals.
+    Blocks of steps are drawn at once, as the same normals step by step,
+    and weighted by c_k sqrt(dt) once.  Every operation acts on each path
+    alone, so path p's bytes depend neither on P nor on its place in the
+    batch; the CFL guard watches the largest |u| of all paths.  W_0 = 0 is
+    kept past sample 0 only if eps > 0 or the consumer read `w_hat` there.
+    The consumer silences overflow warnings around its loop: none is
+    silenced across a yield, so a generator may be resumed on any thread,
+    in turn with others.
+    """
+    n_steps, n_paths, k = cfg.n_steps, len(streams), cfg.noise.k
+
+    def next_sample(j):
+        return min([n_steps] + [(j // c + 1) * c for c in every if c])
+
     stepper = Stepper(cfg)
-    q = np.broadcast_to(initial, (n_paths,) + shape)     # never written to
+    q = np.broadcast_to(initial, (n_paths, N_LAYERS)
+                        + cfg.basis.spectral_shape)     # never written to
     w = np.zeros(q.shape)           # W_0 = 0, dropped after sample 0 if unread
     noisy = cfg.noise.active
     drawn = int(noisy and noise_path is None)
-    rows, k = drawn + (hook is not None), cfg.noise.k
+    rows = drawn + (hook is not None)
     gens = [rngmod.stream(cfg.seed, s) for s in streams] if rows else []
     block_steps = max(1, _BLOCK_NORMALS // max(1, rows * k * n_paths))
     scale = cfg.noise.c[:, None] * np.sqrt(cfg.dt)
-    series = np.empty((cfg.n_samples(cfg.obs_every), len(observables),
-                       n_paths))
-    n_snaps = cfg.n_samples(cfg.snap_every) if cfg.snap_every else 0
-    q_snaps = np.empty((n_snaps,) + q.shape)
-    times, snap_times = [], []
-
-    def record(j):
-        """Take sample j; at an observable sample, whether W was read."""
-        if cfg.snap_every and (j % cfg.snap_every == 0 or j == n_steps):
-            q_snaps[len(snap_times)] = q
-            snap_times.append(j * cfg.dt)
-        if j % cfg.obs_every == 0 or j == n_steps:
-            ctx = ObsContext(cfg.coupling, q, w)
-            for o, ob in enumerate(observables):
-                series[len(times), o] = ob(ctx)
-            times.append(j * cfg.dt)
-            return ctx.w_read
-
-    def build(blow_time=None):
-        data = series[:len(times)].transpose(2, 1, 0).copy()    # (P, O, T)
-        s = len(snap_times)         # a partial record keeps those written
-        return [TrajectoryRecord(
-            times=np.array(times), snap_times=np.array(snap_times),
-            observables={ob.name: data[p, o]
-                         for o, ob in enumerate(observables)},
-            q_snapshots=q_snaps[:s, p], stream=stream, config=cfg,
-            blow_time=blow_time)
-            for p, stream in enumerate(streams)]
-
-    def partial(blow_time=None):
-        """The record so far of the path with the largest state."""
-        worst = np.argmax(np.abs(q).reshape(n_paths, -1).max(-1))
-        return build(blow_time)[worst]
-
-    # overflows surface as non-finite values, which the finiteness check
-    # of each new state turns into a blow-up
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not (record(0) or cfg.viscosity > 0):
-            w = None
-        for j in range(1, n_steps + 1):
-            t_prev = (j - 1) * cfg.dt
-            try:
-                q = stepper.advance(q, w, t_prev)
-            except FloatingPointError as exc:
-                raise BlowUpError(str(exc), time=t_prev,
-                                  record=partial(t_prev))
-            except TimeStepError as exc:
-                exc.record = partial()
-                raise
-            i = (j - 1) % block_steps
-            if gens and i == 0:
-                steps = min(block_steps, n_steps - j + 1)
-                block = np.empty((steps, rows, k, n_paths))
-                for p, gen in enumerate(gens):
-                    block[..., p] = gen.standard_normal((steps, rows, k))
-                if drawn:
-                    block[:, 0] *= scale
-            dw = None
-            if noisy:
-                dw = block[i, 0] if drawn else \
-                    noise_path.increments[j - 1][:, None]
-                field = stepper.mixer.coefficients(dw)
-                q += field
-                if w is not None:
-                    w += field
-            if hook is not None:
-                hook(dw, block[i, drawn])
-            record(j)
-    return build()
+    probe = ObsContext(cfg.coupling, q, w)
+    yield 0, probe
+    if not (probe.w_read or cfg.viscosity > 0):
+        w = None
+    del probe
+    mark = next_sample(0)
+    for j in range(1, n_steps + 1):
+        t_prev = (j - 1) * cfg.dt
+        try:
+            q = stepper.advance(q, w, t_prev)
+        except FloatingPointError as exc:
+            raise BlowUpError(str(exc), time=t_prev)
+        i = (j - 1) % block_steps
+        if gens and i == 0:
+            steps = min(block_steps, n_steps - j + 1)
+            block = np.empty((steps, rows, k, n_paths))
+            for p, gen in enumerate(gens):
+                block[..., p] = gen.standard_normal((steps, rows, k))
+            if drawn:
+                block[:, 0] *= scale
+        dw = None
+        if noisy:
+            dw = block[i, 0] if drawn else \
+                noise_path.increments[j - 1][:, None]
+            field = stepper.mixer.coefficients(dw)
+            q += field
+            if w is not None:
+                w += field
+        if hook is not None:
+            hook(dw, block[i, drawn])
+        if j == mark:
+            mark = next_sample(j)
+            yield j, ObsContext(cfg.coupling, q, w)
 
 
 def _fan_out(worker, items, threads):

@@ -74,7 +74,7 @@ def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1,
                 f"horizon {horizon}: horizons must ascend from 0 to "
                 f"{config.horizon} through multiples of dt * obs_every = "
                 f"{spacing:g} or {config.horizon} itself")
-    cfg = replace(config, init="zero", snap_every=0)
+    cfg = replace(config, init="zero")
     records = _run_paths(cfg, observables, range(n_paths), threads=threads)
     times = records[0].times
     series = np.array([[rec.observables[ob.name] for ob in observables]
@@ -143,7 +143,7 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
     """
     if rate <= config.gamma / 2:
         raise ConfigurationError("rate should exceed gamma/2")
-    cfg = replace(config, init="zero", horizon=horizon, snap_every=0,
+    cfg = replace(config, init="zero", horizon=horizon,
                   obs_every=TIGHTNESS_SAMPLE_EVERY)
     mixer = NoiseMixer(cfg.noise, cfg.pairs)
     zeta = np.zeros(cfg.noise.k)

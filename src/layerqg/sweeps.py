@@ -6,9 +6,10 @@ the identical Brownian increments (pregenerated per eigenpair and summed
 for coarser steps, or scattered into finer mode cuts), so reported
 distances measure discretization and parameter effects only.
 
-Galerkin and viscosity rungs differ in basis or linear operator: each is
-one `run_trajectory` call, and `dynamics._fan_out` spreads them over
-threads.  The stability runs are the paths of one `_run_paths` call.
+Every study streams: the sample generators of its runs (`dynamics._batches`:
+one-path rungs, or the paths of the stability batch) step in lockstep in
+the calling thread, and each sample is folded into a running result (a sup
+distance, a scalar series) before the next, so no field outlives it.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ import numpy as np
 
 from . import rng as rngmod
 from .coupling import eigenpairs, solve_elliptic_coeffs, symmetrize
-from .dynamics import (SimConfig, TrajectoryRecord, _fan_out, _run_paths,
-                       initial_coeffs, run_trajectory)
-from .errors import ConfigurationError, ShapeError
+from .dynamics import SimConfig, _batches, initial_coeffs
+from .errors import BlowUpError, ConfigurationError, TimeStepError
 from .experiments import _trapz
 from .noise import BrownianIncrements, sample_path
-from .spectral import LayerField, build_basis
+from .spectral import N_LAYERS, LayerField, build_basis
 
 
 @dataclass
@@ -78,29 +78,45 @@ def _coupled_path(config: SimConfig, stream: int) -> BrownianIncrements:
     return sample_path(config.noise, config.n_steps, config.dt, gen)
 
 
-def _l2_sup_distance(rec_a: TrajectoryRecord, rec_b: TrajectoryRecord) -> float:
-    """sup_t L2 distance via Parseval, coarse modes taken as zero: the
-    squared difference over the shared block plus each rung's tail."""
-    qa, qb = rec_a.q_snapshots, rec_b.q_snapshots
-    if qa.shape[0] != qb.shape[0]:
-        raise ShapeError("records have different snapshot counts")
-    nx, ny = min(qa.shape[2], qb.shape[2]), min(qa.shape[3], qb.shape[3])
-    total = sum(np.einsum("sijk,sijk->s", part, part) for part in (
-        qa[..., :nx, :ny] - qb[..., :nx, :ny], qa[..., nx:, :],
-        qa[..., :nx, ny:], qb[..., nx:, :], qb[..., :nx, ny:]))
-    return float(np.max(np.sqrt(total)))
+def _lockstep(batches, fold):
+    """Step the `_batches` runs together, one sample of each in turn, and
+    call fold(samples) with their (j, ObsContext) samples; returns each
+    run's stepping seconds, summed over its samples.  An abort (blow-up or
+    CFL) in any run stops the study at that sample, once the others have
+    stepped to it, and the earliest abort raises.  Overflow warnings are
+    silenced around the drive, never across a yield."""
+    seconds = np.zeros(len(batches))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            samples, stops = [], []
+            for i, (_, gen) in enumerate(batches):
+                tic = time.perf_counter()
+                try:
+                    samples.append(next(gen, None))
+                except (BlowUpError, TimeStepError) as exc:
+                    stops.append(exc)
+                seconds[i] += time.perf_counter() - tic
+            if stops:
+                raise min(stops, key=lambda exc: exc.time)
+            if samples[0] is None:
+                return seconds
+            fold(samples)
 
 
-def _h_minus1_sup_distance(rec_a, rec_b) -> float:
-    d = rec_a.q_snapshots - rec_b.q_snapshots
-    weighted = d**2 / rec_a.config.basis.eigenvalues
-    return float(np.max(np.sqrt(np.sum(weighted, axis=(1, 2, 3)))))
+def _l2_distance(qa, qb) -> float:
+    """L2 distance of two (3, Nx, Ny) coefficient arrays via Parseval, a
+    missing mode taken as zero: the shared block's plus both tails'."""
+    nx, ny = min(qa.shape[1], qb.shape[1]), min(qa.shape[2], qb.shape[2])
+    return float(np.sqrt(sum(np.einsum("ijk,ijk->", part, part) for part in (
+        qa[:, :nx, :ny] - qb[:, :nx, :ny], qa[:, nx:, :], qa[:, :nx, ny:],
+        qb[:, nx:, :], qb[:, :nx, ny:]))))
 
 
-def galerkin_sweep(config: SimConfig, n_ladder, snap_every: int = 1,
-                   threads: int = 1) -> SweepReport:
+def galerkin_sweep(config: SimConfig, n_ladder,
+                   snap_every: int = 1) -> SweepReport:
     """Same noise path and initial datum across ascending mode cuts;
-    reports sup_t L2 distances between consecutive rungs.
+    reports sup_t L2 distances between consecutive rungs, over samples
+    every `snap_every` steps.
 
     Noise eigenpairs must fit inside the coarsest cut so the coefficients
     transfer by eigenpair identity.
@@ -116,69 +132,85 @@ def galerkin_sweep(config: SimConfig, n_ladder, snap_every: int = 1,
               config.pairs.mode_m[:k].max() > n_min):
         raise ConfigurationError(
             "noise truncation uses modes beyond the coarsest rung")
-    path = _coupled_path(config, stream=0)
 
     def rung(n):
         basis = build_basis(config.basis.lx, config.basis.ly, n, n)
         coupling = symmetrize(config.coupling.lambdas, basis,
                               config.coupling.scale)
-        pairs = eigenpairs(coupling, max(k, 1))
-        cfg = replace(config, pairs=pairs, snap_every=snap_every)
-        tic = time.perf_counter()
-        rec = run_trajectory(cfg, observables=[], noise_path=path)
-        return rec, time.perf_counter() - tic
+        return replace(config, pairs=eigenpairs(coupling, max(k, 1)))
 
-    records, runtimes = zip(*_fan_out(rung, n_ladder, threads))
-    dists = np.array([_l2_sup_distance(a, b)
-                      for a, b in zip(records, records[1:])])
+    sup = np.zeros(len(n_ladder) - 1)
+
+    def fold(samples):
+        qs = [ctx.q_hat[0] for _, ctx in samples]
+        for i, (qa, qb) in enumerate(zip(qs, qs[1:])):
+            sup[i] = max(sup[i], _l2_distance(qa, qb))
+
+    path = _coupled_path(config, stream=0)
+    runtimes = _lockstep([run for n in n_ladder for run in _batches(
+        rung(n), [0], noise_path=path, every=(snap_every,))], fold)
     return SweepReport(kind="galerkin", ladder=n_ladder,
-                       distance_name="sup_t L2", distances=dists,
-                       runtimes=np.array(runtimes))
+                       distance_name="sup_t L2", distances=sup,
+                       runtimes=runtimes)
 
 
-def viscosity_sweep(config: SimConfig, eps_ladder, snap_every: int = 1,
-                    threads: int = 1) -> SweepReport:
+def viscosity_sweep(config: SimConfig, eps_ladder,
+                    snap_every: int = 1) -> SweepReport:
     """Fixed seed and mode cut, viscosity ladder decreasing toward zero.
 
     Reports sup_t H^-1 distances between consecutive rungs and the
-    products eps * ||q^eps||_{L2_t H1_x} per rung.
+    products eps * ||q^eps||_{L2_t H1_x} per rung, over samples every
+    `snap_every` steps.
     """
     eps_ladder = list(eps_ladder)
     if len(eps_ladder) < 3:
         raise ConfigurationError("ladder needs at least 3 rungs")
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ConfigurationError("eps ladder must be strictly decreasing")
+    lam, rungs = config.basis.eigenvalues, len(eps_ladder)
+    # per sample, in one workspace: each rung's q and each pair's
+    # difference, squared and weighted in place (H^1, H^-1) and summed in
+    # one reduction (three N=16 rungs: 15 us against 25 us with fresh
+    # temporaries, beside about 230 us of stepping per sample)
+    work = np.empty((2 * rungs - 1, N_LAYERS) + lam.shape)
+    sup = np.zeros(rungs - 1)
+    times, h1_sq = [], []           # h1_sq: per sample, ||q||_H1^2 per rung
+
+    def fold(samples):
+        q, d = work[:rungs], work[rungs:]
+        np.concatenate([ctx.q_hat for _, ctx in samples], out=q)
+        np.subtract(q[:-1], q[1:], out=d)
+        np.square(work, out=work)
+        q *= lam
+        d /= lam
+        sums = np.sum(work, axis=(1, 2, 3))
+        times.append(samples[0][0] * config.dt)
+        h1_sq.append(sums[:rungs])
+        np.maximum(sup, np.sqrt(sums[rungs:]), out=sup)
+
     path = _coupled_path(config, stream=0)
-
-    def rung(eps):
-        cfg = replace(config, viscosity=eps, snap_every=snap_every)
-        tic = time.perf_counter()
-        rec = run_trajectory(cfg, observables=[], noise_path=path)
-        elapsed = time.perf_counter() - tic
-        h1_sq = np.sum(rec.q_snapshots**2 * cfg.basis.eigenvalues,
-                       axis=(1, 2, 3))
-        return rec, elapsed, eps * np.sqrt(_trapz(h1_sq, rec.snap_times))
-
-    records, runtimes, est2 = zip(*_fan_out(rung, eps_ladder, threads))
-    dists = np.array([_h_minus1_sup_distance(a, b)
-                      for a, b in zip(records, records[1:])])
+    runtimes = _lockstep([run for eps in eps_ladder for run in _batches(
+        replace(config, viscosity=eps), [0], noise_path=path,
+        every=(snap_every,))], fold)
+    est2 = [eps * np.sqrt(_trapz(series, times))
+            for eps, series in zip(eps_ladder, np.transpose(h1_sq))]
     return SweepReport(kind="viscosity", ladder=eps_ladder,
-                       distance_name="sup_t H^-1", distances=dists,
-                       extras={"est2": np.array(est2)},
-                       runtimes=np.array(runtimes))
+                       distance_name="sup_t H^-1", distances=sup,
+                       extras={"est2": np.array(est2)}, runtimes=runtimes)
 
 
 def yudovich_stability(config: SimConfig, delta_ladder,
-                       perturbation: LayerField, snap_every: int = 1,
-                       threads: int = 1) -> SweepReport:
+                       perturbation: LayerField,
+                       snap_every: int = 1) -> SweepReport:
     """Twin runs from q0 and q0 + delta * P on one noise path.
 
-    z_t is the L2 norm of the gradient of the stream-function difference;
-    the report carries z_T per delta (as extras) plus its full series,
-    max step-to-step jump, and the distances between consecutive deltas'
-    z_T as the ladder metric.  The perturbation is sup-normalized.  The
-    base and perturbed runs step as one batch, whose CFL guard watches
-    the largest |u| of them all.
+    z_t is the L2 norm of the gradient of the stream-function difference,
+    at samples every `snap_every` steps; the report carries z_T per delta
+    (as extras) plus its full series, max step-to-step jump, and the
+    distances between consecutive deltas' z_T as the ladder metric.  The
+    perturbation is sup-normalized.  The base and perturbed runs step as
+    the paths of one batched run, whose batches step in lockstep, and
+    the CFL guard of each batch watches the largest |u| of its paths.
     """
     delta_ladder = list(delta_ladder)
     if any(d <= 0 for d in delta_ladder):
@@ -192,15 +224,21 @@ def yudovich_stability(config: SimConfig, delta_ladder,
 
     q0 = initial_coeffs(config.init, config.basis)
     initial = np.stack([q0] + [q0 + delta * pert for delta in delta_ladder])
-    records = _run_paths(replace(config, snap_every=snap_every), [],
-                         [0] * len(initial), initial,
-                         _coupled_path(config, stream=0), threads=threads)
-    psi = solve_elliptic_coeffs(config.coupling, np.stack(
-        [rec.q_snapshots for rec in records]))          # (1 + D, S, ...)
-    z = np.sqrt(np.sum((psi[1:] - psi[0])**2 * config.basis.eigenvalues,
-                       axis=(2, 3, 4)))                 # (D, S)
+    times, z = [], []
+
+    def fold(samples):
+        times.append(samples[0][0] * config.dt)
+        psi = solve_elliptic_coeffs(config.coupling, np.concatenate(
+            [ctx.q_hat for _, ctx in samples]))           # (1 + D, ...)
+        z.append(np.sqrt(np.sum((psi[1:] - psi[0])**2
+                                * config.basis.eigenvalues, axis=(1, 2, 3))))
+
+    _lockstep(_batches(config, [0] * len(initial), initial,
+                       _coupled_path(config, stream=0), every=(snap_every,)),
+              fold)
+    z = np.transpose(z)                                 # (D, S)
     return SweepReport(
         kind="stability", ladder=delta_ladder, distance_name="z_T",
         distances=z[:, -1],
-        extras={"z_series": list(z), "times": records[0].snap_times,
+        extras={"z_series": list(z), "times": np.array(times),
                 "max_jump": np.abs(np.diff(z)).max(axis=1)})

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from layerqg import dynamics
 from layerqg.coupling import eigenpairs, symmetrize
 from layerqg.noise import make_noise
 from layerqg.spectral import build_basis
@@ -30,3 +32,17 @@ def random_band_coeffs(rng, basis, decay=1.0):
     """Random spectral layer coefficients with smooth falloff."""
     raw = rng.standard_normal((3,) + basis.spectral_shape)
     return raw / (1.0 + basis.eigenvalues) ** decay
+
+
+def q_at_snapshots(config, streams=(0,), initial=None, noise_path=None):
+    """(times, q): each path's q at the snapshot times of `config` (its
+    snap_every), as a (S, P, 3, Nx, Ny) array, collected from the sample
+    generators of the stepping loop, batch after batch."""
+    per_batch = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, samples in dynamics._batches(config, list(streams), initial,
+                                            noise_path,
+                                            every=(config.snap_every,)):
+            steps, qs = zip(*((j, ctx.q_hat) for j, ctx in samples))
+            per_batch.append(np.array(qs))
+    return np.array(steps) * config.dt, np.concatenate(per_batch, axis=1)

@@ -22,7 +22,7 @@ from layerqg.runconfig import RunSettings, realize
 from layerqg.spectral import (LayerField, SpectralBasis, build_basis,
                               field_sum, grid_lp_norm, single_mode_field)
 
-from conftest import random_band_coeffs
+from conftest import q_at_snapshots, random_band_coeffs
 
 PI2 = np.pi**2
 
@@ -79,14 +79,14 @@ class TestQForm:
         rng = np.random.default_rng(8)
         init = np.stack([random_band_coeffs(rng, cfg.basis)
                          for _ in range(2)])
-        records = _run_paths(cfg, [], [0, 0], init, path)
+        _, snaps = q_at_snapshots(cfg, [0, 0], init, path)
         stepper = dynamics.Stepper(cfg)
         q = init
         for j, increment in enumerate(path.increments, start=1):
             q = stepper.decay * q + stepper.mixer.coefficients(
                 increment[:, None])
-            for p, rec in enumerate(records):
-                assert np.array_equal(rec.q_snapshots[j], q[p]), (j, p)
+            for p in range(2):
+                assert np.array_equal(snaps[j, p], q[p]), (j, p)
 
     @pytest.mark.parametrize("viscosity, tokens, kept", [
         (0.0, "l2,linf,h1,pair:1.1.0", False),
@@ -127,7 +127,7 @@ class TestQForm:
     def test_w_series_equal_w_accumulated_outside_the_loop(self, nonlinear):
         # wh2, <W, phi> and the eta and W Lp series of one seed, from the
         # W the loop keeps, equal those of W summed here from the same
-        # increments and q from the run's snapshots
+        # increments and q from the snapshots of a rerun on that path
         cfg = _noisy_config(nonlinear=nonlinear)
         phi = single_mode_field(cfg.basis, 1, 2, [1.0, -0.5, 0.25])
         path = sample_path(cfg.noise, cfg.n_steps, cfg.dt,
@@ -138,10 +138,10 @@ class TestQForm:
         mixer = dynamics.Stepper(cfg).mixer
         w = np.zeros((1, 3) + cfg.basis.spectral_shape)
         lam = cfg.basis.eigenvalues
-        for j, q in enumerate(rec.q_snapshots):
+        for j, q in enumerate(q_at_snapshots(cfg, noise_path=path)[1]):
             if j:
                 w += mixer.coefficients(path.increments[j - 1][:, None])
-            ctx = ObsContext(cfg.coupling, q[None], w)
+            ctx = ObsContext(cfg.coupling, q, w)
             want = {"wh2": np.sqrt(field_sum(lam**2 * w**2)),
                     _phi_key("noise_pairing", phi.spectral()):
                         field_sum(w * phi.spectral()),
@@ -344,7 +344,7 @@ class TestTrajectory:
                           init="lowband:3:0.5:3", seed=42, snap_every=5)
         rec_a = run_trajectory(cfg)
         rec_b = run_trajectory(cfg)
-        assert np.array_equal(rec_a.q_snapshots, rec_b.q_snapshots)
+        assert np.array_equal(q_at_snapshots(cfg)[1], q_at_snapshots(cfg)[1])
         for name in rec_a.observables:
             assert np.array_equal(rec_a.observables[name],
                                   rec_b.observables[name])
@@ -391,10 +391,16 @@ class TestTrajectory:
                                quiet_noise):
         cfg = make_config(basis16, coupling16, pairs16, quiet_noise,
                           horizon=0.05, snap_every=2)
-        rec = run_trajectory(cfg)
+        taken = []
+        rec = run_trajectory(cfg, sink=lambda t, q: taken.append((t, q)))
         assert np.all(np.diff(rec.times) > 0)
         assert rec.config is cfg
-        assert rec.q_snapshots.shape[1:] == (3, 16, 16)
+        # the sink takes each path's q at every snapshot time
+        times, snaps = q_at_snapshots(cfg)
+        assert [t for t, _ in taken] == list(times)
+        assert len(times) == cfg.n_samples(cfg.snap_every)
+        for (_, q), want in zip(taken, snaps[:, 0]):
+            assert q.shape == (3, 16, 16) and np.array_equal(q, want)
 
     def test_config_hash_covers_cadences(self, basis16, coupling16, pairs16,
                                          quiet_noise):
@@ -437,11 +443,13 @@ class TestTrajectory:
         obs = parse_observables("l2,l4,linf,h1,gradl4,wh2.5,pair:1.1.0,"
                                 "pairsq:1.2.1", cfg.pairs)
         batch = _run_paths(cfg, obs, range(4))
+        _, batch_q = q_at_snapshots(cfg, range(4))
         for stream, rec in enumerate(batch):
             single = run_trajectory(cfg, obs, stream=stream)
             assert rec.stream == stream
             assert np.array_equal(rec.times, single.times)
-            assert np.array_equal(rec.q_snapshots, single.q_snapshots)
+            assert np.array_equal(batch_q[:, stream],
+                                  q_at_snapshots(cfg, [stream])[1][:, 0])
             for ob in obs:
                 assert np.array_equal(rec.observables[ob.name],
                                       single.observables[ob.name]), ob.name
@@ -461,14 +469,19 @@ class TestTrajectory:
                            rngmod.stream(5, 0))
         singles = [run_trajectory(cfg, obs, noise_path=path, initial=q0)
                    for q0 in init]
+        single_q = [q_at_snapshots(cfg, [0], q0, path)[1][:, 0]
+                    for q0 in init]
         whole = _run_paths(cfg, obs, [0] * 3, init, path)
+        whole_q = q_at_snapshots(cfg, [0] * 3, init, path)[1]
         monkeypatch.setattr(dynamics, "_BATCH_POINTS",
                             2 * 3 * cfg.basis.quad_weights.size)
         monkeypatch.setattr(dynamics, "_blas_pinned", lambda: True)  # pooled
         split = _run_paths(cfg, obs, [0] * 3, init, path, threads=2)
-        for batch in (whole, split):
-            for rec, single in zip(batch, singles, strict=True):
-                assert np.array_equal(rec.q_snapshots, single.q_snapshots)
+        split_q = q_at_snapshots(cfg, [0] * 3, init, path)[1]   # 2 batches
+        for batch, batch_q in ((whole, whole_q), (split, split_q)):
+            for p, (rec, single) in enumerate(zip(batch, singles,
+                                                  strict=True)):
+                assert np.array_equal(batch_q[:, p], single_q[p])
                 for ob in obs:
                     assert np.array_equal(rec.observables[ob.name],
                                           single.observables[ob.name])
@@ -540,6 +553,7 @@ class TestTrajectory:
                                   noise_modes=48), seed=5, snap_every=5)
         obs = parse_observables("l2,linf,h1", cfg.pairs)
         whole = _run_paths(cfg, obs, range(4))
+        whole_q = q_at_snapshots(cfg, range(4))[1]
         sizes = []
         advance = dynamics.Stepper.advance
 
@@ -553,8 +567,8 @@ class TestTrajectory:
         split = _run_paths(cfg, obs, range(4))
         assert set(sizes) == {3, 1}
         assert [rec.stream for rec in split] == [0, 1, 2, 3]
+        assert np.array_equal(whole_q, q_at_snapshots(cfg, range(4))[1])
         for a, b in zip(whole, split):
-            assert np.array_equal(a.q_snapshots, b.q_snapshots)
             for ob in obs:
                 assert np.array_equal(a.observables[ob.name],
                                       b.observables[ob.name])
@@ -565,9 +579,7 @@ def _final_state(basis, coupling, pairs, noise, dt, fine_path, base):
                     gamma=0.5, viscosity=0.0, dt=dt, horizon=0.1,
                     snap_every=int(round(0.1 / dt)), **base)
     factor = int(round(dt / fine_path.dt))
-    rec = run_trajectory(cfg, observables=[],
-                         noise_path=fine_path.coarsen(factor))
-    return rec.q_snapshots[-1]
+    return q_at_snapshots(cfg, noise_path=fine_path.coarsen(factor))[1][-1, 0]
 
 
 class TestGuards:
@@ -595,15 +607,15 @@ class TestGuards:
         cfg = make_config(basis16, coupling16, pairs16, quiet_noise,
                           nonlinear=True, dt=0.01, horizon=0.05,
                           init="mode:1,1:2000,0,0", snap_every=1)
+        taken = []
         with pytest.raises(TimeStepError, match="CFL") as err:
-            run_trajectory(cfg, observables=parse_observables("wh0"))
-        # the partial record keeps the snapshots written before the abort;
-        # the quiet noise leaves W at zero
+            run_trajectory(cfg, observables=parse_observables("wh0"),
+                           sink=lambda t, q: taken.append((t, q)))
+        # the sink took every snapshot before the abort, as the partial
+        # record its samples; the quiet noise leaves W at zero
         rec = err.value.record
-        assert np.array_equal(rec.snap_times, rec.times)
-        assert rec.q_snapshots.shape == (len(rec.times), 3, 16, 16)
-        assert np.array_equal(rec.q_snapshots[0],
-                              initial_coeffs(cfg.init, basis16))
+        assert [t for t, _ in taken] == list(rec.times)
+        assert np.array_equal(taken[0][1], initial_coeffs(cfg.init, basis16))
         assert np.all(rec.observables["wh0"] == 0.0)
 
     def test_blow_up_detected_with_guard_off(self, basis16, coupling16,

@@ -1,21 +1,25 @@
-import numpy as np
-import pytest
+import concurrent.futures
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 from layerqg import cli, rng as rngmod
+from layerqg import dynamics
 from layerqg.dynamics import (ObsContext, Observable, SimConfig,
-                              TrajectoryRecord, parse_observables,
-                              run_trajectory)
-from layerqg.errors import ConfigurationError, SamplingError
+                              parse_observables, run_trajectory)
+from layerqg.errors import (BlowUpError, ConfigurationError, SamplingError,
+                            TimeStepError)
 from layerqg.experiments import (_damped_integrate, log_estimate_monitor,
                                  lp_envelope, monitor_observables,
                                  w14_monitor, weak_residual)
 from layerqg.noise import make_noise, sample_path
 from layerqg.spectral import LayerField, SpectralBasis, single_mode_field
-from layerqg.sweeps import (SweepReport, _l2_sup_distance, galerkin_sweep,
-                            viscosity_sweep, yudovich_stability)
+from layerqg.sweeps import (SweepReport, _l2_distance, _lockstep,
+                            galerkin_sweep, viscosity_sweep,
+                            yudovich_stability)
 
-from conftest import random_band_coeffs
+from conftest import q_at_snapshots, random_band_coeffs
 
 
 def noisy_config(basis, coupling, pairs, sigma=2.0, **kw):
@@ -24,13 +28,6 @@ def noisy_config(basis, coupling, pairs, sigma=2.0, **kw):
                     nonlinear=True, init="lowband:3:1.0:11", seed=5)
     defaults.update(kw)
     return SimConfig(pairs=pairs, noise=noise, **defaults)
-
-
-def _snapshot_record(q_snapshots):
-    """A record of snapshots alone, for the ladder distances."""
-    return TrajectoryRecord(times=np.zeros(1), observables={},
-                            snap_times=np.arange(len(q_snapshots)),
-                            q_snapshots=q_snapshots, stream=0, config=None)
 
 
 def monitored(cfg, exponents=(2, 4), test_functions=(), **kwargs):
@@ -75,9 +72,10 @@ class TestGalerkin:
                            snap_every=5)
         gen = rngmod.stream(5, 0)
         path = sample_path(cfg.noise, cfg.n_steps, cfg.dt, gen)
-        rec_a = run_trajectory(cfg, observables=[], noise_path=path)
-        rec_b = run_trajectory(cfg, observables=[], noise_path=path)
-        assert _l2_sup_distance(rec_a, rec_b) == 0.0
+        _, qa = q_at_snapshots(cfg, noise_path=path)
+        _, qb = q_at_snapshots(cfg, noise_path=path)
+        assert [_l2_distance(a[0], b[0]) for a, b in zip(qa, qb)] == \
+            [0.0] * len(qa)
 
     @pytest.mark.parametrize("shapes", [((8, 8), (12, 12)),
                                         ((8, 12), (12, 10))],
@@ -86,16 +84,15 @@ class TestGalerkin:
         # Parseval over the shared block and both tails gives the sum of
         # the zero-padded difference, without the padded copy
         rng = np.random.default_rng(21)
-        qa, qb = (rng.standard_normal((5, 3) + shape) for shape in shapes)
+        qa, qb = (rng.standard_normal((3,) + shape) for shape in shapes)
         big = tuple(max(a, b) for a, b in zip(*shapes))
-        diff = np.zeros((5, 3) + big)
-        diff[..., :shapes[0][0], :shapes[0][1]] = qa
-        diff[..., :shapes[1][0], :shapes[1][1]] -= qb
-        want = np.max(np.sqrt(np.sum(diff**2, axis=(1, 2, 3))))
-        recs = [_snapshot_record(q) for q in (qa, qb)]
-        got = _l2_sup_distance(*recs)
+        diff = np.zeros((3,) + big)
+        diff[:, :shapes[0][0], :shapes[0][1]] = qa
+        diff[:, :shapes[1][0], :shapes[1][1]] -= qb
+        want = np.sqrt(np.sum(diff**2))
+        got = _l2_distance(qa, qb)
         assert abs(got - want) <= 1e-14 * want
-        assert _l2_sup_distance(*recs[::-1]) == got
+        assert _l2_distance(qb, qa) == got
 
     def test_linear_dynamics_zero_beyond_support(self, basis16, coupling16,
                                                  pairs16):
@@ -139,8 +136,7 @@ class TestViscosity:
 
     def test_report_bit_reproducible(self, basis16, coupling16, pairs16):
         cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.1)
-        reports = [viscosity_sweep(cfg, [0.2, 0.1, 0.05], threads=t)
-                   for t in (1, 3)]
+        reports = [viscosity_sweep(cfg, [0.2, 0.1, 0.05]) for _ in range(2)]
         assert np.array_equal(reports[0].distances, reports[1].distances)
         assert np.array_equal(reports[0].extras["est2"],
                               reports[1].extras["est2"])
@@ -152,9 +148,9 @@ class TestYudovich:
                            snap_every=5)
         gen = rngmod.stream(5, 0)
         path = sample_path(cfg.noise, cfg.n_steps, cfg.dt, gen)
-        rec_a = run_trajectory(cfg, observables=[], noise_path=path)
-        rec_b = run_trajectory(cfg, observables=[], noise_path=path)
-        assert np.array_equal(rec_a.q_snapshots, rec_b.q_snapshots)
+        _, qa = q_at_snapshots(cfg, noise_path=path)
+        _, qb = q_at_snapshots(cfg, noise_path=path)
+        assert np.array_equal(qa, qb)
 
     def test_linear_response_and_jump_bound(self, basis16, coupling16,
                                             pairs16):
@@ -179,6 +175,77 @@ class TestYudovich:
         with pytest.raises(ConfigurationError):
             yudovich_stability(cfg, [1e-1, 1e-2, 1e-3],
                                LayerField.zero(basis16))
+
+
+class TestLockstep:
+    """The ladders drive their sample generators together."""
+
+    @staticmethod
+    def run(n, stop=None, error=TimeStepError, time=None):
+        # a stand-in batch: samples 0..n-1, or an abort on the way to
+        # sample `stop`, at `time` (default 0.1 * stop)
+        def samples():
+            for j in range(n):
+                if j == stop:
+                    raise error("stopped",
+                                time=0.1 * j if time is None else time)
+                yield j, None
+        return [0], samples()
+
+    def test_fold_sees_each_sample_of_all(self):
+        seen = []
+        seconds = _lockstep([self.run(4), self.run(4)], seen.append)
+        assert seen == [[(j, None)] * 2 for j in range(4)]
+        assert seconds.shape == (2,) and np.all(seconds >= 0)
+
+    @pytest.mark.parametrize("error", [TimeStepError, BlowUpError])
+    def test_earliest_abort_raises(self, error):
+        # rung 0 would stop at sample 3, rung 1 stops at sample 2 and so
+        # stops the study there, though rung 0 comes first in order; of
+        # two aborts on the way to one sample, the earlier raises
+        seen = []
+        with pytest.raises(error) as err:
+            _lockstep([self.run(5, 3), self.run(5, 2, error), self.run(5)],
+                      seen.append)
+        assert err.value.time == pytest.approx(0.2)
+        assert [samples[0][0] for samples in seen] == [0, 1]
+        with pytest.raises(error) as err:
+            _lockstep([self.run(5, 2, error, time=0.19),
+                       self.run(5, 2, error, time=0.11)], seen.append)
+        assert err.value.time == 0.11
+
+    def test_sweeps_leave_the_error_state_alone(self, basis16, coupling16,
+                                                pairs16, monkeypatch):
+        # the errstate is entered around each drive, never held across a
+        # yield: the ladders, a run split over two pool threads, and bare
+        # generators stepped in turn or resumed on another thread leave
+        # np.geterr() as they found it
+        before = np.geterr()
+        cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.02,
+                           viscosity=0.05)
+        first, second = (dynamics._batches(cfg, [s])[0][1] for s in (0, 1))
+        for _ in zip(first, second):
+            pass
+        assert list(second) == []       # its last resumption ends it
+        assert np.geterr() == before
+        samples = dynamics._batches(cfg, [0])[0][1]
+        next(samples)
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            pool.submit(list, samples).result(timeout=60)
+        assert np.geterr() == before
+        pert = single_mode_field(basis16, 1, 2, [1.0, -0.5, 0.25])
+        for study in (lambda: galerkin_sweep(cfg, [8, 12, 16]),
+                      lambda: viscosity_sweep(cfg, [0.2, 0.1, 0.05]),
+                      lambda: yudovich_stability(cfg, [0.1, 0.01], pert)):
+            study()
+            assert np.geterr() == before
+        monkeypatch.setattr(dynamics, "_BATCH_POINTS",
+                            2 * 3 * basis16.quad_weights.size)
+        monkeypatch.setattr(dynamics, "_blas_pinned", lambda: True)
+        records = dynamics._run_paths(cfg, parse_observables("l2"), range(4),
+                                      threads=2)
+        assert len(records) == 4
+        assert np.geterr() == before
 
 
 class TestWeakResidual:

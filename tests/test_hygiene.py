@@ -15,10 +15,11 @@ imports, deferred imports included, and compares them with the
 every `_`-prefixed name a module of `src/layerqg/` imports from a
 sibling module, so that a new crossing of a module boundary is a
 visible change to this file.
-The per-sample scans keep the elliptic solve, the grid reductions and
-the stored snapshots out of `experiments`: its monitor series are
-observables of the stepping loop, which read them through
-`dynamics.ObsContext`, the one per-sample cache.  The transform-table
+The per-sample scans keep the elliptic solve and the grid reductions
+out of `experiments`: its monitor series are observables of the stepping
+loop, which read them through `dynamics.ObsContext`, the one per-sample
+cache.  No module of `src/layerqg/` reads stored snapshots: every study
+streams its samples through the loop.  The transform-table
 scan keeps the private tables of `SpectralBasis` inside `spectral`, so
 the package has one transform implementation.
 """
@@ -27,6 +28,8 @@ import ast
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for folder in ("src/layerqg", "tests")
@@ -159,8 +162,7 @@ def test_private_sibling_imports_are_known():
                      "cli: dynamics._keep_freed_heap",
                      "measures: dynamics._run_paths",
                      "measures: experiments._cumtrapz",
-                     "sweeps: dynamics._fan_out",
-                     "sweeps: dynamics._run_paths",
+                     "sweeps: dynamics._batches",
                      "sweeps: experiments._trapz"]
 
 
@@ -204,8 +206,10 @@ def test_only_spectral_reads_the_transform_tables():
     assert readers == ["spectral.py"]
 
 
-def test_monitors_read_no_snapshots():
-    # the monitor series are observables of the stepping loop; nothing in
-    # experiments replays stored fields
-    attrs = attributes_read((ROOT / "src/layerqg/experiments.py").read_text())
-    assert not attrs & {"q_snapshots", "snap_times"}
+@pytest.mark.parametrize("path", sorted((ROOT / "src/layerqg").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_monitors_read_no_snapshots(path):
+    # every study streams through the stepping loop; no module replays
+    # stored fields
+    assert not attributes_read(path.read_text()) & {"q_snapshots",
+                                                    "snap_times"}
