@@ -506,17 +506,9 @@ class TestCli:
             peak_mb.append(int(proc.stdout) / 1024)
         assert abs(peak_mb[1] - peak_mb[0]) < 3.0, peak_mb
 
-    @pytest.mark.skipif(sys.platform != "linux",
-                        reason="ru_maxrss is in KB on Linux")
-    @pytest.mark.parametrize("command, flags", [
-        ("run", ["--snap-every", "1"]),
-        ("galerkin", ["--n-ladder", "8,16,32", "--snap-every", "1"]),
-        ("stability", ["--snap-every", "1"])])
-    def test_run_snapshots_keep_q_alone(self, tmp_path, command, flags):
-        # each sample is written (run) or folded into a running result (the
-        # ladders) when it is taken, so 1000 more samples at N=32 add no
-        # field: stored, their q coefficients would be 23.4 MiB per path
-        # and rung
+    @staticmethod
+    def _peak_mb_per_sample_count(tmp_path, command, flags):
+        # peak RSS of `command` at N=32 with 1000 and with 2000 samples
         script = textwrap.dedent("""
             import resource, sys
             from layerqg.cli import main
@@ -541,6 +533,28 @@ class TestCli:
             if command == "run":
                 assert len(list(out.glob("snapshot_*.lqg"))) == samples
             peak_mb.append(int(proc.stdout) / 1024)
+        return peak_mb
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in KB on Linux")
+    def test_run_snapshots_keep_q_alone(self, tmp_path):
+        # each snapshot is written when it is taken, so 1000 more snapshots
+        # at N=32 add no field: stored, their q coefficients would be
+        # 23.4 MiB
+        peak_mb = self._peak_mb_per_sample_count(
+            tmp_path, "run", ["--snap-every", "1"])
+        assert peak_mb[1] - peak_mb[0] < 3.0, peak_mb
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in KB on Linux")
+    @pytest.mark.parametrize("command, flags", [
+        ("galerkin", ["--n-ladder", "8,16,32", "--snap-every", "1"]),
+        ("stability", ["--snap-every", "1"])])
+    def test_ladder_samples_keep_no_field(self, tmp_path, command, flags):
+        # each sample is folded into a running result when it is taken, so
+        # 1000 more samples at N=32 add no field: stored, their q
+        # coefficients would be 23.4 MiB per path and rung
+        peak_mb = self._peak_mb_per_sample_count(tmp_path, command, flags)
         assert peak_mb[1] - peak_mb[0] < 3.0, peak_mb
 
     @pytest.mark.parametrize("command, cfg, flags", [
