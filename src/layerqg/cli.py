@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -178,11 +177,10 @@ def _common(parser):
 def cmd_run(run):
     config = run.config
     observables = parse_observables(run.settings.observables, config.pairs)
-    index = itertools.count()
 
-    def snapshot(t, q):
-        path = run.path(f"snapshot_{next(index):06d}.lqg")
-        write_field(path, LayerField.from_coeffs(config.basis, q))
+    def snapshot(t, q):         # the artifacts so far are the snapshots
+        path = run.path(f"snapshot_{len(run.artifacts):06d}.lqg")
+        write_field(path, LayerField.from_coeffs(config.basis, q[0]))
         run.artifacts.append(path)
 
     try:

@@ -564,16 +564,13 @@ def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
     Deterministic given (config, stream): noise comes from the Philox
     stream (config.seed, stream), or from a pregenerated path for
     noise-coupled comparisons.  An explicit coefficient array `initial`
-    overrides the config descriptor.  A `sink(t, q)` receives the (3, Nx,
-    Ny) q at each snapshot time (config.snap_every) as the loop takes it.
-    A blow-up (BlowUpError) or a CFL abort (TimeStepError) carries the
-    partial record.
+    overrides the config descriptor.  A `sink` and the partial record of
+    an abort are those of `_run_paths`.
     """
     if observables is None:
         observables = parse_observables(DEFAULT_OBSERVABLES)
-    take = None if sink is None else (lambda t, q: sink(t, q[0]))
     return _run_paths(config, observables, [stream], initial, noise_path,
-                      sink=take)[0]
+                      sink=sink)[0]
 
 
 # Standard normals drawn per refill, over all paths: 512 KB of doubles.
@@ -586,13 +583,12 @@ _BATCH_POINTS = 1 << 17
 def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                noise_path=None, hook=None, sink=None,
                threads: int = 1) -> list:
-    """Step P = len(streams) paths, the `_batches` of `_samples` (on
-    `threads` pool threads if `_blas_pinned()`, else BLAS threads
-    oversubscribe), and record every observable at each sample of
-    cfg.obs_every; a `sink(t, q)` receives a batch's (P_b, 3, Nx, Ny) q at
-    each sample of cfg.snap_every.  A blow-up (BlowUpError) or a CFL abort
-    (TimeStepError) carries the partial record of the path whose state is
-    largest at the last sample."""
+    """Step the `_batches` of P = len(streams) paths (on `threads` pool
+    threads if `_blas_pinned()`, else BLAS threads oversubscribe) and
+    record every observable at each sample of cfg.obs_every; a `sink(t,
+    q)` receives a batch's (P_b, 3, Nx, Ny) q at each sample of
+    cfg.snap_every.  An abort carries the partial record of the path whose
+    state was largest before the failing step."""
     n_steps, snaps = cfg.n_steps, cfg.snap_every if sink else 0
 
     def record(batch):
@@ -600,14 +596,12 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
         series = np.empty((cfg.n_samples(cfg.obs_every), len(observables),
                            len(part)))
         times, stop = [], None
-        # overflows surface as non-finite values, which the finiteness
-        # check of each new state turns into a blow-up
+        # an overflow surfaces as a non-finite state: a blow-up
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 for j, ctx in samples:
-                    q = ctx.q_hat
                     if snaps and (j % snaps == 0 or j == n_steps):
-                        sink(j * cfg.dt, q)
+                        sink(j * cfg.dt, ctx.q_hat)
                     if j % cfg.obs_every == 0 or j == n_steps:
                         for o, ob in enumerate(observables):
                             series[len(times), o] = ob(ctx)
@@ -623,17 +617,16 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                          for o, ob in enumerate(observables)})
             for p, stream in enumerate(part)]
         if stop is not None:
-            stop.record = records[np.argmax(
-                np.abs(q).reshape(len(part), -1).max(-1))]
+            stop.record = records[stop.worst]
             raise stop
         return records
 
     batches = _batches(cfg, streams, initial, noise_path, hook,
                        (cfg.obs_every, snaps))
-    return [rec for records in _fan_out(
-                record, batches,
-                threads if len(batches) > 1 and _blas_pinned() else 1)
-            for rec in records]
+    if threads > 1 and len(batches) > 1 and _blas_pinned():
+        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+            return [rec for recs in pool.map(record, batches) for rec in recs]
+    return [rec for batch in batches for rec in record(batch)]
 
 
 def _batches(cfg: SimConfig, streams, initial=None, noise_path=None,
@@ -645,6 +638,8 @@ def _batches(cfg: SimConfig, streams, initial=None, noise_path=None,
     basis, n_paths = cfg.basis, len(streams)
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
+    if min(every) < 0:
+        raise ConfigurationError("snap_every must be >= 0")
     if noise_path is not None and (noise_path.n_steps != cfg.n_steps or abs(
             noise_path.dt - cfg.dt) > 1e-12 * cfg.dt):
         raise ConfigurationError("noise path does not match config grid")
@@ -663,10 +658,10 @@ def _batches(cfg: SimConfig, streams, initial=None, noise_path=None,
 
 
 def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
-    """The stepping loop of every run: step P = len(streams) paths as one
-    (P, 3, Nx, Ny) state and yield (j, ObsContext of q and W) at each
-    sample j: t = 0, the horizon and each multiple of a cadence in `every`
-    (steps; 0 adds none).  A yielded q is never written to again.
+    """The stepping loop: step P = len(streams) paths as one (P, 3, Nx,
+    Ny) state and yield (j, ObsContext of q and W) at each sample j: t = 0,
+    the horizon and each multiple of a cadence in `every` (steps; 0 adds
+    none).  A yielded q is never written to again.
 
     Path p draws from the Philox stream (cfg.seed, streams[p]), per step
     the K normals of its increment (unless the noise is off or comes from
@@ -676,11 +671,12 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
     Blocks of steps are drawn at once, as the same normals step by step,
     and weighted by c_k sqrt(dt) once.  Every operation acts on each path
     alone, so path p's bytes depend neither on P nor on its place in the
-    batch; the CFL guard watches the largest |u| of all paths.  W_0 = 0 is
-    kept past sample 0 only if eps > 0 or the consumer read `w_hat` there.
-    The consumer silences overflow warnings around its loop: none is
-    silenced across a yield, so a generator may be resumed on any thread,
-    in turn with others.
+    batch; the CFL guard watches the largest |u| of all paths.  A blow-up
+    (BlowUpError) or CFL abort (TimeStepError) carries `worst`, the index
+    of the path with the largest state before the failing step.  W_0 = 0
+    is kept past sample 0 only if eps > 0 or the consumer read `w_hat`
+    there.  The consumer silences overflow warnings: none is silenced
+    across a yield, so a generator may resume on any thread.
     """
     n_steps, n_paths, k = cfg.n_steps, len(streams), cfg.noise.k
 
@@ -707,8 +703,11 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
         t_prev = (j - 1) * cfg.dt
         try:
             q = stepper.advance(q, w, t_prev)
-        except FloatingPointError as exc:
-            raise BlowUpError(str(exc), time=t_prev)
+        except (FloatingPointError, TimeStepError) as exc:
+            stop = exc if isinstance(exc, TimeStepError) else \
+                BlowUpError(str(exc), time=t_prev)
+            stop.worst = np.argmax(np.abs(q).reshape(n_paths, -1).max(-1))
+            raise stop
         i = (j - 1) % block_steps
         if gens and i == 0:
             steps = min(block_steps, n_steps - j + 1)
@@ -730,16 +729,6 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
         if j == mark:
             mark = next_sample(j)
             yield j, ObsContext(cfg.coupling, q, w)
-
-
-def _fan_out(worker, items, threads):
-    """[worker(item) for item in items], on `threads` pool threads when
-    more than one.  The results keep the order of `items`, and the first
-    item whose worker raised, in that order, raises."""
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
 
 
 def _blas_threads():

@@ -6,10 +6,9 @@ the identical Brownian increments (pregenerated per eigenpair and summed
 for coarser steps, or scattered into finer mode cuts), so reported
 distances measure discretization and parameter effects only.
 
-Every study streams: the sample generators of its runs (`dynamics._batches`:
-one-path rungs, or the paths of the stability batch) step in lockstep in
-the calling thread, and each sample is folded into a running result (a sup
-distance, a scalar series) before the next, so no field outlives it.
+Every study streams: the sample generators of its runs step in lockstep
+(`_lockstep`), and each sample is folded into a running result before the
+next, so no field outlives its sample.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .dynamics import SimConfig, _batches, initial_coeffs
 from .errors import BlowUpError, ConfigurationError, TimeStepError
 from .experiments import _trapz
 from .noise import BrownianIncrements, sample_path
-from .spectral import N_LAYERS, LayerField, build_basis
+from .spectral import LayerField, build_basis
 
 
 @dataclass
@@ -64,13 +63,9 @@ class SweepReport:
         return float(np.mean(np.log2(d[:-1] / d[1:])))
 
     def rows(self):
-        """CSV rows: rung label, distance."""
-        if len(self.distances) == len(self.ladder) - 1:
-            labels = [f"{self.ladder[i]}->{self.ladder[i + 1]}"
-                      for i in range(len(self.distances))]
-        else:
-            labels = [str(r) for r in self.ladder]
-        return list(zip(labels, self.distances))
+        """CSV rows: rung pair label, distance."""
+        return [(f"{a}->{b}", d) for a, b, d in
+                zip(self.ladder, self.ladder[1:], self.distances)]
 
 
 def _coupled_path(config: SimConfig, stream: int) -> BrownianIncrements:
@@ -79,12 +74,11 @@ def _coupled_path(config: SimConfig, stream: int) -> BrownianIncrements:
 
 
 def _lockstep(batches, fold):
-    """Step the `_batches` runs together, one sample of each in turn, and
-    call fold(samples) with their (j, ObsContext) samples; returns each
-    run's stepping seconds, summed over its samples.  An abort (blow-up or
-    CFL) in any run stops the study at that sample, once the others have
-    stepped to it, and the earliest abort raises.  Overflow warnings are
-    silenced around the drive, never across a yield."""
+    """Step the `_batches` runs one sample each in turn, call fold() with
+    their (j, ObsContext) samples, and return each run's stepping seconds.
+    An abort in any run stops the study at that sample; the earliest
+    abort raises.  Overflow warnings are silenced around the drive, never
+    across a yield."""
     seconds = np.zeros(len(batches))
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -167,26 +161,16 @@ def viscosity_sweep(config: SimConfig, eps_ladder,
         raise ConfigurationError("ladder needs at least 3 rungs")
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ConfigurationError("eps ladder must be strictly decreasing")
-    lam, rungs = config.basis.eigenvalues, len(eps_ladder)
-    # per sample, in one workspace: each rung's q and each pair's
-    # difference, squared and weighted in place (H^1, H^-1) and summed in
-    # one reduction (three N=16 rungs: 15 us against 25 us with fresh
-    # temporaries, beside about 230 us of stepping per sample)
-    work = np.empty((2 * rungs - 1, N_LAYERS) + lam.shape)
-    sup = np.zeros(rungs - 1)
+    lam = config.basis.eigenvalues
+    sup = np.zeros(len(eps_ladder) - 1)
     times, h1_sq = [], []           # h1_sq: per sample, ||q||_H1^2 per rung
 
     def fold(samples):
-        q, d = work[:rungs], work[rungs:]
-        np.concatenate([ctx.q_hat for _, ctx in samples], out=q)
-        np.subtract(q[:-1], q[1:], out=d)
-        np.square(work, out=work)
-        q *= lam
-        d /= lam
-        sums = np.sum(work, axis=(1, 2, 3))
+        q = np.concatenate([ctx.q_hat for _, ctx in samples])
         times.append(samples[0][0] * config.dt)
-        h1_sq.append(sums[:rungs])
-        np.maximum(sup, np.sqrt(sums[rungs:]), out=sup)
+        h1_sq.append(np.sum(q**2 * lam, axis=(1, 2, 3)))
+        np.maximum(sup, np.sqrt(np.sum((q[:-1] - q[1:])**2 / lam,
+                                       axis=(1, 2, 3))), out=sup)
 
     path = _coupled_path(config, stream=0)
     runtimes = _lockstep([run for eps in eps_ladder for run in _batches(

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -34,15 +36,25 @@ def random_band_coeffs(rng, basis, decay=1.0):
     return raw / (1.0 + basis.eigenvalues) ** decay
 
 
-def q_at_snapshots(config, streams=(0,), initial=None, noise_path=None):
-    """(times, q): each path's q at the snapshot times of `config` (its
-    snap_every), as a (S, P, 3, Nx, Ny) array, collected from the sample
-    generators of the stepping loop, batch after batch."""
-    per_batch = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, samples in dynamics._batches(config, list(streams), initial,
-                                            noise_path,
-                                            every=(config.snap_every,)):
-            steps, qs = zip(*((j, ctx.q_hat) for j, ctx in samples))
-            per_batch.append(np.array(qs))
-    return np.array(steps) * config.dt, np.concatenate(per_batch, axis=1)
+def run_with_snapshots(config, streams=(0,), initial=None, noise_path=None,
+                       observables=(), threads=1):
+    """(records, times, q) of one `dynamics._run_paths` call: its records
+    of `observables`, and each path's q at the snapshot times of `config`
+    (its snap_every) as a (S, P, 3, Nx, Ny) array, taken by the run's
+    snapshot sink.  A batch's samples start at t = 0 in its thread; the
+    batches are put in `_batches` order, the larger first, so a run pooled
+    over `threads` needs batches of distinct sizes."""
+    batches, current = [], threading.local()
+
+    def sink(t, q):
+        if t == 0:
+            current.batch = []
+            batches.append(current.batch)
+        current.batch.append((t, q))
+
+    records = dynamics._run_paths(config, list(observables), list(streams),
+                                  initial, noise_path, sink=sink,
+                                  threads=threads)
+    batches.sort(key=lambda batch: -len(batch[0][1]))
+    q = np.concatenate([[q for _, q in batch] for batch in batches], axis=1)
+    return records, np.array([t for t, _ in batches[0]]), q

@@ -22,7 +22,7 @@ from layerqg.experiments import (lp_envelope, monitor_observables,
 from layerqg.noise import make_noise, ou_factors, ou_step, sample_path
 from layerqg.spectral import LayerField, single_mode_field
 
-from conftest import q_at_snapshots, random_band_coeffs
+from conftest import random_band_coeffs, run_with_snapshots
 
 GAMMA = 0.5
 
@@ -220,8 +220,8 @@ def test_criterion_9_yudovich_stability():
         assert z[2] <= 0.1 * z[0], z
         # equal data: bitwise-identical trajectories, z identically zero
         path = sample_path(noise, cfg.n_steps, cfg.dt, rngmod.stream(9, 0))
-        _, qa = q_at_snapshots(cfg, noise_path=path)
-        _, qb = q_at_snapshots(cfg, noise_path=path)
+        qa = run_with_snapshots(cfg, noise_path=path)[2]
+        qb = run_with_snapshots(cfg, noise_path=path)[2]
         assert np.array_equal(qa, qb)
 
 

@@ -350,6 +350,17 @@ class TestCli:
             f"error: {flag}: cannot parse '4,x,8'")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "run", "galerkin", "viscosity", "stability", "diagnose"])
+    def test_negative_snap_every_exit_code(self, tmp_path, capsys, command):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--seed", "1",
+                       "--out", str(out), "--snap-every", "-1") == 2
+        assert capsys.readouterr().err == \
+            "error: snap_every must be >= 0\n"
+        assert not out.exists()
+
     NON_FINITE = [("run", "dt=nan", []), ("run", "horizon=inf", []),
                   ("run", "lambda1=nan", []), ("run", "sigma=nan", []),
                   ("run", "cfl_safety=nan", []),

@@ -22,7 +22,7 @@ from layerqg.runconfig import RunSettings, realize
 from layerqg.spectral import (LayerField, SpectralBasis, build_basis,
                               field_sum, grid_lp_norm, single_mode_field)
 
-from conftest import q_at_snapshots, random_band_coeffs
+from conftest import random_band_coeffs, run_with_snapshots
 
 PI2 = np.pi**2
 
@@ -79,7 +79,7 @@ class TestQForm:
         rng = np.random.default_rng(8)
         init = np.stack([random_band_coeffs(rng, cfg.basis)
                          for _ in range(2)])
-        _, snaps = q_at_snapshots(cfg, [0, 0], init, path)
+        snaps = run_with_snapshots(cfg, [0, 0], init, path)[2]
         stepper = dynamics.Stepper(cfg)
         q = init
         for j, increment in enumerate(path.increments, start=1):
@@ -127,18 +127,19 @@ class TestQForm:
     def test_w_series_equal_w_accumulated_outside_the_loop(self, nonlinear):
         # wh2, <W, phi> and the eta and W Lp series of one seed, from the
         # W the loop keeps, equal those of W summed here from the same
-        # increments and q from the snapshots of a rerun on that path
+        # increments and q from the run's snapshots
         cfg = _noisy_config(nonlinear=nonlinear)
         phi = single_mode_field(cfg.basis, 1, 2, [1.0, -0.5, 0.25])
         path = sample_path(cfg.noise, cfg.n_steps, cfg.dt,
                            rngmod.stream(4, 0))
         obs = parse_observables("wh2", cfg.pairs) + monitor_observables(
             cfg.basis, exponents=(2, 4), test_functions=[phi])
-        rec = run_trajectory(cfg, obs, noise_path=path)
+        (rec,), _, snaps = run_with_snapshots(cfg, noise_path=path,
+                                              observables=obs)
         mixer = dynamics.Stepper(cfg).mixer
         w = np.zeros((1, 3) + cfg.basis.spectral_shape)
         lam = cfg.basis.eigenvalues
-        for j, q in enumerate(q_at_snapshots(cfg, noise_path=path)[1]):
+        for j, q in enumerate(snaps):
             if j:
                 w += mixer.coefficients(path.increments[j - 1][:, None])
             ctx = ObsContext(cfg.coupling, q, w)
@@ -342,9 +343,10 @@ class TestTrajectory:
         cfg = make_config(basis16, coupling16, pairs16, noise,
                           nonlinear=True, dt=5e-3, horizon=0.1,
                           init="lowband:3:0.5:3", seed=42, snap_every=5)
-        rec_a = run_trajectory(cfg)
-        rec_b = run_trajectory(cfg)
-        assert np.array_equal(q_at_snapshots(cfg)[1], q_at_snapshots(cfg)[1])
+        obs = parse_observables(dynamics.DEFAULT_OBSERVABLES)
+        (rec_a,), _, q_a = run_with_snapshots(cfg, observables=obs)
+        (rec_b,), _, q_b = run_with_snapshots(cfg, observables=obs)
+        assert np.array_equal(q_a, q_b)
         for name in rec_a.observables:
             assert np.array_equal(rec_a.observables[name],
                                   rec_b.observables[name])
@@ -395,12 +397,12 @@ class TestTrajectory:
         rec = run_trajectory(cfg, sink=lambda t, q: taken.append((t, q)))
         assert np.all(np.diff(rec.times) > 0)
         assert rec.config is cfg
-        # the sink takes each path's q at every snapshot time
-        times, snaps = q_at_snapshots(cfg)
+        # the sink takes the path's (1, 3, Nx, Ny) q at every snapshot time
+        _, times, snaps = run_with_snapshots(cfg)
         assert [t for t, _ in taken] == list(times)
         assert len(times) == cfg.n_samples(cfg.snap_every)
-        for (_, q), want in zip(taken, snaps[:, 0]):
-            assert q.shape == (3, 16, 16) and np.array_equal(q, want)
+        for (_, q), want in zip(taken, snaps, strict=True):
+            assert q.shape == (1, 3, 16, 16) and np.array_equal(q, want)
 
     def test_config_hash_covers_cadences(self, basis16, coupling16, pairs16,
                                          quiet_noise):
@@ -442,14 +444,14 @@ class TestTrajectory:
         cfg = realize(RunSettings(**run_settings), seed=5, snap_every=5)
         obs = parse_observables("l2,l4,linf,h1,gradl4,wh2.5,pair:1.1.0,"
                                 "pairsq:1.2.1", cfg.pairs)
-        batch = _run_paths(cfg, obs, range(4))
-        _, batch_q = q_at_snapshots(cfg, range(4))
+        batch, _, batch_q = run_with_snapshots(cfg, range(4),
+                                               observables=obs)
         for stream, rec in enumerate(batch):
-            single = run_trajectory(cfg, obs, stream=stream)
+            (single,), _, single_q = run_with_snapshots(cfg, [stream],
+                                                        observables=obs)
             assert rec.stream == stream
             assert np.array_equal(rec.times, single.times)
-            assert np.array_equal(batch_q[:, stream],
-                                  q_at_snapshots(cfg, [stream])[1][:, 0])
+            assert np.array_equal(batch_q[:, stream], single_q[:, 0])
             for ob in obs:
                 assert np.array_equal(rec.observables[ob.name],
                                       single.observables[ob.name]), ob.name
@@ -467,21 +469,18 @@ class TestTrajectory:
                          for _ in range(3)])
         path = sample_path(cfg.noise, cfg.n_steps, cfg.dt,
                            rngmod.stream(5, 0))
-        singles = [run_trajectory(cfg, obs, noise_path=path, initial=q0)
+        singles = [run_with_snapshots(cfg, [0], q0, path, obs)
                    for q0 in init]
-        single_q = [q_at_snapshots(cfg, [0], q0, path)[1][:, 0]
-                    for q0 in init]
-        whole = _run_paths(cfg, obs, [0] * 3, init, path)
-        whole_q = q_at_snapshots(cfg, [0] * 3, init, path)[1]
+        whole = run_with_snapshots(cfg, [0] * 3, init, path, obs)
         monkeypatch.setattr(dynamics, "_BATCH_POINTS",
                             2 * 3 * cfg.basis.quad_weights.size)
         monkeypatch.setattr(dynamics, "_blas_pinned", lambda: True)  # pooled
-        split = _run_paths(cfg, obs, [0] * 3, init, path, threads=2)
-        split_q = q_at_snapshots(cfg, [0] * 3, init, path)[1]   # 2 batches
-        for batch, batch_q in ((whole, whole_q), (split, split_q)):
-            for p, (rec, single) in enumerate(zip(batch, singles,
-                                                  strict=True)):
-                assert np.array_equal(batch_q[:, p], single_q[p])
+        split = run_with_snapshots(cfg, [0] * 3, init, path, obs,
+                                   threads=2)                # batches of 2, 1
+        for batch, _, batch_q in (whole, split):
+            for p, (rec, ((single,), _, single_q)) in enumerate(
+                    zip(batch, singles, strict=True)):
+                assert np.array_equal(batch_q[:, p], single_q[:, 0])
                 for ob in obs:
                     assert np.array_equal(rec.observables[ob.name],
                                           single.observables[ob.name])
@@ -552,8 +551,7 @@ class TestTrajectory:
                                   horizon=0.02, init="lowband:4:3.0:5",
                                   noise_modes=48), seed=5, snap_every=5)
         obs = parse_observables("l2,linf,h1", cfg.pairs)
-        whole = _run_paths(cfg, obs, range(4))
-        whole_q = q_at_snapshots(cfg, range(4))[1]
+        whole, _, whole_q = run_with_snapshots(cfg, range(4), observables=obs)
         sizes = []
         advance = dynamics.Stepper.advance
 
@@ -564,10 +562,10 @@ class TestTrajectory:
         monkeypatch.setattr(dynamics.Stepper, "advance", spy)
         monkeypatch.setattr(dynamics, "_BATCH_POINTS",
                             3 * 3 * cfg.basis.quad_weights.size)
-        split = _run_paths(cfg, obs, range(4))
+        split, _, split_q = run_with_snapshots(cfg, range(4), observables=obs)
         assert set(sizes) == {3, 1}
         assert [rec.stream for rec in split] == [0, 1, 2, 3]
-        assert np.array_equal(whole_q, q_at_snapshots(cfg, range(4))[1])
+        assert np.array_equal(whole_q, split_q)
         for a, b in zip(whole, split):
             for ob in obs:
                 assert np.array_equal(a.observables[ob.name],
@@ -579,7 +577,8 @@ def _final_state(basis, coupling, pairs, noise, dt, fine_path, base):
                     gamma=0.5, viscosity=0.0, dt=dt, horizon=0.1,
                     snap_every=int(round(0.1 / dt)), **base)
     factor = int(round(dt / fine_path.dt))
-    return q_at_snapshots(cfg, noise_path=fine_path.coarsen(factor))[1][-1, 0]
+    return run_with_snapshots(
+        cfg, noise_path=fine_path.coarsen(factor))[2][-1, 0]
 
 
 class TestGuards:
@@ -615,8 +614,25 @@ class TestGuards:
         # record its samples; the quiet noise leaves W at zero
         rec = err.value.record
         assert [t for t, _ in taken] == list(rec.times)
-        assert np.array_equal(taken[0][1], initial_coeffs(cfg.init, basis16))
+        assert np.array_equal(taken[0][1][0],
+                              initial_coeffs(cfg.init, basis16))
         assert np.all(rec.observables["wh0"] == 0.0)
+
+    @pytest.mark.parametrize("cfl_safety, amplitude, error", [
+        (0.5, 2000.0, TimeStepError), (0.0, 1e200, BlowUpError)])
+    def test_abort_record_is_the_largest_path(self, basis16, coupling16,
+                                              pairs16, quiet_noise,
+                                              cfl_safety, amplitude, error):
+        # a batch's abort carries the partial record of the path whose
+        # state was largest before the failing step
+        cfg = make_config(basis16, coupling16, pairs16, quiet_noise,
+                          nonlinear=True, dt=0.01, horizon=0.05,
+                          cfl_safety=cfl_safety)
+        init = np.stack([initial_coeffs(f"mode:1,1:{a},0,0", basis16)
+                         for a in (1.0, amplitude, 2.0)])
+        with pytest.raises(error) as err:
+            _run_paths(cfg, [], [0, 1, 2], init)
+        assert err.value.record.stream == 1
 
     def test_blow_up_detected_with_guard_off(self, basis16, coupling16,
                                              pairs16, quiet_noise):

@@ -19,7 +19,7 @@ from layerqg.sweeps import (SweepReport, _l2_distance, _lockstep,
                             galerkin_sweep, viscosity_sweep,
                             yudovich_stability)
 
-from conftest import q_at_snapshots, random_band_coeffs
+from conftest import random_band_coeffs, run_with_snapshots
 
 
 def noisy_config(basis, coupling, pairs, sigma=2.0, **kw):
@@ -72,8 +72,8 @@ class TestGalerkin:
                            snap_every=5)
         gen = rngmod.stream(5, 0)
         path = sample_path(cfg.noise, cfg.n_steps, cfg.dt, gen)
-        _, qa = q_at_snapshots(cfg, noise_path=path)
-        _, qb = q_at_snapshots(cfg, noise_path=path)
+        qa = run_with_snapshots(cfg, noise_path=path)[2]
+        qb = run_with_snapshots(cfg, noise_path=path)[2]
         assert [_l2_distance(a[0], b[0]) for a, b in zip(qa, qb)] == \
             [0.0] * len(qa)
 
@@ -148,8 +148,8 @@ class TestYudovich:
                            snap_every=5)
         gen = rngmod.stream(5, 0)
         path = sample_path(cfg.noise, cfg.n_steps, cfg.dt, gen)
-        _, qa = q_at_snapshots(cfg, noise_path=path)
-        _, qb = q_at_snapshots(cfg, noise_path=path)
+        qa = run_with_snapshots(cfg, noise_path=path)[2]
+        qb = run_with_snapshots(cfg, noise_path=path)[2]
         assert np.array_equal(qa, qb)
 
     def test_linear_response_and_jump_bound(self, basis16, coupling16,

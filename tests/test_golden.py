@@ -30,7 +30,7 @@ from layerqg.spectral import single_mode_field
 from layerqg.sweeps import (galerkin_sweep, viscosity_sweep,
                             yudovich_stability)
 
-from conftest import q_at_snapshots
+from conftest import run_with_snapshots
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 GOLDEN_TOL = 1e-12
@@ -40,11 +40,11 @@ OBSERVABLES = "l2,l4,linf,h1,gradl4,pair:1.1.0"
 def _trajectory(**settings):
     config = realize(RunSettings(**settings), seed=11, snap_every=10)
     obs = parse_observables(OBSERVABLES, config.pairs)
-    rec = run_trajectory(config, observables=obs)
+    (rec,), _, q = run_with_snapshots(config, observables=obs)
     out = {"time": rec.times.tolist()}
     out.update({name: series.tolist()
                 for name, series in rec.observables.items()})
-    out["final_q"] = q_at_snapshots(config)[1][-1, 0].ravel()[::7].tolist()
+    out["final_q"] = q[-1, 0].ravel()[::7].tolist()
     return out
 
 

@@ -7,8 +7,8 @@ No linter is installed, so these scans of the syntax tree are the check.
 The unused-import scan looks at module-level imports in `src/layerqg/`
 and `tests/`; package `__init__.py` files re-export what they import and
 are skipped.  The thread-pool scan looks at every import in every module
-of `src/layerqg/`: the package has one way to fan out work,
-`dynamics._fan_out`.  The dependency scan collects the top-level
+of `src/layerqg/`: the package has one way to fan out work, the batch
+pool of `dynamics._run_paths`.  The dependency scan collects the top-level
 modules outside the standard library that any module of `src/layerqg/`
 imports, deferred imports included, and compares them with the
 `dependencies` of `pyproject.toml`.  The private-import scan lists
