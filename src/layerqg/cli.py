@@ -171,7 +171,10 @@ def _common(parser):
     parser.add_argument("--config", required=True, help="key=value file")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=_thread_count, default=1)
+    parser.add_argument(
+        "--threads", type=_thread_count, default=1, metavar="K",
+        help="invariant: fan its path batches out over K threads when BLAS "
+             "runs on one thread; the other subcommands accept and ignore it")
 
 
 def cmd_run(run):

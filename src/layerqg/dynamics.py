@@ -562,10 +562,10 @@ def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
     """Integrate q from t=0 to the horizon: `_run_paths` with P = 1.
 
     Deterministic given (config, stream): noise comes from the Philox
-    stream (config.seed, stream), or from a pregenerated path for
-    noise-coupled comparisons.  An explicit coefficient array `initial`
-    overrides the config descriptor.  A `sink` and the partial record of
-    an abort are those of `_run_paths`.
+    stream (config.seed, stream), or from `noise_path`, a pregenerated
+    path that dt-refinement checks coarsen.  An explicit coefficient
+    array `initial` overrides the config descriptor.  A `sink` and the
+    partial record of an abort are those of `_run_paths`.
     """
     if observables is None:
         observables = parse_observables(DEFAULT_OBSERVABLES)
@@ -668,8 +668,10 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
     `noise_path`), then, with a `hook`, K more normals for the
     `hook(dw, normals)` called after each increment with the (K, P)
     weighted increments (None without noise) and those (K, P) normals.
-    Blocks of steps are drawn at once, as the same normals step by step,
-    and weighted by c_k sqrt(dt) once.  Every operation acts on each path
+    Paths on one stream draw it once: the one (1, 3, Nx, Ny) increment is
+    added to every path, and a hook receives (K, 1) columns.  Blocks of
+    steps are drawn at once, as the same normals step by step, and
+    weighted by c_k sqrt(dt) once.  Every operation acts on each path
     alone, so path p's bytes depend neither on P nor on its place in the
     batch; the CFL guard watches the largest |u| of all paths.  A blow-up
     (BlowUpError) or CFL abort (TimeStepError) carries `worst`, the index
@@ -690,8 +692,9 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
     noisy = cfg.noise.active
     drawn = int(noisy and noise_path is None)
     rows = drawn + (hook is not None)
-    gens = [rngmod.stream(cfg.seed, s) for s in streams] if rows else []
-    block_steps = max(1, _BLOCK_NORMALS // max(1, rows * k * n_paths))
+    draws = streams[:1] if len(set(streams)) == 1 else streams
+    gens = [rngmod.stream(cfg.seed, s) for s in draws] if rows else []
+    block_steps = max(1, _BLOCK_NORMALS // max(1, rows * k * len(gens)))
     scale = cfg.noise.c[:, None] * np.sqrt(cfg.dt)
     probe = ObsContext(cfg.coupling, q, w)
     yield 0, probe
@@ -711,7 +714,7 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
         i = (j - 1) % block_steps
         if gens and i == 0:
             steps = min(block_steps, n_steps - j + 1)
-            block = np.empty((steps, rows, k, n_paths))
+            block = np.empty((steps, rows, k, len(gens)))
             for p, gen in enumerate(gens):
                 block[..., p] = gen.standard_normal((steps, rows, k))
             if drawn:

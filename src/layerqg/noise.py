@@ -122,12 +122,12 @@ class NoiseMixer:
 
 @dataclass(frozen=True)
 class BrownianIncrements:
-    """Pregenerated per-eigenpair increments for noise-path coupling.
+    """Pregenerated per-eigenpair increments: the dt-refinement device.
 
     increments[s, k] is c_k (W^k_{(s+1) dt} - W^k_{s dt}).  Coarsening by
     an integer factor sums consecutive rows, which realizes the same
-    Brownian path at a coarser step, so runs at dt and 2 dt (or on coarser
-    mode cuts) consume identical noise.
+    Brownian path at a coarser step, so runs at dt and 2 dt consume
+    identical noise.  Runs at one dt couple by sharing a stream instead.
     """
 
     dt: float

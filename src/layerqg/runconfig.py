@@ -1,12 +1,12 @@
 """Flat key=value run configuration with explicit defaults.
 
 One `key=value` pair per line of a UTF-8 file, `#` starts a comment, blank
-lines ignored.  An unreadable file and unknown keys (listing every
-offender) are errors; missing keys fall back to defaults and are echoed
-in the run manifest.  Parsing checks only this grammar and the value
-types (a float must be finite); `realize` builds the simulation objects,
-and each of them checks the constraints on its own parameters, naming
-the violated constraint.
+lines ignored.  An unreadable file, unknown keys (listing every offender)
+and a key set twice (naming both lines) are errors; missing keys fall
+back to defaults and are echoed in the run manifest.  Parsing checks only
+this grammar and the value types (a float must be finite); `realize`
+builds the simulation objects, and each of them checks the constraints on
+its own parameters, naming the violated constraint.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def parse_config(path) -> tuple[RunSettings, list[str]]:
     """Parse a config file; returns (settings, list of defaulted keys)."""
     typed = {f.name: type(getattr(RunSettings(), f.name))
              for f in fields(RunSettings)}
-    values = {}
+    values, line_of = {}, {}
     unknown = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -75,6 +75,10 @@ def parse_config(path) -> tuple[RunSettings, list[str]]:
         if key not in typed:
             unknown.append(key)
             continue
+        if key in line_of:
+            raise ConfigurationError(
+                f"{path}:{lineno}: {key} already set on line {line_of[key]}")
+        line_of[key] = lineno
         try:
             values[key] = typed[key](val)
         except ValueError:

@@ -1,10 +1,10 @@
 """Ladder studies: mode refinement, vanishing viscosity and
 perturbation stability.
 
-All comparisons are noise-path-coupled: both members of every pair consume
-the identical Brownian increments (pregenerated per eigenpair and summed
-for coarser steps, or scattered into finer mode cuts), so reported
-distances measure discretization and parameter effects only.
+All comparisons are noise-path-coupled: every rung is a run of the
+stepping loop on stream 0, which draws the identical Brownian increments
+on the config's own eigenpairs (scattered into each rung's mode cut), so
+reported distances measure discretization and parameter effects only.
 
 Every study streams: the sample generators of its runs step in lockstep
 (`_lockstep`), and each sample is folded into a running result before the
@@ -18,12 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import rng as rngmod
-from .coupling import eigenpairs, solve_elliptic_coeffs, symmetrize
+from .coupling import OperatorEigenpairs, solve_elliptic_coeffs, symmetrize
 from .dynamics import SimConfig, _batches, initial_coeffs
 from .errors import BlowUpError, ConfigurationError, TimeStepError
 from .experiments import _trapz
-from .noise import BrownianIncrements, sample_path
 from .spectral import LayerField, build_basis
 
 
@@ -68,11 +66,6 @@ class SweepReport:
                 zip(self.ladder, self.ladder[1:], self.distances)]
 
 
-def _coupled_path(config: SimConfig, stream: int) -> BrownianIncrements:
-    gen = rngmod.stream(config.seed, stream)
-    return sample_path(config.noise, config.n_steps, config.dt, gen)
-
-
 def _lockstep(batches, fold):
     """Step the `_batches` runs one sample each in turn, call fold() with
     their (j, ObsContext) samples, and return each run's stepping seconds.
@@ -112,26 +105,25 @@ def galerkin_sweep(config: SimConfig, n_ladder,
     reports sup_t L2 distances between consecutive rungs, over samples
     every `snap_every` steps.
 
-    Noise eigenpairs must fit inside the coarsest cut so the coefficients
-    transfer by eigenpair identity.
+    Every rung draws stream 0 and carries the config's first max(K, 1)
+    eigenpairs on its own basis, so the noise eigenpairs must fit inside
+    the coarsest cut.
     """
     n_ladder = list(n_ladder)
     if len(n_ladder) < 3:
         raise ConfigurationError("ladder needs at least 3 rungs")
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ConfigurationError("mode ladder must be strictly increasing")
-    n_min = n_ladder[0]
-    k = config.noise.k
-    if k and (config.pairs.mode_n[:k].max() > n_min or
-              config.pairs.mode_m[:k].max() > n_min):
+    head = {name: getattr(config.pairs, name)[:max(config.noise.k, 1)]
+            for name in ("mode_n", "mode_m", "comp_j", "mu", "vec")}
+    if max(head["mode_n"].max(), head["mode_m"].max()) > n_ladder[0]:
         raise ConfigurationError(
             "noise truncation uses modes beyond the coarsest rung")
 
     def rung(n):
         basis = build_basis(config.basis.lx, config.basis.ly, n, n)
-        coupling = symmetrize(config.coupling.lambdas, basis,
-                              config.coupling.scale)
-        return replace(config, pairs=eigenpairs(coupling, max(k, 1)))
+        return replace(config, pairs=OperatorEigenpairs(symmetrize(
+            config.coupling.lambdas, basis, config.coupling.scale), **head))
 
     sup = np.zeros(len(n_ladder) - 1)
 
@@ -140,9 +132,8 @@ def galerkin_sweep(config: SimConfig, n_ladder,
         for i, (qa, qb) in enumerate(zip(qs, qs[1:])):
             sup[i] = max(sup[i], _l2_distance(qa, qb))
 
-    path = _coupled_path(config, stream=0)
     runtimes = _lockstep([run for n in n_ladder for run in _batches(
-        rung(n), [0], noise_path=path, every=(snap_every,))], fold)
+        rung(n), [0], every=(snap_every,))], fold)
     return SweepReport(kind="galerkin", ladder=n_ladder,
                        distance_name="sup_t L2", distances=sup,
                        runtimes=runtimes)
@@ -172,10 +163,8 @@ def viscosity_sweep(config: SimConfig, eps_ladder,
         np.maximum(sup, np.sqrt(np.sum((q[:-1] - q[1:])**2 / lam,
                                        axis=(1, 2, 3))), out=sup)
 
-    path = _coupled_path(config, stream=0)
     runtimes = _lockstep([run for eps in eps_ladder for run in _batches(
-        replace(config, viscosity=eps), [0], noise_path=path,
-        every=(snap_every,))], fold)
+        replace(config, viscosity=eps), [0], every=(snap_every,))], fold)
     est2 = [eps * np.sqrt(_trapz(series, times))
             for eps, series in zip(eps_ladder, np.transpose(h1_sq))]
     return SweepReport(kind="viscosity", ladder=eps_ladder,
@@ -218,8 +207,7 @@ def yudovich_stability(config: SimConfig, delta_ladder,
                                 * config.basis.eigenvalues, axis=(1, 2, 3))))
 
     _lockstep(_batches(config, [0] * len(initial), initial,
-                       _coupled_path(config, stream=0), every=(snap_every,)),
-              fold)
+                       every=(snap_every,)), fold)
     z = np.transpose(z)                                 # (D, S)
     return SweepReport(
         kind="stability", ladder=delta_ladder, distance_name="z_T",

@@ -64,6 +64,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match=":2:"):
             parse_config(self.write(tmp_path, "gamma=0.5\nnot a pair\n"))
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        with pytest.raises(ConfigurationError,
+                           match=":3: modes_x already set on line 1$"):
+            parse_config(self.write(
+                tmp_path, "modes_x=8\ngamma=0.5\nmodes_x=12\n"))
+
     def test_bad_value_type(self, tmp_path):
         with pytest.raises(ConfigurationError, match="modes_x"):
             parse_config(self.write(tmp_path, "modes_x=twelve\n"))
@@ -165,12 +171,18 @@ def run_cli(*argv):
 
 
 class TestCli:
+    BASE = ("modes_x=12", "modes_y=12", "gamma=0.5", "sigma=0",
+            "nonlinearity=off", "dt=0.01", "horizon=0.1",
+            "init=mode:1,1:1,0,0")
+
     def write_cfg(self, tmp_path, extra=""):
+        # a key that `extra` sets comments out its base line, so each key
+        # is set once and `extra` still starts on line 9
+        keys = {line.partition("=")[0] for line in extra.splitlines()}
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "modes_x=12\nmodes_y=12\ngamma=0.5\nsigma=0\n"
-            "nonlinearity=off\ndt=0.01\nhorizon=0.1\n"
-            "init=mode:1,1:1,0,0\n" + extra)
+        cfg.write_text("".join(
+            f"# {line}\n" if line.partition("=")[0] in keys else f"{line}\n"
+            for line in self.BASE) + extra)
         return cfg
 
     def test_run_decay_columns(self, tmp_path):
@@ -308,6 +320,17 @@ class TestCli:
                        "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and self.CONSTRAINTS[line] in err
+        assert not out.exists()
+
+    def test_repeated_config_key_exit_code(self, tmp_path, capsys):
+        # the second modes_x would otherwise win silently
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + "modes_x=16\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:9: modes_x already set on line 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("line", [
@@ -485,69 +508,70 @@ class TestCli:
         assert err.startswith("error: ") and "at least 3 samples" in err
         assert not out.exists()
 
-    @pytest.mark.skipif(sys.platform != "linux",
-                        reason="ru_maxrss is in KB on Linux")
-    def test_diagnose_memory_does_not_grow_with_the_samples(self, tmp_path):
-        # the monitor series are scalars per sample; stored q and W
-        # snapshots of 300 more samples at N=32 would add 14 MB, and
-        # stacking them into records about as much again
-        script = textwrap.dedent("""
-            import resource, sys
-            from layerqg.cli import main
-            assert main(sys.argv[1:]) == 0
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-            """)
-        peak_mb = []
-        for samples in (100, 400):
-            cfg = tmp_path / f"n32_{samples}.cfg"
-            cfg.write_text("modes_x=32\nmodes_y=32\nsigma=2.0\n"
-                           "noise_modes=48\ndt=0.001\n"
-                           f"horizon={(samples - 1) / 1000:g}\n"
-                           "init=lowband:3:1.0:7\n")
-            proc = subprocess.run(
-                [sys.executable, "-c", script, "diagnose", "--config",
-                 str(cfg), "--out", str(tmp_path / f"out{samples}")],
-                env=dict(os.environ, PYTHONPATH=str(SRC),
-                         OPENBLAS_NUM_THREADS="1"),
-                capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            rows = (tmp_path / f"out{samples}" / "diagnostics.csv"
-                    ).read_text().strip().split("\n")
-            assert len(rows) == 1 + samples
-            peak_mb.append(int(proc.stdout) / 1024)
-        assert abs(peak_mb[1] - peak_mb[0]) < 3.0, peak_mb
+    # VmHWM is the peak of this program image alone: the ru_maxrss of a
+    # child also counts the test process's pages it held before its exec,
+    # which hides any growth below the test process's own size
+    PEAK_SCRIPT = textwrap.dedent("""
+        import sys
+        from layerqg.cli import main
+        assert main(sys.argv[1:]) == 0
+        with open("/proc/self/status") as fh:
+            print(next(line.split()[1] for line in fh
+                       if line.startswith("VmHWM:")))
+        """)
 
-    @staticmethod
-    def _peak_mb_per_sample_count(tmp_path, command, flags):
-        # peak RSS of `command` at N=32 with 1000 and with 2000 samples
-        script = textwrap.dedent("""
-            import resource, sys
-            from layerqg.cli import main
-            assert main(sys.argv[1:]) == 0
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-            """)
+    @classmethod
+    def _peak_mb(cls, tmp_path, command, flags, configs):
+        """Peak RSS (VmHWM) in MiB of `command` with `flags`, one fresh
+        process with BLAS on one thread per config text; run i writes to
+        tmp_path/out<i>."""
         peak_mb = []
-        for samples in (1000, 2000):
-            cfg = tmp_path / f"n32_{samples}.cfg"
-            cfg.write_text("modes_x=32\nmodes_y=32\nsigma=1.0\n"
-                           "noise_modes=32\nnonlinearity=off\ndt=0.001\n"
-                           f"horizon={(samples - 1) / 1000:g}\n"
-                           "init=lowband:3:1.0:7\nobservables=l2\n")
-            out = tmp_path / f"out{samples}"
+        for i, text in enumerate(configs):
+            cfg = tmp_path / f"run{i}.cfg"
+            cfg.write_text(text)
             proc = subprocess.run(
-                [sys.executable, "-c", script, command, "--config", str(cfg),
-                 *flags, "--out", str(out)],
+                [sys.executable, "-c", cls.PEAK_SCRIPT, command, "--config",
+                 str(cfg), *flags, "--out", str(tmp_path / f"out{i}")],
                 env=dict(os.environ, PYTHONPATH=str(SRC),
                          OPENBLAS_NUM_THREADS="1"),
                 capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
-            if command == "run":
-                assert len(list(out.glob("snapshot_*.lqg"))) == samples
             peak_mb.append(int(proc.stdout) / 1024)
         return peak_mb
 
     @pytest.mark.skipif(sys.platform != "linux",
-                        reason="ru_maxrss is in KB on Linux")
+                        reason="reads VmHWM from /proc/self/status")
+    def test_diagnose_memory_does_not_grow_with_the_samples(self, tmp_path):
+        # the monitor series are scalars per sample; stored q and W
+        # snapshots of 300 more samples at N=32 would add 14 MB, and
+        # stacking them into records about as much again
+        counts = (100, 400)
+        peak_mb = self._peak_mb(tmp_path, "diagnose", [], [
+            "modes_x=32\nmodes_y=32\nsigma=2.0\nnoise_modes=48\ndt=0.001\n"
+            f"horizon={(samples - 1) / 1000:g}\ninit=lowband:3:1.0:7\n"
+            for samples in counts])
+        for i, samples in enumerate(counts):
+            rows = (tmp_path / f"out{i}" / "diagnostics.csv"
+                    ).read_text().strip().split("\n")
+            assert len(rows) == 1 + samples
+        assert abs(peak_mb[1] - peak_mb[0]) < 3.0, peak_mb
+
+    @classmethod
+    def _peak_mb_per_sample_count(cls, tmp_path, command, flags):
+        # peak RSS of `command` at N=32 with 1000 and with 2000 samples
+        counts = (1000, 2000)
+        peak_mb = cls._peak_mb(tmp_path, command, flags, [
+            "modes_x=32\nmodes_y=32\nsigma=1.0\nnoise_modes=32\n"
+            f"nonlinearity=off\ndt=0.001\nhorizon={(samples - 1) / 1000:g}\n"
+            "init=lowband:3:1.0:7\nobservables=l2\n" for samples in counts])
+        if command == "run":
+            for i, samples in enumerate(counts):
+                assert len(list((tmp_path / f"out{i}").glob(
+                    "snapshot_*.lqg"))) == samples
+        return peak_mb
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads VmHWM from /proc/self/status")
     def test_run_snapshots_keep_q_alone(self, tmp_path):
         # each snapshot is written when it is taken, so 1000 more snapshots
         # at N=32 add no field: stored, their q coefficients would be
@@ -557,7 +581,7 @@ class TestCli:
         assert peak_mb[1] - peak_mb[0] < 3.0, peak_mb
 
     @pytest.mark.skipif(sys.platform != "linux",
-                        reason="ru_maxrss is in KB on Linux")
+                        reason="reads VmHWM from /proc/self/status")
     @pytest.mark.parametrize("command, flags", [
         ("galerkin", ["--n-ladder", "8,16,32", "--snap-every", "1"]),
         ("stability", ["--snap-every", "1"])])
@@ -567,6 +591,24 @@ class TestCli:
         # coefficients would be 23.4 MiB per path and rung
         peak_mb = self._peak_mb_per_sample_count(tmp_path, command, flags)
         assert peak_mb[1] - peak_mb[0] < 3.0, peak_mb
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads VmHWM from /proc/self/status")
+    @pytest.mark.parametrize("command, flags", [
+        ("galerkin", ["--n-ladder", "16,20,24"]),
+        ("viscosity", ["--eps-ladder", "0.2,0.1,0.05"]),
+        ("stability", [])])
+    def test_ladder_memory_does_not_grow_with_the_horizon(
+            self, tmp_path, command, flags):
+        # every rung draws stream 0 in the loop: a pregenerated path of
+        # the 4000 more steps' K=192 normals, and its weighted copy, would
+        # add 11.7 MiB
+        peak_mb = self._peak_mb(tmp_path, command, [
+            *flags, "--snap-every", "500"], [
+            "modes_x=16\nmodes_y=16\nsigma=1.0\nnoise_modes=192\n"
+            f"nonlinearity=off\ndt=0.001\nhorizon={horizon}\n"
+            "init=lowband:3:1.0:7\nobservables=l2\n" for horizon in (2, 6)])
+        assert abs(peak_mb[1] - peak_mb[0]) < 3.0, peak_mb
 
     @pytest.mark.parametrize("command, cfg, flags", [
         ("galerkin", "modes_x=16\nmodes_y=16\ninit=mode:1,1:2000,0,0\n",

@@ -456,6 +456,33 @@ class TestTrajectory:
                 assert np.array_equal(rec.observables[ob.name],
                                       single.observables[ob.name]), ob.name
 
+    @pytest.mark.parametrize("streams, generators", [
+        ([0, 0, 0], 1), ([0, 1, 2], 3), ([0, 0, 1], 3)])
+    def test_one_draw_per_shared_stream(self, monkeypatch, streams,
+                                        generators):
+        # paths that share one stream draw it once and add its increment
+        # to each; path p's q at every sample is still bitwise the
+        # one-path run's from row p on streams[p]
+        cfg = realize(RunSettings(modes_x=12, modes_y=12, dt=1e-3,
+                                  horizon=0.02, noise_modes=32,
+                                  init="zero"), seed=5, snap_every=4)
+        rng = np.random.default_rng(3)
+        init = np.stack([3 * random_band_coeffs(rng, cfg.basis)
+                         for _ in streams])
+        singles = [run_with_snapshots(cfg, [stream], q0)[2][:, 0]
+                   for stream, q0 in zip(streams, init)]
+        made, stream = [], rngmod.stream
+
+        def counted(seed, stream_id=0):
+            made.append(stream_id)
+            return stream(seed, stream_id)
+
+        monkeypatch.setattr(rngmod, "stream", counted)
+        batch_q = run_with_snapshots(cfg, streams, init)[2]
+        assert made == (streams[:1] if generators == 1 else streams)
+        for p, single_q in enumerate(singles):
+            assert np.array_equal(batch_q[:, p], single_q)
+
     def test_per_path_initial_data(self, monkeypatch):
         # path p of a (P, 3, Nx, Ny) datum on a shared noise path is the
         # one-path run from row p, also when the rows split into batches;

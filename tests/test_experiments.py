@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from layerqg import cli, rng as rngmod
+from layerqg import cli, rng as rngmod, sweeps
 from layerqg import dynamics
 from layerqg.dynamics import (ObsContext, Observable, SimConfig,
                               parse_observables, run_trajectory)
@@ -115,6 +115,28 @@ class TestGalerkin:
         cfg = noisy_config(basis16, coupling16, pairs16)
         with pytest.raises(ConfigurationError):
             galerkin_sweep(cfg, [2, 4, 8])
+
+    def test_rungs_carry_the_config_eigenpairs(self, monkeypatch, pairs16):
+        # each rung scatters the config's own noise eigenpairs into its
+        # cut; re-solved on the N=32 cut, the 700 smallest |mu| would
+        # reach mode 17, which the N=16 rung cannot hold
+        cfg = SimConfig(pairs=pairs16, noise=make_noise(pairs16, 700, 2.0,
+                                                        1.0),
+                        gamma=0.5, viscosity=0.0, dt=1e-3, horizon=2e-3,
+                        nonlinear=False, seed=5)
+        rungs, batches = [], sweeps._batches
+
+        def seen(config, *args, **kwargs):
+            rungs.append(config.pairs)
+            return batches(config, *args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "_batches", seen)
+        galerkin_sweep(cfg, [16, 32, 64])
+        assert [pairs.basis.nx for pairs in rungs] == [16, 32, 64]
+        for pairs in rungs:
+            for name in ("mode_n", "mode_m", "comp_j", "mu", "vec"):
+                assert getattr(pairs, name)[:700].tobytes() == \
+                    getattr(cfg.pairs, name)[:700].tobytes(), name
 
 
 class TestViscosity:

@@ -8,7 +8,11 @@ The unused-import scan looks at module-level imports in `src/layerqg/`
 and `tests/`; package `__init__.py` files re-export what they import and
 are skipped.  The thread-pool scan looks at every import in every module
 of `src/layerqg/`: the package has one way to fan out work, the batch
-pool of `dynamics._run_paths`.  The dependency scan collects the top-level
+pool of `dynamics._run_paths`.  The noise-draw scan lists the names of
+`rng` that each module of `src/layerqg/` reads: only `dynamics` opens a
+stream (the stepping loop and the seeded initial datum), so every run and
+ladder rung draws its noise there, and `cli` reads only the scheme name
+for the manifest.  The dependency scan collects the top-level
 modules outside the standard library that any module of `src/layerqg/`
 imports, deferred imports included, and compares them with the
 `dependencies` of `pyproject.toml`.  The private-import scan lists
@@ -102,6 +106,41 @@ def test_only_dynamics_imports_a_thread_pool():
                  for path in sorted((ROOT / "src/layerqg").glob("*.py"))
                  if imports_module(path.read_text(), "concurrent.futures")]
     assert importers == ["dynamics.py"]
+
+
+def rng_names(source):
+    """Names of the sibling module `rng` that a module reads, at any
+    depth: `x.name` for each `from . import rng [as x]`, and each name of
+    `from .rng import name`."""
+    tree = ast.parse(source)
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                aliases.update(alias.asname or alias.name
+                               for alias in node.names if alias.name == "rng")
+            elif node.module == "rng":
+                names.update(alias.name for alias in node.names)
+    return names | {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases}
+
+
+def test_scan_lists_rng_names():
+    source = ("from . import __version__, rng as r\nfrom .rng import SCHEME\n"
+              "def f():\n    from . import rng\n"
+              "    return r.stream(1), rng.x\n")
+    assert rng_names(source) == {"SCHEME", "stream", "x"}
+    assert rng_names("from numpy import random as rng\nrng.normal()\n"
+                     "import rng\nrng.stream\n") == set()
+
+
+def test_only_dynamics_draws_noise():
+    readers = {path.stem: names
+               for path in sorted((ROOT / "src/layerqg").glob("*.py"))
+               if (names := rng_names(path.read_text()))}
+    assert readers == {"cli": {"SCHEME"}, "dynamics": {"stream"}}
 
 
 def third_party_modules(source):
