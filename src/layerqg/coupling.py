@@ -187,7 +187,8 @@ def eigenpairs(coupling: LayerCoupling, k: int) -> OperatorEigenpairs:
     [lambda_nm min(h), lambda_nm max(h) + ||L||].  The ceil(K/3) modes of
     smallest lambda hold at least K eigenvalues no larger than
     reach = lambda_(ceil(K/3)) max(h) + ||L||, so a mode whose whole
-    range lies above reach holds none of the K smallest.
+    range lies above reach holds none of the K smallest.  Kept modes of
+    one lambda share their matrix, which is factored once.
     """
     basis = coupling.basis
     total = N_LAYERS * basis.nx * basis.ny
@@ -198,13 +199,23 @@ def eigenpairs(coupling: LayerCoupling, k: int) -> OperatorEigenpairs:
     by_lam = np.lexsort((lam,))                 # modes by ascending lambda
     reach = (lam[by_lam[-(-k // N_LAYERS) - 1]] * h.max()
              + np.abs(coupling.l_matrix).sum(axis=1).max())
-    # the margin keeps eigh's roundoff from deciding a boundary mode
-    kept = by_lam[:np.count_nonzero(lam[by_lam] * h.min()
-                                    <= reach * (1 + 1e-12))]
-    nn, mm = np.meshgrid(np.arange(1, basis.nx + 1),
-                         np.arange(1, basis.ny + 1), indexing="ij")
-    modes = -lam[kept, None, None] * np.diag(h) + coupling.l_matrix
-    eigval, eigvec = np.linalg.eigh(modes)  # ascending eigenvalues per mode
+    # the margin keeps eigh's roundoff from deciding a boundary mode; kept
+    # modes go in (n, m) order, the flat index order
+    kept = np.arange(lam.size)[lam * h.min() <= reach * (1 + 1e-12)]
+    # modes of one lambda (on a square, (n, m) and (m, n)) share a matrix,
+    # factored once: the distinct lambdas start the runs of equal values
+    # in the ranking (np.unique would sort again, and its sort's first use
+    # faults in code pages that raise every command's peak RSS by 0.2 MB)
+    ranked = by_lam[:len(kept)]
+    starts = np.empty(len(kept), dtype=bool)
+    starts[0] = True
+    np.not_equal(lam[ranked[1:]], lam[ranked[:-1]], out=starts[1:])
+    distinct = lam[ranked[starts]]
+    which = np.empty(lam.size, dtype=np.int64)
+    which[ranked] = np.cumsum(starts) - 1       # each mode's matrix
+    which = which[kept]
+    eigval, eigvec = np.linalg.eigh(     # ascending eigenvalues per matrix
+        -distinct[:, None, None] * np.diag(h) + coupling.l_matrix)
     # ascending |mu| within a mode = reversed eigh order (all mu < 0)
     eigval = eigval[..., ::-1]
     eigvec = eigvec[..., ::-1]
@@ -214,15 +225,13 @@ def eigenpairs(coupling: LayerCoupling, k: int) -> OperatorEigenpairs:
     signs[signs == 0] = 1.0
     eigvec = eigvec * signs
 
-    nn = np.repeat(nn.reshape(-1)[kept], N_LAYERS)
-    mm = np.repeat(mm.reshape(-1)[kept], N_LAYERS)
-    jj = np.tile(np.arange(N_LAYERS), len(kept))
-    flat_mu = eigval.reshape(-1)
-    order = np.lexsort((jj, mm, nn, np.abs(flat_mu)))[:k]
-    vecs = eigvec.transpose(0, 2, 1).reshape(-1, N_LAYERS)  # row k = v_k
+    # entries in (n, m, j) order, so a stable sort by |mu| breaks ties
+    # lexicographically
+    flat_mu = eigval[which].reshape(-1)
+    order = np.argsort(np.abs(flat_mu), kind="stable")[:k]
+    mode, comp = np.divmod(order, N_LAYERS)     # index into kept; j
+    row, col = np.divmod(kept[mode], basis.ny)
     return OperatorEigenpairs(
-        coupling=coupling, mode_n=nn[order].astype(np.int64),
-        mode_m=mm[order].astype(np.int64),
-        comp_j=jj[order].astype(np.int64),
-        mu=flat_mu[order],
-        vec=vecs[order])
+        coupling=coupling, mode_n=(row + 1).astype(np.int64),
+        mode_m=(col + 1).astype(np.int64), comp_j=comp.astype(np.int64),
+        mu=flat_mu[order], vec=eigvec[which[mode], :, comp])

@@ -23,7 +23,9 @@ overflowing product is not scanned for: it projects to non-finite
 coefficients, and the one finiteness check of each new state turns it
 into a blow-up.  Observables stay on the G >= 2N grid: every per-sample
 quantity is an `Observable` of the loop, evaluated when the sample is
-taken through one lazy cache, `ObsContext`.
+taken through one lazy cache, `ObsContext`, which makes each x-stage
+product and grid once and drops it after the last observable that
+declares it read.
 
 One stepping loop, the generator `_samples`, yields each sample of a
 batch of paths: `_run_paths` records the observable series of single
@@ -109,12 +111,15 @@ class ObsContext:
     w_hat, a (P, 3, Nx, Ny) batch of paths, each reduced to one value per
     path.
 
-    What two or more series read is made once and kept while the context
-    lives: eta_hat = q_hat - w_hat, psi_hat, q's grid, u = grad^perp psi,
-    grad W, each field's `peak` (max |f| per path) and `lp_norms`, and
-    the (P, J) values of each PairingTable.  A grid that one series alone
-    reads (those of W, eta and |u|, which only their Lp norms read, the
-    squares behind Lp norms, grad q, grad eta, a Hessian) is dropped by it.
+    Its grids are keyed (f, dx, dy): the (dx, dy) derivative of f in "q",
+    "w" or "psi" (solved for once), finished from f's x-stage product of
+    order dx, keyed (f, dx), which every grid of that order shares; and
+    ("eta", 0, 0) = q - W and ("speed", 0, 0) = |grad psi|, formed from
+    their grids.  A product or grid is made at its first read and kept
+    until `release` drops it: the stepping loop drops each after the last
+    observable that declares it, or a grid made from it, in its `reads`
+    (`_release_plan`).  Each field's `peak` and `lp_norms` and the (P, J)
+    values of each PairingTable are kept while the context lives.
     `w_read` tells whether anything read `w_hat`.
     """
 
@@ -140,29 +145,42 @@ class ObsContext:
         return self._memo[key]
 
     @cached_property
-    def eta_hat(self):
-        return self.q_hat - self.w_hat
-
-    @cached_property
     def psi_hat(self):
         return solve_elliptic_coeffs(self.coupling, self.q_hat)
 
-    @cached_property
-    def u(self):
-        return self.basis.perp_grad_grids(self.psi_hat)
-
-    @cached_property
-    def grad_w(self):
-        return self.basis.grad_grids(self.w_hat)
-
-    def grid(self, f):
-        """Field f ("q", "w", "eta" or "speed") on the grid."""
-        if f == "q":
-            return self._once(f, lambda: self.basis.inverse(self.q_hat))
+    @staticmethod
+    def inputs(key):
+        """The entries that making entry `key` reads."""
+        f, dx, *dy = key
+        if not dy:                      # an x-stage product
+            return ()
+        if f == "eta":
+            return ("q", 0, 0), ("w", 0, 0)
         if f == "speed":
-            u1, u2 = self.u
-            return np.sqrt(u1**2 + u2**2)
-        return self.basis.inverse(getattr(self, f"{f}_hat"))
+            return ("psi", 0, 1), ("psi", 1, 0)
+        return (f, dx),
+
+    def grid(self, f, dx=0, dy=0):
+        """The grid (f, dx, dy); f is "q", "w", "psi", "eta" or "speed"."""
+        key = (f, dx, dy)
+        if key not in self._memo:
+            if f == "eta":
+                grid = np.subtract(self.grid("q"), self.grid("w"))
+            elif f == "speed":
+                grid = np.square(self.grid("psi", 0, 1))
+                grid += np.square(self.grid("psi", 1, 0))
+                np.sqrt(grid, out=grid)
+            else:
+                grid = self.basis.stage_y(self._once(
+                    (f, dx), lambda: self.basis.stage_x(
+                        getattr(self, f"{f}_hat"), dx)), dy)
+            self._memo[key] = grid
+        return self._memo[key]
+
+    def release(self, keys):
+        """Drop the products and grids `keys` (those not made are skipped)."""
+        for key in keys:
+            self._memo.pop(key, None)
 
     def peak(self, f):
         return self._once(("peak", f), lambda: grid_peak(self.grid(f)))
@@ -170,23 +188,33 @@ class ObsContext:
     def lp_norms(self, f, exponents):
         """The Lp norms of field f per path, for ascending even p."""
         def make():
-            grid = self.grid(f)
-            peak = self._once(("peak", f), lambda: grid_peak(grid))
-            return scaled_lp_norms(peak, peak_scaled_square(grid, peak),
-                                   self.basis.quad_weights, exponents)
+            peak = self.peak(f)
+            square = peak_scaled_square(self.grid(f), peak)
+            return scaled_lp_norms(peak, square, self.basis.quad_weights,
+                                   exponents)
         return self._once(("lp", f, exponents), make)
 
-    def grad_l4(self, f):
-        """(sum_i int_D |grad f^i|^4 dx)^(1/4) per path, f in q, w, eta."""
-        gx, gy = (self.grad_w if f == "w" else
-                  self.basis.grad_grids(getattr(self, f"{f}_hat")))
-        return field_sum((gx**2 + gy**2) ** 2
-                         * self.basis.quad_weights) ** 0.25
+    def sup(self, keys):
+        """max |g| per path over the grids `keys`, the components of a
+        vector or matrix field."""
+        return reduce(np.maximum, (grid_peak(self.grid(*key))
+                                   for key in keys))
 
-    @staticmethod
-    def sup(grids):
-        """max |g| per path over the component grids of a vector field."""
-        return reduce(np.maximum, map(grid_peak, grids))
+    def l4(self, keys):
+        """(sum_i int_D |g^i|^4 dx)^(1/4) per path, |g|^2 the sum of the
+        squares of the grids `keys`, a mixed second derivative's counted
+        twice (the Frobenius norm of a Hessian).  The integrand is formed
+        in place."""
+        total = None
+        for key in keys:
+            square = np.square(self.grid(*key))
+            if key[1:] == (1, 1):
+                square *= 2
+            total = square if total is None else np.add(total, square,
+                                                          out=total)
+        np.square(total, out=total)
+        total *= self.basis.quad_weights
+        return field_sum(total) ** 0.25
 
     def pairings(self, table):
         """table(q_hat), computed once per sample."""
@@ -195,17 +223,31 @@ class ObsContext:
         return self._memo[table]
 
 
+# The grids of a field's gradient and of its Hessian, as (dx, dy) orders
+GRADIENT = ((1, 0), (0, 1))
+HESSIAN = ((2, 0), (1, 1), (0, 2))
+
+
+def grids(f, orders):
+    """ObsContext keys of f's grids of the (dx, dy) `orders`."""
+    return tuple((f, dx, dy) for dx, dy in orders)
+
+
 @dataclass(frozen=True)
 class Observable:
     """`fn(ctx)` gives one value per path, reduced over that path alone.
 
     `name` keys the series in `TrajectoryRecord.observables`: a string
     for the observables of `parse_observables`, any hashable key for the
-    monitor series of `experiments.monitor_observables`.
+    monitor series of `experiments.monitor_observables`.  `reads` names
+    the ObsContext grids fn reads; the loop releases each after the last
+    observable that reads it, and keeps a grid no observable declares
+    for the whole sample.
     """
 
     name: str | tuple
     fn: callable
+    reads: tuple = ()
 
     def __call__(self, ctx: ObsContext) -> np.ndarray:
         values = np.asarray(self.fn(ctx), dtype=float)
@@ -214,17 +256,42 @@ class Observable:
         return values
 
 
+def _release_plan(observables) -> list:
+    """Per observable, the ObsContext entries to release after it: each
+    grid an observable `reads`, and each entry that making it reads,
+    lives until its last reader."""
+    last = {}
+
+    def read(key, o):
+        if key not in last:             # made here, so its inputs read here
+            for entry in ObsContext.inputs(key):
+                read(entry, o)
+        last[key] = o
+
+    for o, ob in enumerate(observables):
+        for key in ob.reads:
+            read(key, o)
+    plan = [[] for _ in observables]
+    for key, o in last.items():
+        plan[o].append(key)
+    return plan
+
+
+_Q_GRID = (("q", 0, 0),)
+
+
 def obs_lp(p) -> Observable:
     """The Lp norm of q per path, as `spectral.grid_lp_norm` gives it.
 
     l2 is sqrt(sum q_hat^2) by Parseval, exact on every grid G >= N.
     """
     if p in (np.inf, "inf"):
-        return Observable("linf", lambda ctx: ctx.peak("q"))
+        return Observable("linf", lambda ctx: ctx.peak("q"), _Q_GRID)
     p = even_exponent(p)
     if p == 2:
         return Observable("l2", lambda ctx: np.sqrt(field_sum(ctx.q_hat**2)))
-    return Observable(f"l{p}", lambda ctx: ctx.lp_norms("q", (p,))[0])
+    return Observable(f"l{p}", lambda ctx: ctx.lp_norms("q", (p,))[0],
+                      _Q_GRID)
 
 
 def obs_h(alpha: float, noise: bool = False) -> Observable:
@@ -278,7 +345,9 @@ def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
         if token == "linf":
             out.append(obs_lp(np.inf))
         elif token == "gradl4":
-            out.append(Observable("gradl4", lambda ctx: ctx.grad_l4("q")))
+            grad_q = grids("q", GRADIENT)
+            out.append(Observable("gradl4", lambda ctx: ctx.l4(grad_q),
+                                  grad_q))
         elif token.startswith("wh"):
             out.append(obs_h(_token_number(token, "wh", float, "alpha"),
                              noise=True))
@@ -590,6 +659,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     cfg.snap_every.  An abort carries the partial record of the path whose
     state was largest before the failing step."""
     n_steps, snaps = cfg.n_steps, cfg.snap_every if sink else 0
+    drops = _release_plan(observables)
 
     def record(batch):
         part, samples = batch
@@ -605,6 +675,8 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                     if j % cfg.obs_every == 0 or j == n_steps:
                         for o, ob in enumerate(observables):
                             series[len(times), o] = ob(ctx)
+                            if drops[o]:
+                                ctx.release(drops[o])
                         times.append(j * cfg.dt)
                     del ctx         # its grids go before the next steps
             except (BlowUpError, TimeStepError) as exc:

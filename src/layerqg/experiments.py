@@ -11,12 +11,16 @@ and `weak_residual`) read series of the record, not snapshots.
 `monitor_observables` hands every series they read to the stepping loop
 as an `Observable`, evaluated at each sample through the sample's
 `dynamics.ObsContext`, the per-sample cache of all observables: psi is
-solved for once, each grid (q, W, eta = q - W, their gradients, u =
-grad^perp psi, D^2 psi and D^2 W: 17 at most) is synthesized once, and
-the sup norms, L4 gradient norms, Lp norms and weak-form pairings share
-its reductions.  The loop keeps one scalar per series and sample, so a
-monitored run stores no field.  A monitor given a record without a
-series it reads raises SamplingError naming that series.
+solved for once; each x-stage product is made once (q's of x order 0
+and 1, W's and psi's of orders 0 to 2: 8) and each grid finished from it
+once (q, grad q, W, grad W, D^2 W, grad psi and D^2 psi: 14); eta = q - W
+is formed from the grids of q and W, and u = grad^perp psi is read from
+psi's gradient, so neither is synthesized; and the sup norms, L4 norms,
+Lp norms and weak-form pairings share its reductions.  A product or grid
+is dropped after the last series that reads it.  The loop keeps one
+scalar per series and sample, so a monitored run stores no field.  A
+monitor given a record without a series it reads raises SamplingError
+naming that series.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Observable, TrajectoryRecord
+from .dynamics import (GRADIENT, HESSIAN, Observable, TrajectoryRecord,
+                       grids)
 from .errors import SamplingError
 from .spectral import LayerField, even_exponent, field_sum
 
@@ -88,34 +93,6 @@ def _trapz(values, times):
 # -- the monitor series, as observables of the stepping loop ------------
 
 
-def _hess_l4(ctx):
-    """(sum_i int_D |D^2 W^i|_F^4 dx)^(1/4) per path, from D^2 W made and
-    dropped."""
-    hxx, hxy, hyy = ctx.basis.hessian_grids(ctx.w_hat)
-    return field_sum((hxx**2 + 2 * hxy**2 + hyy**2) ** 2
-                     * ctx.basis.quad_weights) ** 0.25
-
-
-# The monitor series with a fixed name, as `fn(ctx)` of a sample's
-# ObsContext, in the order of evaluation: those that make and drop grids
-# of their own run first, while the context holds few.  Each exponent p
-# adds the series (f, p), the Lp norm of f in _LP_FIELDS; each test
-# function phi the series `_phi_key(kind, phi)` of its pairings.
-_NAMED_SERIES = {
-    # u = (-psi_y, psi_x), so the entries of grad u are psi's second
-    # derivatives
-    "grad_u_inf": lambda ctx: ctx.sup(ctx.basis.hessian_grids(ctx.psi_hat)),
-    "hess_w_l4": _hess_l4,
-    "grad_q_l4": lambda ctx: ctx.grad_l4("q"),
-    "grad_eta_l4": lambda ctx: ctx.grad_l4("eta"),
-    "grad_w_l4": lambda ctx: ctx.grad_l4("w"),
-    "grad_w_inf": lambda ctx: ctx.sup(ctx.grad_w),
-    "u_inf": lambda ctx: ctx.sup(ctx.u),
-    "q_inf": lambda ctx: ctx.peak("q"),
-}
-_LP_FIELDS = ("q", "w", "eta", "speed")
-
-
 def _test_coeffs(test_function):
     """Spectral coefficients of a LayerField or coefficient array."""
     if isinstance(test_function, LayerField):
@@ -133,26 +110,52 @@ def _phi_key(kind, phi_hat):
 def monitor_observables(basis, exponents=(), test_functions=()) -> list:
     """Every series the monitors read, as observables of the stepping loop.
 
-    In the order of evaluation: the _NAMED_SERIES; the Lp norms (f, p),
-    f in _LP_FIELDS, for each even p of `exponents`; and for each test
-    function phi (a LayerField or coefficient array) <q, u . grad phi>,
-    <q, phi> and <W, phi>, keyed by `_phi_key`.  grad phi is synthesized
-    here, once before the run.
+    In the order of evaluation, field by field, so that each product and
+    grid is dropped soon after it is made: W's (`hess_w_l4`, `grad_w_l4`,
+    `grad_w_inf` and its Lp norms), q's (`grad_q_l4`, `q_inf`, its Lp
+    norms), the Lp norms of eta = q - W, psi's (`grad_u_inf`, `u_inf`,
+    the Lp norms of |u|), and for each test function phi (a LayerField or
+    coefficient array) <q, u . grad phi>, <q, phi> and <W, phi>, keyed by
+    `_phi_key`.  The Lp norm of f is the series (f, p) for each even p of
+    `exponents`.  grad phi is synthesized here, once before the run.
     """
-    series = dict(_NAMED_SERIES)
     exps = tuple(sorted(set(map(even_exponent, exponents))))
-    series.update({(f, p): lambda ctx, f=f, i=i: ctx.lp_norms(f, exps)[i]
-                   for f in _LP_FIELDS for i, p in enumerate(exps)})
+
+    def lp(f):
+        return [Observable((f, p), lambda ctx, i=i: ctx.lp_norms(f, exps)[i],
+                           ((f, 0, 0),)) for i, p in enumerate(exps)]
+
+    # u = (-psi_y, psi_x): |u| and the entries of grad u (psi's second
+    # derivatives) are read from psi's grids, with no u made
+    hess_w, grad_w = grids("w", HESSIAN), grids("w", GRADIENT)
+    grad_q, q = grids("q", GRADIENT), (("q", 0, 0),)
+    hess_psi, grad_psi = grids("psi", HESSIAN), grids("psi", GRADIENT)
+    series = [Observable("hess_w_l4", lambda ctx: ctx.l4(hess_w), hess_w),
+              Observable("grad_w_l4", lambda ctx: ctx.l4(grad_w), grad_w),
+              Observable("grad_w_inf", lambda ctx: ctx.sup(grad_w), grad_w),
+              *lp("w"),
+              Observable("grad_q_l4", lambda ctx: ctx.l4(grad_q), grad_q),
+              Observable("q_inf", lambda ctx: ctx.peak("q"), q),
+              *lp("q"), *lp("eta"),
+              Observable("grad_u_inf", lambda ctx: ctx.sup(hess_psi),
+                         hess_psi),
+              Observable("u_inf", lambda ctx: ctx.sup(grad_psi), grad_psi),
+              *lp("speed")]
     w = basis.quad_weights
     for phi in map(_test_coeffs, test_functions):
         px, py = basis.grad_grids(phi)
-        series[_phi_key("transport", phi)] = lambda ctx, px=px, py=py: \
-            field_sum(ctx.grid("q") * (ctx.u[0] * px + ctx.u[1] * py) * w)
-        series[_phi_key("pairing", phi)] = \
-            lambda ctx, phi=phi: field_sum(ctx.q_hat * phi)
-        series[_phi_key("noise_pairing", phi)] = \
-            lambda ctx, phi=phi: field_sum(ctx.w_hat * phi)
-    return [Observable(key, fn) for key, fn in series.items()]
+
+        def transport(ctx, px=px, py=py):
+            psi_x, psi_y = (ctx.grid(*key) for key in grad_psi)
+            return field_sum(ctx.grid("q") * (psi_x * py - psi_y * px) * w)
+
+        series += [
+            Observable(_phi_key("transport", phi), transport, q + grad_psi),
+            Observable(_phi_key("pairing", phi),
+                       lambda ctx, phi=phi: field_sum(ctx.q_hat * phi)),
+            Observable(_phi_key("noise_pairing", phi),
+                       lambda ctx, phi=phi: field_sum(ctx.w_hat * phi))]
+    return series
 
 
 def _read(record: TrajectoryRecord, key, label=None) -> np.ndarray:
@@ -229,7 +232,7 @@ def lp_envelope(record: TrajectoryRecord, k: int):
     """
     gamma = record.config.gamma
     q_norm, w_norm, eta_norm, u_lp = (_read(record, (f, 2 * k))
-                                      for f in _LP_FIELDS)
+                                      for f in ("q", "w", "eta", "speed"))
     forcing = u_lp * _read(record, "grad_w_inf") + gamma * w_norm
     times = record.times
     rate = np.full(len(times), gamma)
@@ -244,18 +247,18 @@ def w14_monitor(record: TrajectoryRecord) -> MonitorReport:
         d/dt ||grad eta||_4 <= (||grad u||_inf - gamma) ||grad eta||_4
             + ||grad u||_inf ||grad W||_4 + ||u||_inf ||hess W||_4
             + gamma ||grad W||_4
-    is integrated with all coefficients measured from the record; the
+    is integrated with all coefficients measured from the record, from
+    ||grad eta_0||_4 = ||grad q_0||_4 (the loop starts W at 0); the
     q-envelope adds ||grad W_t||_4.
     """
     gamma = record.config.gamma
     times = record.times
-    grad_q, grad_eta, grad_w4, grad_u_inf, u_inf, hess_w = (
+    grad_q, grad_w4, grad_u_inf, u_inf, hess_w = (
         _read(record, name) for name in (
-            "grad_q_l4", "grad_eta_l4", "grad_w_l4", "grad_u_inf", "u_inf",
-            "hess_w_l4"))
+            "grad_q_l4", "grad_w_l4", "grad_u_inf", "u_inf", "hess_w_l4"))
     rate = gamma - grad_u_inf
     forcing = grad_u_inf * grad_w4 + u_inf * hess_w + gamma * grad_w4
-    env_eta = _damped_integrate(rate, forcing, times, grad_eta[0])
+    env_eta = _damped_integrate(rate, forcing, times, grad_q[0])
     envelope = env_eta + grad_w4
     return MonitorReport(times=times, series=grad_q,
                          maximum=float(np.max(grad_q)),

@@ -58,12 +58,15 @@ def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1,
                threads: int = 1):
     """Averaged measures at nested horizons, one long run per path.
 
-    Starts every path at q0 = 0.  Before the run, the horizons must
-    ascend from 0 up to the configured trajectory length through sample
-    times: multiples of dt * obs_every, or that length itself (each to a
-    relative 1e-9, as SimConfig matches horizon and dt).  `threads` is
-    `_run_paths`'s, and changes no byte.
+    Starts every path at q0 = 0.  Before the run, `observables` must
+    not be empty, and the horizons must ascend from 0 up to the
+    configured trajectory length through sample times: multiples of
+    dt * obs_every, or that length itself (each to a relative 1e-9, as
+    SimConfig matches horizon and dt).  `threads` is `_run_paths`'s, and
+    changes no byte.
     """
+    if not observables:
+        raise ConfigurationError("no observables to average")
     horizons = list(horizons)
     spacing = config.dt * config.obs_every
     for prev, horizon in zip([0.0, *horizons], horizons):

@@ -88,7 +88,7 @@ class NoiseMixer:
         k = spec.k
         rows = pairs.flat_index[:k].ravel()
         cols = np.repeat(np.arange(k), N_LAYERS)      # row-major like vec[:k]
-        order = np.lexsort((cols, rows))
+        order = np.argsort(rows, kind="stable")       # cols already ascend
         self._rows = rows[order]
         self._cols = cols[order]
         self._vals = pairs.vec[:k].ravel()[order]

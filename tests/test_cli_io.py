@@ -345,6 +345,15 @@ class TestCli:
         assert err.startswith("error: ") and self.CONSTRAINTS[line] in err
         assert not out.exists()
 
+    def test_invariant_rejects_no_observables(self, tmp_path, capsys):
+        # nothing to average: rejected before any step or output
+        cfg = self.write_cfg(tmp_path, "observables=\n")
+        out = tmp_path / "out"
+        assert run_cli("invariant", "--config", str(cfg), "--seed", "1",
+                       "--out", str(out), "--horizons", "0.05") == 2
+        assert capsys.readouterr().err == "error: no observables to average\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, content", [
         ("missing.cfg", None), ("latin1.cfg", "gamma=0.5 # \xe9t\xe9\n")],
         ids=["missing", "not-utf8"])

@@ -246,26 +246,29 @@ class TestEigenpairs:
             eigenpairs(coupling16, 0)
 
     def test_pruned_factoring_matches_full_eigh(self):
-        # reference: factor every mode matrix and sort all 3 Nx Ny pairs
+        # reference: factor every mode matrix by its own eigh and sort all
+        # 3 Nx Ny pairs by |mu|, then (n, m, j)
         def full(cp, basis, k):
-            lam = basis.eigenvalues
-            eigval, eigvec = np.linalg.eigh(
-                -lam[..., None, None] * np.diag(cp.h) + cp.l_matrix)
-            eigval, eigvec = eigval[..., ::-1], eigvec[..., ::-1]
+            eig = [np.linalg.eigh(-lam * np.diag(cp.h) + cp.l_matrix)
+                   for lam in basis.eigenvalues.ravel()]
+            eigval = np.array([val for val, _ in eig])[:, ::-1]
+            eigvec = np.array([vec for _, vec in eig])[..., ::-1]
             idx = np.argmax(np.abs(eigvec), axis=-2, keepdims=True)
             signs = np.sign(np.take_along_axis(eigvec, idx, axis=-2))
             signs[signs == 0] = 1.0
             eigvec = eigvec * signs
-            nn, mm, jj = np.meshgrid(np.arange(1, basis.nx + 1),
-                                     np.arange(1, basis.ny + 1),
-                                     np.arange(3), indexing="ij")
+            nn, mm, jj = (v.ravel() for v in np.meshgrid(
+                np.arange(1, basis.nx + 1), np.arange(1, basis.ny + 1),
+                np.arange(3), indexing="ij"))
             mu = eigval.reshape(-1)
-            order = np.lexsort((jj.ravel(), mm.ravel(), nn.ravel(),
-                                np.abs(mu)))[:k]
-            vecs = eigvec.transpose(0, 1, 3, 2).reshape(-1, 3)
-            return (nn.ravel()[order], mm.ravel()[order], jj.ravel()[order],
-                    mu[order], vecs[order])
+            order = np.lexsort((jj, mm, nn, np.abs(mu)))[:k]
+            vecs = eigvec.transpose(0, 2, 1).reshape(-1, 3)
+            return nn[order], mm[order], jj[order], mu[order], vecs[order]
 
+        # a square, where (n, m) and (m, n) share a matrix, and a
+        # rectangle, each with every pair; then random cases
+        cases = [(build_basis(1.0, 1.0, 12, 12), (1.0, 1.0, 1.0), 1.0, 432),
+                 (build_basis(1.3, 0.7, 9, 14), (0.5, 2.0, 1.1), 3.0, 378)]
         rng = np.random.default_rng(8)
         for _ in range(40):
             nx, ny = rng.integers(1, 21, size=2)
@@ -274,9 +277,11 @@ class TestEigenpairs:
             lambdas = 10.0 ** rng.uniform(-2, 2, size=3)
             if rng.random() < 0.5:
                 lambdas[:] = lambdas[0]
-            cp = symmetrize(tuple(lambdas), basis, 10.0 ** rng.uniform(-2, 2))
-            k = int(rng.integers(1, 3 * nx * ny + 1))
+            cases.append((basis, tuple(lambdas), 10.0 ** rng.uniform(-2, 2),
+                          int(rng.integers(1, 3 * nx * ny + 1))))
+        for basis, lambdas, scale, k in cases:
+            cp = symmetrize(lambdas, basis, scale)
             pr = eigenpairs(cp, k)
-            for got, want in zip((pr.mode_n, pr.mode_m, pr.comp_j, pr.mu,
-                                  pr.vec), full(cp, basis, k)):
-                assert np.array_equal(got, want)
+            for field, want in zip(("mode_n", "mode_m", "comp_j", "mu",
+                                    "vec"), full(cp, basis, k)):
+                assert np.array_equal(getattr(pr, field), want), field

@@ -12,6 +12,10 @@ The `*_2_batches` cases force the paths into two batches through
 
 A change that moves a byte rewrites the file deliberately with
 `python tests/test_digests.py` and declares which artifacts moved.
+`python tests/test_digests.py --diff` runs every case, writes nothing,
+and prints each exit code and artifact digest that differs from
+digests.json, so a change can show which artifacts moved, or that none
+did.
 """
 
 import hashlib
@@ -104,5 +108,39 @@ def _write_digests():
         indent=2, sort_keys=True) + "\n")
 
 
+def _report_diff():
+    """Run every case and write nothing: print each case whose exit code
+    and each artifact whose digest differs from digests.json (an artifact
+    on one side only counts), then how many differ."""
+    import tempfile
+    data = json.loads(DIGEST_PATH.read_text())
+    here = _environment_keys()
+    for key in ENV_KEYS:
+        if data["environment"][key] != here[key]:
+            print(f"note: digests were written with {key}="
+                  f"{data['environment'][key]!r}, this is {here[key]!r}")
+    moved, total = 0, 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            got = run_case(case, Path(tmp) / case)
+            want = data["cases"].get(case, {"exit": None, "artifacts": {}})
+            if got["exit"] != want["exit"]:
+                print(f"{case}: exit {want['exit']} -> {got['exit']}")
+                moved += 1
+            names = sorted(set(got["artifacts"]) | set(want["artifacts"]))
+            total += len(names)
+            for name in names:
+                old, new = (side["artifacts"].get(name, "absent")
+                            for side in (want, got))
+                if old != new:
+                    print(f"{case}/{name}: {old} -> {new}")
+                    moved += 1
+    print(f"{moved} differ, of {total} artifacts and {len(CASES)} exit codes")
+
+
 if __name__ == "__main__":
-    _write_digests()
+    import sys
+    if sys.argv[1:] == ["--diff"]:
+        _report_diff()
+    else:
+        _write_digests()

@@ -121,7 +121,7 @@ class TestQForm:
         assert len(samples) == 3
         ctx = ObsContext(cfg.coupling, np.zeros((1, 3, 12, 12)), None)
         with pytest.raises(SamplingError, match="keeps no W"):
-            ctx.eta_hat
+            ctx.grid("eta")
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_w_series_equal_w_accumulated_outside_the_loop(self, nonlinear):

@@ -14,7 +14,8 @@ from layerqg.experiments import (_damped_integrate, log_estimate_monitor,
                                  lp_envelope, monitor_observables,
                                  w14_monitor, weak_residual)
 from layerqg.noise import make_noise, sample_path
-from layerqg.spectral import LayerField, SpectralBasis, single_mode_field
+from layerqg.spectral import (LayerField, SpectralBasis, grid_lp_norm,
+                              single_mode_field)
 from layerqg.sweeps import (SweepReport, _l2_distance, _lockstep,
                             galerkin_sweep, viscosity_sweep,
                             yudovich_stability)
@@ -457,16 +458,42 @@ class TestSharedPass:
             assert np.array_equal(run.observables[name],
                                   diagnose.observables[key]), name
 
+    def test_eta_norms_equal_those_of_a_synthesized_eta(
+            self, basis16, coupling16, pairs16):
+        # eta's grid is q's less W's: its Lp norms are within 1e-14 of
+        # those of the grid of q_hat - w_hat, synthesized alone, at every
+        # sample, and bitwise at t = 0, where W = 0; the noise is strong
+        # enough that W is a tenth of q by the end
+        cfg = noisy_config(basis16, coupling16, pairs16, sigma=300.0,
+                           horizon=0.1, obs_every=2)
+        weights = basis16.quad_weights
+        exponents = (2, 4, 6)
+        synthesized = [Observable(("alone", p), lambda ctx, p=p: grid_lp_norm(
+            basis16.inverse(ctx.q_hat - ctx.w_hat), weights, p))
+            for p in exponents]
+        rec = run_trajectory(cfg, observables=monitor_observables(
+            basis16, exponents) + synthesized)
+        for p in exponents:
+            got, want = rec.observables["eta", p], rec.observables["alone", p]
+            assert np.all(np.abs(got - want) <= 1e-14 * want), p
+            assert got[0] == want[0], p
+        assert rec.observables["w", 2][-1] > 0.1 * rec.observables["q", 2][-1]
+
     def test_diagnose_synthesizes_each_grid_once_per_sample(
             self, tmp_path, monkeypatch):
-        calls = {"in_samples": 0, "samples": 0, "grads_before": 0}
+        calls = {"x": 0, "y": 0, "samples": 0, "grads_before": 0}
         evaluating = []
-        synth, grad_grids = SpectralBasis.synth, SpectralBasis.grad_grids
+        stage_x, stage_y = SpectralBasis.stage_x, SpectralBasis.stage_y
+        grad_grids = SpectralBasis.grad_grids
         call, init = Observable.__call__, ObsContext.__init__
 
-        def counting_synth(self, c, dx, dy, out=None):
-            calls["in_samples"] += bool(evaluating)
-            return synth(self, c, dx, dy, out=out)
+        def counting_stage_x(self, c, dx):
+            calls["x"] += bool(evaluating)
+            return stage_x(self, c, dx)
+
+        def counting_stage_y(self, product, dy, out=None):
+            calls["y"] += bool(evaluating)
+            return stage_y(self, product, dy, out=out)
 
         def counting_grad_grids(self, coeffs):
             calls["grads_before"] += not evaluating
@@ -483,7 +510,8 @@ class TestSharedPass:
             calls["samples"] += 1
             init(self, *args)
 
-        monkeypatch.setattr(SpectralBasis, "synth", counting_synth)
+        monkeypatch.setattr(SpectralBasis, "stage_x", counting_stage_x)
+        monkeypatch.setattr(SpectralBasis, "stage_y", counting_stage_y)
         monkeypatch.setattr(SpectralBasis, "grad_grids", counting_grad_grids)
         monkeypatch.setattr(Observable, "__call__", counting_call)
         monkeypatch.setattr(ObsContext, "__init__", counting_init)
@@ -494,8 +522,10 @@ class TestSharedPass:
         assert cli.main(["diagnose", "--config", str(cfg), "--seed", "1",
                          "--out", str(tmp_path / "out")]) == 0
         assert calls["samples"] == 11
-        # q, W, eta (1 each), grad q, grad eta, grad W, u (2 each),
-        # D^2 psi, D^2 W (3 each)
-        assert 0 < calls["in_samples"] <= 17 * calls["samples"]
+        # x-stage products: q of x order 0 and 1, W and psi of 0, 1 and 2
+        assert 0 < calls["x"] <= 8 * calls["samples"]
+        # grids: q and grad q (3), W, grad W and D^2 W (6), grad psi and
+        # D^2 psi (5); eta and |u| are formed from them
+        assert 0 < calls["y"] <= 14 * calls["samples"]
         # the test function's gradient, once before the run
         assert calls["grads_before"] == 1
