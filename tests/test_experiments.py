@@ -479,6 +479,26 @@ class TestSharedPass:
             assert got[0] == want[0], p
         assert rec.observables["w", 2][-1] > 0.1 * rec.observables["q", 2][-1]
 
+    def test_a_sample_releases_every_product_and_grid(
+            self, basis16, coupling16, pairs16):
+        # the loop's release plan drops each x-stage product (f, dx) and
+        # grid (f, dx, dy) after its last reader, so none outlives the
+        # monitor series of a sample
+        rng = np.random.default_rng(3)
+        q_hat, w_hat = (np.stack([random_band_coeffs(rng, basis16)])
+                        for _ in range(2))
+        phi = single_mode_field(basis16, 2, 1, [1.0, -0.5, 0.25])
+        obs = monitor_observables(basis16, (2, 4), [phi])
+        ctx = ObsContext(coupling16, q_hat, w_hat)
+        made = set()
+        for ob, drops in zip(obs, dynamics._release_plan(obs)):
+            ob(ctx)
+            made |= {key for key in ctx._memo if isinstance(key, tuple)
+                     and isinstance(key[1], int)}
+            ctx.release(drops)
+        assert len(made) == 8 + 14 + 2      # with the eta and |u| grids
+        assert made.isdisjoint(ctx._memo)
+
     def test_diagnose_synthesizes_each_grid_once_per_sample(
             self, tmp_path, monkeypatch):
         calls = {"x": 0, "y": 0, "samples": 0, "grads_before": 0}
