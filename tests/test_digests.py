@@ -1,5 +1,7 @@
 """Artifact digests: the bytes of every subcommand on one small noisy
-nonlinear config, against stored SHA-256 digests.
+nonlinear config, against stored SHA-256 digests.  The `*_pairings`
+cases swap the config's observables line for one of `pair` and `pairsq`
+labels, so the bytes of the eigenpair pairings are covered too.
 
 digests.json holds, per case, the exit code and the SHA-256 of every
 artifact except the manifest (its runtimes vary from run to run), and
@@ -32,11 +34,14 @@ from layerqg.spectral import N_LAYERS
 DIGEST_PATH = Path(__file__).with_name("digests.json")
 ENV_KEYS = ("python", "numpy", "blas", "blas_version")
 CONFIG = ("modes_x=8\nmodes_y=8\ngamma=0.5\nsigma=2\nnoise_modes=24\n"
-          "dt=0.002\nhorizon=0.1\ninit=lowband:4:3.0:5\n"
-          "observables=l2,l4,linf,h1,wh1,gradl4\n")
+          "dt=0.002\nhorizon=0.1\ninit=lowband:4:3.0:5\n")
+OBSERVABLES = "observables=l2,l4,linf,h1,wh1,gradl4\n"
+PAIRINGS = ("observables=pair:1.1.0,l2,pairsq:1.1.0,pairsq:1.2.1,"
+            "pair:2.2.2,pairsq:3.1.0,pair:1.3.2\n")
 SEED = 3
 
-# case -> (argv after the common flags, paths per batch or None)
+# case -> (argv after the common flags, paths per batch or None[, the
+# config's observables line, default OBSERVABLES])
 CASES = {
     "run": (["run", "--snap-every", "10"], None),
     "galerkin": (["galerkin", "--n-ladder", "8,12,16", "--snap-every", "5"],
@@ -51,6 +56,11 @@ CASES = {
     "stability_2_batches": (["stability", "--snap-every", "5"], 2),
     "invariant_2_batches": (["invariant", "--horizons", "0.05,0.1",
                              "--paths", "3"], 2),
+    "run_pairings": (["run"], None, PAIRINGS),
+    "invariant_pairings": (["invariant", "--horizons", "0.05,0.1",
+                            "--paths", "3"], None, PAIRINGS),
+    "invariant_pairings_2_batches": (["invariant", "--horizons", "0.05,0.1",
+                                      "--paths", "3"], 2, PAIRINGS),
 }
 
 
@@ -61,10 +71,10 @@ def _environment_keys():
 
 def run_case(case, folder):
     """Exit code and {artifact: SHA-256} of one case run in `folder`."""
-    argv, per_batch = CASES[case]
+    argv, per_batch, *observables = CASES[case]
     folder.mkdir(parents=True, exist_ok=True)
     cfg = folder / "digest.cfg"
-    cfg.write_text(CONFIG)
+    cfg.write_text(CONFIG + (observables or [OBSERVABLES])[0])
     out = folder / "out"
     saved = dynamics._BATCH_POINTS
     if per_batch:
