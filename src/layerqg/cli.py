@@ -104,7 +104,7 @@ def _ladder(flag, text, cast):
 
 class _Session:
     """One command: its settings, realized config, output directory and
-    the artifacts written so far.  The directory is made at the first
+    the names of the artifacts written there so far.  The directory is made at the first
     write, so a command rejected before it writes (a config or flag
     error) leaves none."""
 
@@ -122,9 +122,8 @@ class _Session:
         return self.out / name
 
     def csv(self, name, header, rows):
-        path = self.path(name)
-        _write_csv(path, header, rows)
-        self.artifacts.append(path)
+        _write_csv(self.path(name), header, rows)
+        self.artifacts.append(name)
 
     def manifest(self, extra=None):
         args = self.args
@@ -138,13 +137,14 @@ class _Session:
             "environment": _environment(),
             "flags": {k: v for k, v in vars(args).items()
                       if k not in ("func", "config")},
-            "artifacts": [{"path": p.name, "sha256": _sha256(p)}
-                          for p in sorted(self.artifacts)],
+            "artifacts": [{"path": name, "sha256": _sha256(self.out / name)}
+                          for name in sorted(self.artifacts)],
         }
         if extra:
             manifest.update(extra)
-        path = self.path("manifest.json")
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with self.path("manifest.json").open("w") as fh:  # chunk by chunk
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     def stopped(self, err):
         """Write the manifest of a command that a blow-up or a CFL abort
@@ -182,9 +182,9 @@ def cmd_run(run):
     observables = parse_observables(run.settings.observables, config.pairs)
 
     def snapshot(t, q):         # the artifacts so far are the snapshots
-        path = run.path(f"snapshot_{len(run.artifacts):06d}.lqg")
-        write_field(path, LayerField.from_coeffs(config.basis, q[0]))
-        run.artifacts.append(path)
+        name = f"snapshot_{len(run.artifacts):06d}.lqg"
+        write_field(run.path(name), LayerField.from_coeffs(config.basis, q[0]))
+        run.artifacts.append(name)
 
     try:
         record = run_trajectory(config, observables=observables,

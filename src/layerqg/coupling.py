@@ -175,7 +175,7 @@ def pair_coeffs(coeffs, index, vec):
     every K and every number of leading axes.
     """
     flat = coeffs.reshape(coeffs.shape[:-3] + (-1,))
-    return (flat.take(index, axis=-1) * vec).sum(axis=-1)
+    return np.add.reduce(flat.take(index, axis=-1) * vec, axis=-1)
 
 
 def eigenpairs(coupling: LayerCoupling, k: int) -> OperatorEigenpairs:

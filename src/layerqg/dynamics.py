@@ -38,7 +38,6 @@ solve and the transforms; the loop adds each noise increment in place.
 
 from __future__ import annotations
 
-import concurrent.futures
 import ctypes
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
@@ -119,8 +118,8 @@ class ObsContext:
     until `release` drops it: the stepping loop drops each after the last
     observable that declares it, or a grid made from it, in its `reads`
     (`_release_plan`).  Each field's `peak` and `lp_norms` and the (P, J)
-    values of each PairingTable are kept while the context lives.
-    `w_read` tells whether anything read `w_hat`.
+    values of each PairingTable a `Pairing` reads are kept while the
+    context lives.  `w_read` tells whether anything read `w_hat`.
     """
 
     def __init__(self, coupling: LayerCoupling, q_hat, w_hat):
@@ -216,12 +215,6 @@ class ObsContext:
         total *= self.basis.quad_weights
         return field_sum(total) ** 0.25
 
-    def pairings(self, table):
-        """table(q_hat), computed once per sample."""
-        if table not in self._memo:     # inline: one read per label per sample
-            self._memo[table] = table(self.q_hat)
-        return self._memo[table]
-
 
 # The grids of a field's gradient and of its Hessian, as (dx, dy) orders
 GRADIENT = ((1, 0), (0, 1))
@@ -277,6 +270,37 @@ def _release_plan(observables) -> list:
     return plan
 
 
+def _sample_plan(observables):
+    """How the loop evaluates a sample, and `slots[o]`, the series row of
+    observable o.
+
+    Each PairingTable gets one entry, one `pair_coeffs` per sample for
+    all L of its observables: (their (L, 3) gather rows and vectors, how
+    many of them, first, are squared, and their slots, a slice).  Every
+    other observable gets (slot, observable, the ObsContext entries to
+    release after it), in order, after the tables' slots.
+    """
+    groups, others = {}, []
+    for o, ob in enumerate(observables):
+        if isinstance(ob.fn, Pairing):
+            groups.setdefault(ob.fn.table, []).append((not ob.fn.square, o))
+        else:
+            others.append(o)
+    tables, order = [], []
+    for table, members in groups.items():
+        members = [o for _, o in sorted(members)]      # the squared first
+        fns = [observables[o].fn for o in members]
+        columns = [fn.column for fn in fns]
+        tables.append((table.index[columns], table.vec[columns],
+                       sum(fn.square for fn in fns),
+                       slice(len(order), len(order) + len(members))))
+        order += members
+    drops = _release_plan(observables)
+    evaluations = [(len(order) + i, observables[o], drops[o])
+                   for i, o in enumerate(others)]
+    return tables, evaluations, np.argsort(order + others)
+
+
 _Q_GRID = (("q", 0, 0),)
 
 
@@ -306,9 +330,10 @@ class PairingTable:
     """The pairings <q, rho_k> of a set of eigenpairs, evaluated together.
 
     Holds the (J, 3) flat indices and vectors of the J eigenpairs its
-    observables read; an ObsContext evaluates the whole table once per
-    sample (`coupling.pair_coeffs`), and each observable reads its column
-    of the (P, J) values.
+    observables read.  The stepping loop evaluates all the observables of
+    a table it records with one `coupling.pair_coeffs` per sample
+    (`_sample_plan`); a `Pairing` called alone evaluates the whole table
+    once per ObsContext and reads its column of the (P, J) values.
     """
 
     def __init__(self, pairs: OperatorEigenpairs):
@@ -317,9 +342,6 @@ class PairingTable:
         self.index = np.empty((0, N_LAYERS), dtype=np.int64)
         self.vec = np.empty((0, N_LAYERS))
 
-    def __call__(self, q_hat):
-        return pair_coeffs(q_hat, self.index, self.vec)
-
     def observable(self, k: int, square=False) -> Observable:
         """<q, rho_k> per path, or with `square` its square."""
         pairs = self.pairs
@@ -327,13 +349,25 @@ class PairingTable:
             self.columns[k] = len(self.columns)
             self.index = pairs.flat_index[list(self.columns)]
             self.vec = pairs.vec[list(self.columns)]
-        j = self.columns[k]
-        def fn(ctx):
-            val = ctx.pairings(self)[:, j]
-            return val * val if square else val
         tag = "pairsq" if square else "pair"
         label = f"{tag}:{pairs.mode_n[k]}.{pairs.mode_m[k]}.{pairs.comp_j[k]}"
-        return Observable(label, fn)
+        return Observable(label, Pairing(self, self.columns[k], square))
+
+
+@dataclass(frozen=True)
+class Pairing:
+    """The `fn` of a pairing observable: column `column` of `table`'s
+    values, or with `square` its square."""
+
+    table: PairingTable
+    column: int
+    square: bool
+
+    def __call__(self, ctx: ObsContext) -> np.ndarray:
+        table = self.table
+        val = ctx._once(table, lambda: pair_coeffs(ctx.q_hat, table.index,
+                                                   table.vec))[:, self.column]
+        return val * val if self.square else val
 
 
 def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
@@ -556,7 +590,8 @@ class Stepper:
             new -= np.multiply(phi, term, out=term)
         if w_gain:
             new += np.multiply(w_gain[0], w_hat, out=self._w_term)
-        if not np.isfinite(new, out=self._finite).all():
+        if not np.logical_and.reduce(np.isfinite(new, out=self._finite),
+                                     axis=None):
             raise FloatingPointError("state overflow")
         return new
 
@@ -621,7 +656,8 @@ def _transport(basis: SpectralBasis, stack, out=None):
 
 def _abs_peak(grid):
     """max |grid|, bitwise, without the |grid| temporary; NaN stays NaN."""
-    return max(grid.max(), -grid.min())
+    return max(np.maximum.reduce(grid, axis=None),
+               -np.minimum.reduce(grid, axis=None))
 
 
 def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
@@ -659,7 +695,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     cfg.snap_every.  An abort carries the partial record of the path whose
     state was largest before the failing step."""
     n_steps, snaps = cfg.n_steps, cfg.snap_every if sink else 0
-    drops = _release_plan(observables)
+    tables, others, slots = _sample_plan(observables)
 
     def record(batch):
         part, samples = batch
@@ -673,10 +709,17 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                     if snaps and (j % snaps == 0 or j == n_steps):
                         sink(j * cfg.dt, ctx.q_hat)
                     if j % cfg.obs_every == 0 or j == n_steps:
-                        for o, ob in enumerate(observables):
-                            series[len(times), o] = ob(ctx)
-                            if drops[o]:
-                                ctx.release(drops[o])
+                        row = series[len(times)]
+                        for index, vec, squared, rows in tables:
+                            values = pair_coeffs(ctx.q_hat, index, vec)
+                            if squared:
+                                np.square(values[:, :squared],
+                                          out=values[:, :squared])
+                            row[rows] = values.T
+                        for o, ob, drops in others:
+                            row[o] = ob(ctx)
+                            if drops:
+                                ctx.release(drops)
                         times.append(j * cfg.dt)
                     del ctx         # its grids go before the next steps
             except (BlowUpError, TimeStepError) as exc:
@@ -685,7 +728,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
         data = series[:len(times)].transpose(2, 1, 0).copy()    # (P, O, T)
         records = [TrajectoryRecord(
             times=np.array(times), stream=stream, config=cfg, blow_time=blow,
-            observables={ob.name: data[p, o]
+            observables={ob.name: data[p, slots[o]]
                          for o, ob in enumerate(observables)})
             for p, stream in enumerate(part)]
         if stop is not None:
@@ -696,6 +739,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     batches = _batches(cfg, streams, initial, noise_path, hook,
                        (cfg.obs_every, snaps))
     if threads > 1 and len(batches) > 1 and _blas_pinned():
+        import concurrent.futures       # only here: 5-8 ms at every start-up
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
             return [rec for recs in pool.map(record, batches) for rec in recs]
     return [rec for batch in batches for rec in record(batch)]
@@ -742,15 +786,18 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
     weighted increments (None without noise) and those (K, P) normals.
     Paths on one stream draw it once: the one (1, 3, Nx, Ny) increment is
     added to every path, and a hook receives (K, 1) columns.  Blocks of
-    steps are drawn at once, as the same normals step by step, and
-    weighted by c_k sqrt(dt) once.  Every operation acts on each path
-    alone, so path p's bytes depend neither on P nor on its place in the
-    batch; the CFL guard watches the largest |u| of all paths.  A blow-up
-    (BlowUpError) or CFL abort (TimeStepError) carries `worst`, the index
-    of the path with the largest state before the failing step.  W_0 = 0
-    is kept past sample 0 only if eps > 0 or the consumer read `w_hat`
-    there.  The consumer silences overflow warnings: none is silenced
-    across a yield, so a generator may resume on any thread.
+    steps are drawn at once, as the same normals step by step: the block
+    is path-major, (paths, steps, rows, K), each generator fills its own
+    block[p] in place, the increment row is weighted by c_k sqrt(dt)
+    once, and step i reads the (K, P) columns block[:, i, row].T.  Every
+    operation acts on each path alone, so path p's bytes depend neither
+    on P nor on its place in the batch; the CFL guard watches the largest
+    |u| of all paths.  A blow-up (BlowUpError) or CFL abort
+    (TimeStepError) carries `worst`, the index of the path with the
+    largest state before the failing step.  W_0 = 0 is kept past sample 0
+    only if eps > 0 or the consumer read `w_hat` there.  The consumer
+    silences overflow warnings: none is silenced across a yield, so a
+    generator may resume on any thread.
     """
     n_steps, n_paths, k = cfg.n_steps, len(streams), cfg.noise.k
 
@@ -767,7 +814,7 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
     draws = streams[:1] if len(set(streams)) == 1 else streams
     gens = [rngmod.stream(cfg.seed, s) for s in draws] if rows else []
     block_steps = max(1, _BLOCK_NORMALS // max(1, rows * k * len(gens)))
-    scale = cfg.noise.c[:, None] * np.sqrt(cfg.dt)
+    scale = cfg.noise.c * np.sqrt(cfg.dt)
     probe = ObsContext(cfg.coupling, q, w)
     yield 0, probe
     if not (probe.w_read or cfg.viscosity > 0):
@@ -786,21 +833,21 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
         i = (j - 1) % block_steps
         if gens and i == 0:
             steps = min(block_steps, n_steps - j + 1)
-            block = np.empty((steps, rows, k, len(gens)))
+            block = np.empty((len(gens), steps, rows, k))
             for p, gen in enumerate(gens):
-                block[..., p] = gen.standard_normal((steps, rows, k))
+                gen.standard_normal(out=block[p])
             if drawn:
-                block[:, 0] *= scale
+                block[:, :, 0] *= scale
         dw = None
         if noisy:
-            dw = block[i, 0] if drawn else \
+            dw = block[:, i, 0].T if drawn else \
                 noise_path.increments[j - 1][:, None]
             field = stepper.mixer.coefficients(dw)
             q += field
             if w is not None:
                 w += field
         if hook is not None:
-            hook(dw, block[i, drawn])
+            hook(dw, block[:, i, drawn].T)
         if j == mark:
             mark = next_sample(j)
             yield j, ObsContext(cfg.coupling, q, w)

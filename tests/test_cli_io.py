@@ -584,10 +584,11 @@ class TestCli:
     def test_run_snapshots_keep_q_alone(self, tmp_path):
         # each snapshot is written when it is taken, so 1000 more snapshots
         # at N=32 add no field: stored, their q coefficients would be
-        # 23.4 MiB
+        # 23.4 MiB.  What grows is the artifact list, kept as names, and
+        # the manifest's entries, written chunk by chunk: about 0.7 MiB
         peak_mb = self._peak_mb_per_sample_count(
             tmp_path, "run", ["--snap-every", "1"])
-        assert peak_mb[1] - peak_mb[0] < 3.0, peak_mb
+        assert peak_mb[1] - peak_mb[0] < 1.2, peak_mb
 
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="reads VmHWM from /proc/self/status")

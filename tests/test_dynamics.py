@@ -866,6 +866,34 @@ class TestPairings:
                 assert np.array_equal(ob(ctx), want), token
         assert len(ctx._memo) == 2      # one evaluation per parse
 
+    @pytest.mark.parametrize("tokens", [
+        ["pairsq:1.1.0"],
+        ["pair:1.1.0", "l2", "pairsq:1.1.0", "pairsq:1.2.1", "pair:2.1.2",
+         "h1", "pairsq:2.2.0", "pair:1.3.1"]])
+    def test_one_gather_per_sample(self, monkeypatch, tokens):
+        # the loop evaluates a table once per sample for all of its
+        # labels, and each label's series is bitwise its one-label run's
+        cfg = realize(RunSettings(modes_x=8, modes_y=8, dt=1e-3,
+                                  horizon=0.02, noise_modes=24,
+                                  init="lowband:3:2.0:4"), seed=6)
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return pair_coeffs(*args)
+
+        monkeypatch.setattr(dynamics, "pair_coeffs", spy)
+        obs = parse_observables(",".join(tokens), cfg.pairs)
+        batch = _run_paths(cfg, obs, range(3))
+        assert calls == [(3, 3, 8, 8)] * cfg.n_samples(1)
+        for token in tokens:
+            alone = _run_paths(cfg, parse_observables(token, cfg.pairs),
+                               range(3))
+            for rec, one in zip(batch, alone):
+                assert rec.observables[token].tobytes() == \
+                    one.observables[token].tobytes(), token
+        assert [list(rec.observables) for rec in batch] == [tokens] * 3
+
     @pytest.mark.parametrize("n_paths", [1, 16])
     def test_project_takes_leading_axes(self, basis16, pairs16, n_paths):
         q_hat = self.coeffs(np.random.default_rng(7), basis16, n_paths)

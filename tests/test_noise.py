@@ -71,6 +71,18 @@ class TestIncrements:
         for p in range(5):
             assert np.array_equal(batch[p], mixer.coefficients(values[:, p]))
 
+    def test_transposed_columns_scatter_as_their_copy(self, pairs16):
+        # the stepping loop passes the (K, P) transpose of a path-major
+        # (P, K) block row; it scatters to the bytes of its contiguous copy
+        k = 40
+        mixer = NoiseMixer(make_noise(pairs16, k, decay=1.0, sigma=1.0),
+                           pairs16)
+        block = np.random.default_rng(8).standard_normal((5, 3, 2, k))
+        columns = block[:, 1, 0].T
+        assert not columns.flags.c_contiguous
+        assert (mixer.coefficients(columns).tobytes()
+                == mixer.coefficients(columns.copy()).tobytes())
+
     def test_scatter_rows_are_the_flat_indices(self, pairs16):
         # triplet (row, eigenpair, value) of layer i of pair k is
         # (flat_index[k, i], k, vec[k, i]), sorted by row, then eigenpair
