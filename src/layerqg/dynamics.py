@@ -118,8 +118,8 @@ class ObsContext:
     until `release` drops it: the stepping loop drops each after the last
     observable that declares it, or a grid made from it, in its `reads`
     (`_release_plan`).  Each field's `peak` and `lp_norms` and the (P, J)
-    values of each PairingTable a `Pairing` reads are kept while the
-    context lives.  `w_read` tells whether anything read `w_hat`.
+    pairings of each set of eigenpairs a `Pairing` reads are kept while
+    the context lives.  `w_read` tells whether anything read `w_hat`.
     """
 
     def __init__(self, coupling: LayerCoupling, q_hat, w_hat):
@@ -274,31 +274,32 @@ def _sample_plan(observables):
     """How the loop evaluates a sample, and `slots[o]`, the series row of
     observable o.
 
-    Each PairingTable gets one entry, one `pair_coeffs` per sample for
-    all L of its observables: (their (L, 3) gather rows and vectors, how
-    many of them, first, are squared, and their slots, a slice).  Every
-    other observable gets (slot, observable, the ObsContext entries to
-    release after it), in order, after the tables' slots.
+    The L pairings of one set of eigenpairs get one entry, one
+    `pair_coeffs` per sample for all of them: (their (L, 3) gather rows
+    and vectors, how many of them, first, are squared, and their slots, a
+    slice).  Every other observable gets (slot, observable, the
+    ObsContext entries to release after it), in order, after those.
     """
     groups, others = {}, []
     for o, ob in enumerate(observables):
         if isinstance(ob.fn, Pairing):
-            groups.setdefault(ob.fn.table, []).append((not ob.fn.square, o))
+            groups.setdefault(id(ob.fn.pairs), []).append(
+                (not ob.fn.square, o))
         else:
             others.append(o)
-    tables, order = [], []
-    for table, members in groups.items():
+    gathers, order = [], []
+    for members in groups.values():
         members = [o for _, o in sorted(members)]      # the squared first
         fns = [observables[o].fn for o in members]
-        columns = [fn.column for fn in fns]
-        tables.append((table.index[columns], table.vec[columns],
+        pairs, ks = fns[0].pairs, [fn.k for fn in fns]
+        gathers.append((pairs.flat_index[ks], pairs.vec[ks],
                        sum(fn.square for fn in fns),
                        slice(len(order), len(order) + len(members))))
         order += members
     drops = _release_plan(observables)
     evaluations = [(len(order) + i, observables[o], drops[o])
                    for i, o in enumerate(others)]
-    return tables, evaluations, np.argsort(order + others)
+    return gathers, evaluations, np.argsort(order + others)
 
 
 _Q_GRID = (("q", 0, 0),)
@@ -327,46 +328,37 @@ def obs_h(alpha: float, noise: bool = False) -> Observable:
 
 
 class PairingTable:
-    """The pairings <q, rho_k> of a set of eigenpairs, evaluated together.
+    """The pairing observables <q, rho_k> of a set of eigenpairs.
 
-    Holds the (J, 3) flat indices and vectors of the J eigenpairs its
-    observables read.  The stepping loop evaluates all the observables of
-    a table it records with one `coupling.pair_coeffs` per sample
-    (`_sample_plan`); a `Pairing` called alone evaluates the whole table
-    once per ObsContext and reads its column of the (P, J) values.
+    The stepping loop evaluates all the pairings of one set that it
+    records with one `coupling.pair_coeffs` per sample (`_sample_plan`).
     """
 
     def __init__(self, pairs: OperatorEigenpairs):
         self.pairs = pairs
-        self.columns = {}                   # eigenpair k -> column j
-        self.index = np.empty((0, N_LAYERS), dtype=np.int64)
-        self.vec = np.empty((0, N_LAYERS))
 
     def observable(self, k: int, square=False) -> Observable:
         """<q, rho_k> per path, or with `square` its square."""
         pairs = self.pairs
-        if k not in self.columns:
-            self.columns[k] = len(self.columns)
-            self.index = pairs.flat_index[list(self.columns)]
-            self.vec = pairs.vec[list(self.columns)]
         tag = "pairsq" if square else "pair"
         label = f"{tag}:{pairs.mode_n[k]}.{pairs.mode_m[k]}.{pairs.comp_j[k]}"
-        return Observable(label, Pairing(self, self.columns[k], square))
+        return Observable(label, Pairing(pairs, k, square))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pairing:
-    """The `fn` of a pairing observable: column `column` of `table`'s
-    values, or with `square` its square."""
+    """The `fn` of a pairing observable: <q, rho_k> of eigenpair k of
+    `pairs`, or with `square` its square.  Called alone, it reads column
+    k of the pairings of all of `pairs`, made once per ObsContext."""
 
-    table: PairingTable
-    column: int
+    pairs: OperatorEigenpairs
+    k: int
     square: bool
 
     def __call__(self, ctx: ObsContext) -> np.ndarray:
-        table = self.table
-        val = ctx._once(table, lambda: pair_coeffs(ctx.q_hat, table.index,
-                                                   table.vec))[:, self.column]
+        pairs = self.pairs
+        val = ctx._once(("pairings", id(pairs)), lambda: pair_coeffs(
+            ctx.q_hat, pairs.flat_index, pairs.vec))[:, self.k]
         return val * val if self.square else val
 
 
@@ -695,7 +687,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     cfg.snap_every.  An abort carries the partial record of the path whose
     state was largest before the failing step."""
     n_steps, snaps = cfg.n_steps, cfg.snap_every if sink else 0
-    tables, others, slots = _sample_plan(observables)
+    gathers, others, slots = _sample_plan(observables)
 
     def record(batch):
         part, samples = batch
@@ -710,7 +702,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                         sink(j * cfg.dt, ctx.q_hat)
                     if j % cfg.obs_every == 0 or j == n_steps:
                         row = series[len(times)]
-                        for index, vec, squared, rows in tables:
+                        for index, vec, squared, rows in gathers:
                             values = pair_coeffs(ctx.q_hat, index, vec)
                             if squared:
                                 np.square(values[:, :squared],

@@ -871,8 +871,9 @@ class TestPairings:
         ["pair:1.1.0", "l2", "pairsq:1.1.0", "pairsq:1.2.1", "pair:2.1.2",
          "h1", "pairsq:2.2.0", "pair:1.3.1"]])
     def test_one_gather_per_sample(self, monkeypatch, tokens):
-        # the loop evaluates a table once per sample for all of its
-        # labels, and each label's series is bitwise its one-label run's
+        # the loop gathers all the pairings of one set of eigenpairs with
+        # one pair_coeffs per sample; each label's series is bitwise its
+        # one-label run's
         cfg = realize(RunSettings(modes_x=8, modes_y=8, dt=1e-3,
                                   horizon=0.02, noise_modes=24,
                                   init="lowband:3:2.0:4"), seed=6)
