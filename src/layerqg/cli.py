@@ -104,9 +104,9 @@ def _ladder(flag, text, cast):
 
 class _Session:
     """One command: its settings, realized config, output directory and
-    the names of the artifacts written there so far.  The directory is made at the first
-    write, so a command rejected before it writes (a config or flag
-    error) leaves none."""
+    the names of the artifacts written there so far.  The directory is
+    made at the first write, so a command rejected before it writes (a
+    config or flag error) leaves none."""
 
     def __init__(self, args):
         self.args = args
@@ -142,7 +142,8 @@ class _Session:
         }
         if extra:
             manifest.update(extra)
-        with self.path("manifest.json").open("w") as fh:  # chunk by chunk
+        # streamed: no string of the whole manifest is built
+        with self.path("manifest.json").open("w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
