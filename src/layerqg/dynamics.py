@@ -364,7 +364,7 @@ class Pairing:
 
 def parse_observables(text: str, pairs: OperatorEigenpairs | None = None):
     """Comma list of distinct names: l2 l4 ... linf, h<alpha>, wh<alpha>,
-    gradl4, pair:n.m.j, pairsq:n.m.j; pairings share one PairingTable."""
+    gradl4, pair:n.m.j, pairsq:n.m.j (made by one PairingTable)."""
     out = []
     table = None if pairs is None else PairingTable(pairs)
     for token in filter(None, (t.strip() for t in text.split(","))):
