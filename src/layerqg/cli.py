@@ -14,6 +14,12 @@ thread setting and the CPU count.
 
 from __future__ import annotations
 
+# `dynamics` comes first: without cached bytecode its compile is the
+# largest transient of the import, and made before NumPy and the
+# modules below load it leaves the peak resident set as it was.
+from .dynamics import (_blas_threads, _keep_freed_heap, parse_observables,
+                       run_trajectory)
+
 import argparse
 import functools
 import hashlib
@@ -28,17 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, rng as rngmod
-from .dynamics import (_blas_threads, _keep_freed_heap, parse_observables,
-                       run_trajectory)
 from .errors import (BlowUpError, ConfigurationError, TimeStepError)
-from .experiments import (MIN_SAMPLES, dominated, log_estimate_monitor,
-                          lp_envelope, monitor_observables, w14_monitor,
-                          weak_residual)
 from .fieldio import write_field
-from .measures import kb_average, tightness_diagnostic
 from .runconfig import parse_config, realize
 from .spectral import LayerField, single_mode_field
-from .sweeps import galerkin_sweep, viscosity_sweep, yudovich_stability
+
+# `measures`, `experiments` and `sweeps` are imported by the subcommands
+# that run them, so no command pays for the others' imports.
 
 FMT = "{:.17g}"
 
@@ -204,6 +206,8 @@ def cmd_run(run):
 
 
 def cmd_galerkin(run):
+    from .sweeps import galerkin_sweep
+
     args = run.args
     ladder = _ladder("--n-ladder", args.n_ladder, int)
     report = galerkin_sweep(run.config, ladder,
@@ -218,6 +222,8 @@ def cmd_galerkin(run):
 
 
 def cmd_viscosity(run):
+    from .sweeps import viscosity_sweep
+
     args = run.args
     ladder = _ladder("--eps-ladder", args.eps_ladder, _finite_float)
     report = viscosity_sweep(run.config, ladder,
@@ -233,6 +239,8 @@ def cmd_viscosity(run):
 
 
 def cmd_stability(run):
+    from .sweeps import yudovich_stability
+
     args = run.args
     ladder = _ladder("--delta-ladder", args.delta_ladder, _finite_float)
     pert = single_mode_field(run.config.basis, 1, 2, [1.0, -0.5, 0.25])
@@ -245,6 +253,8 @@ def cmd_stability(run):
 
 
 def cmd_invariant(run):
+    from .measures import kb_average
+
     args = run.args
     horizons = _ladder("--horizons", args.horizons, _finite_float)
     observables = parse_observables(run.settings.observables,
@@ -260,6 +270,8 @@ def cmd_invariant(run):
 
 
 def cmd_tightness(run):
+    from .measures import tightness_diagnostic
+
     report = tightness_diagnostic(run.config, rate=run.args.rate,
                                   horizon=run.args.horizon)
     run.csv("tightness_fractions.csv", ["radius", "fraction"],
@@ -280,6 +292,10 @@ def cmd_tightness(run):
 
 
 def cmd_diagnose(run):
+    from .experiments import (MIN_SAMPLES, dominated, log_estimate_monitor,
+                              lp_envelope, monitor_observables, w14_monitor,
+                              weak_residual)
+
     cadence = run.config.snap_every
     config = replace(run.config, obs_every=cadence)
     samples = config.n_samples(cadence)

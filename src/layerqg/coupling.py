@@ -97,17 +97,19 @@ def apply_operator(coupling: LayerCoupling, psi_hat: np.ndarray) -> np.ndarray:
 
 
 def solve_elliptic_coeffs(coupling: LayerCoupling, q_hat: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
+                          out: np.ndarray | None = None,
+                          work: np.ndarray | None = None) -> np.ndarray:
     """psi_hat with (A + L) psi = q through the vertical modes; leading axes
     batch (each leading index is solved alike at any batch size).
 
     `out`, a C-contiguous array of q_hat's shape, receives psi_hat and is
-    returned.
+    returned; `work`, a (..., 3, Nx Ny) array apart from both, receives
+    the modal amplitudes, else a new array does.
     """
     if q_hat.shape[-3:] != (N_LAYERS,) + coupling.basis.spectral_shape:
         raise ShapeError(f"q_hat shape {q_hat.shape} invalid")
     flat = q_hat.reshape(q_hat.shape[:-2] + (-1,))     # (..., 3, Nx Ny)
-    amp = coupling.modes.T @ flat
+    amp = np.matmul(coupling.modes.T, flat, out=work)
     amp *= coupling.mode_gain.reshape(N_LAYERS, -1)
     if out is None:
         return (coupling.modes @ amp).reshape(q_hat.shape)

@@ -32,8 +32,9 @@ batch of paths: `_run_paths` records the observable series of single
 runs, ensembles and the tightness diagnostic and passes snapshots to a
 sink, and the ladders of `sweeps` fold the samples of their runs in
 lockstep.  The `Stepper` keeps its factors and a workspace per batch
-shape, so beyond the new state a step allocates only inside the elliptic
-solve and the transforms; the loop adds each noise increment in place.
+shape that holds every intermediate of the elliptic solve and the
+transport, so a repeat step allocates only its new state and the
+projected transport term; the loop adds each noise increment in place.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ import ctypes
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 import hashlib
+import math
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -514,9 +517,11 @@ class Stepper:
     Ny) factors of the q step; `advance` multiplies by copies of them at
     the batch shape (..., 3, Nx, Ny), `w_gain` only if eps > 0.  Its
     buffers for that batch (a finiteness mask, with eps > 0 the W term,
-    and for a nonlinear step the (2, ..., 3, Nx, Ny) stack of (psi_hat,
-    q_hat) and the (4, ..., 3, Gt+2, Gt+2) grids of `_transport`) are
-    rebuilt only when the batch shape changes: one Stepper, one thread.
+    and for a nonlinear step the `_TransportWork` that holds the (psi_hat,
+    q_hat) stack and every intermediate of the solve and the transport)
+    are rebuilt only when the batch shape changes: one Stepper, one
+    thread.  A repeat step at one shape allocates only its new state and
+    the projected transport term.
     """
 
     def __init__(self, config: SimConfig):
@@ -544,9 +549,8 @@ class Stepper:
             if cfg.viscosity > 0:
                 self._w_term = np.empty(shape)
             if cfg.nonlinear:
-                self._stack = np.empty((2,) + shape)
-                self._grids = np.empty(
-                    (4,) + shape[:-2] + cfg.basis.transport_basis.grid_shape)
+                self._work = _TransportWork.new(cfg.basis.transport_basis,
+                                                shape)
         return self._tables
 
     def advance(self, q_hat, w_hat, t):
@@ -566,11 +570,13 @@ class Stepper:
         decay, phi, *w_gain = self._batch(q_hat.shape)
         new = decay * q_hat
         if cfg.nonlinear:
-            stack = self._stack
+            work = self._work
+            stack = work.stack
             np.copyto(stack[1], q_hat)
-            solve_elliptic_coeffs(cfg.coupling, stack[1], out=stack[0])
-            term, umax = _transport(cfg.basis, stack, self._grids)
-            if not np.isfinite(umax):
+            solve_elliptic_coeffs(cfg.coupling, stack[1], out=stack[0],
+                                  work=work.amp)
+            term, umax = _transport(cfg.basis, stack, work)
+            if not math.isfinite(umax):
                 raise FloatingPointError("velocity overflow")
             if cfg.cfl_safety > 0 and umax > 0:
                 ceiling = cfg.cfl_safety * (self.h_min / umax)
@@ -619,31 +625,78 @@ def nonlinear_term(q: LayerField, psi: LayerField) -> LayerField:
     return LayerField.from_coeffs(basis, term)
 
 
-def _transport(basis: SpectralBasis, stack, out=None):
+class _TransportWork(NamedTuple):
+    """The workspace of `_transport` for (..., 3, Nx, Ny) fields: views of
+    one buffer, each C-contiguous per matrix.
+
+    `grids` are its first four (..., 3, Gt+2, Gt+2) slots, (psi_y, psi_x,
+    q_x, q_y).  `xs` holds the (2, 2, ..., 3, Gt+2, Ny) x-stage products
+    of orders 1 and 0 of (psi_hat, q_hat) from slot 3 on: those of order
+    1, from which psi_x and q_x are made in slots 1 and 2, head slot 3;
+    those of order 0, from which psi_y and q_y are made in slots 0 and 3,
+    lie past it.  Slot 1 is dead until the first y stage, so it is headed
+    by `stack`, the (2, ..., 3, Nx, Ny) stack of (psi_hat, q_hat) that
+    the x stage reads.  Slot 0 is dead before the synthesis and once the
+    product is formed in slot 1, so it is headed by `amp`, the (..., 3,
+    Nx Ny) modal amplitudes of the elliptic solve, and by `first`, the
+    (..., 3, Nx, Gt+2) first product of the quadrature.  No gemm reads
+    what it writes, and the intermediates take no room beyond the four
+    grids but the order-0 x-stage products.
+    """
+
+    grids: np.ndarray
+    xs: np.ndarray
+    stack: np.ndarray
+    amp: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def new(cls, grid: SpectralBasis, shape):
+        lead, (nx, ny) = shape[:-2], shape[-2:]
+        gx, gy = grid.grid_shape
+        batch = math.prod(lead)
+        slot, stage = batch * gx * gy, 2 * batch * gx * ny
+        # order 0 starts past the order-1 products and past slot 3, which
+        # its y stage writes (the products outrun slot 3 unless N <= 2)
+        apart = max(stage, slot)
+        space = np.empty(3 * slot + 2 * apart)
+        return cls(
+            space[:4 * slot].reshape((4,) + lead + (gx, gy)),
+            space[3 * slot:].reshape(2, apart)[:, :stage].reshape(
+                (2, 2) + lead + (gx, ny)),
+            space[slot:slot + 2 * batch * nx * ny].reshape((2,) + shape),
+            space[:batch * nx * ny].reshape(lead + (nx * ny,)),
+            space[:batch * nx * gy].reshape(lead + (nx, gy)))
+
+
+def _transport(basis: SpectralBasis, stack, work=None):
     """(P(grad_perp psi . grad q) on basis.transport_basis, the largest
     |u| on its grid) from the (2, ..., 3, Nx, Ny) stack of (psi_hat,
     q_hat).
 
-    The grids go into `out`, a (4, ..., 3, Gt+2, Gt+2) workspace ordered
-    (psi_x, psi_y, q_x, q_y), or into a new one: the x-derivative
-    synthesis of the stack fills out[0::2], the y-derivative synthesis
-    out[1::2].  u = (-psi_y, psi_x) is then the contiguous out[:2], so
-    one `_abs_peak` of it gives |u|max, and a NaN in either component
-    reaches the caller's velocity check.  The product psi_x q_y - psi_y
-    q_x is formed in place in out[0].  An overflowing product is not
-    checked here: it projects to non-finite coefficients, which the
-    caller's finiteness check reports.
+    Every intermediate goes into `work`, a `_TransportWork` for the
+    stack's fields, or into a new one.  One matmul makes the x-stage
+    products of both derivative orders, then one y stage makes (psi_x,
+    q_x) and one (psi_y, q_y), with the bytes of `synth`.  u = (-psi_y,
+    psi_x) is the contiguous grids[:2], so one `_abs_peak` of it gives
+    |u|max, and a NaN in either component reaches the caller's velocity
+    check.  The product psi_x q_y - psi_y q_x is formed in place in
+    grids[1] and projected.  An overflowing product is not checked here:
+    it projects to non-finite coefficients, which the caller's finiteness
+    check reports.
     """
     grid = basis.transport_basis
-    if out is None:
-        out = np.empty((4,) + stack.shape[1:-2] + grid.grid_shape)
-    grid.synth(stack, 1, 0, out=out[0::2])
-    grid.synth(stack, 0, 1, out=out[1::2])
-    psi_x, psi_y, q_x, q_y = out
-    umax = _abs_peak(out[:2])
+    if work is None:
+        work = _TransportWork.new(grid, stack.shape[1:])
+    grids = work.grids
+    xs = grid.grad_stage_x(stack, out=work.xs)
+    grid.stage_y(xs[0], 0, out=grids[1:3])
+    grid.stage_y(xs[1], 1, out=grids[0::3])
+    psi_y, psi_x, q_x, q_y = grids
+    umax = _abs_peak(grids[:2])
     product = np.multiply(psi_x, q_y, out=psi_x)
     product -= np.multiply(psi_y, q_x, out=psi_y)
-    return grid.forward(product), umax
+    return grid.forward(product, scratch=work.first), umax
 
 
 def _abs_peak(grid):

@@ -161,20 +161,33 @@ def sample_path(spec: NoiseSpec, n_steps: int, dt: float,
 def ou_factors(rate: float, spec: NoiseSpec, dt: float, driven: bool):
     """(e^{-rate dt}, beta, width, work) of the exact OU update `ou_step`:
     beta is None for the standalone form, work the (K,) scratch of its
-    products, so one set serves one thread.  Computed once per loop."""
+    products, so one set serves one thread.  Computed once per loop.
+
+    A width that is not finite (c_k^2 overflows a double, which leaves
+    the driven width NaN) is a configuration error, raised before any
+    step is taken.
+    """
     if rate <= 0:
         raise ConfigurationError("rate must be positive")
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
     decay, work = np.exp(-rate * dt), np.empty(spec.k)
-    if not driven:
-        return decay, None, spec.c * np.sqrt((1 - decay**2) / (2 * rate)), work
-    # J = int e^{-lam (dt - s)} dW over the step, conditioned on the
-    # plain increment I: E[J|I] = beta I, Var = full minus explained.
-    beta = (1.0 - decay) / (rate * dt)
-    var_full = spec.c**2 * (1.0 - decay**2) / (2.0 * rate)
-    var_resid = np.maximum(var_full - beta**2 * spec.c**2 * dt, 0.0)
-    return decay, beta, np.sqrt(var_resid), work
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        if not driven:
+            beta, width = None, spec.c * np.sqrt((1 - decay**2) / (2 * rate))
+        else:
+            # J = int e^{-lam (dt - s)} dW over the step, conditioned on
+            # the plain increment I: E[J|I] = beta I, Var = full minus
+            # explained.
+            beta = (1.0 - decay) / (rate * dt)
+            var_full = spec.c**2 * (1.0 - decay**2) / (2.0 * rate)
+            width = np.sqrt(np.maximum(var_full - beta**2 * spec.c**2 * dt,
+                                       0.0))
+    if not np.all(np.isfinite(width)):
+        raise ConfigurationError(
+            f"sigma and rate={rate:g} give a non-finite OU width: "
+            f"c_k^2 (1 - e^(-2 rate dt)) / (2 rate) overflows")
+    return decay, beta, width, work
 
 
 def ou_step(zeta, factors, xi, driving_increment=None, out=None):

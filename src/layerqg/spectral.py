@@ -28,7 +28,10 @@ with k = n pi / L, and the basis amplitude 2/sqrt(Lx Ly) is folded into
 the x tables.  So a field, its gradient or its Hessian on the grid costs
 its two products and nothing else, and grids of one x order share the
 first: `stage_x` makes it once and `stage_y` finishes each grid from it,
-with the bytes of `synth`.  T_x is stored (Gx+2, Nx) and Y as
+with the bytes of `synth`; `grad_stage_x` makes the x-stage products of
+both first derivatives in one matmul, each with its own table's bytes
+(one gemm per matrix either way; a gemm over a merged batch would round
+differently).  T_x is stored (Gx+2, Nx) and Y as
 its own C-contiguous (Ny, Gy+2) copy, so both products multiply
 C-contiguous operands.  With OpenBLAS 0.3.31 (SkylakeX kernels) on one
 thread, the copy takes 26-41% less time than the transposed view T_y.T
@@ -207,6 +210,21 @@ class SpectralBasis:
         Every grid of c with x order dx is finished from it by `stage_y`."""
         return self._synth_x[dx] @ c
 
+    @cached_property
+    def _grad_x(self):
+        """The x tables of orders 1 and 0 stacked, (2, Gx+2, Nx)."""
+        return _read_only(np.stack(self._synth_x[1::-1]))[0]
+
+    def grad_stage_x(self, c, out=None):
+        """The x stages of both first derivatives of c from one matmul:
+        (stage_x(c, 1), stage_x(c, 0)) stacked on a new leading axis, into
+        `out` as `synth` has its grid.  `stage_y` of order 0 of the first
+        gives d/dx, of order 1 of the second d/dy; each table is the one
+        `stage_x` multiplies by, so the bytes are the same."""
+        table = self._grad_x.reshape((2,) + (1,) * (c.ndim - 2)
+                                     + self._grad_x.shape[1:])
+        return np.matmul(table, c, out=out)
+
     def stage_y(self, product, dy, out=None):
         """The y stage of `synth`: the (dx, dy) grid from the x-stage
         product of order dx, into `out` as `synth` has it."""
@@ -226,16 +244,19 @@ class SpectralBasis:
     def synth_cc(self, c):
         return self.synth(c, 1, 1)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
+    def forward(self, values: np.ndarray, scratch=None) -> np.ndarray:
         """Grid samples -> coefficients on the retained modes.
 
         Trapezoid quadrature against each basis function; the sine tables
         vanish on the boundary rows, so boundary samples are ignored.
         Exact (no aliasing) whenever the sampled function is a sine
-        polynomial of band <= G in each direction.
+        polynomial of band <= G in each direction.  The first product,
+        shape (..., Nx, Gy+2), goes into `scratch` as `synth` has its
+        grid, the coefficients into a new array.
         """
         self._check_grid(values)
-        return self._forward_x.T @ values @ self._trig_y[0]
+        return np.matmul(self._forward_x.T, values,
+                         out=scratch) @ self._trig_y[0]
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients -> samples on the full grid (boundary rows zero)."""

@@ -793,6 +793,25 @@ class TestCli:
         assert manifest["theta_dominated"] is dominated
         assert manifest["envelope_uninformative"] is (dominated is None)
 
+    def test_tightness_rejects_an_overflowing_ou_width(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # c_k^2 overflows at sigma = 1e160 and leaves the OU width NaN: a
+        # config error naming sigma and rate, raised before any step
+        def no_step(*args):
+            raise AssertionError("stepped with non-finite OU factors")
+
+        monkeypatch.setattr(dynamics.Stepper, "advance", no_step)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("modes_x=8\nmodes_y=8\nsigma=1e160\n"
+                       "noise_modes=24\nnonlinearity=off\ndt=0.005\n")
+        out = tmp_path / "out"
+        assert run_cli("tightness", "--config", str(cfg), "--seed", "4",
+                       "--out", str(out), "--rate", "2",
+                       "--horizon", "0.5") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma and rate=2 ") and "OU" in err
+        assert not out.exists()
+
     def test_repeated_calls_in_one_process_write_the_same_bytes(
             self, tmp_path):
         # the benchmark calls cli.main again and again in one process: no

@@ -1,5 +1,6 @@
 from dataclasses import replace
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -273,7 +274,8 @@ class TestNonlinearTerm:
         psi_hat[..., 0, mode[0] - 1, mode[1] - 1] += 1.0
         stack = np.stack((psi_hat, q_hat))
         term, umax = dynamics._transport(basis, stack)
-        work = np.full((4,) + lead + (3,) + grid.grid_shape, np.nan)
+        work = dynamics._TransportWork.new(grid, lead + (3, 12, 12))
+        work.grids.fill(np.nan)
         term_ws, umax_ws = dynamics._transport(basis, stack, work)
         assert np.array_equal(term_ws, term)
         assert umax_ws == umax
@@ -281,10 +283,52 @@ class TestNonlinearTerm:
                  for order in ((1, 0), (0, 1))]
         assert umax == max(peaks)
         assert np.argmax(peaks) == (mode == (1, 3))
-        # the workspace holds (psi_x, psi_y, q_x, q_y), the product in
-        # slot 0
-        assert np.array_equal(work[2], grid.synth(q_hat, 1, 0))
-        assert np.array_equal(work[3], grid.synth(q_hat, 0, 1))
+        # the workspace ends with the product in slot 1 and (q_x, q_y) in
+        # slots 2 and 3
+        assert np.array_equal(work.grids[2], grid.synth(q_hat, 1, 0))
+        assert np.array_equal(work.grids[3], grid.synth(q_hat, 0, 1))
+
+    def test_workspace_transport_is_the_unbuffered_transforms(self):
+        # on a non-square basis, a batch through one reused workspace,
+        # its stack in a grid slot as `advance` has it, gives the bits of
+        # synth and forward called without buffers
+        basis = build_basis(1.0, 1.5, 12, 8)
+        grid = basis.transport_basis
+        rng = np.random.default_rng(11)
+        work = dynamics._TransportWork.new(grid, (2, 3, 12, 8))
+        for fill in (np.nan, 0.0):
+            for buffer in work:
+                buffer.fill(fill)
+            stack = rng.standard_normal((2, 2, 3, 12, 8))
+            psi_x, q_x = grid.synth(stack, 1, 0)
+            psi_y, q_y = grid.synth(stack, 0, 1)
+            np.copyto(work.stack, stack)
+            term, umax = dynamics._transport(basis, work.stack, work)
+            assert np.array_equal(term,
+                                  grid.forward(psi_x * q_y - psi_y * q_x))
+            assert umax == max(np.max(np.abs(psi_x)), np.max(np.abs(psi_y)))
+
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    @pytest.mark.parametrize("modes", [(12, 12), (12, 8)])
+    def test_repeat_step_allocates_only_its_results(self, modes, n_paths):
+        # at an unchanged batch shape every intermediate of a nonlinear
+        # step lives in the Stepper's workspace: a repeat step allocates
+        # its new state and the projected term, and little else
+        config = realize(RunSettings(modes_x=modes[0], modes_y=modes[1],
+                                     dt=1e-3, noise_modes=16), seed=3)
+        assert config.nonlinear
+        stepper = dynamics.Stepper(config)
+        rng = np.random.default_rng(9)
+        q_hat = np.stack([random_band_coeffs(rng, config.basis)
+                          for _ in range(n_paths)])
+        stepper.advance(q_hat, None, 0.0)
+        tracemalloc.start()
+        try:
+            new = stepper.advance(q_hat, None, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * new.nbytes + 4096
 
     @pytest.mark.parametrize("order", [(1, 0), (0, 1)])
     def test_nan_in_either_velocity_component_reaches_the_guard(
@@ -292,15 +336,15 @@ class TestNonlinearTerm:
         basis = build_basis(1.0, 1.0, 8, 8)
         rng = np.random.default_rng(4)
         stack = rng.standard_normal((2, 3, 8, 8))
-        synth = SpectralBasis.synth
+        stage_y = SpectralBasis.stage_y
 
-        def spy(self, c, dx, dy, out=None):
-            got = synth(self, c, dx, dy, out=out)
-            if (dx, dy) == order:
+        def spy(self, product, dy, out=None):
+            got = stage_y(self, product, dy, out=out)
+            if dy == order[1]:
                 got[0, 1, 4, 4] = np.nan        # psi_x or psi_y only
             return got
 
-        monkeypatch.setattr(SpectralBasis, "synth", spy)
+        monkeypatch.setattr(SpectralBasis, "stage_y", spy)
         with np.errstate(invalid="ignore"):
             assert np.isnan(dynamics._transport(basis, stack)[1])
 
@@ -320,7 +364,7 @@ class TestNonlinearTerm:
                 buffers = [a for v in vars(stepper).values()
                            for a in (v if isinstance(v, tuple) else (v,))
                            if isinstance(a, np.ndarray)]
-                assert len(buffers) == 6 + 2 * nonlinear
+                assert len(buffers) == 6 + 5 * nonlinear
                 for buffer in buffers:
                     assert not np.shares_memory(new, buffer)
 

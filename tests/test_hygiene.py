@@ -25,12 +25,17 @@ loop, which read them through `dynamics.ObsContext`, the one per-sample
 cache.  No module of `src/layerqg/` reads stored snapshots: every study
 streams its samples through the loop.  The transform-table
 scan keeps the private tables of `SpectralBasis` inside `spectral`, so
-the package has one transform implementation.
+the package has one transform implementation.  The import-graph check
+runs a fresh interpreter: importing the CLI loads none of the study
+modules, and every name the package exports still resolves.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -252,3 +257,41 @@ def test_monitors_read_no_snapshots(path):
     # stored fields
     assert not attributes_read(path.read_text()) & {"q_snapshots",
                                                     "snap_times"}
+
+
+# The names `layerqg` exports, each from its module on first use.
+EXPORTS = """
+    AveragedMeasure BlowUpError BrownianIncrements ConfigurationError
+    FieldFormatError FieldLengthError LayerCoupling LayerField NoiseSpec
+    OperatorEigenpairs RunSettings SamplingError ShapeError SimConfig
+    SpectralBasis SweepReport TightnessReport TimeStepError
+    TrajectoryRecord UnsupportedExponentError apply_operator build_basis
+    eigenpairs galerkin_sweep kb_average log_estimate_monitor lp_envelope
+    lp_norm make_noise monitor_observables nonlinear_term ou_factors
+    ou_step parse_config parse_observables read_field realize
+    run_trajectory sample_path sigma_for_stationary_l2 single_mode_field
+    step_eta symmetrize tightness_diagnostic viscosity_sweep w14_monitor
+    weak_residual write_field yudovich_stability
+""".split()
+
+
+def test_cli_imports_no_study_module():
+    # a subcommand imports the study module it runs when it runs, so
+    # importing the CLI loads none of them; the package's exports all
+    # resolve from their modules
+    script = textwrap.dedent(f"""
+        import sys
+        import layerqg.cli
+        print(sorted(m for m in ("measures", "experiments", "sweeps")
+                     if "layerqg." + m in sys.modules))
+        import layerqg
+        missing = [n for n in {EXPORTS!r} if not hasattr(layerqg, n)]
+        print(missing, sorted(set(layerqg.__all__) ^ set({EXPORTS!r})))
+        print(layerqg.kb_average.__module__, "kb_average" in dir(layerqg))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[] []",
+                                        "layerqg.measures True"]
