@@ -626,22 +626,17 @@ def nonlinear_term(q: LayerField, psi: LayerField) -> LayerField:
 
 
 class _TransportWork(NamedTuple):
-    """The workspace of `_transport` for (..., 3, Nx, Ny) fields: views of
-    one buffer, each C-contiguous per matrix.
+    """Views of one buffer that hold every intermediate of the elliptic
+    solve and `_transport` for (..., 3, Nx, Ny) fields.
 
-    `grids` are its first four (..., 3, Gt+2, Gt+2) slots, (psi_y, psi_x,
-    q_x, q_y).  `xs` holds the (2, 2, ..., 3, Gt+2, Ny) x-stage products
-    of orders 1 and 0 of (psi_hat, q_hat) from slot 3 on: those of order
-    1, from which psi_x and q_x are made in slots 1 and 2, head slot 3;
-    those of order 0, from which psi_y and q_y are made in slots 0 and 3,
-    lie past it.  Slot 1 is dead until the first y stage, so it is headed
-    by `stack`, the (2, ..., 3, Nx, Ny) stack of (psi_hat, q_hat) that
-    the x stage reads.  Slot 0 is dead before the synthesis and once the
-    product is formed in slot 1, so it is headed by `amp`, the (..., 3,
-    Nx Ny) modal amplitudes of the elliptic solve, and by `first`, the
-    (..., 3, Nx, Gt+2) first product of the quadrature.  No gemm reads
-    what it writes, and the intermediates take no room beyond the four
-    grids but the order-0 x-stage products.
+    The buffer is the room of the (2, ..., 3, Gt+2, Ny) order-0 x-stage
+    products of (psi_hat, q_hat), which the last y stage reads, then the
+    four (..., 3, Gt+2, Gt+2) `grids`, (psi_x, psi_y, q_y, q_x).  The rest
+    heads a grid slot while that slot is dead: the order-1 products slot 1
+    (`xs` holds both orders), the (psi_hat, q_hat) `stack` slot 3, the
+    solve's modal amplitudes `amp` the buffer's start, and the first
+    product of the quadrature slot 1, once the product is formed in slot
+    0.  No gemm reads what it writes.
     """
 
     grids: np.ndarray
@@ -656,17 +651,15 @@ class _TransportWork(NamedTuple):
         gx, gy = grid.grid_shape
         batch = math.prod(lead)
         slot, stage = batch * gx * gy, 2 * batch * gx * ny
-        # order 0 starts past the order-1 products and past slot 3, which
-        # its y stage writes (the products outrun slot 3 unless N <= 2)
-        apart = max(stage, slot)
-        space = np.empty(3 * slot + 2 * apart)
+        space = np.empty(stage + 4 * slot)
+        grids = space[stage:].reshape((4,) + lead + (gx, gy))
         return cls(
-            space[:4 * slot].reshape((4,) + lead + (gx, gy)),
-            space[3 * slot:].reshape(2, apart)[:, :stage].reshape(
+            grids,
+            space[:2 * (stage + slot)].reshape(2, -1)[:, :stage].reshape(
                 (2, 2) + lead + (gx, ny)),
-            space[slot:slot + 2 * batch * nx * ny].reshape((2,) + shape),
+            grids[3].reshape(-1)[:2 * batch * nx * ny].reshape((2,) + shape),
             space[:batch * nx * ny].reshape(lead + (nx * ny,)),
-            space[:batch * nx * gy].reshape(lead + (nx, gy)))
+            grids[1].reshape(-1)[:batch * nx * gy].reshape(lead + (nx, gy)))
 
 
 def _transport(basis: SpectralBasis, stack, work=None):
@@ -681,7 +674,7 @@ def _transport(basis: SpectralBasis, stack, work=None):
     psi_x) is the contiguous grids[:2], so one `_abs_peak` of it gives
     |u|max, and a NaN in either component reaches the caller's velocity
     check.  The product psi_x q_y - psi_y q_x is formed in place in
-    grids[1] and projected.  An overflowing product is not checked here:
+    grids[0] and projected.  An overflowing product is not checked here:
     it projects to non-finite coefficients, which the caller's finiteness
     check reports.
     """
@@ -690,9 +683,9 @@ def _transport(basis: SpectralBasis, stack, work=None):
         work = _TransportWork.new(grid, stack.shape[1:])
     grids = work.grids
     xs = grid.grad_stage_x(stack, out=work.xs)
-    grid.stage_y(xs[0], 0, out=grids[1:3])
-    grid.stage_y(xs[1], 1, out=grids[0::3])
-    psi_y, psi_x, q_x, q_y = grids
+    grid.stage_y(xs[1], 0, out=grids[0::3])
+    grid.stage_y(xs[0], 1, out=grids[1:3])
+    psi_x, psi_y, q_y, q_x = grids
     umax = _abs_peak(grids[:2])
     product = np.multiply(psi_x, q_y, out=psi_x)
     product -= np.multiply(psi_y, q_x, out=psi_y)

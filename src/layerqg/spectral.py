@@ -212,14 +212,14 @@ class SpectralBasis:
 
     @cached_property
     def _grad_x(self):
-        """The x tables of orders 1 and 0 stacked, (2, Gx+2, Nx)."""
-        return _read_only(np.stack(self._synth_x[1::-1]))[0]
+        """The x tables of orders 0 and 1 stacked, (2, Gx+2, Nx)."""
+        return _read_only(np.stack(self._synth_x[:2]))[0]
 
     def grad_stage_x(self, c, out=None):
         """The x stages of both first derivatives of c from one matmul:
-        (stage_x(c, 1), stage_x(c, 0)) stacked on a new leading axis, into
-        `out` as `synth` has its grid.  `stage_y` of order 0 of the first
-        gives d/dx, of order 1 of the second d/dy; each table is the one
+        (stage_x(c, 0), stage_x(c, 1)) stacked on a new leading axis, into
+        `out` as `synth` has its grid.  `stage_y` of order 1 of the first
+        gives d/dy, of order 0 of the second d/dx; each table is the one
         `stage_x` multiplies by, so the bytes are the same."""
         table = self._grad_x.reshape((2,) + (1,) * (c.ndim - 2)
                                      + self._grad_x.shape[1:])

@@ -283,10 +283,10 @@ class TestNonlinearTerm:
                  for order in ((1, 0), (0, 1))]
         assert umax == max(peaks)
         assert np.argmax(peaks) == (mode == (1, 3))
-        # the workspace ends with the product in slot 1 and (q_x, q_y) in
+        # the workspace ends with the product in slot 0 and (q_y, q_x) in
         # slots 2 and 3
-        assert np.array_equal(work.grids[2], grid.synth(q_hat, 1, 0))
-        assert np.array_equal(work.grids[3], grid.synth(q_hat, 0, 1))
+        assert np.array_equal(work.grids[2], grid.synth(q_hat, 0, 1))
+        assert np.array_equal(work.grids[3], grid.synth(q_hat, 1, 0))
 
     def test_workspace_transport_is_the_unbuffered_transforms(self):
         # on a non-square basis, a batch through one reused workspace,
