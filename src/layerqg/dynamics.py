@@ -46,7 +46,7 @@ import hashlib
 import math
 import os
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -571,11 +571,10 @@ class Stepper:
         new = decay * q_hat
         if cfg.nonlinear:
             work = self._work
-            stack = work.stack
-            np.copyto(stack[1], q_hat)
-            solve_elliptic_coeffs(cfg.coupling, stack[1], out=stack[0],
+            np.copyto(work.q_hat, q_hat)
+            solve_elliptic_coeffs(cfg.coupling, work.q_hat, out=work.psi_hat,
                                   work=work.amp)
-            term, umax = _transport(cfg.basis, stack, work)
+            term, umax = _transport(work)
             if not math.isfinite(umax):
                 raise FloatingPointError("velocity overflow")
             if cfg.cfl_safety > 0 and umax > 0:
@@ -618,32 +617,42 @@ def nonlinear_term(q: LayerField, psi: LayerField) -> LayerField:
     basis = q.basis
     if not basis.compatible(psi.basis):
         raise ShapeError("q and psi live on different bases")
+    work = _TransportWork.new(basis.transport_basis,
+                              (N_LAYERS,) + basis.spectral_shape)
+    np.copyto(work.psi_hat, psi.spectral())
+    np.copyto(work.q_hat, q.spectral())
     with np.errstate(over="ignore", invalid="ignore"):
-        term, _ = _transport(basis, np.stack((psi.spectral(), q.spectral())))
+        term, _ = _transport(work)
     if not np.all(np.isfinite(term)):
         raise FloatingPointError("transport overflow")
     return LayerField.from_coeffs(basis, term)
 
 
 class _TransportWork(NamedTuple):
-    """Views of one buffer that hold every intermediate of the elliptic
-    solve and `_transport` for (..., 3, Nx, Ny) fields.
+    """Views of one buffer, `space`, that hold every intermediate of the
+    elliptic solve and `_transport` for (..., 3, Nx, Ny) fields on the
+    transport grid `grid`, and `synth`, its `gradient_plan`.
 
     The buffer is the room of the (2, ..., 3, Gt+2, Ny) order-0 x-stage
-    products of (psi_hat, q_hat), which the last y stage reads, then the
-    four (..., 3, Gt+2, Gt+2) `grids`, (psi_x, psi_y, q_y, q_x).  The rest
-    heads a grid slot while that slot is dead: the order-1 products slot 1
-    (`xs` holds both orders), the (psi_hat, q_hat) `stack` slot 3, the
-    solve's modal amplitudes `amp` the buffer's start, and the first
-    product of the quadrature slot 1, once the product is formed in slot
-    0.  No gemm reads what it writes.
+    products of (psi_hat, q_hat), which the last y stage reads, then four
+    (..., 3, Gt+2, Gt+2) slots, the `grids` (psi_x, psi_y, q_y, q_x); `u`
+    is the contiguous (psi_x, psi_y).  The rest heads a slot while that
+    slot is dead: the order-1 products slot 1, the `stack` of (`psi_hat`,
+    `q_hat`) slot 3, the solve's modal amplitudes `amp` the buffer's
+    start, and the quadrature's `first` product slot 1, once the product
+    is formed in slot 0.  No gemm reads what it writes.
     """
 
-    grids: np.ndarray
-    xs: np.ndarray
+    space: np.ndarray
     stack: np.ndarray
+    psi_hat: np.ndarray
+    q_hat: np.ndarray
     amp: np.ndarray
     first: np.ndarray
+    u: np.ndarray
+    grids: tuple
+    grid: SpectralBasis
+    synth: Callable[[], None]
 
     @classmethod
     def new(cls, grid: SpectralBasis, shape):
@@ -653,43 +662,36 @@ class _TransportWork(NamedTuple):
         slot, stage = batch * gx * gy, 2 * batch * gx * ny
         space = np.empty(stage + 4 * slot)
         grids = space[stage:].reshape((4,) + lead + (gx, gy))
+        xs = space[:2 * (stage + slot)].reshape(2, -1)[:, :stage].reshape(
+            (2, 2) + lead + (gx, ny))
+        stack = grids[3].reshape(-1)[:2 * batch * nx * ny].reshape(
+            (2,) + shape)
         return cls(
-            grids,
-            space[:2 * (stage + slot)].reshape(2, -1)[:, :stage].reshape(
-                (2, 2) + lead + (gx, ny)),
-            grids[3].reshape(-1)[:2 * batch * nx * ny].reshape((2,) + shape),
+            space, stack, *stack,
             space[:batch * nx * ny].reshape(lead + (nx * ny,)),
-            grids[1].reshape(-1)[:batch * nx * gy].reshape(lead + (nx, gy)))
+            grids[1].reshape(-1)[:batch * nx * gy].reshape(lead + (nx, gy)),
+            grids[:2], tuple(grids), grid,
+            grid.gradient_plan(stack, xs, grids[0::3], grids[1:3]))
 
 
-def _transport(basis: SpectralBasis, stack, work=None):
-    """(P(grad_perp psi . grad q) on basis.transport_basis, the largest
-    |u| on its grid) from the (2, ..., 3, Nx, Ny) stack of (psi_hat,
-    q_hat).
+def _transport(work: _TransportWork):
+    """(P(grad_perp psi . grad q) on the transport grid, the largest |u|
+    on it) from the (psi_hat, q_hat) in `work.stack`.
 
-    Every intermediate goes into `work`, a `_TransportWork` for the
-    stack's fields, or into a new one.  One matmul makes the x-stage
-    products of both derivative orders, then one y stage makes (psi_x,
-    q_x) and one (psi_y, q_y), with the bytes of `synth`.  u = (-psi_y,
-    psi_x) is the contiguous grids[:2], so one `_abs_peak` of it gives
-    |u|max, and a NaN in either component reaches the caller's velocity
-    check.  The product psi_x q_y - psi_y q_x is formed in place in
-    grids[0] and projected.  An overflowing product is not checked here:
+    One `work.synth` makes (psi_x, q_x) and (psi_y, q_y), with the bytes
+    of `synth`.  u = (-psi_y, psi_x), so one `_abs_peak` of `work.u`
+    gives |u|max, and a NaN in either component reaches the caller's
+    velocity check.  The product psi_x q_y - psi_y q_x is formed in place
+    in psi_x and projected.  An overflowing product is not checked here:
     it projects to non-finite coefficients, which the caller's finiteness
     check reports.
     """
-    grid = basis.transport_basis
-    if work is None:
-        work = _TransportWork.new(grid, stack.shape[1:])
-    grids = work.grids
-    xs = grid.grad_stage_x(stack, out=work.xs)
-    grid.stage_y(xs[1], 0, out=grids[0::3])
-    grid.stage_y(xs[0], 1, out=grids[1:3])
-    psi_x, psi_y, q_y, q_x = grids
-    umax = _abs_peak(grids[:2])
+    work.synth()
+    psi_x, psi_y, q_y, q_x = work.grids
+    umax = _abs_peak(work.u)
     product = np.multiply(psi_x, q_y, out=psi_x)
     product -= np.multiply(psi_y, q_x, out=psi_y)
-    return grid.forward(product, scratch=work.first), umax
+    return work.grid.forward(product, scratch=work.first), umax
 
 
 def _abs_peak(grid):

@@ -264,19 +264,22 @@ class TestNonlinearTerm:
     @pytest.mark.parametrize("mode", [(3, 1), (1, 3)])
     def test_transport_workspace_gives_the_allocating_bits(self, lead, mode):
         # psi on mode (3, 1) puts the velocity peak in psi_x, on (1, 3) in
-        # psi_y; with or without a workspace the term and |u|max are the
-        # same bits, and |u|max is max(|psi_x|, |psi_y|)
+        # psi_y; a fresh workspace and a reused one holding NaN give the
+        # same bits of the term and |u|max, and |u|max is max(|psi_x|,
+        # |psi_y|)
         basis = build_basis(1.0, 1.0, 12, 12)
         grid = basis.transport_basis
         rng = np.random.default_rng(sum(lead) + mode[0])
         q_hat = rng.standard_normal(lead + (3, 12, 12))
         psi_hat = 1e-3 * rng.standard_normal(lead + (3, 12, 12))
         psi_hat[..., 0, mode[0] - 1, mode[1] - 1] += 1.0
-        stack = np.stack((psi_hat, q_hat))
-        term, umax = dynamics._transport(basis, stack)
-        work = dynamics._TransportWork.new(grid, lead + (3, 12, 12))
-        work.grids.fill(np.nan)
-        term_ws, umax_ws = dynamics._transport(basis, stack, work)
+        fresh, work = (dynamics._TransportWork.new(grid, lead + (3, 12, 12))
+                       for _ in range(2))
+        work.space.fill(np.nan)
+        for buffers in (fresh, work):
+            np.copyto(buffers.stack, np.stack((psi_hat, q_hat)))
+        term, umax = dynamics._transport(fresh)
+        term_ws, umax_ws = dynamics._transport(work)
         assert np.array_equal(term_ws, term)
         assert umax_ws == umax
         peaks = [np.max(np.abs(grid.synth(psi_hat, *order)))
@@ -297,13 +300,12 @@ class TestNonlinearTerm:
         rng = np.random.default_rng(11)
         work = dynamics._TransportWork.new(grid, (2, 3, 12, 8))
         for fill in (np.nan, 0.0):
-            for buffer in work:
-                buffer.fill(fill)
+            work.space.fill(fill)
             stack = rng.standard_normal((2, 2, 3, 12, 8))
             psi_x, q_x = grid.synth(stack, 1, 0)
             psi_y, q_y = grid.synth(stack, 0, 1)
             np.copyto(work.stack, stack)
-            term, umax = dynamics._transport(basis, work.stack, work)
+            term, umax = dynamics._transport(work)
             assert np.array_equal(term,
                                   grid.forward(psi_x * q_y - psi_y * q_x))
             assert umax == max(np.max(np.abs(psi_x)), np.max(np.abs(psi_y)))
@@ -335,18 +337,22 @@ class TestNonlinearTerm:
             self, monkeypatch, order):
         basis = build_basis(1.0, 1.0, 8, 8)
         rng = np.random.default_rng(4)
-        stack = rng.standard_normal((2, 3, 8, 8))
-        stage_y = SpectralBasis.stage_y
+        gradient_plan = SpectralBasis.gradient_plan
 
-        def spy(self, product, dy, out=None):
-            got = stage_y(self, product, dy, out=out)
-            if dy == order[1]:
-                got[0, 1, 4, 4] = np.nan        # psi_x or psi_y only
-            return got
+        def spy(self, c, xs, out_x, out_y):
+            synth = gradient_plan(self, c, xs, out_x, out_y)
 
-        monkeypatch.setattr(SpectralBasis, "stage_y", spy)
+            def spoiled():
+                synth()
+                # psi_x or psi_y only
+                (out_x if order == (1, 0) else out_y)[0, 1, 4, 4] = np.nan
+            return spoiled
+
+        monkeypatch.setattr(SpectralBasis, "gradient_plan", spy)
+        work = dynamics._TransportWork.new(basis.transport_basis, (3, 8, 8))
+        np.copyto(work.stack, rng.standard_normal((2, 3, 8, 8)))
         with np.errstate(invalid="ignore"):
-            assert np.isnan(dynamics._transport(basis, stack)[1])
+            assert np.isnan(dynamics._transport(work)[1])
 
     def test_advanced_state_owns_its_memory(self):
         # the new state shares no memory with any buffer of the Stepper,
@@ -364,7 +370,7 @@ class TestNonlinearTerm:
                 buffers = [a for v in vars(stepper).values()
                            for a in (v if isinstance(v, tuple) else (v,))
                            if isinstance(a, np.ndarray)]
-                assert len(buffers) == 6 + 5 * nonlinear
+                assert len(buffers) == 6 + 7 * nonlinear
                 for buffer in buffers:
                     assert not np.shares_memory(new, buffer)
 
