@@ -46,7 +46,7 @@ import hashlib
 import math
 import os
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -652,7 +652,7 @@ class _TransportWork(NamedTuple):
     u: np.ndarray
     grids: tuple
     grid: SpectralBasis
-    synth: Callable[[], None]
+    synth: callable
 
     @classmethod
     def new(cls, grid: SpectralBasis, shape):

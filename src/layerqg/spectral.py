@@ -32,9 +32,9 @@ with the bytes of `synth`.  A `gradient_plan` fixes the operands of
 both first derivatives once, for a caller that synthesizes them at
 every step: one matmul makes the x-stage products of both orders, each
 with its own table's bytes (one gemm per matrix either way; a gemm
-over a merged batch would round differently).  T_x is stored (Gx+2, Nx) and Y as
-its own C-contiguous (Ny, Gy+2) copy, so both products multiply
-C-contiguous operands.  With OpenBLAS 0.3.31 (SkylakeX kernels) on one
+over a merged batch would round differently).  T_x is stored (Gx+2,
+Nx) and Y as its own C-contiguous (Ny, Gy+2) copy, so both products
+multiply C-contiguous operands.  With OpenBLAS 0.3.31 (SkylakeX kernels) on one
 thread, the copy takes 26-41% less time than the transposed view T_y.T
 in every product with M*N*K below about 1e6 (every transport grid up to
 N = 64); larger products (the N = 64 observable grid, 130*64*130) run
