@@ -104,19 +104,42 @@ def solve_elliptic_coeffs(coupling: LayerCoupling, q_hat: np.ndarray,
 
     `out`, a C-contiguous array of q_hat's shape, receives psi_hat and is
     returned; `work`, a (..., 3, Nx Ny) array apart from both, receives
-    the modal amplitudes, else a new array does.
+    the modal amplitudes, else a new array does.  The one-off form of
+    `elliptic_plan`: it binds the solve and runs it once.
+    """
+    return elliptic_plan(coupling, q_hat, out, work)()
+
+
+def elliptic_plan(coupling: LayerCoupling, q_hat: np.ndarray,
+                  out: np.ndarray | None = None,
+                  work: np.ndarray | None = None):
+    """A function that solves for psi_hat of q_hat into `out` and returns
+    it, reading q_hat each time it is called: `solve_elliptic_coeffs`
+    with its checks, reshapes and tables bound once, for a caller that
+    solves at every step.  A q_hat whose last two axes are contiguous is
+    read in place (else its values at binding are); without `out` or
+    `work` the plan makes its own arrays.  A call runs two matmuls and
+    one multiply and nothing else.
     """
     if q_hat.shape[-3:] != (N_LAYERS,) + coupling.basis.spectral_shape:
         raise ShapeError(f"q_hat shape {q_hat.shape} invalid")
-    flat = q_hat.reshape(q_hat.shape[:-2] + (-1,))     # (..., 3, Nx Ny)
-    amp = np.matmul(coupling.modes.T, flat, out=work)
-    amp *= coupling.mode_gain.reshape(N_LAYERS, -1)
     if out is None:
-        return (coupling.modes @ amp).reshape(q_hat.shape)
-    if out.shape != q_hat.shape or not out.flags.c_contiguous:
+        out = np.empty(q_hat.shape)
+    elif out.shape != q_hat.shape or not out.flags.c_contiguous:
         raise ShapeError(f"out must be C-contiguous of shape {q_hat.shape}")
-    np.matmul(coupling.modes, amp, out=out.reshape(amp.shape))
-    return out
+    flat = q_hat.reshape(q_hat.shape[:-2] + (-1,))     # (..., 3, Nx Ny)
+    if work is None:
+        work = np.empty(flat.shape)
+    to_modes, from_modes = coupling.modes.T, coupling.modes
+    gain = coupling.mode_gain.reshape(N_LAYERS, -1)
+    psi = out.reshape(flat.shape)
+
+    def solve():
+        amp = np.matmul(to_modes, flat, out=work)
+        amp *= gain
+        np.matmul(from_modes, amp, out=psi)
+        return out
+    return solve
 
 
 @dataclass(frozen=True)

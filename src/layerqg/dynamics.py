@@ -31,10 +31,13 @@ One stepping loop, the generator `_samples`, yields each sample of a
 batch of paths: `_run_paths` records the observable series of single
 runs, ensembles and the tightness diagnostic and passes snapshots to a
 sink, and the ladders of `sweeps` fold the samples of their runs in
-lockstep.  The `Stepper` keeps its factors and a workspace per batch
-shape that holds every intermediate of the elliptic solve and the
-transport, so a repeat step allocates only its new state and the
-projected transport term; the loop adds each noise increment in place.
+lockstep.  The `Stepper` binds its step once per batch shape: the
+per-mode tables at that shape, and a workspace that holds every
+intermediate of the elliptic solve and the transport, with the solve,
+the synthesis and the projection each bound to its views.  So a repeat
+step rebuilds no view or check and allocates only its new state and the
+projected transport term.  The loop makes the noise fields of several
+steps with one call where they are small, and adds each in place.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as rngmod
-from .coupling import (LayerCoupling, OperatorEigenpairs, pair_coeffs,
-                       solve_elliptic_coeffs)
+from .coupling import (LayerCoupling, OperatorEigenpairs, elliptic_plan,
+                       pair_coeffs, solve_elliptic_coeffs)
 from .errors import (BlowUpError, ConfigurationError, SamplingError,
                      ShapeError, TimeStepError)
 from .noise import BrownianIncrements, NoiseMixer, NoiseSpec
@@ -323,10 +326,16 @@ def obs_lp(p) -> Observable:
 
 
 def obs_h(alpha: float, noise: bool = False) -> Observable:
-    """The H^alpha norm per path of q, or with `noise` of W."""
+    """The H^alpha norm per path of q, or with `noise` of W.  The weights
+    lambda^alpha are made once per basis, at its first sample."""
+    weights = {}
+
     def fn(ctx):
+        power = weights.get(ctx.basis)
+        if power is None:
+            power = weights[ctx.basis] = ctx.basis.eigenvalues**alpha
         coeffs = ctx.w_hat if noise else ctx.q_hat
-        return np.sqrt(field_sum(ctx.basis.eigenvalues**alpha * coeffs**2))
+        return np.sqrt(field_sum(power * coeffs**2))
     return Observable(f"{'w' * noise}h{alpha:g}", fn)
 
 
@@ -511,17 +520,13 @@ class TrajectoryRecord:
 
 
 class Stepper:
-    """Precomputed factors and work buffers for one SimConfig.
+    """Precomputed factors and the bound step for one SimConfig.
 
     `decay`, `phi` and `w_gain` = phi eps^2 lambda are the per-mode (Nx,
-    Ny) factors of the q step; `advance` multiplies by copies of them at
-    the batch shape (..., 3, Nx, Ny), `w_gain` only if eps > 0.  Its
-    buffers for that batch (a finiteness mask, with eps > 0 the W term,
-    and for a nonlinear step the `_TransportWork` that holds the (psi_hat,
-    q_hat) stack and every intermediate of the solve and the transport)
-    are rebuilt only when the batch shape changes: one Stepper, one
-    thread.  A repeat step at one shape allocates only its new state and
-    the projected transport term.
+    Ny) factors of the q step.  `advance` runs the step `_batch` binds
+    for the batch shape (..., 3, Nx, Ny), rebinding only when that shape
+    changes: one Stepper, one thread.  A repeat step at one shape
+    allocates only its new state and the projected transport term.
     """
 
     def __init__(self, config: SimConfig):
@@ -537,21 +542,60 @@ class Stepper:
         self._shape = None                  # no batch until first use
 
     def _batch(self, shape):
-        """(decay, phi[, w_gain]) at the batch shape, kept with buffers."""
+        """The step `advance` runs at the batch shape, bound once per shape.
+
+        Its operands are fixed when it is bound: copies of decay, phi and
+        (eps > 0) w_gain at the batch shape, a finiteness mask, with eps >
+        0 the array of the W term, and for a nonlinear step the
+        `_TransportWork` with the elliptic solve (`coupling.elliptic_plan`)
+        bound to its stack and modal amplitudes.  `step.buffers` lists
+        every array the step keeps between calls.
+        """
         if shape != self._shape:
-            cfg = self.config
-            self._shape = shape
-            factors = (self.decay, self.phi, self.w_gain)[
-                :2 + (cfg.viscosity > 0)]
-            self._tables = tuple(np.broadcast_to(f, shape).copy()
-                                 for f in factors)
-            self._finite = np.empty(shape, dtype=bool)
-            if cfg.viscosity > 0:
-                self._w_term = np.empty(shape)
-            if cfg.nonlinear:
-                self._work = _TransportWork.new(cfg.basis.transport_basis,
-                                                shape)
-        return self._tables
+            self._shape, self._step = shape, self._bind(shape)
+        return self._step
+
+    def _bind(self, shape):
+        cfg, h_min = self.config, self.h_min
+        nonlinear, viscous = cfg.nonlinear, cfg.viscosity > 0
+        cfl, dt = cfg.cfl_safety, cfg.dt
+        decay, phi, *w_gain = (np.broadcast_to(f, shape).copy() for f in (
+            self.decay, self.phi, self.w_gain)[:2 + viscous])
+        finite = np.empty(shape, dtype=bool)
+        buffers = [decay, phi, finite]
+        if viscous:
+            w_gain, w_term = w_gain[0], np.empty(shape)
+            buffers += [w_gain, w_term]
+        if nonlinear:
+            work = _TransportWork.new(cfg.basis.transport_basis, shape)
+            solve = elliptic_plan(cfg.coupling, work.q_hat, work.psi_hat,
+                                  work.amp)
+            buffers.append(work.space)
+
+        def step(q_hat, w_hat, t):
+            new = decay * q_hat
+            if nonlinear:
+                np.copyto(work.q_hat, q_hat)
+                solve()
+                term, umax = _transport(work)
+                if not math.isfinite(umax):
+                    raise FloatingPointError("velocity overflow")
+                if cfl > 0 and umax > 0:
+                    ceiling = cfl * (h_min / umax)
+                    if dt > ceiling:
+                        raise TimeStepError(
+                            f"dt={dt} exceeds adaptive CFL ceiling "
+                            f"{ceiling:.3e} at t={t:.6g} (|u|max={umax:.3e})",
+                            time=t, umax=float(umax), ceiling=float(ceiling))
+                new -= np.multiply(phi, term, out=term)
+            if viscous:
+                new += np.multiply(w_gain, w_hat, out=w_term)
+            if not np.logical_and.reduce(np.isfinite(new, out=finite),
+                                         axis=None):
+                raise FloatingPointError("state overflow")
+            return new
+        step.buffers = tuple(buffers)
+        return step
 
     def advance(self, q_hat, w_hat, t):
         """One q step without noise, decay q - phi B(q) + w_gain W, with W
@@ -566,31 +610,7 @@ class Stepper:
         error rather than a blow-up.  `SimConfig` checks the damping
         ceiling cfl_safety / gamma.
         """
-        cfg = self.config
-        decay, phi, *w_gain = self._batch(q_hat.shape)
-        new = decay * q_hat
-        if cfg.nonlinear:
-            work = self._work
-            np.copyto(work.q_hat, q_hat)
-            solve_elliptic_coeffs(cfg.coupling, work.q_hat, out=work.psi_hat,
-                                  work=work.amp)
-            term, umax = _transport(work)
-            if not math.isfinite(umax):
-                raise FloatingPointError("velocity overflow")
-            if cfg.cfl_safety > 0 and umax > 0:
-                ceiling = cfg.cfl_safety * (self.h_min / umax)
-                if cfg.dt > ceiling:
-                    raise TimeStepError(
-                        f"dt={cfg.dt} exceeds adaptive CFL ceiling "
-                        f"{ceiling:.3e} at t={t:.6g} (|u|max={umax:.3e})",
-                        time=t, umax=float(umax), ceiling=float(ceiling))
-            new -= np.multiply(phi, term, out=term)
-        if w_gain:
-            new += np.multiply(w_gain[0], w_hat, out=self._w_term)
-        if not np.logical_and.reduce(np.isfinite(new, out=self._finite),
-                                     axis=None):
-            raise FloatingPointError("state overflow")
-        return new
+        return self._batch(q_hat.shape)(q_hat, w_hat, t)
 
 
 def step_eta(eta: LayerField, w: LayerField, config: SimConfig,
@@ -630,8 +650,9 @@ def nonlinear_term(q: LayerField, psi: LayerField) -> LayerField:
 
 class _TransportWork(NamedTuple):
     """Views of one buffer, `space`, that hold every intermediate of the
-    elliptic solve and `_transport` for (..., 3, Nx, Ny) fields on the
-    transport grid `grid`, and `synth`, its `gradient_plan`.
+    elliptic solve and `_transport` for (..., 3, Nx, Ny) fields on a
+    transport grid, with `synth`, its `gradient_plan` of the stack, and
+    `project`, its `forward_plan` of the product slot.
 
     The buffer is the room of the (2, ..., 3, Gt+2, Ny) order-0 x-stage
     products of (psi_hat, q_hat), which the last y stage reads, then four
@@ -651,8 +672,8 @@ class _TransportWork(NamedTuple):
     first: np.ndarray
     u: np.ndarray
     grids: tuple
-    grid: SpectralBasis
     synth: callable
+    project: callable
 
     @classmethod
     def new(cls, grid: SpectralBasis, shape):
@@ -666,12 +687,14 @@ class _TransportWork(NamedTuple):
             (2, 2) + lead + (gx, ny))
         stack = grids[3].reshape(-1)[:2 * batch * nx * ny].reshape(
             (2,) + shape)
+        first = grids[1].reshape(-1)[:batch * nx * gy].reshape(
+            lead + (nx, gy))
         return cls(
             space, stack, *stack,
-            space[:batch * nx * ny].reshape(lead + (nx * ny,)),
-            grids[1].reshape(-1)[:batch * nx * gy].reshape(lead + (nx, gy)),
-            grids[:2], tuple(grids), grid,
-            grid.gradient_plan(stack, xs, grids[0::3], grids[1:3]))
+            space[:batch * nx * ny].reshape(lead + (nx * ny,)), first,
+            grids[:2], tuple(grids),
+            grid.gradient_plan(stack, xs, grids[0::3], grids[1:3]),
+            grid.forward_plan(grids[0], scratch=first))
 
 
 def _transport(work: _TransportWork):
@@ -682,7 +705,7 @@ def _transport(work: _TransportWork):
     of `synth`.  u = (-psi_y, psi_x), so one `_abs_peak` of `work.u`
     gives |u|max, and a NaN in either component reaches the caller's
     velocity check.  The product psi_x q_y - psi_y q_x is formed in place
-    in psi_x and projected.  An overflowing product is not checked here:
+    in psi_x and projected by `work.project`.  An overflowing product is not checked here:
     it projects to non-finite coefficients, which the caller's finiteness
     check reports.
     """
@@ -691,7 +714,7 @@ def _transport(work: _TransportWork):
     umax = _abs_peak(work.u)
     product = np.multiply(psi_x, q_y, out=psi_x)
     product -= np.multiply(psi_y, q_x, out=psi_y)
-    return work.grid.forward(product, scratch=work.first), umax
+    return work.project(), umax
 
 
 def _abs_peak(grid):
@@ -720,6 +743,11 @@ def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
 
 # Standard normals drawn per refill, over all paths: 512 KB of doubles.
 _BLOCK_NORMALS = 1 << 16
+# Spectral points of the noise fields made by one `NoiseMixer.coefficients`
+# call, over steps, drawn paths and layers (64 KB): at small N the fields
+# of several steps share one call's overhead; at large N each call makes
+# one step's, so the chunk's memory stays small.
+_CHUNK_POINTS = 1 << 13
 # Grid points of one batch over paths and layers (1 MB per temporary): on
 # large grids memory grows with the batch and the step saves no overhead.
 _BATCH_POINTS = 1 << 17
@@ -829,7 +857,12 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
     steps are drawn at once, as the same normals step by step: the block
     is path-major, (paths, steps, rows, K), each generator fills its own
     block[p] in place, the increment row is weighted by c_k sqrt(dt)
-    once, and step i reads the (K, P) columns block[:, i, row].T.  Every
+    once, and step i reads the (K, P) columns block[:, i, row].T.  The
+    noise fields of `chunk` consecutive steps, as many as fit in
+    _CHUNK_POINTS, come from one `NoiseMixer.coefficients` call on their
+    step-major (K, chunk, P) increments, each step's a contiguous
+    (P, 3, Nx, Ny) field with the bytes of its own call; a block holds
+    whole chunks, and only a run's last chunk may be short.  Every
     operation acts on each path alone, so path p's bytes depend neither
     on P nor on its place in the batch; the CFL guard watches the largest
     |u| of all paths.  A blow-up (BlowUpError) or CFL abort
@@ -854,6 +887,11 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
     draws = streams[:1] if len(set(streams)) == 1 else streams
     gens = [rngmod.stream(cfg.seed, s) for s in draws] if rows else []
     block_steps = max(1, _BLOCK_NORMALS // max(1, rows * k * len(gens)))
+    # steps per noise chunk; a block holds whole chunks, so no chunk
+    # straddles a refill
+    chunk = min(block_steps,
+                max(1, _CHUNK_POINTS // max(1, len(gens) * q[0].size)))
+    block_steps -= block_steps % chunk
     scale = cfg.noise.c * np.sqrt(cfg.dt)
     probe = ObsContext(cfg.coupling, q, w)
     yield 0, probe
@@ -879,10 +917,17 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
             if drawn:
                 block[:, :, 0] *= scale
         dw = None
-        if noisy:
-            dw = block[:, i, 0].T if drawn else \
-                noise_path.increments[j - 1][:, None]
+        if drawn:
+            if i % chunk == 0:      # (K, steps, paths): step-major columns
+                fields = stepper.mixer.coefficients(
+                    block[:, i:i + chunk, 0].transpose(2, 1, 0))
+            field = fields[i % chunk]
+            if hook is not None:
+                dw = block[:, i, 0].T
+        elif noisy:
+            dw = noise_path.increments[j - 1][:, None]
             field = stepper.mixer.coefficients(dw)
+        if noisy:
             q += field
             if w is not None:
                 w += field

@@ -165,9 +165,9 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
     def zeta_h_alpha(ctx):
         # zeta is updated in place unchecked; a non-finite state stops the
         # run at the next sample
-        if not np.all(np.isfinite(zeta)):
+        if not np.isfinite(zeta).all():
             raise ConfigurationError("non-finite OU state")
-        return [np.sqrt(np.sum(zeta**2 * weights))]
+        return [np.sqrt((zeta**2 * weights).sum())]
 
     observables = [obs_lp(np.inf), Observable("theta_inf", theta_sup),
                    Observable("zeta_norm", zeta_h_alpha)]

@@ -42,7 +42,8 @@ the same kernel either way, with the same bytes and time.  The forward
 transform is the trapezoid quadrature S_x.T @ v @ S_y, exact by the
 rule above, with the scale hx hy 2/sqrt(Lx Ly) folded into its own x
 table; it reads the (Gy+2, Ny) sine table, which a square grid shares
-with the x axis.  At the mode cuts this package runs (N <= 128) these
+with the x axis, and a `forward_plan` binds it to one grid array.  At
+the mode cuts this package runs (N <= 128) these
 products are cheaper than FFTs of length G+1.
 
 Spectral coefficient arrays have shape (..., Nx, Ny); grid arrays have
@@ -263,11 +264,22 @@ class SpectralBasis:
         Exact (no aliasing) whenever the sampled function is a sine
         polynomial of band <= G in each direction.  The first product,
         shape (..., Nx, Gy+2), goes into `scratch` as `synth` has its
-        grid, the coefficients into a new array.
+        grid, the coefficients into a new array.  The one-off form of
+        `forward_plan`: it binds the quadrature and runs it once.
         """
+        return self.forward_plan(values, scratch)()
+
+    def forward_plan(self, values, scratch=None):
+        """A function that returns `forward(values, scratch)`, reading
+        `values` each time it is called: the grid check and the tables
+        are bound once, for a caller that projects at every step.  A call
+        runs two matmuls and nothing else."""
         self._check_grid(values)
-        return np.matmul(self._forward_x.T, values,
-                         out=scratch) @ self._trig_y[0]
+        table, sines = self._forward_x.T, self._trig_y[0]
+
+        def forward():
+            return np.matmul(np.matmul(table, values, out=scratch), sines)
+        return forward
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients -> samples on the full grid (boundary rows zero)."""

@@ -11,6 +11,10 @@ digest must match bitwise; elsewhere the test skips and names the first
 key that differs, since another NumPy or BLAS may round differently.
 The `*_2_batches` cases force the paths into two batches through
 `dynamics._BATCH_POINTS`, so the reduction over batches is covered.
+The `*_chunk_3` cases force 3-step noise chunks through
+`dynamics._CHUNK_POINTS`, so chunks end inside a normals block and a
+run's last chunk is short; each stores, and must reproduce, the digests
+of the case it forces.
 
 A change that moves a byte rewrites the file deliberately with
 `python tests/test_digests.py` and declares which artifacts moved.
@@ -62,6 +66,12 @@ CASES = {
     "invariant_pairings_2_batches": (["invariant", "--horizons", "0.05,0.1",
                                       "--paths", "3"], 2, PAIRINGS),
 }
+# case -> (the case it forces to 3-step noise chunks, the noise columns
+# per step: one per path on its own stream, one for paths on stream 0)
+CHUNKED = {"tightness_chunk_3": ("tightness", 1),
+           "invariant_chunk_3": ("invariant", 3),
+           "stability_chunk_3": ("stability", 1)}
+CASES.update({case: CASES[base] for case, (base, _) in CHUNKED.items()})
 
 
 def _environment_keys():
@@ -76,15 +86,19 @@ def run_case(case, folder):
     cfg = folder / "digest.cfg"
     cfg.write_text(CONFIG + (observables or [OBSERVABLES])[0])
     out = folder / "out"
-    saved = dynamics._BATCH_POINTS
+    saved = dynamics._BATCH_POINTS, dynamics._CHUNK_POINTS
+    basis = realize(parse_config(cfg)[0], SEED).basis
     if per_batch:
-        points = realize(parse_config(cfg)[0], SEED).basis.quad_weights.size
-        dynamics._BATCH_POINTS = per_batch * N_LAYERS * points
+        dynamics._BATCH_POINTS = (per_batch * N_LAYERS
+                                  * basis.quad_weights.size)
+    if case in CHUNKED:
+        dynamics._CHUNK_POINTS = (3 * CHUNKED[case][1] * N_LAYERS
+                                  * basis.nx * basis.ny)
     try:
         code = main([argv[0], "--config", str(cfg), "--seed", str(SEED),
                      "--out", str(out), *argv[1:]])
     finally:
-        dynamics._BATCH_POINTS = saved
+        dynamics._BATCH_POINTS, dynamics._CHUNK_POINTS = saved
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(out.iterdir())
                if path.name != "manifest.json"}
@@ -107,6 +121,11 @@ def stored():
 @pytest.mark.parametrize("case", list(CASES))
 def test_artifact_digests(stored, case, tmp_path):
     assert run_case(case, tmp_path) == stored[case]
+
+
+@pytest.mark.parametrize("case", list(CHUNKED))
+def test_chunked_case_stores_the_unforced_digests(stored, case):
+    assert stored[case] == stored[CHUNKED[case][0]]
 
 
 def _write_digests():

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -355,22 +356,24 @@ class TestNonlinearTerm:
             assert np.isnan(dynamics._transport(work)[1])
 
     def test_advanced_state_owns_its_memory(self):
-        # the new state shares no memory with any buffer of the Stepper,
-        # so the next step cannot overwrite a state the loop keeps
+        # the new state shares no memory with any buffer the bound step
+        # keeps, so the next step cannot overwrite a state the loop keeps
         base = realize(RunSettings(modes_x=8, modes_y=8, dt=1e-3,
                                    noise_modes=16), seed=2)
         rng = np.random.default_rng(6)
-        for nonlinear in (True, False):
-            stepper = dynamics.Stepper(replace(base, nonlinear=nonlinear))
+        for nonlinear, viscosity in itertools.product((True, False),
+                                                      (0.0, 0.1)):
+            stepper = dynamics.Stepper(replace(base, nonlinear=nonlinear,
+                                               viscosity=viscosity))
             for n_paths in (1, 3):
-                eta, w = (np.stack([random_band_coeffs(rng, base.basis)
-                                    for _ in range(n_paths)])
-                          for _ in range(2))
-                new = stepper.advance(eta, w, 0.0)
-                buffers = [a for v in vars(stepper).values()
-                           for a in (v if isinstance(v, tuple) else (v,))
-                           if isinstance(a, np.ndarray)]
-                assert len(buffers) == 6 + 7 * nonlinear
+                q_hat, w = (np.stack([random_band_coeffs(rng, base.basis)
+                                      for _ in range(n_paths)])
+                            for _ in range(2))
+                new = stepper.advance(q_hat, w, 0.0)
+                # decay, phi and the finiteness mask; with eps > 0 w_gain
+                # and the W term; nonlinear, the transport workspace
+                buffers = stepper._batch(q_hat.shape).buffers
+                assert len(buffers) == 3 + 2 * (viscosity > 0) + nonlinear
                 for buffer in buffers:
                     assert not np.shares_memory(new, buffer)
 

@@ -250,6 +250,15 @@ def test_only_spectral_reads_the_transform_tables():
     assert readers == ["spectral.py"]
 
 
+def test_only_coupling_reads_the_vertical_modes():
+    # one elliptic solve: every other module solves through
+    # solve_elliptic_coeffs or elliptic_plan
+    readers = [path.name
+               for path in sorted((ROOT / "src/layerqg").glob("*.py"))
+               if attributes_read(path.read_text()) & {"modes", "mode_gain"}]
+    assert readers == ["coupling.py"]
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "src/layerqg").glob("*.py")),
                          ids=lambda path: path.name)
 def test_monitors_read_no_snapshots(path):

@@ -83,6 +83,22 @@ class TestIncrements:
         assert (mixer.coefficients(columns).tobytes()
                 == mixer.coefficients(columns.copy()).tobytes())
 
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    def test_step_major_chunk_is_its_steps_bitwise(self, pairs16, n_paths):
+        # the stepping loop makes the fields of c steps with one call on
+        # the (K, c, P) step-major view of a path-major (P, steps, rows,
+        # K) block; field [s, p] is the bytes of step s's own (K, P) call
+        k, c = 48, 5
+        mixer = NoiseMixer(make_noise(pairs16, k, decay=1.0, sigma=1.0),
+                           pairs16)
+        block = np.random.default_rng(n_paths).standard_normal(
+            (n_paths, 7, 2, k))
+        fields = mixer.coefficients(block[:, 1:1 + c, 0].transpose(2, 1, 0))
+        assert fields.shape == (c, n_paths, 3) + pairs16.basis.spectral_shape
+        for s in range(c):
+            assert (fields[s].tobytes()
+                    == mixer.coefficients(block[:, 1 + s, 0].T).tobytes())
+
     def test_scatter_rows_are_the_flat_indices(self, pairs16):
         # triplet (row, eigenpair, value) of layer i of pair k is
         # (flat_index[k, i], k, vec[k, i]), sorted by row, then eigenpair
