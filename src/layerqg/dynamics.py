@@ -559,12 +559,13 @@ class Stepper:
         cfg, h_min = self.config, self.h_min
         nonlinear, viscous = cfg.nonlinear, cfg.viscosity > 0
         cfl, dt = cfg.cfl_safety, cfg.dt
-        decay, phi, *w_gain = (np.broadcast_to(f, shape).copy() for f in (
-            self.decay, self.phi, self.w_gain)[:2 + viscous])
+        decay, phi = (np.broadcast_to(f, shape).copy()
+                      for f in (self.decay, self.phi))
         finite = np.empty(shape, dtype=bool)
         buffers = [decay, phi, finite]
         if viscous:
-            w_gain, w_term = w_gain[0], np.empty(shape)
+            w_gain = np.broadcast_to(self.w_gain, shape).copy()
+            w_term = np.empty(shape)
             buffers += [w_gain, w_term]
         if nonlinear:
             work = _TransportWork.new(cfg.basis.transport_basis, shape)
@@ -660,7 +661,7 @@ class _TransportWork(NamedTuple):
     is the contiguous (psi_x, psi_y).  The rest heads a slot while that
     slot is dead: the order-1 products slot 1, the `stack` of (`psi_hat`,
     `q_hat`) slot 3, the solve's modal amplitudes `amp` the buffer's
-    start, and the quadrature's `first` product slot 1, once the product
+    start, and the quadrature's first product slot 1, once the product
     is formed in slot 0.  No gemm reads what it writes.
     """
 
@@ -669,7 +670,6 @@ class _TransportWork(NamedTuple):
     psi_hat: np.ndarray
     q_hat: np.ndarray
     amp: np.ndarray
-    first: np.ndarray
     u: np.ndarray
     grids: tuple
     synth: callable
@@ -691,7 +691,7 @@ class _TransportWork(NamedTuple):
             lead + (nx, gy))
         return cls(
             space, stack, *stack,
-            space[:batch * nx * ny].reshape(lead + (nx * ny,)), first,
+            space[:batch * nx * ny].reshape(lead + (nx * ny,)),
             grids[:2], tuple(grids),
             grid.gradient_plan(stack, xs, grids[0::3], grids[1:3]),
             grid.forward_plan(grids[0], scratch=first))
