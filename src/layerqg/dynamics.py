@@ -705,9 +705,9 @@ def _transport(work: _TransportWork):
     of `synth`.  u = (-psi_y, psi_x), so one `_abs_peak` of `work.u`
     gives |u|max, and a NaN in either component reaches the caller's
     velocity check.  The product psi_x q_y - psi_y q_x is formed in place
-    in psi_x and projected by `work.project`.  An overflowing product is not checked here:
-    it projects to non-finite coefficients, which the caller's finiteness
-    check reports.
+    in psi_x and projected by `work.project`.  An overflowing product is
+    not checked here: it projects to non-finite coefficients, which the
+    caller's finiteness check reports.
     """
     work.synth()
     psi_x, psi_y, q_y, q_x = work.grids
@@ -918,10 +918,11 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
                 block[:, :, 0] *= scale
         dw = None
         if drawn:
-            if i % chunk == 0:      # (K, steps, paths): step-major columns
+            s = i % chunk
+            if s == 0:      # (K, steps, paths): step-major columns
                 fields = stepper.mixer.coefficients(
                     block[:, i:i + chunk, 0].transpose(2, 1, 0))
-            field = fields[i % chunk]
+            field = fields[s]
             if hook is not None:
                 dw = block[:, i, 0].T
         elif noisy:

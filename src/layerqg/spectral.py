@@ -43,8 +43,8 @@ transform is the trapezoid quadrature S_x.T @ v @ S_y, exact by the
 rule above, with the scale hx hy 2/sqrt(Lx Ly) folded into its own x
 table; it reads the (Gy+2, Ny) sine table, which a square grid shares
 with the x axis, and a `forward_plan` binds it to one grid array.  At
-the mode cuts this package runs (N <= 128) these
-products are cheaper than FFTs of length G+1.
+the mode cuts this package runs (N <= 128) these products are cheaper
+than FFTs of length G+1.
 
 Spectral coefficient arrays have shape (..., Nx, Ny); grid arrays have
 shape (..., Gx+2, Gy+2).  Layer fields carry a leading axis of length 3.
