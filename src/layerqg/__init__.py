@@ -21,8 +21,8 @@ _EXPORTS = {
     "fieldio": ("read_field", "write_field"),
     "measures": ("AveragedMeasure", "TightnessReport", "kb_average",
                  "tightness_diagnostic"),
-    "noise": ("BrownianIncrements", "NoiseSpec", "make_noise", "ou_factors",
-              "ou_step", "sample_path", "sigma_for_stationary_l2"),
+    "noise": ("NoiseSpec", "make_noise", "ou_factors", "ou_step",
+              "sigma_for_stationary_l2"),
     "runconfig": ("RunSettings", "parse_config", "realize"),
     "spectral": ("LayerField", "SpectralBasis", "build_basis", "lp_norm",
                  "single_mode_field"),

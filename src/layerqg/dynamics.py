@@ -31,13 +31,15 @@ One stepping loop, the generator `_samples`, yields each sample of a
 batch of paths: `_run_paths` records the observable series of single
 runs, ensembles and the tightness diagnostic and passes snapshots to a
 sink, and the ladders of `sweeps` fold the samples of their runs in
-lockstep.  The `Stepper` binds its step once per batch shape: the
-per-mode tables at that shape, and a workspace that holds every
-intermediate of the elliptic solve and the transport, with the solve,
-the synthesis and the projection each bound to its views.  So a repeat
-step rebuilds no view or check and allocates only its new state and the
-projected transport term.  The loop makes the noise fields of several
-steps with one call where they are small, and adds each in place.
+lockstep.  Its one noise source is the Philox streams, and it steps
+the OU state zeta of the tightness diagnostic.  The `Stepper` binds its
+step once per batch shape: the per-mode tables at that shape, and a
+workspace that holds every intermediate of the elliptic solve and the
+transport, with the solve, the synthesis and the projection each bound
+to its views.  So a repeat step rebuilds no view or check and allocates
+only its new state and the projected transport term.  The loop makes
+the noise fields of several steps with one call where they are small,
+and adds each in place.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .coupling import (LayerCoupling, OperatorEigenpairs, elliptic_plan,
                        pair_coeffs, solve_elliptic_coeffs)
 from .errors import (BlowUpError, ConfigurationError, SamplingError,
                      ShapeError, TimeStepError)
-from .noise import BrownianIncrements, NoiseMixer, NoiseSpec
+from .noise import NoiseMixer, NoiseSpec, ou_factors, ou_step
 from .spectral import (LayerField, N_LAYERS, SpectralBasis, even_exponent,
                        field_sum, grid_peak, peak_scaled_square,
                        scaled_lp_norms, single_mode_field)
@@ -126,13 +128,16 @@ class ObsContext:
     (`_release_plan`).  Each field's `peak` and `lp_norms` and the (P, J)
     pairings of each set of eigenpairs a `Pairing` reads are kept while
     the context lives.  `w_read` tells whether anything read `w_hat`.
+    `zeta` is the loop's (P, K) OU state (or None), which the loop
+    advances in place: it holds this sample's value until the loop resumes.
     """
 
-    def __init__(self, coupling: LayerCoupling, q_hat, w_hat):
+    def __init__(self, coupling: LayerCoupling, q_hat, w_hat, zeta=None):
         self.coupling = coupling
         self.basis = coupling.basis
         self.q_hat = q_hat
         self._w_hat = w_hat
+        self.zeta = zeta
         self.w_read = False
         self._memo = {}
 
@@ -724,21 +729,18 @@ def _abs_peak(grid):
 
 
 def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
-                   noise_path: BrownianIncrements | None = None,
                    initial: np.ndarray | None = None,
                    sink=None) -> TrajectoryRecord:
     """Integrate q from t=0 to the horizon: `_run_paths` with P = 1.
 
     Deterministic given (config, stream): noise comes from the Philox
-    stream (config.seed, stream), or from `noise_path`, a pregenerated
-    path that dt-refinement checks coarsen.  An explicit coefficient
-    array `initial` overrides the config descriptor.  A `sink` and the
-    partial record of an abort are those of `_run_paths`.
+    stream (config.seed, stream).  An explicit coefficient array
+    `initial` overrides the config descriptor.  A `sink` and the partial
+    record of an abort are those of `_run_paths`.
     """
     if observables is None:
         observables = parse_observables(DEFAULT_OBSERVABLES)
-    return _run_paths(config, observables, [stream], initial, noise_path,
-                      sink=sink)[0]
+    return _run_paths(config, observables, [stream], initial, sink=sink)[0]
 
 
 # Standard normals drawn per refill, over all paths: 512 KB of doubles.
@@ -754,14 +756,14 @@ _BATCH_POINTS = 1 << 17
 
 
 def _run_paths(cfg: SimConfig, observables, streams, initial=None,
-               noise_path=None, hook=None, sink=None,
-               threads: int = 1) -> list:
+               ou_rate=None, sink=None, threads: int = 1) -> list:
     """Step the `_batches` of P = len(streams) paths (on `threads` pool
     threads if `_blas_pinned()`, else BLAS threads oversubscribe) and
     record every observable at each sample of cfg.obs_every; a `sink(t,
     q)` receives a batch's (P_b, 3, Nx, Ny) q at each sample of
-    cfg.snap_every.  An abort carries the partial record of the path whose
-    state was largest before the failing step."""
+    cfg.snap_every.  With `ou_rate` the loop also steps the OU state zeta
+    at that rate (`_samples`).  An abort carries the partial record of the
+    path whose state was largest before the failing step."""
     n_steps, snaps = cfg.n_steps, cfg.snap_every if sink else 0
     gathers, others, slots = _sample_plan(observables)
 
@@ -804,8 +806,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
             raise stop
         return records
 
-    batches = _batches(cfg, streams, initial, noise_path, hook,
-                       (cfg.obs_every, snaps))
+    batches = _batches(cfg, streams, initial, ou_rate, (cfg.obs_every, snaps))
     if threads > 1 and len(batches) > 1 and _blas_pinned():
         import concurrent.futures       # only here: 5-8 ms at every start-up
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
@@ -813,8 +814,8 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
     return [rec for batch in batches for rec in record(batch)]
 
 
-def _batches(cfg: SimConfig, streams, initial=None, noise_path=None,
-             hook=None, every=(1,)) -> list:
+def _batches(cfg: SimConfig, streams, initial=None, ou_rate=None,
+             every=(1,)) -> list:
     """(streams, `_samples` generator) of each batch of at most
     _BATCH_POINTS grid points over paths and layers.  Path p starts from
     `initial` (one (3, Nx, Ny) datum for every path, or row p of a (P, 3,
@@ -824,9 +825,6 @@ def _batches(cfg: SimConfig, streams, initial=None, noise_path=None,
         raise ConfigurationError("n_paths must be >= 1")
     if min(every) < 0:
         raise ConfigurationError("snap_every must be >= 0")
-    if noise_path is not None and (noise_path.n_steps != cfg.n_steps or abs(
-            noise_path.dt - cfg.dt) > 1e-12 * cfg.dt):
-        raise ConfigurationError("noise path does not match config grid")
     shape = (N_LAYERS,) + basis.spectral_shape
     if initial is None:
         initial = initial_coeffs(cfg.init, basis)
@@ -837,40 +835,38 @@ def _batches(cfg: SimConfig, streams, initial=None, noise_path=None,
     return [(streams[i:i + per_batch], _samples(
                 cfg, streams[i:i + per_batch],
                 initial if initial.ndim == 3 else initial[i:i + per_batch],
-                noise_path, hook, every))
+                ou_rate, every))
             for i in range(0, n_paths, per_batch)]
 
 
-def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
+def _samples(cfg: SimConfig, streams, initial, ou_rate, every):
     """The stepping loop: step P = len(streams) paths as one (P, 3, Nx,
     Ny) state and yield (j, ObsContext of q and W) at each sample j: t = 0,
     the horizon and each multiple of a cadence in `every` (steps; 0 adds
     none).  A yielded q is never written to again.
 
     Path p draws from the Philox stream (cfg.seed, streams[p]), per step
-    the K normals of its increment (unless the noise is off or comes from
-    `noise_path`), then, with a `hook`, K more normals for the
-    `hook(dw, normals)` called after each increment with the (K, P)
-    weighted increments (None without noise) and those (K, P) normals.
-    Paths on one stream draw it once: the one (1, 3, Nx, Ny) increment is
-    added to every path, and a hook receives (K, 1) columns.  Blocks of
-    steps are drawn at once, as the same normals step by step: the block
-    is path-major, (paths, steps, rows, K), each generator fills its own
+    the K normals of its increment if the noise is active, then, with an
+    `ou_rate`, K more for zeta, the (P, K) OU state at that rate, which
+    one exact `ou_step` per step, driven by the increments if any,
+    advances in place from 0.  Paths on one stream draw it once: the one
+    (1, 3, Nx, Ny) increment is added to every path.  Blocks of steps are
+    drawn at once, as the same normals step by step: the block is
+    path-major, (paths, steps, rows, K), each generator fills its own
     block[p] in place, the increment row is weighted by c_k sqrt(dt)
-    once, and step i reads the (K, P) columns block[:, i, row].T.  The
-    noise fields of `chunk` consecutive steps, as many as fit in
-    _CHUNK_POINTS, come from one `NoiseMixer.coefficients` call on their
-    step-major (K, chunk, P) increments, each step's a contiguous
-    (P, 3, Nx, Ny) field with the bytes of its own call; a block holds
-    whole chunks, and only a run's last chunk may be short.  Every
-    operation acts on each path alone, so path p's bytes depend neither
-    on P nor on its place in the batch; the CFL guard watches the largest
-    |u| of all paths.  A blow-up (BlowUpError) or CFL abort
-    (TimeStepError) carries `worst`, the index of the path with the
-    largest state before the failing step.  W_0 = 0 is kept past sample 0
-    only if eps > 0 or the consumer read `w_hat` there.  The consumer
-    silences overflow warnings: none is silenced across a yield, so a
-    generator may resume on any thread.
+    once, and step i reads the rows block[:, i, row].  The noise fields
+    of `chunk` consecutive steps, as many as fit in _CHUNK_POINTS, come
+    from one `NoiseMixer.coefficients` call on their step-major (K,
+    chunk, P) increments, each step's a contiguous (P, 3, Nx, Ny) field
+    with the bytes of its own call; a block holds whole chunks, and only
+    a run's last chunk may be short.  Every operation acts on each path
+    alone, so path p's bytes depend neither on P nor on its place in the
+    batch; the CFL guard watches the largest |u| of all paths.  A blow-up
+    (BlowUpError) or CFL abort (TimeStepError) carries `worst`, the
+    index of the path with the largest state before the failing step.
+    W_0 = 0 is kept past sample 0 only if eps > 0 or the consumer read
+    `w_hat` there.  The consumer silences overflow warnings: none is
+    silenced across a yield, so a generator may resume on any thread.
     """
     n_steps, n_paths, k = cfg.n_steps, len(streams), cfg.noise.k
 
@@ -881,9 +877,11 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
     q = np.broadcast_to(initial, (n_paths, N_LAYERS)
                         + cfg.basis.spectral_shape)     # never written to
     w = np.zeros(q.shape)           # W_0 = 0, dropped after sample 0 if unread
-    noisy = cfg.noise.active
-    drawn = int(noisy and noise_path is None)
-    rows = drawn + (hook is not None)
+    noisy, zeta = cfg.noise.active, None
+    if ou_rate is not None:
+        factors = ou_factors(ou_rate, cfg.noise, cfg.dt, noisy, (n_paths,))
+        zeta = np.zeros((n_paths, k))
+    rows = noisy + (zeta is not None)   # the increment's row comes first
     draws = streams[:1] if len(set(streams)) == 1 else streams
     gens = [rngmod.stream(cfg.seed, s) for s in draws] if rows else []
     block_steps = max(1, _BLOCK_NORMALS // max(1, rows * k * len(gens)))
@@ -893,7 +891,7 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
                 max(1, _CHUNK_POINTS // max(1, len(gens) * q[0].size)))
     block_steps -= block_steps % chunk
     scale = cfg.noise.c * np.sqrt(cfg.dt)
-    probe = ObsContext(cfg.coupling, q, w)
+    probe = ObsContext(cfg.coupling, q, w, zeta)
     yield 0, probe
     if not (probe.w_read or cfg.viscosity > 0):
         w = None
@@ -914,29 +912,23 @@ def _samples(cfg: SimConfig, streams, initial, noise_path, hook, every):
             block = np.empty((len(gens), steps, rows, k))
             for p, gen in enumerate(gens):
                 gen.standard_normal(out=block[p])
-            if drawn:
+            if noisy:
                 block[:, :, 0] *= scale
-        dw = None
-        if drawn:
+        if noisy:
             s = i % chunk
             if s == 0:      # (K, steps, paths): step-major columns
                 fields = stepper.mixer.coefficients(
                     block[:, i:i + chunk, 0].transpose(2, 1, 0))
             field = fields[s]
-            if hook is not None:
-                dw = block[:, i, 0].T
-        elif noisy:
-            dw = noise_path.increments[j - 1][:, None]
-            field = stepper.mixer.coefficients(dw)
-        if noisy:
             q += field
             if w is not None:
                 w += field
-        if hook is not None:
-            hook(dw, block[:, i, drawn].T)
+        if zeta is not None:
+            ou_step(zeta, factors, block[:, i, rows - 1],
+                    block[:, i, 0] if noisy else None, out=zeta)
         if j == mark:
             mark = next_sample(j)
-            yield j, ObsContext(cfg.coupling, q, w)
+            yield j, ObsContext(cfg.coupling, q, w, zeta)
 
 
 def _blas_threads():

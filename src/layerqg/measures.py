@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import Observable, SimConfig, _run_paths, obs_lp
 from .errors import ConfigurationError
 from .experiments import _cumtrapz, dominated
-from .noise import NoiseMixer, ou_factors, ou_step
+from .noise import NoiseMixer
 from .spectral import grid_peak
 
 ALPHA_NOISE = 2.5
@@ -148,30 +148,7 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
         raise ConfigurationError("rate should exceed gamma/2")
     cfg = replace(config, init="zero", horizon=horizon,
                   obs_every=TIGHTNESS_SAMPLE_EVERY)
-    mixer = NoiseMixer(cfg.noise, cfg.pairs)
-    zeta = np.zeros(cfg.noise.k)
-    # the loop passes increments exactly when the noise is active
-    factors = ou_factors(rate, cfg.noise, cfg.dt, driven=cfg.noise.active)
-    weights = cfg.pairs.spatial_eigenvalues[:cfg.noise.k] ** ALPHA_NOISE
-
-    def ou_update(dw, normals):
-        ou_step(zeta, factors, normals[:, 0],
-                None if dw is None else dw[:, 0], out=zeta)
-
-    def theta_sup(ctx):
-        theta_hat = ctx.q_hat - mixer.coefficients(zeta)
-        return grid_peak(cfg.basis.inverse(theta_hat))
-
-    def zeta_h_alpha(ctx):
-        # zeta is updated in place unchecked; a non-finite state stops the
-        # run at the next sample
-        if not np.isfinite(zeta).all():
-            raise ConfigurationError("non-finite OU state")
-        return [np.sqrt((zeta**2 * weights).sum())]
-
-    observables = [obs_lp(np.inf), Observable("theta_inf", theta_sup),
-                   Observable("zeta_norm", zeta_h_alpha)]
-    rec = _run_paths(cfg, observables, [0], hook=ou_update)[0]
+    rec = _run_paths(cfg, _tightness_observables(cfg), [0], ou_rate=rate)[0]
     q_inf, theta_inf, zeta_norm = rec.observables.values()
 
     if radii is None:
@@ -194,6 +171,27 @@ def tightness_diagnostic(config: SimConfig, rate: float, horizon: float,
         theta_inf_series=theta_inf, zeta_norm_series=zeta_norm,
         envelope=envelope, envelope_uninformative=uninformative,
         envelope_condition_held=condition, rate=rate)
+
+
+def _tightness_observables(cfg: SimConfig):
+    """linf, theta_inf = ||q - zeta||_inf and zeta_norm = ||zeta||_{H^alpha}
+    per path, of a loop that steps zeta (`_run_paths`'s `ou_rate`)."""
+    mixer = NoiseMixer(cfg.noise, cfg.pairs)
+    weights = cfg.pairs.spatial_eigenvalues[:cfg.noise.k] ** ALPHA_NOISE
+
+    def theta_sup(ctx):
+        theta_hat = ctx.q_hat - mixer.coefficients(ctx.zeta.T)
+        return grid_peak(cfg.basis.inverse(theta_hat))
+
+    def zeta_h_alpha(ctx):
+        # the loop updates zeta in place unchecked; a non-finite state
+        # stops the run at the next sample
+        if not np.isfinite(ctx.zeta).all():
+            raise ConfigurationError("non-finite OU state")
+        return np.sqrt((ctx.zeta**2 * weights).sum(axis=1))
+
+    return [obs_lp(np.inf), Observable("theta_inf", theta_sup),
+            Observable("zeta_norm", zeta_h_alpha)]
 
 
 def _theta_envelope(times, zeta_norm, gamma, rate):

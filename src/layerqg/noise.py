@@ -84,7 +84,6 @@ class NoiseMixer:
     """
 
     def __init__(self, spec: NoiseSpec, pairs: OperatorEigenpairs):
-        self.spec = spec
         k = spec.k
         rows = pairs.flat_index[:k].ravel()
         cols = np.repeat(np.arange(k), N_LAYERS)      # row-major like vec[:k]
@@ -113,44 +112,6 @@ class NoiseMixer:
         flat = np.bincount(rows, weights=terms, minlength=self._size * n)
         return flat.reshape(lead + self._shape)
 
-    def increment(self, dt: float, rng: np.random.Generator) -> np.ndarray:
-        """One increment sum_k c_k rho_k xi_k sqrt(dt); only the traced
-        benchmark calls it, as the stepping loop draws its own."""
-        xi = rng.standard_normal(self.spec.k)
-        return self.coefficients(self.spec.c * xi * np.sqrt(dt))
-
-
-@dataclass(frozen=True)
-class BrownianIncrements:
-    """Pregenerated per-eigenpair increments: the dt-refinement device.
-
-    increments[s, k] is c_k (W^k_{(s+1) dt} - W^k_{s dt}).  Coarsening by
-    an integer factor sums consecutive rows, which realizes the same
-    Brownian path at a coarser step, so runs at dt and 2 dt consume
-    identical noise.  Runs at one dt couple by sharing a stream instead.
-    """
-
-    dt: float
-    increments: np.ndarray  # (n_steps, K)
-
-    @property
-    def n_steps(self):
-        return self.increments.shape[0]
-
-    def coarsen(self, factor: int) -> "BrownianIncrements":
-        if factor < 1 or self.n_steps % factor:
-            raise ConfigurationError(
-                f"cannot coarsen {self.n_steps} steps by {factor}")
-        grouped = self.increments.reshape(self.n_steps // factor, factor, -1)
-        return BrownianIncrements(dt=self.dt * factor,
-                                  increments=grouped.sum(axis=1))
-
-
-def sample_path(spec: NoiseSpec, n_steps: int, dt: float,
-                rng: np.random.Generator) -> BrownianIncrements:
-    xi = rng.standard_normal((n_steps, spec.k))
-    return BrownianIncrements(dt=dt, increments=xi * (spec.c * np.sqrt(dt)))
-
 
 # -- stochastic convolution --------------------------------------------
 #
@@ -158,10 +119,12 @@ def sample_path(spec: NoiseSpec, n_steps: int, dt: float,
 # coefficients zeta_k over the retained eigenpairs.
 
 
-def ou_factors(rate: float, spec: NoiseSpec, dt: float, driven: bool):
+def ou_factors(rate: float, spec: NoiseSpec, dt: float, driven: bool,
+               lead=()):
     """(e^{-rate dt}, beta, width, work) of the exact OU update `ou_step`:
-    beta is None for the standalone form, work the (K,) scratch of its
-    products, so one set serves one thread.  Computed once per loop.
+    beta is None for the standalone form, work the (*lead, K) scratch of
+    its products, shaped like the zeta it steps (the stepping loop's is
+    (P, K)), so one set serves one zeta.  Computed once per loop.
 
     A width that is not finite (c_k^2 overflows a double, which leaves
     the driven width NaN) is a configuration error, raised before any
@@ -171,7 +134,7 @@ def ou_factors(rate: float, spec: NoiseSpec, dt: float, driven: bool):
         raise ConfigurationError("rate must be positive")
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    decay, work = np.exp(-rate * dt), np.empty(spec.k)
+    decay, work = np.exp(-rate * dt), np.empty(lead + (spec.k,))
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         if not driven:
             beta, width = None, spec.c * np.sqrt((1 - decay**2) / (2 * rate))
@@ -195,13 +158,15 @@ def ou_step(zeta, factors, xi, driving_increment=None, out=None):
     distribution; writes into `out` (which may be zeta itself) or a new
     array.
 
-    `xi` holds the K fresh standard normals of the step.
+    `xi` holds the K fresh standard normals of the step, and zeta, xi
+    and the increment may carry leading path axes: every operation acts
+    on each entry alone.
 
     Standalone (driving_increment None, factors not driven):
         zeta_k <- e^{-lam dt} zeta_k + c_k sqrt((1 - e^{-2 lam dt})/(2 lam)) xi_k.
 
     With a driving increment (the c_k-weighted Brownian increments of the
-    same step, as produced by sample_path/NoiseMixer) and driven factors,
+    same step, as the stepping loop draws them) and driven factors,
     the update samples the convolution integral conditionally on that
     increment, so the OU path is the stochastic convolution of the very
     noise path driving the dynamics, still without time-discretization

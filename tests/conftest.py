@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from layerqg import dynamics
+from layerqg import dynamics, rng as rngmod
 from layerqg.coupling import eigenpairs, symmetrize
 from layerqg.noise import make_noise
 from layerqg.spectral import build_basis
@@ -36,8 +36,8 @@ def random_band_coeffs(rng, basis, decay=1.0):
     return raw / (1.0 + basis.eigenvalues) ** decay
 
 
-def run_with_snapshots(config, streams=(0,), initial=None, noise_path=None,
-                       observables=(), threads=1):
+def run_with_snapshots(config, streams=(0,), initial=None, observables=(),
+                       threads=1):
     """(records, times, q) of one `dynamics._run_paths` call: its records
     of `observables`, and each path's q at the snapshot times of `config`
     (its snap_every) as a (S, P, 3, Nx, Ny) array, taken by the run's
@@ -53,8 +53,43 @@ def run_with_snapshots(config, streams=(0,), initial=None, noise_path=None,
         current.batch.append((t, q))
 
     records = dynamics._run_paths(config, list(observables), list(streams),
-                                  initial, noise_path, sink=sink,
-                                  threads=threads)
+                                  initial, sink=sink, threads=threads)
     batches.sort(key=lambda batch: -len(batch[0][1]))
     q = np.concatenate([[q for _, q in batch] for batch in batches], axis=1)
     return records, np.array([t for t, _ in batches[0]]), q
+
+
+class FixedNormals:
+    """A stand-in for a generator of `rng.stream` that hands out preset
+    normals in order: `standard_normal(out=)` fills `out` with the next
+    out.size of them, as the stepping loop draws its blocks."""
+
+    def __init__(self, normals):
+        self._normals = np.ravel(normals)
+        self._used = 0
+
+    def standard_normal(self, *, out):
+        end = self._used + out.size
+        out[...] = self._normals[self._used:end].reshape(out.shape)
+        self._used = end
+        return out
+
+
+def coarse_normals(fine, factor):
+    """The (n / factor, K) normals that drive a step of `factor` fine
+    steps on the same Brownian path as the (n, K) normals `fine`: each
+    coarse increment is the sum of its fine ones, and the loop scales
+    both by c_k sqrt(its dt)."""
+    n, k = fine.shape
+    return fine.reshape(n // factor, factor, k).sum(axis=1) / np.sqrt(factor)
+
+
+def on_normals(monkeypatch, normals, run):
+    """`run()` with every `rng.stream` generator a FixedNormals of
+    `normals`: a dt-refinement check drives its runs with the normals of
+    one Brownian path.  Anything else that draws from a stream, such as
+    a lowband initial datum, must be made before."""
+    with monkeypatch.context() as patch:
+        patch.setattr(rngmod, "stream",
+                      lambda seed, stream: FixedNormals(normals))
+        return run()

@@ -15,14 +15,16 @@ import pytest
 import layerqg as L
 from layerqg import rng as rngmod
 from layerqg.cli import main as cli_main
-from layerqg.dynamics import (PairingTable, SimConfig, nonlinear_term,
-                              parse_observables, run_trajectory)
+from layerqg.dynamics import (PairingTable, SimConfig, initial_coeffs,
+                              nonlinear_term, parse_observables,
+                              run_trajectory)
 from layerqg.experiments import (lp_envelope, monitor_observables,
                                  w14_monitor, weak_residual)
-from layerqg.noise import make_noise, ou_factors, ou_step, sample_path
+from layerqg.noise import make_noise, ou_factors, ou_step
 from layerqg.spectral import LayerField, single_mode_field
 
-from conftest import random_band_coeffs, run_with_snapshots
+from conftest import (coarse_normals, on_normals, random_band_coeffs,
+                      run_with_snapshots)
 
 GAMMA = 0.5
 
@@ -219,17 +221,17 @@ def test_criterion_9_yudovich_stability():
         assert np.all(np.diff(z) < 0), z
         assert z[2] <= 0.1 * z[0], z
         # equal data: bitwise-identical trajectories, z identically zero
-        path = sample_path(noise, cfg.n_steps, cfg.dt, rngmod.stream(9, 0))
-        qa = run_with_snapshots(cfg, noise_path=path)[2]
-        qb = run_with_snapshots(cfg, noise_path=path)[2]
+        qa = run_with_snapshots(cfg)[2]
+        qb = run_with_snapshots(cfg)[2]
         assert np.array_equal(qa, qb)
 
 
-def test_criterion_10_weak_residual_convergence():
+def test_criterion_10_weak_residual_convergence(monkeypatch):
     with criterion(10, "weak-formulation residual convergence", 300.0):
         basis, coupling, pairs = standard_setup(16)
         noise = make_noise(pairs, 48, 2.0, 2.0)
-        fine = sample_path(noise, 500, 1e-3, rngmod.stream(10, 0))
+        # the dt = 2e-3 run steps on sums of the dt = 1e-3 run's normals
+        fine = rngmod.stream(10, 0).standard_normal((500, noise.k))
         rng = np.random.default_rng(100)
         phis = [LayerField.from_coeffs(basis, random_band_coeffs(rng, basis))
                 for _ in range(5)]
@@ -239,10 +241,12 @@ def test_criterion_10_weak_residual_convergence():
                             noise=noise, gamma=GAMMA, viscosity=0.0, dt=dt,
                             horizon=0.5, nonlinear=True,
                             init="lowband:3:1.0:11", seed=10)
-            records[dt] = run_trajectory(
-                cfg, observables=monitor_observables(basis,
-                                                     test_functions=phis),
-                noise_path=fine.coarsen(factor))
+            initial = initial_coeffs(cfg.init, basis)
+            records[dt] = on_normals(
+                monkeypatch, coarse_normals(fine, factor),
+                lambda: run_trajectory(
+                    cfg, observables=monitor_observables(
+                        basis, test_functions=phis), initial=initial))
         coarse = weak_residual(records[2e-3], phis).max(axis=1)
         fine_r = weak_residual(records[1e-3], phis).max(axis=1)
         assert np.all(fine_r <= 0.6 * coarse), fine_r / coarse

@@ -19,12 +19,13 @@ from layerqg.errors import (BlowUpError, ConfigurationError, SamplingError,
                             ShapeError, TimeStepError,
                             UnsupportedExponentError)
 from layerqg.experiments import _phi_key, monitor_observables
-from layerqg.noise import make_noise, sample_path
+from layerqg.noise import make_noise
 from layerqg.runconfig import RunSettings, realize
 from layerqg.spectral import (LayerField, SpectralBasis, build_basis,
                               field_sum, grid_lp_norm, single_mode_field)
 
-from conftest import random_band_coeffs, run_with_snapshots
+from conftest import (coarse_normals, on_normals, random_band_coeffs,
+                      run_with_snapshots)
 
 PI2 = np.pi**2
 
@@ -69,6 +70,14 @@ def _noisy_config(nonlinear, viscosity=0.0, **kw):
     return realize(RunSettings(**settings), seed=4, snap_every=1)
 
 
+def _increments(cfg):
+    """The (n_steps, K) increments c_k sqrt(dt) xi of stream 0, as the
+    loop draws and weights them when it draws nothing else."""
+    normals = rngmod.stream(cfg.seed, 0).standard_normal(
+        (cfg.n_steps, cfg.noise.k))
+    return normals * (cfg.noise.c * np.sqrt(cfg.dt))
+
+
 class TestQForm:
     """The loop steps q = eta + W; W is kept only where it is read."""
 
@@ -76,15 +85,13 @@ class TestQForm:
         # at eps = 0 a linear step is decay * q + the increment's field,
         # bitwise: the AR(1) map of criterion 6 and the pairsq gate
         cfg = _noisy_config(nonlinear=False)
-        path = sample_path(cfg.noise, cfg.n_steps, cfg.dt,
-                           rngmod.stream(4, 0))
         rng = np.random.default_rng(8)
         init = np.stack([random_band_coeffs(rng, cfg.basis)
                          for _ in range(2)])
-        snaps = run_with_snapshots(cfg, [0, 0], init, path)[2]
+        snaps = run_with_snapshots(cfg, [0, 0], init)[2]
         stepper = dynamics.Stepper(cfg)
         q = init
-        for j, increment in enumerate(path.increments, start=1):
+        for j, increment in enumerate(_increments(cfg), start=1):
             q = stepper.decay * q + stepper.mixer.coefficients(
                 increment[:, None])
             for p in range(2):
@@ -132,18 +139,16 @@ class TestQForm:
         # increments and q from the run's snapshots
         cfg = _noisy_config(nonlinear=nonlinear)
         phi = single_mode_field(cfg.basis, 1, 2, [1.0, -0.5, 0.25])
-        path = sample_path(cfg.noise, cfg.n_steps, cfg.dt,
-                           rngmod.stream(4, 0))
+        increments = _increments(cfg)
         obs = parse_observables("wh2", cfg.pairs) + monitor_observables(
             cfg.basis, exponents=(2, 4), test_functions=[phi])
-        (rec,), _, snaps = run_with_snapshots(cfg, noise_path=path,
-                                              observables=obs)
+        (rec,), _, snaps = run_with_snapshots(cfg, observables=obs)
         mixer = dynamics.Stepper(cfg).mixer
         w = np.zeros((1, 3) + cfg.basis.spectral_shape)
         lam = cfg.basis.eigenvalues
         for j, q in enumerate(snaps):
             if j:
-                w += mixer.coefficients(path.increments[j - 1][:, None])
+                w += mixer.coefficients(increments[j - 1][:, None])
             ctx = ObsContext(cfg.coupling, q, w)
             want = {"wh2": np.sqrt(field_sum(lam**2 * w**2)),
                     _phi_key("noise_pairing", phi.spectral()):
@@ -431,13 +436,17 @@ class TestTrajectory:
             se = target * np.sqrt(2 / n_eff)
             assert abs(np.var(v) - target) <= 3 * se + 1e-3 * target
 
-    def test_richardson_self_convergence(self, basis16, coupling16, pairs16):
+    def test_richardson_self_convergence(self, pairs16, monkeypatch):
+        # runs at dt = 2e-3, 1e-3 and 5e-4 on one Brownian path: the
+        # coarse runs step on sums of the fine run's normals
         noise = make_noise(pairs16, 24, 2.0, 2.0)
-        base = dict(nonlinear=True, init="lowband:3:1.0:5", seed=13)
-        path = sample_path(noise, 200, 5e-4, rngmod.stream(13, 0))
-        a = _final_state(basis16, coupling16, pairs16, noise, 2e-3, path, base)
-        b = _final_state(basis16, coupling16, pairs16, noise, 1e-3, path, base)
-        c = _final_state(basis16, coupling16, pairs16, noise, 5e-4, path, base)
+        fine = rngmod.stream(13, 0).standard_normal((200, noise.k))
+        a, b, c = (_final_state(pairs16, noise, dt, monkeypatch,
+                                coarse_normals(fine, factor))
+                   for dt, factor in ((2e-3, 4), (1e-3, 2), (5e-4, 1)))
+        # the fine run steps on its own stream's normals
+        real = _final_state(pairs16, noise, 5e-4)
+        assert np.array_equal(c, real)
         e1 = np.sqrt(np.sum((a - b) ** 2))
         e2 = np.sqrt(np.sum((b - c) ** 2))
         assert 1.6 <= e1 / e2 <= 2.4    # first-order scheme
@@ -537,7 +546,7 @@ class TestTrajectory:
             assert np.array_equal(batch_q[:, p], single_q)
 
     def test_per_path_initial_data(self, monkeypatch):
-        # path p of a (P, 3, Nx, Ny) datum on a shared noise path is the
+        # path p of a (P, 3, Nx, Ny) datum on one shared stream is the
         # one-path run from row p, also when the rows split into batches;
         # W is compared through wh1
         cfg = realize(RunSettings(modes_x=16, modes_y=16, dt=1e-3,
@@ -547,15 +556,12 @@ class TestTrajectory:
         rng = np.random.default_rng(2)
         init = np.stack([3 * random_band_coeffs(rng, cfg.basis)
                          for _ in range(3)])
-        path = sample_path(cfg.noise, cfg.n_steps, cfg.dt,
-                           rngmod.stream(5, 0))
-        singles = [run_with_snapshots(cfg, [0], q0, path, obs)
-                   for q0 in init]
-        whole = run_with_snapshots(cfg, [0] * 3, init, path, obs)
+        singles = [run_with_snapshots(cfg, [0], q0, obs) for q0 in init]
+        whole = run_with_snapshots(cfg, [0] * 3, init, obs)
         monkeypatch.setattr(dynamics, "_BATCH_POINTS",
                             2 * 3 * cfg.basis.quad_weights.size)
         monkeypatch.setattr(dynamics, "_blas_pinned", lambda: True)  # pooled
-        split = run_with_snapshots(cfg, [0] * 3, init, path, obs,
+        split = run_with_snapshots(cfg, [0] * 3, init, obs,
                                    threads=2)                # batches of 2, 1
         for batch, _, batch_q in (whole, split):
             for p, (rec, ((single,), _, single_q)) in enumerate(
@@ -566,7 +572,7 @@ class TestTrajectory:
                                           single.observables[ob.name])
         for bad in (init[:2], init[0, :2], init[..., :-1]):
             with pytest.raises(ShapeError, match="initial shape"):
-                _run_paths(cfg, obs, [0] * 3, bad, path)
+                _run_paths(cfg, obs, [0] * 3, bad)
 
     @pytest.mark.parametrize("env, pinned", [
         ({}, False), ({"OMP_NUM_THREADS": "1"}, True),
@@ -652,13 +658,18 @@ class TestTrajectory:
                                       b.observables[ob.name])
 
 
-def _final_state(basis, coupling, pairs, noise, dt, fine_path, base):
-    cfg = SimConfig(pairs=pairs, noise=noise,
-                    gamma=0.5, viscosity=0.0, dt=dt, horizon=0.1,
-                    snap_every=int(round(0.1 / dt)), **base)
-    factor = int(round(dt / fine_path.dt))
-    return run_with_snapshots(
-        cfg, noise_path=fine_path.coarsen(factor))[2][-1, 0]
+def _final_state(pairs, noise, dt, monkeypatch=None, normals=None):
+    """The q at t = 0.1 of a nonlinear run at step dt from a lowband datum,
+    on seed 13's stream 0 or, given, on the preset `normals`."""
+    cfg = SimConfig(pairs=pairs, noise=noise, gamma=0.5, viscosity=0.0,
+                    dt=dt, horizon=0.1, snap_every=int(round(0.1 / dt)),
+                    nonlinear=True, init="lowband:3:1.0:5", seed=13)
+    initial = initial_coeffs(cfg.init, cfg.basis)
+
+    def run():
+        return run_with_snapshots(cfg, initial=initial)[2][-1, 0]
+    return run() if normals is None else on_normals(monkeypatch, normals,
+                                                    run)
 
 
 class TestGuards:

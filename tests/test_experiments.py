@@ -13,14 +13,15 @@ from layerqg.errors import (BlowUpError, ConfigurationError, SamplingError,
 from layerqg.experiments import (_damped_integrate, log_estimate_monitor,
                                  lp_envelope, monitor_observables,
                                  w14_monitor, weak_residual)
-from layerqg.noise import make_noise, sample_path
+from layerqg.noise import make_noise
 from layerqg.spectral import (LayerField, SpectralBasis, grid_lp_norm,
                               single_mode_field)
 from layerqg.sweeps import (SweepReport, _l2_distance, _lockstep,
                             galerkin_sweep, viscosity_sweep,
                             yudovich_stability)
 
-from conftest import random_band_coeffs, run_with_snapshots
+from conftest import (coarse_normals, on_normals, random_band_coeffs,
+                      run_with_snapshots)
 
 
 def noisy_config(basis, coupling, pairs, sigma=2.0, **kw):
@@ -71,10 +72,8 @@ class TestGalerkin:
                                              pairs16):
         cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.1,
                            snap_every=5)
-        gen = rngmod.stream(5, 0)
-        path = sample_path(cfg.noise, cfg.n_steps, cfg.dt, gen)
-        qa = run_with_snapshots(cfg, noise_path=path)[2]
-        qb = run_with_snapshots(cfg, noise_path=path)[2]
+        qa = run_with_snapshots(cfg)[2]
+        qb = run_with_snapshots(cfg)[2]
         assert [_l2_distance(a[0], b[0]) for a, b in zip(qa, qb)] == \
             [0.0] * len(qa)
 
@@ -169,10 +168,8 @@ class TestYudovich:
     def test_equal_data_is_exactly_zero(self, basis16, coupling16, pairs16):
         cfg = noisy_config(basis16, coupling16, pairs16, horizon=0.1,
                            snap_every=5)
-        gen = rngmod.stream(5, 0)
-        path = sample_path(cfg.noise, cfg.n_steps, cfg.dt, gen)
-        qa = run_with_snapshots(cfg, noise_path=path)[2]
-        qb = run_with_snapshots(cfg, noise_path=path)[2]
+        qa = run_with_snapshots(cfg)[2]
+        qb = run_with_snapshots(cfg)[2]
         assert np.array_equal(qa, qb)
 
     def test_linear_response_and_jump_bound(self, basis16, coupling16,
@@ -294,10 +291,10 @@ class TestWeakResidual:
         assert np.all(res == 0.0)
 
     def test_first_order_self_convergence(self, basis16, coupling16,
-                                          pairs16):
+                                          pairs16, monkeypatch):
+        # the dt = 2e-3 run steps on sums of the dt = 1e-3 run's normals
         noise = make_noise(pairs16, 48, 2.0, 2.0)
-        gen = rngmod.stream(5, 0)
-        fine = sample_path(noise, 250, 1e-3, gen)
+        fine = rngmod.stream(5, 0).standard_normal((250, noise.k))
         rng = np.random.default_rng(17)
         phis = [LayerField.from_coeffs(basis16,
                                        random_band_coeffs(rng, basis16))
@@ -307,8 +304,10 @@ class TestWeakResidual:
             cfg = noisy_config(basis16, coupling16, pairs16, dt=dt,
                                horizon=0.25)
             cfg = replace(cfg, noise=noise)
-            recs[dt] = monitored(cfg, test_functions=phis,
-                                 noise_path=fine.coarsen(factor))
+            initial = dynamics.initial_coeffs(cfg.init, basis16)
+            recs[dt] = on_normals(
+                monkeypatch, coarse_normals(fine, factor),
+                lambda: monitored(cfg, test_functions=phis, initial=initial))
         res_c = weak_residual(recs[2e-3], phis).max(axis=1)
         res_f = weak_residual(recs[1e-3], phis).max(axis=1)
         assert np.all(res_f <= 0.6 * res_c)

@@ -270,7 +270,7 @@ def test_monitors_read_no_snapshots(path):
 
 # The names `layerqg` exports, each from its module on first use.
 EXPORTS = """
-    AveragedMeasure BlowUpError BrownianIncrements ConfigurationError
+    AveragedMeasure BlowUpError ConfigurationError
     FieldFormatError FieldLengthError LayerCoupling LayerField NoiseSpec
     OperatorEigenpairs RunSettings SamplingError ShapeError SimConfig
     SpectralBasis SweepReport TightnessReport TimeStepError
@@ -278,7 +278,7 @@ EXPORTS = """
     eigenpairs galerkin_sweep kb_average log_estimate_monitor lp_envelope
     lp_norm make_noise monitor_observables nonlinear_term ou_factors
     ou_step parse_config parse_observables read_field realize
-    run_trajectory sample_path sigma_for_stationary_l2 single_mode_field
+    run_trajectory sigma_for_stationary_l2 single_mode_field
     step_eta symmetrize tightness_diagnostic viscosity_sweep w14_monitor
     weak_residual write_field yudovich_stability
 """.split()

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from layerqg.dynamics import (Observable, PairingTable, SimConfig, obs_lp,
-                              parse_observables, run_trajectory)
+from layerqg import dynamics
+from layerqg.dynamics import (Observable, PairingTable, SimConfig, _run_paths,
+                              obs_lp, parse_observables, run_trajectory)
 from layerqg.errors import ConfigurationError, ShapeError
-from layerqg.measures import _theta_envelope, kb_average, tightness_diagnostic
+from layerqg.measures import (_theta_envelope, _tightness_observables,
+                              kb_average, tightness_diagnostic)
 from layerqg.noise import make_noise, sigma_for_stationary_l2
 
 
@@ -42,7 +44,6 @@ class TestKbAverage:
     def test_horizons_checked_before_the_run(self, basis16, coupling16,
                                              pairs16, monkeypatch, horizons):
         # samples every 7 steps of 1e-3: 0, 0.007, ..., 0.049 and 0.05
-        from layerqg import dynamics
         cfg = linear_config(basis16, coupling16, pairs16, dt=1e-3,
                             horizon=0.05, obs_every=7)
         steps = []
@@ -187,11 +188,11 @@ class TestTightness:
 
     def test_non_finite_ou_state_stops_the_run_at_the_next_sample(
             self, basis16, coupling16, pairs16, monkeypatch):
-        # the OU state is updated in place without a per-step check; the
-        # sampled zeta norm reports a non-finite state at the next sample
-        from layerqg import measures
+        # the loop updates the OU state in place without a per-step
+        # check; the sampled zeta norm reports a non-finite state at the
+        # next sample
         cfg = linear_config(basis16, coupling16, pairs16, horizon=1.0)
-        advance, steps = measures.ou_step, []
+        advance, steps = dynamics.ou_step, []
 
         def spoiled(zeta, factors, xi, increment, out):
             steps.append(len(steps) + 1)
@@ -199,7 +200,7 @@ class TestTightness:
             if len(steps) == 3:
                 out[0] = np.nan
 
-        monkeypatch.setattr(measures, "ou_step", spoiled)
+        monkeypatch.setattr(dynamics, "ou_step", spoiled)
         with pytest.raises(ConfigurationError, match="non-finite OU state"):
             tightness_diagnostic(cfg, rate=2.0, horizon=1.0)
         assert len(steps) == 5
@@ -207,19 +208,57 @@ class TestTightness:
     @pytest.mark.parametrize("sigma", [1.0, 0.0])
     def test_one_ou_step_per_step(self, basis16, coupling16, pairs16,
                                   monkeypatch, sigma):
-        from layerqg import measures
         cfg = linear_config(basis16, coupling16, pairs16, sigma=sigma,
                             horizon=1.0)
-        step, calls = measures.ou_step, []
+        step, calls = dynamics.ou_step, []
 
         def counted(*args, **kwargs):
             calls.append(args[3] is None)
             return step(*args, **kwargs)
 
-        monkeypatch.setattr(measures, "ou_step", counted)
+        monkeypatch.setattr(dynamics, "ou_step", counted)
         tightness_diagnostic(cfg, rate=2.0, horizon=1.0)
         # 50 steps of 0.02; without noise the update is the standalone one
         assert calls == [sigma == 0.0] * 50
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.0])
+    def test_batched_zeta_is_each_path_alone(self, basis16, coupling16,
+                                             pairs16, sigma):
+        # zeta steps as one (P, K) state: each path's series are the bytes
+        # of a one-path run on its stream, also for paths that share one.
+        # sigma = 0 keeps the c_k: the noise is off and zeta is the
+        # standalone OU
+        cfg = linear_config(basis16, coupling16, pairs16, nonlinear=True,
+                            dt=0.01, horizon=0.5, obs_every=5)
+        cfg = replace(cfg, noise=replace(cfg.noise, sigma=sigma))
+        obs = _tightness_observables(cfg)
+        alone = {p: _run_paths(cfg, obs, [p], ou_rate=2.0)[0]
+                 for p in range(3)}
+        for streams in ([0, 1, 2], [1, 1]):
+            batch = _run_paths(cfg, obs, streams, ou_rate=2.0)
+            for rec, p in zip(batch, streams, strict=True):
+                for name in ("linf", "theta_inf", "zeta_norm"):
+                    assert np.array_equal(rec.observables[name],
+                                          alone[p].observables[name])
+        zeta_norms = [alone[p].observables["zeta_norm"] for p in range(3)]
+        assert np.all(zeta_norms[0][1:] > 0)
+        assert not np.array_equal(zeta_norms[0], zeta_norms[1])
+        q_moves = bool(np.all(alone[0].observables["linf"][1:] > 0))
+        assert q_moves == (sigma > 0)
+
+    def test_bad_ou_factors_raise_before_the_first_step(
+            self, basis16, coupling16, pairs16, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped with bad OU factors")
+
+        monkeypatch.setattr(dynamics.Stepper, "advance", no_step)
+        cfg = linear_config(basis16, coupling16, pairs16, horizon=1.0)
+        with pytest.raises(ConfigurationError, match="rate must be positive"):
+            _run_paths(cfg, _tightness_observables(cfg), [0, 1], ou_rate=0.0)
+        loud = replace(cfg, noise=make_noise(pairs16, 32, 2.0, 1e200))
+        with pytest.raises(ConfigurationError, match="non-finite OU width"):
+            _run_paths(loud, _tightness_observables(loud), [0, 1],
+                       ou_rate=2.0)
 
     def test_rate_guard(self, basis16, coupling16, pairs16):
         cfg = linear_config(basis16, coupling16, pairs16)

@@ -5,9 +5,10 @@ import pytest
 
 from layerqg import rng as rngmod
 from layerqg.coupling import pair_coeffs
+from layerqg.dynamics import SimConfig, Stepper, run_trajectory
 from layerqg.errors import ConfigurationError
 from layerqg.noise import (NoiseMixer, NoiseSpec, make_noise, ou_factors,
-                           ou_step, sample_path, sigma_for_stationary_l2)
+                           ou_step, sigma_for_stationary_l2)
 
 
 class TestRegularity:
@@ -23,24 +24,37 @@ class TestRegularity:
 
 
 def _projected_increments(spec, pairs, dt, n, seed):
-    """<dW_s, rho_k> for k < 8 of n increments of a sampled path, each
-    scattered into the basis as the stepping loop does."""
-    mixer = NoiseMixer(spec, pairs)
-    path = sample_path(spec, n, dt, rngmod.stream(seed, 0))
-    return np.array([pair_coeffs(mixer.coefficients(dw), pairs.flat_index,
-                                 pairs.vec)[:8]
-                     for dw in path.increments])
+    """<dW_j, rho_k> for k < 8 of the n increments of a linear inviscid
+    run of the stepping loop on stream (seed, 0): its state q_j is decay
+    q_{j-1} plus step j's increment field (the exact AR(1) map), so
+    q_j - decay q_{j-1} is that field to rounding."""
+    cfg = SimConfig(pairs=pairs, noise=spec, gamma=0.5, viscosity=0.0,
+                    dt=dt, horizon=n * dt, nonlinear=False, seed=seed,
+                    snap_every=1)
+    decay = Stepper(cfg).decay
+    index, vec = pairs.flat_index[:8], pairs.vec[:8]
+    prev, draws = [], []
+
+    def sink(t, q):
+        if prev:
+            draws.append(pair_coeffs(q[0] - decay * prev.pop(), index, vec))
+        prev.append(q[0])
+
+    run_trajectory(cfg, observables=[], sink=sink)
+    return np.array(draws)
 
 
 class TestIncrements:
     def test_silent_increment_is_zero(self, pairs16):
         spec = make_noise(pairs16, 16, decay=2.0, sigma=0.0)
-        path = sample_path(spec, 1, 0.1, rngmod.stream(0, 0))
+        draws = rngmod.stream(0, 0).standard_normal(spec.k)
         mixer = NoiseMixer(spec, pairs16)
-        assert np.all(mixer.coefficients(path.increments[0]) == 0.0)
+        assert np.all(mixer.coefficients(draws * (spec.c * np.sqrt(0.1)))
+                      == 0.0)
 
     def test_per_mode_variance(self, pairs16):
-        # Monte Carlo moment check: var <dW, rho_k> = c_k^2 dt within 3 SE
+        # Monte Carlo moment check of the loop's increments: var <dW,
+        # rho_k> = c_k^2 dt within 3 SE
         spec = make_noise(pairs16, 8, decay=1.0, sigma=1.0)
         dt, n = 0.25, 10_000
         draws = _projected_increments(spec, pairs16, dt, n, seed=123)
@@ -126,20 +140,6 @@ class TestIncrements:
             for j in range(k):
                 total = total + values[j, p] * pairs16.field(j).spectral()
             assert batch[p].tobytes() == total.tobytes()
-
-    def test_path_coarsening_sums_exactly(self, pairs16):
-        spec = make_noise(pairs16, 12, decay=2.0, sigma=1.0)
-        path = sample_path(spec, 8, 0.01, rngmod.stream(9, 0))
-        coarse = path.coarsen(2)
-        assert coarse.dt == pytest.approx(0.02)
-        assert np.allclose(coarse.increments,
-                           path.increments.reshape(4, 2, -1).sum(axis=1))
-
-    def test_bad_coarsening_factor(self, pairs16):
-        spec = make_noise(pairs16, 12, decay=2.0, sigma=1.0)
-        path = sample_path(spec, 9, 0.01, rngmod.stream(9, 0))
-        with pytest.raises(ConfigurationError):
-            path.coarsen(2)
 
 
 class TestStationaryAmplitude:
