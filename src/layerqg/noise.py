@@ -84,6 +84,7 @@ class NoiseMixer:
     """
 
     def __init__(self, spec: NoiseSpec, pairs: OperatorEigenpairs):
+        self.spec = spec
         k = spec.k
         rows = pairs.flat_index[:k].ravel()
         cols = np.repeat(np.arange(k), N_LAYERS)      # row-major like vec[:k]
@@ -111,6 +112,13 @@ class NoiseMixer:
         terms *= values
         flat = np.bincount(rows, weights=terms, minlength=self._size * n)
         return flat.reshape(lead + self._shape)
+
+    def increment(self, dt: float, rng: np.random.Generator) -> np.ndarray:
+        """One increment sum_k c_k rho_k xi_k sqrt(dt).  Nothing calls it:
+        the stepping loop draws its own, and it stays only while the
+        tracer of `perfbench` lists it as a target."""
+        xi = rng.standard_normal(self.spec.k)
+        return self.coefficients(self.spec.c * xi * np.sqrt(dt))
 
 
 # -- stochastic convolution --------------------------------------------
