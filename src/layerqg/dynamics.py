@@ -77,9 +77,10 @@ def initial_coeffs(descriptor: str, basis: SpectralBasis) -> np.ndarray:
         mode:<n>,<m>:<a1>,<a2>,<a3>       single spatial mode
         lowband:<nmax>:<amp>:<seed>       seeded random band, L2 norm amp
 
-    lowband normalizes in L2 through the coefficients, so the same
-    descriptor realizes the identical function on every mode cut that
-    contains the band (refinement studies rely on this).
+    lowband normalizes in L2 through the coefficients of its band alone,
+    so the same descriptor realizes the identical function, bit for bit,
+    on every mode cut that contains the band (refinement studies rely on
+    this).
     """
     shape = (N_LAYERS,) + basis.spectral_shape
     if descriptor == "zero":
@@ -100,11 +101,11 @@ def initial_coeffs(descriptor: str, basis: SpectralBasis) -> np.ndarray:
             if not np.isfinite(amp):
                 raise ValueError("lowband amplitude must be finite")
             gen = rngmod.stream(seed, 0)
-            c = np.zeros(shape)
             band = gen.standard_normal((N_LAYERS, nmax, nmax))
-            lam = basis.eigenvalues[:nmax, :nmax]
-            c[:, :nmax, :nmax] = band / lam
-            return c * (amp / np.sqrt(np.sum(c**2)))
+            band /= basis.eigenvalues[:nmax, :nmax]
+            c = np.zeros(shape)
+            c[:, :nmax, :nmax] = band * (amp / np.sqrt(np.sum(band**2)))
+            return c
     except (ValueError, IndexError) as exc:
         raise ConfigurationError(f"bad init descriptor {descriptor!r}: {exc}")
     raise ConfigurationError(f"unknown init descriptor {descriptor!r}")

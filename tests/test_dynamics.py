@@ -787,6 +787,18 @@ class TestInitialData:
         b = initial_coeffs("lowband:4:0.7:9", fine)
         assert np.array_equal(a, b[:, :16, :16])
 
+    @pytest.mark.parametrize("descriptor", ["lowband:4:3.0:5",
+                                            "lowband:3:1.0:7"])
+    def test_lowband_band_bits_do_not_depend_on_the_cut(self, descriptor):
+        # the datum is normalized over its band alone, so the band's bits
+        # are the same at every mode cut; summed over the zero-padded
+        # array they moved by an ulp between N = 8 and N = 12 or 16
+        nmax = int(descriptor.split(":")[1])
+        bands = [initial_coeffs(descriptor, build_basis(1.0, 1.0, n, n))
+                 [:, :nmax, :nmax] for n in (8, 12, 16, 32)]
+        for band in bands[1:]:
+            assert np.array_equal(band, bands[0])
+
     def test_unknown_descriptor(self, basis16):
         with pytest.raises(ConfigurationError):
             initial_coeffs("vortex:3", basis16)
