@@ -123,21 +123,27 @@ class ObsContext:
     "w" or "psi" (solved for once), finished from f's x-stage product of
     order dx, keyed (f, dx), which every grid of that order shares; and
     ("eta", 0, 0) = q - W and ("speed", 0, 0) = |grad psi|, formed from
-    their grids.  A product or grid is made at its first read and kept
-    until `release` drops it: the stepping loop drops each after the last
-    observable that declares it, or a grid made from it, in its `reads`
-    (`_release_plan`).  Each field's `peak` and `lp_norms` and the (P, J)
-    pairings of each set of eigenpairs a `Pairing` reads are kept while
-    the context lives.  `w_read` tells whether anything read `w_hat`.
-    `zeta` is the loop's (P, K) OU state (or None), which the loop
-    advances in place: it holds this sample's value until the loop resumes.
+    their grids.  With a `w_band` (nb, mb), w_hat is zero outside its
+    leading nb x mb block of modes, and W's products and grids are made
+    from that block alone (`SpectralBasis.stage_x`); without one W is
+    synthesized in full.  A product or grid is made at its first read and
+    kept until `release` drops it: the stepping loop drops each after the
+    last observable that declares it, or a grid made from it, in its
+    `reads` (`_release_plan`).  Each field's `peak` and `lp_norms` and the
+    (P, J) pairings of each set of eigenpairs a `Pairing` reads are kept
+    while the context lives.  `w_read` tells whether anything read
+    `w_hat`.  `zeta` is the loop's (P, K) OU state (or None), which the
+    loop advances in place: it holds this sample's value until the loop
+    resumes.
     """
 
-    def __init__(self, coupling: LayerCoupling, q_hat, w_hat, zeta=None):
+    def __init__(self, coupling: LayerCoupling, q_hat, w_hat, zeta=None,
+                 w_band=None):
         self.coupling = coupling
         self.basis = coupling.basis
         self.q_hat = q_hat
         self._w_hat = w_hat
+        self._w_band = w_band
         self.zeta = zeta
         self.w_read = False
         self._memo = {}
@@ -173,8 +179,9 @@ class ObsContext:
 
     def grid(self, f, dx=0, dy=0):
         """The grid (f, dx, dy); f is "q", "w", "psi", "eta" or "speed"."""
-        key = (f, dx, dy)
-        if key not in self._memo:
+        memo = self._memo
+        grid = memo.get((f, dx, dy))
+        if grid is None:
             if f == "eta":
                 grid = np.subtract(self.grid("q"), self.grid("w"))
             elif f == "speed":
@@ -182,11 +189,25 @@ class ObsContext:
                 grid += np.square(self.grid("psi", 1, 0))
                 np.sqrt(grid, out=grid)
             else:
-                grid = self.basis.stage_y(self._once(
-                    (f, dx), lambda: self.basis.stage_x(
-                        getattr(self, f"{f}_hat"), dx)), dy)
-            self._memo[key] = grid
-        return self._memo[key]
+                product = memo.get((f, dx))
+                if product is None:
+                    product = memo[f, dx] = self.basis.stage_x(
+                        self._coeffs(f), dx)
+                grid = self.basis.stage_y(product, dy)
+            memo[f, dx, dy] = grid
+        return grid
+
+    def _coeffs(self, f):
+        """The coefficients W's, q's or psi's grids are made from: W's on
+        its band, if the context has one."""
+        if f == "q":
+            return self.q_hat
+        if f == "psi":
+            return self.psi_hat
+        if self._w_band is None:
+            return self.w_hat
+        nb, mb = self._w_band
+        return self.w_hat[..., :nb, :mb]
 
     def release(self, keys):
         """Drop the products and grids `keys` (those not made are skipped)."""
@@ -201,7 +222,7 @@ class ObsContext:
         def make():
             peak = self.peak(f)
             square = peak_scaled_square(self.grid(f), peak)
-            return scaled_lp_norms(peak, square, self.basis.quad_weights,
+            return scaled_lp_norms(peak, square, self.basis.integrate,
                                    exponents)
         return self._once(("lp", f, exponents), make)
 
@@ -224,8 +245,7 @@ class ObsContext:
             total = square if total is None else np.add(total, square,
                                                           out=total)
         np.square(total, out=total)
-        total *= self.basis.quad_weights
-        return field_sum(total) ** 0.25
+        return self.basis.integrate(total) ** 0.25
 
 
 # The grids of a field's gradient and of its Hessian, as (dx, dy) orders
@@ -832,7 +852,8 @@ def _batches(cfg: SimConfig, streams, initial=None, ou_rate=None,
     elif initial.shape not in (shape, (n_paths,) + shape):
         raise ShapeError(f"initial shape {initial.shape} invalid")
     _keep_freed_heap()
-    per_batch = max(1, _BATCH_POINTS // (N_LAYERS * basis.quad_weights.size))
+    per_batch = max(1, _BATCH_POINTS // (N_LAYERS
+                                         * math.prod(basis.grid_shape)))
     return [(streams[i:i + per_batch], _samples(
                 cfg, streams[i:i + per_batch],
                 initial if initial.ndim == 3 else initial[i:i + per_batch],
@@ -892,7 +913,8 @@ def _samples(cfg: SimConfig, streams, initial, ou_rate, every):
                 max(1, _CHUNK_POINTS // max(1, len(gens) * q[0].size)))
     block_steps -= block_steps % chunk
     scale = cfg.noise.c * np.sqrt(cfg.dt)
-    probe = ObsContext(cfg.coupling, q, w, zeta)
+    band = stepper.mixer.band
+    probe = ObsContext(cfg.coupling, q, w, zeta, band)
     yield 0, probe
     if not (probe.w_read or cfg.viscosity > 0):
         w = None
@@ -929,7 +951,7 @@ def _samples(cfg: SimConfig, streams, initial, ou_rate, every):
                     block[:, i, 0] if noisy else None, out=zeta)
         if j == mark:
             mark = next_sample(j)
-            yield j, ObsContext(cfg.coupling, q, w, zeta)
+            yield j, ObsContext(cfg.coupling, q, w, zeta, band)
 
 
 def _blas_threads():

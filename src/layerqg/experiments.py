@@ -13,11 +13,14 @@ as an `Observable`, evaluated at each sample through the sample's
 `dynamics.ObsContext`, the per-sample cache of all observables: psi is
 solved for once; each x-stage product is made once (q's of x order 0
 and 1, W's and psi's of orders 0 to 2: 8) and each grid finished from it
-once (q, grad q, W, grad W, D^2 W, grad psi and D^2 psi: 14); eta = q - W
-is formed from the grids of q and W, and u = grad^perp psi is read from
-psi's gradient, so neither is synthesized; and the sup norms, L4 norms,
-Lp norms and weak-form pairings share its reductions.  A product or grid
-is dropped after the last series that reads it.  The loop keeps one
+once (q, grad q, W, grad W, D^2 W, grad psi and D^2 psi: 14), W's 3
+products and 6 grids from its noise band alone (the leading block of
+modes outside which W is zero); eta = q - W is formed from the grids of
+q and W, and u = grad^perp psi is read from psi's gradient, so neither
+is synthesized; and the sup norms, L4 norms, Lp norms and weak-form
+pairings share its reductions, every integral one trapezoid quadrature
+(`SpectralBasis.integrate`).  A product or grid is dropped after the
+last series that reads it.  The loop keeps one
 scalar per series and sample, so a monitored run stores no field.  A
 monitor given a record without a series it reads raises SamplingError
 naming that series.
@@ -141,13 +144,13 @@ def monitor_observables(basis, exponents=(), test_functions=()) -> list:
                          hess_psi),
               Observable("u_inf", lambda ctx: ctx.sup(grad_psi), grad_psi),
               *lp("speed")]
-    w = basis.quad_weights
     for phi in map(_test_coeffs, test_functions):
         px, py = basis.grad_grids(phi)
 
         def transport(ctx, px=px, py=py):
             psi_x, psi_y = (ctx.grid(*key) for key in grad_psi)
-            return field_sum(ctx.grid("q") * (psi_x * py - psi_y * px) * w)
+            return ctx.basis.integrate(ctx.grid("q")
+                                       * (psi_x * py - psi_y * px))
 
         series += [
             Observable(_phi_key("transport", phi), transport, q + grad_psi),

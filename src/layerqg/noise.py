@@ -80,7 +80,8 @@ class NoiseMixer:
     which adds each row's terms in that order.  A batch of P paths gets
     its own flat (rows, index, values) tables, path-major, built on its
     first call: a call then gathers its terms with one `take` and
-    weights them in place.
+    weights them in place.  Its fields, and so the sums of them that make
+    W, are zero outside the leading `band` = (nb, mb) block of modes.
     """
 
     def __init__(self, spec: NoiseSpec, pairs: OperatorEigenpairs):
@@ -93,6 +94,10 @@ class NoiseMixer:
         self._cols = cols[order]
         self._vals = pairs.vec[:k].ravel()[order]
         self._shape = (N_LAYERS,) + pairs.basis.spectral_shape
+        # the leading block of modes every field lies in: the largest n
+        # and m of the K pairs
+        self.band = (int(pairs.mode_n[:k].max(initial=0)),
+                     int(pairs.mode_m[:k].max(initial=0)))
         self._size = math.prod(self._shape)
         self._batches = {}      # path count P -> (rows, index, values)
 

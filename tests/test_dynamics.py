@@ -158,6 +158,36 @@ class TestQForm:
             for key, value in want.items():
                 assert rec.observables[key][j] == value[0], (j, key)
 
+    @pytest.mark.parametrize("modes, noise_modes", [(12, 32), (32, 48)])
+    def test_w_grids_from_its_noise_band(self, modes, noise_modes):
+        # the loop hands each ObsContext W's noise band, the leading block
+        # outside which w_hat is zero: W's x-stage products are the full
+        # products' first columns bitwise, its grids are within 1e-14 of
+        # the full synthesis and exactly zero at t = 0, and a context
+        # built without a band synthesizes in full, with synth's bytes
+        cfg = _noisy_config(nonlinear=True, modes_x=modes, modes_y=modes,
+                            noise_modes=noise_modes, horizon=0.005)
+        basis, band = cfg.basis, dynamics.Stepper(cfg).mixer.band
+        assert max(band) < modes
+        orders = [(0, 0), *dynamics.GRADIENT, *dynamics.HESSIAN]
+        initial = initial_coeffs(cfg.init, basis)
+        for j, ctx in dynamics._samples(cfg, [0, 1], initial, None, (1,)):
+            w_hat = ctx.w_hat
+            assert ctx._w_band == band
+            assert not w_hat[..., band[0]:, :].any()
+            assert not w_hat[..., band[1]:].any()
+            full = ObsContext(cfg.coupling, ctx.q_hat, w_hat)
+            for dx, dy in orders:
+                got, want = ctx.grid("w", dx, dy), full.grid("w", dx, dy)
+                assert np.array_equal(want, basis.synth(w_hat, dx, dy))
+                assert np.array_equal(ctx._memo["w", dx],
+                                      full._memo["w", dx][..., :band[1]])
+                if j == 0:
+                    assert not got.any(), (dx, dy)
+                else:
+                    assert np.abs(got - want).max() <= \
+                        1e-14 * np.abs(want).max(), (j, dx, dy)
+
     @pytest.mark.parametrize("viscosity", [0.0, 0.05])
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_step_eta_is_the_eta_update_given_w(self, nonlinear, viscosity):

@@ -25,7 +25,8 @@ loop, which read them through `dynamics.ObsContext`, the one per-sample
 cache.  No module of `src/layerqg/` reads stored snapshots: every study
 streams its samples through the loop.  The transform-table
 scan keeps the private tables of `SpectralBasis` inside `spectral`, so
-the package has one transform implementation.  The import-graph check
+the package has one transform implementation, and the quadrature scan
+keeps its trapezoid weights there, so it has one quadrature.  The import-graph check
 runs a fresh interpreter: importing the CLI loads none of the study
 modules, and every name the package exports still resolves.
 """
@@ -247,6 +248,18 @@ def test_only_spectral_reads_the_transform_tables():
     readers = [path.name
                for path in sorted((ROOT / "src/layerqg").glob("*.py"))
                if attributes_read(path.read_text()) & tables]
+    assert readers == ["spectral.py"]
+
+
+def test_only_spectral_applies_the_trapezoid_weights():
+    # one quadrature: every other module integrates through
+    # SpectralBasis.integrate, the Lp norms through scaled_lp_norms
+    readers = [path.name
+               for path in sorted((ROOT / "src/layerqg").glob("*.py"))
+               if attributes_read(path.read_text()) & {"quad_weights",
+                                                       "_quadrature"}
+               or imported_names(path.read_text()) & {"trapezoid",
+                                                      "trapezoid_factors"}]
     assert readers == ["spectral.py"]
 
 

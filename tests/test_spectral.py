@@ -205,6 +205,42 @@ class TestTransforms:
             basis16.inverse(np.zeros((3, 5, 5)))
 
 
+QUADRATURE_BASES = [(1.0, 1.3, 16, 16, None, None),      # G+2 = 34
+                    (1.0, 1.3, 32, 32, None, None),      # 66
+                    (1.0, 1.3, 64, 64, None, None),      # 130
+                    (1.3, 0.7, 5, 7, 13, 16)]
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("dims", QUADRATURE_BASES)
+    def test_integrate_is_the_weighted_sum(self, dims):
+        # two matrix-vector products against the 1-D factors of the
+        # trapezoid weights, which give back every 2-D weight exactly;
+        # on positive grids within a relative 1e-15 of the weighted sum
+        basis = build_basis(*dims)
+        wx, wy = spectral.trapezoid_factors(basis.quad_weights)
+        assert np.array_equal(np.outer(wx[:basis.gx + 2], wy),
+                              basis.quad_weights)
+        rng = np.random.default_rng(basis.gx)
+        for power in (1, 2, 4, 8):
+            values = rng.random((4, 3) + basis.grid_shape) ** power
+            want = spectral.field_sum(values * basis.quad_weights)
+            got = basis.integrate(values)
+            assert np.all(np.abs(got - want) <= 1e-15 * want), power
+
+    @pytest.mark.parametrize("dims", QUADRATURE_BASES)
+    def test_integrate_does_not_see_the_batch(self, dims):
+        basis = build_basis(*dims)
+        rng = np.random.default_rng(basis.gy)
+        values = rng.standard_normal((4, 3) + basis.grid_shape)
+        batch = basis.integrate(values)
+        assert batch.shape == (4,)
+        for p in range(4):
+            assert np.array_equal(basis.integrate(values[p:p + 1]),
+                                  batch[p:p + 1])
+            assert basis.integrate(values[p]) == batch[p]
+
+
 class TestLpNorms:
     def test_constant_one_single_layer(self, basis16):
         grid = np.zeros((3,) + basis16.grid_shape)
@@ -245,15 +281,31 @@ class TestLpNorms:
                                          for _ in range(2)]))
         peak = spectral.grid_peak(grid)
         square = spectral.peak_scaled_square(grid, peak)
-        weights = basis16.quad_weights
-        together = spectral.scaled_lp_norms(peak, square, weights, (2, 4, 8))
+        integrate = basis16.integrate
+        together = spectral.scaled_lp_norms(peak, square, integrate,
+                                            (2, 4, 8))
         for p, norm in zip((2, 4, 8), together):
-            alone = spectral.scaled_lp_norms(peak, square, weights, (p,))[0]
+            alone = spectral.scaled_lp_norms(peak, square, integrate,
+                                             (p,))[0]
             assert np.array_equal(norm, alone)
-            assert np.array_equal(norm, spectral.grid_lp_norm(grid, weights,
-                                                              p))
+            assert np.array_equal(norm, spectral.grid_lp_norm(
+                grid, basis16.quad_weights, p))
         with pytest.raises(UnsupportedExponentError):
-            spectral.scaled_lp_norms(peak, square, weights, (4, 2))
+            spectral.scaled_lp_norms(peak, square, integrate, (4, 2))
+
+    def test_peak_scaled_square_of_zero_and_subnormal_peaks(self, basis16):
+        # a zero field is scaled by 1; a peak whose reciprocal overflows
+        # is divided by, so its norms stay finite
+        rng = np.random.default_rng(5)
+        grid = basis16.inverse(random_band_coeffs(rng, basis16))
+        grid /= spectral.grid_peak(grid)
+        fields = np.stack([np.zeros_like(grid), grid * 1e-310, grid])
+        peak = spectral.grid_peak(fields)
+        square = spectral.peak_scaled_square(fields, peak)
+        assert not square[0].any()
+        assert np.isfinite(square).all() and square.max() <= 1 + 1e-15
+        norms = spectral.grid_lp_norm(fields, basis16.quad_weights, 4)
+        assert norms[0] == 0 and 0 < norms[1] < 1e-309
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
