@@ -43,6 +43,8 @@ from .spectral import LayerField, single_mode_field
 # that run them, so no command pays for the others' imports.
 
 FMT = "{:.17g}"
+# Stands in for the manifest's artifact entries until they are written.
+_ARTIFACTS = "\0artifacts"
 
 
 def _fmt(x) -> str:
@@ -139,15 +141,35 @@ class _Session:
             "environment": _environment(),
             "flags": {k: v for k, v in vars(args).items()
                       if k not in ("func", "config")},
-            "artifacts": [{"path": name, "sha256": _sha256(self.out / name)}
-                          for name in sorted(self.artifacts)],
+            "artifacts": _ARTIFACTS,
         }
         if extra:
             manifest.update(extra)
-        # streamed: no string of the whole manifest is built
+        # streamed: no string of the whole manifest is built, and the
+        # artifact entries are made, hashed and written one at a time
+        # where the encoder meets their placeholder
+        placeholder = json.dumps(_ARTIFACTS)
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
         with self.path("manifest.json").open("w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            for chunk in encoder.iterencode(manifest):
+                if chunk == placeholder:
+                    self._write_artifacts(fh)
+                else:
+                    fh.write(chunk)
             fh.write("\n")
+
+    def _write_artifacts(self, fh):
+        """The manifest's `artifacts` list of {path, sha256} entries, laid
+        out as `json.dump` with indent 2 lays out a list under a top-level
+        key."""
+        opening = "["
+        for name in sorted(self.artifacts):
+            entry = json.dumps({"path": name,
+                                "sha256": _sha256(self.out / name)},
+                               indent=2, sort_keys=True)
+            fh.write(opening + "\n    " + entry.replace("\n", "\n    "))
+            opening = ","
+        fh.write("[]" if opening == "[" else "\n  ]")
 
     def stopped(self, err):
         """Write the manifest of a command that a blow-up or a CFL abort
