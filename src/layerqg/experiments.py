@@ -20,10 +20,9 @@ q and W, and u = grad^perp psi is read from psi's gradient, so neither
 is synthesized; and the sup norms, L4 norms, Lp norms and weak-form
 pairings share its reductions, every integral one trapezoid quadrature
 (`SpectralBasis.integrate`).  A product or grid is dropped after the
-last series that reads it.  The loop keeps one
-scalar per series and sample, so a monitored run stores no field.  A
-monitor given a record without a series it reads raises SamplingError
-naming that series.
+last series that reads it.  The loop keeps one scalar per series and
+sample, so a monitored run stores no field.  A monitor given a record
+without a series it reads raises SamplingError naming that series.
 """
 
 from __future__ import annotations

@@ -508,11 +508,12 @@ def scaled_lp_norms(peak, square, integrate, exponents):
     `integrate`).
 
     Factoring out the peak keeps large p from overflowing.  The power is
-    a chain of in-place products on the square because `**` with an
-    integer exponent other than 2 calls libm pow per element, about 25x
-    slower on a 3 x 130 x 130 grid.  Each exponent continues the chain of
-    the one before, so one square serves them all and every norm has the
-    bits it would have alone.
+    a chain of products with the square, in place after the first (the
+    square itself is not written), because `**` with an integer exponent
+    other than 2 calls libm pow per element, about 25x slower on a 3 x
+    130 x 130 grid.  Each exponent continues the chain of the one before,
+    so one square serves them all and every norm has the bits it would
+    have alone.
     """
     power, norms, done = square, [], 2
     for p in exponents:

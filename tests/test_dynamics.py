@@ -136,7 +136,7 @@ class TestQForm:
     def test_w_series_equal_w_accumulated_outside_the_loop(self, nonlinear):
         # wh2, <W, phi> and the eta and W Lp series of one seed, from the
         # W the loop keeps, equal those of W summed here from the same
-        # increments and q from the run's snapshots
+        # increments and q from the run's snapshots, on the loop's band
         cfg = _noisy_config(nonlinear=nonlinear)
         phi = single_mode_field(cfg.basis, 1, 2, [1.0, -0.5, 0.25])
         increments = _increments(cfg)
@@ -149,7 +149,7 @@ class TestQForm:
         for j, q in enumerate(snaps):
             if j:
                 w += mixer.coefficients(increments[j - 1][:, None])
-            ctx = ObsContext(cfg.coupling, q, w)
+            ctx = ObsContext(cfg.coupling, q, w, w_band=mixer.band)
             want = {"wh2": np.sqrt(field_sum(lam**2 * w**2)),
                     _phi_key("noise_pairing", phi.spectral()):
                         field_sum(w * phi.spectral()),

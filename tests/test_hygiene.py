@@ -26,9 +26,10 @@ cache.  No module of `src/layerqg/` reads stored snapshots: every study
 streams its samples through the loop.  The transform-table
 scan keeps the private tables of `SpectralBasis` inside `spectral`, so
 the package has one transform implementation, and the quadrature scan
-keeps its trapezoid weights there, so it has one quadrature.  The import-graph check
-runs a fresh interpreter: importing the CLI loads none of the study
-modules, and every name the package exports still resolves.
+keeps its trapezoid weights there, so it has one quadrature.  The
+import-graph check runs a fresh interpreter: importing the CLI loads
+none of the study modules, and every name the package exports still
+resolves.
 """
 
 import ast
