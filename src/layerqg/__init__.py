@@ -9,8 +9,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "coupling": ("LayerCoupling", "OperatorEigenpairs", "apply_operator",
-                 "eigenpairs", "symmetrize"),
+    "coupling": ("LayerCoupling", "OperatorEigenpairs", "eigenpairs",
+                 "symmetrize"),
     "dynamics": ("SimConfig", "TrajectoryRecord", "nonlinear_term",
                  "parse_observables", "run_trajectory", "step_eta"),
     "errors": ("BlowUpError", "ConfigurationError", "FieldFormatError",

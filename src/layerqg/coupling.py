@@ -46,11 +46,6 @@ class LayerCoupling:
     modes: np.ndarray       # D^{-1/2} U, shape (3, 3); layers -> modes by .T
     mode_gain: np.ndarray   # 1 / (s_j - lambda_{n,m}), shape (3, Nx, Ny)
 
-    def mode_matrix(self, n, m):
-        """M_{n,m} = -lambda_{n,m} D + L for 1-based mode indices."""
-        lam_nm = self.basis.eigenvalues[n - 1, m - 1]
-        return -lam_nm * np.diag(self.h) + self.l_matrix
-
 
 def symmetrize(lambdas, basis: SpectralBasis, scale: float = 1.0) -> LayerCoupling:
     """Build D and L = D Ltilde and the vertical modes of S = D^{-1/2} L
@@ -86,14 +81,6 @@ def symmetrize(lambdas, basis: SpectralBasis, scale: float = 1.0) -> LayerCoupli
     return LayerCoupling(basis=basis, lambdas=(l1, l2, l3), scale=scale,
                          h=h, l_matrix=lmat, modes=rsqrt_h[:, None] * u,
                          mode_gain=1.0 / (s[:, None, None] - basis.eigenvalues))
-
-
-def apply_operator(coupling: LayerCoupling, psi_hat: np.ndarray) -> np.ndarray:
-    """(A + L) psi, spectral coefficients in and out."""
-    lam = coupling.basis.eigenvalues
-    a_part = -lam[None, :, :] * coupling.h[:, None, None] * psi_hat
-    l_part = np.einsum("ij,jnm->inm", coupling.l_matrix, psi_hat)
-    return a_part + l_part
 
 
 def solve_elliptic_coeffs(coupling: LayerCoupling, q_hat: np.ndarray,

@@ -606,7 +606,7 @@ class Stepper:
                 solve()
                 term, umax = _transport(work)
                 if not math.isfinite(umax):
-                    raise FloatingPointError("velocity overflow")
+                    raise BlowUpError("velocity overflow", time=t)
                 if cfl > 0 and umax > 0:
                     ceiling = cfl * (h_min / umax)
                     if dt > ceiling:
@@ -619,7 +619,7 @@ class Stepper:
                 new += np.multiply(w_gain, w_hat, out=w_term)
             if not np.logical_and.reduce(np.isfinite(new, out=finite),
                                          axis=None):
-                raise FloatingPointError("state overflow")
+                raise BlowUpError("state overflow", time=t)
             return new
         step.buffers = tuple(buffers)
         return step
@@ -629,7 +629,8 @@ class Stepper:
         at the step's left end (read only if eps > 0, else it may be None).
 
         Writes into neither input; the new state is a new array.  Callers
-        silence overflow warnings (the finiteness check reports them).
+        silence overflow warnings: a non-finite |u|max or new state raises
+        BlowUpError at t, the step's left end.
 
         The adaptive CFL guard holds dt to the advective ceiling
         cfl_safety h_min / |u|max of the transport, before the finiteness
@@ -644,13 +645,9 @@ def step_eta(eta: LayerField, w: LayerField, config: SimConfig,
              t: float = 0.0) -> LayerField:
     """Public single-step form of the eta = q - W update given a frozen W,
     decay eta - phi (gamma W + B(eta + W)): the q step of eta + W, less W."""
-    stepper = Stepper(config)
     w_hat = w.spectral()
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            new = stepper.advance(eta.spectral() + w_hat, w_hat, t)
-    except FloatingPointError as exc:
-        raise BlowUpError(str(exc), time=t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = Stepper(config).advance(eta.spectral() + w_hat, w_hat, t)
     return LayerField.from_coeffs(config.basis, new - w_hat)
 
 
@@ -662,7 +659,7 @@ def nonlinear_term(q: LayerField, psi: LayerField) -> LayerField:
     leaves that to its finiteness check of the new state.
     """
     basis = q.basis
-    if not basis.compatible(psi.basis):
+    if basis != psi.basis:
         raise ShapeError("q and psi live on different bases")
     work = _TransportWork.new(basis.transport_basis,
                               (N_LAYERS,) + basis.spectral_shape)
@@ -792,7 +789,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
         part, samples = batch
         series = np.empty((cfg.n_samples(cfg.obs_every), len(observables),
                            len(part)))
-        times, stop = [], None
+        count, stop = 0, None
         # an overflow surfaces as a non-finite state: a blow-up
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -800,7 +797,7 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                     if snaps and (j % snaps == 0 or j == n_steps):
                         sink(j * cfg.dt, ctx.q_hat)
                     if j % cfg.obs_every == 0 or j == n_steps:
-                        row = series[len(times)]
+                        row = series[count]
                         for index, vec, squared, rows in gathers:
                             values = pair_coeffs(ctx.q_hat, index, vec)
                             if squared:
@@ -811,14 +808,16 @@ def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                             row[o] = ob(ctx)
                             if drops:
                                 ctx.release(drops)
-                        times.append(j * cfg.dt)
+                        count += 1
                     del ctx         # its grids go before the next steps
             except (BlowUpError, TimeStepError) as exc:
                 stop = exc
         blow = stop.time if isinstance(stop, BlowUpError) else None
-        data = series[:len(times)].transpose(2, 1, 0).copy()    # (P, O, T)
+        data = series[:count].transpose(2, 1, 0).copy()     # (P, O, T)
+        # sample k is step min(k obs_every, n_steps), as j * dt has it
+        times = np.minimum(np.arange(count) * cfg.obs_every, n_steps) * cfg.dt
         records = [TrajectoryRecord(
-            times=np.array(times), stream=stream, config=cfg, blow_time=blow,
+            times=times, stream=stream, config=cfg, blow_time=blow,
             observables={ob.name: data[p, slots[o]]
                          for o, ob in enumerate(observables)})
             for p, stream in enumerate(part)]
@@ -924,11 +923,9 @@ def _samples(cfg: SimConfig, streams, initial, ou_rate, every):
         t_prev = (j - 1) * cfg.dt
         try:
             q = stepper.advance(q, w, t_prev)
-        except (FloatingPointError, TimeStepError) as exc:
-            stop = exc if isinstance(exc, TimeStepError) else \
-                BlowUpError(str(exc), time=t_prev)
+        except (BlowUpError, TimeStepError) as stop:
             stop.worst = np.argmax(np.abs(q).reshape(n_paths, -1).max(-1))
-            raise stop
+            raise
         i = (j - 1) % block_steps
         if gens and i == 0:
             steps = min(block_steps, n_steps - j + 1)

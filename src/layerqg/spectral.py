@@ -48,7 +48,7 @@ than FFTs of length G+1.
 
 Integrals of grid fields go through one trapezoid quadrature,
 `SpectralBasis.integrate`: two matrix-vector products against the 1-D
-factors of `quad_weights`, with no weighted copy of the grid.
+trapezoid rules of the two axes, with no weighted copy of the grid.
 
 Spectral coefficient arrays have shape (..., Nx, Ny); grid arrays have
 shape (..., Gx+2, Gy+2).  Layer fields carry a leading axis of length 3.
@@ -108,14 +108,6 @@ class SpectralBasis:
         return self.ly / (self.gy + 1)
 
     @cached_property
-    def xs(self):
-        return np.arange(self.gx + 2) * self.hx
-
-    @cached_property
-    def ys(self):
-        return np.arange(self.gy + 2) * self.hy
-
-    @cached_property
     def kx(self):
         """Derivative factors n pi / Lx, shape (Nx, 1)."""
         return (np.arange(1, self.nx + 1) * np.pi / self.lx)[:, None]
@@ -142,24 +134,30 @@ class SpectralBasis:
                              3 * self.nx // 2, 3 * self.ny // 2)
 
     @cached_property
-    def quad_weights(self):
-        """Trapezoid weights on the full grid, shape (Gx+2, Gy+2)."""
-        wx = np.full(self.gx + 2, self.hx)
-        wx[0] = wx[-1] = self.hx / 2
-        wy = np.full(self.gy + 2, self.hy)
-        wy[0] = wy[-1] = self.hy / 2
-        return np.outer(wx, wy)
-
-    @cached_property
     def _quadrature(self):
-        """The 1-D factors (wx, wy) of `quad_weights` that `integrate`
-        applies (`trapezoid_factors`)."""
-        return _read_only(*trapezoid_factors(self.quad_weights))
+        """The 1-D factors (wx, wy) that `integrate` applies: wx = (1/2,
+        1, ..., 1, 1/2), repeated for each of the layers, and wy = hx
+        times the y trapezoid rule (hy/2, hy, ..., hy, hy/2).  The end
+        factors are halves, powers of two, so outer(wx, wy) is every
+        trapezoid weight hx hy / 4, hx hy / 2 or hx hy exactly."""
+        wx, wy = np.ones(self.gx + 2), np.full(self.gy + 2, self.hx * self.hy)
+        wx[[0, -1]] = 0.5
+        wy[[0, -1]] /= 2
+        return _read_only(np.tile(wx, N_LAYERS), wy)
 
     def integrate(self, values):
-        """sum over layers of int_D values by the trapezoid rule, per
-        leading index: `trapezoid` with this grid's weights."""
-        return trapezoid(values, *self._quadrature)
+        """sum_{l,i,j} wx_i values[..., l, i, j] wy_j, the trapezoid
+        integral over the trailing (layer, x, y) axes per leading index,
+        as two matrix-vector products: the (3 (Gx+2), Gy+2) rows of each
+        leading index against wy, then their sums against wx
+        (`_quadrature`).  Each leading index makes its own products of
+        one shape, so the sum does not depend on the batch; the sum of
+        the weighted grid differs from it by a relative 4e-16 at most on
+        positive grids of G+2 = 34 to 130."""
+        wx, wy = self._quadrature
+        lead = values.shape[:-3]
+        rows = np.matmul(values.reshape(lead + (-1, values.shape[-1])), wy)
+        return np.matmul(rows[..., None, :], wx)[..., 0]
 
     # -- transforms ---------------------------------------------------
 
@@ -331,10 +329,6 @@ class SpectralBasis:
         return (self.synth(coeffs, 2, 0), self.synth(coeffs, 1, 1),
                 self.synth(coeffs, 0, 2))
 
-    def compatible(self, other: "SpectralBasis") -> bool:
-        return (self.lx, self.ly, self.nx, self.ny, self.gx, self.gy) == (
-            other.lx, other.ly, other.nx, other.ny, other.gx, other.gy)
-
 
 def _trig_tables(g, n):
     """(S, C) with T[j, k-1] = sin|cos(k pi j / (g+1)).
@@ -451,28 +445,6 @@ def field_sum(x):
     return np.add.reduce(x.reshape(x.shape[:-3] + (-1,)), axis=-1)
 
 
-def trapezoid_factors(weights):
-    """The factors (wx, wy) of separable 2-D quadrature weights
-    outer(a, b) that `trapezoid` applies: wy = row 1 of the weights and
-    wx = column 1 over weights[1, 1], repeated for each of the layers.
-    For trapezoid weights the end factors are halves, powers of two, so
-    outer(wx, wy) gives back every weight exactly: wx is (1/2, 1, ..., 1,
-    1/2) and wy the y rule times hx."""
-    return np.tile(weights[:, 1] / weights[1, 1], N_LAYERS), weights[1]
-
-
-def trapezoid(values, wx, wy):
-    """sum_{l,i,j} wx_i values[..., l, i, j] wy_j per leading index, as
-    two matrix-vector products: the (3 (Gx+2), Gy+2) rows of each leading
-    index against wy, then their sums against wx.  Each leading index
-    makes its own products of one shape, so the sum does not depend on
-    the batch; `field_sum(values * outer(wx, wy))` differs from it by a
-    relative 4e-16 at most on positive grids of G+2 = 34 to 130."""
-    lead = values.shape[:-3]
-    rows = np.matmul(values.reshape(lead + (-1, values.shape[-1])), wy)
-    return np.matmul(rows[..., None, :], wx)[..., 0]
-
-
 def grid_peak(vals):
     """max |vals| over the trailing (layer, x, y) axes per leading index,
     as max(max vals, -min vals) without the |vals| temporary; the + 0.0
@@ -528,17 +500,16 @@ def scaled_lp_norms(peak, square, integrate, exponents):
     return norms
 
 
-def grid_lp_norm(vals, weights, p):
-    """(int |vals|^p)^(1/p) by trapezoid quadrature over the trailing
-    (layer, x, y) axes, with `weights` a basis's `quad_weights`; leading
-    axes index separate fields."""
+def grid_lp_norm(vals, basis, p):
+    """(int |vals|^p)^(1/p) by the trapezoid quadrature of `basis` over
+    the trailing (layer, x, y) axes; leading axes index separate
+    fields."""
     peak = grid_peak(vals)
     if p == np.inf or p == "inf":
         return peak
     p = even_exponent(p)
-    factors = trapezoid_factors(weights)
     return scaled_lp_norms(peak, peak_scaled_square(vals, peak),
-                           lambda v: trapezoid(v, *factors), (p,))[0]
+                           basis.integrate, (p,))[0]
 
 
 def lp_norm(field: LayerField, p) -> float:
@@ -546,4 +517,4 @@ def lp_norm(field: LayerField, p) -> float:
 
     The layer aggregation folds the three layers into one integral.
     """
-    return float(grid_lp_norm(field.values(), field.basis.quad_weights, p))
+    return float(grid_lp_norm(field.values(), field.basis, p))

@@ -72,7 +72,8 @@ def standard_setup(n, lambdas=(1.0, 1.0, 1.0), scale=1.0):
 
 
 def test_criterion_1_elliptic_round_trip():
-    from layerqg.coupling import apply_operator, solve_elliptic_coeffs
+    from layerqg.coupling import solve_elliptic_coeffs
+    from oracles import apply_operator
     with criterion(1, "elliptic round-trip", 5.0):
         for n in (32, 64):
             basis, coupling, _ = standard_setup(n, (1.0, 2.0, 4.0))

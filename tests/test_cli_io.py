@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -245,7 +246,7 @@ class TestCli:
         obs = parse_observables("l2,h1")
         alone = [run_trajectory(config, obs, stream=p) for p in range(4)]
         monkeypatch.setattr(dynamics, "_BATCH_POINTS",
-                            3 * 3 * config.basis.quad_weights.size)
+                            3 * 3 * math.prod(config.basis.grid_shape))
         names = set()
         barrier = None
         advance = dynamics.Stepper.advance
@@ -593,10 +594,10 @@ class TestCli:
     def test_run_snapshots_keep_q_alone(self, tmp_path):
         # each snapshot is written when it is taken, so 1000 more snapshots
         # at N=32 add no field: stored, their q coefficients would be
-        # 23.4 MiB.  What grows is the artifact list, kept as names, and
-        # the sample times: 0.22 to 0.50 MiB measured.  The manifest's
-        # entries are made and written one at a time; held as a list of
-        # dicts they grew it to 0.56-0.58 MiB
+        # 23.4 MiB.  What grows is the artifact list, kept as names: 0.16
+        # to 0.50 MiB measured.  The manifest's entries are made and
+        # written one at a time; held as a list of dicts they grew it to
+        # 0.56-0.58 MiB
         peak_mb = self._peak_mb_per_sample_count(
             tmp_path, "run", ["--snap-every", "1"])
         assert peak_mb[1] - peak_mb[0] < 0.75, peak_mb

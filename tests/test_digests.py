@@ -26,6 +26,7 @@ did.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -90,7 +91,7 @@ def run_case(case, folder):
     basis = realize(parse_config(cfg)[0], SEED).basis
     if per_batch:
         dynamics._BATCH_POINTS = (per_batch * N_LAYERS
-                                  * basis.quad_weights.size)
+                                  * math.prod(basis.grid_shape))
     if case in CHUNKED:
         dynamics._CHUNK_POINTS = (3 * CHUNKED[case][1] * N_LAYERS
                                   * basis.nx * basis.ny)

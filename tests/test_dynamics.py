@@ -1,5 +1,6 @@
 from dataclasses import replace
 import itertools
+import math
 import re
 import tracemalloc
 import warnings
@@ -589,7 +590,7 @@ class TestTrajectory:
         singles = [run_with_snapshots(cfg, [0], q0, obs) for q0 in init]
         whole = run_with_snapshots(cfg, [0] * 3, init, obs)
         monkeypatch.setattr(dynamics, "_BATCH_POINTS",
-                            2 * 3 * cfg.basis.quad_weights.size)
+                            2 * 3 * math.prod(cfg.basis.grid_shape))
         monkeypatch.setattr(dynamics, "_blas_pinned", lambda: True)  # pooled
         split = run_with_snapshots(cfg, [0] * 3, init, obs,
                                    threads=2)                # batches of 2, 1
@@ -677,7 +678,7 @@ class TestTrajectory:
 
         monkeypatch.setattr(dynamics.Stepper, "advance", spy)
         monkeypatch.setattr(dynamics, "_BATCH_POINTS",
-                            3 * 3 * cfg.basis.quad_weights.size)
+                            3 * 3 * math.prod(cfg.basis.grid_shape))
         split, _, split_q = run_with_snapshots(cfg, range(4), observables=obs)
         assert set(sizes) == {3, 1}
         assert [rec.stream for rec in split] == [0, 1, 2, 3]
@@ -859,7 +860,7 @@ class TestLpObservables:
         for p in (2, 4, 6, np.inf):
             ob = obs_lp(p)
             got = ob(ctx)
-            want = grid_lp_norm(q_grid, basis.quad_weights, p)
+            want = grid_lp_norm(q_grid, basis, p)
             if p == 2:
                 assert abs(got[0] - want[0]) <= 1e-13 * want[0]
             else:

@@ -1,5 +1,6 @@
 import concurrent.futures
 from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ class TestLockstep:
             study()
             assert np.geterr() == before
         monkeypatch.setattr(dynamics, "_BATCH_POINTS",
-                            2 * 3 * basis16.quad_weights.size)
+                            2 * 3 * math.prod(basis16.grid_shape))
         monkeypatch.setattr(dynamics, "_blas_pinned", lambda: True)
         records = dynamics._run_paths(cfg, parse_observables("l2"), range(4),
                                       threads=2)
@@ -465,10 +466,9 @@ class TestSharedPass:
         # enough that W is a tenth of q by the end
         cfg = noisy_config(basis16, coupling16, pairs16, sigma=300.0,
                            horizon=0.1, obs_every=2)
-        weights = basis16.quad_weights
         exponents = (2, 4, 6)
         synthesized = [Observable(("alone", p), lambda ctx, p=p: grid_lp_norm(
-            basis16.inverse(ctx.q_hat - ctx.w_hat), weights, p))
+            basis16.inverse(ctx.q_hat - ctx.w_hat), basis16, p))
             for p in exponents]
         rec = run_trajectory(cfg, observables=monitor_observables(
             basis16, exponents) + synthesized)

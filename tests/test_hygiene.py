@@ -18,7 +18,9 @@ imports, deferred imports included, and compares them with the
 `dependencies` of `pyproject.toml`.  The private-import scan lists
 every `_`-prefixed name a module of `src/layerqg/` imports from a
 sibling module, so that a new crossing of a module boundary is a
-visible change to this file.
+visible change to this file.  The unread-definition scan pins the
+functions, classes and methods of `src/layerqg/` whose name nothing
+there reads.
 The per-sample scans keep the elliptic solve and the grid reductions
 out of `experiments`: its monitor series are observables of the stepping
 loop, which read them through `dynamics.ObsContext`, the one per-sample
@@ -273,6 +275,55 @@ def test_only_coupling_reads_the_vertical_modes():
     assert readers == ["coupling.py"]
 
 
+def definitions(source):
+    """(name, qualified name) of each top-level function and class of a
+    module and of each method of its top-level classes, dunders aside."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(sub.name, f"{node.name}.{sub.name}") for sub in
+                      node.body if isinstance(sub, ast.FunctionDef)]
+    return [pair for pair in found if not re.fullmatch("__.*__", pair[0])]
+
+
+def test_scan_lists_definitions():
+    source = ("import a\ndef f(): pass\nclass C:\n    x = 1\n"
+              "    def __init__(self): pass\n    def m(self): pass\n"
+              "def __getattr__(name): pass\n")
+    assert definitions(source) == [("f", "f"), ("C", "C"), ("m", "C.m")]
+
+
+# Definitions in src/layerqg whose name nothing there reads, and why each
+# stays: code that only the tests read belongs in tests/ (oracles.py).
+UNREAD_IN_SRC = {
+    "dynamics.nonlinear_term": "the perfbench gate calls it",
+    "dynamics.step_eta": "the perfbench gate calls it",
+    "fieldio.read_field": "for users: reads the fields `run` writes",
+    "noise.NoiseMixer.increment": "the perfbench tracer's target",
+    "noise.sigma_for_stationary_l2": "for users: sigma for a target L2",
+    "spectral.LayerField.zero": "for users: the zero field of a basis",
+    "spectral.SpectralBasis.hessian_grids": "the perfbench tracer's target",
+    "spectral.SpectralBasis.perp_grad_grids": "the perfbench tracer's target",
+    "spectral.SpectralBasis.synth_cc": "the perfbench tracer's target",
+    "spectral.SpectralBasis.synth_ss": "the perfbench tracer's target",
+    "spectral.lp_norm": "the perfbench tracer's target",
+}
+
+
+def test_src_names_unread_in_src_are_known():
+    sources = {path.stem: path.read_text()
+               for path in sorted((ROOT / "src/layerqg").glob("*.py"))}
+    read = set().union(*(
+        attributes_read(source) | imported_names(source)
+        | {node.id for node in ast.walk(ast.parse(source))
+           if isinstance(node, ast.Name)} for source in sources.values()))
+    unread = [f"{module}.{qualified}" for module, source in sources.items()
+              for name, qualified in definitions(source) if name not in read]
+    assert sorted(unread) == sorted(UNREAD_IN_SRC)
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "src/layerqg").glob("*.py")),
                          ids=lambda path: path.name)
 def test_monitors_read_no_snapshots(path):
@@ -288,7 +339,7 @@ EXPORTS = """
     FieldFormatError FieldLengthError LayerCoupling LayerField NoiseSpec
     OperatorEigenpairs RunSettings SamplingError ShapeError SimConfig
     SpectralBasis SweepReport TightnessReport TimeStepError
-    TrajectoryRecord UnsupportedExponentError apply_operator build_basis
+    TrajectoryRecord UnsupportedExponentError build_basis
     eigenpairs galerkin_sweep kb_average log_estimate_monitor lp_envelope
     lp_norm make_noise monitor_observables nonlinear_term ou_factors
     ou_step parse_config parse_observables read_field realize

@@ -9,6 +9,7 @@ from layerqg.spectral import (LayerField, build_basis, lp_norm,
                               single_mode_field)
 
 from conftest import random_band_coeffs
+from oracles import grid_points, quad_weights
 
 PI2 = np.pi**2
 
@@ -49,7 +50,7 @@ class TestBasisConstruction:
 
 class TestTransforms:
     def test_forward_picks_out_sampled_mode(self, basis16):
-        xs, ys = basis16.xs, basis16.ys
+        xs, ys = grid_points(basis16)
         grid = 2 * np.outer(np.sin(2 * np.pi * xs), np.sin(3 * np.pi * ys))
         coeffs = basis16.forward(grid[None].repeat(3, axis=0))
         assert coeffs[0, 1, 2] == pytest.approx(1.0, abs=1e-12)
@@ -101,10 +102,11 @@ class TestTransforms:
             trig = (np.sin, np.cos, lambda a: -np.sin(a))[order]
             return trig(np.outer(points, k)) * k**order
 
+        xs, ys = grid_points(basis)
         for dx in range(3):
             for dy in range(3):
-                tx = table(basis.xs, 1.3, 5, dx)
-                ty = table(basis.ys, 0.7, 7, dy)
+                tx = table(xs, 1.3, 5, dx)
+                ty = table(ys, 0.7, 7, dy)
                 direct = nf * np.einsum("jn,...nm,km->...jk", tx, c, ty)
                 got = basis.synth(c, dx, dy)
                 assert got.shape == (2, 3, 15, 16)
@@ -214,17 +216,17 @@ QUADRATURE_BASES = [(1.0, 1.3, 16, 16, None, None),      # G+2 = 34
 class TestQuadrature:
     @pytest.mark.parametrize("dims", QUADRATURE_BASES)
     def test_integrate_is_the_weighted_sum(self, dims):
-        # two matrix-vector products against the 1-D factors of the
-        # trapezoid weights, which give back every 2-D weight exactly;
-        # on positive grids within a relative 1e-15 of the weighted sum
+        # two matrix-vector products against 1-D factors that give back
+        # every 2-D trapezoid weight exactly; on positive grids within a
+        # relative 1e-15 of the weighted sum
         basis = build_basis(*dims)
-        wx, wy = spectral.trapezoid_factors(basis.quad_weights)
-        assert np.array_equal(np.outer(wx[:basis.gx + 2], wy),
-                              basis.quad_weights)
+        weights = quad_weights(basis)
+        wx, wy = basis._quadrature
+        assert np.array_equal(np.outer(wx[:basis.gx + 2], wy), weights)
         rng = np.random.default_rng(basis.gx)
         for power in (1, 2, 4, 8):
             values = rng.random((4, 3) + basis.grid_shape) ** power
-            want = spectral.field_sum(values * basis.quad_weights)
+            want = spectral.field_sum(values * weights)
             got = basis.integrate(values)
             assert np.all(np.abs(got - want) <= 1e-15 * want), power
 
@@ -289,7 +291,7 @@ class TestLpNorms:
                                              (p,))[0]
             assert np.array_equal(norm, alone)
             assert np.array_equal(norm, spectral.grid_lp_norm(
-                grid, basis16.quad_weights, p))
+                grid, basis16, p))
         with pytest.raises(UnsupportedExponentError):
             spectral.scaled_lp_norms(peak, square, integrate, (4, 2))
 
@@ -304,7 +306,7 @@ class TestLpNorms:
         square = spectral.peak_scaled_square(fields, peak)
         assert not square[0].any()
         assert np.isfinite(square).all() and square.max() <= 1 + 1e-15
-        norms = spectral.grid_lp_norm(fields, basis16.quad_weights, 4)
+        norms = spectral.grid_lp_norm(fields, basis16, 4)
         assert norms[0] == 0 and 0 < norms[1] < 1e-309
 
     @settings(max_examples=20, deadline=None)
