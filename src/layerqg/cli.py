@@ -234,8 +234,7 @@ def cmd_galerkin(run):
     ladder = _ladder("--n-ladder", args.n_ladder, int)
     report = galerkin_sweep(run.config, ladder,
                             snap_every=args.snap_every or 1)
-    run.csv("galerkin.csv", ["rungs", report.distance_name],
-            [[label, d] for label, d in report.rows()])
+    run.csv("galerkin.csv", ["rungs", report.distance_name], report.rows())
     run.manifest({
         "monotone_decreasing": report.monotone_decreasing,
         "first_violation": report.first_violation,
@@ -250,8 +249,7 @@ def cmd_viscosity(run):
     ladder = _ladder("--eps-ladder", args.eps_ladder, _finite_float)
     report = viscosity_sweep(run.config, ladder,
                              snap_every=args.snap_every or 1)
-    run.csv("viscosity.csv", ["rungs", report.distance_name],
-            [[label, d] for label, d in report.rows()])
+    run.csv("viscosity.csv", ["rungs", report.distance_name], report.rows())
     run.csv("viscosity_est2.csv", ["eps", "eps_l2h1"],
             zip(ladder, report.extras["est2"]))
     run.manifest({
@@ -331,16 +329,9 @@ def cmd_diagnose(run):
         config.basis, exponents=(2, 4), test_functions=[phi]))
     log_rep = log_estimate_monitor(record)
     w14 = w14_monitor(record)
-    rows = []
-    envs = {}
-    for k in (1, 2):
-        q_norm, env_q, _, _ = lp_envelope(record, k)
-        envs[k] = (q_norm, env_q)
-    resid = weak_residual(record, [phi])[0]
-    for i, t in enumerate(record.times):
-        rows.append([t, log_rep.series[i], w14.series[i], w14.envelope[i],
-                     envs[1][0][i], envs[1][1][i],
-                     envs[2][0][i], envs[2][1][i], resid[i]])
+    envs = {k: lp_envelope(record, k)[:2] for k in (1, 2)}
+    rows = zip(record.times, log_rep.series, w14.series, w14.envelope,
+               *envs[1], *envs[2], weak_residual(record, [phi])[0])
     run.csv("diagnostics.csv", ["time", "log_ratio", "gradl4",
                                 "gradl4_envelope", "l2", "l2_envelope",
                                 "l4", "l4_envelope", "weak_residual"], rows)

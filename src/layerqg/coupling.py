@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .spectral import LayerField, N_LAYERS, SpectralBasis
+from .spectral import N_LAYERS, SpectralBasis
 
 _TEMPLATE = np.array([[-1.0, 1.0, 0.0],
                       [1.0, -2.0, 1.0],
@@ -159,12 +159,6 @@ class OperatorEigenpairs:
         lam = self.basis.eigenvalues[self.mode_n - 1, self.mode_m - 1]
         lam.setflags(write=False)
         return lam
-
-    def field(self, k: int) -> LayerField:
-        """rho_k as a LayerField."""
-        c = np.zeros((N_LAYERS,) + self.basis.spectral_shape)
-        c.flat[self.flat_index[k]] = self.vec[k]
-        return LayerField.from_coeffs(self.basis, c)
 
     @cached_property
     def flat_index(self):

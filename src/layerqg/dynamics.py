@@ -28,18 +28,14 @@ product and grid once and drops it after the last observable that
 declares it read.
 
 One stepping loop, the generator `_samples`, yields each sample of a
-batch of paths: `_run_paths` records the observable series of single
-runs, ensembles and the tightness diagnostic and passes snapshots to a
-sink, and the ladders of `sweeps` fold the samples of their runs in
-lockstep.  Its one noise source is the Philox streams, and it steps
-the OU state zeta of the tightness diagnostic.  The `Stepper` binds its
-step once per batch shape: the per-mode tables at that shape, and a
-workspace that holds every intermediate of the elliptic solve and the
-transport, with the solve, the synthesis and the projection each bound
-to its views.  So a repeat step rebuilds no view or check and allocates
-only its new state and the projected transport term.  The loop makes
-the noise fields of several steps with one call where they are small,
-and adds each in place.
+batch of paths, and one driver, `_drive`, steps the batches and hands
+each sample to a fold: the series store (`_Series`) of single runs and
+the tightness diagnostic, the running averages of `measures.kb_average`
+or a ladder's fold in `sweeps`.  The loop's one noise source is the
+Philox streams, and it steps the OU state zeta of the tightness
+diagnostic.  The `Stepper` binds its step once per batch shape, so a
+repeat step rebuilds no view or check and allocates only its new state
+and the projected transport term.
 """
 
 from __future__ import annotations
@@ -51,6 +47,7 @@ import hashlib
 import math
 import os
 from pathlib import Path
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -303,15 +300,12 @@ def _release_plan(observables) -> list:
 
 
 def _sample_plan(observables):
-    """How the loop evaluates a sample, and `slots[o]`, the series row of
-    observable o.
-
-    The L pairings of one set of eigenpairs get one entry, one
-    `pair_coeffs` per sample for all of them: (their (L, 3) gather rows
-    and vectors, how many of them, first, are squared, and their slots, a
-    slice).  Every other observable gets (slot, observable, the
-    ObsContext entries to release after it), in order, after those.
-    """
+    """(evaluate, slots): `evaluate(ctx, row)`, the one evaluation of a
+    sample's observables, writes them into the (O, P) `row`, observable o
+    at `slots[o]`.  The L pairings of one set of eigenpairs take L rows,
+    from one `pair_coeffs` per sample, the squared first and squared in
+    place; every other observable takes one row after those, in order,
+    and then releases the ObsContext entries it reads last."""
     groups, others = {}, []
     for o, ob in enumerate(observables):
         if isinstance(ob.fn, Pairing):
@@ -331,7 +325,18 @@ def _sample_plan(observables):
     drops = _release_plan(observables)
     evaluations = [(len(order) + i, observables[o], drops[o])
                    for i, o in enumerate(others)]
-    return gathers, evaluations, np.argsort(order + others)
+
+    def evaluate(ctx, row):
+        for index, vec, squared, rows in gathers:
+            values = pair_coeffs(ctx.q_hat, index, vec)
+            if squared:
+                np.square(values[:, :squared], out=values[:, :squared])
+            row[rows] = values.T
+        for o, ob, drop in evaluations:
+            row[o] = ob(ctx)
+            if drop:
+                ctx.release(drop)
+    return evaluate, np.argsort(order + others)
 
 
 _Q_GRID = (("q", 0, 0),)
@@ -516,6 +521,11 @@ class SimConfig:
         multiple of every * dt, and the horizon."""
         return self.n_steps // every + 1 + (self.n_steps % every != 0)
 
+    def sample_times(self, every: int) -> np.ndarray:
+        """The sample times: sample k is at step min(k every, n_steps)."""
+        k = np.arange(self.n_samples(every))
+        return np.minimum(k * every, self.n_steps) * self.dt
+
     def config_hash(self) -> str:
         text = (f"{self.basis}|{self.coupling.lambdas}|{self.coupling.scale}|"
                 f"{self.noise.k},{self.noise.decay},{self.noise.sigma}|"
@@ -528,8 +538,7 @@ class SimConfig:
 @dataclass
 class TrajectoryRecord:
     """Observable series of one seeded sample path; fields are seen only
-    through observables (W through wh<alpha>, <W, phi>) or a snapshot
-    sink of the loop."""
+    through observables (W through wh<alpha>, <W, phi>) or a loop sink."""
 
     times: np.ndarray                  # observable sample times
     observables: dict                  # name -> array over times
@@ -551,8 +560,7 @@ class Stepper:
     `decay`, `phi` and `w_gain` = phi eps^2 lambda are the per-mode (Nx,
     Ny) factors of the q step.  `advance` runs the step `_batch` binds
     for the batch shape (..., 3, Nx, Ny), rebinding only when that shape
-    changes: one Stepper, one thread.  A repeat step at one shape
-    allocates only its new state and the projected transport term.
+    changes: one Stepper, one thread.
     """
 
     def __init__(self, config: SimConfig):
@@ -568,15 +576,11 @@ class Stepper:
         self._shape = None                  # no batch until first use
 
     def _batch(self, shape):
-        """The step `advance` runs at the batch shape, bound once per shape.
-
-        Its operands are fixed when it is bound: copies of decay, phi and
-        (eps > 0) w_gain at the batch shape, a finiteness mask, with eps >
-        0 the array of the W term, and for a nonlinear step the
-        `_TransportWork` with the elliptic solve (`coupling.elliptic_plan`)
-        bound to its stack and modal amplitudes.  `step.buffers` lists
-        every array the step keeps between calls.
-        """
+        """The step `advance` runs at the batch shape, bound once per
+        shape to its operands: copies of decay, phi and (eps > 0) w_gain
+        at that shape, a finiteness mask, the W term's array (eps > 0)
+        and, for a nonlinear step, the `_TransportWork` with its elliptic
+        solve (`coupling.elliptic_plan`).  `step.buffers` lists them."""
         if shape != self._shape:
             self._shape, self._step = shape, self._bind(shape)
         return self._step
@@ -749,13 +753,11 @@ def _abs_peak(grid):
 def run_trajectory(config: SimConfig, observables=None, stream: int = 0,
                    initial: np.ndarray | None = None,
                    sink=None) -> TrajectoryRecord:
-    """Integrate q from t=0 to the horizon: `_run_paths` with P = 1.
-
-    Deterministic given (config, stream): noise comes from the Philox
-    stream (config.seed, stream).  An explicit coefficient array
-    `initial` overrides the config descriptor.  A `sink` and the partial
-    record of an abort are those of `_run_paths`.
-    """
+    """Integrate q from t=0 to the horizon: `_run_paths` with P = 1, its
+    `sink` and the partial record of an abort included.  Deterministic
+    given (config, stream): noise comes from the Philox stream
+    (config.seed, stream).  An explicit coefficient array `initial`
+    overrides the config descriptor."""
     if observables is None:
         observables = parse_observables(DEFAULT_OBSERVABLES)
     return _run_paths(config, observables, [stream], initial, sink=sink)[0]
@@ -775,63 +777,85 @@ _BATCH_POINTS = 1 << 17
 
 def _run_paths(cfg: SimConfig, observables, streams, initial=None,
                ou_rate=None, sink=None, threads: int = 1) -> list:
-    """Step the `_batches` of P = len(streams) paths (on `threads` pool
-    threads if `_blas_pinned()`, else BLAS threads oversubscribe) and
-    record every observable at each sample of cfg.obs_every; a `sink(t,
-    q)` receives a batch's (P_b, 3, Nx, Ny) q at each sample of
-    cfg.snap_every.  With `ou_rate` the loop also steps the OU state zeta
-    at that rate (`_samples`).  An abort carries the partial record of the
-    path whose state was largest before the failing step."""
-    n_steps, snaps = cfg.n_steps, cfg.snap_every if sink else 0
-    gathers, others, slots = _sample_plan(observables)
-
-    def record(batch):
-        part, samples = batch
-        series = np.empty((cfg.n_samples(cfg.obs_every), len(observables),
-                           len(part)))
-        count, stop = 0, None
-        # an overflow surfaces as a non-finite state: a blow-up
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                for j, ctx in samples:
-                    if snaps and (j % snaps == 0 or j == n_steps):
-                        sink(j * cfg.dt, ctx.q_hat)
-                    if j % cfg.obs_every == 0 or j == n_steps:
-                        row = series[count]
-                        for index, vec, squared, rows in gathers:
-                            values = pair_coeffs(ctx.q_hat, index, vec)
-                            if squared:
-                                np.square(values[:, :squared],
-                                          out=values[:, :squared])
-                            row[rows] = values.T
-                        for o, ob, drops in others:
-                            row[o] = ob(ctx)
-                            if drops:
-                                ctx.release(drops)
-                        count += 1
-                    del ctx         # its grids go before the next steps
-            except (BlowUpError, TimeStepError) as exc:
-                stop = exc
-        blow = stop.time if isinstance(stop, BlowUpError) else None
-        data = series[:count].transpose(2, 1, 0).copy()     # (P, O, T)
-        # sample k is step min(k obs_every, n_steps), as j * dt has it
-        times = np.minimum(np.arange(count) * cfg.obs_every, n_steps) * cfg.dt
-        records = [TrajectoryRecord(
-            times=times, stream=stream, config=cfg, blow_time=blow,
-            observables={ob.name: data[p, slots[o]]
-                         for o, ob in enumerate(observables)})
-            for p, stream in enumerate(part)]
-        if stop is not None:
-            stop.record = records[stop.worst]
-            raise stop
-        return records
-
+    """The records of P = len(streams) paths: each of their `_batches`
+    driven into a `_Series` with `sink`.  With `ou_rate` the loop also
+    steps the OU state zeta at that rate (`_samples`)."""
+    snaps = cfg.snap_every if sink else 0
     batches = _batches(cfg, streams, initial, ou_rate, (cfg.obs_every, snaps))
-    if threads > 1 and len(batches) > 1 and _blas_pinned():
+    folds = [_Series(cfg, observables, part, sink) for part, _ in batches]
+    _drive([([batch], fold) for batch, fold in zip(batches, folds)], threads)
+    return [rec for fold in folds for rec in fold.records()]
+
+
+class _Series:
+    """The series store, a fold of one batch: every observable of each path
+    at each sample of cfg.obs_every, (O, P, T), with the batch's q passed
+    to a `sink(t, q)` at each sample of cfg.snap_every.  `records` are
+    its paths' TrajectoryRecords so far; a blow-up `stop` sets blow_time."""
+
+    def __init__(self, cfg: SimConfig, observables, streams, sink=None):
+        self.cfg, self.streams, self.sink = cfg, streams, sink
+        self.snaps = cfg.snap_every if sink else 0
+        self.names = [ob.name for ob in observables]
+        self.evaluate, self.slots = _sample_plan(observables)
+        self.series = np.empty((len(observables), len(streams),
+                                cfg.n_samples(cfg.obs_every)))
+        self.count = 0
+
+    def __call__(self, samples):
+        (j, ctx), = samples
+        cfg, snaps = self.cfg, self.snaps
+        if snaps and (j % snaps == 0 or j == cfg.n_steps):
+            self.sink(j * cfg.dt, ctx.q_hat)
+        if j % cfg.obs_every == 0 or j == cfg.n_steps:
+            self.evaluate(ctx, self.series[..., self.count])
+            self.count += 1
+
+    def records(self, stop=None):
+        count = self.count
+        times = self.cfg.sample_times(self.cfg.obs_every)[:count]
+        blow_time = stop.time if isinstance(stop, BlowUpError) else None
+        return [TrajectoryRecord(
+            times=times, stream=stream, config=self.cfg, blow_time=blow_time,
+            observables={name: self.series[slot, p, :count]
+                         for name, slot in zip(self.names, self.slots)})
+            for p, stream in enumerate(self.streams)]
+
+
+def _drive(runs, threads: int = 1) -> list:
+    """The one driver of the stepping loop: each run (batches, fold) steps
+    its `_batches` in lockstep, one sample of each in turn, and `fold`
+    takes each sample's [(j, ObsContext)] before they resume.  Runs fan
+    out over `threads` pool threads if `_blas_pinned()`.  Overflow
+    warnings are silenced around each drive, never across a yield.
+    Returns each run's stepping seconds per batch.  The earliest abort of
+    a sample raises, with a `_Series`'s record of its path `worst`."""
+    def drive(batches, fold):
+        seconds = np.zeros(len(batches))
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                samples, stops = [], []
+                for i, (_, gen) in enumerate(batches):
+                    tic = time.perf_counter()
+                    try:
+                        samples.append(next(gen, None))
+                    except (BlowUpError, TimeStepError) as exc:
+                        stops.append(exc)
+                    seconds[i] += time.perf_counter() - tic
+                if stops:
+                    stop = min(stops, key=lambda exc: exc.time)
+                    if isinstance(fold, _Series):
+                        stop.record = fold.records(stop)[stop.worst]
+                    raise stop
+                if samples[0] is None:
+                    return seconds
+                fold(samples)
+
+    if threads > 1 and len(runs) > 1 and _blas_pinned():
         import concurrent.futures       # only here: 5-8 ms at every start-up
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            return [rec for recs in pool.map(record, batches) for rec in recs]
-    return [rec for batch in batches for rec in record(batch)]
+            return list(pool.map(drive, *zip(*runs)))
+    return [drive(*run) for run in runs]
 
 
 def _batches(cfg: SimConfig, streams, initial=None, ou_rate=None,
@@ -886,8 +910,7 @@ def _samples(cfg: SimConfig, streams, initial, ou_rate, every):
     (BlowUpError) or CFL abort (TimeStepError) carries `worst`, the
     index of the path with the largest state before the failing step.
     W_0 = 0 is kept past sample 0 only if eps > 0 or the consumer read
-    `w_hat` there.  The consumer silences overflow warnings: none is
-    silenced across a yield, so a generator may resume on any thread.
+    `w_hat` there.  `_drive` advances it.
     """
     n_steps, n_paths, k = cfg.n_steps, len(streams), cfg.noise.k
 

@@ -4,8 +4,8 @@ Measures are represented through their action on a finite dictionary of
 observables (pairings with band-limited fields, norm functionals): the
 averaged measure at horizon n is the vector of time averages
 (1/n) int_0^n phi(q_t) dt, aggregated over independent sample paths.
-Horizon readouts are nested prefixes of a single long run per path, and
-the paths step as the batches of one `dynamics._run_paths` call.
+Horizon readouts are nested prefixes of a single long run per path,
+folded into running trapezoid sums as the paths step (`_Averages`).
 
 The confinement diagnostic runs q from zero alongside the exact
 stochastic convolution zeta_lambda of the same noise path and evaluates
@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Observable, SimConfig, _run_paths, obs_lp
+from .dynamics import (Observable, SimConfig, _batches, _drive, _run_paths,
+                       _sample_plan, obs_lp)
 from .errors import ConfigurationError
 from .experiments import _cumtrapz, dominated
 from .noise import NoiseMixer
@@ -47,12 +48,6 @@ class AveragedMeasure:
         if np.any(self.stderrs < 0):
             raise ConfigurationError("standard errors must be nonnegative")
 
-    def value(self, name: str) -> float:
-        return float(self.means[self.names.index(name)])
-
-    def stderr(self, name: str) -> float:
-        return float(self.stderrs[self.names.index(name)])
-
 
 def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1,
                threads: int = 1):
@@ -62,42 +57,64 @@ def kb_average(config: SimConfig, horizons, observables, n_paths: int = 1,
     not be empty, and the horizons must ascend from 0 up to the
     configured trajectory length through sample times: multiples of
     dt * obs_every, or that length itself (each to a relative 1e-9, as
-    SimConfig matches horizon and dt).  `threads` is `_run_paths`'s, and
-    changes no byte.
+    SimConfig matches horizon and dt).  `threads` is `_drive`'s, and
+    changes no byte.  `stderrs` are across-path: NaN for one path.
     """
     if not observables:
         raise ConfigurationError("no observables to average")
     horizons = list(horizons)
-    spacing = config.dt * config.obs_every
+    cfg = replace(config, init="zero")
+    times = cfg.sample_times(cfg.obs_every)
+    ends = []
     for prev, horizon in zip([0.0, *horizons], horizons):
-        if not (prev < horizon <= config.horizon * (1 + 1e-9) and min(
-                abs(round(horizon / spacing) * spacing - horizon),
-                abs(config.horizon - horizon)) <= 1e-9 * horizon):
+        # the sample at the horizon, which may lie a rounding above it
+        k = np.count_nonzero(times <= horizon * (1 + 1e-9)) - 1
+        if not (prev < horizon <= config.horizon * (1 + 1e-9)
+                and abs(times[k] - horizon) <= 1e-9 * horizon):
             raise ConfigurationError(
                 f"horizon {horizon}: horizons must ascend from 0 to "
                 f"{config.horizon} through multiples of dt * obs_every = "
-                f"{spacing:g} or {config.horizon} itself")
-    cfg = replace(config, init="zero")
-    records = _run_paths(cfg, observables, range(n_paths), threads=threads)
-    times = records[0].times
-    series = np.array([[rec.observables[ob.name] for ob in observables]
-                       for rec in records])                    # (P, O, T)
-    stacked = np.empty((n_paths, len(horizons), len(observables)))
-    for i, horizon in enumerate(horizons):
-        # the sample at the horizon, which may lie a rounding above it
-        n = np.count_nonzero(times <= horizon * (1 + 1e-9))
-        v = series[..., :n]                # trapezoid rule per path
-        stacked[:, i] = np.sum(0.5 * (v[..., 1:] + v[..., :-1])
-                               * np.diff(times[:n]), axis=-1) / horizon
-    means = stacked.mean(axis=0)
+                f"{config.dt * config.obs_every:g} or {config.horizon} itself")
+        ends.append((k, horizon))
+    batches = _batches(cfg, range(n_paths), every=(cfg.obs_every,))
+    folds = [_Averages(observables, len(part), 0.5 * np.diff(times), ends)
+             for part, _ in batches]
+    _drive([([batch], fold) for batch, fold in zip(batches, folds)], threads)
+    stacked = np.concatenate([fold.averages for fold in folds])  # (P, H, O)
+    means = stacked.mean(axis=0)                                # (H, O)
     if n_paths > 1:
         stderrs = stacked.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    else:
-        stderrs = np.zeros_like(means)
+    else:       # an across-path error is undefined for one path
+        stderrs = np.full_like(means, np.nan)
     names = [ob.name for ob in observables]
     return [AveragedMeasure(horizon=h, names=names, means=means[i],
                             stderrs=stderrs[i], n_paths=n_paths)
             for i, h in enumerate(horizons)]
+
+
+class _Averages:
+    """kb_average's fold of one batch: per path and observable, the running
+    trapezoid sum of (v_k + v_{k-1}) half_steps[k-1], the bits of 0.5 (v_k
+    + v_{k-1}) dt_k since halving is exact, which the i-th (k, horizon) of
+    `ends` divides at sample k into `averages[:, i]`."""
+
+    def __init__(self, observables, n_paths, half_steps, ends):
+        self.evaluate, self.slots = _sample_plan(observables)
+        self.last, self.value, self.total = np.zeros(
+            (3, len(observables), n_paths))
+        self.averages = np.empty((n_paths, len(ends), len(observables)))
+        self.half_steps, self.ends, self.k = half_steps, ends, 0
+
+    def __call__(self, samples):
+        (_, ctx), = samples
+        k, last, value = self.k, self.value, self.last
+        self.evaluate(ctx, value)               # over v_{k-2}
+        if k:
+            self.total += (value + last) * self.half_steps[k - 1]
+        for i, (end, horizon) in enumerate(self.ends):
+            if end == k:
+                self.averages[:, i] = (self.total[self.slots] / horizon).T
+        self.k, self.value, self.last = k + 1, value, last
 
 
 @dataclass
@@ -205,9 +222,9 @@ def _theta_envelope(times, zeta_norm, gamma, rate):
     j_cum = _cumtrapz(zeta_norm - gamma, times)
     # largest exponent over pairs s <= t without forming the n x n matrix
     max_span = np.max(j_cum - np.minimum.accumulate(j_cum))
+    condition = bool(np.mean(zeta_norm) < gamma / 2)
     if max_span > 700:
-        avg = np.mean(zeta_norm)
-        return None, True, bool(avg < gamma / 2)
+        return None, True, condition
     forcing = (zeta_norm + abs(rate - gamma)) * zeta_norm
     # I_s = int_0^t_s forcing(r) exp(J_s - J_r) dr (trapezoid), by the
     # exact recurrence I_{s+1} = g I_s + (g f_s + f_{s+1}) dt_s / 2 with
@@ -220,5 +237,4 @@ def _theta_envelope(times, zeta_norm, gamma, rate):
         integral[s + 1] = g * integral[s] + (g * forcing[s]
                                              + forcing[s + 1]) * half_dt[s]
     envelope = zeta_norm[0] * np.exp(j_cum) + integral
-    avg = np.mean(zeta_norm)
-    return envelope, False, bool(avg < gamma / 2)
+    return envelope, False, condition

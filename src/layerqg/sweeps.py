@@ -6,21 +6,20 @@ stepping loop on stream 0, which draws the identical Brownian increments
 on the config's own eigenpairs (scattered into each rung's mode cut), so
 reported distances measure discretization and parameter effects only.
 
-Every study streams: the sample generators of its runs step in lockstep
-(`_lockstep`), and each sample is folded into a running result before the
-next, so no field outlives its sample.
+Every study streams: the loop's one driver, `dynamics._drive`, steps the
+sample generators of its runs in lockstep, and each sample is folded
+into a running result before the next, so no field outlives its sample.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .coupling import OperatorEigenpairs, solve_elliptic_coeffs, symmetrize
-from .dynamics import SimConfig, _batches, initial_coeffs
-from .errors import BlowUpError, ConfigurationError, TimeStepError
+from .dynamics import SimConfig, _batches, _drive, initial_coeffs
+from .errors import ConfigurationError
 from .experiments import _trapz
 from .spectral import LayerField, build_basis
 
@@ -66,30 +65,6 @@ class SweepReport:
                 zip(self.ladder, self.ladder[1:], self.distances)]
 
 
-def _lockstep(batches, fold):
-    """Step the `_batches` runs one sample each in turn, call fold() with
-    their (j, ObsContext) samples, and return each run's stepping seconds.
-    An abort in any run stops the study at that sample; the earliest
-    abort raises.  Overflow warnings are silenced around the drive, never
-    across a yield."""
-    seconds = np.zeros(len(batches))
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            samples, stops = [], []
-            for i, (_, gen) in enumerate(batches):
-                tic = time.perf_counter()
-                try:
-                    samples.append(next(gen, None))
-                except (BlowUpError, TimeStepError) as exc:
-                    stops.append(exc)
-                seconds[i] += time.perf_counter() - tic
-            if stops:
-                raise min(stops, key=lambda exc: exc.time)
-            if samples[0] is None:
-                return seconds
-            fold(samples)
-
-
 def _l2_distance(qa, qb) -> float:
     """L2 distance of two (3, Nx, Ny) coefficient arrays via Parseval, a
     missing mode taken as zero: the shared block's plus both tails'."""
@@ -132,8 +107,8 @@ def galerkin_sweep(config: SimConfig, n_ladder,
         for i, (qa, qb) in enumerate(zip(qs, qs[1:])):
             sup[i] = max(sup[i], _l2_distance(qa, qb))
 
-    runtimes = _lockstep([run for n in n_ladder for run in _batches(
-        rung(n), [0], every=(snap_every,))], fold)
+    runtimes, = _drive([([run for n in n_ladder for run in _batches(
+        rung(n), [0], every=(snap_every,))], fold)])
     return SweepReport(kind="galerkin", ladder=n_ladder,
                        distance_name="sup_t L2", distances=sup,
                        runtimes=runtimes)
@@ -163,8 +138,9 @@ def viscosity_sweep(config: SimConfig, eps_ladder,
         np.maximum(sup, np.sqrt(np.sum((q[:-1] - q[1:])**2 / lam,
                                        axis=(1, 2, 3))), out=sup)
 
-    runtimes = _lockstep([run for eps in eps_ladder for run in _batches(
-        replace(config, viscosity=eps), [0], every=(snap_every,))], fold)
+    runtimes, = _drive([([run for eps in eps_ladder for run in _batches(
+        replace(config, viscosity=eps), [0], every=(snap_every,))],
+        fold)])
     est2 = [eps * np.sqrt(_trapz(series, times))
             for eps, series in zip(eps_ladder, np.transpose(h1_sq))]
     return SweepReport(kind="viscosity", ladder=eps_ladder,
@@ -206,8 +182,8 @@ def yudovich_stability(config: SimConfig, delta_ladder,
         z.append(np.sqrt(np.sum((psi[1:] - psi[0])**2
                                 * config.basis.eigenvalues, axis=(1, 2, 3))))
 
-    _lockstep(_batches(config, [0] * len(initial), initial,
-                       every=(snap_every,)), fold)
+    _drive([(_batches(config, [0] * len(initial), initial,
+                      every=(snap_every,)), fold)])
     z = np.transpose(z)                                 # (D, S)
     return SweepReport(
         kind="stability", ladder=delta_ladder, distance_name="z_T",

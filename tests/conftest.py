@@ -6,7 +6,7 @@ import pytest
 from layerqg import dynamics, rng as rngmod
 from layerqg.coupling import eigenpairs, symmetrize
 from layerqg.noise import make_noise
-from layerqg.spectral import build_basis
+from layerqg.spectral import build_basis, single_mode_field
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,14 @@ def pairs16(coupling16):
 def quiet_noise(pairs16):
     """sigma = 0 noise over 16 retained pairs."""
     return make_noise(pairs16, 16, 2.0, 0.0)
+
+
+def eigenpair_field(pairs, k):
+    """rho_k of a set of eigenpairs as a LayerField, made from its mode
+    (n_k, m_k) and vector v_k, not through the `flat_index` the package
+    gathers with."""
+    return single_mode_field(pairs.basis, pairs.mode_n[k], pairs.mode_m[k],
+                             pairs.vec[k])
 
 
 def random_band_coeffs(rng, basis, decay=1.0):

@@ -632,6 +632,24 @@ class TestCli:
             "init=lowband:3:1.0:7\nobservables=l2\n" for horizon in (2, 6)])
         assert abs(peak_mb[1] - peak_mb[0]) < 3.0, peak_mb
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads VmHWM from /proc/self/status")
+    def test_invariant_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        # each batch folds running trapezoid sums as it steps: a stored
+        # series of the 24 paths' 5 observables, with its copies, grew
+        # the peak by 11 MiB over the 6000 more steps
+        settings = RunSettings(modes_x=12, modes_y=12, noise_modes=32,
+                               nonlinearity="off")
+        pairs = realize(settings, seed=0).pairs
+        labels = ",".join(f"pairsq:{pairs.mode_n[k]}.{pairs.mode_m[k]}."
+                          f"{pairs.comp_j[k]}" for k in range(5))
+        peak_mb = self._peak_mb(tmp_path, "invariant", [
+            "--horizons", "10,20", "--paths", "24"], [
+            "modes_x=12\nmodes_y=12\nnoise_modes=32\nnonlinearity=off\n"
+            f"dt=0.01\nhorizon={horizon}\nobs_every=1\nobservables={labels}\n"
+            for horizon in (20, 80)])
+        assert abs(peak_mb[1] - peak_mb[0]) < 3.0, peak_mb
+
     @pytest.mark.parametrize("command, cfg, flags", [
         ("galerkin", "modes_x=16\nmodes_y=16\ninit=mode:1,1:2000,0,0\n",
          ["--n-ladder", "4,6,8"]),

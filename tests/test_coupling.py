@@ -6,7 +6,7 @@ from layerqg.coupling import eigenpairs, solve_elliptic_coeffs, symmetrize
 from layerqg.errors import ConfigurationError, ShapeError
 from layerqg.spectral import LayerField, build_basis, single_mode_field
 
-from conftest import random_band_coeffs
+from conftest import eigenpair_field, random_band_coeffs
 from oracles import apply_operator, grid_points, mode_matrix, quad_weights
 
 PATH_TEMPLATE = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0],
@@ -100,7 +100,7 @@ class TestEllipticSolve:
                 solve_elliptic_coeffs(cp, q_hat, out=bad)
 
     def test_eigenfunction_input(self, basis16, coupling16, pairs16):
-        rho = pairs16.field(5)
+        rho = eigenpair_field(pairs16, 5)
         psi_hat = solve_elliptic_coeffs(coupling16, rho.spectral())
         assert np.allclose(psi_hat, rho.spectral() / pairs16.mu[5],
                            atol=1e-14)
@@ -223,16 +223,16 @@ class TestEigenpairs:
 
     def test_orthonormal_coefficients(self, pairs16):
         for j, k in [(0, 0), (0, 1), (2, 5), (3, 3)]:
-            a = pairs16.field(j).spectral()
-            b = pairs16.field(k).spectral()
+            a = eigenpair_field(pairs16, j).spectral()
+            b = eigenpair_field(pairs16, k).spectral()
             assert np.sum(a * b) == pytest.approx(float(j == k), abs=1e-12)
 
     def test_orthonormal_by_quadrature(self, basis16, pairs16):
         # independent route: integrate the products on the grid
         w = quad_weights(basis16)
         for j, k in [(0, 0), (0, 2), (1, 4)]:
-            ga = pairs16.field(j).values()
-            gb = pairs16.field(k).values()
+            ga = eigenpair_field(pairs16, j).values()
+            gb = eigenpair_field(pairs16, k).values()
             assert np.sum(ga * gb * w) == pytest.approx(float(j == k),
                                                         abs=1e-10)
 

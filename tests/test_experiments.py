@@ -17,9 +17,8 @@ from layerqg.experiments import (_damped_integrate, log_estimate_monitor,
 from layerqg.noise import make_noise
 from layerqg.spectral import (LayerField, SpectralBasis, grid_lp_norm,
                               single_mode_field)
-from layerqg.sweeps import (SweepReport, _l2_distance, _lockstep,
-                            galerkin_sweep, viscosity_sweep,
-                            yudovich_stability)
+from layerqg.sweeps import (SweepReport, _l2_distance, galerkin_sweep,
+                            viscosity_sweep, yudovich_stability)
 
 from conftest import (coarse_normals, on_normals, random_band_coeffs,
                       run_with_snapshots)
@@ -199,7 +198,7 @@ class TestYudovich:
 
 
 class TestLockstep:
-    """The ladders drive their sample generators together."""
+    """The driver steps the sample generators of a run together."""
 
     @staticmethod
     def run(n, stop=None, error=TimeStepError, time=None):
@@ -215,7 +214,8 @@ class TestLockstep:
 
     def test_fold_sees_each_sample_of_all(self):
         seen = []
-        seconds = _lockstep([self.run(4), self.run(4)], seen.append)
+        seconds, = dynamics._drive([([self.run(4), self.run(4)],
+                                     seen.append)])
         assert seen == [[(j, None)] * 2 for j in range(4)]
         assert seconds.shape == (2,) and np.all(seconds >= 0)
 
@@ -226,13 +226,14 @@ class TestLockstep:
         # two aborts on the way to one sample, the earlier raises
         seen = []
         with pytest.raises(error) as err:
-            _lockstep([self.run(5, 3), self.run(5, 2, error), self.run(5)],
-                      seen.append)
+            dynamics._drive([([self.run(5, 3), self.run(5, 2, error),
+                               self.run(5)], seen.append)])
         assert err.value.time == pytest.approx(0.2)
         assert [samples[0][0] for samples in seen] == [0, 1]
         with pytest.raises(error) as err:
-            _lockstep([self.run(5, 2, error, time=0.19),
-                       self.run(5, 2, error, time=0.11)], seen.append)
+            dynamics._drive([([self.run(5, 2, error, time=0.19),
+                               self.run(5, 2, error, time=0.11)],
+                              seen.append)])
         assert err.value.time == 0.11
 
     def test_sweeps_leave_the_error_state_alone(self, basis16, coupling16,

@@ -7,8 +7,13 @@ No linter is installed, so these scans of the syntax tree are the check.
 The unused-import scan looks at module-level imports in `src/layerqg/`
 and `tests/`; package `__init__.py` files re-export what they import and
 are skipped.  The thread-pool scan looks at every import in every module
-of `src/layerqg/`: the package has one way to fan out work, the batch
-pool of `dynamics._run_paths`.  The noise-draw scan lists the names of
+of `src/layerqg/`: the package has one way to fan out work, the pool of
+`dynamics._drive`.  That is also the one driver of the stepping loop:
+the `next` scan finds no other function of `src/layerqg/` that calls
+`next` on anything but a generator expression, and every subcommand,
+run with its `_samples` generators watched, finds every resumption
+made by the driver, the loops over a generator that a scan cannot tell
+apart included.  The noise-draw scan lists the names of
 `rng` that each module of `src/layerqg/` reads: only `dynamics` opens a
 stream (the stepping loop and the seeded initial datum), so every run and
 ladder rung draws its noise there, and `cli` reads only the scheme name
@@ -20,7 +25,8 @@ every `_`-prefixed name a module of `src/layerqg/` imports from a
 sibling module, so that a new crossing of a module boundary is a
 visible change to this file.  The unread-definition scan pins the
 functions, classes and methods of `src/layerqg/` whose name nothing
-there reads.
+there reads; a method is read only as an attribute or an import, so a
+local variable of its name does not hide it.
 The per-sample scans keep the elliptic solve and the grid reductions
 out of `experiments`: its monitor series are observables of the stepping
 loop, which read them through `dynamics.ObsContext`, the one per-sample
@@ -117,6 +123,78 @@ def test_only_dynamics_imports_a_thread_pool():
     assert importers == ["dynamics.py"]
 
 
+def next_callers(source):
+    """Qualified names of the functions that call `next` on anything but a
+    generator expression, at any depth."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "next" and child.args
+                    and not isinstance(child.args[0], ast.GeneratorExp)):
+                found.append(".".join(scope))
+            visit(child, scope)
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_scan_lists_next_callers():
+    source = ("def f(g):\n    return next(g)\n"
+              "def h(y):\n    return next((x for x in y), None)\n"
+              "class C:\n    def m(self, it):\n"
+              "        def inner():\n            return next(it, 0)\n"
+              "next(iter(()), None)\n")
+    assert next_callers(source) == ["f", "C.m.inner", ""]
+
+
+def test_only_the_driver_calls_next():
+    # one driver of the stepping loop: no other function advances a
+    # `_samples` generator by hand
+    callers = [f"{path.stem}.{name}"
+               for path in sorted((ROOT / "src/layerqg").glob("*.py"))
+               for name in next_callers(path.read_text())]
+    assert callers == ["dynamics._drive.drive"]
+
+
+def test_only_the_driver_resumes_the_loop(tmp_path, monkeypatch):
+    # every subcommand with its sample generators watched: whatever
+    # resumes one, a loop over it included, is the driver
+    from layerqg import dynamics
+    from layerqg.cli import main
+    samples, resumers = dynamics._samples, set()
+
+    def watched(*args):
+        gen = samples(*args)
+        while True:
+            caller = sys._getframe(1).f_code
+            resumers.add((Path(caller.co_filename).name, caller.co_name))
+            try:
+                sample = next(gen)
+            except StopIteration:
+                return
+            yield sample
+
+    monkeypatch.setattr(dynamics, "_samples", watched)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("modes_x=8\nmodes_y=8\nnoise_modes=24\ndt=0.002\n"
+                   "horizon=0.02\n")
+    for command, *flags in (
+            ["run", "--snap-every", "5"],
+            ["galerkin", "--n-ladder", "8,12,16"],
+            ["viscosity", "--eps-ladder", "0.2,0.1,0.05"], ["stability"],
+            ["invariant", "--horizons", "0.02", "--paths", "2"],
+            ["tightness", "--horizon", "0.02"], ["diagnose"]):
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / command), *flags]) == 0, command
+    assert resumers == {("dynamics.py", "drive")}
+
+
 def rng_names(source):
     """Names of the sibling module `rng` that a module reads, at any
     depth: `x.name` for each `from . import rng [as x]`, and each name of
@@ -208,9 +286,13 @@ def test_private_sibling_imports_are_known():
              for module, name in private_sibling_imports(path.read_text())]
     assert found == ["cli: dynamics._blas_threads",
                      "cli: dynamics._keep_freed_heap",
+                     "measures: dynamics._batches",
+                     "measures: dynamics._drive",
                      "measures: dynamics._run_paths",
+                     "measures: dynamics._sample_plan",
                      "measures: experiments._cumtrapz",
                      "sweeps: dynamics._batches",
+                     "sweeps: dynamics._drive",
                      "sweeps: experiments._trapz"]
 
 
@@ -288,11 +370,30 @@ def definitions(source):
     return [pair for pair in found if not re.fullmatch("__.*__", pair[0])]
 
 
+def unread_definitions(sources):
+    """`module.qualified name` of each definition in `sources`, {module:
+    source}, whose name none of them reads: a method's only as an
+    attribute or an import, a function's or a class's also as a name."""
+    attributes, names = set(), set()
+    for source in sources.values():
+        attributes |= attributes_read(source) | imported_names(source)
+        names |= {node.id for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name)}
+    return [f"{module}.{qualified}" for module, source in sources.items()
+            for name, qualified in definitions(source)
+            if name not in attributes
+            and ("." in qualified or name not in names)]
+
+
 def test_scan_lists_definitions():
+    # the method n is read only as a local name, which does not read it
     source = ("import a\ndef f(): pass\nclass C:\n    x = 1\n"
               "    def __init__(self): pass\n    def m(self): pass\n"
-              "def __getattr__(name): pass\n")
-    assert definitions(source) == [("f", "f"), ("C", "C"), ("m", "C.m")]
+              "    def n(self): pass\n"
+              "def __getattr__(name): pass\nn = C().m\nprint(f, n)\n")
+    assert definitions(source) == [("f", "f"), ("C", "C"), ("m", "C.m"),
+                                   ("n", "C.n")]
+    assert unread_definitions({"toy": source}) == ["toy.C.n"]
 
 
 # Definitions in src/layerqg whose name nothing there reads, and why each
@@ -313,14 +414,9 @@ UNREAD_IN_SRC = {
 
 
 def test_src_names_unread_in_src_are_known():
-    sources = {path.stem: path.read_text()
-               for path in sorted((ROOT / "src/layerqg").glob("*.py"))}
-    read = set().union(*(
-        attributes_read(source) | imported_names(source)
-        | {node.id for node in ast.walk(ast.parse(source))
-           if isinstance(node, ast.Name)} for source in sources.values()))
-    unread = [f"{module}.{qualified}" for module, source in sources.items()
-              for name, qualified in definitions(source) if name not in read]
+    unread = unread_definitions({
+        path.stem: path.read_text()
+        for path in sorted((ROOT / "src/layerqg").glob("*.py"))})
     assert sorted(unread) == sorted(UNREAD_IN_SRC)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -28,6 +30,17 @@ class TestKbAverage:
         for m in ms:
             assert m.means[0] == 0.0
             assert m.stderrs[0] == 0.0
+
+    def test_one_path_has_no_standard_error(self, basis16, coupling16,
+                                            pairs16):
+        # an across-path standard error is undefined for one path: NaN,
+        # with no degrees-of-freedom warning
+        cfg = linear_config(basis16, coupling16, pairs16, horizon=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = kb_average(cfg, [1.0, 2.0], [obs_lp(2)])
+        for m in ms:
+            assert m.means[0] > 0 and np.isnan(m.stderrs[0])
 
     def test_horizons_validated(self, basis16, coupling16, pairs16):
         cfg = linear_config(basis16, coupling16, pairs16, horizon=2.0)
@@ -66,6 +79,13 @@ class TestKbAverage:
         ms = kb_average(cfg, [0.042, 0.049, 0.05], [obs_lp(2)])
         assert [m.horizon for m in ms] == [0.042, 0.049, 0.05]
 
+    def test_horizons_on_one_sample(self, basis16, coupling16, pairs16):
+        # two horizons a rounding apart read the one sum at their sample
+        cfg = linear_config(basis16, coupling16, pairs16, horizon=2.0)
+        first, second = kb_average(cfg, [1.0, 1.0 + 5e-10], [obs_lp(2)],
+                                   n_paths=2)
+        assert second.means[0] == pytest.approx(first.means[0], rel=1e-9)
+
     def test_average_linearity(self, basis16, coupling16, pairs16):
         # time averaging commutes with linear combinations of observables
         cfg = linear_config(basis16, coupling16, pairs16, horizon=5.0)
@@ -74,8 +94,9 @@ class TestKbAverage:
         combo = Observable("combo", lambda ctx: 2 * a.fn(ctx) - 3 * b.fn(ctx))
         ms = kb_average(cfg, [5.0], [a, b, combo], n_paths=2)
         m = ms[0]
-        lhs = m.value("combo")
-        rhs = 2 * m.value(a.name) - 3 * m.value(b.name)
+        lhs = m.means[m.names.index("combo")]
+        rhs = (2 * m.means[m.names.index(a.name)]
+               - 3 * m.means[m.names.index(b.name)])
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
     def test_pooled_observable_rejected(self, basis16, coupling16, pairs16):

@@ -10,6 +10,8 @@ from layerqg.errors import ConfigurationError
 from layerqg.noise import (NoiseMixer, NoiseSpec, make_noise, ou_factors,
                            ou_step, sigma_for_stationary_l2)
 
+from conftest import eigenpair_field
+
 
 class TestRegularity:
     def test_coefficients_nonincreasing(self, pairs16):
@@ -78,7 +80,8 @@ class TestIncrements:
         mixer = NoiseMixer(spec, pairs16)
         fields = mixer.coefficients(np.eye(40))
         for k in range(40):
-            assert np.array_equal(fields[k], pairs16.field(k).spectral())
+            assert np.array_equal(fields[k],
+                                  eigenpair_field(pairs16, k).spectral())
         # a (K, P) batch scatters each column as the (K,) call does
         values = np.random.default_rng(4).standard_normal((40, 5))
         batch = mixer.coefficients(values)
@@ -138,7 +141,8 @@ class TestIncrements:
         for p in range(5):
             total = np.zeros((3,) + pairs16.basis.spectral_shape)
             for j in range(k):
-                total = total + values[j, p] * pairs16.field(j).spectral()
+                rho = eigenpair_field(pairs16, j).spectral()
+                total = total + values[j, p] * rho
             assert batch[p].tobytes() == total.tobytes()
 
 
